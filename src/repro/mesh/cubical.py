@@ -23,7 +23,7 @@ Structure-table memoization
 Everything about the complex that depends only on the block's *shape* —
 celltype and dimension per padded cell, the valid-cell mask, the
 facet/cofacet flat-offset tables, the padded-layout scatter indices, and
-the per-celltype candidate tables the gradient and tracing kernels walk
+the per-celltype continuation tables the tracing kernels walk
 — is factored into :class:`MeshStructureTables` and memoized per
 ``padded_shape`` in a module-level LRU cache.  A worker process
 computing many same-shaped blocks builds these tables once, not once
@@ -45,6 +45,7 @@ from repro.mesh.addressing import boundary_signature, global_refined_address
 __all__ = [
     "CubicalComplex",
     "CELL_DIM_NAMES",
+    "CELLTYPES_OF_DIM",
     "MeshStructureTables",
     "build_structure_tables",
     "structure_tables",
@@ -56,6 +57,9 @@ __all__ = [
 CELL_DIM_NAMES = ("minimum", "1-saddle", "2-saddle", "maximum")
 
 _POPCOUNT3 = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.uint8)
+
+#: celltypes (x, y, z parity bits) of each cell dimension
+CELLTYPES_OF_DIM = ((0,), (1, 2, 4), (3, 5, 6), (7,))
 
 
 def _axis_bits(t: int) -> tuple[int, int, int]:
@@ -94,14 +98,6 @@ class MeshStructureTables:
     cofacet_offsets: tuple[tuple[int, ...], ...]
     #: flat offset per direction code 0..5 (+x, -x, +y, -y, +z, -z)
     dir_offsets: tuple[int, int, int, int, int, int]
-    #: gradient-sweep candidates per celltype: for each cofacet of a
-    #: t-cell, ``(offset, code_tail, code_head, other_facet_offsets)``
-    #: where the codes are the direction codes of the tail->head and
-    #: head->tail arrows and ``other_facet_offsets`` are the cofacet's
-    #: facet offsets excluding the one leading back to the tail
-    pair_candidates: tuple[
-        tuple[tuple[int, int, int, tuple[int, ...]], ...], ...
-    ]
     #: V-path continuation table: ``trace_facets[t][code]`` lists the
     #: facet offsets of a t-cell excluding ``dir_offsets[code ^ 1]`` —
     #: the facet a descending trace arrived through when the arriving
@@ -161,21 +157,6 @@ def build_structure_tables(
 
     sx, sy, sz = steps
     dir_offsets = (sx, -sx, sy, -sy, sz, -sz)
-    code_of_offset = {off: code for code, off in enumerate(dir_offsets)}
-
-    pair_candidates = []
-    for t in range(8):
-        cands = []
-        for off in cofacet_offsets[t]:
-            head_type = int(
-                t | (1 << [abs(off) == s for s in steps].index(True))
-            )
-            others = tuple(
-                foff for foff in facet_offsets[head_type] if foff != -off
-            )
-            fwd = code_of_offset[off]
-            cands.append((off, fwd, fwd ^ 1, others))
-        pair_candidates.append(tuple(cands))
 
     trace_facets = tuple(
         tuple(
@@ -209,7 +190,6 @@ def build_structure_tables(
         facet_offsets=facet_offsets,
         cofacet_offsets=cofacet_offsets,
         dir_offsets=dir_offsets,
-        pair_candidates=tuple(pair_candidates),
         trace_facets=trace_facets,
         cells_of_dim=cells_of_dim,
     )
@@ -362,56 +342,62 @@ class CubicalComplex:
             np.ascontiguousarray(sig3d), np.uint8(255)
         )
 
-        self._build_order_rank(gi, gj, gk)
+        self._build_order_rank(addr)
 
-    def _build_order_rank(self, gi, gj, gk) -> None:
+    def _build_order_rank(self, addr: np.ndarray) -> None:
         """Dense simulation-of-simplicity rank over all valid cells.
 
         Key = (descending-sorted vertex values, global address), compared
-        lexicographically.  Vertex-value lists of d-cells are padded to
-        eight entries by duplication (each vertex appears ``2**(3-d)``
-        times), which preserves comparisons between cells of equal
-        dimension — the only comparisons the gradient sweep performs.
+        lexicographically.  Only cells of equal dimension are ever
+        compared (by the gradient kernel and :attr:`cells_by_dim`), so
+        each dimension d is sorted on its own with its ``2**d`` real
+        keys, and its ranks follow those of the lower dimensions.
         """
-        rx, ry, rz = self.refined_shape
-        cols = np.empty((8,) + self.refined_shape, dtype=np.float32)
-        ax_range = [np.arange(n, dtype=np.int64) for n in self.refined_shape]
-        for m in range(8):
-            idx = []
-            for a in range(3):
-                bit = (m >> a) & 1
-                r = ax_range[a]
-                v = np.where(r % 2 == 1, r + (1 if bit else -1), r) // 2
-                idx.append(v)
-            cols[m] = self.vertex_values[np.ix_(*idx)]
-        cols.sort(axis=0)
-        cols = cols[::-1]  # descending
-
-        addr3d = np.broadcast_to(
-            global_refined_address(gi, gj, gk, self.global_refined_dims),
-            self.refined_shape,
-        )
-        # Order-preserving compression of the eight float32 keys into
-        # four uint64 keys: map each float to a monotone uint32 (IEEE
-        # bit trick), then pack adjacent key pairs big-end-first.  The
-        # lexicographic order of the packed keys equals that of the
-        # original float keys, and lexsort runs half the passes.
-        u = cols.view(np.uint32)
+        # Order-preserving map of the float32 vertex values to uint32
+        # (IEEE bit trick): integer keys sort and pack without caring
+        # about signed zeros.
+        u = self.vertex_values.astype(np.float32).view(np.uint32)
         u = u ^ np.where(
             (u >> 31) != 0, np.uint32(0xFFFFFFFF), np.uint32(0x80000000)
         )
-        packed = (u[0::2].astype(np.uint64) << np.uint64(32)) | u[1::2]
-        flat_packed = [p.ravel(order="F") for p in packed]
-        flat_addr = addr3d.ravel(order="F")
-        # np.lexsort: last key is primary
-        keys = (flat_addr,) + tuple(flat_packed[::-1])
-        perm = np.lexsort(keys)
-        rank3d = np.empty(self.num_cells, dtype=np.int64)
-        rank3d[perm] = np.arange(self.num_cells, dtype=np.int64)
-        self.order_rank = self._pad_and_flatten(
-            rank3d.reshape(self.refined_shape, order="F"),
-            np.iinfo(np.int64).max,
-        )
+        nv = self.vertex_shape
+        self.order_rank = np.full(self.num_padded, np.iinfo(np.int64).max)
+        rank_xyz = self.order_rank.reshape(self.padded_shape[::-1]).T
+        base = 0
+        for types in CELLTYPES_OF_DIM:
+            keys, cell_addr, targets = [], [], []
+            for t in types:
+                bits = _axis_bits(t)
+                # the t-cells form an (nv - bits) grid; their corner m
+                # (a subset of t's axes) is the vertex block shifted by m
+                extent = tuple(n - b for n, b in zip(nv, bits))
+                keys.append(np.stack([
+                    u[tuple(
+                        slice(c, c + e) for c, e in zip(_axis_bits(m), extent)
+                    )].ravel()
+                    for m in range(8) if m & ~t == 0
+                ]))
+                cell_addr.append(
+                    addr[tuple(slice(b, None, 2) for b in bits)].ravel()
+                )
+                targets.append(
+                    rank_xyz[tuple(slice(1 + b, -1, 2) for b in bits)]
+                )
+            keys = np.concatenate(keys, axis=1)
+            keys.sort(axis=0)
+            keys = keys[::-1]  # descending
+            if len(keys) > 1:
+                # pack adjacent key pairs big-end-first: same
+                # lexicographic order, half the lexsort passes
+                keys = (keys[0::2].astype(np.uint64) << np.uint64(32)) | keys[1::2]
+            # np.lexsort: last key is primary
+            perm = np.lexsort((np.concatenate(cell_addr), *keys[::-1]))
+            ranks = np.empty(len(perm), dtype=np.int64)
+            ranks[perm] = np.arange(base, base + len(perm), dtype=np.int64)
+            base += len(perm)
+            for target in targets:
+                target[...] = ranks[:target.size].reshape(target.shape)
+                ranks = ranks[target.size:]
 
     # ------------------------------------------------------------------
     # coordinate / identity helpers

@@ -33,22 +33,36 @@ vector field is a discrete *gradient* field.
 
 Implementation notes
 --------------------
-The greedy sweep is the compute-stage bottleneck, so the loop body is
-kept free of everything that can be hoisted: the sweep permutation is
-one vectorized lexsort, the sentinel/bookkeeping arrays are bulk-built
-from numpy before the loop, per-cell attributes are plain Python lists
-(several times faster than numpy scalar indexing), and the candidate
-walk uses the complex's memoized per-celltype tables — each cofacet
-offset comes pre-bundled with its direction codes and with the cofacet's
-facet offsets minus the one leading back, so the inner loop performs
-only the unavoidable assignment/signature tests.
+The sequential sweep (signature popcount descending, dimension ascending,
+SoS rank ascending) is never run; three array passes, d = 0, 1, 2,
+compute its result exactly.  They rest on one lemma:
+
+    At the turn of a d-cell ``a``, "``a`` is the only unassigned facet of
+    its cofacet ``b``" holds iff ``a`` is the highest-rank member of
+    F(b) = {facets of ``b`` with ``sig == sig(b)`` not taken as heads by
+    the (d-1) pass}; and ``b`` itself is still unassigned then.
+
+Proof.  Every cell is assigned at its own turn whatever the outcome (tail
+or critical).  A facet of ``b`` lies on every cut plane ``b`` lies on, so
+its signature is a superset of ``sig(b)``: a facet of a different
+signature belongs to an earlier class and is already assigned.  A facet
+in F(b) is assigned exactly when its turn has passed, i.e. when its rank
+is below ``a``'s; and only the top of F(b) could ever have claimed ``b``.
+
+Eligibility is therefore static within a (signature, dimension) pass and
+the equal-signature test already separates the classes, so pass d is two
+gather-reduce steps over strided views of the flat padded arrays: every
+(d+1)-cell elects the arg-max-rank member of F(b), the only tail it could
+take; every free d-cell takes the min-rank cofacet that elected it.  Cells
+no pass paired are critical.  ``tests/reference_gradient.py`` keeps the
+sequential sweep as the oracle the result must equal byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.mesh.cubical import CubicalComplex
+from repro.mesh.cubical import CELLTYPES_OF_DIM, CubicalComplex
 from repro.morse.vectorfield import (
     CRITICAL,
     SENTINEL,
@@ -59,11 +73,26 @@ from repro.obs.trace import get_tracer
 
 __all__ = ["compute_discrete_gradient"]
 
-#: popcount of each possible boundary signature byte (hoisted: built
-#: once at import, not per block)
-_POP_OF_SIG = np.array(
-    [bin(v).count("1") for v in range(256)], dtype=np.uint8
-)
+_NO_RANK = np.iinfo(np.int64).max
+
+
+def _cells(shape_zyx, celltype: int, code: int | None = None):
+    """Strided index of all ``celltype`` cells in a ``(z, y, x)`` padded
+    array, or of their neighbours one step along direction ``code``."""
+    index = []
+    for axis in (2, 1, 0):
+        shift = 0
+        if code is not None and code >> 1 == axis:
+            shift = 1 - 2 * (code & 1)
+        start = 1 + ((celltype >> axis) & 1) + shift
+        index.append(slice(start, shape_zyx[2 - axis] - 1 + shift, 2))
+    return tuple(index)
+
+
+def _directions(celltype: int, facets: bool) -> list[int]:
+    """Direction codes leading from a cell to its facets or cofacets."""
+    along = [bool(celltype >> axis & 1) for axis in range(3)]
+    return [code for code in range(6) if along[code >> 1] == facets]
 
 
 def compute_discrete_gradient(complex_: CubicalComplex) -> GradientField:
@@ -75,82 +104,52 @@ def compute_discrete_gradient(complex_: CubicalComplex) -> GradientField:
     on data available identically to all blocks sharing that boundary.
     """
     tracer = get_tracer()
-    valid = complex_.valid
-    rank_np = complex_.order_rank
-    sig_np = complex_.boundary_sig
+    shape = complex_.padded_shape[::-1]
 
     with tracer.span("gradient.prepare", cat="kernel"):
-        # Bulk pre-pass: sentinel marking and the assigned flags come
-        # straight from the valid mask — no per-cell Python loop.
-        pairing = np.where(valid, np.uint8(UNASSIGNED), np.uint8(SENTINEL))
-        assigned = bytearray((~valid).view(np.uint8).tobytes())
-
-        # Sweep order: signature classes from most constrained to least
-        # (popcount 3, 2, 1, 0), then increasing dimension, then SoS
-        # rank.  One vectorized lexsort over all valid cells replaces
-        # per-class masked argsorts, so a worker process spends its time
-        # in the greedy loop below, not in sorting.  The SoS rank is a
-        # total order (global address tie-break), so the permutation —
-        # and hence the constructed field — is exactly the grouped order.
-        valid_cells = np.flatnonzero(valid)
-        neg_pop = -_POP_OF_SIG[sig_np[valid_cells]].astype(np.int8)
-        # np.lexsort: last key is primary
-        perm = np.lexsort(
-            (rank_np[valid_cells], complex_.cell_dim[valid_cells], neg_pop)
+        flat_pairing = np.where(
+            complex_.valid, np.uint8(UNASSIGNED), np.uint8(SENTINEL)
         )
-        sweep = valid_cells[perm].tolist()
+        pairing = flat_pairing.reshape(shape)
+        rank = complex_.order_rank.reshape(shape)
+        sig = complex_.boundary_sig.reshape(shape)
+        # direction code from each cell to the only tail it could take,
+        # UNASSIGNED where F(b) is empty (and on vertices and sentinels)
+        elected = np.full(shape, UNASSIGNED, dtype=np.uint8)
 
-    sweep_span = tracer.span("gradient.sweep", cat="kernel",
-                             cells=len(sweep))
-    sweep_span.__enter__()
+    with tracer.span("gradient.sweep", cat="kernel",
+                     cells=complex_.num_cells) as sweep_span:
+        for d in range(3):
+            # every (d+1)-cell elects the top of its F(b)
+            for t in CELLTYPES_OF_DIM[d + 1]:
+                heads = _cells(shape, t)
+                sig_b = sig[heads]
+                choice = elected[heads]  # a view: writes land in `elected`
+                best = np.full(choice.shape, -1, dtype=np.int64)
+                for code in _directions(t, facets=True):
+                    facet = _cells(shape, t, code)
+                    better = (
+                        (sig[facet] == sig_b)
+                        & (pairing[facet] == UNASSIGNED)
+                        & (rank[facet] > best)
+                    )
+                    np.copyto(best, rank[facet], where=better)
+                    choice[better] = code
+            # every free d-cell takes the lowest cofacet that elected it
+            # (a d-cell taken as a head by pass d-1 is in no F(b))
+            for t in CELLTYPES_OF_DIM[d]:
+                choice = pairing[_cells(shape, t)]  # a view, as above
+                best = np.full(choice.shape, _NO_RANK)
+                cofacets = _directions(t, facets=False)
+                for code in cofacets:
+                    head = _cells(shape, t, code)
+                    better = (elected[head] == (code ^ 1)) & (rank[head] < best)
+                    np.copyto(best, rank[head], where=better)
+                    choice[better] = code
+                for code in cofacets:
+                    pairing[_cells(shape, t, code)][choice == code] = code ^ 1
+        critical = flat_pairing == UNASSIGNED
+        flat_pairing[critical] = CRITICAL
+        sweep_span.annotate(critical=int(np.count_nonzero(critical)))
 
-    # Hot loop state as plain Python lists: element access on lists is
-    # several times faster than numpy scalar indexing.
-    pairing = pairing.tolist()
-    celltype = complex_.celltype.tolist()
-    sig = sig_np.tolist()
-    rank = rank_np.tolist()
-
-    # memoized per-celltype candidate tables: for each cofacet offset,
-    # (offset, tail->head code, head->tail code, other facet offsets)
-    candidates = complex_.tables.pair_candidates
-
-    for a in sweep:
-        if assigned[a]:
-            continue
-        sa = sig[a]
-        ta = celltype[a]
-        best = -1
-        best_rank = 0
-        best_fwd = 0
-        best_back = 0
-        for off, fwd, back, others in candidates[ta]:
-            b = a + off
-            # sentinel cells carry signature 255, so they can
-            # never match sa and are skipped without a bounds test
-            if assigned[b] or sig[b] != sa:
-                continue
-            ok = True
-            for foff in others:
-                if not assigned[b + foff]:
-                    ok = False
-                    break
-            if ok:
-                rb = rank[b]
-                if best < 0 or rb < best_rank:
-                    best = b
-                    best_rank = rb
-                    best_fwd = fwd
-                    best_back = back
-        if best >= 0:
-            pairing[a] = best_fwd
-            pairing[best] = best_back
-            assigned[a] = 1
-            assigned[best] = 1
-        else:
-            pairing[a] = CRITICAL
-            assigned[a] = 1
-    sweep_span.__exit__(None, None, None)
-
-    field = GradientField(complex_, np.asarray(pairing, dtype=np.uint8))
-    return field
+    return GradientField(complex_, flat_pairing)

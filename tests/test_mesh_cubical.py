@@ -160,3 +160,32 @@ class TestSoSOrder:
         rl = left.order_rank[shared_l]
         rr = right.order_rank[shared_r]
         np.testing.assert_array_equal(np.argsort(rl), np.argsort(rr))
+
+    @pytest.mark.parametrize("levels", [0, 3])
+    def test_rank_is_the_sos_order_within_each_dimension(self, levels):
+        """Brute force: sort every dimension's cells by (descending
+        float32 vertex values, global address); dimension d's ranks
+        follow those of the lower dimensions."""
+        rng = np.random.default_rng(8)
+        v = rng.random((4, 3, 5))
+        if levels:
+            v = rng.integers(0, levels, v.shape).astype(float)  # plateaus
+        cx = CubicalComplex(
+            v, refined_origin=(2, 0, 4), global_refined_dims=(11, 5, 13)
+        )
+        base = 0
+        for d in range(4):
+            cells = cx.tables.cells_of_dim[d].tolist()
+
+            def sos_key(p):
+                verts = np.float32(cx.cell_value[cx.vertices_of_cell(p)])
+                return sorted(verts.tolist(), reverse=True), int(
+                    cx.global_address[p]
+                )
+
+            want = sorted(cells, key=sos_key)
+            got = sorted(cells, key=lambda p: cx.order_rank[p])
+            assert got == want
+            assert cx.order_rank[got[0]] == base
+            base += len(cells)
+            assert cx.order_rank[got[-1]] == base - 1

@@ -138,6 +138,20 @@ class TestPipelineTrace:
         ):
             assert expected in names, f"missing span {expected}"
 
+    def test_gradient_sweep_span_reports_cells_and_critical(self):
+        from repro.mesh.cubical import CubicalComplex
+        from repro.morse.gradient import compute_discrete_gradient
+
+        cx = CubicalComplex(np.random.default_rng(7).random((5, 6, 7)))
+        t = Tracer()
+        with t.installed():
+            field = compute_discrete_gradient(cx)
+        (sweep,) = t.spans("gradient.sweep")
+        assert sweep.args == {
+            "cells": cx.num_cells,
+            "critical": sum(field.critical_counts()),
+        }
+
     def test_every_block_has_a_compute_span(self):
         result = _traced_result()
         blocks = {e.args["block"] for e in result.stats.trace.events
