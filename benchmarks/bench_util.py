@@ -84,7 +84,7 @@ def emit_json(name: str, payload: dict, path: Path | None = None) -> Path:
     """Persist a machine-readable benchmark record as JSON.
 
     Defaults to ``benchmarks/results/<name>.json``; pass ``path`` to
-    write elsewhere (e.g. the repo-root ``BENCH_kernels.json``).
+    write elsewhere (e.g. the repo-root ``BENCH_merge_stage.json``).
     Returns the written path.
     """
     import json

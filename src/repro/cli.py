@@ -115,14 +115,134 @@ def _size_bytes(text: str) -> int:
     return value * mult
 
 
-_SPILL_BUDGET_HELP = (
-    "resident-byte budget of the merge stage's packed-blob spool "
-    "(e.g. 64M, 2G, or plain bytes; 0 spills everything).  Over "
-    "budget, merged snapshots spill LRU-first to a run-scoped temp "
-    "dir between radix rounds, keeping driver memory roughly flat "
-    "as block count grows; outputs are bit-identical at any budget "
-    "(default: unbounded, never spills)"
-)
+def _add_run_arguments(p: argparse.ArgumentParser) -> None:
+    """The volume/decomposition/execution flags `compute` and `stream`
+    share — one table, read back by :func:`_config_from_args`."""
+    p.add_argument("--dims", nargs=3, type=int, required=True,
+                   metavar=("NX", "NY", "NZ"))
+    p.add_argument("--dtype", default="float32",
+                   choices=("uint8", "float32", "float64"))
+    p.add_argument("--blocks", type=_positive_int, default=1,
+                   help="number of blocks (power of two)")
+    p.add_argument("--procs", type=_positive_int, default=None,
+                   help="virtual processes (default: one per block)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="shared-memory worker processes for the compute "
+                        "stage (default: 1, serial)")
+    p.add_argument("--transport", default="auto",
+                   choices=("auto", "pickle", "shm", "mmap"),
+                   help="block-data transport to pool workers: pickle "
+                        "ships subarrays by value, shm publishes an "
+                        "in-memory volume once into shared memory, mmap "
+                        "(volume-file inputs) lets workers subarray-read "
+                        "straight from disk without the driver ever "
+                        "materializing the volume (auto: mmap for file "
+                        "inputs, shm exactly when a process pool runs)")
+    p.add_argument("--executor", default="auto",
+                   choices=("auto", "serial", "process"),
+                   help="compute-stage backend (default: auto — a "
+                        "process pool exactly when --workers > 1)")
+    p.add_argument("--merge-executor", default="auto",
+                   choices=("auto", "serial", "pool"),
+                   help="merge-stage backend: serial merges inside the "
+                        "virtual ranks, pool fans each round's merges "
+                        "over the worker pool (default: auto — pool "
+                        "exactly when the compute stage does; results "
+                        "are bit-identical either way)")
+    p.add_argument("--merge-spill-budget", type=_size_bytes, default=None,
+                   metavar="SIZE",
+                   help="resident-byte budget of the merge stage's "
+                        "packed-blob spool (e.g. 64M, 2G, or plain bytes; "
+                        "0 spills everything).  Over budget, merged "
+                        "snapshots spill LRU-first to a run-scoped temp "
+                        "dir between radix rounds, keeping driver memory "
+                        "roughly flat as block count grows; outputs are "
+                        "bit-identical at any budget (default: unbounded, "
+                        "never spills)")
+    p.add_argument("--persistence", type=float, default=0.0,
+                   help="simplification threshold")
+    p.add_argument("--block-timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="per-block compute timeout (process executor); "
+                        "timed-out blocks are retried")
+    p.add_argument("--max-retries", type=int, default=2, metavar="N",
+                   help="extra attempts a failed block or merge gets "
+                        "(default: 2)")
+    p.add_argument("--retry-backoff", type=float, default=0.05,
+                   metavar="SECONDS",
+                   help="base of the exponential backoff between "
+                        "attempts (default: 0.05)")
+    p.add_argument("--no-degrade", action="store_true",
+                   help="fail instead of degrading to the serial "
+                        "executor when the worker pool is unhealthy")
+    p.add_argument("--hierarchy", action="store_true",
+                   help="capture the cancellation hierarchy of every "
+                        "output block and persist it in the .msc v2 "
+                        "footer, enabling `repro query` threshold "
+                        "lookups with zero re-simplification")
+    p.add_argument("--radices", nargs="*", type=int, default=None,
+                   help="merge radices (default: full merge)")
+    p.add_argument("--no-merge", action="store_true",
+                   help="skip the merge stage entirely")
+
+
+def _config_from_args(args, *, trace: bool = False, metrics: bool = False):
+    """The :class:`PipelineConfig` the :func:`_add_run_arguments` flags
+    describe (raises ``ValueError`` on out-of-range values)."""
+    from repro.core.config import ExecutionOptions, PipelineConfig
+
+    if args.no_merge:
+        radices = "none"
+    elif args.radices is None:
+        radices = "full"
+    else:
+        radices = args.radices
+    return PipelineConfig(
+        num_blocks=args.blocks,
+        num_procs=args.procs,
+        persistence_threshold=args.persistence,
+        merge_radices=radices,
+        options=ExecutionOptions(
+            workers=args.workers,
+            executor=args.executor,
+            merge_executor=args.merge_executor,
+            transport=args.transport,
+            block_timeout=args.block_timeout,
+            max_retries=args.max_retries,
+            retry_backoff=args.retry_backoff,
+            degrade_on_failure=not args.no_degrade,
+            hierarchy=args.hierarchy,
+            merge_spill_budget_bytes=args.merge_spill_budget,
+        ),
+        trace=trace,
+        metrics=metrics,
+    )
+
+
+def _checked_volume_spec(path: str, args):
+    """The :class:`VolumeSpec` of ``path`` under ``--dims``/``--dtype``.
+
+    Raises ``ValueError`` when the file is unreadable or its size does
+    not match, before any pipeline work starts.
+    """
+    import os
+
+    from repro.io.volume import VolumeSpec
+
+    spec = VolumeSpec(path, tuple(args.dims), args.dtype)
+    try:
+        size = os.stat(path).st_size
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read volume {path!r}: {exc.strerror or exc}"
+        ) from None
+    if size != spec.nbytes:
+        raise ValueError(
+            f"volume {path!r} holds {size} bytes but dims "
+            f"{tuple(args.dims)} with dtype {args.dtype} require "
+            f"{spec.nbytes}"
+        )
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,72 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compute", help="compute an MS complex of a volume")
     c.add_argument("volume", help="raw volume file (x fastest)")
-    c.add_argument("--dims", nargs=3, type=int, required=True,
-                   metavar=("NX", "NY", "NZ"))
-    c.add_argument("--dtype", default="float32",
-                   choices=("uint8", "float32", "float64"))
-    c.add_argument("--blocks", type=_positive_int, default=1,
-                   help="number of blocks (power of two)")
-    c.add_argument("--procs", type=_positive_int, default=None,
-                   help="virtual processes (default: one per block)")
-    c.add_argument("--workers", type=_positive_int, default=1,
-                   help="shared-memory worker processes for the compute "
-                        "stage (default: 1, serial)")
-    c.add_argument("--transport", default="auto",
-                   choices=("auto", "pickle", "shm", "mmap"),
-                   help="block-data transport to pool workers: pickle "
-                        "ships subarrays by value, shm publishes an "
-                        "in-memory volume once into shared memory, mmap "
-                        "(volume-file inputs) lets workers subarray-read "
-                        "straight from disk without the driver ever "
-                        "materializing the volume (auto: mmap for file "
-                        "inputs, shm exactly when a process pool runs)")
-    c.add_argument("--executor", default="auto",
-                   choices=("auto", "serial", "process"),
-                   help="compute-stage backend (default: auto — a "
-                        "process pool exactly when --workers > 1)")
-    c.add_argument("--merge-executor", default="auto",
-                   choices=("auto", "serial", "pool"),
-                   help="merge-stage backend: serial merges inside the "
-                        "virtual ranks, pool fans each round's merges "
-                        "over the worker pool (default: auto — pool "
-                        "exactly when the compute stage does; results "
-                        "are bit-identical either way)")
-    c.add_argument("--kernel-backend", default="auto",
-                   choices=("auto", "dfs", "pointer"),
-                   help="V-path tracing backend: dfs traces each path "
-                        "depth-first, pointer compresses descents with "
-                        "vectorized pointer jumping (default: auto — "
-                        "pointer exactly when the block is large enough "
-                        "to amortize the whole-array passes; results "
-                        "are bit-identical either way)")
-    c.add_argument("--merge-spill-budget", type=_size_bytes, default=None,
-                   metavar="SIZE", help=_SPILL_BUDGET_HELP)
-    c.add_argument("--persistence", type=float, default=0.0,
-                   help="simplification threshold")
-    c.add_argument("--block-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-block compute timeout (process executor); "
-                        "timed-out blocks are retried")
-    c.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="extra attempts a failed block or merge gets "
-                        "(default: 2)")
-    c.add_argument("--retry-backoff", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="base of the exponential backoff between "
-                        "attempts (default: 0.05)")
-    c.add_argument("--no-degrade", action="store_true",
-                   help="fail instead of degrading to the serial "
-                        "executor when the worker pool is unhealthy")
-    c.add_argument("--hierarchy", action="store_true",
-                   help="capture the cancellation hierarchy of every "
-                        "output block and persist it in the .msc v2 "
-                        "footer, enabling `repro query` threshold "
-                        "lookups with zero re-simplification")
-    c.add_argument("--radices", nargs="*", type=int, default=None,
-                   help="merge radices (default: full merge)")
-    c.add_argument("--no-merge", action="store_true",
-                   help="skip the merge stage entirely")
+    _add_run_arguments(c)
     c.add_argument("--output", default=None, help="output .msc file")
     c.add_argument("--trace", default=None, metavar="PATH",
                    help="record a span timeline of the run and write it "
@@ -228,39 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("volumes", nargs="+",
                     help="raw volume files, one per timestep "
                          "(identical dims and dtype)")
-    st.add_argument("--dims", nargs=3, type=int, required=True,
-                    metavar=("NX", "NY", "NZ"))
-    st.add_argument("--dtype", default="float32",
-                    choices=("uint8", "float32", "float64"))
-    st.add_argument("--blocks", type=_positive_int, default=1,
-                    help="number of blocks (power of two)")
-    st.add_argument("--procs", type=_positive_int, default=None,
-                    help="virtual processes (default: one per block)")
-    st.add_argument("--workers", type=_positive_int, default=1,
-                    help="shared-memory worker processes (default: 1)")
-    st.add_argument("--transport", default="auto",
-                    choices=("auto", "pickle", "shm", "mmap"),
-                    help="block-data transport (default: auto — mmap "
-                         "for these file inputs)")
-    st.add_argument("--executor", default="auto",
-                    choices=("auto", "serial", "process"))
-    st.add_argument("--merge-executor", default="auto",
-                    choices=("auto", "serial", "pool"))
-    st.add_argument("--kernel-backend", default="auto",
-                    choices=("auto", "dfs", "pointer"))
-    st.add_argument("--merge-spill-budget", type=_size_bytes,
-                    default=None, metavar="SIZE",
-                    help=_SPILL_BUDGET_HELP)
-    st.add_argument("--persistence", type=float, default=0.0,
-                    help="simplification threshold")
-    st.add_argument("--max-retries", type=int, default=2, metavar="N")
-    st.add_argument("--retry-backoff", type=float, default=0.05,
-                    metavar="SECONDS")
-    st.add_argument("--no-degrade", action="store_true")
-    st.add_argument("--radices", nargs="*", type=int, default=None,
-                    help="merge radices (default: full merge)")
-    st.add_argument("--no-merge", action="store_true",
-                    help="skip the merge stage entirely")
+    _add_run_arguments(st)
     st.add_argument("--min-value", type=float, default=None,
                     help="value floor for the significant-extrema "
                          "monitoring series")
@@ -372,52 +395,13 @@ def _fail(message: str) -> int:
 
 
 def _cmd_compute(args) -> int:
-    import os
-
-    from repro.core.config import ExecutionOptions, PipelineConfig
     from repro.core.pipeline import ParallelMSComplexPipeline
-    from repro.io.volume import VolumeSpec
     from repro.parallel.executor import FaultToleranceError
 
-    spec = VolumeSpec(args.volume, tuple(args.dims), args.dtype)
     try:
-        size = os.stat(args.volume).st_size
-    except OSError as exc:
-        return _fail(
-            f"cannot read volume {args.volume!r}: "
-            f"{exc.strerror or exc}"
-        )
-    if size != spec.nbytes:
-        return _fail(
-            f"volume {args.volume!r} holds {size} bytes but dims "
-            f"{tuple(args.dims)} with dtype {args.dtype} require "
-            f"{spec.nbytes}"
-        )
-    if args.no_merge:
-        radices = "none"
-    elif args.radices is None:
-        radices = "full"
-    else:
-        radices = args.radices
-    try:
-        cfg = PipelineConfig(
-            num_blocks=args.blocks,
-            num_procs=args.procs,
-            persistence_threshold=args.persistence,
-            merge_radices=radices,
-            options=ExecutionOptions(
-                workers=args.workers,
-                executor=args.executor,
-                merge_executor=args.merge_executor,
-                transport=args.transport,
-                kernel_backend=args.kernel_backend,
-                block_timeout=args.block_timeout,
-                max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff,
-                degrade_on_failure=not args.no_degrade,
-                hierarchy=args.hierarchy,
-                merge_spill_budget_bytes=args.merge_spill_budget,
-            ),
+        spec = _checked_volume_spec(args.volume, args)
+        cfg = _config_from_args(
+            args,
             trace=args.trace is not None,
             metrics=args.metrics is not None,
         )
@@ -451,58 +435,19 @@ def _cmd_stream(args) -> int:
     import json
     import os
 
-    from repro.core.config import ExecutionOptions, PipelineConfig
     from repro.core.insitu import InSituAnalyzer
-    from repro.io.volume import VolumeSpec
     from repro.parallel.executor import FaultToleranceError
 
-    specs = []
-    for path in args.volumes:
-        spec = VolumeSpec(path, tuple(args.dims), args.dtype)
-        try:
-            size = os.stat(path).st_size
-        except OSError as exc:
-            return _fail(
-                f"cannot read volume {path!r}: {exc.strerror or exc}"
-            )
-        if size != spec.nbytes:
-            return _fail(
-                f"volume {path!r} holds {size} bytes but dims "
-                f"{tuple(args.dims)} with dtype {args.dtype} require "
-                f"{spec.nbytes}"
-            )
-        specs.append(spec)
-    if args.no_merge:
-        radices = "none"
-    elif args.radices is None:
-        radices = "full"
-    else:
-        radices = args.radices
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
     try:
-        cfg = PipelineConfig(
-            num_blocks=args.blocks,
-            num_procs=args.procs,
-            persistence_threshold=args.persistence,
-            merge_radices=radices,
-            options=ExecutionOptions(
-                workers=args.workers,
-                executor=args.executor,
-                merge_executor=args.merge_executor,
-                transport=args.transport,
-                kernel_backend=args.kernel_backend,
-                max_retries=args.max_retries,
-                retry_backoff=args.retry_backoff,
-                degrade_on_failure=not args.no_degrade,
-                merge_spill_budget_bytes=args.merge_spill_budget,
-            ),
-        )
+        specs = [_checked_volume_spec(path, args) for path in args.volumes]
+        cfg = _config_from_args(args)
         # fail on impossible transport/input combinations before the
         # first step, not midway through the series
-        cfg.resolve_transport("volume")
+        cfg.options.resolve_transport("volume")
     except ValueError as exc:
         return _fail(str(exc))
+    if args.output_dir:
+        os.makedirs(args.output_dir, exist_ok=True)
     rows = []
     try:
         with InSituAnalyzer(

@@ -6,33 +6,34 @@ are handled (timeouts, retries, degradation) — that are pure scheduling:
 none of them changes the computed complex by a single byte.  They are
 grouped here into one frozen dataclass, :class:`ExecutionOptions`, so
 the public entry points take a single ``options=`` argument instead of
-a dozen flat keywords, and so every backend knob is validated in one
-place with one readable error shape (``choose one of {...}``) at
-configuration time rather than deep inside the pipeline.
+a dozen flat keywords, and so every knob is validated in one place —
+``__post_init__`` below, with one readable error shape for the backend
+choices (``choose one of {...}``) — at configuration time rather than
+deep inside the pipeline.
 
 ::
 
     import repro
     from repro.core.options import ExecutionOptions
 
-    opts = ExecutionOptions(workers=4, transport="shm",
-                            kernel_backend="pointer")
+    opts = ExecutionOptions(workers=4, transport="shm")
     result = repro.compute(field, persistence=0.05, ranks=8,
                            options=opts)
 
-The flat keyword spellings (``repro.compute(..., workers=4)``) keep
-working for one release behind a :class:`DeprecationWarning`; see
-``docs/API.md``.
+This is the only spelling: :class:`~repro.core.config.PipelineConfig`
+*holds* one of these as its ``options`` field (readers say
+``cfg.options.workers``), and everything that resolves an ``"auto"``
+knob or derives the retry policy lives on the class below, next to the
+fields it reads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
-from repro.morse.tracing import KERNEL_BACKENDS
-from repro.parallel.executor import EXECUTOR_KINDS
+from repro.parallel.executor import EXECUTOR_KINDS, RetryPolicy
 from repro.parallel.transport import TRANSPORT_KINDS
 
 __all__ = [
@@ -75,15 +76,14 @@ BACKEND_KNOB_KINDS = {
     "executor": EXECUTOR_KINDS,
     "merge_executor": MERGE_EXECUTOR_KINDS,
     "transport": TRANSPORT_KINDS,
-    "kernel_backend": KERNEL_BACKENDS,
 }
 
 
 def validate_choice(name: str, value: object, kinds: tuple[str, ...]) -> None:
     """Raise the uniform readable error for an invalid knob value.
 
-    All backend knobs (``executor``, ``merge_executor``, ``transport``,
-    ``kernel_backend``) fail with the same shape at configuration time::
+    All backend knobs (``executor``, ``merge_executor``, ``transport``)
+    fail with the same shape at configuration time::
 
         invalid transport 'smh': choose one of {auto, pickle, shm}
     """
@@ -91,6 +91,19 @@ def validate_choice(name: str, value: object, kinds: tuple[str, ...]) -> None:
         raise ValueError(
             f"invalid {name} {value!r}: choose one of "
             f"{{{', '.join(kinds)}}}"
+        )
+
+
+def _require_int(name: str, value: object, minimum: int) -> None:
+    # bool is an int subclass and 1.5 orders fine against 1: without the
+    # type check both would reach pool sizing / range() mid-pipeline
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+    ):
+        raise ValueError(
+            f"{name} must be an int >= {minimum}, got {value!r}"
         )
 
 
@@ -103,8 +116,7 @@ class ExecutionOptions:
     knob, ``hierarchy``, never changes the complex either — it only
     captures an extra artifact (the cancellation hierarchy) alongside
     it.  Accepted by :func:`repro.api.compute` and
-    :class:`repro.core.config.PipelineConfig` as ``options=``; field
-    names match the flat ``PipelineConfig`` fields one-to-one.
+    :class:`repro.core.config.PipelineConfig` as ``options=``.
 
     Parameters
     ----------
@@ -123,10 +135,6 @@ class ExecutionOptions:
         disk and the driver never materializes the volume), or
         ``"auto"`` (shm exactly when a process pool runs; mmap whenever
         the input is a :class:`repro.io.volume.VolumeSpec`).
-    kernel_backend:
-        V-path tracing backend: ``"dfs"`` (per-path depth-first),
-        ``"pointer"`` (vectorized pointer jumping), or ``"auto"``
-        (by block size; see :mod:`repro.morse.tracing`).
     block_timeout:
         Per-block compute timeout in seconds (process executor);
         ``None`` waits forever.  Timed-out blocks are retried.
@@ -164,7 +172,6 @@ class ExecutionOptions:
     executor: str = "auto"
     merge_executor: str = "auto"
     transport: str = "auto"
-    kernel_backend: str = "auto"
     block_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.05
@@ -174,33 +181,97 @@ class ExecutionOptions:
     merge_spill_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        _require_int("workers", self.workers, 1)
+        _require_int("max_retries", self.max_retries, 0)
+        _require_int("max_pool_restarts", self.max_pool_restarts, 0)
         if self.merge_spill_budget_bytes is not None:
-            if (
-                not isinstance(self.merge_spill_budget_bytes, int)
-                or isinstance(self.merge_spill_budget_bytes, bool)
-                or self.merge_spill_budget_bytes < 0
-            ):
-                raise ValueError(
-                    "merge_spill_budget_bytes must be None or an int >= 0"
-                )
+            _require_int(
+                "merge_spill_budget_bytes", self.merge_spill_budget_bytes, 0
+            )
         for name, kinds in BACKEND_KNOB_KINDS.items():
             validate_choice(name, getattr(self, name), kinds)
+        # RetryPolicy validates the timeout/backoff ranges
+        self.retry_policy()
 
-    def to_kwargs(self) -> dict:
-        """The options as flat ``PipelineConfig`` keyword arguments."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def retry_policy(self) -> RetryPolicy:
+        """The compute-stage retry policy these settings describe."""
+        return RetryPolicy(
+            block_timeout=self.block_timeout,
+            max_retries=self.max_retries,
+            backoff=self.retry_backoff,
+            degrade_on_failure=self.degrade_on_failure,
+            max_pool_restarts=self.max_pool_restarts,
+        )
+
+    @property
+    def resolved_executor(self) -> str:
+        """Concrete executor kind after resolving ``"auto"``."""
+        if self.executor == "auto":
+            return "process" if self.workers > 1 else "serial"
+        return self.executor
+
+    @property
+    def resolved_merge_executor(self) -> str:
+        """Concrete merge-stage backend after resolving ``"auto"``.
+
+        Pooling the merges pays off exactly when a worker pool exists;
+        a serial compute stage keeps the in-rank merge path (which
+        avoids any extra pack/unpack of the root between rounds).
+        """
+        if self.merge_executor == "auto":
+            return (
+                "pool" if self.resolved_executor == "process" else "serial"
+            )
+        return self.merge_executor
+
+    def resolve_transport(self, input_kind: str = "memory") -> str:
+        """Concrete transport after resolving ``"auto"`` for an input.
+
+        ``input_kind`` is ``"memory"`` (a vertex array / grid held by
+        the driver) or ``"volume"`` (a :class:`repro.io.volume.VolumeSpec`
+        file).  Shared memory pays off exactly when block data crosses
+        a process boundary, so for an in-memory input ``"auto"`` keeps
+        the plain by-value path under serial execution.  The two
+        impossible combinations (``shm`` + volume input, ``mmap`` +
+        in-memory input) fail here, readably, instead of silently
+        falling back mid-pipeline.
+        """
+        if input_kind not in ("memory", "volume"):
+            raise ValueError(
+                f"input_kind must be 'memory' or 'volume', got "
+                f"{input_kind!r}"
+            )
+        if input_kind == "volume":
+            if self.transport in ("auto", "mmap"):
+                return "mmap"
+            if self.transport == "shm":
+                raise ValueError(
+                    "transport 'shm' needs an in-memory input to publish; "
+                    "a volume-file input streams blocks straight from "
+                    "disk — use transport='mmap' (or 'auto'), or load "
+                    "the volume yourself with repro.io.volume.read_volume"
+                )
+            return "pickle"
+        if self.transport == "mmap":
+            raise ValueError(
+                "transport 'mmap' needs a volume-file input "
+                "(repro.io.volume.VolumeSpec) for workers to map; "
+                "an in-memory field uses 'pickle' or 'shm' (or 'auto'), "
+                "or write it out first with repro.io.volume.write_volume"
+            )
+        if self.transport == "auto":
+            return "shm" if self.resolved_executor == "process" else "pickle"
+        return self.transport
 
     def fingerprint(self) -> str:
         """Stable content hash over every execution knob.
 
-        Spelling-independent: equal option values — whether built from
-        flat keywords, ``options=``, CLI flags, or a service request —
-        always produce the same digest, and changing any knob produces
-        a different one (the property suite pins both directions).
+        Spelling-independent: equal option values — whether built in
+        code, from CLI flags, or from a service request — always
+        produce the same digest, and changing any knob produces a
+        different one (the property suite pins both directions).
         Note this fingerprints *how* a run executes; the result cache
         keys on :meth:`repro.core.config.PipelineConfig.result_fingerprint`
         instead, which deliberately excludes the pure-scheduling knobs.
         """
-        return canonical_fingerprint("execution-options", self.to_kwargs())
+        return canonical_fingerprint("execution-options", asdict(self))

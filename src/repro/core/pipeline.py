@@ -38,7 +38,6 @@ serial and pooled runs are bit-identical.
 from __future__ import annotations
 
 import logging
-import warnings
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -114,51 +113,25 @@ logger = logging.getLogger(__name__)
 
 def compute_morse_smale_complex(
     values: np.ndarray | StructuredGrid,
-    *args: Any,
+    *,
     persistence_threshold: float = 0.0,
     simplify: bool = True,
     validate: bool = False,
-    kernel_backend: str = "auto",
 ) -> MorseSmaleComplex:
     """Serial MS complex of a scalar field (single block, no merging).
 
     The convenience entry point for analysis at laptop scale and the
     reference the parallel computation is validated against.  Returns a
     compacted complex; the cancellation hierarchy remains available in
-    ``msc.hierarchy``.
-
-    ``persistence_threshold``, ``simplify`` and ``validate`` are
-    keyword-only; passing them positionally is deprecated (accepted with
-    a :class:`DeprecationWarning` for one release).
+    ``msc.hierarchy``.  Everything after ``values`` is keyword-only.
     """
-    if args:
-        names = ("persistence_threshold", "simplify", "validate")
-        if len(args) > len(names):
-            raise TypeError(
-                "compute_morse_smale_complex() takes at most "
-                f"{1 + len(names)} positional arguments "
-                f"({1 + len(args)} given)"
-            )
-        warnings.warn(
-            "passing compute_morse_smale_complex() options positionally "
-            "is deprecated; use keyword arguments "
-            "(persistence_threshold=, simplify=, validate=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides = dict(zip(names, args))
-        persistence_threshold = overrides.get(
-            "persistence_threshold", persistence_threshold
-        )
-        simplify = overrides.get("simplify", simplify)
-        validate = overrides.get("validate", validate)
     grid = values if isinstance(values, StructuredGrid) else StructuredGrid(values)
     cx = CubicalComplex(grid.values)
     field = compute_discrete_gradient(cx)
     if validate:
         assert_gradient_field_valid(field)
         assert_acyclic(field)
-    msc = extract_ms_complex(field, kernel_backend=kernel_backend)
+    msc = extract_ms_complex(field)
     if simplify:
         simplify_ms_complex(
             msc, persistence_threshold, respect_boundary=False
@@ -193,9 +166,6 @@ class BlockSpec:
     persistence_threshold: float
     simplify_at_zero_persistence: bool
     validate: bool
-    #: V-path tracing backend ({auto, dfs, pointer}); pure scheduling,
-    #: the block payload bytes are identical on either backend
-    kernel_backend: str = "auto"
     values: np.ndarray | None = None
     volume: VolumeSpec | None = None
     shm: SharedVolumeHandle | None = None
@@ -303,9 +273,7 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
                 if spec.validate:
                     assert_gradient_field_valid(gradient)
                     assert_acyclic(gradient)
-                msc = extract_ms_complex(
-                    gradient, kernel_backend=spec.kernel_backend
-                )
+                msc = extract_ms_complex(gradient)
             with tracer.span("compute.simplify", cat="compute") as simp:
                 geometry_traced = msc.total_geometry_length()
                 crit_counts = gradient.critical_counts()
@@ -546,7 +514,6 @@ class ParallelMSComplexPipeline:
                         cfg.simplify_at_zero_persistence
                     ),
                     validate=cfg.validate,
-                    kernel_backend=cfg.kernel_backend,
                     values=values,
                     volume=volume,
                     shm=shm,
@@ -600,9 +567,9 @@ class ParallelMSComplexPipeline:
         # LRU-first to a run-scoped disk dir over it (budget None never
         # spills and never touches disk — the pre-spool fast path)
         spool: BlobSpool | None = None
-        if cfg.resolved_merge_executor == "pool" and cfg.resolve_radices():
+        if cfg.options.resolved_merge_executor == "pool" and cfg.resolve_radices():
             spool = BlobSpool(
-                budget_bytes=cfg.merge_spill_budget_bytes,
+                budget_bytes=cfg.options.merge_spill_budget_bytes,
                 tracer=tracer if cfg.trace else None,
             )
         try:
@@ -637,7 +604,7 @@ class ParallelMSComplexPipeline:
         # (shm + volume file, mmap + in-memory field) fail here with a
         # readable error instead of silently falling back mid-pipeline
         input_kind = "memory" if grid is not None else "volume"
-        transport_kind = cfg.resolve_transport(input_kind)
+        transport_kind = cfg.options.resolve_transport(input_kind)
 
         with tracer.span("pipeline.plan", cat="pipeline") as plan_span:
             if session is not None:
@@ -652,7 +619,7 @@ class ParallelMSComplexPipeline:
         # the spool participates exactly when the pooled merge pre-pass
         # will run; otherwise payload blobs flow by value as before
         if spool is not None and not (
-            cfg.resolved_merge_executor == "pool"
+            cfg.options.resolved_merge_executor == "pool"
             and schedule.num_rounds > 0
         ):
             spool = None
@@ -673,9 +640,9 @@ class ParallelMSComplexPipeline:
             )
         else:
             executor = FaultTolerantExecutor(
-                kind=cfg.resolved_executor,
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
+                kind=cfg.options.resolved_executor,
+                workers=cfg.options.workers,
+                policy=cfg.options.retry_policy(),
                 plan=cfg.faults,
                 validator=validate_block_payload,
                 stats=ft,
@@ -710,7 +677,7 @@ class ParallelMSComplexPipeline:
                 )
             with tracer.span(
                 "compute.dispatch", cat="compute", blocks=len(specs),
-                executor=cfg.resolved_executor, workers=cfg.workers,
+                executor=cfg.options.resolved_executor, workers=cfg.options.workers,
             ) as dispatch_span:
                 on_compute_result = None
                 if spool is not None:
@@ -731,7 +698,7 @@ class ParallelMSComplexPipeline:
         logger.info(
             "compute stage done: %d blocks in %.3fs on %s executor",
             len(payload_list), dispatch_span.duration,
-            cfg.resolved_executor,
+            cfg.options.resolved_executor,
         )
         # stitch the workers' span buffers into the driver timeline and
         # fold their metrics snapshots into the run registry
@@ -750,7 +717,7 @@ class ParallelMSComplexPipeline:
         # compute stage.  The ranks then adopt the precomputed results;
         # determinism makes them byte-identical to in-rank merging, so
         # the virtual clock and message accounting are unchanged.
-        merge_mode = cfg.resolved_merge_executor
+        merge_mode = cfg.options.resolved_merge_executor
         presimplified = (
             cfg.persistence_threshold > 0 or cfg.simplify_at_zero_persistence
         )
@@ -760,7 +727,7 @@ class ParallelMSComplexPipeline:
             merge_ft = FaultToleranceStats()
             with tracer.span(
                 "merge.dispatch", cat="merge",
-                rounds=schedule.num_rounds, workers=cfg.workers,
+                rounds=schedule.num_rounds, workers=cfg.options.workers,
             ) as merge_dispatch:
                 merge_results = self._pooled_merge_prepass(
                     cfg, tracer, payloads, groups_by_round, cuts_by_round,
@@ -812,8 +779,8 @@ class ParallelMSComplexPipeline:
             num_blocks=cfg.num_blocks,
             radices=[r.radix for r in schedule.rounds],
             message_bytes=sum(m.nbytes for m in mpi.message_log),
-            workers=cfg.workers,
-            executor=cfg.resolved_executor,
+            workers=cfg.options.workers,
+            executor=cfg.options.resolved_executor,
             merge_executor=merge_mode,
             compute_wall_seconds=dispatch_span.duration,
             faults=ft,
@@ -847,7 +814,7 @@ class ParallelMSComplexPipeline:
         # sequence; level 0 of each hierarchy is the block exactly as
         # stored, so any later threshold is a pure lookup
         hierarchies = None
-        if cfg.hierarchy:
+        if cfg.options.hierarchy:
             with tracer.span(
                 "hierarchy.capture", cat="pipeline",
                 blocks=len(output_blocks),
@@ -905,8 +872,8 @@ class ParallelMSComplexPipeline:
         else:
             executor = FaultTolerantExecutor(
                 kind="process",
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
+                workers=cfg.options.workers,
+                policy=cfg.options.retry_policy(),
                 plan=(
                     MergeFaultAdapter(cfg.faults)
                     if cfg.faults is not None
@@ -1139,7 +1106,7 @@ def _rank_main(comm, ctx: _RunContext):
                 transport_nbytes=payload.transport_nbytes,
             )
         )
-    timeline.compute = pool_makespan(block_virtual, cfg.workers)
+    timeline.compute = pool_makespan(block_virtual, cfg.options.workers)
     clock += timeline.compute
 
     # ---- merge rounds (§IV-F) -------------------------------------------
@@ -1227,7 +1194,7 @@ def _rank_main(comm, ctx: _RunContext):
                         cuts_after,
                         cfg.persistence_threshold,
                         validate=cfg.validate,
-                        max_retries=cfg.max_retries,
+                        max_retries=cfg.options.max_retries,
                         incremental=round_idx > 0 or ctx.presimplified,
                         fault_hook=fault_hook,
                         on_retry=_count_merge_retry,

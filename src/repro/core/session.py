@@ -237,9 +237,9 @@ class PipelineSession:
         cfg = self.config
         if self._compute_exec is None:
             self._compute_exec = FaultTolerantExecutor(
-                kind=cfg.resolved_executor,
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
+                kind=cfg.options.resolved_executor,
+                workers=cfg.options.workers,
+                policy=cfg.options.retry_policy(),
                 plan=cfg.faults,
                 validator=validate_block_payload,
                 stats=ft_stats,
@@ -261,8 +261,8 @@ class PipelineSession:
         if self._merge_exec is None:
             self._merge_exec = FaultTolerantExecutor(
                 kind="process",
-                workers=cfg.workers,
-                policy=cfg.retry_policy(),
+                workers=cfg.options.workers,
+                policy=cfg.options.retry_policy(),
                 plan=(
                     MergeFaultAdapter(cfg.faults)
                     if cfg.faults is not None

@@ -304,7 +304,7 @@ class MorseSmaleComplex:
         # whole-batch validation and grouping run as numpy passes: the
         # per-arc python work below is O(distinct endpoints), not
         # O(arcs), which keeps record building off the tracing-kernel
-        # critical path for both backends
+        # critical path
         node_index = np.asarray(self.node_index, dtype=np.int64)
         up = np.asarray(uppers, dtype=np.int64)
         cnt = np.asarray(counts, dtype=np.int64)

@@ -15,38 +15,22 @@ an arc.  Because the gradient field is acyclic, the enumeration always
 terminates; distinct paths between the same pair of critical cells yield
 distinct arcs (arc multiplicity matters for cancellation validity).
 
-Two tracing backends
---------------------
-Both backends consume the same flat continuation arrays
-(:meth:`~repro.morse.vectorfield.GradientField.continuation_tables`)
-and construct **bit-identical** complexes; the ``kernel_backend`` knob
-(``{auto, dfs, pointer}``) selects one per field.
-
-``dfs``
-    The per-path depth-first tracer.  The DFS allocates nothing per
-    frame and touches two lookup tables per step: ``cont[alpha]``
-    resolves a candidate cell in one list access and ``ckey[alpha]``
-    indexes the memoized ``trace_facets`` table with the head cell's
-    continuation facets.  Frames are parallel int stacks, and unbranched
-    descent runs in an inline chain loop with no stack traffic.  Fastest
-    on small fields, where whole-array passes cannot amortize.
-
-``pointer``
-    The vectorized pointer-jumping tracer (after the GPU MS-complex and
-    distributed path-compression formulations, arXiv:2009.03707 /
-    2409.03771).  Unbranched runs of the descent are compressed with
-    iterated pointer doubling — O(log L) whole-array numpy passes build
-    a jump table from every cell to the end of its unbranched chain —
-    and the remaining branch/emit points are expanded level-
-    synchronously as whole-frontier array passes.  Exact DFS enumeration
-    order is reconstructed with a leaf-counting backward pass and a
-    segmented-prefix-sum forward pass over the branching forest, and
-    arc geometry is materialized with a vectorized chain walk.  Fastest
-    on production-sized fields.
-
-``auto``
-    Picks ``pointer`` exactly when the field has at least
-    :data:`AUTO_POINTER_MIN_CELLS` cells, ``dfs`` otherwise.
+The tracing kernel
+------------------
+Paths are traced by one vectorized pointer-jumping kernel (after the GPU
+MS-complex and distributed path-compression formulations,
+arXiv:2009.03707 / 2409.03771) over the flat continuation arrays of
+:meth:`~repro.morse.vectorfield.GradientField.continuation_tables`.
+Unbranched runs of the descent are compressed with iterated pointer
+doubling — O(log L) whole-array numpy passes build a jump table from
+every cell to the end of its unbranched chain — and the remaining
+branch/emit points are expanded level-synchronously as whole-frontier
+array passes.  Exact depth-first enumeration order is reconstructed
+with a leaf-counting backward pass and a segmented-prefix-sum forward
+pass over the branching forest, and arc geometry is materialized with a
+vectorized chain walk.  A plain per-path depth-first tracer is kept as
+the test oracle (``tests/reference_tracing.py``); the property suite
+requires the two to agree on every path, in order.
 """
 
 from __future__ import annotations
@@ -54,100 +38,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.morse.msc import MorseSmaleComplex
-from repro.morse.vectorfield import (
-    CONT_CRITICAL,
-    CONT_DEAD,
-    GradientField,
-)
+from repro.morse.vectorfield import CONT_CRITICAL, GradientField
 from repro.obs.trace import get_tracer
 
-__all__ = [
-    "AUTO_POINTER_MIN_CELLS",
-    "KERNEL_BACKENDS",
-    "extract_ms_complex",
-    "resolve_kernel_backend",
-    "trace_down",
-]
-
-#: tracing-backend choices: "dfs" runs the per-path depth-first tracer,
-#: "pointer" the vectorized pointer-jumping tracer, "auto" picks by
-#: field size (see :func:`resolve_kernel_backend`)
-KERNEL_BACKENDS = ("auto", "dfs", "pointer")
-
-#: smallest cell count for which ``kernel_backend="auto"`` selects the
-#: pointer backend; below it the whole-array passes cannot amortize
-#: their setup and the DFS wins (measured on the bench field, see
-#: ``benchmarks/bench_kernels.py``)
-AUTO_POINTER_MIN_CELLS = 12288
+__all__ = ["extract_ms_complex", "trace_down"]
 
 
-def resolve_kernel_backend(backend: str, field: GradientField) -> str:
-    """Concrete tracing backend for ``field`` after resolving ``auto``."""
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"invalid kernel_backend {backend!r}: choose one of "
-            f"{{{', '.join(KERNEL_BACKENDS)}}}"
-        )
-    if backend == "auto":
-        return (
-            "pointer"
-            if field.complex.num_cells >= AUTO_POINTER_MIN_CELLS
-            else "dfs"
-        )
-    return backend
-
-
-# ---------------------------------------------------------------------------
-# the per-path DFS backend
-# ---------------------------------------------------------------------------
-
-
-def _trace_state(field: GradientField):
-    """Per-field DFS hot-loop state, built once and cached on the field.
-
-    Returns ``(cont, ckey, ctab, facet_offsets, celltype)``: the
-    continuation tables of
-    :meth:`~repro.morse.vectorfield.GradientField.continuation_tables`
-    as plain lists (one list access per DFS step), the flattened
-    memoized ``trace_facets`` table, and the per-cell type table.
-    """
-    state = getattr(field, "_trace_state", None)
-    if state is None:
-        cx = field.complex
-        cont, ckey = field.continuation_tables()
-        ctab = tuple(
-            cands
-            for per_type in cx.tables.trace_facets
-            for cands in per_type
-        )
-        state = (
-            cont.tolist(),
-            ckey.tolist(),
-            ctab,
-            cx.facet_offsets,
-            cx.celltype.tolist(),
-        )
-        field._trace_state = state
-    return state
-
-
-def trace_down(
-    field: GradientField, crit: int, kernel_backend: str = "dfs"
-) -> list[list[int]]:
+def trace_down(field: GradientField, crit: int) -> list[list[int]]:
     """Enumerate descending V-paths from critical cell ``crit``.
 
     Returns one path per descending V-path that terminates at a critical
     cell; each path is the list of padded cell indices from ``crit``
     (inclusive) down to the terminating critical cell (inclusive).
-    ``kernel_backend`` selects the tracer (both enumerate identically;
-    the default DFS is fastest for a single source).
     """
-    backend = resolve_kernel_backend(kernel_backend, field)
-    if backend == "pointer":
-        flat, lens, _, _ = _trace_down_many_pointer(field, [crit])
-        flat = flat.tolist()
-    else:
-        flat, lens, _ = _trace_down_flat(field, crit)
+    flat, lens, _, _ = _trace_down_many(field, [crit])
+    flat = flat.tolist()
     results: list[list[int]] = []
     pos = 0
     for length in lens:
@@ -156,114 +61,8 @@ def trace_down(
     return results
 
 
-def _trace_down_flat(
-    field: GradientField, crit: int
-) -> tuple[list[int], list[int], list[int]]:
-    """:func:`trace_down` with paths packed into one flat list.
-
-    Returns ``(flat, lens, terminals)``: the concatenated paths, each
-    path's length, and each path's terminating critical cell.
-    """
-    flat, lens, terminals, _ = _trace_down_many(field, [crit])
-    return flat, lens, terminals
-
-
-def _trace_down_many(
-    field: GradientField,
-    sources: list[int],
-    max_paths_per_node: int | None = None,
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Trace descending V-paths from a whole batch of critical cells.
-
-    Returns ``(flat, lens, terminals, counts)``: the concatenated paths
-    of every source, each path's length, each path's terminating
-    critical cell, and the number of paths per source — the form
-    :func:`extract_ms_complex` consumes, so one batch of sources needs a
-    single table-state unpack and its path addresses convert with a
-    single fancy index instead of one small call and array per source.
-    Per-source enumeration order is exactly :func:`trace_down`'s.
-    """
-    cont, ckey, ctab, facet_offsets, celltype = _trace_state(field)
-
-    flat: list[int] = []
-    lens: list[int] = []
-    terminals: list[int] = []
-    counts: list[int] = []
-    # parallel DFS stacks: base cell, its candidate facet-offset tuple,
-    # next candidate index, and path entries to pop when exhausted;
-    # drained empty by each source's DFS, so shared across sources
-    bases: list[int] = []
-    cands: list[tuple] = []
-    nexts: list[int] = []
-    npops: list[int] = []
-    for crit in sources:
-        first_path = len(lens)
-        first_flat = len(flat)
-        path = [crit]
-        bases.append(crit)
-        cands.append(facet_offsets[celltype[crit]])
-        nexts.append(0)
-        npops.append(1)
-        while bases:
-            i = nexts[-1]
-            cand = cands[-1]
-            if i == len(cand):
-                bases.pop()
-                cands.pop()
-                nexts.pop()
-                del path[len(path) - npops.pop():]
-                continue
-            nexts[-1] = i + 1
-            alpha = bases[-1] + cand[i]
-            head = cont[alpha]
-            if head < 0:
-                if head == CONT_CRITICAL:
-                    flat.extend(path)
-                    flat.append(alpha)
-                    lens.append(len(path) + 1)
-                    terminals.append(alpha)
-                continue
-            # inline chain descent: single-continuation heads (every
-            # 1-cell) advance without any stack traffic
-            chain = 0
-            while True:
-                path.append(alpha)
-                path.append(head)
-                chain += 2
-                nxt = ctab[ckey[alpha]]
-                if len(nxt) > 1:
-                    bases.append(head)
-                    cands.append(nxt)
-                    nexts.append(0)
-                    npops.append(chain)
-                    break
-                alpha = head + nxt[0]
-                head = cont[alpha]
-                if head >= 0:
-                    continue
-                if head == CONT_CRITICAL:
-                    flat.extend(path)
-                    flat.append(alpha)
-                    lens.append(len(path) + 1)
-                    terminals.append(alpha)
-                del path[len(path) - chain:]
-                break
-        npaths = len(lens) - first_path
-        if (
-            max_paths_per_node is not None
-            and npaths > max_paths_per_node
-        ):
-            keep = first_path + max_paths_per_node
-            del flat[first_flat + sum(lens[first_path:keep]):]
-            del lens[keep:]
-            del terminals[keep:]
-            npaths = max_paths_per_node
-        counts.append(npaths)
-    return flat, lens, terminals, counts
-
-
 # ---------------------------------------------------------------------------
-# the vectorized pointer-jumping backend
+# the pointer-jumping kernel
 # ---------------------------------------------------------------------------
 
 #: safety bound on pointer-doubling rounds (2^64 chain steps is
@@ -383,16 +182,19 @@ def _pointer_state(field: GradientField) -> _PointerState:
     return state
 
 
-def _trace_down_many_pointer(
+def _trace_down_many(
     field: GradientField,
     sources,
     max_paths_per_node: int | None = None,
 ):
-    """Pointer-jumping equivalent of :func:`_trace_down_many`.
+    """Trace descending V-paths from a whole batch of critical cells.
 
-    Returns the same ``(flat, lens, terminals, counts)`` contract with
-    ``flat`` as an int64 array and the rest as plain lists; every value
-    is identical to the DFS tracer's, enumeration order included.
+    Returns ``(flat, lens, terminals, counts)``: the concatenated paths
+    of every source (an int64 array), each path's length, each path's
+    terminating critical cell, and the number of paths per source (plain
+    lists) — the form :func:`extract_ms_complex` consumes.  Per-source
+    enumeration order is depth-first in candidate-table order, exactly
+    :func:`trace_down`'s.
 
     The descent forest is expanded level-synchronously over *branch
     points* only — unbranched runs between them were compressed into
@@ -636,7 +438,6 @@ def _trace_down_many_pointer(
 def extract_ms_complex(
     field: GradientField,
     max_paths_per_node: int | None = None,
-    kernel_backend: str = "auto",
 ) -> MorseSmaleComplex:
     """Build the block-local MS complex 1-skeleton from a gradient field.
 
@@ -652,13 +453,7 @@ def extract_ms_complex(
         Optional safety cap on the number of V-paths enumerated from one
         node (pathological fields can have exponentially many); ``None``
         enumerates all.
-    kernel_backend:
-        Tracing backend: ``"dfs"`` (per-path depth-first), ``"pointer"``
-        (vectorized pointer jumping), or ``"auto"`` (default; by field
-        size).  The constructed complex is bit-identical either way —
-        the backend is a pure scheduling choice.
     """
-    backend = resolve_kernel_backend(kernel_backend, field)
     cx = field.complex
     region_lo = tuple(o // 2 for o in cx.refined_origin)
     region_hi = tuple(
@@ -692,17 +487,14 @@ def extract_ms_complex(
     nodes_span.annotate(nodes=nid)
     nodes_span.__exit__(None, None, None)
 
-    arcs_span = tracer.span("trace.arcs", cat="kernel", backend=backend)
+    arcs_span = tracer.span("trace.arcs", cat="kernel")
     arcs_span.__enter__()
     addresses = cx.global_address
-    trace_many = (
-        _trace_down_many_pointer if backend == "pointer" else _trace_down_many
-    )
     for d in range(1, 4):
         sources = crit_by_dim[d].tolist()
         if not sources:
             continue
-        flat, lens, terminals, counts = trace_many(
+        flat, lens, terminals, counts = _trace_down_many(
             field, sources, max_paths_per_node
         )
         # one address gather for every path of every source of this

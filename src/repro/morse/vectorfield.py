@@ -135,9 +135,9 @@ class GradientField:
           facet offsets — its facets minus the one leading back to
           ``alpha`` — as ``celltype(head) * 6 + pairing_code(alpha)``.
 
-        Both tracing backends (the per-path DFS and the vectorized
-        pointer-jumping tracer) consume these arrays; they are built
-        with whole-array numpy passes and cached on the field.
+        The tracing kernel (:mod:`repro.morse.tracing`) consumes these
+        arrays; they are built with whole-array numpy passes and cached
+        on the field.
         """
         tables = getattr(self, "_continuation_tables", None)
         if tables is None:

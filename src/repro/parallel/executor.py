@@ -597,11 +597,19 @@ class FaultTolerantExecutor:
             return pending
         for idx, _attempt in pending:
             self._charge_dispatch(specs[idx], shipped=True)
-        futures = [
-            (idx, attempt,
-             pool.submit(_invoke, fn, specs[idx], attempt, self.plan, "pool"))
-            for idx, attempt in pending
-        ]
+        try:
+            futures = [
+                (idx, attempt, pool.submit(
+                    _invoke, fn, specs[idx], attempt, self.plan, "pool"
+                ))
+                for idx, attempt in pending
+            ]
+        except BrokenProcessPool as exc:
+            # a worker died while the wave was still being submitted:
+            # submit() itself raises, and every future already handed
+            # out is lost with the pool — same recovery as below
+            self._restart_pool(f"worker process died: {exc}", exc)
+            return pending
         next_round: list[tuple[int, int]] = []
         for pos, (idx, attempt, fut) in enumerate(futures):
             spec = specs[idx]

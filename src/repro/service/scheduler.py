@@ -43,7 +43,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from typing import Any, Sequence
@@ -103,10 +103,8 @@ class ComputeRequest:
 
         opts = self.options or ExecutionOptions()
         if self.hierarchy and not opts.hierarchy:
-            opts = ExecutionOptions(**{**opts.to_kwargs(),
-                                       "hierarchy": True})
+            opts = replace(opts, hierarchy=True)
         return _facade_config(
-            "service",
             persistence=self.persistence,
             ranks=self.ranks,
             merge_radix=self.merge_radix,
@@ -115,7 +113,6 @@ class ComputeRequest:
             faults=self.faults,
             trace=False,
             metrics=False,
-            flat={},
         )
 
 

@@ -7,10 +7,10 @@ pipeline run: the ``.msc`` file image plus a small canonical
 (:func:`repro.io.volume.content_hash`,
 :meth:`repro.core.config.PipelineConfig.result_fingerprint`), the key
 is valid forever: the same bytes in, the same bytes out, no
-invalidation protocol.  Pure-scheduling knobs (workers, transports,
-kernel backends) are deliberately *not* part of the key — outputs are
+invalidation protocol.  Pure-scheduling knobs (workers, executors,
+transports) are deliberately *not* part of the key — outputs are
 bit-identical across them, so a volume computed once serves every
-execution spelling of the same request.
+execution setting of the same request.
 
 Two layers:
 
@@ -300,7 +300,7 @@ class ResultStore:
             num_output_blocks=int(num_output_blocks),
             node_counts=tuple(int(c) for c in node_counts),
             msc_bytes=len(msc_image),
-            hierarchy=config.hierarchy,
+            hierarchy=config.options.hierarchy,
         )
         with get_tracer().span(
             "service.store.put", cat="service", key=key,

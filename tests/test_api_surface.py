@@ -1,5 +1,5 @@
 """Meta tests: public API surface, documentation coverage, and the
-`repro.api` facade contract (routing, round-trips, deprecation shims)."""
+`repro.api` facade contract (routing, round-trips, removed spellings)."""
 
 import importlib
 import inspect
@@ -223,9 +223,7 @@ class TestExecutionOptions:
         assert opts.executor == "auto"
         assert opts.merge_executor == "auto"
         assert opts.transport == "auto"
-        assert opts.kernel_backend == "auto"
-        cfg = repro.PipelineConfig(num_blocks=8, options=opts)
-        assert cfg.execution_options == opts
+        assert repro.PipelineConfig(num_blocks=8).options == opts
 
     def test_options_is_frozen(self):
         import dataclasses
@@ -236,17 +234,14 @@ class TestExecutionOptions:
 
     def test_config_accepts_options_bundle(self):
         opts = repro.ExecutionOptions(workers=2, transport="shm",
-                                      kernel_backend="pointer",
                                       retry_backoff=0.0)
         cfg = repro.PipelineConfig(num_blocks=8, options=opts)
-        assert cfg.workers == 2
-        assert cfg.transport == "shm"
-        assert cfg.kernel_backend == "pointer"
-        assert cfg.retry_backoff == 0.0
-        assert cfg.execution_options == opts
+        assert cfg.options is opts
+        assert cfg.options.workers == 2
+        assert cfg.options.resolved_executor == "process"
 
     def test_config_rejects_options_plus_flat(self):
-        with pytest.raises(TypeError, match="both options="):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.PipelineConfig(
                 num_blocks=8, workers=2,
                 options=repro.ExecutionOptions(workers=2),
@@ -257,34 +252,29 @@ class TestExecutionOptions:
             repro.PipelineConfig(num_blocks=8, options={"workers": 2})
 
     @pytest.mark.parametrize(
-        "knob", ["executor", "merge_executor", "transport",
-                 "kernel_backend"]
+        "knob", ["executor", "merge_executor", "transport"]
     )
     def test_choice_knobs_validate_early(self, knob):
         with pytest.raises(ValueError, match="choose one of"):
             repro.ExecutionOptions(**{knob: "bogus"})
-        with pytest.raises(ValueError, match="choose one of"):
-            repro.PipelineConfig(num_blocks=8, **{knob: "bogus"})
 
-    def test_compute_both_spellings_bit_identical(self, facade_field):
-        from repro.core.merge import pack_complex
-
-        grouped = repro.compute(
-            facade_field, persistence=0.05, ranks=8,
-            options=repro.ExecutionOptions(retry_backoff=0.0),
-        )
-        with pytest.warns(DeprecationWarning, match="retry_backoff"):
-            flat = repro.compute(
-                facade_field, persistence=0.05, ranks=8,
-                retry_backoff=0.0,
-            )
-        assert pack_complex(grouped.merged_complexes[0]) == pack_complex(
-            flat.merged_complexes[0]
-        )
-
-    def test_compute_flat_keywords_warn(self, facade_field):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            repro.compute(facade_field, persistence=0.05, workers=1)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_retries": -1},
+            {"retry_backoff": -1.0},
+            {"block_timeout": -5},
+            {"workers": True},
+            {"workers": 1.5},
+            {"max_pool_restarts": 1.0},
+            {"merge_spill_budget_bytes": -1},
+        ],
+        ids=lambda bad: "-".join(bad),
+    )
+    def test_every_held_value_validates_at_construction(self, bad):
+        """Not one layer later (PipelineConfig) or mid-run."""
+        with pytest.raises(ValueError):
+            repro.ExecutionOptions(**bad)
 
     def test_compute_options_spelling_does_not_warn(self, facade_field):
         with warnings.catch_warnings():
@@ -293,7 +283,7 @@ class TestExecutionOptions:
                           options=repro.ExecutionOptions())
 
     def test_compute_rejects_options_plus_flat(self, facade_field):
-        with pytest.raises(TypeError, match="both options="):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.compute(
                 facade_field, persistence=0.05, workers=2,
                 options=repro.ExecutionOptions(workers=2),
@@ -301,18 +291,61 @@ class TestExecutionOptions:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims (one-release compatibility)
+# the removed deprecation shims: old spellings fail, nothing is ignored
 # ---------------------------------------------------------------------------
 
 
+def _gradient(values):
+    from repro.mesh.cubical import CubicalComplex
+    from repro.morse.gradient import compute_discrete_gradient
+
+    return compute_discrete_gradient(CubicalComplex(values))
+
+
+def _parse_cli(*argv):
+    from repro.cli import build_parser
+
+    return build_parser().parse_args(list(argv))
+
+
+#: every spelling removed with the shims and the tracing-backend knob
+REMOVED_SPELLINGS = {
+    "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
+        num_blocks=8, workers=2
+    ),
+    "PipelineConfig(persistence=)": lambda f: repro.PipelineConfig(
+        num_blocks=8, persistence=0.25
+    ),
+    "compute(workers=)": lambda f: repro.compute(
+        f, persistence=0.05, workers=1
+    ),
+    "compute_morse_smale_complex(f, 0.05)": lambda f: (
+        repro.compute_morse_smale_complex(f, 0.05)
+    ),
+    "extract_ms_complex(kernel_backend=)": lambda f: (
+        repro.morse.extract_ms_complex(_gradient(f), kernel_backend="dfs")
+    ),
+    "ExecutionOptions(kernel_backend=)": lambda f: repro.ExecutionOptions(
+        kernel_backend="pointer"
+    ),
+    "compute --kernel-backend": lambda f: _parse_cli(
+        "compute", "v.raw", "--dims", "4", "4", "4",
+        "--kernel-backend", "pointer",
+    ),
+    "stream --kernel-backend": lambda f: _parse_cli(
+        "stream", "v.raw", "--dims", "4", "4", "4",
+        "--kernel-backend", "pointer",
+    ),
+}
+
+
 class TestDeprecationShims:
-    def test_positional_options_warn_but_work(self, facade_field):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            legacy = repro.compute_morse_smale_complex(facade_field, 0.05)
-        modern = repro.compute_morse_smale_complex(
-            facade_field, persistence_threshold=0.05
-        )
-        assert legacy.node_counts_by_index() == modern.node_counts_by_index()
+    @pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+    def test_removed_spelling_fails_loudly(self, spelling, facade_field):
+        with pytest.raises((TypeError, SystemExit)) as err:
+            REMOVED_SPELLINGS[spelling](facade_field)
+        if err.type is SystemExit:
+            assert err.value.code == 2  # argparse usage error
 
     def test_too_many_positionals_raise(self, facade_field):
         with pytest.raises(TypeError):
@@ -326,22 +359,6 @@ class TestDeprecationShims:
             repro.compute_morse_smale_complex(
                 facade_field, persistence_threshold=0.05, simplify=True
             )
-
-    @pytest.mark.parametrize(
-        "alias,canonical,value",
-        [
-            ("persistence", "persistence_threshold", 0.25),
-            ("blocks", "num_blocks", 8),
-            ("procs", "num_procs", 2),
-        ],
-    )
-    def test_config_field_aliases_warn_and_map(self, alias, canonical, value):
-        kwargs = {alias: value}
-        if alias != "blocks":
-            kwargs["num_blocks"] = 8
-        with pytest.warns(DeprecationWarning, match=alias):
-            cfg = repro.PipelineConfig(**kwargs)
-        assert getattr(cfg, canonical) == value
 
     def test_alias_conflict_raises(self):
         with pytest.raises(TypeError):
@@ -376,25 +393,20 @@ class TestHierarchyKnob:
         assert set(res.hierarchies) == set(res.output_blocks)
         assert all(h.num_levels >= 0 for h in res.hierarchies.values())
 
-    def test_flat_spelling_warns_and_works(self, facade_field):
-        with pytest.warns(DeprecationWarning, match="hierarchy"):
-            res = repro.compute(facade_field, persistence=0.05,
-                                hierarchy=True)
-        assert res.hierarchies is not None
-
     def test_both_spellings_rejected(self, facade_field):
-        with pytest.raises(TypeError, match="both options="):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.compute(
                 facade_field, persistence=0.05, hierarchy=True,
                 options=repro.ExecutionOptions(hierarchy=True),
             )
 
     def test_config_spelling(self, facade_field):
-        cfg = repro.PipelineConfig(num_blocks=1, persistence_threshold=0.05,
-                                   hierarchy=True)
+        cfg = repro.PipelineConfig(
+            num_blocks=1, persistence_threshold=0.05,
+            options=repro.ExecutionOptions(hierarchy=True),
+        )
         res = repro.ParallelMSComplexPipeline(cfg).run(facade_field)
         assert res.hierarchies is not None
-        assert cfg.execution_options.hierarchy is True
 
     def test_knob_is_additive(self, facade_field):
         """hierarchy=True never changes the complex by a byte."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _config_from_args, build_parser, main
+from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.io.volume import VolumeSpec, write_volume
 from repro.data.synthetic import gaussian_bumps_field
 
@@ -15,7 +16,45 @@ def volume(tmp_path):
     return spec
 
 
+#: every shared run flag at a non-default value
+RUN_FLAGS = [
+    "--dims", "9", "8", "7", "--dtype", "float64", "--blocks", "4",
+    "--procs", "2", "--workers", "2", "--transport", "pickle",
+    "--executor", "process", "--merge-executor", "serial",
+    "--merge-spill-budget", "64K", "--persistence", "0.25",
+    "--block-timeout", "30", "--max-retries", "1",
+    "--retry-backoff", "0", "--no-degrade", "--hierarchy",
+    "--radices", "2", "2",
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize(
+        "flags", [RUN_FLAGS, ["--dims", "9", "8", "7", "--no-merge"]],
+        ids=["every-flag", "defaults-no-merge"],
+    )
+    def test_compute_and_stream_build_equal_configs(self, flags):
+        """One flag table: the two subcommands cannot drift apart."""
+        parse = build_parser().parse_args
+        compute = _config_from_args(parse(["compute", "v.raw", *flags]))
+        stream = _config_from_args(parse(["stream", "a.raw", *flags]))
+        assert compute == stream
+        assert compute.fingerprint() == stream.fingerprint()
+
+    def test_every_run_flag_reaches_the_config(self):
+        args = build_parser().parse_args(["stream", "a.raw", *RUN_FLAGS])
+        assert _config_from_args(args) == PipelineConfig(
+            num_blocks=4, num_procs=2, persistence_threshold=0.25,
+            merge_radices=[2, 2],
+            options=ExecutionOptions(
+                workers=2, transport="pickle", executor="process",
+                merge_executor="serial",
+                merge_spill_budget_bytes=64 << 10, block_timeout=30.0,
+                max_retries=1, retry_backoff=0.0,
+                degrade_on_failure=False, hierarchy=True,
+            ),
+        )
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -76,36 +115,12 @@ class TestCompute:
         assert rc == 0
         assert "workers=1" in capsys.readouterr().out
 
-    def test_kernel_backend_flag_parses(self):
-        args = build_parser().parse_args(
-            ["compute", "v.raw", "--dims", "8", "8", "8",
-             "--kernel-backend", "pointer"]
-        )
-        assert args.kernel_backend == "pointer"
-
     def test_kernel_backend_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["compute", "v.raw", "--dims", "8", "8", "8",
                  "--kernel-backend", "bfs"]
             )
-
-    def test_kernel_backend_runs_bit_identical(self, volume, tmp_path,
-                                               capsys):
-        outputs = {}
-        for backend in ("dfs", "pointer"):
-            out = tmp_path / f"{backend}.msc"
-            rc = main([
-                "compute", volume.path,
-                "--dims", *map(str, volume.dims),
-                "--blocks", "4", "--persistence", "0.05",
-                "--kernel-backend", backend,
-                "--output", str(out),
-            ])
-            assert rc == 0
-            capsys.readouterr()
-            outputs[backend] = out.read_bytes()
-        assert outputs["pointer"] == outputs["dfs"]
 
 
 class TestComputeErrors:

@@ -90,34 +90,6 @@ def test_golden_bytes_with_observability_enabled_pooled(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
-@pytest.mark.slow
-def test_golden_bytes_pointer_backend_pooled_traced(tmp_path):
-    """The pointer-jumping tracing backend is bit-identical to DFS in
-    the most composed configuration: pooled workers, shm transport, and
-    tracing enabled all at once."""
-    field = np.random.default_rng(42).random((9, 9, 9))
-    result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(
-                               workers=2, transport="shm",
-                               kernel_backend="pointer",
-                               retry_backoff=0.0),
-                           trace=True)
-    out = tmp_path / "pointer_pooled.msc"
-    result.write(str(out))
-    assert out.read_bytes() == GOLDEN.read_bytes()
-
-
-def test_golden_bytes_pointer_backend_serial(tmp_path):
-    field = np.random.default_rng(42).random((9, 9, 9))
-    result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(
-                               kernel_backend="pointer",
-                               retry_backoff=0.0))
-    out = tmp_path / "pointer_serial.msc"
-    result.write(str(out))
-    assert out.read_bytes() == GOLDEN.read_bytes()
-
-
 def test_golden_bytes_explicit_serial_merge_executor(tmp_path):
     field = np.random.default_rng(42).random((9, 9, 9))
     result = repro.compute(field, persistence=0.1, ranks=8,

@@ -1,12 +1,14 @@
-"""Property-based tests of the two V-path tracing backends.
+"""The pointer-jumping tracing kernel must equal the per-path DFS.
 
-Hypothesis drives random small fields (and path caps) through both
-tracing kernels — the per-path DFS and the vectorized pointer-jumping
-backend — and asserts bit-identity of the resulting MS complexes:
-same nodes, same arcs in the same enumeration order, same geometry,
-byte-for-byte equal payloads.  The backend knob must be pure
-scheduling; any divergence here is a correctness bug, not a tolerance
-question.
+`repro.morse.tracing` enumerates V-paths with whole-array passes instead
+of walking them one by one.  Arc order and multiplicity decide which
+cancellations are valid, so the kernel must reproduce the depth-first
+enumeration exactly, not merely the same set of paths: every case here
+compares the production ``(flat, lens, terminals, counts)`` with the
+oracle of `tests/reference_tracing.py`, per source dimension — random
+fields, plateaus and constant fields, blocks one cell thick, path caps
+(0 and 1 included), empty source lists, multi-block decompositions with
+cut planes, and the benchmark's base fields at its smoke dims.
 """
 
 from __future__ import annotations
@@ -17,96 +19,83 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
-from repro.morse.tracing import (
-    AUTO_POINTER_MIN_CELLS,
-    KERNEL_BACKENDS,
-    extract_ms_complex,
-    resolve_kernel_backend,
-    trace_down,
+from repro.morse.tracing import _trace_down_many, trace_down
+from tests import reference_tracing
+from tests.test_property_gradient_equivalence import (
+    _benchmark_workloads,
+    block_complexes,
+    fields,
 )
 
-
-def _extract(field, backend, cap=None):
-    """Fresh gradient field each time so per-field caches cannot leak
-    state between the two backends under comparison."""
-    grad = compute_discrete_gradient(CubicalComplex(field))
-    msc = extract_ms_complex(grad, max_paths_per_node=cap,
-                            kernel_backend=backend)
-    return {k: np.asarray(v) for k, v in msc.to_payload().items()}
+CAPS = st.sampled_from([None, 0, 1, 2, 5])
 
 
-def _assert_payloads_identical(a, b):
-    assert set(a) == set(b)
-    for key in sorted(a):
-        np.testing.assert_array_equal(
-            a[key], b[key], err_msg=f"backend divergence in {key!r}"
-        )
+def assert_equals_oracle(cx: CubicalComplex, cap=None) -> None:
+    grad = compute_discrete_gradient(cx)
+    for d, cells in enumerate(grad.critical_cells_by_dim()):
+        sources = cells.tolist()
+        flat, lens, terminals, counts = _trace_down_many(grad, sources, cap)
+        want = reference_tracing._trace_down_many(grad, sources, cap)
+        got = (flat.tolist(), lens, terminals, counts)
+        for name, g, w in zip(
+            ("flat", "lens", "terminals", "counts"), got, want
+        ):
+            assert g == w, f"{name} diverges for sources of dimension {d}"
+        assert len(counts) == len(sources)
+        assert sum(counts) == len(lens) == len(terminals)
 
 
-@st.composite
-def tracing_cases(draw):
-    seed = draw(st.integers(0, 2**31 - 1))
-    nx = draw(st.integers(4, 9))
-    ny = draw(st.integers(4, 9))
-    nz = draw(st.integers(4, 9))
-    cap = draw(st.sampled_from([None, 1, 2, 5]))
-    field = np.random.default_rng(seed).random((nx, ny, nz))
-    return field, cap
+@settings(max_examples=40, deadline=None)
+@given(fields(), CAPS)
+def test_pointer_backend_bit_identical_to_dfs(values, cap):
+    assert_equals_oracle(CubicalComplex(values), cap)
 
 
-@settings(max_examples=12, deadline=None)
-@given(tracing_cases())
-def test_pointer_backend_bit_identical_to_dfs(case):
-    field, cap = case
-    dfs = _extract(field, "dfs", cap)
-    pointer = _extract(field, "pointer", cap)
-    _assert_payloads_identical(dfs, pointer)
+@settings(max_examples=20, deadline=None)
+@given(fields(max_side=6), st.integers(0, 2), CAPS)
+def test_two_vertex_axis_equals_oracle(values, axis, cap):
+    thin = np.take(values, [0, 1], axis=axis)
+    assert 2 in thin.shape
+    assert_equals_oracle(CubicalComplex(thin), cap)
 
 
-def test_backends_agree_on_monotone_field():
-    """A pure ramp has one critical cell and no arcs — the degenerate
-    empty-frontier path of the pointer backend."""
-    X, Y, Z = np.meshgrid(
-        np.arange(5.0), np.arange(6.0), np.arange(7.0), indexing="ij"
-    )
-    _assert_payloads_identical(
-        _extract(X + Y + Z, "dfs"), _extract(X + Y + Z, "pointer")
-    )
+@settings(max_examples=20, deadline=None)
+@given(
+    fields(min_side=3, max_side=7),
+    st.sampled_from([(2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)]),
+    CAPS,
+)
+def test_multi_block_equals_oracle(values, splits, cap):
+    for cx in block_complexes(values, int(np.prod(splits)), splits):
+        assert_equals_oracle(cx, cap)
+
+
+def test_backends_agree_on_monotone_field(monotone_field):
+    """The two degenerate frontiers: an empty source list, and a ramp
+    whose single critical cell (a minimum) has nothing below it."""
+    grad = compute_discrete_gradient(CubicalComplex(monotone_field))
+    flat, lens, terminals, counts = _trace_down_many(grad, [])
+    assert (flat.tolist(), lens, terminals, counts) == ([], [], [], [])
+    assert_equals_oracle(CubicalComplex(monotone_field))
 
 
 def test_backends_agree_per_node(small_random_field):
-    """trace_down itself (paths, terminals, per-node order) agrees."""
+    """The public per-node `trace_down` runs the same kernel."""
     grad = compute_discrete_gradient(CubicalComplex(small_random_field))
     for crit in grad.critical_cells():
-        assert trace_down(grad, crit, kernel_backend="pointer") == \
-            trace_down(grad, crit, kernel_backend="dfs")
+        flat, lens, _, _ = reference_tracing._trace_down_many(grad, [crit])
+        bounds = np.cumsum([0] + lens)
+        assert trace_down(grad, crit) == [
+            flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+        ]
 
 
-class TestBackendResolution:
-    def test_explicit_backends_pass_through(self, small_random_field):
-        grad = compute_discrete_gradient(
-            CubicalComplex(small_random_field)
-        )
-        assert resolve_kernel_backend("dfs", grad) == "dfs"
-        assert resolve_kernel_backend("pointer", grad) == "pointer"
-
-    def test_auto_picks_by_cell_count(self, small_random_field):
-        grad = compute_discrete_gradient(
-            CubicalComplex(small_random_field)
-        )
-        expected = (
-            "pointer"
-            if grad.complex.num_cells >= AUTO_POINTER_MIN_CELLS
-            else "dfs"
-        )
-        assert resolve_kernel_backend("auto", grad) == expected
-
-    def test_unknown_backend_is_a_readable_error(self, small_random_field):
-        grad = compute_discrete_gradient(
-            CubicalComplex(small_random_field)
-        )
-        with pytest.raises(ValueError, match="choose one of"):
-            resolve_kernel_backend("bfs", grad)
-
-    def test_backend_names_are_stable(self):
-        assert KERNEL_BACKENDS == ("auto", "dfs", "pointer")
+@pytest.mark.parametrize(
+    "workload", _benchmark_workloads(), ids=lambda w: w.field
+)
+def test_benchmark_base_fields_equal_oracle(workload):
+    """The blocks the benchmark's --smoke run computes — the sizes that
+    ran the DFS in production before it became the oracle."""
+    values = workload.base_field(workload.smoke_dims)
+    for cx in block_complexes(values, workload.blocks):
+        assert_equals_oracle(cx)

@@ -3,23 +3,24 @@
 Two digests with two jobs:
 
 - :meth:`ExecutionOptions.fingerprint` / :meth:`PipelineConfig.fingerprint`
-  cover *every* knob — equal settings hash equal no matter the spelling
-  (flat keywords, ``options=``, CLI flags, service requests), and any
-  knob change changes the hash;
+  cover *every* knob — equal settings hash equal no matter where they
+  were built (library, CLI flags, service requests), and any knob
+  change changes the hash;
 - :meth:`PipelineConfig.result_fingerprint` covers only what determines
   the output bytes — pure-scheduling knobs are deliberately excluded,
-  so one cached artifact serves every execution spelling.
+  so one cached artifact serves every execution setting, and its value
+  is pinned: cache directories written by earlier releases stay warm.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import _facade_config
-from repro.cli import build_parser
+from repro.cli import _config_from_args, build_parser
 from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions, canonical_fingerprint
 from repro.service.scheduler import ComputeRequest
@@ -28,10 +29,10 @@ from repro.service.scheduler import ComputeRequest
 def _facade(**kwargs) -> PipelineConfig:
     base = dict(
         persistence=0.05, ranks=8, merge_radix=2, validate=False,
-        options=None, faults=None, trace=False, metrics=False, flat={},
+        options=None, faults=None, trace=False, metrics=False,
     )
     base.update(kwargs)
-    return _facade_config("test", **base)
+    return _facade_config(**base)
 
 
 class TestCanonicalFingerprint:
@@ -53,47 +54,19 @@ class TestCanonicalFingerprint:
 
 
 class TestSpellingIndependence:
-    """Identical settings, four spellings, one fingerprint."""
-
-    def test_flat_keywords_vs_options_object(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat = _facade(
-                flat={"workers": 2, "transport": "mmap",
-                      "max_retries": 1}
-            )
-        grouped = _facade(
-            options=ExecutionOptions(
-                workers=2, transport="mmap", max_retries=1
-            )
-        )
-        assert flat.fingerprint() == grouped.fingerprint()
-        assert flat.result_fingerprint() == grouped.result_fingerprint()
+    """Identical settings from every front end, one fingerprint."""
 
     def test_cli_flags_hash_like_the_options_object(self):
-        # the exact ExecutionOptions construction of cli._cmd_compute,
-        # from parsed flags — must hash like the library spelling
         args = build_parser().parse_args(
             ["compute", "vol.raw", "--dims", "16", "16", "16",
              "--workers", "2", "--transport", "mmap",
              "--max-retries", "1", "--hierarchy"]
         )
-        from_cli = ExecutionOptions(
-            workers=args.workers,
-            executor=args.executor,
-            merge_executor=args.merge_executor,
-            transport=args.transport,
-            kernel_backend=args.kernel_backend,
-            block_timeout=args.block_timeout,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            degrade_on_failure=not args.no_degrade,
-            hierarchy=args.hierarchy,
-        )
         from_lib = ExecutionOptions(
             workers=2, transport="mmap", max_retries=1, hierarchy=True
         )
-        assert from_cli.fingerprint() == from_lib.fingerprint()
+        assert _config_from_args(args).options.fingerprint() == \
+            from_lib.fingerprint()
 
     def test_service_request_hashes_like_the_facade(self, tmp_path):
         from repro.io.volume import VolumeSpec
@@ -107,30 +80,26 @@ class TestSpellingIndependence:
         assert request.pipeline_config().fingerprint() == \
             direct.fingerprint()
 
-    def test_deprecated_compute_keywords_route_identically(self):
-        import numpy as np
-
-        import repro
-
-        field = np.zeros((4, 4, 4))
-        field[1:3, 1:3, 1:3] = 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            flat = repro.compute(field, workers=1, hierarchy=True)
-        grouped = repro.compute(
-            field, options=ExecutionOptions(workers=1, hierarchy=True)
-        )
-        assert flat.combined_node_counts() == \
-            grouped.combined_node_counts()
-
 
 class TestResultFingerprintScope:
+    def test_value_survives_the_upgrade(self):
+        """The digest keys every cached artifact on disk: it must not
+        move when scheduling knobs come or go (value from the release
+        before ``kernel_backend`` was removed)."""
+        cfg = PipelineConfig(
+            num_blocks=8, persistence_threshold=0.05, max_radix=2
+        )
+        assert cfg.result_fingerprint() == (
+            "02567d5d3c94e2e10e09321194916060"
+            "ab32f509d45faa1878409822d77806df"
+        )
+
     def test_scheduling_knobs_are_excluded(self):
         lean = _facade()
         wide = _facade(
             options=ExecutionOptions(
                 workers=4, executor="process", transport="mmap",
-                merge_executor="pool", kernel_backend="pointer",
+                merge_executor="pool", merge_spill_budget_bytes=0,
                 block_timeout=5.0, max_retries=5, retry_backoff=0.2,
                 degrade_on_failure=False, max_pool_restarts=1,
             )
@@ -171,17 +140,22 @@ _KNOBS = {
     "executor": st.sampled_from(["auto", "serial", "process"]),
     "merge_executor": st.sampled_from(["auto", "serial", "pool"]),
     "transport": st.sampled_from(["auto", "pickle", "mmap"]),
-    "kernel_backend": st.sampled_from(["auto", "dfs", "pointer"]),
     "block_timeout": st.sampled_from([None, 1.0, 30.0]),
     "max_retries": st.integers(0, 3),
     "retry_backoff": st.sampled_from([0.0, 0.05, 0.5]),
     "degrade_on_failure": st.booleans(),
     "max_pool_restarts": st.integers(0, 2),
     "hierarchy": st.booleans(),
+    "merge_spill_budget_bytes": st.sampled_from([None, 0, 1 << 20]),
 }
+#: the properties below follow the dataclass's field list, not this table
+_FIELD_NAMES = [f.name for f in dataclasses.fields(ExecutionOptions)]
 
 
 class TestFingerprintProperties:
+    def test_every_field_has_a_strategy(self):
+        assert sorted(_KNOBS) == sorted(_FIELD_NAMES)
+
     @given(kwargs=st.fixed_dictionaries(_KNOBS))
     @settings(max_examples=50, deadline=None)
     def test_equal_options_equal_fingerprint(self, kwargs):
@@ -190,7 +164,7 @@ class TestFingerprintProperties:
 
     @given(
         kwargs=st.fixed_dictionaries(_KNOBS),
-        knob=st.sampled_from(sorted(_KNOBS)),
+        knob=st.sampled_from(_FIELD_NAMES),
         data=st.data(),
     )
     @settings(max_examples=50, deadline=None)
