@@ -74,7 +74,8 @@ def attach_peak_rss(record: dict) -> dict:
     the same memory metric.  Returns the record for chaining.  Note the
     mark covers the whole process lifetime (imports, warm-up, every
     sweep run so far), not one measurement in isolation — per-config
-    driver RSS needs a subprocess probe (see ``bench_outofcore``).
+    driver RSS needs a subprocess probe (``benchmarks/suite/harness.py``
+    measures ``peak_rss_mib`` that way).
     """
     record["peak_rss_kib"] = peak_rss_kib()
     return record

@@ -86,8 +86,8 @@ def compute(
     options:
         The run's execution knobs, grouped: an
         :class:`~repro.core.options.ExecutionOptions` bundling
-        ``workers``, ``executor``, ``merge_executor``, ``transport``
-        and the fault-handling settings (timeout/retry/degrade).  Every scheduling field is pure
+        ``workers``, ``executor``, ``transport`` and the fault-handling
+        settings (timeout/retry/degrade).  Every scheduling field is pure
         scheduling — results are bit-identical across all settings; the
         additive ``hierarchy`` flag captures the multiscale cancellation
         hierarchy into ``result.hierarchies`` (persisted on ``write()``,

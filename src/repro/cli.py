@@ -142,23 +142,15 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                    choices=("auto", "serial", "process"),
                    help="compute-stage backend (default: auto — a "
                         "process pool exactly when --workers > 1)")
-    p.add_argument("--merge-executor", default="auto",
-                   choices=("auto", "serial", "pool"),
-                   help="merge-stage backend: serial merges inside the "
-                        "virtual ranks, pool fans each round's merges "
-                        "over the worker pool (default: auto — pool "
-                        "exactly when the compute stage does; results "
-                        "are bit-identical either way)")
     p.add_argument("--merge-spill-budget", type=_size_bytes, default=None,
                    metavar="SIZE",
-                   help="resident-byte budget of the merge stage's "
-                        "packed-blob spool (e.g. 64M, 2G, or plain bytes; "
-                        "0 spills everything).  Over budget, merged "
-                        "snapshots spill LRU-first to a run-scoped temp "
-                        "dir between radix rounds, keeping driver memory "
-                        "roughly flat as block count grows; outputs are "
+                   help="resident-byte budget for the packed compute "
+                        "blobs the driver holds until each block's "
+                        "first merge (e.g. 64M, 2G, or plain bytes; 0 "
+                        "spills everything).  Over budget, blobs spill "
+                        "LRU-first to a run-scoped temp dir; outputs are "
                         "bit-identical at any budget (default: unbounded, "
-                        "never spills)")
+                        "no spool)")
     p.add_argument("--persistence", type=float, default=0.0,
                    help="simplification threshold")
     p.add_argument("--block-timeout", type=float, default=None,
@@ -205,7 +197,6 @@ def _config_from_args(args, *, trace: bool = False, metrics: bool = False):
         options=ExecutionOptions(
             workers=args.workers,
             executor=args.executor,
-            merge_executor=args.merge_executor,
             transport=args.transport,
             block_timeout=args.block_timeout,
             max_retries=args.max_retries,

@@ -12,16 +12,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.options import (
-    MERGE_EXECUTOR_KINDS,
-    ExecutionOptions,
-    canonical_fingerprint,
-)
+from repro.core.options import ExecutionOptions, canonical_fingerprint
 from repro.machine.bgp import BlueGenePParams
 from repro.parallel.radixk import MergeSchedule, full_merge_radices
 
 __all__ = [
-    "MERGE_EXECUTOR_KINDS",
     "ExecutionOptions",
     "PipelineConfig",
     "MergeSchedule",

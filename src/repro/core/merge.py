@@ -6,54 +6,46 @@ The three steps of the merge stage:
    simplified complex (dead hierarchy levels dropped, composite geometry
    flattened) and serializes it; node addresses are already global.
 2. *Communication* (§IV-F2): members send their complexes to the group
-   root (the scheduler delivers; the machine model prices the bytes).
+   root (the driver loop hands the bytes over; the cost replay prices
+   them).
 3. *Merge computation* (§IV-F3): the root glues each incoming complex at
    shared-boundary nodes, updates node boundary flags against the cut
    planes that remain after the round, re-simplifies the newly interior
    nodes, and compacts.
 
-Within one radix-k round the per-root merges are independent, so the
-pipeline can dispatch them to a worker pool: :class:`MergeSpec` is the
-picklable work order (root and member blobs plus round parameters),
-:func:`merge_task` the pure worker function, and :class:`MergePayload`
-the result shipped back (merged blob, outcome counters, this merge's
-cancellation records, a CRC for corruption detection).
+The pipeline's merge-rounds stage (:mod:`repro.core.pipeline`) is one
+driver-side loop over the radix-k schedule that calls
+:func:`merge_with_retries` — :func:`perform_merge` plus restore-and-retry
+from the root's packed bytes — once per group root per round.
 """
 
 from __future__ import annotations
 
 import logging
-import zlib
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.glue import AddressIndex, GlueStats, glue_into
 from repro.io.mscfile import deserialize_payload, serialize_payload
-from repro.io.spool import SpilledBlobRef, blob_bytes
-from repro.morse.msc import Cancellation, MorseSmaleComplex
+from repro.morse.msc import MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
 from repro.morse.validate import assert_ms_complex_valid
-from repro.obs.trace import Tracer, get_tracer
-from repro.parallel.executor import CorruptPayloadError, FaultToleranceError
+from repro.obs.trace import get_tracer
+from repro.parallel.executor import FaultToleranceError
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "MergeOutcome",
-    "MergeSpec",
-    "MergePayload",
     "MergeStageError",
-    "merge_task",
     "pack_complex",
     "unpack_complex",
     "perform_merge",
     "merge_with_retries",
-    "validate_merge_payload",
 ]
 
 
@@ -77,16 +69,9 @@ def pack_complex(msc: MorseSmaleComplex) -> bytes:
     return serialize_payload(msc.to_payload())
 
 
-def unpack_complex(blob) -> MorseSmaleComplex:
-    """Inverse of :func:`pack_complex`.
-
-    Accepts packed ``bytes`` or a :class:`repro.io.spool.SpilledBlobRef`
-    handle — a spilled blob is materialized from its spool file first,
-    so every consumer of the packed-blob currency (pooled merge
-    workers, retry restores, the write stage) reads through the spool
-    transparently.
-    """
-    return MorseSmaleComplex.from_payload(deserialize_payload(blob_bytes(blob)))
+def unpack_complex(blob: bytes) -> MorseSmaleComplex:
+    """Inverse of :func:`pack_complex`."""
+    return MorseSmaleComplex.from_payload(deserialize_payload(blob))
 
 
 def perform_merge(
@@ -149,22 +134,21 @@ def merge_with_retries(
     max_retries: int = 2,
     incremental: bool = True,
     fault_hook: Callable[[int, list[bytes]], list[bytes]] | None = None,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-    root_blob: bytes | SpilledBlobRef | None = None,
+    root_blob: bytes | None = None,
 ) -> tuple[MorseSmaleComplex, MergeOutcome, int]:
     """Fault-tolerant :func:`perform_merge`: retry from a pristine snapshot.
 
     :func:`perform_merge` mutates the root in place, so a crash mid-merge
     leaves it unusable.  The snapshot needed to recover is taken
     *lazily*: when the caller already holds the root's packed bytes —
-    or a spilled :class:`~repro.io.spool.SpilledBlobRef` to them — it
-    passes them as ``root_blob`` (free; a ref is only read back from
-    disk if a restore actually happens), otherwise a snapshot is packed
-    up front only when a ``fault_hook`` is installed (chaos runs).  On
-    the no-fault fast path nothing is packed at all — member blobs are
-    unpacked *before* the root is touched, so the only failures that can
-    occur with a pristine root (a corrupted blob that will not unpack)
-    retry without any restore.  When an attempt fails after mutation
+    the pipeline does for every root that is still its compute blob,
+    i.e. all of round 0 — it passes them as ``root_blob`` (free),
+    otherwise a snapshot is packed up front only when a ``fault_hook``
+    is installed (chaos runs).  On the no-fault fast path nothing is
+    packed at all — member blobs are unpacked *before* the root is
+    touched, so the only failures that can occur with a pristine root (a
+    corrupted blob that will not unpack) retry without any restore.
+    When an attempt fails after mutation
     began, the root is restored from the snapshot (cancellation
     hierarchy included) and the merge retried with the original,
     uncorrupted blobs, up to ``max_retries`` times.  A successful retry
@@ -173,8 +157,7 @@ def merge_with_retries(
     ``fault_hook`` is the chaos-testing injection point (see
     :meth:`repro.parallel.faults.FaultPlan.merge_hook`): called with
     ``(attempt, blobs)`` before each attempt, it may raise or return a
-    corrupted blob list.  ``on_retry`` is notified of every failed
-    attempt for stats accounting.  ``incremental`` is forwarded to
+    corrupted blob list.  ``incremental`` is forwarded to
     :func:`perform_merge`.
 
     Returns ``(root, outcome, retries)`` where ``root`` is the merged
@@ -226,115 +209,8 @@ def merge_with_retries(
                 "merge.retry", cat="merge",
                 attempt=attempt, error=type(exc).__name__,
             )
-            if on_retry is not None:
-                on_retry(attempt, exc)
             if mutated:
                 root = unpack_complex(snapshot)
                 root.hierarchy.extend(saved_hierarchy)
                 mutated = False
             attempt += 1
-
-
-@dataclass(frozen=True)
-class MergeSpec:
-    """Picklable work order for one pooled group-root merge.
-
-    Blob fields hold either packed bytes or picklable
-    :class:`~repro.io.spool.SpilledBlobRef` handles; a worker
-    materializes refs from their spool files on unpack, so specs stay
-    tiny however large the complexes are.
-    """
-
-    round_idx: int
-    root_block: int
-    root_blob: bytes | SpilledBlobRef
-    member_blobs: tuple[bytes | SpilledBlobRef, ...]
-    #: cut planes remaining *after* this round, one array per axis
-    cut_planes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    persistence_threshold: float
-    incremental: bool = True
-    validate: bool = False
-    trace: bool = False
-
-    @property
-    def block_id(self) -> tuple[int, int]:
-        """Executor bookkeeping label — ``(round, root block)``."""
-        return (self.round_idx, self.root_block)
-
-
-@dataclass
-class MergePayload:
-    """Result of one pooled merge, shipped back from a worker."""
-
-    round_idx: int
-    root_block: int
-    #: the merged, compacted, re-packed root complex
-    blob: bytes
-    outcome: MergeOutcome
-    #: cancellation records of *this* merge only (packed blobs carry no
-    #: hierarchy; the driver accumulates per-root across rounds)
-    hierarchy: list[Cancellation]
-    #: worker-measured wall seconds of the merge computation proper
-    real_seconds: float
-    checksum: int = 0
-    worker_pid: int = 0
-    trace_events: list[Any] = field(default_factory=list)
-
-
-def merge_task(spec: MergeSpec) -> MergePayload:
-    """Perform one root merge from packed blobs (pure and pickle-safe).
-
-    The deterministic function behind the pooled merge stage: unpack the
-    root and member blobs, :func:`perform_merge`, re-pack.  Because the
-    inputs are immutable bytes, an executor-level retry simply reruns
-    this function — a fresh unpack *is* the pristine snapshot, so no
-    explicit restore path is needed.
-    """
-    tracer = Tracer(enabled=True)
-    ambient = tracer.installed() if spec.trace else nullcontext()
-    with ambient:
-        with tracer.span(
-            "merge.block", cat="merge",
-            round=spec.round_idx, root=spec.root_block,
-        ):
-            root = unpack_complex(spec.root_blob)
-            incoming = [unpack_complex(b) for b in spec.member_blobs]
-            with tracer.span("merge.compute", cat="merge") as work:
-                outcome = perform_merge(
-                    root,
-                    incoming,
-                    spec.cut_planes,
-                    spec.persistence_threshold,
-                    validate=spec.validate,
-                    incremental=spec.incremental,
-                )
-            blob = pack_complex(root)
-    return MergePayload(
-        round_idx=spec.round_idx,
-        root_block=spec.root_block,
-        blob=blob,
-        outcome=outcome,
-        hierarchy=list(root.hierarchy),
-        real_seconds=work.duration,
-        checksum=zlib.crc32(blob),
-        worker_pid=tracer.pid,
-        trace_events=tracer.events if spec.trace else [],
-    )
-
-
-def validate_merge_payload(spec: MergeSpec, payload: MergePayload) -> None:
-    """Executor validator: reject mismatched or corrupted merge results."""
-    if not isinstance(payload, MergePayload):
-        raise CorruptPayloadError(
-            f"merge {spec.block_id}: expected a MergePayload, got "
-            f"{type(payload).__name__}"
-        )
-    if (payload.round_idx, payload.root_block) != spec.block_id:
-        raise CorruptPayloadError(
-            f"merge {spec.block_id}: payload labeled "
-            f"({payload.round_idx}, {payload.root_block})"
-        )
-    if zlib.crc32(payload.blob) != payload.checksum:
-        raise CorruptPayloadError(
-            f"merge {spec.block_id}: blob checksum mismatch"
-        )

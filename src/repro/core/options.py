@@ -1,7 +1,7 @@
 """The grouped execution-options surface of the public API.
 
-The pipeline has grown a family of *execution* knobs — how the work is
-scheduled (worker pool, transports, per-stage backends) and how failures
+The pipeline has grown a family of *execution* knobs — how the compute
+stage is scheduled (worker pool, backend, transport) and how failures
 are handled (timeouts, retries, degradation) — that are pure scheduling:
 none of them changes the computed complex by a single byte.  They are
 grouped here into one frozen dataclass, :class:`ExecutionOptions`, so
@@ -37,7 +37,6 @@ from repro.parallel.executor import EXECUTOR_KINDS, RetryPolicy
 from repro.parallel.transport import TRANSPORT_KINDS
 
 __all__ = [
-    "MERGE_EXECUTOR_KINDS",
     "ExecutionOptions",
     "canonical_fingerprint",
     "validate_choice",
@@ -65,16 +64,10 @@ def canonical_fingerprint(kind: str, payload: dict) -> str:
         ) from None
     return hashlib.sha256(f"{kind}:{body}".encode()).hexdigest()
 
-#: merge-stage backend choices: "serial" runs root merges inside the
-#: virtual ranks, "pool" fans each round's independent merges over the
-#: worker pool, "auto" pools exactly when the compute stage does
-MERGE_EXECUTOR_KINDS = ("auto", "serial", "pool")
-
 #: every backend knob, its allowed values, in one table — the single
 #: source the config/CLI validation and the docs knob tables read
 BACKEND_KNOB_KINDS = {
     "executor": EXECUTOR_KINDS,
-    "merge_executor": MERGE_EXECUTOR_KINDS,
     "transport": TRANSPORT_KINDS,
 }
 
@@ -82,8 +75,8 @@ BACKEND_KNOB_KINDS = {
 def validate_choice(name: str, value: object, kinds: tuple[str, ...]) -> None:
     """Raise the uniform readable error for an invalid knob value.
 
-    All backend knobs (``executor``, ``merge_executor``, ``transport``)
-    fail with the same shape at configuration time::
+    Both backend knobs (``executor``, ``transport``) fail with the same
+    shape at configuration time::
 
         invalid transport 'smh': choose one of {auto, pickle, shm}
     """
@@ -126,9 +119,6 @@ class ExecutionOptions:
     executor:
         Compute-stage backend: ``"auto"`` (worker pool exactly when
         ``workers > 1``), ``"serial"``, or ``"process"``.
-    merge_executor:
-        Merge-stage backend: ``"serial"``, ``"pool"``, or ``"auto"``
-        (pool exactly when the compute stage resolves to a pool).
     transport:
         Block-data transport to pool workers: ``"pickle"``, ``"shm"``,
         ``"mmap"`` (volume-file inputs only; workers subarray-read from
@@ -158,19 +148,18 @@ class ExecutionOptions:
         (:func:`repro.api.query`) with zero re-simplification.  The
         output complex bytes are unchanged; off by default.
     merge_spill_budget_bytes:
-        Resident-byte budget of the merge stage's packed-blob spool
-        (pooled merge only).  ``None`` (default) keeps every blob in
-        driver memory — byte-for-byte the pre-spool pipeline.  A bound
-        spills least-recently-used blobs to content-addressed files
-        under a run-scoped temp directory between radix rounds, keeping
-        peak driver RSS roughly flat as block count grows; ``0`` spills
-        everything.  Pure scheduling: outputs are bit-identical at any
-        budget (see ``docs/PERFORMANCE.md``, "Out-of-core merge").
+        Resident-byte budget for the packed compute blobs the driver
+        holds between a block landing and that block's first merge (or
+        the write stage).  ``None`` (default) keeps them in driver
+        memory and creates no spool.  A bound spills
+        least-recently-used blobs to content-addressed files under a
+        run-scoped temp directory; ``0`` spills everything.  Pure
+        scheduling: outputs are bit-identical at any budget (see
+        ``docs/PERFORMANCE.md``, "Spill budget").
     """
 
     workers: int = 1
     executor: str = "auto"
-    merge_executor: str = "auto"
     transport: str = "auto"
     block_timeout: float | None = None
     max_retries: int = 2
@@ -209,20 +198,6 @@ class ExecutionOptions:
         if self.executor == "auto":
             return "process" if self.workers > 1 else "serial"
         return self.executor
-
-    @property
-    def resolved_merge_executor(self) -> str:
-        """Concrete merge-stage backend after resolving ``"auto"``.
-
-        Pooling the merges pays off exactly when a worker pool exists;
-        a serial compute stage keeps the in-rank merge path (which
-        avoids any extra pack/unpack of the root between rounds).
-        """
-        if self.merge_executor == "auto":
-            return (
-                "pool" if self.resolved_executor == "process" else "serial"
-            )
-        return self.merge_executor
 
     def resolve_transport(self, input_kind: str = "memory") -> str:
         """Concrete transport after resolving ``"auto"`` for an input.

@@ -14,25 +14,31 @@
     end for
     Write MS complex blocks         (§IV-G)
 
-The algorithm is data-parallel: every step is performed by every virtual
-process.  Each rank runs :func:`_rank_main` as a generator program under
-:class:`repro.parallel.runtime.VirtualMPI`; the computation is real (the
-discrete gradient, tracing, simplification and gluing actually run), and
-each rank additionally advances a *virtual clock* priced by the Blue
-Gene/P cost model, from which the benchmark harness reads paper-style
-stage timings.
+The run is an explicit stage list, executed once, in the driver:
 
-The compute stage (the ``for all local blocks`` loop) is factored into a
-pure, pickle-safe worker function, :func:`compute_block`, so it can run
-on a real shared-memory worker pool (see
-:mod:`repro.parallel.executor`): the driver fans all block specs out over
-the configured executor *before* the virtual ranks run, and the rank
-programs consume the resulting per-block payloads — serialized with the
-same :func:`~repro.core.merge.pack_complex` format the merge rounds
-exchange — exactly as if they had computed them locally.  Because the
-boundary-restricted gradient pairing makes every block's result
-independent of all others, the executor choice is pure scheduling:
-serial and pooled runs are bit-identical.
+1. **plan** — decomposition, radix-k merge schedule, per-round groups
+   and cut planes, cost model (:func:`build_plan`; a session caches it
+   per ``dims``);
+2. **compute** — the ``for all local blocks`` loop, factored into a
+   pure, pickle-safe worker function (:func:`compute_block`) and fanned
+   out over the one :class:`~repro.parallel.executor.FaultTolerantExecutor`
+   (``executor``/``transport``/``workers`` select *how*; the
+   boundary-restricted gradient pairing makes every block independent,
+   so serial and pooled runs are bit-identical).  Each block lands as
+   its packed :func:`~repro.core.merge.pack_complex` bytes;
+3. **merge rounds** — one loop over ``plan.groups_by_round``: each group
+   root glues its members, frees the nodes that left the remaining cut
+   planes, re-simplifies and compacts
+   (:func:`~repro.core.merge.merge_with_retries`).  A block is held as
+   *either* its packed compute blob (until first touched) *or* a live
+   complex (once it has been a root), so round-0 members are forwarded
+   as the bytes the compute stage produced;
+4. **write** — every surviving block is packed once (a block that never
+   merged reuses its compute blob);
+5. **cost replay** — :func:`repro.machine.replay.replay_run` prices the
+   recorded work counts on the modeled Blue Gene/P and returns the
+   per-rank virtual clocks the benchmark harness reads paper-style
+   stage timings from.  The virtual machine executes nothing.
 """
 
 from __future__ import annotations
@@ -48,14 +54,10 @@ import numpy as np
 from repro.analysis.hierarchy import MSComplexHierarchy
 from repro.core.config import PipelineConfig
 from repro.core.merge import (
-    MergePayload,
-    MergeSpec,
-    MergeStageError,
-    merge_task,
+    MergeOutcome,
     merge_with_retries,
     pack_complex,
     unpack_complex,
-    validate_merge_payload,
 )
 from repro.core.result import PipelineResult
 from repro.core.stats import (
@@ -64,12 +66,12 @@ from repro.core.stats import (
     FaultToleranceStats,
     MergeEventStats,
     PipelineStats,
-    RankTimeline,
     TransportStats,
 )
-from repro.io.spool import BlobSpool, blob_nbytes
+from repro.io.spool import BlobSpool
 from repro.io.volume import VolumeSpec, read_block, read_volume
-from repro.machine.costmodel import ComputeWork, CostModel, MergeWork
+from repro.machine.costmodel import ComputeWork, CostModel
+from repro.machine.replay import MergeRecord, replay_run
 from repro.mesh.cubical import CubicalComplex, structure_tables
 from repro.mesh.grid import Box, StructuredGrid
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
@@ -90,14 +92,11 @@ from repro.morse.validate import (
 )
 from repro.parallel.decomposition import BlockDecomposition, decompose
 from repro.parallel.executor import (
-    ComputeStageError,
     CorruptPayloadError,
     FaultTolerantExecutor,
 )
-from repro.parallel.faults import MergeFaultAdapter
 from repro.parallel.transport import SPEC_HEADER_BYTES, SharedVolumeHandle
 from repro.parallel.radixk import MergeSchedule
-from repro.parallel.runtime import VirtualMPI, pool_makespan
 
 __all__ = [
     "BlockPayload",
@@ -420,43 +419,54 @@ def build_plan(cfg: PipelineConfig, dims: tuple[int, int, int]) -> _Plan:
     )
 
 
-@dataclass
-class _RunContext:
-    """Inputs shared by all ranks of one run (read-only)."""
+class _HeldBlocks:
+    """Every block the driver currently holds, in its current form.
 
-    cfg: PipelineConfig
-    decomp: BlockDecomposition
-    schedule: MergeSchedule
-    model: CostModel
-    vertex_bytes: int  # bytes per vertex sample on storage
-    #: precomputed compute-stage payloads, one per block
-    payloads: dict[int, BlockPayload]
-    #: per-round groups as (root_lid, root_rank, [(member_lid, member_rank)])
-    groups_by_round: list[list[tuple[int, int, list[tuple[int, int]]]]] = field(
-        default_factory=list
-    )
-    #: per-round remaining cut planes (after that round completes)
-    cuts_by_round: list[tuple] = field(default_factory=list)
-    #: same-rank member-to-root handoffs, keyed by (rank, round, block)
-    local_inbox: dict[tuple[int, int, int], Any] = field(default_factory=dict)
-    #: shared fault-tolerance counters (compute stage + merge retries)
-    ft: FaultToleranceStats = field(default_factory=FaultToleranceStats)
-    #: the run's tracer (always enabled: it is the stage stopwatch)
-    tracer: Tracer = field(default_factory=Tracer)
-    #: resolved merge-stage backend ("serial" or "pool")
-    merge_mode: str = "serial"
-    #: pooled-merge results precomputed by the driver, keyed
-    #: ``(round_idx, root_block)``
-    merge_results: dict[tuple[int, int], MergePayload] = field(
-        default_factory=dict
-    )
-    #: round-0 inputs were already simplified at the run threshold, so
-    #: the first merge round may re-simplify incrementally
-    presimplified: bool = True
-    #: packed-blob spool of the pooled merge stage (``None`` outside
-    #: pooled mode): ranks fetch blob *handles* from it instead of
-    #: holding bytes, and the write stage materializes through it
-    spool: BlobSpool | None = None
+    A block is *either* its packed compute blob (from landing until
+    first touched) *or* a live :class:`MorseSmaleComplex` (once it has
+    been a merge root).  With a spool the packed blobs live there —
+    resident under the spill budget, on disk over it — and are read
+    back and released the moment a merge or the write stage takes them.
+    """
+
+    def __init__(self, spool: BlobSpool | None) -> None:
+        self._spool = spool
+        #: block id -> bytes | MorseSmaleComplex | None (None: spooled)
+        self._blocks: dict[int, Any] = {}
+
+    def land(self, spec: BlockSpec, payload: BlockPayload) -> None:
+        """``map_blocks(on_result=)`` hook: take a landing block's blob."""
+        if self._spool is not None:
+            self._spool.put(payload.block_id, payload.blob)
+            self._blocks[payload.block_id] = None
+        else:
+            self._blocks[payload.block_id] = payload.blob
+        payload.blob = b""
+
+    def ids(self) -> list[int]:
+        return list(self._blocks)
+
+    def pop(self, block_id: int) -> bytes | MorseSmaleComplex:
+        block = self._blocks.pop(block_id)
+        if block is None:
+            block = self._spool.get(block_id)
+            self._spool.discard(block_id)
+        return block
+
+    def keep(self, block_id: int, msc: MorseSmaleComplex) -> None:
+        self._blocks[block_id] = msc
+
+
+@dataclass(frozen=True)
+class _RootMerge:
+    """One root merge as the merge loop recorded it."""
+
+    #: the work counts the cost replay prices
+    record: MergeRecord
+    root_rank: int
+    outcome: MergeOutcome
+    #: wall seconds of the ``merge.round`` span
+    real_seconds: float
 
 
 class ParallelMSComplexPipeline:
@@ -470,8 +480,7 @@ class ParallelMSComplexPipeline:
 
     With ``workers > 1`` the compute stage fans out over a pool of OS
     processes (see :mod:`repro.parallel.executor`); the merge rounds
-    still run under the deterministic virtual MPI and consume the
-    per-block payloads unchanged.
+    run in the driver either way and consume the same packed blocks.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -555,36 +564,25 @@ class ParallelMSComplexPipeline:
                 if isinstance(values, StructuredGrid)
                 else StructuredGrid(values)
             )
-            dims = grid.dims
-            vertex_bytes = grid.values.dtype.itemsize
-        else:
-            dims = volume.dims
-            vertex_bytes = volume.np_dtype.itemsize
 
         registry = MetricsRegistry() if cfg.metrics else None
-        # the pooled merge stage's packed-blob spool: blobs stay in
-        # driver memory under `merge_spill_budget_bytes` and spill
-        # LRU-first to a run-scoped disk dir over it (budget None never
-        # spills and never touches disk — the pre-spool fast path)
+        # a spool exists exactly when a budget is set: it bounds the
+        # packed compute blobs the driver holds between a block landing
+        # and that block's first merge (or the write stage), spilling
+        # LRU-first to a run-scoped dir that lives as long as the run
         spool: BlobSpool | None = None
-        if cfg.options.resolved_merge_executor == "pool" and cfg.resolve_radices():
+        if cfg.options.merge_spill_budget_bytes is not None:
             spool = BlobSpool(
                 budget_bytes=cfg.options.merge_spill_budget_bytes,
                 tracer=tracer if cfg.trace else None,
             )
-        try:
+        with spool if spool is not None else nullcontext():
             with tracer.span("pipeline.run", cat="pipeline") as run_span:
-                result = self._run_traced(
-                    tracer, registry, cfg, grid, volume, dims, vertex_bytes,
-                    session=session, spool=spool,
+                result = self._run_stages(
+                    tracer, registry, grid, volume, session, spool
                 )
             if spool is not None:
                 result.stats.spool = spool.stats.to_dict()
-        finally:
-            # spill files live exactly as long as the run: retries and
-            # the write stage re-read them; nothing outlives this close
-            if spool is not None:
-                spool.close()
         stats = result.stats
         stats.real_seconds_total = run_span.duration
         if cfg.trace:
@@ -596,68 +594,142 @@ class ParallelMSComplexPipeline:
             stats.metrics = registry.snapshot()
         return result
 
-    def _run_traced(
-        self, tracer, registry, cfg, grid, volume, dims, vertex_bytes,
-        session=None, spool=None,
+    def _run_stages(
+        self, tracer, registry, grid, volume, session, spool
     ) -> PipelineResult:
+        """plan → compute → merge rounds → write → cost replay."""
+        cfg = self.config
+        if grid is not None:
+            dims, vertex_bytes = grid.dims, grid.values.dtype.itemsize
+        else:
+            dims, vertex_bytes = volume.dims, volume.np_dtype.itemsize
         # transport resolution is input-kind aware: impossible combos
         # (shm + volume file, mmap + in-memory field) fail here with a
         # readable error instead of silently falling back mid-pipeline
-        input_kind = "memory" if grid is not None else "volume"
-        transport_kind = cfg.options.resolve_transport(input_kind)
-
+        transport = TransportStats(
+            kind=cfg.options.resolve_transport(
+                "memory" if grid is not None else "volume"
+            )
+        )
         with tracer.span("pipeline.plan", cat="pipeline") as plan_span:
             if session is not None:
                 plan, plan_cached = session._plan_for(dims)
             else:
                 plan, plan_cached = build_plan(cfg, dims), False
             plan_span.annotate(cached=plan_cached)
-        decomp, schedule, model = plan.decomp, plan.schedule, plan.model
-        num_procs = plan.num_procs
-        groups_by_round = plan.groups_by_round
-        cuts_by_round = plan.cuts_by_round
-        # the spool participates exactly when the pooled merge pre-pass
-        # will run; otherwise payload blobs flow by value as before
-        if spool is not None and not (
-            cfg.options.resolved_merge_executor == "pool"
-            and schedule.num_rounds > 0
-        ):
-            spool = None
 
-        # ---- compute stage, on the configured executor ----------------
-        # wrapped in the fault-tolerance layer: per-block timeouts,
-        # bounded retries, pool restarts, degradation to serial
         ft = FaultToleranceStats()
-        transport = TransportStats(kind=transport_kind)
+        held = _HeldBlocks(spool)
+        payloads, compute_span = self._compute_stage(
+            tracer, plan, grid, volume, session, plan_cached,
+            ft, transport, held,
+        )
+        # stitch the workers' span buffers into the driver timeline and
+        # fold their metrics snapshots into the run registry
+        if cfg.trace:
+            for p in payloads:
+                tracer.absorb(p.trace_events)
+        if registry is not None:
+            for p in payloads:
+                registry.merge_snapshot(p.metrics)
+
+        with tracer.span(
+            "merge.stage", cat="merge", rounds=plan.schedule.num_rounds
+        ) as merge_span:
+            merges = self._merge_rounds(tracer, plan, held, ft)
+
+        output_blocks: dict[int, MorseSmaleComplex] = {}
+        output_blobs: dict[int, bytes] = {}
+        survivors = sorted(held.ids())
+        with tracer.span(
+            "io.serialize_output", cat="io", blocks=len(survivors)
+        ):
+            for bid in survivors:
+                block = held.pop(bid)
+                if isinstance(block, bytes):
+                    # never merged: the compute blob is the output blob
+                    output_blobs[bid] = block
+                    output_blocks[bid] = unpack_complex(block)
+                else:
+                    output_blocks[bid] = block
+                    output_blobs[bid] = pack_complex(block)
+
+        stats = self._replayed_stats(
+            plan, vertex_bytes, payloads, merges, output_blobs
+        )
+        stats.compute_wall_seconds = compute_span.duration
+        stats.merge_wall_seconds = merge_span.duration
+        stats.faults = ft
+        stats.transport = transport
+        # multiscale capture: one infinite-persistence sweep per output
+        # block over a throwaway copy records the full cancellation
+        # sequence; level 0 of each hierarchy is the block exactly as
+        # stored, so any later threshold is a pure lookup
+        hierarchies = None
+        if cfg.options.hierarchy:
+            with tracer.span(
+                "hierarchy.capture", cat="pipeline",
+                blocks=len(output_blocks),
+            ):
+                hierarchies = {
+                    bid: MSComplexHierarchy.capture(msc)
+                    for bid, msc in output_blocks.items()
+                }
+        return PipelineResult(
+            output_blocks=output_blocks,
+            decomposition=plan.decomp,
+            schedule=plan.schedule,
+            stats=stats,
+            output_blobs=output_blobs,
+            hierarchies=hierarchies,
+        )
+
+    def _new_executor(self, ft, transport, tracer) -> FaultTolerantExecutor:
+        """The compute stage's executor, as the config describes it."""
+        cfg = self.config
+        return FaultTolerantExecutor(
+            kind=cfg.options.resolved_executor,
+            workers=cfg.options.workers,
+            policy=cfg.options.retry_policy(),
+            plan=cfg.faults,
+            validator=validate_block_payload,
+            stats=ft,
+            transport=transport,
+            tracer=tracer,
+        )
+
+    def _compute_stage(
+        self, tracer, plan, grid, volume, session, plan_cached,
+        ft, transport, held,
+    ):
+        """Fan :func:`compute_block` out over the configured executor.
+
+        Wrapped in the fault-tolerance layer: per-block timeouts,
+        bounded retries, pool restarts, degradation to serial.  Each
+        validated payload's packed blob is handed to ``held`` the moment
+        it lands.  Returns the payloads (block-id order, blobs stripped)
+        and the dispatch span.
+        """
+        cfg = self.config
+        sinks = (ft, transport, tracer if cfg.trace else None)
         if session is not None:
-            executor, pool_reused = session._compute_executor(
-                ft, transport, tracer if cfg.trace else None
-            )
+            executor, pool_reused = session._compute_executor(*sinks)
             tracer.event(
                 "session.reuse", cat="session",
                 step=session.stats.runs, plan_cached=plan_cached,
                 pool_reused=pool_reused,
             )
         else:
-            executor = FaultTolerantExecutor(
-                kind=cfg.options.resolved_executor,
-                workers=cfg.options.workers,
-                policy=cfg.options.retry_policy(),
-                plan=cfg.faults,
-                validator=validate_block_payload,
-                stats=ft,
-                transport=transport,
-                tracer=tracer if cfg.trace else None,
-            )
+            executor = self._new_executor(*sinks)
         try:
             shm_handle = None
             spec_grid = grid
             spec_volume = None
-            if transport_kind == "shm":
+            if transport.kind == "shm":
                 with tracer.span("shm.publish", cat="transport"):
                     shm_handle = executor.publish_volume(grid.values)
                 transport.driver_staged_bytes += grid.values.nbytes
-            elif transport_kind == "mmap":
+            elif transport.kind == "mmap":
                 # out-of-core: specs carry only the file spec + box and
                 # workers subarray-read from disk; the driver never
                 # materializes the volume
@@ -673,22 +745,15 @@ class ParallelMSComplexPipeline:
                 transport.driver_staged_bytes += grid.values.nbytes
             with tracer.span("pipeline.specs", cat="pipeline"):
                 specs = self._block_specs(
-                    decomp, spec_grid, spec_volume, shm=shm_handle
+                    plan.decomp, spec_grid, spec_volume, shm=shm_handle
                 )
             with tracer.span(
                 "compute.dispatch", cat="compute", blocks=len(specs),
-                executor=cfg.options.resolved_executor, workers=cfg.options.workers,
+                executor=cfg.options.resolved_executor,
+                workers=cfg.options.workers,
             ) as dispatch_span:
-                on_compute_result = None
-                if spool is not None:
-                    def on_compute_result(spec, payload, _spool=spool):
-                        # strip each landing block's packed blob into
-                        # the spool so a whole volume's worth of blobs
-                        # is never resident in the driver at once
-                        _spool.put(("b", payload.block_id), payload.blob)
-                        payload.blob = b""
-                payload_list = executor.map_blocks(
-                    compute_block, specs, on_result=on_compute_result
+                payloads = executor.map_blocks(
+                    compute_block, specs, on_result=held.land
                 )
         finally:
             # a session owns its executor across runs; one-shot runs
@@ -697,251 +762,156 @@ class ParallelMSComplexPipeline:
                 executor.close()
         logger.info(
             "compute stage done: %d blocks in %.3fs on %s executor",
-            len(payload_list), dispatch_span.duration,
+            len(payloads), dispatch_span.duration,
             cfg.options.resolved_executor,
         )
-        # stitch the workers' span buffers into the driver timeline and
-        # fold their metrics snapshots into the run registry
-        if cfg.trace:
-            for p in payload_list:
-                tracer.absorb(p.trace_events)
-        if registry is not None:
-            for p in payload_list:
-                registry.merge_snapshot(p.metrics)
-        payloads = {p.block_id: p for p in payload_list}
+        return payloads, dispatch_span
 
-        # ---- merge stage pre-pass (pooled backend) --------------------
-        # Within a round the per-root merges are independent functions of
-        # packed blobs, so the driver can fan them out over a worker pool
-        # before the virtual ranks run — the same pre-pass pattern as the
-        # compute stage.  The ranks then adopt the precomputed results;
-        # determinism makes them byte-identical to in-rank merging, so
-        # the virtual clock and message accounting are unchanged.
-        merge_mode = cfg.options.resolved_merge_executor
+    def _merge_rounds(
+        self, tracer, plan, held, ft
+    ) -> list[_RootMerge]:
+        """Run the radix-k schedule: every round, every group root merges.
+
+        The one merge engine.  Members are taken as packed bytes — the
+        compute blob itself while a block is still packed
+        (``pack_complex(unpack_complex(blob)) == blob``), a fresh pack
+        once it is live — and a root that is still packed is unpacked
+        here and its bytes passed on as the free retry snapshot.
+        """
+        cfg = self.config
+        # round-0 inputs were simplified at the run threshold unless the
+        # compute stage skipped it, so round 0 may re-simplify
+        # incrementally; later rounds always may
         presimplified = (
             cfg.persistence_threshold > 0 or cfg.simplify_at_zero_persistence
         )
-        merge_results: dict[tuple[int, int], MergePayload] = {}
-        merge_wall = 0.0
-        if merge_mode == "pool" and schedule.num_rounds > 0:
-            merge_ft = FaultToleranceStats()
-            with tracer.span(
-                "merge.dispatch", cat="merge",
-                rounds=schedule.num_rounds, workers=cfg.options.workers,
-            ) as merge_dispatch:
-                merge_results = self._pooled_merge_prepass(
-                    cfg, tracer, payloads, groups_by_round, cuts_by_round,
-                    presimplified, merge_ft, session=session, spool=spool,
+
+        merges: list[_RootMerge] = []
+        for round_idx, groups in enumerate(plan.groups_by_round):
+            for root_bid, root_rank, members in groups:
+                member_blobs = []
+                for mbid, _ in members:
+                    member = held.pop(mbid)
+                    member_blobs.append(
+                        member if isinstance(member, bytes)
+                        else pack_complex(member)
+                    )
+                root, root_blob = held.pop(root_bid), None
+                if isinstance(root, bytes):
+                    root, root_blob = unpack_complex(root), root
+                with tracer.span(
+                    "merge.round", cat="merge",
+                    lane=RANK_LANE_BASE + root_rank,
+                    round=round_idx, root=root_bid, members=len(members),
+                ) as span:
+                    root, outcome, retries = merge_with_retries(
+                        root,
+                        member_blobs,
+                        plan.cuts_by_round[round_idx],
+                        cfg.persistence_threshold,
+                        validate=cfg.validate,
+                        max_retries=cfg.options.max_retries,
+                        incremental=round_idx > 0 or presimplified,
+                        fault_hook=(
+                            cfg.faults.merge_hook(round_idx, root_bid)
+                            if cfg.faults is not None
+                            else None
+                        ),
+                        root_blob=root_blob,
+                    )
+                    span.annotate(
+                        nodes_glued=outcome.glue.nodes_added,
+                        arcs_glued=outcome.glue.arcs_added,
+                        cancellations=outcome.cancellations,
+                    )
+                held.keep(root_bid, root)
+                ft.merge_retries += retries
+                record = MergeRecord(
+                    round_idx=round_idx,
+                    root_block=root_bid,
+                    member_nbytes=tuple(len(b) for b in member_blobs),
+                    glued_elements=(
+                        outcome.glue.nodes_added + outcome.glue.arcs_added
+                    ),
+                    cancellations=outcome.cancellations,
                 )
-            merge_wall = merge_dispatch.duration
-            logger.info(
-                "merge stage done: %d merges over %d rounds in %.3fs on "
-                "pool executor",
-                len(merge_results), schedule.num_rounds, merge_wall,
-            )
-            # fold the merge executor's counters into the run's fault
-            # stats; executor-level retries are merge retries here
-            ft.merge_retries += merge_ft.retries
-            ft.pool_restarts += merge_ft.pool_restarts
-            ft.backoff_seconds += merge_ft.backoff_seconds
-            if merge_ft.degraded:
-                ft.degraded = True
-                ft.degradation_events.extend(merge_ft.degradation_events)
-            if cfg.trace:
-                for mp in merge_results.values():
-                    tracer.absorb(mp.trace_events)
+                merges.append(
+                    _RootMerge(record, root_rank, outcome, span.duration)
+                )
+        return merges
 
-        ctx = _RunContext(
-            cfg=cfg,
-            decomp=decomp,
-            schedule=schedule,
-            model=model,
+    def _replayed_stats(
+        self, plan, vertex_bytes, payloads, merges, output_blobs
+    ) -> PipelineStats:
+        """Price the recorded work on the virtual machine; build the stats."""
+        cfg = self.config
+        replay = replay_run(
+            plan,
             vertex_bytes=vertex_bytes,
-            payloads=payloads,
-            groups_by_round=groups_by_round,
-            cuts_by_round=cuts_by_round,
-            ft=ft,
-            tracer=tracer,
-            merge_mode=merge_mode,
-            merge_results=merge_results,
-            presimplified=presimplified,
-            spool=spool,
+            workers=cfg.options.workers,
+            compute_work={
+                p.block_id: ComputeWork(
+                    cells=p.cells,
+                    geometry_cells=p.geometry_cells_traced,
+                    cancellations=p.cancellations,
+                )
+                for p in payloads
+            },
+            merges=[m.record for m in merges],
+            output_nbytes={b: len(blob) for b, blob in output_blobs.items()},
         )
-
-        with tracer.span(
-            "merge.stage", cat="merge", rounds=schedule.num_rounds
-        ):
-            mpi = VirtualMPI(num_procs)
-            rank_returns = mpi.run(_rank_main, ctx)
-
         stats = PipelineStats(
-            num_procs=num_procs,
+            num_procs=plan.num_procs,
             num_blocks=cfg.num_blocks,
-            radices=[r.radix for r in schedule.rounds],
-            message_bytes=sum(m.nbytes for m in mpi.message_log),
+            radices=[r.radix for r in plan.schedule.rounds],
+            timelines=replay.timelines,
+            output_bytes=sum(len(b) for b in output_blobs.values()),
+            message_bytes=replay.message_bytes,
             workers=cfg.options.workers,
             executor=cfg.options.resolved_executor,
-            merge_executor=merge_mode,
-            compute_wall_seconds=dispatch_span.duration,
-            faults=ft,
-            transport=transport,
         )
-        output_blocks: dict[int, MorseSmaleComplex] = {}
-        output_blobs: dict[int, bytes] = {}
-        for ret in rank_returns:
-            stats.block_stats.extend(ret["block_stats"])
-            stats.merge_events.extend(ret["merge_events"])
-            stats.timelines.append(ret["timeline"])
-            for bid, msc in ret["final_blocks"].items():
-                output_blocks[bid] = msc
-            output_blobs.update(ret["final_blobs"])
-        stats.block_stats.sort(key=lambda b: b.block_id)
-        stats.merge_wall_seconds = (
-            merge_wall
-            if merge_mode == "pool"
-            else sum(ev.real_seconds for ev in stats.merge_events)
-        )
-        # the write stage already packed every final complex once; reuse
-        # those bytes instead of serializing a second time
-        with tracer.span(
-            "io.serialize_output", cat="io", blocks=len(output_blocks)
-        ):
-            stats.output_bytes = sum(
-                len(b) for b in output_blobs.values()
+        for p in payloads:
+            stats.block_stats.append(
+                BlockComputeStats(
+                    block_id=p.block_id,
+                    rank=plan.decomp.rank_of_block(
+                        p.block_id, plan.num_procs
+                    ),
+                    cells=p.cells,
+                    critical_counts=p.critical_counts,
+                    nodes_after_simplify=p.nodes_after_simplify,
+                    arcs_after_simplify=p.arcs_after_simplify,
+                    geometry_cells_traced=p.geometry_cells_traced,
+                    cancellations=p.cancellations,
+                    real_seconds=p.real_seconds,
+                    virtual_seconds=replay.block_seconds[p.block_id],
+                    stage_seconds=dict(p.stage_seconds),
+                    transport_nbytes=p.transport_nbytes,
+                )
             )
-        # multiscale capture: one infinite-persistence sweep per output
-        # block over a throwaway copy records the full cancellation
-        # sequence; level 0 of each hierarchy is the block exactly as
-        # stored, so any later threshold is a pure lookup
-        hierarchies = None
-        if cfg.options.hierarchy:
-            with tracer.span(
-                "hierarchy.capture", cat="pipeline",
-                blocks=len(output_blocks),
-            ):
-                hierarchies = {
-                    bid: MSComplexHierarchy.capture(output_blocks[bid])
-                    for bid in sorted(output_blocks)
-                }
-        return PipelineResult(
-            output_blocks=output_blocks,
-            decomposition=decomp,
-            schedule=schedule,
-            stats=stats,
-            output_blobs=output_blobs,
-            hierarchies=hierarchies,
-        )
-
-    def _pooled_merge_prepass(
-        self,
-        cfg: PipelineConfig,
-        tracer: Tracer,
-        payloads: dict[int, BlockPayload],
-        groups_by_round,
-        cuts_by_round,
-        presimplified: bool,
-        merge_ft: FaultToleranceStats,
-        session: Any = None,
-        spool: BlobSpool | None = None,
-    ) -> dict[tuple[int, int], MergePayload]:
-        """Fan every round's root merges out over a worker pool.
-
-        Maintains the current packed blob of every surviving block
-        (round 0 starts from the compute payloads' blobs — already the
-        ``pack_complex`` format) and dispatches each round's independent
-        :class:`MergeSpec` batch through a fault-tolerant executor; a
-        worker crash retries the merge from the immutable input blobs,
-        and an unhealthy pool degrades to in-process execution, both
-        bit-identical.  Returns the per-merge results for the rank
-        programs to adopt.  A session keeps the merge pool alive across
-        runs; one-shot runs build and close it here.
-
-        With a ``spool``, the pre-pass tracks *keys*, not bytes: every
-        blob lives in the spool (compute blobs under ``("b", bid)``,
-        merge snapshots under ``("m", round, root)``), specs are built
-        from :meth:`~repro.io.spool.BlobSpool.handle` at dispatch time
-        — resident bytes or a tiny spilled ref a worker materializes
-        from disk — and each round's results are stripped back into the
-        spool as they land, so driver residency stays bounded by the
-        spill budget however many blocks or rounds there are.
-        """
-        if session is not None:
-            executor, _reused = session._merge_pool_executor(
-                merge_ft, tracer if cfg.trace else None
+        for m in merges:
+            rec = m.record
+            cost = replay.merge_costs[(rec.round_idx, rec.root_block)]
+            stats.merge_events.append(
+                MergeEventStats(
+                    round_idx=rec.round_idx,
+                    root_block=rec.root_block,
+                    root_rank=m.root_rank,
+                    members=len(rec.member_nbytes),
+                    received_bytes=cost.received_bytes,
+                    nodes_glued=m.outcome.glue.nodes_added,
+                    arcs_glued=m.outcome.glue.arcs_added,
+                    boundary_nodes_freed=m.outcome.boundary_nodes_freed,
+                    cancellations=m.outcome.cancellations,
+                    wait_seconds=cost.wait_seconds,
+                    merge_seconds=cost.merge_seconds,
+                    real_seconds=m.real_seconds,
+                )
             )
-        else:
-            executor = FaultTolerantExecutor(
-                kind="process",
-                workers=cfg.options.workers,
-                policy=cfg.options.retry_policy(),
-                plan=(
-                    MergeFaultAdapter(cfg.faults)
-                    if cfg.faults is not None
-                    else None
-                ),
-                validator=validate_merge_payload,
-                stats=merge_ft,
-                tracer=tracer if cfg.trace else None,
-            )
-        results: dict[tuple[int, int], MergePayload] = {}
-        if spool is not None:
-            # track spool keys; bytes stay in the spool until dispatch
-            current: dict[int, Any] = {bid: ("b", bid) for bid in payloads}
-
-            def resolve(entry):
-                return spool.handle(entry)
-
-            def on_merge_result(spec, mp, _spool=spool):
-                # strip each merged snapshot into the spool as it lands
-                # so a whole round's results are never resident at once
-                _spool.put(("m", mp.round_idx, mp.root_block), mp.blob)
-                mp.blob = b""
-        else:
-            current = {bid: p.blob for bid, p in payloads.items()}
-
-            def resolve(entry):
-                return entry
-
-            on_merge_result = None
-        try:
-            for round_idx, groups in enumerate(groups_by_round):
-                specs = []
-                for root_bid, _root_rank, members in groups:
-                    member_blobs = tuple(
-                        resolve(current.pop(mbid)) for mbid, _ in members
-                    )
-                    specs.append(
-                        MergeSpec(
-                            round_idx=round_idx,
-                            root_block=root_bid,
-                            root_blob=resolve(current[root_bid]),
-                            member_blobs=member_blobs,
-                            cut_planes=cuts_by_round[round_idx],
-                            persistence_threshold=(
-                                cfg.persistence_threshold
-                            ),
-                            incremental=round_idx > 0 or presimplified,
-                            validate=cfg.validate,
-                            trace=cfg.trace,
-                        )
-                    )
-                try:
-                    round_payloads = executor.map_blocks(
-                        merge_task, specs, on_result=on_merge_result
-                    )
-                except ComputeStageError as exc:
-                    raise MergeStageError(str(exc)) from exc
-                for mp in round_payloads:
-                    current[mp.root_block] = (
-                        ("m", mp.round_idx, mp.root_block)
-                        if spool is not None
-                        else mp.blob
-                    )
-                    results[(mp.round_idx, mp.root_block)] = mp
-        finally:
-            if session is None:
-                executor.close()
-        return results
+        # rank-major like the per-rank logs an SPMD run would gather
+        # (stable: round order, then group order, within a rank)
+        stats.merge_events.sort(key=lambda ev: ev.root_rank)
+        return stats
 
     def _trace_record(
         self, tracer: Tracer, stats: PipelineStats
@@ -1010,263 +980,8 @@ class ParallelMSComplexPipeline:
             )
         registry.counter("io.output_bytes").inc(stats.output_bytes)
         if stats.spool:
-            registry.counter("spool.puts").inc(stats.spool["puts"])
-            registry.counter("spool.spills").inc(stats.spool["spills"])
-            registry.counter("spool.bytes_spilled").inc(
-                stats.spool["bytes_spilled"]
-            )
-            registry.counter("spool.read_backs").inc(
-                stats.spool["read_backs"]
-            )
-            registry.counter("spool.bytes_read_back").inc(
-                stats.spool["bytes_read_back"]
-            )
-            registry.gauge("spool.resident_blobs").set(
-                stats.spool["resident_blobs"]
-            )
-            registry.gauge("spool.resident_peak_bytes").set(
-                stats.spool["resident_peak_bytes"]
-            )
-
-
-# ---------------------------------------------------------------------------
-# the SPMD rank program
-# ---------------------------------------------------------------------------
-
-
-def _message_tag(round_idx: int, member_block: int, num_blocks: int) -> int:
-    """Unique tag per (round, member block)."""
-    return round_idx * num_blocks + member_block
-
-
-def _rank_main(comm, ctx: _RunContext):
-    """The per-rank program (a generator yielding comm requests)."""
-    cfg, decomp, schedule, model = ctx.cfg, ctx.decomp, ctx.schedule, ctx.model
-    P = comm.size
-    my_blocks = decomp.blocks_of_rank(comm.rank, P)
-    timeline = RankTimeline(rank=comm.rank)
-    block_stats: list[BlockComputeStats] = []
-    merge_events: list[MergeEventStats] = []
-    clock = 0.0
-
-    # ---- read data blocks (§IV-B) -------------------------------------
-    read_bytes = 0
-    for bid in my_blocks:
-        box = decomp.block_box(decomp.block_coords(bid))
-        read_bytes += box.num_vertices * ctx.vertex_bytes
-    timeline.read = model.read_time(read_bytes)
-    clock += timeline.read
-
-    # ---- compute stage (§IV-C,D,E) -------------------------------------
-    # Payloads were produced by the executor (this rank's blocks, computed
-    # by :func:`compute_block` on the configured backend); here the rank
-    # unpacks its own and charges the virtual clock with the makespan of
-    # its blocks over its `workers`-wide pool rather than the serial sum.
-    # In pooled merge mode the merges themselves were also precomputed by
-    # the driver, so the rank stays blob-resident: it ships and adopts
-    # packed bytes and never unpacks a complex until the write stage.
-    pooled_merge = ctx.merge_mode == "pool"
-    complexes: dict[int, MorseSmaleComplex] = {}
-    blobs: dict[int, bytes] = {}
-    hierarchies: dict[int, list] = {}
-    block_virtual: list[float] = []
-    for bid in my_blocks:
-        payload = ctx.payloads.pop(bid)
-        work = ComputeWork(
-            cells=payload.cells,
-            geometry_cells=payload.geometry_cells_traced,
-            cancellations=payload.cancellations,
-        )
-        virt = model.compute_time(work)
-        block_virtual.append(virt)
-        if pooled_merge:
-            # with a spool the rank holds blob *handles* — resident
-            # bytes or tiny spilled refs — never forced bytes
-            blobs[bid] = (
-                ctx.spool.handle(("b", bid))
-                if ctx.spool is not None
-                else payload.blob
-            )
-            hierarchies[bid] = []
-        else:
-            complexes[bid] = unpack_complex(payload.blob)
-        block_stats.append(
-            BlockComputeStats(
-                block_id=bid,
-                rank=comm.rank,
-                cells=payload.cells,
-                critical_counts=payload.critical_counts,
-                nodes_after_simplify=payload.nodes_after_simplify,
-                arcs_after_simplify=payload.arcs_after_simplify,
-                geometry_cells_traced=payload.geometry_cells_traced,
-                cancellations=payload.cancellations,
-                real_seconds=payload.real_seconds,
-                virtual_seconds=virt,
-                stage_seconds=dict(payload.stage_seconds),
-                transport_nbytes=payload.transport_nbytes,
-            )
-        )
-    timeline.compute = pool_makespan(block_virtual, cfg.options.workers)
-    clock += timeline.compute
-
-    # ---- merge rounds (§IV-F) -------------------------------------------
-    nb = decomp.num_blocks
-    owned = blobs if pooled_merge else complexes
-    for round_idx in range(schedule.num_rounds):
-        groups = ctx.groups_by_round[round_idx]
-        # pass 1: send local member complexes to their group roots
-        for root_bid, root_rank, members in groups:
-            for mbid, m_rank in members:
-                if m_rank != comm.rank or mbid not in owned:
-                    continue  # not ours
-                if pooled_merge:
-                    blob = blobs.pop(mbid)
-                else:
-                    blob = pack_complex(complexes.pop(mbid))
-                message = {"clock": clock, "blob": blob}
-                if root_rank == comm.rank:
-                    # local move: no message, data already resident
-                    ctx.local_inbox[(comm.rank, round_idx, mbid)] = message
-                else:
-                    yield comm.send(
-                        root_rank,
-                        message,
-                        tag=_message_tag(round_idx, mbid, nb),
-                    )
-        # pass 2: roots receive and merge
-        cuts_after = ctx.cuts_by_round[round_idx]
-        for root_bid, root_rank, members in groups:
-            if root_rank != comm.rank or root_bid not in owned:
-                continue
-            arrivals = [clock]
-            incoming_blobs: list[bytes] = []
-            recv_bytes = 0
-            for mbid, m_rank in members:
-                if m_rank == comm.rank:
-                    message = ctx.local_inbox.pop(
-                        (comm.rank, round_idx, mbid)
-                    )
-                    arrivals.append(message["clock"])
-                else:
-                    message = yield comm.recv(
-                        m_rank, tag=_message_tag(round_idx, mbid, nb)
-                    )
-                    nbytes = blob_nbytes(message["blob"])
-                    recv_bytes += nbytes
-                    arrivals.append(
-                        message["clock"]
-                        + model.message_time(nbytes, m_rank, comm.rank)
-                    )
-                incoming_blobs.append(message["blob"])
-            wait = max(arrivals) - clock
-            clock = max(arrivals)
-
-            with ctx.tracer.span(
-                "merge.round", cat="merge",
-                lane=RANK_LANE_BASE + comm.rank,
-                round=round_idx, root=root_bid,
-                members=len(members), received_bytes=recv_bytes,
-            ) as merge_span:
-                if pooled_merge:
-                    # adopt the result the merge executor precomputed;
-                    # determinism makes it byte-identical to merging here
-                    mp = ctx.merge_results[(round_idx, root_bid)]
-                    blobs[root_bid] = (
-                        ctx.spool.handle(("m", round_idx, root_bid))
-                        if ctx.spool is not None
-                        else mp.blob
-                    )
-                    hierarchies[root_bid].extend(mp.hierarchy)
-                    outcome = mp.outcome
-                    real = mp.real_seconds
-                else:
-                    def _count_merge_retry(attempt, exc, _ft=ctx.ft):
-                        _ft.merge_retries += 1
-
-                    fault_hook = (
-                        cfg.faults.merge_hook(round_idx, root_bid)
-                        if cfg.faults is not None
-                        else None
-                    )
-                    root_msc, outcome, _ = merge_with_retries(
-                        complexes[root_bid],
-                        incoming_blobs,
-                        cuts_after,
-                        cfg.persistence_threshold,
-                        validate=cfg.validate,
-                        max_retries=cfg.options.max_retries,
-                        incremental=round_idx > 0 or ctx.presimplified,
-                        fault_hook=fault_hook,
-                        on_retry=_count_merge_retry,
-                    )
-                    complexes[root_bid] = root_msc
-                merge_span.annotate(
-                    nodes_glued=outcome.glue.nodes_added,
-                    arcs_glued=outcome.glue.arcs_added,
-                    cancellations=outcome.cancellations,
-                )
-            if not pooled_merge:
-                real = merge_span.duration
-            mwork = MergeWork(
-                glued_elements=(
-                    outcome.glue.nodes_added + outcome.glue.arcs_added
-                ),
-                cancellations=outcome.cancellations,
-                packed_bytes=recv_bytes,
-            )
-            mtime = model.merge_time(mwork)
-            clock += mtime
-            merge_events.append(
-                MergeEventStats(
-                    round_idx=round_idx,
-                    root_block=root_bid,
-                    root_rank=comm.rank,
-                    members=len(members),
-                    received_bytes=recv_bytes,
-                    nodes_glued=outcome.glue.nodes_added,
-                    arcs_glued=outcome.glue.arcs_added,
-                    boundary_nodes_freed=outcome.boundary_nodes_freed,
-                    cancellations=outcome.cancellations,
-                    wait_seconds=wait,
-                    merge_seconds=mtime,
-                    real_seconds=real,
-                )
-            )
-        timeline.after_round.append(clock)
-
-    # ---- write MS complex blocks (§IV-G) --------------------------------
-    # pack each surviving complex exactly once: the same bytes price the
-    # virtual write, become the cached output blobs of the result, and
-    # (pooled mode) are already at hand from the merge executor
-    if pooled_merge:
-        # spilled survivors are materialized exactly once, here: the
-        # same bytes price the virtual write, become the result's
-        # cached output blobs, and feed the unpack below
-        if ctx.spool is not None:
-            final_blobs = {
-                bid: ctx.spool.materialize(h) for bid, h in blobs.items()
-            }
-        else:
-            final_blobs = blobs
-        final_blocks: dict[int, MorseSmaleComplex] = {}
-        for bid, blob in final_blobs.items():
-            msc = unpack_complex(blob)
-            msc.hierarchy.extend(hierarchies[bid])
-            final_blocks[bid] = msc
-    else:
-        final_blocks = complexes
-        final_blobs = {
-            bid: pack_complex(m) for bid, m in complexes.items()
-        }
-    write_bytes = sum(len(b) for b in final_blobs.values())
-    timeline.write = model.write_time(write_bytes)
-    clock += timeline.write
-    timeline.final_clock = clock
-
-    return {
-        "block_stats": block_stats,
-        "merge_events": merge_events,
-        "timeline": timeline,
-        "final_blocks": final_blocks,
-        "final_blobs": final_blobs,
-    }
+            for name in ("puts", "spills", "bytes_spilled", "read_backs",
+                         "bytes_read_back"):
+                registry.counter(f"spool.{name}").inc(stats.spool[name])
+            for name in ("resident_blobs", "resident_peak_bytes"):
+                registry.gauge(f"spool.{name}").set(stats.spool[name])

@@ -2,20 +2,20 @@
 
 A one-shot :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run`
 pays its full setup cost every time: it forks a fresh compute worker
-pool (and, in pooled merge mode, a second pool for the merge pre-pass),
-publishes a new shared-memory segment, decomposes the domain, builds the
-merge schedule, and warms the mesh structure tables — then tears it all
-down.  That is the right shape for a single volume, and exactly the
-wrong shape for the paper's stated in-situ direction (§VII-B, coupling
-with S3D), where the *same* decomposition processes hundreds of
-timesteps back to back.
+pool, publishes a new shared-memory segment, decomposes the domain,
+builds the merge schedule, and warms the mesh structure tables — then
+tears it all down.  That is the right shape for a single volume, and
+exactly the wrong shape for the paper's stated in-situ direction
+(§VII-B, coupling with S3D), where the *same* decomposition processes
+hundreds of timesteps back to back.
 
 :class:`PipelineSession` owns those resources across runs:
 
-- the compute and merge :class:`~repro.parallel.executor.FaultTolerantExecutor`
-  pools are created on first use and reused by every subsequent step —
-  their restart/degrade fault handling is untouched (per-run budgets are
-  fresh because each run swaps in zeroed stats via
+- the compute stage's :class:`~repro.parallel.executor.FaultTolerantExecutor`
+  (the one pool of a run: the merge rounds, write and cost replay stages
+  run in the driver) is created on first use and reused by every
+  subsequent step — its restart/degrade fault handling is untouched
+  (per-run budgets are fresh because each run swaps in zeroed stats via
   :meth:`~repro.parallel.executor.FaultTolerantExecutor.begin_run`);
 - the shared-memory transport publishes into a reusable slot sized to
   the largest step seen so far: a steady-state step *rebinds* the
@@ -52,19 +52,13 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import PipelineConfig
-from repro.core.merge import validate_merge_payload
-from repro.core.pipeline import (
-    ParallelMSComplexPipeline,
-    build_plan,
-    validate_block_payload,
-)
+from repro.core.pipeline import ParallelMSComplexPipeline, build_plan
 from repro.core.result import PipelineResult
 from repro.io.spool import maybe_sweep_stale_spool_dirs
 from repro.io.volume import VolumeSpec, invalidate_map_cache
 from repro.mesh.grid import StructuredGrid
 from repro.obs.trace import Tracer
 from repro.parallel.executor import FaultTolerantExecutor
-from repro.parallel.faults import MergeFaultAdapter
 
 from contextlib import nullcontext
 
@@ -81,8 +75,6 @@ class SessionStats:
     plan_cache_hits: int = 0
     #: runs that reused the live compute executor (pool intact)
     pool_reuse_hits: int = 0
-    #: runs that reused the live merge-stage executor
-    merge_pool_reuse_hits: int = 0
     #: steps whose shm publish rebound the existing segment in place
     shm_rebinds: int = 0
     #: steps whose shm publish created (or grew) a segment
@@ -127,7 +119,7 @@ class PipelineSession:
     facade), call :meth:`run` once per timestep, and :meth:`close` when
     done (or use as a context manager).  Each run returns the same
     :class:`~repro.core.result.PipelineResult` — bit-identical to a
-    fresh ``ParallelMSComplexPipeline(config).run(...)`` — while pools,
+    fresh ``ParallelMSComplexPipeline(config).run(...)`` — while the pool,
     the shm slot, plans, and warmed tables persist between calls.
 
     Fault tolerance across steps: a worker crash mid-series restarts the
@@ -136,7 +128,7 @@ class PipelineSession:
     *degraded* to serial stays serial for the rest of the session (the
     pool was declared unhealthy; per-step flip-flopping would thrash).
     Session close is the single release point for every OS resource —
-    pools and shm segment — so chaos tests can assert nothing leaks.
+    pool and shm segment — so chaos tests can assert nothing leaks.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -145,7 +137,6 @@ class PipelineSession:
         self._pipeline = ParallelMSComplexPipeline(config)
         self._plans: dict[tuple[int, int, int], Any] = {}
         self._compute_exec: FaultTolerantExecutor | None = None
-        self._merge_exec: FaultTolerantExecutor | None = None
         self._closed = False
         # long-lived drivers are the natural place to reap spool dirs a
         # crashed earlier driver left behind (dead owner pid + an age
@@ -190,7 +181,7 @@ class PipelineSession:
         return result
 
     def close(self) -> None:
-        """Release every owned OS resource: pools and the shm slot.
+        """Release every owned OS resource: the pool and the shm slot.
 
         Idempotent.  After close the session refuses further runs.
         Also drops the driver-process memmap cache: a service process
@@ -200,11 +191,9 @@ class PipelineSession:
         if self._closed:
             return
         self._closed = True
-        for ex in (self._compute_exec, self._merge_exec):
-            if ex is not None:
-                ex.close()
+        if self._compute_exec is not None:
+            self._compute_exec.close()
         self._compute_exec = None
-        self._merge_exec = None
         invalidate_map_cache()
 
     @property
@@ -234,17 +223,9 @@ class PipelineSession:
         self, ft_stats, transport, tracer
     ) -> tuple[FaultTolerantExecutor, bool]:
         """The persistent compute executor, rebound to this run's sinks."""
-        cfg = self.config
         if self._compute_exec is None:
-            self._compute_exec = FaultTolerantExecutor(
-                kind=cfg.options.resolved_executor,
-                workers=cfg.options.workers,
-                policy=cfg.options.retry_policy(),
-                plan=cfg.faults,
-                validator=validate_block_payload,
-                stats=ft_stats,
-                transport=transport,
-                tracer=tracer,
+            self._compute_exec = self._pipeline._new_executor(
+                ft_stats, transport, tracer
             )
             return self._compute_exec, False
         self._compute_exec.begin_run(
@@ -252,30 +233,6 @@ class PipelineSession:
         )
         self.stats.pool_reuse_hits += 1
         return self._compute_exec, True
-
-    def _merge_pool_executor(
-        self, merge_ft, tracer
-    ) -> tuple[FaultTolerantExecutor, bool]:
-        """The persistent merge-stage executor (pooled merge mode)."""
-        cfg = self.config
-        if self._merge_exec is None:
-            self._merge_exec = FaultTolerantExecutor(
-                kind="process",
-                workers=cfg.options.workers,
-                policy=cfg.options.retry_policy(),
-                plan=(
-                    MergeFaultAdapter(cfg.faults)
-                    if cfg.faults is not None
-                    else None
-                ),
-                validator=validate_merge_payload,
-                stats=merge_ft,
-                tracer=tracer,
-            )
-            return self._merge_exec, False
-        self._merge_exec.begin_run(stats=merge_ft, tracer=tracer)
-        self.stats.merge_pool_reuse_hits += 1
-        return self._merge_exec, True
 
     def _fill_session_metrics(self, registry) -> None:
         """Session-reuse gauges for runs with ``metrics=True``.

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.machine.replay import RankTimeline
+
 __all__ = [
     "BlockComputeStats",
     "FaultToleranceStats",
@@ -169,19 +171,6 @@ class MergeEventStats:
 
 
 @dataclass
-class RankTimeline:
-    """Virtual clock components of one rank, in pipeline order."""
-
-    rank: int
-    read: float = 0.0
-    compute: float = 0.0
-    #: per-round virtual clock value *after* that round, for this rank
-    after_round: list[float] = field(default_factory=list)
-    write: float = 0.0
-    final_clock: float = 0.0
-
-
-@dataclass
 class PipelineStats:
     """Aggregated statistics of one pipeline run."""
 
@@ -198,12 +187,10 @@ class PipelineStats:
     workers: int = 1
     #: concrete compute-stage backend ("serial" or "process")
     executor: str = "serial"
-    #: concrete merge-stage backend ("serial" or "pool")
-    merge_executor: str = "serial"
     #: real wall-clock seconds of the compute stage across all blocks
     compute_wall_seconds: float = 0.0
-    #: real wall-clock seconds of the merge stage (pooled: the driver
-    #: pre-pass dispatch; serial: summed in-rank root-merge times)
+    #: real wall-clock seconds of the merge-rounds stage (the driver's
+    #: ``merge.stage`` span), comparable with ``compute_wall_seconds``
     merge_wall_seconds: float = 0.0
     #: fault-tolerance observability (retries, timeouts, degradations)
     faults: FaultToleranceStats = field(default_factory=FaultToleranceStats)
@@ -215,9 +202,9 @@ class PipelineStats:
     #: aggregated metrics snapshot (see :mod:`repro.obs.metrics`) when
     #: the run had ``metrics=True``; ``None`` otherwise
     metrics: dict | None = None
-    #: merge-stage blob-spool counters (puts, spills, read-backs,
-    #: resident peak — see :class:`repro.io.spool.SpoolStats`) when a
-    #: pooled merge ran; ``None`` otherwise
+    #: blob-spool counters (puts, spills, read-backs, resident peak —
+    #: see :class:`repro.io.spool.SpoolStats`) when the run had a
+    #: ``merge_spill_budget_bytes``; ``None`` otherwise
     spool: dict | None = None
 
     # -- virtual stage times (paper-style reporting) ---------------------

@@ -1,27 +1,21 @@
-"""Disk-backed blob spool: bounded driver memory for the merge stage.
+"""Disk-backed blob spool: bounded driver memory between compute and merge.
 
-The pooled merge pre-pass (:mod:`repro.core.pipeline`) is a pipeline of
-packed MS-complex blobs: every compute payload, every round's merged
-snapshot, and the final write-stage bytes are the same
-:func:`~repro.core.merge.pack_complex` currency.  Holding them all in
-driver RAM makes peak RSS grow with block count and volume size — the
-opposite of what the paper's 1152³ regime needs.  :class:`BlobSpool`
-bounds that: blobs stay resident under a byte budget (the bit-identical
-fast path), and are spilled LRU-first to content-addressed files under a
-run-scoped spool directory when the budget is exceeded.
+The compute stage lands every block as packed
+:func:`~repro.core.merge.pack_complex` bytes, and the driver holds them
+until that block's first merge (or, with no merge rounds, the write
+stage).  Holding a whole volume's worth in driver RAM makes peak RSS
+grow with block count — the opposite of what the paper's 1152³ regime
+needs.  :class:`BlobSpool` bounds that: the pipeline creates one exactly
+when ``merge_spill_budget_bytes`` is set, blobs stay resident under the
+byte budget, and are spilled LRU-first to content-addressed files under
+a run-scoped spool directory when the budget is exceeded.
 
-Handles, not copies, circulate through the pipeline:
-
-- a *resident* blob's handle is the ``bytes`` object itself;
-- a *spilled* blob's handle is a tiny picklable :class:`SpilledBlobRef`
-  that any process (driver, pool worker, degraded-serial fallback) can
-  materialize on demand with an mmap read of the spool file.
-
-:func:`blob_bytes` / :func:`blob_nbytes` accept either form, so merge
-workers, the fault-injection harness, and the write stage never branch
-on where a blob lives.  Files are written atomically (temp name +
+The surface is :meth:`~BlobSpool.put` / :meth:`~BlobSpool.get` /
+:meth:`~BlobSpool.discard` / :meth:`~BlobSpool.close` plus
+:attr:`~BlobSpool.stats`.  Files are written atomically (temp name +
 ``os.replace``) and named by content digest, so identical blobs share
-one file and a retry can never observe a half-written spill.
+one file and a reader can never observe a half-written spill; a
+read-back checks the byte count it spilled.
 
 Crash safety: spool directories embed the owning pid
 (``repro-spool-<pid>-<token>``); :func:`sweep_stale_spool_dirs` reaps
@@ -34,23 +28,19 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import mmap
 import os
 import shutil
 import tempfile
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.obs.trace import get_tracer
 
 __all__ = [
     "BlobSpool",
-    "SpilledBlobRef",
     "SpoolStats",
-    "blob_bytes",
-    "blob_nbytes",
     "process_spool_totals",
     "sweep_stale_spool_dirs",
 ]
@@ -63,50 +53,6 @@ SPOOL_PREFIX = "repro-spool-"
 #: process is *just creating* (pid recorded before first write) or a
 #: pid-reuse collision can never be swept out from under a live run
 STALE_AGE_SECONDS = 3600.0
-
-
-@dataclass(frozen=True)
-class SpilledBlobRef:
-    """Picklable handle to one spilled blob: path, size, content digest.
-
-    Self-contained by design — a pool worker that receives a ref inside
-    a :class:`~repro.core.merge.MergeSpec` materializes it with
-    :meth:`bytes` (an mmap read of the spool file) without any spool
-    object, and the driver's spool bookkeeping never crosses the
-    process boundary.
-    """
-
-    path: str
-    nbytes: int
-    digest: str
-
-    def bytes(self) -> bytes:
-        """Materialize the blob from its spool file (mmap read)."""
-        with open(self.path, "rb") as fh:
-            if self.nbytes == 0:
-                return b""
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-                data = bytes(mm)
-        if len(data) != self.nbytes:
-            raise OSError(
-                f"spool file {self.path} holds {len(data)} bytes, "
-                f"expected {self.nbytes} (truncated spill?)"
-            )
-        return data
-
-
-def blob_bytes(blob: bytes | SpilledBlobRef) -> bytes:
-    """The packed bytes of a blob handle — resident or spilled."""
-    if isinstance(blob, (bytes, bytearray, memoryview)):
-        return bytes(blob)
-    return blob.bytes()
-
-
-def blob_nbytes(blob: bytes | SpilledBlobRef) -> int:
-    """Size in bytes of a blob handle, without materializing it."""
-    if isinstance(blob, (bytes, bytearray, memoryview)):
-        return len(blob)
-    return blob.nbytes
 
 
 @dataclass
@@ -138,19 +84,7 @@ class SpoolStats:
 
     def to_dict(self) -> dict:
         """Stable scalar snapshot (benchmarks, ``/v1/stats``)."""
-        return {
-            "puts": self.puts,
-            "bytes_put": self.bytes_put,
-            "spills": self.spills,
-            "bytes_spilled": self.bytes_spilled,
-            "dedup_hits": self.dedup_hits,
-            "read_backs": self.read_backs,
-            "bytes_read_back": self.bytes_read_back,
-            "resident_bytes": self.resident_bytes,
-            "resident_peak_bytes": self.resident_peak_bytes,
-            "resident_blobs": self.resident_blobs,
-            "spilled_bytes": self.spilled_bytes,
-        }
+        return asdict(self)
 
 
 #: process-wide aggregate over every spool ever used here, updated live
@@ -181,23 +115,17 @@ class BlobSpool:
     budget_bytes:
         Resident-byte ceiling.  ``None`` (default) never spills: the
         spool is a pure in-memory table, touches no disk, and creates
-        no directory — the fast path is byte-for-byte the pre-spool
-        pipeline.  ``0`` spills everything immediately.
+        no directory.  ``0`` spills everything immediately.
     base_dir:
         Parent of the run-scoped spool directory (default: the system
         temp dir).  The directory itself is created lazily, on the
         first spill only.
 
-    Keys are arbitrary hashables (the pipeline uses
-    ``("b", block_id)`` for compute blobs and ``("m", round, root)``
-    for merge snapshots).  :meth:`put` stores a blob and eagerly
-    enforces the budget by spilling least-recently-used entries;
-    :meth:`handle` returns the blob's current form (bytes or
-    :class:`SpilledBlobRef`) without any I/O; :meth:`get` always
-    materializes bytes.  :meth:`close` removes the whole spool
-    directory — spill files are immutable until then, which is what
-    lets retries and the write stage re-read them instead of
-    re-packing.
+    Keys are arbitrary hashables (the pipeline uses the block id).
+    :meth:`put` stores a blob and eagerly enforces the budget by
+    spilling least-recently-used entries; :meth:`get` returns the
+    bytes, read back from disk when spilled.  :meth:`close` removes the
+    whole spool directory — spill files are immutable until then.
     """
 
     def __init__(
@@ -213,6 +141,7 @@ class BlobSpool:
         self.stats = SpoolStats()
         self._tracer = tracer
         self._resident: OrderedDict = OrderedDict()
+        #: key -> (spill file, byte count)
         self._spilled: dict = {}
         self._dir: Path | None = None
         self._closed = False
@@ -252,51 +181,49 @@ class BlobSpool:
                 old_key, old_blob = self._resident.popitem(last=False)
                 self._spill(old_key, old_blob)
 
-    def handle(self, key) -> bytes | SpilledBlobRef:
-        """The blob's current form — resident bytes or a spilled ref.
+    def get(self, key) -> bytes:
+        """The blob's bytes, read back from disk when spilled.
 
-        Never performs I/O; touching a resident entry marks it
-        most-recently-used.
+        Touching a resident entry marks it most-recently-used.
         """
         blob = self._resident.get(key)
         if blob is not None:
             self._resident.move_to_end(key)
             return blob
-        ref = self._spilled.get(key)
-        if ref is None:
+        spilled = self._spilled.get(key)
+        if spilled is None:
             raise KeyError(f"no blob spooled under {key!r}")
-        return ref
-
-    def get(self, key) -> bytes:
-        """The blob's bytes, read back from disk when spilled."""
-        return self.materialize(self.handle(key))
-
-    def materialize(self, blob: bytes | SpilledBlobRef) -> bytes:
-        """Like :func:`blob_bytes`, with driver-side read-back stats."""
-        if isinstance(blob, SpilledBlobRef):
-            self.stats.read_backs += 1
-            self.stats.bytes_read_back += blob.nbytes
-            _PROCESS_TOTALS["read_backs"] += 1
-            _PROCESS_TOTALS["bytes_read_back"] += blob.nbytes
-            if self._tracer is not None:
-                self._tracer.event(
-                    "spool.read_back", cat="spool", bytes=blob.nbytes,
-                )
-        return blob_bytes(blob)
+        path, nbytes = spilled
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        if len(blob) != nbytes:
+            raise OSError(
+                f"spool file {path} holds {len(blob)} bytes, "
+                f"expected {nbytes} (truncated spill?)"
+            )
+        self.stats.read_backs += 1
+        self.stats.bytes_read_back += nbytes
+        _PROCESS_TOTALS["read_backs"] += 1
+        _PROCESS_TOTALS["bytes_read_back"] += nbytes
+        if self._tracer is not None:
+            self._tracer.event(
+                "spool.read_back", cat="spool", bytes=nbytes,
+            )
+        return blob
 
     def discard(self, key) -> None:
         """Drop ``key`` from the table (no-op when absent).
 
         A spilled entry's file is deliberately left on disk until
         :meth:`close` — content addressing may share it with other
-        keys, and in-flight workers may still hold refs to it.
+        keys.
         """
         blob = self._resident.pop(key, None)
         if blob is not None:
             self._account_resident(-len(blob))
-        ref = self._spilled.pop(key, None)
-        if ref is not None:
-            self.stats.spilled_bytes -= ref.nbytes
+        spilled = self._spilled.pop(key, None)
+        if spilled is not None:
+            self.stats.spilled_bytes -= spilled[1]
 
     def __contains__(self, key) -> bool:
         return key in self._resident or key in self._spilled
@@ -373,8 +300,7 @@ class BlobSpool:
             os.replace(tmp, path)
             self.stats.bytes_spilled += len(blob)
             _PROCESS_TOTALS["bytes_spilled"] += len(blob)
-        ref = SpilledBlobRef(str(path), len(blob), digest)
-        self._spilled[key] = ref
+        self._spilled[key] = (path, len(blob))
         self._account_resident(-len(blob))
         self.stats.spills += 1
         self.stats.spilled_bytes += len(blob)

@@ -16,11 +16,15 @@ compute/merge crossover in strong scaling.
 from repro.machine.bgp import BlueGenePParams
 from repro.machine.topology import TorusTopology
 from repro.machine.costmodel import CostModel, ComputeWork, MergeWork
+from repro.machine.replay import MergeRecord, RankTimeline, replay_run
 
 __all__ = [
     "BlueGenePParams",
     "ComputeWork",
     "CostModel",
+    "MergeRecord",
     "MergeWork",
+    "RankTimeline",
     "TorusTopology",
+    "replay_run",
 ]

@@ -20,9 +20,13 @@ a deterministic virtual equivalent:
 - :mod:`repro.parallel.mpibackend` — the mpi4py adapter that runs the
   *same* rank programs on a real MPI cluster.
 
-The rank programs exercise exactly the communication structure a real
-MPI run would (point-to-point merge-group sends, barriers, gathers); only
-the transport is simulated — or real, with the MPI backend.
+The rank programs (the §VII-B global simplification, and the clock-only
+merge program the cost replay is tested against) exercise exactly the
+communication structure a real MPI run would (point-to-point
+merge-group sends, barriers, gathers); only the transport is simulated —
+or real, with the MPI backend.  The pipeline itself runs the static
+merge schedule in one driver-side loop and prices it afterwards
+(:mod:`repro.machine.replay`).
 """
 
 from repro.parallel.decomposition import BlockDecomposition, decompose

@@ -136,11 +136,4 @@ def payload_nbytes(payload: Any) -> int:
         return 8
     if isinstance(payload, str):
         return len(payload.encode())
-    # objects that know their own payload size — e.g. a spilled blob
-    # handle (repro.io.spool.SpilledBlobRef) standing in for its bytes:
-    # costing it at the blob's size keeps the message log identical
-    # between spilled and resident runs
-    nbytes = getattr(payload, "nbytes", None)
-    if isinstance(nbytes, (int, np.integer)):
-        return int(nbytes)
     raise TypeError(f"cannot size payload of type {type(payload)!r}")

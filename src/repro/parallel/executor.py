@@ -374,11 +374,12 @@ class FaultTolerantExecutor:
 
         ``on_result(spec, payload)``, when given, fires once per block
         the moment its payload has validated — *before* the rest of the
-        wave completes.  The driver uses it to strip heavy payload
-        bytes into the blob spool as they land, so a whole round's
-        results are never resident simultaneously.  It only ever fires
-        for validated successes (retried or re-dispatched attempts
-        fire it once, on the attempt that finally lands).
+        wave completes.  The pipeline uses it to take each block's
+        packed blob as it lands (into the blob spool when a spill
+        budget is set), so the payload list it gets back carries work
+        counters only.  It only ever fires for validated successes
+        (retried or re-dispatched attempts fire it once, on the attempt
+        that finally lands).
         """
         specs = list(specs)
         results: list[Any] = [None] * len(specs)

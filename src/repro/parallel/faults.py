@@ -50,7 +50,6 @@ from repro.parallel.executor import BlockTimeoutError
 __all__ = [
     "FaultPlan",
     "FaultSpec",
-    "MergeFaultAdapter",
     "MergeFaultSpec",
     "InjectedFault",
     "InjectedCrash",
@@ -110,12 +109,9 @@ class FaultSpec:
 class MergeFaultSpec:
     """One merge-round fault at a group root.
 
-    ``kind`` is ``"crash"`` (raise before the merge computation),
+    ``kind`` is ``"crash"`` (raise before the merge computation) or
     ``"corrupt"`` (truncate one incoming member blob, so unpacking
-    fails and the root retries from its pristine snapshot), or
-    ``"exit"`` (kill the worker process — only honored when the merge
-    runs on a pooled merge executor; the serial in-rank path ignores
-    it, since it would kill the driver).
+    fails and the root retries from its pristine snapshot).
     """
 
     kind: str
@@ -124,10 +120,10 @@ class MergeFaultSpec:
     attempts: tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("crash", "corrupt", "exit"):
+        if self.kind not in ("crash", "corrupt"):
             raise ValueError(
-                f"merge fault kind must be 'crash', 'corrupt' or "
-                f"'exit', got {self.kind!r}"
+                f"merge fault kind must be 'crash' or 'corrupt', "
+                f"got {self.kind!r}"
             )
 
     def matches(self, round_idx: int, root_block: int, attempt: int) -> bool:
@@ -228,17 +224,6 @@ class FaultPlan:
             MergeFaultSpec("corrupt", r, b, attempts) for r, b in events
         ))
 
-    @classmethod
-    def merge_exit_on(
-        cls,
-        events: Iterable[tuple[int, int]],
-        attempts: tuple[int, ...] = (0,),
-    ) -> "FaultPlan":
-        """Kill the pooled merge worker at each ``(round, root)`` event."""
-        return cls(merge_faults=tuple(
-            MergeFaultSpec("exit", r, b, attempts) for r, b in events
-        ))
-
     def __add__(self, other: "FaultPlan") -> "FaultPlan":
         if not isinstance(other, FaultPlan):
             return NotImplemented
@@ -318,7 +303,6 @@ class FaultPlan:
             for f in matching:
                 if not f.matches(round_idx, root_block, attempt):
                     continue
-                # "exit" is pool-only; the in-rank path ignores it
                 if f.kind == "crash":
                     raise InjectedCrash(
                         f"injected merge crash: round {round_idx} "
@@ -335,55 +319,3 @@ class FaultPlan:
             return blobs
 
         return hook
-
-
-@dataclass(frozen=True)
-class MergeFaultAdapter:
-    """Adapts a plan's *merge* faults to the executor's plan protocol.
-
-    The pooled merge stage dispatches
-    :class:`repro.core.merge.MergeSpec` work orders through the same
-    :class:`~repro.parallel.executor.FaultTolerantExecutor` as the
-    compute stage; this wrapper routes only the plan's
-    :class:`MergeFaultSpec` entries to those dispatches (matched by the
-    spec's ``(round_idx, root_block)``, never by the compute-stage
-    ``block_id`` faults).  Crash and corrupt faults land the same way
-    the serial merge hook injects them — a raised
-    :class:`InjectedCrash`, or one truncated member blob using the same
-    deterministic rng stream — so a scenario behaves identically on
-    either merge backend; ``exit`` kills the pool worker to exercise
-    the broken-pool restart and degrade-to-serial paths.
-    """
-
-    plan: FaultPlan
-
-    def run(
-        self, fn: Callable[[Any], Any], spec: Any, attempt: int, context: str
-    ) -> Any:
-        matching = [
-            f for f in self.plan.merge_faults
-            if f.matches(spec.round_idx, spec.root_block, attempt)
-        ]
-        for f in matching:
-            if f.kind == "crash":
-                raise InjectedCrash(
-                    f"injected merge crash: round {spec.round_idx} "
-                    f"root {spec.root_block} attempt {attempt}"
-                )
-            if f.kind == "exit" and context == "pool":
-                os._exit(1)
-        if any(f.kind == "corrupt" for f in matching) and spec.member_blobs:
-            from repro.io.spool import blob_bytes
-
-            rng = random.Random(
-                f"{self.plan.seed}:{spec.round_idx}:"
-                f"{spec.root_block}:{attempt}"
-            )
-            blobs = list(spec.member_blobs)
-            i = rng.randrange(len(blobs))
-            # a spilled handle is materialized before truncation so the
-            # corruption hits the unpacked bytes, not the tiny ref
-            whole = blob_bytes(blobs[i])
-            blobs[i] = whole[: max(1, len(whole) // 2)]
-            spec = replace(spec, member_blobs=tuple(blobs))
-        return fn(spec)

@@ -241,7 +241,7 @@ class ServiceClient:
             "cache_hit_rate": (hits / total) if total else 0.0,
             "store_memory_entries": self.store.memory_entries,
             "jobs_tracked": len(self.scheduler.jobs()),
-            # merge-stage memory pressure: out-of-core spool counters and
+            # packed-blob memory pressure: blob-spool counters and
             # the resident-blob gauge, process-wide across every job this
             # daemon has run (spills stay 0 until a submission carries a
             # merge_spill_budget_bytes that forces them)

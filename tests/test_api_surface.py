@@ -221,7 +221,6 @@ class TestExecutionOptions:
         opts = repro.ExecutionOptions()
         assert opts.workers == 1
         assert opts.executor == "auto"
-        assert opts.merge_executor == "auto"
         assert opts.transport == "auto"
         assert repro.PipelineConfig(num_blocks=8).options == opts
 
@@ -251,9 +250,7 @@ class TestExecutionOptions:
         with pytest.raises(TypeError, match="ExecutionOptions"):
             repro.PipelineConfig(num_blocks=8, options={"workers": 2})
 
-    @pytest.mark.parametrize(
-        "knob", ["executor", "merge_executor", "transport"]
-    )
+    @pytest.mark.parametrize("knob", ["executor", "transport"])
     def test_choice_knobs_validate_early(self, knob):
         with pytest.raises(ValueError, match="choose one of"):
             repro.ExecutionOptions(**{knob: "bogus"})
@@ -308,7 +305,8 @@ def _parse_cli(*argv):
     return build_parser().parse_args(list(argv))
 
 
-#: every spelling removed with the shims and the tracing-backend knob
+#: every spelling removed with the shims, the tracing-backend knob and
+#: the second merge engine
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -335,6 +333,13 @@ REMOVED_SPELLINGS = {
     "stream --kernel-backend": lambda f: _parse_cli(
         "stream", "v.raw", "--dims", "4", "4", "4",
         "--kernel-backend", "pointer",
+    ),
+    "ExecutionOptions(merge_executor=)": lambda f: repro.ExecutionOptions(
+        merge_executor="serial"
+    ),
+    "compute --merge-executor": lambda f: _parse_cli(
+        "compute", "v.raw", "--dims", "4", "4", "4",
+        "--merge-executor", "serial",
     ),
 }
 

@@ -20,7 +20,7 @@ def volume(tmp_path):
 RUN_FLAGS = [
     "--dims", "9", "8", "7", "--dtype", "float64", "--blocks", "4",
     "--procs", "2", "--workers", "2", "--transport", "pickle",
-    "--executor", "process", "--merge-executor", "serial",
+    "--executor", "process",
     "--merge-spill-budget", "64K", "--persistence", "0.25",
     "--block-timeout", "30", "--max-retries", "1",
     "--retry-backoff", "0", "--no-degrade", "--hierarchy",
@@ -48,7 +48,6 @@ class TestParser:
             merge_radices=[2, 2],
             options=ExecutionOptions(
                 workers=2, transport="pickle", executor="process",
-                merge_executor="serial",
                 merge_spill_budget_bytes=64 << 10, block_timeout=30.0,
                 max_retries=1, retry_backoff=0.0,
                 degrade_on_failure=False, hierarchy=True,

@@ -104,3 +104,41 @@ class TestPerformMerge:
         assert root.region_lo == (0, 0, 0)
         assert root.region_hi == (9, 9, 5)
         assert_ms_complex_valid(root)
+
+
+class TestRoundZeroRetry:
+    def test_failure_after_mutation_restores_from_compute_blob(
+        self, rng, monkeypatch
+    ):
+        """A non-injected error mid-merge on a round-0 root: the loop
+        holds the root's packed compute bytes, so the root is restored
+        from them and the merge retried — not "root mutated with no
+        snapshot to restore"."""
+        import repro
+        from repro.core import merge as merge_mod
+
+        field = rng.random((9, 9, 9))
+        clean = repro.compute(field, persistence=0.1, ranks=8)
+
+        real = merge_mod.perform_merge
+        failures = []
+
+        def flaky(root, *args, **kwargs):
+            outcome = real(root, *args, **kwargs)
+            if not failures:
+                failures.append(root)  # the root is glued and compacted
+                raise RuntimeError("disk hiccup after the glue")
+            return outcome
+
+        monkeypatch.setattr(merge_mod, "perform_merge", flaky)
+        retried = repro.compute(field, persistence=0.1, ranks=8)
+        assert len(failures) == 1
+        assert retried.stats.faults.merge_retries == 1
+        assert retried.output_blobs == clean.output_blobs
+        assert [
+            (e.round_idx, e.root_block, e.cancellations, e.nodes_glued)
+            for e in retried.stats.merge_events
+        ] == [
+            (e.round_idx, e.root_block, e.cancellations, e.nodes_glued)
+            for e in clean.stats.merge_events
+        ]

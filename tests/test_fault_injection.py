@@ -165,61 +165,36 @@ class TestMergeFaults:
 
 
 # ---------------------------------------------------------------------------
-# pooled merge stage: worker faults must converge bit-identically
+# the same merge faults behind a pooled compute stage (workers=2)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
 class TestPooledMergeChaos:
-    """Merge faults on the pooled backend (``merge_executor="pool"``):
-    executor-level retries re-run :func:`repro.core.merge.merge_task`
-    from immutable blobs (a fresh unpack *is* the pristine snapshot), a
-    dead worker breaks the pool and the round falls back to serial —
-    every outcome bit-identical to the fault-free serial reference."""
+    """Merge faults in a run whose compute stage is pooled: there is one
+    merge engine — the driver's round loop — so the scenarios of
+    :class:`TestMergeFaults` must land identically with ``workers=2``
+    (blocks arriving from pool workers, over shm), bit-identical to the
+    fault-free serial reference."""
 
     def test_pooled_merge_crash_retries_identical(self, field, baseline):
         res = run(field, FaultPlan.merge_crash_on([(0, 2), (1, 4)]),
-                  workers=2, merge_executor="pool")
+                  workers=2)
         assert_identical(res, baseline)
-        assert res.stats.merge_executor == "pool"
+        assert res.stats.executor == "process"
         assert res.stats.faults.merge_retries == 2
 
     def test_pooled_merge_corrupt_blob_retries_identical(
         self, field, baseline
     ):
-        res = run(field, FaultPlan.merge_corrupt_on([(2, 0)]),
-                  workers=2, merge_executor="pool")
+        res = run(field, FaultPlan.merge_corrupt_on([(2, 0)]), workers=2)
         assert_identical(res, baseline)
-        assert res.stats.faults.merge_retries >= 1
-
-    def test_pooled_merge_worker_death_restores_round_bit_identically(
-        self, field, baseline
-    ):
-        """os._exit in a merge worker breaks the pool; after bounded
-        restarts the round degrades to the serial fallback (which
-        ignores the pool-only exit fault) and the output is unchanged."""
-        res = run(field, FaultPlan.merge_exit_on([(0, 0)]),
-                  workers=2, merge_executor="pool")
-        assert_identical(res, baseline)
-        f = res.stats.faults
-        assert f.pool_restarts >= 1
-        assert f.degraded and f.degradation_events
+        assert res.stats.faults.merge_retries == 1
 
     def test_persistent_pooled_merge_crash_fails_readably(self, field):
         plan = FaultPlan.merge_crash_on([(0, 0)], attempts=(0, 1, 2, 3))
-        with pytest.raises(MergeStageError, match=r"attempt"):
-            run(field, plan, workers=2, merge_executor="pool",
-                degrade_on_failure=False)
-
-    def test_same_plan_identical_on_either_merge_backend(self, field):
-        """One chaos plan, both backends, one answer."""
-        plan = (
-            FaultPlan.merge_crash_on([(0, 4)])
-            + FaultPlan.merge_corrupt_on([(1, 0)])
-        )
-        serial = run(field, plan, merge_executor="serial")
-        pooled = run(field, plan, workers=2, merge_executor="pool")
-        assert_identical(pooled, serial)
+        with pytest.raises(MergeStageError, match=r"3 attempt\(s\)"):
+            run(field, plan, workers=2, degrade_on_failure=False)
 
 
 # ---------------------------------------------------------------------------

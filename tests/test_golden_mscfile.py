@@ -90,35 +90,6 @@ def test_golden_bytes_with_observability_enabled_pooled(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
-def test_golden_bytes_explicit_serial_merge_executor(tmp_path):
-    field = np.random.default_rng(42).random((9, 9, 9))
-    result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(merge_executor="serial",
-                                                    retry_backoff=0.0))
-    out = tmp_path / "serial_merge.msc"
-    result.write(str(out))
-    assert out.read_bytes() == GOLDEN.read_bytes()
-    assert result.stats.merge_executor == "serial"
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("trace", [False, True])
-def test_golden_bytes_pooled_merge_executor(tmp_path, trace):
-    """The pooled merge backend is bit-identical to serial, traced or
-    not — merging is deterministic, so where it runs cannot show in the
-    output bytes."""
-    field = np.random.default_rng(42).random((9, 9, 9))
-    result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(workers=2,
-                                                    merge_executor="pool",
-                                                    retry_backoff=0.0),
-                           trace=trace)
-    out = tmp_path / "pooled_merge.msc"
-    result.write(str(out))
-    assert out.read_bytes() == GOLDEN.read_bytes()
-    assert result.stats.merge_executor == "pool"
-
-
 def test_golden_bytes_mmap_volume_run(tmp_path):
     """A volume-file input streamed block-wise over the ``mmap``
     transport produces the same bytes as the in-memory golden run — and

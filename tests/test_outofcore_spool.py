@@ -1,10 +1,9 @@
-"""Tests for the out-of-core merge spool (repro.io.spool) and the
-spilled-mode pipeline: budget enforcement, LRU spill order, crash-safe
-cleanup, and bit-identity of fully spilled runs against the golden file.
+"""Tests for the blob spool (repro.io.spool) and the spill-budgeted
+pipeline: budget enforcement, LRU spill order, crash-safe cleanup, and
+bit-identity of fully spilled runs against the golden file.
 """
 
 import os
-import pickle
 import time
 
 import numpy as np
@@ -16,9 +15,6 @@ from repro.io import spool as spoolmod
 from repro.io.spool import (
     SPOOL_PREFIX,
     BlobSpool,
-    SpilledBlobRef,
-    blob_bytes,
-    blob_nbytes,
     process_spool_totals,
     sweep_stale_spool_dirs,
 )
@@ -27,29 +23,13 @@ from tests.test_golden_mscfile import GOLDEN
 
 
 class TestBlobHelpers:
-    def test_blob_bytes_passthrough(self):
-        assert blob_bytes(b"abc") == b"abc"
-        assert blob_bytes(bytearray(b"abc")) == b"abc"
-        assert blob_bytes(memoryview(b"abc")) == b"abc"
-
-    def test_blob_nbytes(self, tmp_path):
-        assert blob_nbytes(b"abcd") == 4
-        ref = SpilledBlobRef(str(tmp_path / "x.blob"), 17, "d" * 64)
-        assert blob_nbytes(ref) == 17  # no I/O, the file doesn't exist
-
-    def test_ref_roundtrip_and_pickle(self, tmp_path):
-        path = tmp_path / "r.blob"
-        path.write_bytes(b"payload")
-        ref = SpilledBlobRef(str(path), 7, "x")
-        assert ref.bytes() == b"payload"
-        clone = pickle.loads(pickle.dumps(ref))
-        assert clone.bytes() == b"payload"
-
     def test_truncated_spill_detected(self, tmp_path):
-        path = tmp_path / "t.blob"
-        path.write_bytes(b"half")
-        with pytest.raises(OSError, match="truncated"):
-            SpilledBlobRef(str(path), 8, "x").bytes()
+        with BlobSpool(budget_bytes=0, base_dir=tmp_path) as sp:
+            sp.put("k", b"eight by")
+            (spill,) = sp.spool_dir.glob("*.blob")
+            spill.write_bytes(b"half")
+            with pytest.raises(OSError, match="truncated"):
+                sp.get("k")
 
 
 class TestUnboundedSpool:
@@ -57,8 +37,7 @@ class TestUnboundedSpool:
         with BlobSpool(base_dir=tmp_path) as sp:
             blob = b"z" * 100
             sp.put(("b", 0), blob)
-            assert sp.handle(("b", 0)) is blob
-            assert sp.get(("b", 0)) == blob
+            assert sp.get(("b", 0)) is blob
             assert sp.stats.spills == 0
             assert sp.spool_dir is None
             assert list(tmp_path.iterdir()) == []
@@ -66,7 +45,7 @@ class TestUnboundedSpool:
     def test_missing_key_raises(self):
         with BlobSpool() as sp:
             with pytest.raises(KeyError):
-                sp.handle(("b", 99))
+                sp.get(("b", 99))
 
 
 class TestBudgetEnforcement:
@@ -74,13 +53,14 @@ class TestBudgetEnforcement:
         with BlobSpool(budget_bytes=25, base_dir=tmp_path) as sp:
             sp.put("a", b"a" * 10)
             sp.put("b", b"b" * 10)
-            sp.handle("a")  # touch: "a" becomes most-recently-used
+            sp.get("a")  # touch: "a" becomes most-recently-used
             sp.put("c", b"c" * 10)  # over budget -> evict LRU ("b")
-            assert isinstance(sp.handle("b"), SpilledBlobRef)
-            assert isinstance(sp.handle("a"), bytes)
-            assert isinstance(sp.handle("c"), bytes)
             assert sp.stats.spills == 1
             assert sp.stats.resident_bytes == 20
+            assert sp.get("a") == b"a" * 10 and sp.get("c") == b"c" * 10
+            assert sp.stats.read_backs == 0  # both still resident
+            assert sp.get("b") == b"b" * 10
+            assert sp.stats.read_backs == 1  # "b" was the one spilled
 
     def test_budget_bound_holds_under_churn(self, tmp_path):
         budget = 64
@@ -97,9 +77,7 @@ class TestBudgetEnforcement:
         with BlobSpool(budget_bytes=0, base_dir=tmp_path) as sp:
             sp.put("k", b"data")
             assert sp.stats.resident_bytes == 0
-            ref = sp.handle("k")
-            assert isinstance(ref, SpilledBlobRef)
-            assert sp.materialize(ref) == b"data"
+            assert sp.get("k") == b"data"
             assert sp.stats.read_backs == 1
 
     def test_content_addressed_dedup(self, tmp_path):
@@ -188,90 +166,89 @@ class TestStaleSweep:
         assert again.exists()
 
 
+def _budgeted_run(budget, faults=None, workers=2, **options):
+    field = np.random.default_rng(42).random((9, 9, 9))
+    return repro.compute(
+        field, persistence=0.1, ranks=8, faults=faults,
+        options=ExecutionOptions(workers=workers, retry_backoff=0.0,
+                                 merge_spill_budget_bytes=budget, **options),
+    )
+
+
+@pytest.fixture
+def spool_base(tmp_path, monkeypatch):
+    """Run-scoped spool dirs land under ``tmp_path`` for this test."""
+    import tempfile as _tempfile
+
+    monkeypatch.setattr(_tempfile, "gettempdir", lambda: str(tmp_path))
+    return tmp_path
+
+
+def _spool_dirs(base):
+    return [p for p in base.iterdir() if p.name.startswith(SPOOL_PREFIX)]
+
+
 @pytest.mark.slow
 class TestSpilledPipelineGolden:
-    """Tier-1 smoke: a fully spilled pooled-merge run writes bytes
-    identical to the committed golden file."""
+    """Tier-1 smoke: a run whose compute blobs all went through disk
+    writes bytes identical to the committed golden file."""
 
     def test_spilled_golden_bit_identity(self, tmp_path):
-        field = np.random.default_rng(42).random((9, 9, 9))
-        result = repro.compute(
-            field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0,
-                                     merge_spill_budget_bytes=0),
-        )
+        result = _budgeted_run(0)
         out = tmp_path / "spilled.msc"
         result.write(str(out))
         assert out.read_bytes() == GOLDEN.read_bytes()
-        # the run genuinely went through disk
-        assert result.stats.spool is not None
-        assert result.stats.spool["spills"] > 0
+        # the run genuinely went through disk: every block spilled on
+        # landing and was read back for its first merge
+        assert result.stats.spool["spills"] == 8
+        assert result.stats.spool["read_backs"] == 8
         assert result.stats.spool["resident_bytes"] == 0
 
     def test_tiny_budget_golden_bit_identity(self, tmp_path):
-        field = np.random.default_rng(42).random((9, 9, 9))
-        result = repro.compute(
-            field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0,
-                                     merge_spill_budget_bytes=4096),
-        )
+        result = _budgeted_run(4096)
         out = tmp_path / "tiny_budget.msc"
         result.write(str(out))
         assert out.read_bytes() == GOLDEN.read_bytes()
         assert result.stats.spool["spills"] > 0
 
-    def test_unlimited_budget_never_spills(self):
-        field = np.random.default_rng(42).random((9, 9, 9))
-        result = repro.compute(
-            field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0),
-        )
-        assert result.stats.spool is not None
-        assert result.stats.spool["spills"] == 0
-        assert result.stats.spool["read_backs"] == 0
+    def test_serial_run_with_budget_spools(self, tmp_path):
+        """The spool follows the budget, not the executor."""
+        result = _budgeted_run(0, workers=1)
+        out = tmp_path / "serial_spilled.msc"
+        result.write(str(out))
+        assert out.read_bytes() == GOLDEN.read_bytes()
+        assert result.stats.spool["spills"] == 8
 
-    def test_serial_merge_has_no_spool(self):
-        field = np.random.default_rng(42).random((9, 9, 9))
-        result = repro.compute(
-            field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(retry_backoff=0.0,
-                                     merge_spill_budget_bytes=0),
-        )
-        assert result.stats.spool is None  # serial merge never spools
+    def test_unlimited_budget_never_spills(self, spool_base):
+        result = _budgeted_run(None)
+        assert result.stats.spool is None  # no budget, no spool at all
+        assert _spool_dirs(spool_base) == []
 
-    def test_spool_dir_removed_after_run(self, tmp_path, monkeypatch):
-        import tempfile as _tempfile
+    def test_spool_dir_removed_after_run(self, spool_base):
+        _budgeted_run(0)
+        assert _spool_dirs(spool_base) == []
 
-        monkeypatch.setattr(_tempfile, "gettempdir", lambda: str(tmp_path))
-        field = np.random.default_rng(42).random((9, 9, 9))
-        repro.compute(
-            field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0,
-                                     merge_spill_budget_bytes=0),
-        )
-        leftovers = [
-            p for p in tmp_path.iterdir()
-            if p.name.startswith(SPOOL_PREFIX)
-        ]
-        assert leftovers == []
+    @pytest.mark.chaos
+    def test_spool_dir_removed_after_failed_run(self, spool_base):
+        from repro.parallel.executor import ComputeStageError
+        from repro.parallel.faults import FaultPlan
+
+        with pytest.raises(ComputeStageError):
+            _budgeted_run(
+                0, faults=FaultPlan.crash_on([5], attempts=(0, 1)),
+                max_retries=1, degrade_on_failure=False,
+            )
+        assert _spool_dirs(spool_base) == []
 
     @pytest.mark.chaos
     def test_spilled_run_with_faults_recovers_bit_identical(self, tmp_path):
-        """Merge retries materialize their snapshots through the spool;
-        injected compute and merge faults must not perturb spilled-mode
-        bytes."""
+        """A round-0 merge retry restores its root from the bytes read
+        back from the spool; injected compute and merge faults must not
+        perturb spilled-mode bytes."""
         from repro.parallel.faults import FaultPlan
 
-        field = np.random.default_rng(42).random((9, 9, 9))
-        result = repro.compute(
-            field, persistence=0.1, ranks=8,
-            options=ExecutionOptions(workers=2, merge_executor="pool",
-                                     retry_backoff=0.0, max_retries=3,
-                                     merge_spill_budget_bytes=0),
+        result = _budgeted_run(
+            0, max_retries=3,
             faults=FaultPlan.corrupt_on([1], seed=7)
             + FaultPlan.merge_corrupt_on([(0, 0)]),
         )

@@ -99,7 +99,7 @@ class TestResultFingerprintScope:
         wide = _facade(
             options=ExecutionOptions(
                 workers=4, executor="process", transport="mmap",
-                merge_executor="pool", merge_spill_budget_bytes=0,
+                merge_spill_budget_bytes=0,
                 block_timeout=5.0, max_retries=5, retry_backoff=0.2,
                 degrade_on_failure=False, max_pool_restarts=1,
             )
@@ -138,7 +138,6 @@ class TestResultFingerprintScope:
 _KNOBS = {
     "workers": st.integers(1, 4),
     "executor": st.sampled_from(["auto", "serial", "process"]),
-    "merge_executor": st.sampled_from(["auto", "serial", "pool"]),
     "transport": st.sampled_from(["auto", "pickle", "mmap"]),
     "block_timeout": st.sampled_from([None, 1.0, 30.0]),
     "max_retries": st.integers(0, 3),
