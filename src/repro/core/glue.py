@@ -24,9 +24,10 @@ is bit-identical in both complexes — skipping it is exact.
 The address match runs as one sorted/searchsorted join of the member's
 living addresses against an :class:`AddressIndex` over the root, and
 surviving nodes/arcs are appended through the bulk ``add_nodes`` /
-``add_leaf_arcs_flat`` record APIs — the records produced are
-byte-identical to the historical per-node/per-arc loop (same id
-assignment order), only the Python-level iteration is gone.
+``add_leaf_arcs_flat`` record APIs, the kept arcs' geometry as CSR ranges
+of the member's address buffer — the records produced are byte-identical
+to the historical per-node/per-arc loop (same id assignment order), only
+the Python-level iteration is gone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.morse.msc import ArcGeometry, MorseSmaleComplex
+from repro.morse.msc import MorseSmaleComplex
 
 __all__ = ["AddressIndex", "GlueStats", "glue_into"]
 
@@ -238,24 +239,15 @@ def glue_into(
         keep = ~skip
         stats.arcs_skipped = int(np.count_nonzero(skip))
         kept = aids[keep]
-        if kept.size:
-            # adopt the member's leaf geometry objects outright — the
-            # member complex is discarded after the merge, and a
-            # compacted member's geometries are all leaves already
-            geoms_o, arc_geom_o = other.geoms, other.arc_geom
-            kept_geoms = []
-            for a in kept.tolist():
-                g = geoms_o[arc_geom_o[a]]
-                if not g.is_leaf:
-                    flat = other.geometry_addresses(a)
-                    g = ArcGeometry(leaf=flat, length=int(flat.size))
-                kept_geoms.append(g)
-            root.add_leaf_arcs_flat(
-                node_map[uppers[keep]],
-                node_map[lowers[keep]],
-                kept_geoms,
-            )
-            stats.arcs_added = int(kept.size)
+        # the member's kept V-paths are ranges of its address buffer; only
+        # arcs inside the shared boundary are skipped, so they copy into
+        # the root's buffer as a few long slices
+        root.add_leaf_arcs_flat(
+            node_map[uppers[keep]],
+            node_map[lowers[keep]],
+            *other.arc_geometry_csr(kept),
+        )
+        stats.arcs_added = int(kept.size)
 
     root.region_lo = tuple(
         min(a, b) for a, b in zip(root.region_lo, other.region_lo)

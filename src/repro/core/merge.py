@@ -102,6 +102,8 @@ def perform_merge(
     addr_index = AddressIndex.from_complex(root)
     glue_total = GlueStats()
     touched: set[int] | None = set() if incremental else None
+    # one reallocation of the root's address buffer for the whole merge
+    root.reserve_geometry(sum(o.total_geometry_length() for o in incoming))
     for other in incoming:
         glue_total += glue_into(root, other, addr_index, touched=touched)
 

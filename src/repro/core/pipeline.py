@@ -789,13 +789,11 @@ class ParallelMSComplexPipeline:
         merges: list[_RootMerge] = []
         for round_idx, groups in enumerate(plan.groups_by_round):
             for root_bid, root_rank, members in groups:
-                member_blobs = []
-                for mbid, _ in members:
-                    member = held.pop(mbid)
-                    member_blobs.append(
-                        member if isinstance(member, bytes)
-                        else pack_complex(member)
-                    )
+                # (a comprehension, so no live member outlasts its pack)
+                member_blobs = [
+                    m if isinstance(m, bytes) else pack_complex(m)
+                    for m in (held.pop(mbid) for mbid, _ in members)
+                ]
                 root, root_blob = held.pop(root_bid), None
                 if isinstance(root, bytes):
                     root, root_blob = unpack_complex(root), root

@@ -76,34 +76,37 @@ _HIERARCHY_SECTIONS = (
 
 
 def _serialize_sections(payload, sections) -> bytes:
-    parts = [struct.pack("<I", len(sections))]
-    blobs = []
-    for key, dtype in sections:
-        arr = np.ascontiguousarray(payload[key], dtype=dtype)
-        blob = arr.tobytes()
-        parts.append(struct.pack("<Q", len(blob)))
-        blobs.append(blob)
-    return b"".join(parts) + b"".join(blobs)
+    arrays = [
+        np.ascontiguousarray(payload[key], dtype=dtype)
+        for key, dtype in sections
+    ]
+    header = struct.pack(
+        f"<I{len(arrays)}Q", len(arrays), *(a.nbytes for a in arrays)
+    )
+    # one copy: the join reads every column's buffer in place
+    return b"".join([header, *(a.data for a in arrays)])
 
 
 def _deserialize_sections(record, sections) -> dict[str, np.ndarray]:
+    """Zero-copy: each section is a ``frombuffer`` view into ``record``."""
     (nsec,) = struct.unpack_from("<I", record, 0)
     if nsec != len(sections):
         raise ValueError(
             f"record has {nsec} sections, expected {len(sections)}"
         )
-    offset = 4
-    lengths = []
-    for _ in range(nsec):
-        (ln,) = struct.unpack_from("<Q", record, offset)
-        lengths.append(ln)
-        offset += 8
+    lengths = struct.unpack_from(f"<{nsec}Q", record, 4)
+    offset = 4 + 8 * nsec
     out: dict[str, np.ndarray] = {}
     for (key, dtype), ln in zip(sections, lengths):
+        itemsize = np.dtype(dtype).itemsize
+        if ln % itemsize:
+            raise ValueError(
+                f"section {key}: {ln} bytes is not a multiple of its "
+                f"item size {itemsize}"
+            )
         out[key] = np.frombuffer(
-            record, dtype=dtype, count=ln // np.dtype(dtype).itemsize,
-            offset=offset,
-        ).copy()
+            record, dtype=dtype, count=ln // itemsize, offset=offset
+        )
         offset += ln
     return out
 
@@ -114,7 +117,9 @@ def serialize_payload(payload: dict[str, np.ndarray]) -> bytes:
 
 
 def deserialize_payload(record: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`serialize_payload`."""
+    """Inverse of :func:`serialize_payload`, without copying: the arrays
+    are views into ``record`` (read-only for ``bytes``, generally not
+    8-byte aligned).  :func:`read_msc_file` returns owned copies."""
     return _deserialize_sections(record, _SECTIONS)
 
 
@@ -124,7 +129,7 @@ def serialize_hierarchy(arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def deserialize_hierarchy(record: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`serialize_hierarchy`."""
+    """Inverse of :func:`serialize_hierarchy`; views into ``record``."""
     return _deserialize_sections(record, _HIERARCHY_SECTIONS)
 
 
@@ -239,6 +244,21 @@ def _source_bytes(source: str | Path | bytes) -> tuple[bytes, str]:
     return Path(source).read_bytes(), str(source)
 
 
+def _read_records(data: bytes, index, sections) -> dict[int, dict]:
+    """Owned, writable arrays of every indexed record: each record is
+    parsed in place through one memoryview and its sections copied once."""
+    image = memoryview(data)
+    return {
+        block_id: {
+            key: view.copy()
+            for key, view in _deserialize_sections(
+                image[off: off + ln], sections
+            ).items()
+        }
+        for block_id, off, ln in index
+    }
+
+
 def read_msc_file(
     source: str | Path | bytes,
 ) -> dict[int, dict[str, np.ndarray]]:
@@ -250,10 +270,7 @@ def read_msc_file(
     """
     data, path = _source_bytes(source)
     _version, blocks, _hiers = _parse_footer(data, path)
-    out: dict[int, dict[str, np.ndarray]] = {}
-    for block_id, off, ln in blocks:
-        out[block_id] = deserialize_payload(data[off: off + ln])
-    return out
+    return _read_records(data, blocks, _SECTIONS)
 
 
 def read_msc_hierarchies(
@@ -279,7 +296,4 @@ def read_msc_hierarchies(
             "(ExecutionOptions(hierarchy=True) or repro compute "
             "--hierarchy) to persist one"
         )
-    out: dict[int, dict[str, np.ndarray]] = {}
-    for block_id, off, ln in hiers:
-        out[block_id] = deserialize_hierarchy(data[off: off + ln])
-    return out
+    return _read_records(data, hiers, _HIERARCHY_SECTIONS)

@@ -13,7 +13,7 @@ Implements the compute stage of the paper:
 
 from repro.morse.vectorfield import GradientField
 from repro.morse.gradient import compute_discrete_gradient
-from repro.morse.msc import MorseSmaleComplex, ArcGeometry
+from repro.morse.msc import MorseSmaleComplex
 from repro.morse.tracing import extract_ms_complex
 from repro.morse.simplify import simplify_ms_complex, Cancellation
 from repro.morse.persistence import (
@@ -23,7 +23,6 @@ from repro.morse.persistence import (
 )
 
 __all__ = [
-    "ArcGeometry",
     "Cancellation",
     "GradientField",
     "MorseSmaleComplex",

@@ -17,6 +17,27 @@ efficient simplification:
   geometries are flattened, and only the living (coarsest) level of the
   hierarchy is retained.
 
+The geometry store
+------------------
+Geometry is CSR in three tables owned by the complex: **one int64 address
+buffer** (amortised growth) holding every leaf V-path back to back in
+geometry-id order; **per-geometry columns** ``geom_start`` /
+``geom_length`` / ``geom_children`` — a leaf (``geom_children == -1``) is
+cells ``[start, start + length)`` of the buffer, a *composite* created by
+a cancellation is rows ``[start, start + geom_children)`` of **the flat
+child table** ``geom_child``, one ``(geometry id, reversed)`` row per
+chained segment (its ``geom_length`` sums its children's, junction
+duplicates counted).
+
+Geometry moves as ``(data, lengths)``: the tracer's address gather is
+adopted as the buffer, ``compact`` flattens all living arcs with a
+batched vectorised gather into a fresh buffer that *is* the payload's
+``geom_data``, ``to_payload`` returns views of it and ``from_payload``
+adopts the views of a received record.  An adopted buffer has no spare
+capacity, so it is only ever grown by reallocation, never written in
+place.  Node and arc records stay Python lists: the cancellation loop
+reads them one scalar at a time, where a list beats an ``ndarray``.
+
 Node identity across blocks is the cell's global address, which encodes
 its geometric location in the global refined grid; gluing two block
 complexes matches boundary nodes by address (§IV-F3).
@@ -25,10 +46,11 @@ complexes matches boundary nodes by address (§IV-F3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-__all__ = ["ArcGeometry", "MorseSmaleComplex", "NODE_RECORD_BYTES",
+__all__ = ["MorseSmaleComplex", "NODE_RECORD_BYTES",
            "ARC_RECORD_BYTES", "GEOM_ADDRESS_BYTES"]
 
 #: Serialized record sizes, used for output-size accounting (§V-B): the
@@ -38,26 +60,17 @@ NODE_RECORD_BYTES = 8 + 1 + 8 + 1  # address, index, value, boundary flag
 ARC_RECORD_BYTES = 4 + 4 + 8  # two node ids + geometry offset
 GEOM_ADDRESS_BYTES = 8
 
+#: node and arc record columns, in payload order
+_NODE_COLUMNS = (
+    ("node_address", np.int64), ("node_index", np.uint8),
+    ("node_value", np.float64), ("node_boundary", np.bool_),
+    ("node_ghost", np.bool_),
+)
+_ARC_COLUMNS = ("arc_upper", "arc_lower", "arc_geom")
 
-@dataclass(slots=True)
-class ArcGeometry:
-    """Geometric embedding of an arc.
-
-    ``leaf`` holds the V-path cell addresses ordered from the arc's upper
-    node to its lower node.  A *composite* geometry (created by
-    cancellation) instead references child geometries as
-    ``(geometry id, reversed)`` segments; it is flattened into a leaf by
-    :meth:`MorseSmaleComplex.compact`.
-    """
-
-    leaf: np.ndarray | None = None
-    segments: list[tuple[int, bool]] | None = None
-    #: total number of cell addresses (cached; junction duplicates counted)
-    length: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
+#: compact() flattens living arcs in batches of about this many cells, so
+#: the gather's index temporaries stay a few MiB however large the complex
+_FLATTEN_BATCH_CELLS = 1 << 16
 
 
 @dataclass
@@ -118,22 +131,33 @@ class MorseSmaleComplex:
         self.node_alive: list[bool] = []
         self.node_arcs: list[list[int]] = []  # incident arc ids (lazy-pruned)
 
+        self._clear_arcs()
+
+        #: cancellations applied so far (coarsest-last); compact() keeps it
+        self.hierarchy: list[Cancellation] = []
+
+    def _clear_arcs(self) -> None:
+        """Empty the arc records and the geometry store."""
         # arc records: upper node has index d, lower node index d-1
         self.arc_upper: list[int] = []
         self.arc_lower: list[int] = []
         self.arc_geom: list[int] = []
         self.arc_alive: list[bool] = []
 
-        self.geoms: list[ArcGeometry] = []
+        # the geometry store's three tables (module docstring)
+        self._geom_data = np.empty(0, dtype=np.int64)
+        self._geom_used = 0  # cells of the buffer holding leaves
+        self.geom_start: list[int] = []
+        #: cached cell count (junction duplicates counted for composites)
+        self.geom_length: list[int] = []
+        self.geom_children: list[int] = []  # -1 marks a leaf
+        self.geom_child: list[tuple[int, bool]] = []
 
         #: living-arc multiplicity per node pair, keyed (min id, max id).
-        #: Maintained by add_arc only: arcs die only when an endpoint
+        #: Maintained on arc insertion only: arcs die only when an endpoint
         #: dies, so for a *living* pair the count equals the alive-arc
         #: multiplicity, which is all the simplifier ever consults.
         self.pair_multiplicity: dict[tuple[int, int], int] = {}
-
-        #: cancellations applied so far (coarsest-last); compact() keeps it
-        self.hierarchy: list[Cancellation] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -163,16 +187,61 @@ class MorseSmaleComplex:
     def new_leaf_geometry(self, addresses: np.ndarray) -> int:
         """Register a leaf geometry object; returns its id."""
         arr = np.asarray(addresses, dtype=np.int64)
-        gid = len(self.geoms)
-        self.geoms.append(ArcGeometry(leaf=arr, length=int(arr.size)))
-        return gid
+        return self._append_leaves(arr, np.array([arr.size], dtype=np.int64))
 
     def new_composite_geometry(self, segments: list[tuple[int, bool]]) -> int:
         """Register a composite geometry referencing child geometries."""
-        length = sum(self.geoms[g].length for g, _ in segments)
-        gid = len(self.geoms)
-        self.geoms.append(ArcGeometry(segments=list(segments), length=length))
-        return gid
+        length = self.geom_length
+        self.geom_start.append(len(self.geom_child))
+        self.geom_children.append(len(segments))
+        self.geom_child.extend(segments)
+        length.append(sum([length[g] for g, _ in segments]))
+        return len(length) - 1
+
+    def reserve_geometry(self, cells: int) -> None:
+        """Make room for ``cells`` more cells in the address buffer: growth
+        reallocates (at least doubling) and leaves the old buffer, possibly
+        a read-only adopted view, untouched."""
+        need = self._geom_used + cells
+        if need > self._geom_data.size:
+            grown = np.empty(max(need, 2 * self._geom_data.size), np.int64)
+            grown[: self._geom_used] = self._geom_data[: self._geom_used]
+            self._geom_data = grown
+
+    def _append_leaves(self, data, lengths, starts=None) -> int:
+        """Append leaf geometries ``data[starts[i]: starts[i] + lengths[i]]``;
+        returns the first new geometry id.
+
+        ``starts=None``: ``data`` is the leaves back to back (tight CSR),
+        and an empty store *adopts* it as its buffer.  Otherwise ranges
+        are copied in, each run of consecutive ranges as one slice.
+        """
+        data = np.ascontiguousarray(data, dtype=np.int64)
+        total = int(lengths.sum())
+        used = self._geom_used
+        dst = used + np.cumsum(lengths) - lengths
+        tight = starts is None
+        if tight and data.size != total:
+            raise ValueError(
+                f"geometry data has {data.size} cells, lengths sum to {total}"
+            )
+        if tight and self._geom_data.size == 0:
+            # adopted with no spare capacity: never written in place
+            self._geom_data = data
+        elif total:
+            self.reserve_geometry(total)
+            starts = dst - used if tight else starts
+            ends = starts + lengths
+            cuts = (np.flatnonzero(starts[1:] != ends[:-1]) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [len(lengths)]):
+                s, e, d = int(starts[lo]), int(ends[hi - 1]), int(dst[lo])
+                self._geom_data[d: d + e - s] = data[s:e]
+        self._geom_used = used + total
+        gid0 = len(self.geom_start)
+        self.geom_start.extend(dst.tolist())
+        self.geom_length.extend(lengths.tolist())
+        self.geom_children.extend([-1] * len(lengths))
+        return gid0
 
     def add_arc(self, upper: int, lower: int, geom: int) -> int:
         """Append an arc between nodes ``upper`` (index d) and ``lower`` (d-1)."""
@@ -213,20 +282,13 @@ class MorseSmaleComplex:
         indexes); ``ghosts`` defaults to all-real nodes.
         """
         k = len(addresses)
-        if isinstance(index, int):
-            if not 0 <= index <= 3:
-                raise ValueError(f"Morse index must be 0..3, got {index}")
-            indexes = [index] * k
-        else:
-            indexes = list(index)
-            if len(indexes) != k:
-                raise ValueError(
-                    f"per-node index sequence has {len(indexes)} entries "
-                    f"for {k} addresses"
-                )
-            for i in indexes:
-                if not 0 <= i <= 3:
-                    raise ValueError(f"Morse index must be 0..3, got {i}")
+        indexes = [index] * k if isinstance(index, int) else list(index)
+        if len(indexes) != k:
+            raise ValueError(
+                f"node_index has {len(indexes)} entries for {k} addresses"
+            )
+        if k and not 0 <= min(indexes) <= max(indexes) <= 3:
+            raise ValueError("node_index: Morse index must be 0..3")
         first = len(self.node_address)
         self.node_address.extend(addresses)
         self.node_index.extend(indexes)
@@ -237,128 +299,50 @@ class MorseSmaleComplex:
         self.node_arcs.extend([] for _ in range(k))
         return first
 
-    def add_leaf_arcs(
-        self,
-        upper: int,
-        lowers: list[int],
-        leaves: list[np.ndarray],
-    ) -> None:
-        """Bulk-append leaf arcs sharing the source node ``upper``.
+    def _append_arcs(self, uppers, lowers, geoms) -> None:
+        """Bulk-append living arcs given int64 endpoint arrays.
 
-        ``lowers`` and ``leaves`` give each arc's lower node id and leaf
-        address array, in arc order.  Produces records identical to
-        repeated ``new_leaf_geometry`` + ``add_arc`` calls, using bulk
-        list extends for the per-arc record fields — this is the arc
-        half of 1-skeleton extraction.
+        ``geoms`` holds each arc's geometry id.  Produces the records of
+        sequential :meth:`add_arc` calls — the one routine that updates
+        ``node_arcs`` and ``pair_multiplicity`` in bulk.
         """
-        k = len(lowers)
+        k = int(uppers.size)
         if k == 0:
             return
-        node_index = self.node_index
-        li = node_index[upper] - 1
-        for lower in lowers:
-            if node_index[lower] != li:
-                raise ValueError(
-                    "arc endpoints must differ in Morse index by exactly "
-                    f"1 (got {li + 1} and {node_index[lower]})"
-                )
-        aid = len(self.arc_upper)
-        gid = len(self.geoms)
-        self.geoms.extend(
-            ArcGeometry(leaf=leaf, length=leaf.size) for leaf in leaves
-        )
-        self.arc_upper.extend([upper] * k)
-        self.arc_lower.extend(lowers)
-        self.arc_geom.extend(range(gid, gid + k))
-        self.arc_alive.extend([True] * k)
-        node_arcs = self.node_arcs
-        node_arcs[upper].extend(range(aid, aid + k))
-        mult = self.pair_multiplicity
-        mult_get = mult.get
-        for lower in lowers:
-            node_arcs[lower].append(aid)
-            key = (upper, lower) if upper < lower else (lower, upper)
-            mult[key] = mult_get(key, 0) + 1
-            aid += 1
-
-    def add_leaf_arc_groups(
-        self,
-        uppers: list[int],
-        counts: list[int],
-        lowers: list[int],
-        leaves: list[np.ndarray],
-    ) -> None:
-        """Bulk-append the leaf arcs of many source nodes at once.
-
-        ``uppers`` and ``counts`` give each source node and its number
-        of arcs; ``lowers`` and ``leaves`` are the concatenated per-arc
-        lower node ids and leaf address arrays, grouped by source in
-        order.  Produces records identical to one
-        :meth:`add_leaf_arcs` call per source, amortizing the per-arc
-        list appends over a whole batch — this is the arc half of
-        1-skeleton extraction, called once per Morse index.
-        """
-        total = len(lowers)
-        if total == 0:
-            return
-        # whole-batch validation and grouping run as numpy passes: the
-        # per-arc python work below is O(distinct endpoints), not
-        # O(arcs), which keeps record building off the tracing-kernel
-        # critical path
         node_index = np.asarray(self.node_index, dtype=np.int64)
-        up = np.asarray(uppers, dtype=np.int64)
-        cnt = np.asarray(counts, dtype=np.int64)
-        low = np.asarray(lowers, dtype=np.int64)
-        rep_up = np.repeat(up, cnt)
-        li = node_index[rep_up] - 1
-        bad = np.flatnonzero(node_index[low] != li)
+        bad = np.flatnonzero(node_index[uppers] != node_index[lowers] + 1)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
-                "arc endpoints must differ in Morse index by "
-                f"exactly 1 (got {int(li[i]) + 1} and "
-                f"{int(node_index[low[i]])})"
+                "arc_upper/arc_lower: endpoints must differ in Morse index "
+                f"by 1 (got {node_index[uppers[i]]}, {node_index[lowers[i]]})"
             )
         aid0 = len(self.arc_upper)
-        gid = len(self.geoms)
-        geoms = self.geoms
-        geoms_append = geoms.append
-        new = ArcGeometry.__new__
-        for leaf in leaves:
-            g = new(ArcGeometry)
-            g.leaf = leaf
-            g.segments = None
-            g.length = leaf.size
-            geoms_append(g)
-        self.arc_upper.extend(rep_up.tolist())
-        self.arc_lower.extend(lowers)
-        self.arc_geom.extend(range(gid, gid + total))
-        self.arc_alive.extend([True] * total)
+        self.arc_upper.extend(uppers.tolist())
+        self.arc_lower.extend(lowers.tolist())
+        self.arc_geom.extend(geoms)
+        self.arc_alive.extend([True] * k)
+        # (upper, lower) interleaved per arc: a stable sort by node then
+        # lists each node's new arcs in ascending arc-id order — the
+        # order sequential add_arc calls would append
+        ends = np.stack([uppers, lowers], axis=1).ravel()
+        order = np.argsort(ends, kind="stable")
+        ends_s = ends[order]
+        aids_s = (aid0 + (order >> 1)).tolist()
+        starts = np.flatnonzero(np.r_[True, ends_s[1:] != ends_s[:-1]])
+        bounds = np.append(starts, 2 * k).tolist()
         node_arcs = self.node_arcs
-        aid_start = aid0 + np.cumsum(cnt) - cnt
-        for upper, k, a0 in zip(uppers, counts, aid_start.tolist()):
-            if k:
-                node_arcs[upper].extend(range(a0, a0 + k))
-        # group per-lower incident-arc appends; the stable sort keeps
-        # each lower's aids in the increasing order repeated appends
-        # would have produced
-        order = np.argsort(low, kind="stable")
-        low_s = low[order]
-        aid_s = (aid0 + order).tolist()
-        starts = np.flatnonzero(np.r_[True, low_s[1:] != low_s[:-1]])
-        bounds = np.append(starts, total).tolist()
-        low_u = low_s[starts].tolist()
-        for lower, s, e in zip(low_u, bounds, bounds[1:]):
-            node_arcs[lower].extend(aid_s[s:e])
-        # per-(upper, lower) multiplicity, accumulated per distinct pair
-        lo = np.minimum(rep_up, low)
-        hi = np.maximum(rep_up, low)
-        combo, pair_n = np.unique(lo << 32 | hi, return_counts=True)
-        mult = self.pair_multiplicity
-        mult_get = mult.get
-        for c, n in zip(combo.tolist(), pair_n.tolist()):
-            key = (c >> 32, c & 0xFFFFFFFF)
-            mult[key] = mult_get(key, 0) + n
+        for nid, s, e in zip(ends_s[starts].tolist(), bounds, bounds[1:]):
+            node_arcs[nid].extend(aids_s[s:e])
+        span = len(self.node_address)
+        pairs, mult = np.unique(
+            np.minimum(uppers, lowers) * span + np.maximum(uppers, lowers),
+            return_counts=True,
+        )
+        pm = self.pair_multiplicity
+        for p, m in zip(pairs.tolist(), mult.tolist()):
+            key = divmod(p, span)
+            pm[key] = pm.get(key, 0) + m
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of living arcs between two living nodes."""
@@ -402,10 +386,12 @@ class MorseSmaleComplex:
         """Living arcs connecting nodes ``u`` and ``v``."""
         base = u if len(self.node_arcs[u]) <= len(self.node_arcs[v]) else v
         other = v if base == u else u
+        # every arc incident to ``base`` has it as one endpoint
+        upper, lower = self.arc_upper, self.arc_lower
         return [
             a
             for a in self.incident_arcs(base)
-            if self.other_endpoint(a, base) == other
+            if upper[a] == other or lower[a] == other
         ]
 
     def persistence(self, aid: int) -> float:
@@ -446,23 +432,25 @@ class MorseSmaleComplex:
     def _expand_geometry(self, gid: int) -> np.ndarray:
         """Flatten a (possibly composite) geometry into one address array.
 
-        Iterative: cancellation chains nest composites arbitrarily deep,
-        far beyond the interpreter recursion limit.
+        The scalar walk (:meth:`_flatten` is the batched form); iterative,
+        because cancellation chains nest composites arbitrarily deep.
         """
-        root = self.geoms[gid]
-        if root.is_leaf:
-            return root.leaf
+        data, start = self._geom_data, self.geom_start
+        length, children = self.geom_length, self.geom_children
+        if children[gid] < 0:
+            return data[start[gid]: start[gid] + length[gid]]
         parts: list[np.ndarray] = []
         stack: list[tuple[int, bool]] = [(gid, False)]
         while stack:
             g, rev = stack.pop()
-            geo = self.geoms[g]
-            if geo.is_leaf:
-                parts.append(geo.leaf[::-1] if rev else geo.leaf)
+            s, k = start[g], children[g]
+            if k < 0:
+                leaf = data[s: s + length[g]]
+                parts.append(leaf[::-1] if rev else leaf)
             else:
-                segs = geo.segments if rev else geo.segments[::-1]
                 # pushed in reverse so children pop in emission order
-                for child, crev in segs:
+                rows = self.geom_child[s: s + k]
+                for child, crev in rows if rev else rows[::-1]:
                     stack.append((child, crev != rev))
         if not parts:
             return np.empty(0, dtype=np.int64)
@@ -474,12 +462,94 @@ class MorseSmaleComplex:
             out.append(seg)
         return np.concatenate(out)
 
+    def _all_leaves(self) -> bool:
+        """True when the store holds no composite geometry."""
+        return max(self.geom_children, default=-1) < 0
+
+    def _flatten(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flatten geometries ``gids`` into a fresh buffer: tight CSR
+        ``(data, lengths)``, a geometry listed twice emitted twice.
+
+        The batched, vectorised :meth:`_expand_geometry`: per batch of
+        about ``_FLATTEN_BATCH_CELLS`` cells, composites are replaced by
+        their children level by level (a reversed composite emits them
+        last to first, flipped), the junction-duplicate rule is applied
+        to the whole segment table, and one gather copies the cells
+        through an index built as a prefix sum of +-1 steps.
+        """
+        if gids.size == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        start = np.asarray(self.geom_start, dtype=np.int64)
+        length = np.asarray(self.geom_length, dtype=np.int64)
+        children = np.asarray(self.geom_children, dtype=np.int64)
+        child = np.array(self.geom_child, dtype=np.int64).reshape(-1, 2)
+        src = self._geom_data
+        bound = np.cumsum(length[gids])  # junction duplicates still counted
+        out = np.empty(int(bound[-1]), dtype=np.int64)
+        lengths = np.empty(gids.size, dtype=np.int64)
+        cuts = (
+            np.flatnonzero(np.diff(bound // _FLATTEN_BATCH_CELLS)) + 1
+        ).tolist()
+        pos = 0
+        for lo, hi in zip([0] + cuts, cuts + [gids.size]):
+            seg = gids[lo:hi]
+            rev = np.zeros(seg.size, dtype=bool)
+            owner = np.arange(seg.size, dtype=np.int64)
+            while True:
+                k = children[seg]
+                comp = np.flatnonzero(k >= 0)
+                if comp.size == 0:
+                    break
+                reps = np.ones(seg.size, dtype=np.int64)
+                reps[comp] = k[comp]
+                parent = np.repeat(np.arange(seg.size), reps)
+                comp = np.flatnonzero(k[parent] >= 0)
+                up = parent[comp]
+                rank = comp - (np.cumsum(reps) - reps)[up]
+                row = start[seg[up]] + np.where(
+                    rev[up], k[up] - 1 - rank, rank
+                )
+                seg, rev, owner = seg[parent], rev[parent], owner[parent]
+                seg[comp] = child[row, 0]
+                rev[comp] ^= child[row, 1] != 0
+            s, n = start[seg], length[seg]
+            if n.size and n.min() < 2:
+                # the junction rule is order-dependent for 0/1-cell
+                # leaves (a trimmed-away segment shields its successor):
+                # walk this batch one geometry at a time
+                for i, g in enumerate(gids[lo:hi].tolist(), lo):
+                    flat = self._expand_geometry(g)
+                    lengths[i] = flat.size
+                    out[pos: pos + flat.size] = flat
+                    pos += flat.size
+                continue
+            # every segment keeps >= 1 cell, so "previous trimmed
+            # segment's last cell" is just the neighbour's raw last cell
+            head = src[np.where(rev, s + n - 1, s)]
+            tail = src[np.where(rev, s, s + n - 1)]
+            trim = np.zeros(seg.size, dtype=np.int64)
+            trim[1:] = (owner[1:] == owner[:-1]) & (head[1:] == tail[:-1])
+            m = n - trim
+            sign = np.where(rev, -1, 1)
+            first = np.where(rev, s + n - 1 - trim, s + trim)
+            step = np.repeat(sign, m)
+            jump = first.copy()
+            jump[1:] -= (first + sign * (m - 1))[:-1]
+            step[np.cumsum(m) - m] = jump
+            # (indexing, not take(): take copies an unaligned adopted
+            # buffer whole on every call)
+            out[pos: pos + step.size] = src[np.cumsum(step, out=step)]
+            pos += step.size
+            lengths[lo:hi] = np.bincount(owner, weights=m, minlength=hi - lo)
+        return out[:pos], lengths
+
     def total_geometry_length(self) -> int:
         """Total stored V-path cell count over living arcs."""
         return sum(
-            self.geoms[self.arc_geom[a]].length
-            for a, alive in enumerate(self.arc_alive)
-            if alive
+            map(
+                self.geom_length.__getitem__,
+                compress(self.arc_geom, self.arc_alive),
+            )
         )
 
     def nbytes(self) -> int:
@@ -514,151 +584,78 @@ class MorseSmaleComplex:
         self.arc_alive[aid] = False
 
     def add_leaf_arcs_flat(
-        self,
-        uppers: np.ndarray,
-        lowers: np.ndarray,
-        geoms: list[ArcGeometry],
+        self, uppers: np.ndarray, lowers: np.ndarray,
+        data: np.ndarray, lengths, starts: np.ndarray | None = None,
     ) -> None:
-        """Bulk-append arcs with prebuilt leaf geometry objects.
+        """Bulk-append leaf arcs whose V-paths are ranges of ``data``.
 
-        ``uppers`` and ``lowers`` are int64 arrays of endpoint node ids,
-        one arc each in arc order; ``geoms`` the matching leaf
-        :class:`ArcGeometry` objects, *adopted* rather than copied —
-        callers hand over geometries of a complex being consumed (the
-        glue path, where the member complex is discarded after the
-        merge).  Produces records identical to sequential
-        ``new_leaf_geometry`` + ``add_arc`` calls, with the incidence
-        and multiplicity updates vectorized over the whole batch.
+        ``uppers`` / ``lowers`` are int64 endpoint node ids, one arc each
+        in arc order; arc ``i``'s V-path is ``data[starts[i]: starts[i] +
+        lengths[i]]`` — ``starts`` omitted, ``(data, lengths)`` is tight
+        CSR.  The cells are copied into the address buffer (an empty
+        store adopts a tight ``data``).  Records are those of sequential
+        ``new_leaf_geometry`` + ``add_arc`` calls.
         """
-        k = int(lowers.size)
-        if k == 0:
-            return
-        node_index = np.asarray(self.node_index, dtype=np.int64)
-        bad = node_index[uppers] != node_index[lowers] + 1
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                "arc endpoints must differ in Morse index by exactly 1 "
-                f"(got {int(node_index[uppers[i]])} and "
-                f"{int(node_index[lowers[i]])})"
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if not uppers.size == lowers.size == lengths.size:
+            raise ValueError("one upper id, lower id and length per arc")
+        gid0 = self._append_leaves(data, lengths, starts)
+        self._append_arcs(uppers, lowers, range(gid0, gid0 + lengths.size))
+
+    def arc_geometry_csr(self, aids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """V-paths of arcs ``aids`` as ``(data, lengths, starts)``.
+
+        The form :meth:`add_leaf_arcs_flat` consumes.  A store without
+        composites (any compacted complex) answers with its own buffer;
+        otherwise the arcs are flattened into a fresh one.
+        """
+        gids = np.asarray(self.arc_geom, dtype=np.int64)[aids]
+        if self._all_leaves():
+            return (
+                self._geom_data,
+                np.asarray(self.geom_length, dtype=np.int64)[gids],
+                np.asarray(self.geom_start, dtype=np.int64)[gids],
             )
-        aid0 = len(self.arc_upper)
-        gid0 = len(self.geoms)
-        self.geoms.extend(geoms)
-        self.arc_upper.extend(uppers.tolist())
-        self.arc_lower.extend(lowers.tolist())
-        self.arc_geom.extend(range(gid0, gid0 + k))
-        self.arc_alive.extend([True] * k)
-        # each arc lands in both endpoints' incidence lists in ascending
-        # arc-id order — the order sequential add_arc calls would append
-        aids = np.arange(aid0, aid0 + k, dtype=np.int64)
-        nodes = np.concatenate([uppers, lowers])
-        both = np.concatenate([aids, aids])
-        order = np.lexsort((both, nodes))
-        nodes_s = nodes[order]
-        starts = np.concatenate(
-            ([0], np.nonzero(np.diff(nodes_s))[0] + 1)
-        )
-        node_arcs = self.node_arcs
-        for start, chunk in zip(
-            starts.tolist(), np.split(both[order], starts[1:])
-        ):
-            node_arcs[int(nodes_s[start])].extend(chunk.tolist())
-        span = np.int64(len(self.node_address))
-        packed = (
-            np.minimum(uppers, lowers) * span + np.maximum(uppers, lowers)
-        )
-        pairs, mult = np.unique(packed, return_counts=True)
-        pm = self.pair_multiplicity
-        pm_get = pm.get
-        for p, m in zip(pairs.tolist(), mult.tolist()):
-            key = (p // span.item(), p % span.item())
-            pm[key] = pm_get(key, 0) + m
+        data, lengths = self._flatten(gids)
+        return data, lengths, np.cumsum(lengths) - lengths
 
     def compact(self) -> None:
         """Drop dead records and flatten composite geometries (§IV-F1).
 
         This is the paper's "cleaning up the memory after computing the
         simplified MS complex": only living elements survive, and each
-        living arc's geometry becomes a single concrete address array.
-        The cancellation hierarchy (a list of address-based records) is
-        preserved for analysis queries.
+        living arc's geometry becomes its own run of one fresh address
+        buffer (arcs sharing a geometry each get a copy).  The
+        cancellation hierarchy is preserved for analysis queries.
         """
-        # Fast path: nothing was cancelled and every geometry is already
-        # a concrete leaf — the rebuild below would reproduce the current
-        # records exactly (node_arcs and pair_multiplicity are maintained
-        # in arc-id order by construction), so skip it.
+        # Fast path: nothing was cancelled and every geometry is a leaf —
+        # the rebuild would reproduce the current records exactly
+        # (node_arcs and pair_multiplicity are kept in arc-id order).
         if (
-            len(self.geoms) == len(self.arc_geom)
+            len(self.geom_start) == len(self.arc_geom)
             and all(self.node_alive)
             and all(self.arc_alive)
-            and all(g.is_leaf for g in self.geoms)
+            and self._all_leaves()
         ):
             return
 
-        alive_n = np.asarray(self.node_alive, dtype=bool)
-        node_map = np.cumsum(alive_n) - 1  # valid at alive indices only
-        keep = np.nonzero(alive_n)[0]
-        num_nodes = int(keep.size)
-        self.node_address = (
-            np.asarray(self.node_address, dtype=np.int64)[keep].tolist()
-        )
-        self.node_index = (
-            np.asarray(self.node_index, dtype=np.int64)[keep].tolist()
-        )
-        self.node_value = (
-            np.asarray(self.node_value, dtype=np.float64)[keep].tolist()
-        )
-        self.node_boundary = (
-            np.asarray(self.node_boundary, dtype=bool)[keep].tolist()
-        )
-        self.node_ghost = (
-            np.asarray(self.node_ghost, dtype=bool)[keep].tolist()
-        )
+        alive = np.asarray(self.node_alive, dtype=bool)
+        keep, node_map = np.flatnonzero(alive), np.cumsum(alive) - 1
+        for key, dtype in _NODE_COLUMNS:
+            column = np.asarray(getattr(self, key), dtype=dtype)
+            setattr(self, key, column[keep].tolist())
+        self.node_alive = [True] * keep.size
+        self.node_arcs = [[] for _ in range(keep.size)]
 
-        arc_keep = np.nonzero(np.asarray(self.arc_alive, dtype=bool))[0]
-        num_arcs = int(arc_keep.size)
-        new_up = node_map[np.asarray(self.arc_upper, dtype=np.int64)[arc_keep]]
-        new_lo = node_map[np.asarray(self.arc_lower, dtype=np.int64)[arc_keep]]
-        new_geoms: list[ArcGeometry] = []
-        for a in arc_keep.tolist():
-            geo = self.geoms[self.arc_geom[a]]
-            if not geo.is_leaf:
-                flat = self._expand_geometry(self.arc_geom[a])
-                geo = ArcGeometry(leaf=flat, length=int(flat.size))
-            new_geoms.append(geo)
-
-        self.node_alive = [True] * num_nodes
-        self.arc_upper = new_up.tolist()
-        self.arc_lower = new_lo.tolist()
-        self.arc_geom = list(range(num_arcs))
-        self.arc_alive = [True] * num_arcs
-        self.geoms = new_geoms
-
-        if num_arcs:
-            # each arc appears in both endpoints' incidence lists, in
-            # ascending arc-id order (the order sequential add_arc built)
-            aids = np.arange(num_arcs, dtype=np.int64)
-            nodes = np.concatenate([new_up, new_lo])
-            both = np.concatenate([aids, aids])
-            order = np.lexsort((both, nodes))
-            counts = np.bincount(nodes, minlength=num_nodes)
-            self.node_arcs = [
-                chunk.tolist()
-                for chunk in np.split(both[order], np.cumsum(counts)[:-1])
-            ]
-            key_lo = np.minimum(new_up, new_lo)
-            key_hi = np.maximum(new_up, new_lo)
-            pairs, mult = np.unique(
-                key_lo * num_nodes + key_hi, return_counts=True
-            )
-            self.pair_multiplicity = {
-                (int(p // num_nodes), int(p % num_nodes)): int(m)
-                for p, m in zip(pairs, mult)
-            }
-        else:
-            self.node_arcs = [[] for _ in range(num_nodes)]
-            self.pair_multiplicity = {}
+        arc_keep = np.flatnonzero(self.arc_alive)
+        upper, lower, gids = (
+            np.asarray(getattr(self, key), dtype=np.int64)[arc_keep]
+            for key in _ARC_COLUMNS
+        )
+        data, lengths = self._flatten(gids)
+        self._clear_arcs()
+        upper, lower = node_map[upper], node_map[lower]
+        self.add_leaf_arcs_flat(upper, lower, data, lengths)
 
     def update_boundary_flags(self, cut_planes, return_ids: bool = False):
         """Recompute node boundary flags from the remaining cut planes.
@@ -702,70 +699,77 @@ class MorseSmaleComplex:
     # ------------------------------------------------------------------
 
     def to_payload(self) -> dict[str, np.ndarray]:
-        """Pack the living complex into flat numpy arrays.
+        """The living complex as flat numpy arrays.
 
         Requires a compacted complex (call :meth:`compact` first): every
         geometry must be a leaf so the payload is a fixed set of arrays.
+        ``geom_data`` is a view of the address buffer, not a copy.
         """
-        for g in self.geoms:
-            if not g.is_leaf:
-                raise ValueError("to_payload requires a compacted complex")
-        geom_data = (
-            np.concatenate([g.leaf for g in self.geoms])
-            if self.geoms
-            else np.empty(0, dtype=np.int64)
-        )
-        geom_offsets = np.zeros(len(self.geoms) + 1, dtype=np.int64)
-        for i, g in enumerate(self.geoms):
-            geom_offsets[i + 1] = geom_offsets[i] + g.leaf.size
-        return {
+        if not self._all_leaves():
+            raise ValueError("to_payload requires a compacted complex")
+        geom_offsets = np.zeros(len(self.geom_length) + 1, dtype=np.int64)
+        np.cumsum(self.geom_length, out=geom_offsets[1:])
+        region = self.region_lo + self.region_hi
+        payload = {
             "global_refined_dims": np.asarray(
                 self.global_refined_dims, dtype=np.int64
             ),
-            "region": np.asarray(
-                self.region_lo + self.region_hi, dtype=np.int64
-            ),
-            "node_address": np.asarray(self.node_address, dtype=np.int64),
-            "node_index": np.asarray(self.node_index, dtype=np.uint8),
-            "node_value": np.asarray(self.node_value, dtype=np.float64),
-            "node_boundary": np.asarray(self.node_boundary, dtype=bool),
-            "node_ghost": np.asarray(self.node_ghost, dtype=bool),
-            "arc_upper": np.asarray(self.arc_upper, dtype=np.int64),
-            "arc_lower": np.asarray(self.arc_lower, dtype=np.int64),
-            "arc_geom": np.asarray(self.arc_geom, dtype=np.int64),
-            "geom_data": geom_data,
-            "geom_offsets": geom_offsets,
+            "region": np.asarray(region, dtype=np.int64),
         }
+        for key, dtype in _NODE_COLUMNS:
+            payload[key] = np.asarray(getattr(self, key), dtype=dtype)
+        for key in _ARC_COLUMNS:
+            payload[key] = np.asarray(getattr(self, key), dtype=np.int64)
+        payload["geom_data"] = self._geom_data[: self._geom_used]
+        payload["geom_offsets"] = geom_offsets
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict[str, np.ndarray]) -> "MorseSmaleComplex":
-        """Inverse of :meth:`to_payload`."""
+        """Inverse of :meth:`to_payload`.
+
+        The columns are validated once, vectorised, and the records built
+        in bulk; ``geom_data`` is adopted as the address buffer (a
+        zero-copy view when the payload came from ``deserialize_payload``).
+        Raises :class:`ValueError` naming the offending section.
+        """
         dims = tuple(int(d) for d in payload["global_refined_dims"])
         region = [int(c) for c in payload["region"]]
         msc = cls(dims, tuple(region[:3]), tuple(region[3:]))
-        ghosts = payload.get("node_ghost")
-        if ghosts is None:
-            ghosts = np.zeros(len(payload["node_address"]), dtype=bool)
-        for addr, idx, val, bnd, gho in zip(
-            payload["node_address"],
-            payload["node_index"],
-            payload["node_value"],
-            payload["node_boundary"],
-            ghosts,
-        ):
-            msc.add_node(
-                int(addr), int(idx), float(val), bool(bnd), bool(gho)
-            )
-        offs = payload["geom_offsets"]
+        n = len(payload["node_address"])
+        if payload.get("node_ghost") is None:
+            payload = {**payload, "node_ghost": np.zeros(n, dtype=bool)}
+        nodes = {k: np.asarray(payload[k], dtype=t) for k, t in _NODE_COLUMNS}
+        arcs = {k: np.asarray(payload[k], np.int64) for k in _ARC_COLUMNS}
+        offsets = np.asarray(payload["geom_offsets"], dtype=np.int64)
         data = payload["geom_data"]
-        gid_map = [
-            msc.new_leaf_geometry(data[offs[i]: offs[i + 1]])
-            for i in range(len(offs) - 1)
-        ]
-        for u, l, g in zip(
-            payload["arc_upper"], payload["arc_lower"], payload["arc_geom"]
+        for columns in (nodes, arcs):
+            first, *rest = columns
+            for key in rest:
+                if columns[key].size != columns[first].size:
+                    raise ValueError(
+                        f"{key} has {columns[key].size} entries, "
+                        f"{first} has {columns[first].size}"
+                    )
+        if (
+            offsets.size == 0
+            or offsets[0] != 0
+            or offsets[-1] != len(data)
+            or (np.diff(offsets) < 0).any()
         ):
-            msc.add_arc(int(u), int(l), gid_map[int(g)])
+            raise ValueError(
+                "geom_offsets must start at 0, be non-decreasing and end at "
+                f"len(geom_data) = {len(data)}"
+            )
+        for key, limit in zip(_ARC_COLUMNS, (n, n, offsets.size - 1)):
+            col = arcs[key]
+            if col.size and not 0 <= col.min() <= col.max() < limit:
+                raise ValueError(f"{key} out of range 0..{limit - 1}")
+        msc.add_nodes(*(nodes[k].tolist() for k, _ in _NODE_COLUMNS))
+        msc._append_arcs(
+            arcs["arc_upper"], arcs["arc_lower"], arcs["arc_geom"].tolist()
+        )
+        msc._append_leaves(data, np.diff(offsets))
         return msc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

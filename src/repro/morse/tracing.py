@@ -469,7 +469,7 @@ def extract_ms_complex(
     crit_by_dim = field.critical_cells_by_dim()
     # cell -> node id as a flat array (node ids are assigned densely in
     # (dim, SoS) order, matching repeated add_node calls)
-    node_of_cell_np = np.full(cx.num_padded, -1, dtype=np.int64)
+    node_of_cell = np.full(cx.num_padded, -1, dtype=np.int64)
     nid = 0
     for d in range(4):
         cells = crit_by_dim[d]
@@ -479,37 +479,27 @@ def extract_ms_complex(
             cx.cell_value[cells].tolist(),
             (cx.boundary_sig[cells] != 0).tolist(),
         )
-        node_of_cell_np[cells] = np.arange(
-            nid, nid + cells.size, dtype=np.int64
-        )
+        node_of_cell[cells] = np.arange(nid, nid + cells.size)
         nid += cells.size
-    node_of_cell = node_of_cell_np.tolist()
     nodes_span.annotate(nodes=nid)
     nodes_span.__exit__(None, None, None)
 
     arcs_span = tracer.span("trace.arcs", cat="kernel")
     arcs_span.__enter__()
-    addresses = cx.global_address
     for d in range(1, 4):
-        sources = crit_by_dim[d].tolist()
-        if not sources:
+        sources = crit_by_dim[d]
+        if not sources.size:
             continue
         flat, lens, terminals, counts = _trace_down_many(
             field, sources, max_paths_per_node
         )
         # one address gather for every path of every source of this
-        # dimension, sliced into per-arc leaf geometries
-        addrs = addresses[flat]
-        leaves = []
-        pos = 0
-        for length in lens:
-            leaves.append(addrs[pos:pos + length])
-            pos += length
-        msc.add_leaf_arc_groups(
-            [node_of_cell[p] for p in sources],
-            counts,
-            [node_of_cell[t] for t in terminals],
-            leaves,
+        # dimension, handed over as CSR (data, lengths)
+        msc.add_leaf_arcs_flat(
+            np.repeat(node_of_cell[sources], counts),
+            node_of_cell[terminals],
+            cx.global_address[flat],
+            lens,
         )
     arcs_span.annotate(arcs=msc.num_alive_arcs())
     arcs_span.__exit__(None, None, None)

@@ -74,6 +74,26 @@ class TestGlueTwoBlocks:
             == n_root + n_other - stats.shared_nodes
         )
 
+    def test_uncompacted_member_glues_like_its_compacted_twin(self):
+        """A member still holding composites (simplified, not compacted)
+        is flattened on the way in; the root ends up byte-identical."""
+        from repro.core.merge import pack_complex, unpack_complex
+
+        blobs = [pack_complex(m) for m in self.complexes]
+        roots = []
+        for compacted in (True, False):
+            root, member = (unpack_complex(b) for b in blobs)
+            simplify_ms_complex(member, 0.3, respect_boundary=True)
+            assert member.hierarchy, "nothing cancelled: no composites"
+            if compacted:
+                member.compact()
+            stats = glue_into(root, member, root.address_index())
+            assert stats.arcs_skipped > 0  # so the kept ranges have gaps
+            root.compact()
+            assert_ms_complex_valid(root)
+            roots.append(pack_complex(root))
+        assert roots[0] == roots[1]
+
     def test_dims_mismatch_rejected(self):
         root = MorseSmaleComplex((3, 3, 3))
         other = MorseSmaleComplex((5, 5, 5))

@@ -56,7 +56,9 @@ class TestSerialEntryPoint:
             field, persistence_threshold=0.05, validate=True
         )
         assert_ms_complex_valid(msc)
-        assert all(g.is_leaf for g in msc.geoms)
+        # compacted: every geometry a concrete leaf, one per living arc
+        offsets = msc.to_payload()["geom_offsets"]  # raises on a composite
+        assert len(offsets) - 1 == msc.num_alive_arcs()
 
     def test_no_simplify(self, field):
         raw = compute_morse_smale_complex(field, simplify=False)

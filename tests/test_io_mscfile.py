@@ -1,5 +1,7 @@
 """Tests for repro.io.mscfile: the MS complex output format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,37 @@ class TestRecordRoundtrip:
         blob[0] = 99
         with pytest.raises(ValueError):
             deserialize_payload(bytes(blob))
+
+    @pytest.mark.parametrize("section", [2, 4, 11])  # int64/float64 columns
+    def test_ragged_section_length_rejected(self, payload, section):
+        """A section length that is not a whole number of items is an
+        error naming the section, not rounded away."""
+        blob = bytearray(serialize_payload(payload))
+        at = 4 + 8 * section
+        (length,) = struct.unpack_from("<Q", blob, at)
+        struct.pack_into("<Q", blob, at, length - 3)
+        with pytest.raises(ValueError, match="not a multiple"):
+            deserialize_payload(bytes(blob))
+
+    def test_truncated_record_rejected(self, payload):
+        blob = serialize_payload(payload)
+        with pytest.raises(ValueError):
+            MorseSmaleComplex.from_payload(
+                deserialize_payload(blob[: len(blob) - 16])
+            )
+
+    def test_deserialize_is_zero_copy_and_read_is_owned(self, tmp_path, payload):
+        blob = serialize_payload(payload)
+        views = deserialize_payload(blob)
+        assert all(not v.flags.owndata for v in views.values())
+        assert not views["geom_data"].flags.writeable
+        path = tmp_path / "o.msc"
+        write_msc_file(path, [(0, blob)])
+        for source in (path, path.read_bytes()):
+            block = read_msc_file(source)[0]
+            assert all(a.flags.owndata and a.flags.writeable
+                       for a in block.values())
+            block["geom_data"][:] = 0  # must not fault or touch the image
 
 
 class TestFileRoundtrip:

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.morse.msc import ArcGeometry, MorseSmaleComplex
+from repro.morse.msc import MorseSmaleComplex
+
+
+def assert_all_leaves(msc):
+    """Every geometry is a concrete leaf, one per living arc."""
+    payload = msc.to_payload()  # raises while a composite remains
+    assert len(payload["geom_offsets"]) - 1 == msc.num_alive_arcs()
+    assert payload["geom_offsets"][-1] == msc.total_geometry_length()
 
 
 @pytest.fixture
@@ -90,8 +97,11 @@ class TestGeometry:
 
     def test_geometry_length_accounting(self, tiny_msc):
         gid = tiny_msc.new_composite_geometry([(0, False), (1, False)])
-        assert tiny_msc.geoms[gid].length == 6
         assert tiny_msc.total_geometry_length() == 9  # three leaf arcs
+        # a composite's cached length counts the junction duplicate
+        # (g0 ends at 0, g1 starts at 10: none here; 3 + 3 cells)
+        tiny_msc.add_arc(1, 0, gid)
+        assert tiny_msc.total_geometry_length() == 9 + 6
 
 
 class TestMutationAndCompact:
@@ -106,14 +116,14 @@ class TestMutationAndCompact:
         tiny_msc.compact()
         assert tiny_msc.num_alive_nodes() == 3
         assert tiny_msc.num_alive_arcs() == 2
-        assert all(g.is_leaf for g in tiny_msc.geoms)
+        assert_all_leaves(tiny_msc)
 
     def test_compact_flattens_composites(self, tiny_msc):
         gid = tiny_msc.new_composite_geometry([(2, False), (1, False)])
         tiny_msc.kill_arc(2)
         new_aid = tiny_msc.add_arc(3, 1, gid)  # 2-saddle -> 1-saddle
         tiny_msc.compact()
-        assert all(g.is_leaf for g in tiny_msc.geoms)
+        assert_all_leaves(tiny_msc)
         assert tiny_msc.num_alive_arcs() == 3
         # the composite arc expanded to its concrete path
         flats = [
@@ -162,3 +172,71 @@ class TestPayloadRoundtrip:
 
     def test_nbytes_positive(self, tiny_msc):
         assert tiny_msc.nbytes() > 0
+
+
+def _corrupt(payload, key, value):
+    return {**payload, key: np.asarray(value, dtype=payload[key].dtype)}
+
+
+#: one hostile payload per validation rule of ``from_payload``:
+#: (section the error must name, corruption of tiny_msc's payload)
+HOSTILE_PAYLOADS = {
+    "node column short": (
+        "node_boundary", lambda p: _corrupt(p, "node_boundary", [False] * 3)),
+    "node_ghost short": (
+        "node_ghost", lambda p: _corrupt(p, "node_ghost", [False] * 5)),
+    "arc column short": (
+        "arc_geom", lambda p: _corrupt(p, "arc_geom", [0, 1])),
+    "morse index above 3": (
+        "node_index", lambda p: _corrupt(p, "node_index", [0, 1, 0, 7])),
+    "arc endpoint past the nodes": (
+        "arc_upper", lambda p: _corrupt(p, "arc_upper", [1, 1, 4])),
+    "negative arc endpoint": (
+        "arc_lower", lambda p: _corrupt(p, "arc_lower", [0, -1, 1])),
+    "arc_geom past the geometries": (
+        "arc_geom", lambda p: _corrupt(p, "arc_geom", [0, 1, 3])),
+    "endpoint indices two apart": (
+        "arc_upper", lambda p: _corrupt(p, "arc_upper", [1, 1, 0])),
+    "offsets not from zero": (
+        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [1, 3, 6, 9])),
+    "offsets decreasing": (
+        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [0, 5, 3, 9])),
+    "offsets empty": (
+        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [])),
+    "offsets end short of the data": (
+        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [0, 3, 6, 8])),
+    "offsets end past the data": (
+        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [0, 3, 6, 12])),
+}
+
+
+class TestHostilePayloads:
+    """``from_payload`` validates once, vectorised, before building: a
+    payload whose columns disagree is rejected by name, never truncated."""
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PAYLOADS))
+    def test_rejected_naming_the_section(self, tiny_msc, case):
+        section, corrupt = HOSTILE_PAYLOADS[case]
+        tiny_msc.compact()
+        with pytest.raises(ValueError, match=section):
+            MorseSmaleComplex.from_payload(corrupt(tiny_msc.to_payload()))
+
+    def test_adopted_buffer_is_never_written_in_place(self, tiny_msc):
+        """Appending to a complex built on (read-only) payload views
+        reallocates; the source payload and its twin stay intact."""
+        tiny_msc.compact()
+        payload = tiny_msc.to_payload()
+        payload["geom_data"].flags.writeable = False
+        before = payload["geom_data"].copy()
+        first = MorseSmaleComplex.from_payload(payload)
+        twin = MorseSmaleComplex.from_payload(payload)
+        gid = first.new_leaf_geometry(np.array([30, 31, 10]))
+        first.add_arc(3, 1, gid)
+        np.testing.assert_array_equal(payload["geom_data"], before)
+        np.testing.assert_array_equal(
+            first.geometry_addresses(3), [30, 31, 10]
+        )
+        for aid in range(3):
+            np.testing.assert_array_equal(
+                twin.geometry_addresses(aid), first.geometry_addresses(aid)
+            )
