@@ -16,8 +16,8 @@ Measures the two claims the streaming rework makes:
   scale with the volume — that is the whole out-of-core contract.
 
 Both modes also assert bit-identity: the session steps, the ``mmap``
-and ``pickle`` volume runs, and the one-shot in-memory run all write
-byte-identical ``.msc`` output.
+volume run, and the one-shot in-memory run all write byte-identical
+``.msc`` output.
 
 Run directly for the machine-readable record::
 
@@ -129,7 +129,7 @@ def measure_mmap_independence(
         num_blocks=8,
         num_procs=8,
         persistence_threshold=PERS,
-        options=ExecutionOptions(transport="mmap", retry_backoff=0.0),
+        options=ExecutionOptions(retry_backoff=0.0),
     )
     rows = []
     for dims in dims_list:
@@ -162,7 +162,8 @@ from repro.mesh.grid import Box
 
 spec = VolumeSpec(sys.argv[2], {dims}, "float64")
 if sys.argv[1] == "pickle":
-    # what the driver stages for a pickle-transport volume run
+    # what a driver that materialized the file to ship blocks by value
+    # would stage (the path this measurement retired)
     arr = read_volume(spec)
     assert arr.shape == spec.dims
 else:
@@ -177,9 +178,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 def measure_driver_staging_rss(tmp_dir: Path, dims=RSS_DIMS) -> dict:
     """Peak RSS (KiB) of a fresh process staging a volume each way.
 
-    Isolates the *driver input staging* delta — ``pickle`` materializes
-    the whole float64 grid, ``mmap`` ships only the spec — without the
-    (transport-independent) per-block compute obscuring it.
+    Isolates the *driver input staging* delta — materializing the whole
+    float64 grid (``pickle``; what shipping a file's blocks by value
+    cost) against shipping only the spec (``mmap``) — without the
+    per-block compute obscuring it.
     """
     import subprocess
     import sys
@@ -210,10 +212,9 @@ def check_bit_identity(tmp_dir: Path, dims=(12, 12, 12)) -> dict:
     spec = write_volume(tmp_dir / "ident.raw", field, dtype="float64")
 
     def run_bytes(name: str, **kwargs) -> bytes:
-        opts = ExecutionOptions(retry_backoff=0.0, **kwargs.pop("opts", {}))
         cfg = PipelineConfig(
-            num_blocks=8, num_procs=8,
-            persistence_threshold=PERS, options=opts,
+            num_blocks=8, num_procs=8, persistence_threshold=PERS,
+            options=ExecutionOptions(retry_backoff=0.0),
         )
         result = ParallelMSComplexPipeline(cfg).run(**kwargs)
         out = tmp_dir / f"{name}.msc"
@@ -221,14 +222,7 @@ def check_bit_identity(tmp_dir: Path, dims=(12, 12, 12)) -> dict:
         return out.read_bytes()
 
     ref = run_bytes("memory", values=field)
-    checks = {
-        "mmap_volume": run_bytes(
-            "mmap", volume=spec, opts={"transport": "mmap"}
-        ) == ref,
-        "pickle_volume": run_bytes(
-            "pickle", volume=spec, opts={"transport": "pickle"}
-        ) == ref,
-    }
+    checks = {"mmap_volume": run_bytes("mmap", volume=spec) == ref}
 
     cfg = stream_config(workers=1)
     with PipelineSession(cfg) as session:

@@ -27,9 +27,7 @@ from repro.data import gaussian_bumps_field  # noqa: E402
 
 FIELD_KW = dict(dims=(24, 24, 24), num_bumps=8, seed=1)
 RUN_KW = dict(num_blocks=8, persistence_threshold=0.02)
-OPTIONS = dict(
-    workers=2, executor="process", transport="shm", retry_backoff=0.0
-)
+OPTIONS = dict(workers=2, retry_backoff=0.0)
 REPS = 5
 
 

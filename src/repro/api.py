@@ -86,8 +86,8 @@ def compute(
     options:
         The run's execution knobs, grouped: an
         :class:`~repro.core.options.ExecutionOptions` bundling
-        ``workers``, ``executor``, ``transport`` and the fault-handling
-        settings (timeout/retry/degrade).  Every scheduling field is pure
+        ``workers`` and the fault-handling settings
+        (timeout/retry/degrade).  Every scheduling field is pure
         scheduling — results are bit-identical across all settings; the
         additive ``hierarchy`` flag captures the multiscale cancellation
         hierarchy into ``result.hierarchies`` (persisted on ``write()``,
@@ -244,7 +244,6 @@ def _facade_config(
         validate=validate,
         # ranks == workers == 1 is the serial path: single block, no
         # pool, no merge rounds; anything else runs the full pipeline
-        # (the default executor="auto" resolves exactly that way)
         options=options if options is not None else ExecutionOptions(),
         faults=faults,
         trace=trace,

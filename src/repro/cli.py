@@ -20,9 +20,9 @@ Commands::
 ``query`` serves thresholds out of the hierarchy footer a
 ``compute --hierarchy`` run persisted — every row is a pure lookup, the
 volume is never re-simplified.  ``stream`` pushes a whole time series of
-volume files through one persistent session: worker pools, shared
-memory, and the decomposition plan are reused across steps, and the
-``mmap`` transport keeps the driver from ever materializing a volume.
+volume files through one persistent session: the worker pool and the
+decomposition plan are reused across steps, and blocks are ``mmap``-read
+where they are computed, so the driver never materializes a volume.
 ``serve`` runs the MS-complex service daemon: concurrent submissions
 over JSON HTTP, identical in-flight requests coalesced into one
 pipeline run, repeats answered from a content-addressed result cache
@@ -127,21 +127,9 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--procs", type=_positive_int, default=None,
                    help="virtual processes (default: one per block)")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="shared-memory worker processes for the compute "
-                        "stage (default: 1, serial)")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "pickle", "shm", "mmap"),
-                   help="block-data transport to pool workers: pickle "
-                        "ships subarrays by value, shm publishes an "
-                        "in-memory volume once into shared memory, mmap "
-                        "(volume-file inputs) lets workers subarray-read "
-                        "straight from disk without the driver ever "
-                        "materializing the volume (auto: mmap for file "
-                        "inputs, shm exactly when a process pool runs)")
-    p.add_argument("--executor", default="auto",
-                   choices=("auto", "serial", "process"),
-                   help="compute-stage backend (default: auto — a "
-                        "process pool exactly when --workers > 1)")
+                   help="worker processes for the compute stage "
+                        "(default: 1 computes in-process; more run a "
+                        "pool of that width)")
     p.add_argument("--merge-spill-budget", type=_size_bytes, default=None,
                    metavar="SIZE",
                    help="resident-byte budget for the packed compute "
@@ -155,7 +143,7 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                    help="simplification threshold")
     p.add_argument("--block-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="per-block compute timeout (process executor); "
+                   help="per-block compute timeout (pooled runs); "
                         "timed-out blocks are retried")
     p.add_argument("--max-retries", type=int, default=2, metavar="N",
                    help="extra attempts a failed block or merge gets "
@@ -196,8 +184,6 @@ def _config_from_args(args, *, trace: bool = False, metrics: bool = False):
         merge_radices=radices,
         options=ExecutionOptions(
             workers=args.workers,
-            executor=args.executor,
-            transport=args.transport,
             block_timeout=args.block_timeout,
             max_retries=args.max_retries,
             retry_backoff=args.retry_backoff,
@@ -432,9 +418,6 @@ def _cmd_stream(args) -> int:
     try:
         specs = [_checked_volume_spec(path, args) for path in args.volumes]
         cfg = _config_from_args(args)
-        # fail on impossible transport/input combinations before the
-        # first step, not midway through the series
-        cfg.options.resolve_transport("volume")
     except ValueError as exc:
         return _fail(str(exc))
     if args.output_dir:

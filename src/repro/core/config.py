@@ -59,8 +59,8 @@ class PipelineConfig:
         cancellation "directly connects important critical points in the
         interiors of neighboring blocks".
     options:
-        How the run executes — worker pool, transports, per-stage
-        backends, fault handling, the additive ``hierarchy`` artifact:
+        How the run executes — worker pool, fault handling, spill
+        budget, the additive ``hierarchy`` artifact:
         one :class:`~repro.core.options.ExecutionOptions`, validated at
         its own construction.  Read as ``cfg.options.workers``.
     faults:
@@ -125,7 +125,7 @@ class PipelineConfig:
         threshold, the *resolved* merge schedule, tie handling — plus
         the additive ``hierarchy`` artifact flag, and deliberately
         excludes every pure-scheduling knob: results are bit-identical
-        across workers/executors/transports (the invariant the golden
+        across worker counts and input kinds (the invariant the golden
         tests pin), so a request computed with ``workers=1`` must be a
         cache hit for the same volume requested with ``workers=8``.
 

@@ -33,11 +33,19 @@ additional sweeps propagate across chains of blocks.  The result
 approaches the fully merged complex's simplification level while the
 data stays distributed — exactly the output-size reduction the paper
 anticipated.
+
+Like the merge rounds, the sweeps are executed by one driver-side loop
+over (sweep, axis, parity, adjacent pair) and priced per rank: each
+pair merge is charged to the rank owning the left block, together with
+the message that brought the right block when the pair crosses ranks.
+The message-passing rank program this replaced is the test oracle
+(``tests/reference_global_simplify.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +57,6 @@ from repro.machine.costmodel import CostModel, MergeWork
 from repro.mesh.addressing import address_to_coords
 from repro.morse.msc import MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
-from repro.parallel.runtime import VirtualMPI
 
 __all__ = [
     "GlobalSimplifyStats",
@@ -167,6 +174,56 @@ def split_complex(
     return low, high
 
 
+def _sweep_pairs(grid):
+    """The ``(axis, left, right)`` pair merges of one red-black sweep.
+
+    For each axis, first the adjacent output-grid pairs whose left
+    coordinate is even, then the odd ones (x fastest within a parity).
+    Pairs of one parity are disjoint, so the order they are merged in is
+    immaterial.
+    """
+    for axis, parity in itertools.product(range(3), (0, 1)):
+        for gz, gy, gx in itertools.product(*map(range, reversed(grid))):
+            left = (gx, gy, gz)
+            if left[axis] % 2 != parity or left[axis] + 1 >= grid[axis]:
+                continue
+            right = list(left)
+            right[axis] += 1
+            yield axis, left, tuple(right)
+
+
+def _merge_pair(root, blob, remaining, axis, threshold):
+    """Simplify across the cut plane between ``root`` and its right
+    neighbour (``blob``, packed like a merge member).
+
+    Glues the neighbour into ``root``, unprotects the one cut plane
+    between them (all other remaining planes stay protected),
+    re-simplifies and splits back at that plane.  Returns the two
+    compacted halves and the :class:`MergeWork` the cost model prices.
+    """
+    other = unpack_complex(blob)
+    plane = _plane_between(remaining[axis], root, other, axis)
+    glue_into(root, other, root.address_index())
+    root.update_boundary_flags(tuple(
+        np.asarray(
+            [p for p in remaining[a] if not (a == axis and p == plane)],
+            dtype=np.int64,
+        )
+        for a in range(3)
+    ))
+    cancels = simplify_ms_complex(root, threshold, respect_boundary=True)
+    root.compact()
+    lo_half, hi_half = split_complex(root, axis, plane)
+    lo_half.compact()
+    hi_half.compact()
+    work = MergeWork(
+        glued_elements=other.num_alive_nodes() + other.num_alive_arcs(),
+        cancellations=len(cancels),
+        packed_bytes=len(blob),
+    )
+    return lo_half, hi_half, work
+
+
 def global_persistence_simplification(
     result: PipelineResult,
     threshold: float,
@@ -177,211 +234,76 @@ def global_persistence_simplification(
     Mutates ``result.output_blocks`` in place and returns statistics.
     ``threshold`` is the global persistence level (usually the same as
     the per-block threshold of the producing pipeline).
+
+    One driver-side loop executes the sweeps; the virtual seconds are
+    the largest per-rank clock an SPMD run would read, each pair merge
+    charged to the rank owning the left block (plus the message that
+    brought the right block, when the pair crosses ranks).
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     schedule = result.schedule
     decomp = result.decomposition
-    grid = schedule.grids[-1]
-    remaining = [list(p) for p in schedule.cut_planes_after(
-        schedule.num_rounds
-    )]
+    remaining = schedule.cut_planes_after(schedule.num_rounds)
     num_procs = result.stats.num_procs
     model = CostModel(num_procs=num_procs)
+    blocks = result.output_blocks
 
     stats = GlobalSimplifyStats(sweeps=sweeps)
     stats.nodes_before = sum(result.combined_node_counts())
     stats.output_bytes_before = sum(
-        len(pack_complex(m)) for m in result.output_blocks.values()
+        len(pack_complex(m)) for m in blocks.values()
     )
-
-    def grid_coords_of_block(bid: int) -> tuple[int, int, int]:
-        coords = decomp.block_coords(bid)
-        f = schedule.cumulative_factors(schedule.num_rounds)
-        return tuple(c // g for c, g in zip(coords, f))
 
     def block_of_grid(gc: tuple[int, int, int]) -> int:
         return decomp.linear_id(
             schedule.original_root_block(gc, schedule.num_rounds)
         )
 
-    owner_blocks: dict[int, dict[int, MorseSmaleComplex]] = {
-        r: {} for r in range(num_procs)
-    }
-    for bid, msc in result.output_blocks.items():
-        owner_blocks[decomp.rank_of_block(bid, num_procs)][bid] = msc
+    clocks = [0.0] * num_procs
+    for _sweep in range(sweeps):
+        for axis, left_gc, right_gc in _sweep_pairs(schedule.grids[-1]):
+            left_bid = block_of_grid(left_gc)
+            right_bid = block_of_grid(right_gc)
+            left_rank = decomp.rank_of_block(left_bid, num_procs)
+            right_rank = decomp.rank_of_block(right_bid, num_procs)
+            blob = pack_complex(blocks[right_bid])
+            blocks[left_bid], blocks[right_bid], work = _merge_pair(
+                blocks[left_bid], blob, remaining, axis, threshold
+            )
+            stats.pair_merges += 1
+            stats.cancellations += work.cancellations
+            seconds = model.merge_time(work)
+            if right_rank != left_rank:
+                # the right block out, its new half back
+                seconds += model.message_time(
+                    len(blob), right_rank, left_rank
+                )
+                stats.message_bytes += len(blob) + len(
+                    pack_complex(blocks[right_bid])
+                )
+            clocks[left_rank] += seconds
+    stats.virtual_seconds = max(clocks)
 
-    def program(comm):
-        mine = owner_blocks[comm.rank]
-        clock = 0.0
-        local = {
-            "merges": 0, "cancels": 0, "bytes": 0, "clock": 0.0,
-        }
-        tag_base = 5_000_000
-        for sweep in range(sweeps):
-            for axis in range(3):
-                planes = remaining[axis]
-                for parity in (0, 1):
-                    # pairs (left, right) along this axis
-                    pairs = []
-                    for gz in range(grid[2]):
-                        for gy in range(grid[1]):
-                            for gx in range(grid[0]):
-                                gc = (gx, gy, gz)
-                                if gc[axis] % 2 != parity:
-                                    continue
-                                nb = list(gc)
-                                nb[axis] += 1
-                                if nb[axis] >= grid[axis]:
-                                    continue
-                                pairs.append((gc, tuple(nb)))
-                    # send phase
-                    for gc, nb in pairs:
-                        left_bid = block_of_grid(gc)
-                        right_bid = block_of_grid(nb)
-                        left_rank = decomp.rank_of_block(
-                            left_bid, num_procs
-                        )
-                        right_rank = decomp.rank_of_block(
-                            right_bid, num_procs
-                        )
-                        tag = tag_base + right_bid
-                        if right_rank == comm.rank and right_bid in mine:
-                            blob = pack_complex(mine.pop(right_bid))
-                            if left_rank == comm.rank:
-                                mine[("inbox", right_bid)] = blob
-                            else:
-                                yield comm.send(
-                                    left_rank, blob, tag=tag
-                                )
-                    # merge + split + return phase
-                    for gc, nb in pairs:
-                        left_bid = block_of_grid(gc)
-                        right_bid = block_of_grid(nb)
-                        left_rank = decomp.rank_of_block(
-                            left_bid, num_procs
-                        )
-                        right_rank = decomp.rank_of_block(
-                            right_bid, num_procs
-                        )
-                        if left_rank != comm.rank:
-                            continue
-                        if right_rank == comm.rank:
-                            blob = mine.pop(("inbox", right_bid))
-                        else:
-                            blob = yield comm.recv(
-                                right_rank, tag=tag_base + right_bid
-                            )
-                            local["bytes"] += len(blob)
-                        other = unpack_complex(blob)
-                        root = mine[left_bid]
-                        plane = _plane_between(
-                            planes, root, other, axis
-                        )
-                        addr_index = root.address_index()
-                        glue_into(root, other, addr_index)
-                        cuts = [
-                            np.asarray(
-                                [p for p in remaining[a] if not (
-                                    a == axis and p == plane
-                                )],
-                                dtype=np.int64,
-                            )
-                            for a in range(3)
-                        ]
-                        root.update_boundary_flags(tuple(cuts))
-                        cancels = simplify_ms_complex(
-                            root, threshold, respect_boundary=True
-                        )
-                        root.compact()
-                        lo_half, hi_half = split_complex(
-                            root, axis, plane
-                        )
-                        lo_half.compact()
-                        hi_half.compact()
-                        mine[left_bid] = lo_half
-                        local["merges"] += 1
-                        local["cancels"] += len(cancels)
-                        mwork = MergeWork(
-                            glued_elements=other.num_alive_nodes()
-                            + other.num_alive_arcs(),
-                            cancellations=len(cancels),
-                            packed_bytes=len(blob),
-                        )
-                        clock += model.merge_time(mwork) + (
-                            model.message_time(
-                                len(blob), right_rank, comm.rank
-                            )
-                            if right_rank != comm.rank
-                            else 0.0
-                        )
-                        back = pack_complex(hi_half)
-                        if right_rank == comm.rank:
-                            mine[right_bid] = hi_half
-                        else:
-                            yield comm.send(
-                                right_rank, back,
-                                tag=tag_base * 2 + right_bid,
-                            )
-                    # receive returned halves
-                    for gc, nb in pairs:
-                        right_bid = block_of_grid(nb)
-                        left_bid = block_of_grid(gc)
-                        right_rank = decomp.rank_of_block(
-                            right_bid, num_procs
-                        )
-                        left_rank = decomp.rank_of_block(
-                            left_bid, num_procs
-                        )
-                        if (
-                            right_rank == comm.rank
-                            and left_rank != comm.rank
-                        ):
-                            blob = yield comm.recv(
-                                left_rank, tag=tag_base * 2 + right_bid
-                            )
-                            local["bytes"] += len(blob)
-                            mine[right_bid] = unpack_complex(blob)
-                    yield comm.barrier()
-        local["clock"] = clock
-        return {"blocks": mine, "stats": local}
-
-    mpi = VirtualMPI(num_procs)
-    rank_returns = mpi.run(program)
-
-    new_blocks: dict[int, MorseSmaleComplex] = {}
-    for ret in rank_returns:
-        stats.pair_merges += ret["stats"]["merges"]
-        stats.cancellations += ret["stats"]["cancels"]
-        stats.virtual_seconds = max(
-            stats.virtual_seconds, ret["stats"]["clock"]
-        )
-        for key, msc in ret["blocks"].items():
-            if isinstance(key, int):
-                new_blocks[key] = msc
-    result.output_blocks.clear()
-    result.output_blocks.update(new_blocks)
-
-    stats.message_bytes = sum(m.nbytes for m in mpi.message_log)
     stats.nodes_after = sum(result.combined_node_counts())
     # the pipeline's cached serialized records describe the pre-sweep
     # blocks; re-pack so result.write() emits the simplified complexes
-    new_blobs = {
-        bid: pack_complex(m) for bid, m in result.output_blocks.items()
+    result.output_blobs = {
+        bid: pack_complex(m) for bid, m in blocks.items()
     }
-    result.output_blobs = new_blobs
-    stats.output_bytes_after = sum(len(b) for b in new_blobs.values())
+    stats.output_bytes_after = sum(
+        len(b) for b in result.output_blobs.values()
+    )
     # a captured multiscale hierarchy describes the pre-sweep blocks
     # too: re-capture so persisted queries stay consistent with the
     # globally simplified output
     if result.hierarchies is not None:
         result.hierarchies = {
-            bid: MSComplexHierarchy.capture(m)
-            for bid, m in result.output_blocks.items()
+            bid: MSComplexHierarchy.capture(m) for bid, m in blocks.items()
         }
     stats.ghost_nodes = sum(
         1
-        for m in result.output_blocks.values()
+        for m in blocks.values()
         for n in m.alive_nodes()
         if m.node_ghost[n]
     )

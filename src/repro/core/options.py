@@ -1,30 +1,29 @@
 """The grouped execution-options surface of the public API.
 
-The pipeline has grown a family of *execution* knobs — how the compute
-stage is scheduled (worker pool, backend, transport) and how failures
-are handled (timeouts, retries, degradation) — that are pure scheduling:
-none of them changes the computed complex by a single byte.  They are
-grouped here into one frozen dataclass, :class:`ExecutionOptions`, so
-the public entry points take a single ``options=`` argument instead of
-a dozen flat keywords, and so every knob is validated in one place —
-``__post_init__`` below, with one readable error shape for the backend
-choices (``choose one of {...}``) — at configuration time rather than
-deep inside the pipeline.
+The pipeline has a family of *execution* knobs — how wide the compute
+stage's worker pool is and how failures are handled (timeouts, retries,
+degradation) — that are pure scheduling: none of them changes the
+computed complex by a single byte.  They are grouped here into one
+frozen dataclass, :class:`ExecutionOptions`, so the public entry points
+take a single ``options=`` argument instead of a dozen flat keywords,
+and so every knob is validated in one place — ``__post_init__`` below —
+at configuration time rather than deep inside the pipeline.
 
 ::
 
     import repro
     from repro.core.options import ExecutionOptions
 
-    opts = ExecutionOptions(workers=4, transport="shm")
+    opts = ExecutionOptions(workers=4, max_retries=1)
     result = repro.compute(field, persistence=0.05, ranks=8,
                            options=opts)
 
 This is the only spelling: :class:`~repro.core.config.PipelineConfig`
 *holds* one of these as its ``options`` field (readers say
-``cfg.options.workers``), and everything that resolves an ``"auto"``
-knob or derives the retry policy lives on the class below, next to the
-fields it reads.
+``cfg.options.workers``).  What the code can derive is not an option:
+the executor follows from ``workers`` and the block transport from the
+kind of input (see :attr:`ExecutionOptions.resolved_executor` and
+:meth:`ExecutionOptions.resolve_transport`).
 """
 
 from __future__ import annotations
@@ -33,13 +32,11 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from repro.parallel.executor import EXECUTOR_KINDS, RetryPolicy
-from repro.parallel.transport import TRANSPORT_KINDS
+from repro.parallel.executor import RetryPolicy
 
 __all__ = [
     "ExecutionOptions",
     "canonical_fingerprint",
-    "validate_choice",
 ]
 
 
@@ -63,28 +60,6 @@ def canonical_fingerprint(kind: str, payload: dict) -> str:
             f"JSON-encodable: {exc}"
         ) from None
     return hashlib.sha256(f"{kind}:{body}".encode()).hexdigest()
-
-#: every backend knob, its allowed values, in one table — the single
-#: source the config/CLI validation and the docs knob tables read
-BACKEND_KNOB_KINDS = {
-    "executor": EXECUTOR_KINDS,
-    "transport": TRANSPORT_KINDS,
-}
-
-
-def validate_choice(name: str, value: object, kinds: tuple[str, ...]) -> None:
-    """Raise the uniform readable error for an invalid knob value.
-
-    Both backend knobs (``executor``, ``transport``) fail with the same
-    shape at configuration time::
-
-        invalid transport 'smh': choose one of {auto, pickle, shm}
-    """
-    if value not in kinds:
-        raise ValueError(
-            f"invalid {name} {value!r}: choose one of "
-            f"{{{', '.join(kinds)}}}"
-        )
 
 
 def _require_int(name: str, value: object, minimum: int) -> None:
@@ -114,19 +89,11 @@ class ExecutionOptions:
     Parameters
     ----------
     workers:
-        Width of the shared-memory worker pool the compute stage runs
-        on; ``1`` (default) computes blocks serially in-process.
-    executor:
-        Compute-stage backend: ``"auto"`` (worker pool exactly when
-        ``workers > 1``), ``"serial"``, or ``"process"``.
-    transport:
-        Block-data transport to pool workers: ``"pickle"``, ``"shm"``,
-        ``"mmap"`` (volume-file inputs only; workers subarray-read from
-        disk and the driver never materializes the volume), or
-        ``"auto"`` (shm exactly when a process pool runs; mmap whenever
-        the input is a :class:`repro.io.volume.VolumeSpec`).
+        Width of the worker pool the compute stage runs on; ``1``
+        (default) computes blocks serially in-process, anything wider
+        runs a pool of that many OS processes.
     block_timeout:
-        Per-block compute timeout in seconds (process executor);
+        Per-block compute timeout in seconds (pooled runs);
         ``None`` waits forever.  Timed-out blocks are retried.
     max_retries:
         Extra attempts a failed block (or root merge) gets before the
@@ -159,8 +126,6 @@ class ExecutionOptions:
     """
 
     workers: int = 1
-    executor: str = "auto"
-    transport: str = "auto"
     block_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.05
@@ -177,8 +142,6 @@ class ExecutionOptions:
             _require_int(
                 "merge_spill_budget_bytes", self.merge_spill_budget_bytes, 0
             )
-        for name, kinds in BACKEND_KNOB_KINDS.items():
-            validate_choice(name, getattr(self, name), kinds)
         # RetryPolicy validates the timeout/backoff ranges
         self.retry_policy()
 
@@ -194,49 +157,20 @@ class ExecutionOptions:
 
     @property
     def resolved_executor(self) -> str:
-        """Concrete executor kind after resolving ``"auto"``."""
-        if self.executor == "auto":
-            return "process" if self.workers > 1 else "serial"
-        return self.executor
+        """``"process"`` exactly when a worker pool runs, else ``"serial"``."""
+        return "process" if self.workers > 1 else "serial"
 
-    def resolve_transport(self, input_kind: str = "memory") -> str:
-        """Concrete transport after resolving ``"auto"`` for an input.
+    def resolve_transport(self, input_kind: str) -> str:
+        """How block data reaches whoever computes it.
 
-        ``input_kind`` is ``"memory"`` (a vertex array / grid held by
-        the driver) or ``"volume"`` (a :class:`repro.io.volume.VolumeSpec`
-        file).  Shared memory pays off exactly when block data crosses
-        a process boundary, so for an in-memory input ``"auto"`` keeps
-        the plain by-value path under serial execution.  The two
-        impossible combinations (``shm`` + volume input, ``mmap`` +
-        in-memory input) fail here, readably, instead of silently
-        falling back mid-pipeline.
+        ``input_kind`` is ``"volume"`` (a :class:`repro.io.volume.VolumeSpec`
+        file: every block is ``mmap``-read where it is computed) or
+        ``"memory"`` (a vertex array held by the driver: published once
+        to shared memory under a pool, passed by value in-process).
         """
-        if input_kind not in ("memory", "volume"):
-            raise ValueError(
-                f"input_kind must be 'memory' or 'volume', got "
-                f"{input_kind!r}"
-            )
         if input_kind == "volume":
-            if self.transport in ("auto", "mmap"):
-                return "mmap"
-            if self.transport == "shm":
-                raise ValueError(
-                    "transport 'shm' needs an in-memory input to publish; "
-                    "a volume-file input streams blocks straight from "
-                    "disk — use transport='mmap' (or 'auto'), or load "
-                    "the volume yourself with repro.io.volume.read_volume"
-                )
-            return "pickle"
-        if self.transport == "mmap":
-            raise ValueError(
-                "transport 'mmap' needs a volume-file input "
-                "(repro.io.volume.VolumeSpec) for workers to map; "
-                "an in-memory field uses 'pickle' or 'shm' (or 'auto'), "
-                "or write it out first with repro.io.volume.write_volume"
-            )
-        if self.transport == "auto":
-            return "shm" if self.resolved_executor == "process" else "pickle"
-        return self.transport
+            return "mmap"
+        return "shm" if self.workers > 1 else "pickle"
 
     def fingerprint(self) -> str:
         """Stable content hash over every execution knob.

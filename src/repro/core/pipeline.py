@@ -22,10 +22,10 @@ The run is an explicit stage list, executed once, in the driver:
 2. **compute** — the ``for all local blocks`` loop, factored into a
    pure, pickle-safe worker function (:func:`compute_block`) and fanned
    out over the one :class:`~repro.parallel.executor.FaultTolerantExecutor`
-   (``executor``/``transport``/``workers`` select *how*; the
-   boundary-restricted gradient pairing makes every block independent,
-   so serial and pooled runs are bit-identical).  Each block lands as
-   its packed :func:`~repro.core.merge.pack_complex` bytes;
+   (``workers`` picks in-process or pooled, the input picks how block
+   data travels; the boundary-restricted gradient pairing makes every
+   block independent, so all four runs are bit-identical).  Each block
+   lands as its packed :func:`~repro.core.merge.pack_complex` bytes;
 3. **merge rounds** — one loop over ``plan.groups_by_round``: each group
    root glues its members, frees the nodes that left the remaining cut
    planes, re-simplifies and compacts
@@ -69,7 +69,7 @@ from repro.core.stats import (
     TransportStats,
 )
 from repro.io.spool import BlobSpool
-from repro.io.volume import VolumeSpec, read_block, read_volume
+from repro.io.volume import VolumeSpec, read_block
 from repro.machine.costmodel import ComputeWork, CostModel
 from repro.machine.replay import MergeRecord, replay_run
 from repro.mesh.cubical import CubicalComplex, structure_tables
@@ -603,9 +603,6 @@ class ParallelMSComplexPipeline:
             dims, vertex_bytes = grid.dims, grid.values.dtype.itemsize
         else:
             dims, vertex_bytes = volume.dims, volume.np_dtype.itemsize
-        # transport resolution is input-kind aware: impossible combos
-        # (shm + volume file, mmap + in-memory field) fail here with a
-        # readable error instead of silently falling back mid-pipeline
         transport = TransportStats(
             kind=cfg.options.resolve_transport(
                 "memory" if grid is not None else "volume"
@@ -688,7 +685,6 @@ class ParallelMSComplexPipeline:
         """The compute stage's executor, as the config describes it."""
         cfg = self.config
         return FaultTolerantExecutor(
-            kind=cfg.options.resolved_executor,
             workers=cfg.options.workers,
             policy=cfg.options.retry_policy(),
             plan=cfg.faults,
@@ -722,30 +718,19 @@ class ParallelMSComplexPipeline:
         else:
             executor = self._new_executor(*sinks)
         try:
+            # a file input is mmap-read wherever its blocks are computed
+            # (the driver never materializes the volume); an in-memory
+            # field is published once for a pool, passed by value
+            # in-process
             shm_handle = None
-            spec_grid = grid
-            spec_volume = None
             if transport.kind == "shm":
                 with tracer.span("shm.publish", cat="transport"):
                     shm_handle = executor.publish_volume(grid.values)
-                transport.driver_staged_bytes += grid.values.nbytes
-            elif transport.kind == "mmap":
-                # out-of-core: specs carry only the file spec + box and
-                # workers subarray-read from disk; the driver never
-                # materializes the volume
-                spec_grid = None
-                spec_volume = volume
-            elif grid is None:
-                # explicit pickle with a volume-file input: materialize
-                # the volume once in the driver and ship subarrays by
-                # value (bit-identical to the mmap path)
-                spec_grid = StructuredGrid(read_volume(volume))
-                transport.driver_staged_bytes += spec_grid.values.nbytes
-            else:
+            if grid is not None:
                 transport.driver_staged_bytes += grid.values.nbytes
             with tracer.span("pipeline.specs", cat="pipeline"):
                 specs = self._block_specs(
-                    plan.decomp, spec_grid, spec_volume, shm=shm_handle
+                    plan.decomp, grid, volume, shm=shm_handle
                 )
             with tracer.span(
                 "compute.dispatch", cat="compute", blocks=len(specs),

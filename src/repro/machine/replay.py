@@ -9,12 +9,11 @@ run of the same schedule would have read (the paper's Table I / Fig. 6
 timings are functions of work counts, not of who did the work).
 
 The clock rules are those of an SPMD rank program executing the same
-schedule under :class:`~repro.parallel.runtime.VirtualMPI`; the
-clock-only program is the test oracle
+schedule by message passing; the clock-only program is the test oracle
 (``tests/reference_rank_program.py``) the replay must equal exactly:
 
 - a rank reads its blocks, then computes them on a ``workers``-wide
-  pool (:func:`~repro.parallel.runtime.pool_makespan`);
+  pool (:func:`pool_makespan`);
 - per round every sender stamps its *start-of-round* clock on each
   member it ships; a cross-rank message carries that 8-byte stamp plus
   the packed complex and arrives ``message_time`` later, a same-rank
@@ -26,11 +25,11 @@ clock-only program is the test oracle
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.machine.costmodel import ComputeWork, MergeWork
-from repro.parallel.runtime import pool_makespan
 
 __all__ = [
     "CLOCK_STAMP_BYTES",
@@ -38,11 +37,35 @@ __all__ = [
     "MergeCost",
     "MergeRecord",
     "RankTimeline",
+    "pool_makespan",
     "replay_run",
 ]
 
 #: every cross-rank message carries the sender's clock, one float64
 CLOCK_STAMP_BYTES = 8
+
+
+def pool_makespan(durations: Sequence[float], workers: int) -> float:
+    """Virtual elapsed time of running tasks on a pool of workers.
+
+    Models the schedule a process pool's shared task queue produces:
+    tasks are taken *in order* and each starts on the earliest-free
+    worker (list scheduling).  With one worker it degenerates to the
+    serial sum, with ``workers >= len(durations)`` to the max, so the
+    modeled compute time reflects the pool the run used.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    durations = [float(d) for d in durations]
+    if not durations:
+        return 0.0
+    if workers == 1:
+        return sum(durations)
+    free_at = [0.0] * min(workers, len(durations))
+    for d in durations:
+        t = heapq.heappop(free_at)
+        heapq.heappush(free_at, t + d)
+    return max(free_at)
 
 
 @dataclass

@@ -1,57 +1,43 @@
-"""Virtual distributed-memory substrate.
+"""The compute stage's worker pool and the static plan it runs.
 
-The paper's implementation is MPI on an IBM Blue Gene/P.  The execution
-environment of this reproduction has no MPI, so this subpackage provides
-a deterministic virtual equivalent:
+The paper's implementation is MPI on an IBM Blue Gene/P.  This
+reproduction executes the same static schedule once, in one driver
+process, and prices it afterwards on the modeled machine
+(:mod:`repro.machine.replay`), so this subpackage holds only what that
+one execution needs:
 
 - :mod:`repro.parallel.decomposition` — bisection domain decomposition
   and block-cyclic process assignment (§IV-A),
 - :mod:`repro.parallel.radixk` — configurable merge-round schedules
   (rounds × radix, §IV-F2), modeled on the Radix-k compositing algorithm,
-- :mod:`repro.parallel.comm` — message-passing primitives and collectives
-  expressed as coroutine requests,
-- :mod:`repro.parallel.runtime` — the :class:`VirtualMPI` scheduler that
-  executes SPMD rank programs (generators) with deterministic delivery,
-  deadlock detection, and a byte-accurate message log for the machine
-  model,
-- :mod:`repro.parallel.executor` — real shared-memory backends
-  (:class:`SerialExecutor`, :class:`ProcessPoolBlockExecutor`) that the
-  compute stage fans its per-block work out over,
-- :mod:`repro.parallel.mpibackend` — the mpi4py adapter that runs the
-  *same* rank programs on a real MPI cluster.
+- :mod:`repro.parallel.executor` — :class:`FaultTolerantExecutor`, the
+  one executor: per-block work runs in-process with ``workers=1`` and on
+  a pool of OS processes otherwise, under timeouts, retries, pool
+  restarts and degradation to serial,
+- :mod:`repro.parallel.transport` — the shared-memory slot an in-memory
+  volume is published into once for a pool's workers,
+- :mod:`repro.parallel.faults` — the deterministic fault plan the chaos
+  tests drive the executor with.
 
-The rank programs (the §VII-B global simplification, and the clock-only
-merge program the cost replay is tested against) exercise exactly the
-communication structure a real MPI run would (point-to-point
-merge-group sends, barriers, gathers); only the transport is simulated —
-or real, with the MPI backend.  The pipeline itself runs the static
-merge schedule in one driver-side loop and prices it afterwards
-(:mod:`repro.machine.replay`).
+The per-block work is independent (§IV-C: shared-face gradients agree),
+so where each block is computed never changes an output byte.
 """
 
 from repro.parallel.decomposition import BlockDecomposition, decompose
 from repro.parallel.executor import (
-    BlockExecutor,
     BlockTimeoutError,
     ComputeStageError,
     CorruptPayloadError,
     FaultTolerantExecutor,
     FaultToleranceError,
-    ProcessPoolBlockExecutor,
     RetryPolicy,
-    SerialExecutor,
-    make_executor,
 )
 from repro.parallel.faults import FaultPlan
 from repro.parallel.radixk import MergeSchedule, MergeRound, full_merge_radices
-from repro.parallel.runtime import VirtualMPI, pool_makespan
-from repro.parallel.comm import Comm
 
 __all__ = [
     "BlockDecomposition",
-    "BlockExecutor",
     "BlockTimeoutError",
-    "Comm",
     "ComputeStageError",
     "CorruptPayloadError",
     "FaultPlan",
@@ -59,12 +45,7 @@ __all__ = [
     "FaultToleranceError",
     "MergeRound",
     "MergeSchedule",
-    "ProcessPoolBlockExecutor",
     "RetryPolicy",
-    "SerialExecutor",
-    "VirtualMPI",
     "decompose",
     "full_merge_radices",
-    "make_executor",
-    "pool_makespan",
 ]

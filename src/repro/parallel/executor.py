@@ -1,27 +1,23 @@
-"""Shared-memory execution backends for the compute stage.
+"""The compute stage's executor: one worker pool, fault tolerant.
 
 The paper's compute stage is embarrassingly parallel per block: the
 boundary-restricted gradient pairing (§IV-C) makes every block's result
 independent of every other block's, so the ``read block → gradient →
 trace → simplify`` chain can run on any number of OS processes without
-changing a single output bit.  This module provides the pluggable
-executor the pipeline uses to exploit that:
+changing a single output bit.  :class:`FaultTolerantExecutor` is the one
+executor the pipeline uses to exploit that: with ``workers=1`` it runs
+the worker function in-process, in spec order (no pickling, no
+processes); with ``workers > 1`` it fans the specs out over a
+:class:`concurrent.futures.ProcessPoolExecutor` and returns the payloads
+in spec order — either way under per-block timeouts, bounded retries
+with exponential backoff, worker-pool restarts after crashes, and
+graceful degradation to in-process serial execution when the pool is
+unhealthy.
 
-- :class:`SerialExecutor` runs the worker function in-process, in spec
-  order — the reference schedule and the default.
-- :class:`ProcessPoolBlockExecutor` fans the specs out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` worker pool and
-  returns the payloads in spec order.
-- :class:`FaultTolerantExecutor` wraps either backend with per-block
-  timeouts, bounded retries with exponential backoff, worker-pool
-  restarts after crashes, and graceful degradation to in-process serial
-  execution when the pool is unhealthy.
-
-All satisfy the :class:`BlockExecutor` protocol.  Because the worker
-function is pure (no shared mutable state; picklable inputs and
-outputs), the backends are bit-identical by construction: the only
-thing an executor chooses is *where* (and how often) each block is
-computed, never what is computed.  Tests assert this identity
+Because the worker function is pure (no shared mutable state; picklable
+inputs and outputs), the two paths are bit-identical by construction:
+the only thing the executor chooses is *where* (and how often) each
+block is computed, never what is computed.  Tests assert this identity
 end-to-end, including under injected faults (see
 :mod:`repro.parallel.faults`).
 """
@@ -29,7 +25,6 @@ end-to-end, including under injected faults (see
 from __future__ import annotations
 
 import logging
-import os
 import time
 from concurrent.futures import (
     ProcessPoolExecutor,
@@ -37,130 +32,20 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Sequence
 
 from repro.obs.trace import NULL_TRACER, Tracer
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "BlockExecutor",
-    "SerialExecutor",
-    "ProcessPoolBlockExecutor",
     "FaultTolerantExecutor",
     "RetryPolicy",
     "FaultToleranceError",
     "BlockTimeoutError",
     "CorruptPayloadError",
     "ComputeStageError",
-    "make_executor",
-    "available_workers",
 ]
-
-#: Executor kinds accepted by :func:`make_executor` and
-#: :class:`repro.core.config.PipelineConfig.executor`.
-EXECUTOR_KINDS = ("auto", "serial", "process")
-
-
-def available_workers() -> int:
-    """Number of usable CPU cores on this machine (at least 1)."""
-    return os.cpu_count() or 1
-
-
-@runtime_checkable
-class BlockExecutor(Protocol):
-    """Protocol of a compute-stage execution backend.
-
-    An executor maps a pure, picklable worker function over a sequence
-    of block specs and returns the results *in spec order*.  It must be
-    deterministic: for a pure function, the returned list may not depend
-    on scheduling.
-    """
-
-    #: worker-pool width this executor models (1 for serial)
-    workers: int
-
-    def map_blocks(
-        self, fn: Callable[[Any], Any], specs: Sequence[Any]
-    ) -> list[Any]:
-        """Apply ``fn`` to every spec; results in spec order."""
-        ...
-
-    def close(self) -> None:
-        """Release any OS resources (idempotent)."""
-        ...
-
-
-class SerialExecutor:
-    """Run the worker function in-process, one spec at a time.
-
-    The reference schedule: no pickling, no processes, no concurrency.
-    """
-
-    workers = 1
-
-    def map_blocks(
-        self, fn: Callable[[Any], Any], specs: Sequence[Any]
-    ) -> list[Any]:
-        """Apply ``fn`` to every spec sequentially, in spec order."""
-        return [fn(spec) for spec in specs]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-    def __enter__(self) -> "SerialExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-class ProcessPoolBlockExecutor:
-    """Fan block computations out over a pool of OS processes.
-
-    Wraps :class:`concurrent.futures.ProcessPoolExecutor`; the pool is
-    created lazily on first use so constructing a config never forks.
-    ``Executor.map`` preserves input order, and the worker function is
-    pure, so results are bit-identical to :class:`SerialExecutor`
-    regardless of which process computed which block.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is None:
-            workers = available_workers()
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = int(workers)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def map_blocks(
-        self, fn: Callable[[Any], Any], specs: Sequence[Any]
-    ) -> list[Any]:
-        """Apply ``fn`` to every spec across the pool; results in spec
-        order."""
-        specs = list(specs)
-        if not specs:
-            return []
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._pool.map(fn, specs))
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ProcessPoolBlockExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# fault tolerance
-# ---------------------------------------------------------------------------
 
 
 class FaultToleranceError(RuntimeError):
@@ -252,11 +137,16 @@ def _invoke(fn, spec, attempt, plan, context):
 
 
 class FaultTolerantExecutor:
-    """Retry/timeout/degradation wrapper around the raw backends.
+    """Map a pure worker function over block specs, fault tolerantly.
 
-    Dispatches blocks one future at a time (rather than ``pool.map``) so
-    each block gets its own timeout, its own retry budget, and survives
-    the crash of any worker process.  Failure responses, in order:
+    ``workers=1`` runs every block in-process, in spec order; a wider
+    executor dispatches to a lazily created pool of ``workers`` OS
+    processes.  Results always come back in spec order.
+
+    Pooled blocks are dispatched one future at a time (rather than
+    ``pool.map``) so each block gets its own timeout, its own retry
+    budget, and survives the crash of any worker process.  Failure
+    responses, in order:
 
     1. a failed or timed-out block is re-dispatched up to
        ``policy.max_retries`` times, with exponential backoff;
@@ -302,7 +192,6 @@ class FaultTolerantExecutor:
 
     def __init__(
         self,
-        kind: str = "serial",
         workers: int = 1,
         policy: RetryPolicy | None = None,
         plan: Any = None,
@@ -312,14 +201,9 @@ class FaultTolerantExecutor:
         transport: Any = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if kind not in ("serial", "process"):
-            raise ValueError(
-                f"kind must be 'serial' or 'process', got {kind!r}"
-            )
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.kind = kind
-        self.workers = int(workers) if kind == "process" else 1
+        self.workers = int(workers)
         self.policy = policy or RetryPolicy()
         self.plan = plan
         self.validator = validator
@@ -385,7 +269,7 @@ class FaultTolerantExecutor:
         results: list[Any] = [None] * len(specs)
         pending = [(i, 0) for i in range(len(specs))]
         while pending:
-            if self.kind == "process" and not self._degraded:
+            if self.workers > 1 and not self._degraded:
                 pending = self._pool_round(fn, specs, results, pending,
                                            on_result)
             else:
@@ -650,21 +534,3 @@ class FaultTolerantExecutor:
                     (idx, self._next_attempt(spec, attempt, exc, "pool"))
                 )
         return next_round
-
-
-def make_executor(kind: str = "auto", workers: int = 1) -> BlockExecutor:
-    """Resolve an executor name to a backend instance.
-
-    ``"serial"`` always runs in-process; ``"process"`` always builds a
-    worker pool (even with ``workers=1``, useful for testing the pool
-    path); ``"auto"`` picks the pool exactly when ``workers > 1``.
-    """
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"executor must be one of {EXECUTOR_KINDS}, got {kind!r}"
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if kind == "serial" or (kind == "auto" and workers == 1):
-        return SerialExecutor()
-    return ProcessPoolBlockExecutor(workers)

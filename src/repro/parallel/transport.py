@@ -1,23 +1,25 @@
-"""Block transports: zero-copy POSIX shared memory and on-disk mmap.
+"""Block transport: how block data reaches whoever computes it.
 
-With the ``pickle`` transport every :class:`~repro.core.pipeline.BlockSpec`
-carries its block's ghost-padded vertex subarray by value, so every
-dispatch — and every fault-tolerance retry — re-serializes the samples
-through the pool's pipe: O(blocks × block_bytes) shipped per compute
-stage.  The ``shm`` transport publishes the volume *once* into a
-:mod:`multiprocessing.shared_memory` segment; specs then carry only a
-:class:`SharedVolumeHandle` (segment name + shape + dtype, a few dozen
-bytes) and each worker attaches to the segment and slices its own block
-view.  Retries re-read from the segment instead of re-pickling, and the
-per-dispatch cost drops to O(blocks × spec_header).
+The input picks the path; there is nothing to configure:
 
-The ``mmap`` transport is the out-of-core path for volume-*file* inputs
-(:class:`~repro.io.volume.VolumeSpec`): specs carry only the file spec
-plus the block box, and each worker memory-maps the file and gathers its
-own subarray (see :func:`repro.io.volume.read_block`).  The driver never
-materializes the volume at all, so peak driver memory is independent of
-volume size — the reproduction of the paper's MPI-IO subarray reads
-(§IV-B) at "volumes much larger than RAM" scale.
+- ``mmap`` — a volume *file* (:class:`~repro.io.volume.VolumeSpec`):
+  specs carry only the file spec plus the block box, and whoever
+  computes a block memory-maps the file and gathers its own subarray
+  (see :func:`repro.io.volume.read_block`).  The driver never
+  materializes the volume, so its peak memory is independent of volume
+  size — the reproduction of the paper's MPI-IO subarray reads (§IV-B);
+- ``shm`` — an in-memory field under a worker pool: the volume is
+  published *once* into a :mod:`multiprocessing.shared_memory` segment;
+  specs then carry only a :class:`SharedVolumeHandle` (segment name +
+  shape + dtype, a few dozen bytes) and each worker attaches to the
+  segment and slices its own block view.  Retries re-read from the
+  segment, and the per-dispatch cost is O(blocks × spec_header);
+- ``pickle`` — an in-memory field computed in-process: every
+  :class:`~repro.core.pipeline.BlockSpec` carries its block's
+  ghost-padded vertex subarray by value, and nothing crosses a process
+  boundary.
+
+This module is the ``shm`` path's segment machinery.
 
 Segment lifecycle is owned by the driver-side
 :class:`~repro.parallel.executor.FaultTolerantExecutor`: it publishes
@@ -49,18 +51,11 @@ import numpy as np
 from repro.obs.trace import get_tracer
 
 __all__ = [
-    "TRANSPORT_KINDS",
     "SharedVolume",
     "SharedVolumeHandle",
     "SharedVolumeSlot",
     "attached_segment_names",
 ]
-
-#: Transport kinds accepted by config / API / CLI.  For in-memory
-#: inputs ``"auto"`` resolves to ``"shm"`` exactly when the compute
-#: stage runs on a process pool; for volume-file inputs it resolves to
-#: ``"mmap"`` (workers subarray-read straight from disk).
-TRANSPORT_KINDS = ("auto", "pickle", "shm", "mmap")
 
 #: Estimated pickled size of one BlockSpec header (everything except the
 #: vertex samples); used for transport byte accounting only.

@@ -7,8 +7,8 @@ pipeline run: the ``.msc`` file image plus a small canonical
 (:func:`repro.io.volume.content_hash`,
 :meth:`repro.core.config.PipelineConfig.result_fingerprint`), the key
 is valid forever: the same bytes in, the same bytes out, no
-invalidation protocol.  Pure-scheduling knobs (workers, executors,
-transports) are deliberately *not* part of the key — outputs are
+invalidation protocol.  Pure-scheduling knobs (workers, retries, spill
+budget) are deliberately *not* part of the key — outputs are
 bit-identical across them, so a volume computed once serves every
 execution setting of the same request.
 

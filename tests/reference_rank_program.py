@@ -1,8 +1,8 @@
 """Reference SPMD rank program: the oracle for the cost replay.
 
 Until the merge stage became one driver-side loop, every virtual rank
-ran ``_rank_main`` as a generator program under
-:class:`repro.parallel.runtime.VirtualMPI`: it really merged, and it
+ran ``_rank_main`` as a generator program under a virtual MPI (now
+:class:`tests.reference_virtual_mpi.VirtualMPI`): it really merged, and it
 advanced a virtual clock from sends, receives and the cost model.
 :func:`repro.machine.replay.replay_run` now computes those clocks as a
 pure function of recorded work counts.  This module keeps the
@@ -18,8 +18,8 @@ Tests only; nothing under ``src/`` imports it.
 from __future__ import annotations
 
 from repro.machine.costmodel import MergeWork
-from repro.machine.replay import MergeCost, RankTimeline
-from repro.parallel.runtime import VirtualMPI, pool_makespan
+from repro.machine.replay import MergeCost, RankTimeline, pool_makespan
+from tests.reference_virtual_mpi import VirtualMPI
 
 __all__ = ["reference_run"]
 

@@ -1,79 +1,132 @@
-"""Deterministic scheduler for virtual SPMD rank programs.
+"""Reference message-passing scheduler for SPMD rank programs.
 
-:class:`VirtualMPI` executes ``size`` generator-based rank programs
-(written against :class:`repro.parallel.comm.Comm`) with MPI-like
-semantics: buffered sends, blocking tagged receives, and full barriers.
+Until the run became one driver-side stage list priced afterwards by
+:mod:`repro.machine.replay`, ``repro.parallel`` shipped this virtual
+MPI runtime and the pipeline's merge and the §VII-B global
+simplification ran on it as generator rank programs.  Production no
+longer needs a message-passing runtime; the two reference rank programs
+(``tests/reference_rank_program.py`` and
+``tests/reference_global_simplify.py``) do, so that the driver loops can
+be required to equal a real message-passing execution, message log
+included.  This module keeps exactly what those two programs use.
+
+Rank programs are Python generators: communication is expressed by
+*yielding* request objects to :class:`VirtualMPI`::
+
+    def main(comm: Comm):
+        yield comm.send(dest=1, payload=x, tag=7)
+        y = yield comm.recv(src=1, tag=8)
+        yield comm.barrier()
+
 Scheduling is deterministic — ranks are advanced in rank order, each as
-far as it can go — so every run of a pipeline produces identical results
-and an identical message log.
+far as it can go — and the message log records ``(src, dest, tag,
+nbytes)`` for every delivered message.  Deadlocks (all unfinished ranks
+blocked on receives that can never be satisfied) raise
+:class:`DeadlockError` with a diagnostic of who waits for whom.
 
-The message log records ``(src, dest, tag, nbytes)`` for every delivered
-message; the Blue Gene/P machine model replays it to assign virtual
-communication time.  Deadlocks (all unfinished ranks blocked on receives
-that can never be satisfied) raise :class:`DeadlockError` with a
-diagnostic of who waits for whom.
+Tests only; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from repro.parallel.comm import Barrier, Comm, Recv, Send, payload_nbytes
+import numpy as np
 
 __all__ = [
-    "VirtualMPI",
+    "Barrier",
+    "Comm",
     "DeadlockError",
-    "StepLimitError",
     "MessageRecord",
-    "pool_makespan",
+    "Recv",
+    "Send",
+    "VirtualMPI",
+    "payload_nbytes",
 ]
 
 
-def pool_makespan(durations: Sequence[float], workers: int) -> float:
-    """Virtual elapsed time of running tasks on a pool of workers.
+@dataclass(frozen=True)
+class Send:
+    """Request: deliver ``payload`` to rank ``dest`` with ``tag``."""
 
-    Models the schedule a process pool's shared task queue produces:
-    tasks are taken *in order* and each starts on the earliest-free
-    worker (list scheduling).  The pipeline charges its virtual clock
-    with this makespan for the compute phase — with one worker it
-    degenerates to the serial sum, with ``workers >= len(durations)``
-    to the max — so modeled time reflects the configured shared-memory
-    parallelism rather than always assuming a serial sweep.
+    dest: int
+    tag: int
+    payload: Any
+
+
+@dataclass(frozen=True)
+class Recv:
+    """Request: block until a message from ``src`` with ``tag`` arrives."""
+
+    src: int
+    tag: int
+
+
+@dataclass(frozen=True)
+class Barrier:
+    """Request: block until every rank reaches the same barrier."""
+
+
+class Comm:
+    """Per-rank communicator handle (rank id, world size, request makers)."""
+
+    def __init__(self, rank: int, size: int) -> None:
+        if not 0 <= rank < size:
+            raise ValueError(f"rank {rank} out of range for size {size}")
+        self.rank = rank
+        self.size = size
+
+    def send(self, dest: int, payload: Any, tag: int = 0) -> Send:
+        """Build a send request (non-blocking; buffered by the scheduler)."""
+        if not 0 <= dest < self.size:
+            raise ValueError(f"dest {dest} out of range")
+        if dest == self.rank:
+            raise ValueError("self-sends are not supported")
+        return Send(dest, tag, payload)
+
+    def recv(self, src: int, tag: int = 0) -> Recv:
+        """Build a blocking receive request."""
+        if not 0 <= src < self.size:
+            raise ValueError(f"src {src} out of range")
+        return Recv(src, tag)
+
+    def barrier(self) -> Barrier:
+        """Build a barrier request."""
+        return Barrier()
+
+
+def payload_nbytes(payload: Any) -> int:
+    """Approximate serialized size of a message payload in bytes.
+
+    Supports numpy arrays, bytes, dicts/lists/tuples of those, plus
+    scalars; a few bytes of framing per element are ignored.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    durations = [float(d) for d in durations]
-    if not durations:
-        return 0.0
-    if workers == 1:
-        return sum(durations)
-    free_at = [0.0] * min(workers, len(durations))
-    for d in durations:
-        t = heapq.heappop(free_at)
-        heapq.heappush(free_at, t + d)
-    return max(free_at)
+    if payload is None:
+        return 0
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return len(payload)
+    if isinstance(payload, dict):
+        return sum(payload_nbytes(v) for v in payload.values())
+    if isinstance(payload, (list, tuple)):
+        return sum(payload_nbytes(v) for v in payload)
+    if isinstance(payload, (bool, int, float, np.integer, np.floating)):
+        return 8
+    if isinstance(payload, str):
+        return len(payload.encode())
+    raise TypeError(f"cannot size payload of type {type(payload)!r}")
 
 
 class DeadlockError(RuntimeError):
     """All unfinished ranks are blocked and no message can arrive."""
 
 
-class StepLimitError(RuntimeError):
-    """The scheduler exceeded ``max_steps`` sweeps without finishing.
-
-    A watchdog against livelocked rank programs (e.g. a faulty program
-    spinning on sends that are never consumed): deadlocks are detected
-    structurally, but unbounded *progress* can only be caught by a step
-    budget.
-    """
-
-
 @dataclass(frozen=True)
 class MessageRecord:
-    """One delivered point-to-point message (for the machine model)."""
+    """One delivered point-to-point message."""
 
     src: int
     dest: int
@@ -82,36 +135,12 @@ class MessageRecord:
 
 
 class VirtualMPI:
-    """Run SPMD generator programs over a virtual communicator.
+    """Run SPMD generator programs over a virtual communicator."""
 
-    Parameters
-    ----------
-    size:
-        Number of ranks.
-    record_messages:
-        Keep a :class:`MessageRecord` log of all traffic (cheap; on by
-        default so cost models can replay it).
-    max_steps:
-        Optional watchdog: maximum scheduler sweeps before a
-        :class:`StepLimitError` is raised.  ``None`` (default) trusts
-        the rank programs to terminate; fault-tolerant drivers set a
-        generous bound so a livelocked program surfaces as a readable
-        error instead of a hang.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        record_messages: bool = True,
-        max_steps: int | None = None,
-    ) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
-        if max_steps is not None and max_steps < 1:
-            raise ValueError("max_steps must be >= 1 or None")
         self.size = size
-        self.record_messages = record_messages
-        self.max_steps = max_steps
         self.message_log: list[MessageRecord] = []
 
     def run(
@@ -139,12 +168,11 @@ class VirtualMPI:
         def deliver(src: int, req: Send) -> None:
             key = (req.dest, src, req.tag)
             mailbox.setdefault(key, deque()).append(req.payload)
-            if self.record_messages:
-                self.message_log.append(
-                    MessageRecord(
-                        src, req.dest, req.tag, payload_nbytes(req.payload)
-                    )
+            self.message_log.append(
+                MessageRecord(
+                    src, req.dest, req.tag, payload_nbytes(req.payload)
                 )
+            )
 
         def try_unblock(rank: int) -> bool:
             req = blocked[rank]
@@ -174,7 +202,6 @@ class VirtualMPI:
                     return
                 except Exception as exc:
                     # annotate failures with the rank they occurred on
-                    # so parallel-stage errors are attributable
                     if hasattr(exc, "add_note"):  # python >= 3.11
                         exc.add_note(f"(raised in virtual rank {rank})")
                     raise
@@ -198,16 +225,7 @@ class VirtualMPI:
                     f"rank {rank} yielded unknown request {req!r}"
                 )
 
-        steps = 0
         while not all(done):
-            steps += 1
-            if self.max_steps is not None and steps > self.max_steps:
-                unfinished = [r for r in range(self.size) if not done[r]]
-                raise StepLimitError(
-                    f"scheduler exceeded {self.max_steps} sweeps with "
-                    f"ranks {unfinished} unfinished — livelocked rank "
-                    f"program?"
-                )
             progressed = False
             for rank in range(self.size):
                 if done[rank]:

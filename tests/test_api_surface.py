@@ -4,7 +4,10 @@
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +95,29 @@ def test_top_level_all_is_curated_and_sorted():
     assert "compute" in public and "api" in public
     names = [n for n in public if not n.startswith("_")]
     assert names == sorted(names)
+
+
+def test_failing_property_reports_its_falsifying_example(tmp_path):
+    """``filterwarnings = error::DeprecationWarning`` must not turn a
+    failing hypothesis test into a pytest INTERNALERROR: reporting one
+    imports libcst, whose own DeprecationWarning pytest.ini exempts."""
+    pytest.importorskip("libcst")
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_t(x): assert x != x\n"
+    )
+    ini = Path(__file__).resolve().parent.parent / "pytest.ini"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+         "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +246,7 @@ class TestExecutionOptions:
     def test_defaults_and_round_trip(self):
         opts = repro.ExecutionOptions()
         assert opts.workers == 1
-        assert opts.executor == "auto"
-        assert opts.transport == "auto"
+        assert opts.resolved_executor == "serial"
         assert repro.PipelineConfig(num_blocks=8).options == opts
 
     def test_options_is_frozen(self):
@@ -232,8 +257,7 @@ class TestExecutionOptions:
             opts.workers = 4
 
     def test_config_accepts_options_bundle(self):
-        opts = repro.ExecutionOptions(workers=2, transport="shm",
-                                      retry_backoff=0.0)
+        opts = repro.ExecutionOptions(workers=2, retry_backoff=0.0)
         cfg = repro.PipelineConfig(num_blocks=8, options=opts)
         assert cfg.options is opts
         assert cfg.options.workers == 2
@@ -249,11 +273,6 @@ class TestExecutionOptions:
     def test_config_rejects_non_options_value(self):
         with pytest.raises(TypeError, match="ExecutionOptions"):
             repro.PipelineConfig(num_blocks=8, options={"workers": 2})
-
-    @pytest.mark.parametrize("knob", ["executor", "transport"])
-    def test_choice_knobs_validate_early(self, knob):
-        with pytest.raises(ValueError, match="choose one of"):
-            repro.ExecutionOptions(**{knob: "bogus"})
 
     @pytest.mark.parametrize(
         "bad",
@@ -305,8 +324,8 @@ def _parse_cli(*argv):
     return build_parser().parse_args(list(argv))
 
 
-#: every spelling removed with the shims, the tracing-backend knob and
-#: the second merge engine
+#: every spelling removed with the shims, the tracing-backend knob, the
+#: second merge engine and the executor/transport knobs
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -341,6 +360,23 @@ REMOVED_SPELLINGS = {
         "compute", "v.raw", "--dims", "4", "4", "4",
         "--merge-executor", "serial",
     ),
+    "ExecutionOptions(executor=)": lambda f: repro.ExecutionOptions(
+        executor="auto"
+    ),
+    "ExecutionOptions(transport=)": lambda f: repro.ExecutionOptions(
+        transport="auto"
+    ),
+    "compute --executor": lambda f: _parse_cli(
+        "compute", "v.raw", "--dims", "4", "4", "4",
+        "--executor", "auto",
+    ),
+    "stream --transport": lambda f: _parse_cli(
+        "stream", "v.raw", "--dims", "4", "4", "4",
+        "--transport", "auto",
+    ),
+    "FaultTolerantExecutor(kind=)": lambda f: (
+        repro.parallel.FaultTolerantExecutor(kind="serial")
+    ),
 }
 
 
@@ -351,6 +387,11 @@ class TestDeprecationShims:
             REMOVED_SPELLINGS[spelling](facade_field)
         if err.type is SystemExit:
             assert err.value.code == 2  # argparse usage error
+
+    @pytest.mark.parametrize("name", ["runtime", "comm", "mpibackend"])
+    def test_virtual_mpi_modules_are_gone(self, name):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.parallel.{name}")
 
     def test_too_many_positionals_raise(self, facade_field):
         with pytest.raises(TypeError):

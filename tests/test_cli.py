@@ -19,8 +19,7 @@ def volume(tmp_path):
 #: every shared run flag at a non-default value
 RUN_FLAGS = [
     "--dims", "9", "8", "7", "--dtype", "float64", "--blocks", "4",
-    "--procs", "2", "--workers", "2", "--transport", "pickle",
-    "--executor", "process",
+    "--procs", "2", "--workers", "2",
     "--merge-spill-budget", "64K", "--persistence", "0.25",
     "--block-timeout", "30", "--max-retries", "1",
     "--retry-backoff", "0", "--no-degrade", "--hierarchy",
@@ -47,7 +46,7 @@ class TestParser:
             num_blocks=4, num_procs=2, persistence_threshold=0.25,
             merge_radices=[2, 2],
             options=ExecutionOptions(
-                workers=2, transport="pickle", executor="process",
+                workers=2,
                 merge_spill_budget_bytes=64 << 10, block_timeout=30.0,
                 max_retries=1, retry_backoff=0.0,
                 degrade_on_failure=False, hierarchy=True,
@@ -109,7 +108,7 @@ class TestCompute:
         rc = main([
             "compute", volume.path,
             "--dims", *map(str, volume.dims),
-            "--blocks", "4", "--workers", "1", "--executor", "serial",
+            "--blocks", "4", "--workers", "1",
         ])
         assert rc == 0
         assert "workers=1" in capsys.readouterr().out
@@ -318,7 +317,7 @@ class TestObservabilityFlags:
         rc = main([
             "compute", volume.path,
             "--dims", *map(str, volume.dims),
-            "--blocks", "8", "--workers", "2", "--transport", "mmap",
+            "--blocks", "8", "--workers", "2",
             "--trace", str(trace),
         ])
         assert rc == 0
@@ -511,11 +510,9 @@ class TestStream:
         args = build_parser().parse_args([
             "stream", "a.raw", "b.raw", "--dims", "9", "9", "9",
             "--dtype", "float64", "--blocks", "8",
-            "--transport", "mmap",
         ])
         assert args.command == "stream"
         assert args.volumes == ["a.raw", "b.raw"]
-        assert args.transport == "mmap"
 
     def test_stream_table_and_outputs(self, series, tmp_path, capsys):
         out_dir = tmp_path / "steps"
@@ -591,16 +588,6 @@ class TestStream:
         ])
         assert rc == 2
         assert "cannot read volume" in capsys.readouterr().err
-
-    def test_shm_transport_rejected_for_file_streams(self, series, capsys):
-        rc = main([
-            "stream", series[0].path,
-            "--dims", "9", "9", "9", "--dtype", "float64",
-            "--transport", "shm",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "in-memory input" in err and "mmap" in err
 
 
 class TestServe:

@@ -1,9 +1,11 @@
 """Tests for repro.core.globalsimplify: §VII-B global simplification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.config import PipelineConfig
+from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.globalsimplify import (
     global_persistence_simplification,
     split_complex,
@@ -15,6 +17,7 @@ from repro.core.pipeline import (
 from repro.data.synthetic import gaussian_bumps_field
 from repro.morse.msc import MorseSmaleComplex
 from repro.morse.validate import assert_ms_complex_valid
+from tests.reference_global_simplify import reference_global_simplification
 
 
 def _partial_result(field, threshold=0.05, blocks=8, radices="none"):
@@ -186,3 +189,57 @@ class TestGlobalSimplification:
         stats = global_persistence_simplification(res, 0.05)
         assert stats.pair_merges == 0
         assert res.num_output_blocks == 1
+
+
+#: (dims, bumps, seed, blocks, radices, procs, sweeps, hierarchy).  With
+#: one rank per block every pair crosses ranks; of the four rows with
+#: fewer procs than blocks, the 16- and 2-proc ones also put 4 resp. 8
+#: of their 12 pairs on one rank (no message, no message time)
+ORACLE_CONFIGS = [
+    ((17, 17, 17), 5, 4, 8, "none", None, 2, True),
+    ((13, 13, 13), 3, 9, 8, "none", None, 1, False),
+    ((17, 17, 17), 4, 2, 16, [2], None, 1, False),
+    ((17, 17, 17), 5, 4, 8, "none", 3, 2, True),
+    ((17, 17, 17), 4, 2, 16, [2], 5, 2, False),
+    ((25, 25, 25), 8, 9, 64, [8], None, 2, False),
+    ((25, 25, 25), 8, 9, 64, [8], 16, 2, True),
+    ((13, 13, 13), 3, 9, 8, "full", None, 1, False),
+    ((13, 13, 13), 3, 9, 8, "none", 2, 2, False),
+]
+
+
+class TestDriverLoopEqualsRankProgram:
+    """The production driver loop against the message-passing rank
+    program it replaced (``tests/reference_global_simplify.py``)."""
+
+    @pytest.mark.parametrize(
+        "dims,bumps,seed,blocks,radices,procs,sweeps,hierarchy",
+        ORACLE_CONFIGS,
+    )
+    def test_same_bytes_stats_and_hierarchies(
+        self, dims, bumps, seed, blocks, radices, procs, sweeps, hierarchy
+    ):
+        field = gaussian_bumps_field(dims, bumps, seed=seed)
+        cfg = PipelineConfig(
+            num_blocks=blocks,
+            num_procs=procs,
+            persistence_threshold=0.05,
+            merge_radices=radices,
+            options=ExecutionOptions(hierarchy=hierarchy),
+        )
+        got = ParallelMSComplexPipeline(cfg).run(field)
+        ref = ParallelMSComplexPipeline(cfg).run(field)
+        got_stats = global_persistence_simplification(got, 0.05, sweeps)
+        ref_stats = reference_global_simplification(ref, 0.05, sweeps)
+        assert got.output_blobs == ref.output_blobs
+        assert dataclasses.asdict(got_stats) == dataclasses.asdict(ref_stats)
+        if not hierarchy:
+            assert got.hierarchies is None and ref.hierarchies is None
+            return
+        assert set(got.hierarchies) == set(ref.hierarchies)
+        for bid, h in got.hierarchies.items():
+            ref_arrays = ref.hierarchies[bid].to_arrays()
+            arrays = h.to_arrays()
+            assert set(arrays) == set(ref_arrays)
+            for name, column in arrays.items():
+                np.testing.assert_array_equal(column, ref_arrays[name])

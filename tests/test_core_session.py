@@ -122,44 +122,18 @@ class TestSessionVolumeInput:
                 session.run(spec, volume=spec)
 
 
-class TestTransportResolution:
-    def test_shm_with_volume_input_is_a_readable_error(self, tmp_path):
-        spec = write_volume(
-            tmp_path / "v.raw", fields(1)[0], dtype="float64"
-        )
-        cfg = config(transport="shm")
-        with pytest.raises(ValueError, match="in-memory input"):
-            ParallelMSComplexPipeline(cfg).run(volume=spec)
-
-    def test_mmap_with_memory_input_is_a_readable_error(self):
-        cfg = config(transport="mmap")
-        with pytest.raises(ValueError, match="volume-file input"):
-            ParallelMSComplexPipeline(cfg).run(fields(1)[0])
-
-
 class TestMmapDriverBytes:
     """Satellite: the mmap driver path never stages the volume."""
 
     def test_driver_stages_no_volume_bytes(self, tmp_path):
         field = fields(1, dims=(12, 12, 12))[0]
         spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
-        cfg = config(transport="mmap")
-        result = ParallelMSComplexPipeline(cfg).run(volume=spec)
+        result = ParallelMSComplexPipeline(config()).run(volume=spec)
         t = result.stats.transport
         assert t.kind == "mmap"
         assert t.driver_staged_bytes == 0
         assert t.dispatch_bytes < spec.nbytes
         assert t.shared_volume_bytes == 0
-
-    def test_pickle_volume_run_stages_the_whole_volume(self, tmp_path):
-        field = fields(1)[0]
-        spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
-        cfg = config(transport="pickle")
-        result = ParallelMSComplexPipeline(cfg).run(volume=spec)
-        # pickle staging materializes the float64 grid in the driver
-        assert result.stats.transport.driver_staged_bytes == (
-            int(np.prod(spec.dims)) * 8
-        )
 
 
 class TestVertexBytes:
@@ -218,7 +192,7 @@ class TestSessionMetrics:
 @pytest.mark.slow
 class TestPooledSession:
     def test_shm_rebinds_and_bit_identity(self, tmp_path):
-        cfg = config(workers=2, transport="shm")
+        cfg = config(workers=2)
         series = fields(3)
         refs = [
             oneshot_bytes(config(), tmp_path, f, f"ref{i}")
@@ -236,7 +210,7 @@ class TestPooledSession:
         assert attached_segment_names() == ()
 
     def test_grown_volume_republishes_shrunk_rebinds(self):
-        cfg = config(workers=2, transport="shm")
+        cfg = config(workers=2)
         with PipelineSession(cfg) as session:
             session.run(np.random.default_rng(0).random((9, 9, 9)))
             session.run(np.random.default_rng(1).random((12, 12, 12)))
@@ -263,9 +237,7 @@ class TestSessionChaos:
             num_blocks=8,
             num_procs=8,
             persistence_threshold=PERS,
-            options=ExecutionOptions(
-                workers=2, transport="shm", retry_backoff=0.0
-            ),
+            options=ExecutionOptions(workers=2, retry_backoff=0.0),
             faults=FaultPlan.exit_on([2]),
         )
         with PipelineSession(cfg) as session:
@@ -289,9 +261,7 @@ class TestSessionChaos:
             num_blocks=8,
             num_procs=8,
             persistence_threshold=PERS,
-            options=ExecutionOptions(
-                workers=2, transport="shm", retry_backoff=0.0,
-            ),
+            options=ExecutionOptions(workers=2, retry_backoff=0.0),
             faults=FaultPlan.crash_on(
                 [2], attempts=tuple(range(8)), contexts=("pool",)
             ),
@@ -318,8 +288,7 @@ class TestCloseInvalidatesVolumeCaches:
 
         field = fields(1, dims=(8, 8, 8))[0]
         spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
-        cfg = config(transport="mmap")
-        with PipelineSession(cfg) as session:
+        with PipelineSession(config()) as session:
             session.run(spec)
             vol.content_hash(spec)
             assert vol._HASH_CACHE

@@ -336,6 +336,7 @@ class TestShmTransportChaos:
         assert attached_segment_names() == ()
         assert _shm_segments() == before
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["crash", "hang", "corrupt"])
     def test_injected_faults_converge_bit_identical(
         self, field, baseline, kind
@@ -346,12 +347,13 @@ class TestShmTransportChaos:
             "corrupt": FaultPlan.corrupt_on([3], seed=17),
         }
         before = _shm_segments()
-        res = run(field, plans[kind], transport="shm")
+        res = run(field, plans[kind], workers=2)
         assert_identical(res, baseline)
         assert res.stats.faults.counters()["retries"] == 1
         assert res.stats.transport.kind == "shm"
         self.assert_clean(before)
 
+    @pytest.mark.slow
     def test_retries_reread_from_segment(self, field, baseline):
         """A block that fails on every ghost attempt still re-reads its
         samples from the published segment, not a re-pickled copy."""
@@ -359,7 +361,7 @@ class TestShmTransportChaos:
         res = run(
             field,
             FaultPlan.crash_on([5], attempts=(0, 1)),
-            transport="shm",
+            workers=2,
         )
         assert_identical(res, baseline)
         assert res.stats.faults.counters()["retries"] == 2
@@ -372,8 +374,7 @@ class TestShmTransportChaos:
         """os._exit kills the pool; the segment outlives the restart
         (and the degradation to serial) and is unlinked at close."""
         before = _shm_segments()
-        res = run(field, FaultPlan.exit_on([2]), workers=2,
-                  transport="shm")
+        res = run(field, FaultPlan.exit_on([2]), workers=2)
         assert_identical(res, baseline)
         f = res.stats.faults
         assert f.pool_restarts >= 1
@@ -391,15 +392,16 @@ class TestShmTransportChaos:
             [6], attempts=tuple(range(8)), contexts=("pool",)
         )
         before = _shm_segments()
-        res = run(field, plan, workers=2, transport="shm")
+        res = run(field, plan, workers=2)
         assert_identical(res, baseline)
         assert res.stats.faults.degraded
         self.assert_clean(before)
 
+    @pytest.mark.slow
     def test_exhaustion_still_unlinks(self, field):
         """Even a failed run must not leak the published segment."""
         before = _shm_segments()
         plan = FaultPlan.crash_on([3], attempts=(0, 1, 2, 3, 4))
         with pytest.raises(ComputeStageError):
-            run(field, plan, transport="shm")
+            run(field, plan, workers=2)
         self.assert_clean(before)

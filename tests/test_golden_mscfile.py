@@ -82,7 +82,6 @@ def test_golden_bytes_with_observability_enabled_pooled(tmp_path):
     field = np.random.default_rng(42).random((9, 9, 9))
     result = repro.compute(field, persistence=0.1, ranks=8,
                            options=ExecutionOptions(workers=2,
-                                                    transport="shm",
                                                     retry_backoff=0.0),
                            trace=True, metrics=True)
     out = tmp_path / "traced_pooled.msc"
@@ -91,33 +90,19 @@ def test_golden_bytes_with_observability_enabled_pooled(tmp_path):
 
 
 def test_golden_bytes_mmap_volume_run(tmp_path):
-    """A volume-file input streamed block-wise over the ``mmap``
-    transport produces the same bytes as the in-memory golden run — and
-    the driver stages none of the volume."""
+    """A volume-file input, ``mmap``-read block-wise, produces the same
+    bytes as the in-memory golden run — and the driver stages none of
+    the volume."""
     from repro.io.volume import write_volume
 
     field = np.random.default_rng(42).random((9, 9, 9))
     spec = write_volume(tmp_path / "golden.raw", field, dtype="float64")
     result = repro.compute(spec, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(transport="mmap",
-                                                    retry_backoff=0.0))
+                           options=ExecutionOptions(retry_backoff=0.0))
     out = tmp_path / "mmap.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
     assert result.stats.transport.driver_staged_bytes == 0
-
-
-def test_golden_bytes_pickle_volume_run(tmp_path):
-    from repro.io.volume import write_volume
-
-    field = np.random.default_rng(42).random((9, 9, 9))
-    spec = write_volume(tmp_path / "golden.raw", field, dtype="float64")
-    result = repro.compute(spec, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(transport="pickle",
-                                                    retry_backoff=0.0))
-    out = tmp_path / "pickle_vol.msc"
-    result.write(str(out))
-    assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_golden_bytes_session_steps(tmp_path):
@@ -195,7 +180,7 @@ class TestGoldenHierarchy:
     def test_pooled_shm_run_matches_golden_bytes(self, tmp_path):
         """Hierarchy capture happens on the merged global complex, so
         the persisted hierarchy is identical however compute ran."""
-        result = golden_hier_result(workers=2, transport="shm")
+        result = golden_hier_result(workers=2)
         out = tmp_path / "pooled_hier.msc"
         result.write(str(out))
         assert out.read_bytes() == GOLDEN_HIER.read_bytes()

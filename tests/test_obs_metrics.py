@@ -152,7 +152,7 @@ class TestPipelineMetrics:
     @pytest.mark.slow
     def test_pooled_run_aggregates_across_workers(self):
         serial = self._result().stats.metrics
-        pooled = self._result(workers=2, transport="shm").stats.metrics
+        pooled = self._result(workers=2).stats.metrics
         # work counters are scheduling-independent
         for name in ("compute.blocks", "compute.cells",
                      "compute.cancellations"):

@@ -233,7 +233,7 @@ class TestChromeExport:
 @pytest.mark.slow
 class TestPooledTrace:
     def test_worker_lanes_cover_every_block(self):
-        result = _traced_result(workers=2, transport="shm")
+        result = _traced_result(workers=2)
         record = result.stats.trace
         driver_pid = [p for p, n in record.process_names.items()
                       if n == "driver"]
@@ -248,7 +248,7 @@ class TestPooledTrace:
             assert record.process_names[pid].startswith("worker")
 
     def test_shm_lifecycle_events_present(self):
-        result = _traced_result(workers=2, transport="shm")
+        result = _traced_result(workers=2)
         names = {e.name for e in result.stats.trace.events}
         assert "shm.publish" in names
         assert "shm.create" in names

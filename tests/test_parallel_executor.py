@@ -1,11 +1,11 @@
-"""Tests for the shared-memory compute-stage backends.
+"""Tests for the compute-stage executor.
 
 The hard requirement of the executor design: per-block results — and
-therefore the merged complex — must be *bit-identical* between serial
-and process-pool execution.  The boundary-restricted pairing makes every
-block independent, so the executor is a pure scheduling choice; these
-tests assert that end-to-end on payload bytes, nodes, arcs, geometry,
-and persistence pairs.
+therefore the merged complex — must be *bit-identical* between
+in-process and process-pool execution.  The boundary-restricted pairing
+makes every block independent, so the pool width is a pure scheduling
+choice; these tests assert that end-to-end on payload bytes, nodes,
+arcs, geometry, and persistence pairs.
 """
 
 import numpy as np
@@ -20,14 +20,14 @@ from repro.core.pipeline import (
 )
 from repro.data.synthetic import gaussian_bumps_field, sinusoidal_field
 from repro.io.volume import write_volume
+from repro.machine.replay import pool_makespan
 from repro.parallel.decomposition import decompose
 from repro.parallel.executor import (
-    BlockExecutor,
-    ProcessPoolBlockExecutor,
-    SerialExecutor,
-    make_executor,
+    ComputeStageError,
+    CorruptPayloadError,
+    FaultTolerantExecutor,
+    RetryPolicy,
 )
-from repro.parallel.runtime import pool_makespan
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ class TestPoolMakespan:
 
 
 # ---------------------------------------------------------------------------
-# executor construction and ordering
+# the one executor without faults: ordering, pool reuse, close
 # ---------------------------------------------------------------------------
 
 
@@ -74,43 +74,31 @@ def _square(x):
 
 
 class TestExecutors:
-    def test_make_executor_resolution(self):
-        assert isinstance(make_executor("serial", 4), SerialExecutor)
-        assert isinstance(make_executor("auto", 1), SerialExecutor)
-        assert isinstance(
-            make_executor("auto", 2), ProcessPoolBlockExecutor
-        )
-        assert isinstance(
-            make_executor("process", 1), ProcessPoolBlockExecutor
-        )
-        with pytest.raises(ValueError):
-            make_executor("threads", 2)
-        with pytest.raises(ValueError):
-            make_executor("auto", 0)
-
-    def test_protocol_conformance(self):
-        assert isinstance(SerialExecutor(), BlockExecutor)
-        assert isinstance(ProcessPoolBlockExecutor(2), BlockExecutor)
-
     def test_serial_order_preserved(self):
-        ex = SerialExecutor()
+        ex = FaultTolerantExecutor(workers=1)
         assert ex.map_blocks(_square, [3, 1, 2]) == [9, 1, 4]
+        assert ex._pool is None  # one worker never spawns a pool
         ex.close()
 
     @pytest.mark.slow
     def test_pool_order_preserved_and_reusable(self):
-        with ProcessPoolBlockExecutor(2) as ex:
+        with FaultTolerantExecutor(workers=2) as ex:
             assert ex.map_blocks(_square, list(range(7))) == [
                 n * n for n in range(7)
             ]
             # the pool is reusable across calls and tolerates empty input
             assert ex.map_blocks(_square, []) == []
             assert ex.map_blocks(_square, [5]) == [25]
+        assert not ex.stats.any_faults()
 
+    @pytest.mark.slow
     def test_close_is_idempotent(self):
-        ex = ProcessPoolBlockExecutor(2)
+        ex = FaultTolerantExecutor(workers=2)
+        ex.map_blocks(_square, [1, 2])
+        assert ex._pool is not None
         ex.close()
         ex.close()
+        assert ex._pool is None
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +159,11 @@ class TestComputeBlock:
 # ---------------------------------------------------------------------------
 
 
-def _run(field=None, volume=None, *, workers, executor="auto", blocks=8):
+def _run(field=None, volume=None, *, workers, blocks=8):
     cfg = PipelineConfig(
         num_blocks=blocks,
         persistence_threshold=0.05,
-        options=ExecutionOptions(workers=workers, executor=executor),
+        options=ExecutionOptions(workers=workers),
     )
     pipe = ParallelMSComplexPipeline(cfg)
     return pipe.run(field) if field is not None else pipe.run(volume=volume)
@@ -227,13 +215,6 @@ class TestSerialPoolIdentity:
         pooled = _run(volume=spec, workers=3)
         _identity_checks(serial, pooled)
 
-    def test_forced_pool_with_one_worker(self):
-        """executor='process' with workers=1 exercises the pool path."""
-        field = gaussian_bumps_field((13, 13, 13), 3, seed=9)
-        serial = _run(field, workers=1, executor="serial")
-        pooled = _run(field, workers=1, executor="process")
-        _identity_checks(serial, pooled)
-
     def test_partial_merge_and_fewer_procs(self):
         field = gaussian_bumps_field((15, 15, 15), 5, seed=23)
         cfg = dict(persistence_threshold=0.05, merge_radices=[2],
@@ -250,25 +231,26 @@ class TestSerialPoolIdentity:
 
 
 class TestVirtualClockWithWorkers:
+    @pytest.mark.slow
     def test_compute_time_charges_makespan_not_sum(self):
-        """More workers shrink the modeled compute time of a multi-block
-        rank down to its longest block."""
+        """A pooled run prices a multi-block rank's compute stage as the
+        ``workers``-wide makespan of its blocks, not their sum."""
         field = gaussian_bumps_field((17, 17, 17), 5, seed=4)
         times = {}
-        for w in (1, 2, 8):
+        for w in (1, 2):
             cfg = PipelineConfig(
                 num_blocks=8, num_procs=1, persistence_threshold=0.05,
-                # same schedule, same bits
-                options=ExecutionOptions(workers=w, executor="serial"),
+                options=ExecutionOptions(workers=w),
             )
             res = ParallelMSComplexPipeline(cfg).run(field)
             times[w] = res.stats.compute_time
+            # same schedule, same bits: the per-block prices agree
             per_block = [
                 b.virtual_seconds for b in res.stats.block_stats
             ]
         assert times[1] == pytest.approx(sum(per_block))
-        assert times[8] == pytest.approx(max(per_block))
-        assert times[8] < times[2] < times[1]
+        assert times[2] == pytest.approx(pool_makespan(per_block, 2))
+        assert max(per_block) <= times[2] < times[1]
 
     def test_compute_wall_recorded(self):
         field = gaussian_bumps_field((13, 13, 13), 3, seed=9)
@@ -287,12 +269,6 @@ class TestVirtualClockWithWorkers:
 from dataclasses import dataclass, field as dc_field
 
 from repro.core.stats import FaultToleranceStats
-from repro.parallel.executor import (
-    ComputeStageError,
-    CorruptPayloadError,
-    FaultTolerantExecutor,
-    RetryPolicy,
-)
 
 
 @dataclass
@@ -344,7 +320,7 @@ class TestFaultTolerantSerial:
     def _executor(self, **kw):
         kw.setdefault("policy", RetryPolicy(backoff=0.0))
         kw.setdefault("stats", FaultToleranceStats())
-        return FaultTolerantExecutor(kind="serial", **kw)
+        return FaultTolerantExecutor(workers=1, **kw)
 
     def test_no_faults_is_plain_map(self):
         fn = _Flaky(failures={})
@@ -400,9 +376,7 @@ class TestFaultTolerantSerial:
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            FaultTolerantExecutor(kind="threads")
-        with pytest.raises(ValueError):
-            FaultTolerantExecutor(kind="process", workers=0)
+            FaultTolerantExecutor(workers=0)
 
     def test_close_without_pool_is_noop(self):
         ex = self._executor()
@@ -425,7 +399,7 @@ class TestPoolBreaksDuringSubmit:
                 pass
 
         ex = FaultTolerantExecutor(
-            kind="process", workers=2,
+            workers=2,
             policy=RetryPolicy(backoff=0.0, max_pool_restarts=0),
             stats=FaultToleranceStats(),
         )

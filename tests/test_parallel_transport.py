@@ -1,10 +1,11 @@
-"""Zero-copy shared-memory block transport.
+"""Block transport: shared memory, and the selection the code derives.
 
-Covers the transport layer directly (publish / attach / unlink
-lifecycle, handle semantics) and through the pipeline: the ``shm``
-transport must be bit-identical to ``pickle`` on every executor, ship
-only handle-sized specs, and never leak a segment — the executor owns
-the unlink, including on error paths.
+Covers the shared-memory layer directly (publish / attach / unlink
+lifecycle, handle semantics) and through the pipeline: ``workers``
+picks the executor and the input picks the transport, all four
+resulting runs are bit-identical, a pooled run ships only handle-sized
+specs, and no run leaks a segment — the executor owns the unlink,
+including on error paths.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.merge import pack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.core.stats import TransportStats
 from repro.data.synthetic import gaussian_bumps_field
+from repro.io.volume import write_volume
 from repro.parallel.executor import FaultTolerantExecutor, RetryPolicy
 from repro.parallel.transport import (
     SPEC_HEADER_BYTES,
@@ -29,13 +31,23 @@ def field() -> np.ndarray:
     return gaussian_bumps_field((13, 13, 13), 3, seed=9)
 
 
-def run(field, **options):
+def run(source, **options):
+    """Run an ndarray or a ``VolumeSpec`` through the 8-block pipeline."""
     cfg = PipelineConfig(
         num_blocks=8,
         persistence_threshold=0.05,
         options=ExecutionOptions(retry_backoff=0.0, **options),
     )
-    return ParallelMSComplexPipeline(cfg).run(field)
+    pipe = ParallelMSComplexPipeline(cfg)
+    if isinstance(source, np.ndarray):
+        return pipe.run(source)
+    return pipe.run(volume=source)
+
+
+@pytest.fixture(scope="module")
+def pooled(field):
+    """One in-memory run on a 2-worker pool (so: shared memory)."""
+    return run(field, workers=2)
 
 
 def blobs(result):
@@ -84,9 +96,9 @@ class TestSharedVolume:
 
 class TestExecutorOwnership:
     def _executor(self):
+        # a pool is only spawned by map_blocks; these never dispatch
         return FaultTolerantExecutor(
-            kind="serial",
-            workers=1,
+            workers=2,
             policy=RetryPolicy(),
             transport=TransportStats(kind="shm"),
         )
@@ -116,102 +128,105 @@ class TestExecutorOwnership:
         ex.close()
 
 
-class TestPipelineTransport:
-    def test_serial_shm_bit_identical_to_pickle(self, field):
-        ref = blobs(run(field, transport="pickle"))
-        assert blobs(run(field, transport="shm")) == ref
-
+class TestDerivedSelection:
     @pytest.mark.slow
-    def test_pool_shm_bit_identical_to_pickle_and_serial(self, field):
-        ref = blobs(run(field, transport="pickle"))
-        pool_pickle = run(
-            field, transport="pickle", workers=2, executor="process"
-        )
-        pool_shm = run(
-            field, transport="shm", workers=2, executor="process"
-        )
-        assert blobs(pool_pickle) == ref
-        assert blobs(pool_shm) == ref
+    def test_four_runs_three_paths_one_output(self, field, tmp_path):
+        """Array or file × one worker or two: four runs over three
+        block-data paths, one output."""
+        spec = write_volume(tmp_path / "f.raw", field, dtype="float64")
+        before = attached_segment_names()
+        images = []
+        for source, workers, transport, executor in [
+            (field, 1, "pickle", "serial"),
+            (field, 2, "shm", "process"),
+            (spec, 1, "mmap", "serial"),
+            (spec, 2, "mmap", "process"),
+        ]:
+            res = run(source, workers=workers)
+            assert res.stats.transport.kind == transport
+            assert res.stats.executor == executor
+            assert res.stats.workers == workers
+            if source is spec:
+                assert res.stats.transport.driver_staged_bytes == 0
+            out = tmp_path / f"{transport}-{workers}.msc"
+            res.write(out)
+            images.append(out.read_bytes())
+        assert images[1:] == images[:1] * 3
+        assert attached_segment_names() == before
 
+
+class TestPipelineTransport:
     def test_auto_resolution(self):
         serial = ExecutionOptions()
         pooled = ExecutionOptions(workers=2)
+        assert serial.resolved_executor == "serial"
+        assert pooled.resolved_executor == "process"
         assert serial.resolve_transport("memory") == "pickle"
         assert pooled.resolve_transport("memory") == "shm"
-        forced = ExecutionOptions(transport="pickle", workers=2)
-        assert forced.resolve_transport("memory") == "pickle"
-
-    def test_bad_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ExecutionOptions(transport="carrier-pigeon")
-
-    def test_serial_transport_accounting(self, field):
-        """In-process dispatches ship nothing; the volume is still
-        published (and unlinked) when shm is forced on serial."""
-        res_pickle = run(field, transport="pickle")
-        res_shm = run(field, transport="shm")
-        tp, ts = res_pickle.stats.transport, res_shm.stats.transport
-        assert tp.kind == "pickle" and ts.kind == "shm"
-        assert tp.dispatches == ts.dispatches == 8
-        assert tp.dispatch_bytes == ts.dispatch_bytes == 0
-        assert tp.shared_volume_bytes == 0
-        assert ts.shared_volume_bytes == field.nbytes
+        assert serial.resolve_transport("volume") == "mmap"
+        assert pooled.resolve_transport("volume") == "mmap"
 
     @pytest.mark.slow
-    def test_pool_shm_ships_handles_not_subarrays(self, field):
-        kw = dict(workers=2, executor="process")
-        tp = run(field, transport="pickle", **kw).stats.transport
-        ts = run(field, transport="shm", **kw).stats.transport
-        assert tp.dispatches == ts.dispatches == 8
-        assert ts.shared_volume_bytes == field.nbytes
-        # pickle ships every block's samples; shm ships headers only
-        assert ts.dispatch_bytes == 8 * SPEC_HEADER_BYTES
-        assert tp.dispatch_bytes > ts.dispatch_bytes
+    def test_pool_shm_bit_identical_to_pickle_and_serial(
+        self, field, pooled
+    ):
+        assert pooled.stats.transport.kind == "shm"
+        assert blobs(pooled) == blobs(run(field))
 
+    def test_serial_transport_accounting(self, field):
+        """In-process dispatches ship nothing and publish nothing."""
+        tp = run(field).stats.transport
+        assert tp.kind == "pickle"
+        assert tp.dispatches == 8
+        assert tp.dispatch_bytes == 0
+        assert tp.shared_volume_bytes == 0
+        assert tp.driver_staged_bytes == field.nbytes
+
+    @pytest.mark.slow
+    def test_pool_shm_ships_handles_not_subarrays(self, field, pooled):
+        ts = pooled.stats.transport
+        assert ts.dispatches == 8
+        assert ts.shared_volume_bytes == field.nbytes
+        # headers only: no block's samples cross the pool's pipe
+        assert ts.dispatch_bytes == 8 * SPEC_HEADER_BYTES
+
+    @pytest.mark.slow
     def test_no_segment_leaks_across_runs(self, field):
         before = attached_segment_names()
-        run(field, transport="shm")
-        run(field, transport="shm")
+        run(field, workers=2)
+        run(field, workers=2)
         assert attached_segment_names() == before
 
-    def test_stats_describe_mentions_transport(self, field):
-        res = run(field, transport="shm")
-        text = res.stats.describe()
+    @pytest.mark.slow
+    def test_stats_describe_mentions_transport(self, pooled):
+        text = pooled.stats.describe()
         assert "transport: shm" in text
         assert "published once" in text
 
-    def test_per_block_stage_seconds_recorded(self, field):
-        res = run(field, transport="shm")
-        for b in res.stats.block_stats:
+    @pytest.mark.slow
+    def test_per_block_stage_seconds_recorded(self, pooled):
+        for b in pooled.stats.block_stats:
             assert set(b.stage_seconds) == {
                 "build", "gradient", "trace", "simplify", "pack"
             }
             assert all(v >= 0 for v in b.stage_seconds.values())
             assert b.transport_nbytes == SPEC_HEADER_BYTES
-        agg = res.stats.compute_stage_seconds()
+        agg = pooled.stats.compute_stage_seconds()
         assert agg["build"] > 0 and agg["trace"] > 0
 
 
 class TestApiAndCli:
-    def test_api_transport_keyword(self, field):
+    @pytest.mark.slow
+    def test_api_transport_keyword(self, field, pooled):
+        """The facade takes ``workers`` and derives the rest."""
         import repro
 
-        ref = blobs(run(field, transport="pickle"))
         res = repro.compute(
             field, persistence=0.05, ranks=8,
-            options=repro.ExecutionOptions(transport="shm"),
+            options=repro.ExecutionOptions(workers=2),
         )
         assert res.stats.transport.kind == "shm"
-        assert blobs(res) == ref
-
-    def test_cli_flag_parses(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["compute", "vol.raw", "--dims", "8", "8", "8",
-             "--transport", "shm"]
-        )
-        assert args.transport == "shm"
+        assert blobs(res) == blobs(pooled)
 
     def test_cli_flag_rejects_unknown(self):
         from repro.cli import build_parser

@@ -2,7 +2,7 @@
 
 :func:`repro.machine.replay.replay_run` prices recorded work counts as a
 pure function; ``tests/reference_rank_program.py`` executes the
-clock-only rank program under :class:`~repro.parallel.runtime.VirtualMPI`.
+clock-only rank program under ``tests/reference_virtual_mpi.py``.
 Over drawn block counts, ``num_procs <= blocks`` (ranks owning several
 blocks, same-rank members), radix schedules including partial merges and
 zero rounds, ``workers`` 1-4 and both machine models, the two must agree

@@ -59,11 +59,10 @@ class TestSpellingIndependence:
     def test_cli_flags_hash_like_the_options_object(self):
         args = build_parser().parse_args(
             ["compute", "vol.raw", "--dims", "16", "16", "16",
-             "--workers", "2", "--transport", "mmap",
-             "--max-retries", "1", "--hierarchy"]
+             "--workers", "2", "--max-retries", "1", "--hierarchy"]
         )
         from_lib = ExecutionOptions(
-            workers=2, transport="mmap", max_retries=1, hierarchy=True
+            workers=2, max_retries=1, hierarchy=True
         )
         assert _config_from_args(args).options.fingerprint() == \
             from_lib.fingerprint()
@@ -85,7 +84,8 @@ class TestResultFingerprintScope:
     def test_value_survives_the_upgrade(self):
         """The digest keys every cached artifact on disk: it must not
         move when scheduling knobs come or go (value from the release
-        before ``kernel_backend`` was removed)."""
+        before ``kernel_backend``, ``merge_executor``, ``executor`` and
+        ``transport`` were removed)."""
         cfg = PipelineConfig(
             num_blocks=8, persistence_threshold=0.05, max_radix=2
         )
@@ -98,8 +98,7 @@ class TestResultFingerprintScope:
         lean = _facade()
         wide = _facade(
             options=ExecutionOptions(
-                workers=4, executor="process", transport="mmap",
-                merge_spill_budget_bytes=0,
+                workers=4, merge_spill_budget_bytes=0,
                 block_timeout=5.0, max_retries=5, retry_backoff=0.2,
                 degrade_on_failure=False, max_pool_restarts=1,
             )
@@ -137,8 +136,6 @@ class TestResultFingerprintScope:
 #: purpose so hypothesis explores combinations, not invalid inputs
 _KNOBS = {
     "workers": st.integers(1, 4),
-    "executor": st.sampled_from(["auto", "serial", "process"]),
-    "transport": st.sampled_from(["auto", "pickle", "mmap"]),
     "block_timeout": st.sampled_from([None, 1.0, 30.0]),
     "max_retries": st.integers(0, 3),
     "retry_backoff": st.sampled_from([0.0, 0.05, 0.5]),

@@ -145,12 +145,14 @@ def test_error_mapping(service):
     assert status == 400 and "options" in err["error"]
     # out-of-range and removed knobs fail at the same place, at
     # admission — not later inside the job
-    for bad in ({"max_retries": -1}, {"kernel_backend": "dfs"}):
+    for bad in ({"max_retries": -1}, {"kernel_backend": "dfs"},
+                {"transport": "shm"}, {"executor": "process"}):
         status, err = _post(
             base, "/v1/submit", _submit_body(spec, options=bad)
         )
         assert status == 400
         assert err["error"].startswith("invalid options:")
+        assert next(iter(bad)) in err["error"]  # names the field
     key = "irrelevant"
     assert _get(base, f"/v1/query?key={key}")[0] == 400
     assert _get(

@@ -109,7 +109,7 @@ class TestCacheHitBitIdentity:
         # independent, so the bytes must still match)
         cfg = PipelineConfig(
             num_blocks=2, num_procs=2, persistence_threshold=0.05,
-            options=ExecutionOptions(hierarchy=True, transport="pickle"),
+            options=ExecutionOptions(hierarchy=True, max_retries=0),
         )
         golden = tmp_path / "golden.msc"
         ParallelMSComplexPipeline(cfg).run(volume=volume).write(golden)
@@ -128,11 +128,11 @@ class TestCacheHitBitIdentity:
     def test_cache_hits_across_scheduling_spellings(self, client, volume):
         cold = client.submit(
             volume, persistence=0.05, ranks=2, wait=True,
-            options=ExecutionOptions(transport="pickle"),
+            options=ExecutionOptions(max_retries=0),
         )
         respelled = client.submit(
             volume, persistence=0.05, ranks=2,
-            options=ExecutionOptions(transport="mmap", workers=1),
+            options=ExecutionOptions(merge_spill_budget_bytes=1 << 20),
         )
         assert respelled.source == "cache"
         assert respelled.key == cold.key

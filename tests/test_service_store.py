@@ -58,7 +58,7 @@ class TestCacheKey:
     def test_scheduling_knobs_do_not_change_the_key(self):
         lean = _config(options=ExecutionOptions(workers=1))
         wide = _config(
-            options=ExecutionOptions(workers=4, transport="mmap")
+            options=ExecutionOptions(workers=4, max_retries=0)
         )
         assert cache_key("a" * 64, lean) == cache_key("a" * 64, wide)
 
