@@ -7,11 +7,15 @@ minimum cut."
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.mesh.addressing import address_to_coords
 from repro.morse.msc import MorseSmaleComplex
+
+if TYPE_CHECKING:  # the four users below import it: `import repro`
+    import networkx as nx  # does not pay its 170 ms and 13 MiB
 
 __all__ = [
     "to_networkx",
@@ -60,6 +64,8 @@ def to_networkx(
     preserves arc multiplicity (two V-paths between the same node pair
     are a genuine cycle in the complex).
     """
+    import networkx as nx
+
     g = nx.MultiGraph()
     arcs = msc.alive_arcs() if arcs is None else arcs
     for aid in arcs:
@@ -83,6 +89,8 @@ def to_networkx(
 
 def cycle_count(g: nx.MultiGraph) -> int:
     """Number of independent cycles (cyclomatic number m - n + c)."""
+    import networkx as nx
+
     if g.number_of_nodes() == 0:
         return 0
     return (
@@ -96,6 +104,8 @@ def minimum_cut(g: nx.MultiGraph, source, target) -> int:
     """Minimum number of arcs separating two nodes of the skeleton."""
     if source not in g or target not in g:
         raise ValueError("source/target must be nodes of the graph")
+    import networkx as nx
+
     simple = nx.Graph()
     simple.add_nodes_from(g.nodes)
     for u, v, _k in g.edges(keys=True):
@@ -112,6 +122,8 @@ def filament_statistics(g: nx.MultiGraph) -> dict[str, float]:
     Returns total length, arc count, node count, connected components,
     cycle count, and mean arc length.
     """
+    import networkx as nx
+
     lengths = [d["length"] for _u, _v, d in g.edges(data=True)]
     total = float(np.sum(lengths)) if lengths else 0.0
     return {

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.analysis.query import QueryResult, load_hierarchy, query
-from repro.core.config import PipelineConfig
+from repro.core.config import _facade_config
 from repro.core.options import ExecutionOptions
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.core.result import PipelineResult
@@ -176,7 +176,6 @@ def open_service(
     max_jobs: int = 2,
     max_memory_entries: int = 64,
     default_timeout: float | None = None,
-    session_reuse: bool = True,
     trace: bool = False,
 ) -> ServiceClient:
     """Open a same-process MS-complex service over a result cache.
@@ -201,51 +200,5 @@ def open_service(
         max_jobs=max_jobs,
         max_memory_entries=max_memory_entries,
         default_timeout=default_timeout,
-        session_reuse=session_reuse,
         trace=trace,
-    )
-
-
-def _facade_config(
-    *,
-    persistence: float,
-    ranks: int,
-    merge_radix: int | Sequence[int] | str,
-    validate: bool,
-    options: ExecutionOptions | None,
-    faults: object | None,
-    trace: bool,
-    metrics: bool,
-) -> PipelineConfig:
-    """The facade's shared keyword-to-``PipelineConfig`` translation."""
-    if ranks < 1:
-        raise ValueError("ranks must be >= 1")
-    if isinstance(merge_radix, (int, np.integer)):
-        if merge_radix not in (2, 4, 8):
-            raise ValueError("merge_radix must be 2, 4, or 8")
-        radices: Sequence[int] | str = "full"
-        max_radix = int(merge_radix)
-    elif merge_radix == "none":
-        radices, max_radix = "none", 8
-    elif isinstance(merge_radix, str):
-        raise ValueError(
-            f"merge_radix must be an int, a radix sequence, or 'none'; "
-            f"got {merge_radix!r}"
-        )
-    else:
-        radices, max_radix = [int(r) for r in merge_radix], 8
-
-    return PipelineConfig(
-        num_blocks=ranks,
-        num_procs=ranks,
-        persistence_threshold=persistence,
-        merge_radices=radices if ranks > 1 else "none",
-        max_radix=max_radix,
-        validate=validate,
-        # ranks == workers == 1 is the serial path: single block, no
-        # pool, no merge rounds; anything else runs the full pipeline
-        options=options if options is not None else ExecutionOptions(),
-        faults=faults,
-        trace=trace,
-        metrics=metrics,
     )

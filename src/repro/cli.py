@@ -320,9 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SECONDS",
                     help="default per-job wall-time bound applied to "
                          "requests that carry none (default: unbounded)")
-    sv.add_argument("--no-session-reuse", action="store_true",
-                    help="run every job on a one-shot pipeline instead "
-                         "of persistent per-configuration sessions")
 
     s = sub.add_parser("synth", help="generate a synthetic volume")
     s.add_argument("kind", choices=("sinusoid", "bumps", "jet",
@@ -551,7 +548,6 @@ def _cmd_serve(args) -> int:
             max_jobs=args.max_jobs,
             max_memory_entries=args.mem_cache_entries,
             default_timeout=args.job_timeout,
-            session_reuse=not args.no_session_reuse,
         )
     except OSError as exc:
         return _fail(

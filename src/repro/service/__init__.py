@@ -8,10 +8,11 @@ many callers.  Three layers, each useful on its own:
   ``(volume content hash, config result fingerprint) → .msc artifact``
   with an on-disk layer, a bounded in-memory LRU, and one persistence
   provider behind every execution path;
-- :mod:`repro.service.scheduler` — the asyncio job scheduler: bounded
-  concurrency over persistent pipeline sessions, cache-hit admission,
-  in-flight coalescing (N identical concurrent submissions run the
-  pipeline once), cancellation, and per-job timeouts;
+- :mod:`repro.service.scheduler` — the job scheduler, a lock-guarded
+  job table over one thread pool: bounded concurrency over persistent
+  pipeline sessions, cache-hit admission, in-flight coalescing (N
+  identical concurrent submissions run the pipeline once),
+  cancellation, and per-job timeouts;
 - :mod:`repro.service.client` / :mod:`repro.service.server` — the thin
   front ends: a synchronous same-process :class:`ServiceClient` and the
   ``repro serve`` JSON-over-HTTP daemon, both delegating to the same

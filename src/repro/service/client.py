@@ -9,10 +9,9 @@ here, so a same-process caller and an HTTP caller of the same request
 produce identical job lifecycles and identical stored records (the
 INV-11 single-provider discipline).
 
-The asyncio scheduler needs an event loop; callers of this class are
-synchronous (tests, the CLI, HTTP handler threads), so the client owns
-a dedicated background thread running the loop and bridges with
-``run_coroutine_threadsafe``.
+Every caller is a plain thread (tests, the CLI, HTTP handler threads)
+and so is the scheduler: each endpoint is a direct, thread-safe call
+into :class:`~repro.service.scheduler.JobScheduler`.
 
 ::
 
@@ -27,7 +26,6 @@ a dedicated background thread running the loop and bridges with
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections import OrderedDict
@@ -67,9 +65,6 @@ class ServiceClient:
     default_timeout:
         Per-job wall-second bound applied when a request does not carry
         its own (``None``: unbounded).
-    session_reuse:
-        Reuse persistent :class:`~repro.core.session.PipelineSession`
-        pools across jobs of the same configuration (on by default).
     trace:
         Record service tracer spans (submit/job lifecycle) into an
         in-process tracer, exportable via :attr:`tracer`.
@@ -82,7 +77,6 @@ class ServiceClient:
         max_jobs: int = 2,
         max_memory_entries: int = 64,
         default_timeout: float | None = None,
-        session_reuse: bool = True,
         trace: bool = False,
     ) -> None:
         self.metrics = MetricsRegistry()
@@ -95,22 +89,13 @@ class ServiceClient:
         )
         self._hier_cache: OrderedDict[str, dict] = OrderedDict()
         self._hier_lock = threading.Lock()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-service-loop",
-            daemon=True,
-        )
-        self._thread.start()
         self.scheduler = JobScheduler(
             self.store,
             max_concurrency=max_jobs,
             default_timeout=default_timeout,
-            session_reuse=session_reuse,
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self._call(self.scheduler.start())
-        self._closed = False
 
     # -- endpoints ---------------------------------------------------------
 
@@ -149,7 +134,7 @@ class ServiceClient:
             timeout=timeout,
             faults=faults,
         )
-        job = self._call(self.scheduler.submit(request))
+        job = self.scheduler.submit(request)
         self._observe("submit", started)
         if wait and not job.done:
             job = self.wait(job.job_id, timeout=wait_timeout)
@@ -165,15 +150,9 @@ class ServiceClient:
 
     def wait(self, job_id: str,
              timeout: float = DEFAULT_WAIT_TIMEOUT) -> Job:
-        """Block until the job finishes; returns it in its final state."""
-        try:
-            return self._call(self.scheduler.wait(job_id, timeout))
-        except asyncio.TimeoutError:
-            # asyncio's TimeoutError is the builtin only from 3.11 on;
-            # normalize so callers catch one exception on every version
-            raise TimeoutError(
-                f"timed out waiting for {job_id} after {timeout:g}s"
-            ) from None
+        """Block until the job finishes; returns it in its final state
+        (:class:`TimeoutError` when ``timeout`` seconds pass first)."""
+        return self.scheduler.wait(job_id, timeout)
 
     def result(self, job_id: str, *,
                wait: bool = True,
@@ -199,7 +178,7 @@ class ServiceClient:
 
     def cancel(self, job_id: str) -> bool:
         """Withdraw a queued job (running jobs are never preempted)."""
-        return self._call(self.scheduler.cancel(job_id))
+        return self.scheduler.cancel(job_id)
 
     def query(
         self,
@@ -275,14 +254,9 @@ class ServiceClient:
         return spec
 
     def close(self) -> None:
-        """Shut the scheduler down and stop the background loop."""
-        if self._closed:
-            return
-        self._closed = True
-        self._call(self.scheduler.close())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
+        """Shut the scheduler down (idempotent): queued jobs fail,
+        running pipelines finish, sessions and their pools close."""
+        self.scheduler.close()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -291,10 +265,6 @@ class ServiceClient:
         self.close()
 
     # -- internals ---------------------------------------------------------
-
-    def _call(self, coro):
-        """Run one scheduler coroutine on the service loop, blocking."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def _observe(self, endpoint: str, started: float) -> None:
         self.metrics.histogram(

@@ -29,9 +29,10 @@ GET       ``/v1/stats``               cache hit rate, counters, latencies
      "hierarchy": true, "options": {"workers": 4}, "timeout": 120,
      "wait": false}
 
-The server is a :class:`ThreadingHTTPServer`: handler threads block on
-the scheduler bridge while the asyncio loop multiplexes the actual
-work, so slow computes never stall health checks or cache hits.
+The server is a :class:`ThreadingHTTPServer`: each connection's handler
+thread calls the thread-safe client directly and the computes run on
+the scheduler's pool, so a slow one never stalls health checks or
+cache hits.
 Per-route latency histograms land in the shared metrics registry as
 ``service.http.<route>.seconds``.
 """

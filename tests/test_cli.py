@@ -595,7 +595,7 @@ class TestServe:
         args = build_parser().parse_args([
             "serve", "--cache-dir", "/tmp/msc", "--port", "0",
             "--max-jobs", "3", "--mem-cache-entries", "8",
-            "--job-timeout", "30", "--no-session-reuse",
+            "--job-timeout", "30",
         ])
         assert args.command == "serve"
         assert args.cache_dir == "/tmp/msc"
@@ -603,7 +603,6 @@ class TestServe:
         assert args.max_jobs == 3
         assert args.mem_cache_entries == 8
         assert args.job_timeout == 30.0
-        assert args.no_session_reuse is True
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -612,7 +611,6 @@ class TestServe:
         assert args.port == 8643
         assert args.max_jobs == 2
         assert args.job_timeout is None
-        assert args.no_session_reuse is False
 
     def test_unwritable_cache_dir_fails_readably(self, capsys):
         rc = main([

@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import _facade_config
+from repro.core.config import _facade_config
 from repro.cli import _config_from_args, build_parser
 from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions, canonical_fingerprint
