@@ -34,7 +34,7 @@ Parallel execution — 8 virtual ranks merged radix-8, compute stage on a
     print(result.stats.describe())
 
 Multiscale queries — compute once with the ``hierarchy`` option, persist
-the cancellation hierarchy into the ``.msc`` v2 footer, then answer any
+the cancellation hierarchy into the ``.msc`` hierarchy footer, then answer any
 persistence threshold as a pure lookup (no re-simplification)::
 
     result = compute(field, options=ExecutionOptions(hierarchy=True))

@@ -12,7 +12,7 @@ count, and the minimum cut" of filament structures.
 - :mod:`repro.analysis.compare` — stability quantification (§V-A),
 - :mod:`repro.analysis.hierarchy` — multi-resolution level queries,
 - :mod:`repro.analysis.query` — re-simplification-free persistence
-  queries against hierarchies persisted in ``.msc`` v2 files,
+  queries against hierarchies persisted in ``.msc`` files,
 - :mod:`repro.analysis.segmentation` — ascending/descending manifold
   labeling (basin segmentation),
 - :mod:`repro.analysis.raster` — label volumes and ASCII projections of

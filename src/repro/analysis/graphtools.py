@@ -26,21 +26,13 @@ __all__ = [
 ]
 
 
-def arc_length(
-    msc: MorseSmaleComplex,
-    aid: int,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> float:
-    """Geometric length of an arc's embedded V-path.
-
-    Cell addresses along the path are decoded to refined coordinates
-    (which live on a half-cell lattice), so physical lengths use half the
-    vertex spacing per refined step.
-    """
-    addrs = msc.geometry_addresses(aid)
+def _path_length(addrs, gdims, spacing) -> float:
+    """Length of one V-path given its cell addresses: they decode to
+    refined coordinates (a half-cell lattice), so physical lengths use
+    half the vertex spacing per refined step."""
     if addrs.size < 2:
         return 0.0
-    gi, gj, gk = address_to_coords(addrs, msc.global_refined_dims)
+    gi, gj, gk = address_to_coords(addrs, gdims)
     pts = np.stack(
         [
             gi * 0.5 * spacing[0],
@@ -50,6 +42,17 @@ def arc_length(
         axis=1,
     )
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+
+
+def arc_length(
+    msc: MorseSmaleComplex,
+    aid: int,
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
+) -> float:
+    """Geometric length of an arc's embedded V-path."""
+    return _path_length(
+        msc.geometry_addresses(aid), msc.global_refined_dims, spacing
+    )
 
 
 def to_networkx(
@@ -68,7 +71,10 @@ def to_networkx(
 
     g = nx.MultiGraph()
     arcs = msc.alive_arcs() if arcs is None else arcs
-    for aid in arcs:
+    # one batched expansion: a per-arc walk of the geometry DAG is slow
+    data, lengths = msc.expand_arcs(arcs)
+    paths = np.split(data, np.cumsum(lengths)[:-1])
+    for aid, path in zip(arcs, paths):
         for nid in (msc.arc_upper[aid], msc.arc_lower[aid]):
             addr = msc.node_address[nid]
             if not g.has_node(addr):
@@ -81,7 +87,7 @@ def to_networkx(
             msc.node_address[msc.arc_upper[aid]],
             msc.node_address[msc.arc_lower[aid]],
             arc_id=aid,
-            length=arc_length(msc, aid, spacing),
+            length=_path_length(path, msc.global_refined_dims, spacing),
             persistence=msc.persistence(aid),
         )
     return g

@@ -19,7 +19,7 @@ complex with :meth:`MSComplexHierarchy.capture` (which sweeps a
 throwaway copy); the hierarchy copies everything it needs, so the source
 complex may be compacted or discarded afterward.  The flat-array
 round-trip (:meth:`~MSComplexHierarchy.to_arrays` /
-:meth:`~MSComplexHierarchy.from_arrays`) is what the ``.msc`` v2
+:meth:`~MSComplexHierarchy.from_arrays`) is what the ``.msc``
 hierarchy footer persists (see :mod:`repro.io.mscfile`).
 """
 
@@ -186,7 +186,7 @@ class MSComplexHierarchy:
     # -- persistence (flat-array round-trip) ------------------------------
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        """The hierarchy as flat numpy arrays (the ``.msc`` v2 layout).
+        """The hierarchy as flat numpy arrays (the ``.msc`` hierarchy-record layout).
 
         Nine parallel arrays: per-node ``node_address`` / ``node_index``
         / ``node_value`` / ``node_death``, per-arc ``arc_upper_address``

@@ -1,7 +1,7 @@
 """Persisted multiscale query engine (paper §III-C, Fig. 1 right side).
 
 One pipeline run with the ``hierarchy`` execution option persists the
-cancellation hierarchy of every output block into the ``.msc`` v2
+cancellation hierarchy of every output block into the ``.msc``
 footer; this module answers persistence queries against that file with
 **zero re-simplification**: :func:`load_hierarchy` materializes the
 hierarchies once, and :func:`query` locates a level per block in
@@ -91,7 +91,7 @@ class QueryResult:
 def load_hierarchy(
     source: str | Path | bytes,
 ) -> dict[int, MSComplexHierarchy]:
-    """Load the persisted cancellation hierarchies of a ``.msc`` v2 file.
+    """Load the persisted cancellation hierarchies of a ``.msc`` file.
 
     ``source`` is a file path or the complete ``.msc`` image as
     ``bytes`` — the form the service result cache holds hot entries in,
@@ -100,7 +100,7 @@ def load_hierarchy(
     per output block id.  Load once and pass the result to
     :func:`query` to answer many thresholds without re-reading the file.
     Raises a readable :class:`ValueError` when the file has no hierarchy
-    section (v1 files, or runs without the ``hierarchy`` option).
+    records (runs without the ``hierarchy`` option, v1 files).
     """
     return {
         bid: MSComplexHierarchy.from_arrays(arrays)
@@ -116,7 +116,7 @@ def query(
 ) -> QueryResult:
     """Answer one multiscale query against a persisted hierarchy.
 
-    ``source`` is a ``.msc`` v2 path, its file image as ``bytes``, or
+    ``source`` is a ``.msc`` path, its file image as ``bytes``, or
     the mapping returned by
     :func:`load_hierarchy` (pass the loaded mapping when sweeping many
     thresholds — the file is then touched exactly once).  Exactly one of

@@ -44,11 +44,9 @@ def rasterize(
     vdims = tuple((d + 1) // 2 for d in gdims)
     vol = np.zeros(vdims, dtype=np.uint8)
 
-    arcs = msc.alive_arcs() if arcs is None else arcs
-    for aid in arcs:
-        addrs = msc.geometry_addresses(aid)
-        gi, gj, gk = address_to_coords(addrs, gdims)
-        vol[gi // 2, gj // 2, gk // 2] = LABELS["arc"]
+    addrs, _ = msc.expand_arcs(msc.alive_arcs() if arcs is None else arcs)
+    gi, gj, gk = address_to_coords(addrs, gdims)
+    vol[gi // 2, gj // 2, gk // 2] = LABELS["arc"]
 
     if nodes:
         for nid in msc.alive_nodes():

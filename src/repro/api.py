@@ -184,7 +184,7 @@ def open_service(
     from the content-addressed store when the ``(volume content, result
     config)`` pair was ever computed before, identical concurrent
     submissions are coalesced into one pipeline run, and multiscale
-    queries are served from cached ``.msc`` v2 hierarchy footers with
+    queries are served from cached ``.msc`` hierarchy footers with
     zero re-simplification::
 
         with repro.open_service("./msc-cache", max_jobs=2) as svc:

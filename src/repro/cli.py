@@ -157,7 +157,7 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                         "executor when the worker pool is unhealthy")
     p.add_argument("--hierarchy", action="store_true",
                    help="capture the cancellation hierarchy of every "
-                        "output block and persist it in the .msc v2 "
+                        "output block and persist it in the .msc "
                         "footer, enabling `repro query` threshold "
                         "lookups with zero re-simplification")
     p.add_argument("--radices", nargs="*", type=int, default=None,
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser(
         "query",
         help="answer persistence thresholds from a persisted hierarchy "
-             "(.msc v2) without re-simplifying",
+             "(.msc file) without re-simplifying",
     )
     q.add_argument("mscfile")
     q.add_argument("--persistence", nargs="+", type=float, default=None,

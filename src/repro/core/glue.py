@@ -24,10 +24,11 @@ is bit-identical in both complexes — skipping it is exact.
 The address match runs as one sorted/searchsorted join of the member's
 living addresses against an :class:`AddressIndex` over the root, and
 surviving nodes/arcs are appended through the bulk ``add_nodes`` /
-``add_leaf_arcs_flat`` record APIs, the kept arcs' geometry as CSR ranges
-of the member's address buffer — the records produced are byte-identical
-to the historical per-node/per-arc loop (same id assignment order), only
-the Python-level iteration is gone.
+``add_arcs`` record APIs.  "Its corresponding geometry objects" are the
+member's whole geometry store, appended to the root's with an id offset
+(``append_geometry_store``): kept arcs point at the same objects, shared
+pieces stay shared, and what only skipped arcs referenced is dropped by
+the root's next ``compact()``.
 """
 
 from __future__ import annotations
@@ -238,16 +239,13 @@ def glue_into(
         skip = shared[uppers] & shared[lowers]
         keep = ~skip
         stats.arcs_skipped = int(np.count_nonzero(skip))
-        kept = aids[keep]
-        # the member's kept V-paths are ranges of its address buffer; only
-        # arcs inside the shared boundary are skipped, so they copy into
-        # the root's buffer as a few long slices
-        root.add_leaf_arcs_flat(
+        gids = np.asarray(other.arc_geom, dtype=np.int64)[aids[keep]]
+        root.add_arcs(
             node_map[uppers[keep]],
             node_map[lowers[keep]],
-            *other.arc_geometry_csr(kept),
+            (root.append_geometry_store(other) + gids).tolist(),
         )
-        stats.arcs_added = int(kept.size)
+        stats.arcs_added = int(gids.size)
 
     root.region_lo = tuple(
         min(a, b) for a, b in zip(root.region_lo, other.region_lo)

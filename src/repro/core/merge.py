@@ -3,8 +3,8 @@
 The three steps of the merge stage:
 
 1. *Preparing for communication* (§IV-F1): each member compacts its
-   simplified complex (dead hierarchy levels dropped, composite geometry
-   flattened) and serializes it; node addresses are already global.
+   simplified complex (dead records and unreachable geometry objects
+   dropped) and serializes it; node addresses are already global.
 2. *Communication* (§IV-F2): members send their complexes to the group
    root (the driver loop hands the bytes over; the cost replay prices
    them).
@@ -103,7 +103,7 @@ def perform_merge(
     glue_total = GlueStats()
     touched: set[int] | None = set() if incremental else None
     # one reallocation of the root's address buffer for the whole merge
-    root.reserve_geometry(sum(o.total_geometry_length() for o in incoming))
+    root.reserve_geometry(sum(o.stored_geometry_length() for o in incoming))
     for other in incoming:
         glue_total += glue_into(root, other, addr_index, touched=touched)
 

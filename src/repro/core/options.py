@@ -109,7 +109,7 @@ class ExecutionOptions:
         unhealthy.
     hierarchy:
         Capture the cancellation hierarchy of every output block after
-        the merge stage and persist it in the ``.msc`` v2 hierarchy
+        the merge stage and persist it in the ``.msc`` hierarchy
         footer on :meth:`~repro.core.result.PipelineResult.write`, so
         any persistence threshold can later be answered as a pure query
         (:func:`repro.api.query`) with zero re-simplification.  The

@@ -38,7 +38,7 @@ class PipelineResult:
     output_blobs: dict[int, bytes] | None = None
     #: cancellation hierarchy captured per output block when the
     #: ``hierarchy`` execution option is on (``None`` otherwise);
-    #: persisted by :meth:`write` into the ``.msc`` v2 hierarchy footer
+    #: persisted by :meth:`write` into the ``.msc`` hierarchy footer
     hierarchies: dict[int, "MSComplexHierarchy"] | None = None
 
     @property
@@ -78,7 +78,7 @@ class PipelineResult:
         complexes are packed exactly once per run.  When the run
         captured cancellation hierarchies (the ``hierarchy`` execution
         option), they are persisted alongside the blocks in the ``.msc``
-        v2 hierarchy footer; otherwise the file is plain v1.
+        hierarchy footer; otherwise the hierarchy index is written empty.
         """
         blobs = self.output_blobs
         if blobs is not None and set(blobs) == set(self.output_blocks):

@@ -1,35 +1,39 @@
 """Binary MS-complex block file with footer index (paper §IV-G).
 
-Version 1 layout::
-
-    [block 0 record][block 1 record]...[footer][footer_offset][magic]
-
-Each block record serializes one compacted MS complex payload (see
-:meth:`repro.morse.msc.MorseSmaleComplex.to_payload`) as a fixed header
-of section lengths followed by the raw array bytes.  The footer is an
-index of ``(block_id, offset, length)`` triples so that readers can seek
-to any block ("a footer that provides an index to the MS complexes
-contained in the file").  All integers are little-endian.
-
-Version 2 (magic ``MSC2``) adds an optional **hierarchy section**: after
-the block records come hierarchy records (one per block, the flat-array
-:meth:`repro.analysis.hierarchy.MSComplexHierarchy.to_arrays` encoding —
-birth/death intervals plus cancellation persistences), and the footer
-gains a second ``(block_id, offset, length)`` index for them::
+Version 3 layout (magic ``MSC3``, the only one written)::
 
     [block records][hierarchy records]
     [u64 #blocks][block index][u64 #hierarchies][hierarchy index]
-    [footer_offset][b"MSC2"]
+    [u32 footer_crc][u64 footer_offset][b"MSC3"]
 
-Files written without hierarchies keep the v1 layout bit-for-bit, and v1
-files remain fully readable; asking a v1 file for hierarchies raises a
-"no hierarchy recorded" error (see :func:`read_msc_hierarchies`).  The
-layout is documented in ``docs/FILEFORMAT.md``.
+Each block record serializes one compacted MS complex payload (see
+:meth:`repro.morse.msc.MorseSmaleComplex.to_payload`) as a fixed header
+of section lengths followed by the raw array bytes — the same bytes the
+merge rounds exchange (``pack_complex``), geometry held as a DAG: leaf
+cells, per-geometry ``geom_length`` / ``geom_children`` columns and the
+flat ``geom_child`` table.  Hierarchy records (one per block, optional)
+are the flat-array
+:meth:`repro.analysis.hierarchy.MSComplexHierarchy.to_arrays` encoding.
+The footer indexes both kinds with ``(block_id, offset, length, crc32)``
+rows so that readers can seek to any block ("a footer that provides an
+index to the MS complexes contained in the file") and detect a damaged
+record; ``footer_crc`` covers the two indexes.  All integers are
+little-endian.
+
+Files of the two earlier versions stay readable: v1 (``MSC1``: block
+index only) and v2 (``MSC2``: block + hierarchy index) have 24-byte index
+rows without checksums, no ``footer_crc``, and records that hold every
+arc's V-path flattened (``geom_data`` + CSR ``geom_offsets``) — decoded
+as the composite-free special case of the v3 payload.  Asking a file
+without hierarchy records for them raises a "no hierarchy recorded"
+error (see :func:`read_msc_hierarchies`).  The layout is documented in
+``docs/FILEFORMAT.md``.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +43,11 @@ from repro.obs.trace import get_tracer
 __all__ = ["write_msc_file", "read_msc_file", "read_msc_hierarchies",
            "serialize_payload", "deserialize_payload",
            "serialize_hierarchy", "deserialize_hierarchy",
-           "MAGIC", "MAGIC_V2"]
+           "MAGIC", "MAGIC_V2", "MAGIC_V3"]
 
-MAGIC = b"MSC1"
-MAGIC_V2 = b"MSC2"
+MAGIC = b"MSC1"  # read only
+MAGIC_V2 = b"MSC2"  # read only
+MAGIC_V3 = b"MSC3"
 
 # payload sections in fixed order: (key, dtype)
 _SECTIONS = (
@@ -57,8 +62,13 @@ _SECTIONS = (
     ("arc_lower", np.int64),
     ("arc_geom", np.int64),
     ("geom_data", np.int64),
-    ("geom_offsets", np.int64),
+    ("geom_length", np.int64),
+    ("geom_children", np.int64),
+    ("geom_child", np.int64),
 )
+
+# v1/v2 block records: one flattened leaf per arc, as CSR offsets
+_LEGACY_SECTIONS = _SECTIONS[:-3] + (("geom_offsets", np.int64),)
 
 # hierarchy record sections in fixed order: (key, dtype) — the flat
 # arrays of MSComplexHierarchy.to_arrays()
@@ -150,57 +160,63 @@ def write_msc_file(
 
     ``hierarchies`` optionally maps block ids to captured cancellation
     hierarchies in flat-array form
-    (:meth:`repro.analysis.hierarchy.MSComplexHierarchy.to_arrays`).
-    When given (and non-empty) the file is written in the v2 layout with
-    a hierarchy section; otherwise the bytes are exactly the v1 format.
+    (:meth:`repro.analysis.hierarchy.MSComplexHierarchy.to_arrays`);
+    without it the hierarchy index is written empty.
     """
-    index: list[tuple[int, int, int]] = []
-    hier_index: list[tuple[int, int, int]] = []
+    # generators: one serialized record is alive at a time
+    records = (
+        (
+            int(block_id),
+            bytes(payload)
+            if isinstance(payload, (bytes, bytearray, memoryview))
+            else serialize_payload(payload),
+        )
+        for block_id, payload in blocks
+    )
+    hier_records = (
+        (int(block_id), serialize_hierarchy(hierarchies[block_id]))
+        for block_id in sorted(hierarchies or ())
+    )
     with get_tracer().span(
         "io.write_msc", cat="io", path=str(path), blocks=len(blocks)
     ) as sp, open(path, "wb") as f:
-        for block_id, payload in blocks:
-            record = (
-                bytes(payload)
-                if isinstance(payload, (bytes, bytearray, memoryview))
-                else serialize_payload(payload)
-            )
-            index.append((int(block_id), f.tell(), len(record)))
-            f.write(record)
-        if hierarchies:
-            for block_id in sorted(hierarchies):
-                record = serialize_hierarchy(hierarchies[block_id])
-                hier_index.append((int(block_id), f.tell(), len(record)))
+        footer = b""
+        for group in (records, hier_records):
+            rows = []
+            for block_id, record in group:
+                rows.append(struct.pack(
+                    "<qQQI", block_id, f.tell(), len(record),
+                    zlib.crc32(record),
+                ))
                 f.write(record)
+            footer += struct.pack("<Q", len(rows)) + b"".join(rows)
         footer_offset = f.tell()
-        f.write(struct.pack("<Q", len(index)))
-        for block_id, off, ln in index:
-            f.write(struct.pack("<qQQ", block_id, off, ln))
-        if hierarchies:
-            f.write(struct.pack("<Q", len(hier_index)))
-            for block_id, off, ln in hier_index:
-                f.write(struct.pack("<qQQ", block_id, off, ln))
-        f.write(struct.pack("<Q", footer_offset))
-        f.write(MAGIC_V2 if hierarchies else MAGIC)
+        f.write(footer)
+        f.write(struct.pack("<IQ", zlib.crc32(footer), footer_offset))
+        f.write(MAGIC_V3)
         sp.annotate(bytes=f.tell())
         return f.tell()
 
 
 def _parse_footer(
     data: bytes, path: str | Path
-) -> tuple[int, list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+) -> tuple[int, list[tuple], list[tuple]]:
     """Validate and parse a file's footer.
 
-    Returns ``(version, block_index, hierarchy_index)``; raises a
-    readable :class:`ValueError` on a bad magic or a truncated/corrupt
-    footer.
+    Returns ``(version, block_index, hierarchy_index)``, the index rows
+    being ``(block_id, offset, length, crc32)`` with ``crc32 = None`` for
+    a v1/v2 file; raises a readable :class:`ValueError` on a bad magic or
+    a truncated/corrupt footer.
     """
-    if len(data) < 12 or data[-4:] not in (MAGIC, MAGIC_V2):
+    versions = {MAGIC: 1, MAGIC_V2: 2, MAGIC_V3: 3}
+    if len(data) < 12 or data[-4:] not in versions:
         raise ValueError(f"{path}: not an MSC file (bad magic)")
-    version = 2 if data[-4:] == MAGIC_V2 else 1
+    version = versions[data[-4:]]
+    row = struct.Struct("<qQQI" if version == 3 else "<qQQ")
+    tail = len(data) - (16 if version == 3 else 12)
     (footer_offset,) = struct.unpack_from("<Q", data, len(data) - 12)
     try:
-        if footer_offset > len(data) - 12:
+        if footer_offset > tail:
             raise ValueError("footer offset points past end of file")
 
         def read_index(pos: int) -> tuple[list, int]:
@@ -208,22 +224,26 @@ def _parse_footer(
             pos += 8
             entries = []
             for _ in range(count):
-                block_id, off, ln = struct.unpack_from("<qQQ", data, pos)
-                pos += 24
+                block_id, off, ln, *crc = row.unpack_from(data, pos)
+                pos += row.size
                 if off + ln > footer_offset:
                     raise ValueError(
                         f"record for block {block_id} extends past "
                         "the footer"
                     )
-                entries.append((block_id, off, ln))
+                entries.append((block_id, off, ln, crc[0] if crc else None))
             return entries, pos
 
         blocks, pos = read_index(footer_offset)
-        hiers: list[tuple[int, int, int]] = []
-        if version == 2:
+        hiers: list[tuple] = []
+        if version >= 2:
             hiers, pos = read_index(pos)
-        if pos > len(data) - 12:
+        if pos > tail:
             raise ValueError("footer index overruns the file")
+        if version == 3 and (pos != tail or zlib.crc32(
+            data[footer_offset:tail]
+        ) != struct.unpack_from("<I", data, tail)[0]):
+            raise ValueError("footer fails its CRC-32 check")
     except (struct.error, ValueError) as exc:
         raise ValueError(
             f"{path}: truncated or corrupt MSC footer ({exc})"
@@ -244,19 +264,44 @@ def _source_bytes(source: str | Path | bytes) -> tuple[bytes, str]:
     return Path(source).read_bytes(), str(source)
 
 
-def _read_records(data: bytes, index, sections) -> dict[int, dict]:
+def _read_records(data: bytes, path: str, index, sections) -> dict[int, dict]:
     """Owned, writable arrays of every indexed record: each record is
-    parsed in place through one memoryview and its sections copied once."""
+    checked against its index row's CRC-32 (v3), parsed in place through
+    one memoryview and its sections copied once."""
     image = memoryview(data)
-    return {
-        block_id: {
+    out = {}
+    for block_id, off, ln, crc in index:
+        record = image[off: off + ln]
+        if crc is not None and zlib.crc32(record) != crc:
+            raise ValueError(
+                f"{path}: record of block {block_id} fails its CRC-32 "
+                "check (corrupt file)"
+            )
+        out[block_id] = {
             key: view.copy()
-            for key, view in _deserialize_sections(
-                image[off: off + ln], sections
-            ).items()
+            for key, view in _deserialize_sections(record, sections).items()
         }
-        for block_id, off, ln in index
-    }
+    return out
+
+
+def _legacy_payload(block: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A v1/v2 block record as a v3 payload: one leaf per ``geom_offsets``
+    interval, no composites."""
+    offsets = block.pop("geom_offsets")
+    if (
+        offsets.size == 0
+        or offsets[0] != 0
+        or offsets[-1] != len(block["geom_data"])
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError(
+            "geom_offsets must start at 0, be non-decreasing and end at "
+            f"len(geom_data) = {len(block['geom_data'])}"
+        )
+    block["geom_length"] = np.diff(offsets)
+    block["geom_children"] = np.full(offsets.size - 1, -1, dtype=np.int64)
+    block["geom_child"] = np.empty(0, dtype=np.int64)
+    return block
 
 
 def read_msc_file(
@@ -264,31 +309,36 @@ def read_msc_file(
 ) -> dict[int, dict[str, np.ndarray]]:
     """Read all MS complex blocks of a file, keyed by block id.
 
-    ``source`` is a path or the whole file image as ``bytes``.  Reads
-    both v1 and v2 files (the hierarchy section of a v2 file is simply
-    skipped; see :func:`read_msc_hierarchies`).
+    ``source`` is a path or the whole file image as ``bytes``.  Reads v3
+    files and, as the composite-free special case of the same payload,
+    v1/v2 files; hierarchy records are skipped (see
+    :func:`read_msc_hierarchies`).  A record that fails its checksum
+    raises a :class:`ValueError` naming the file and the block.
     """
     data, path = _source_bytes(source)
-    _version, blocks, _hiers = _parse_footer(data, path)
-    return _read_records(data, blocks, _SECTIONS)
+    version, blocks, _hiers = _parse_footer(data, path)
+    if version == 3:
+        return _read_records(data, path, blocks, _SECTIONS)
+    legacy = _read_records(data, path, blocks, _LEGACY_SECTIONS)
+    return {bid: _legacy_payload(block) for bid, block in legacy.items()}
 
 
 def read_msc_hierarchies(
     source: str | Path | bytes,
 ) -> dict[int, dict[str, np.ndarray]]:
-    """Read the persisted cancellation hierarchies of a v2 file.
+    """Read the persisted cancellation hierarchies of a file.
 
     ``source`` is a path or the whole file image as ``bytes``.  Returns
     the flat arrays per block id (feed them to
     :meth:`repro.analysis.hierarchy.MSComplexHierarchy.from_arrays`).
-    Raises a readable :class:`ValueError` for v1 files and for v2 files
+    Raises a readable :class:`ValueError` for v1 files and for files
     whose hierarchy index is empty — both mean no hierarchy was recorded
     when the file was written (recompute with the ``hierarchy`` option
     enabled to get one).
     """
     data, path = _source_bytes(source)
     version, _blocks, hiers = _parse_footer(data, path)
-    if version == 1 or not hiers:
+    if not hiers:
         raise ValueError(
             f"{path}: no hierarchy recorded "
             f"({'v1 file' if version == 1 else 'empty hierarchy index'}); "
@@ -296,4 +346,4 @@ def read_msc_hierarchies(
             "(ExecutionOptions(hierarchy=True) or repro compute "
             "--hierarchy) to persist one"
         )
-    return _read_records(data, hiers, _HIERARCHY_SECTIONS)
+    return _read_records(data, path, hiers, _HIERARCHY_SECTIONS)

@@ -1,8 +1,8 @@
 """The 1-skeleton of a Morse-Smale complex (paper §IV-D).
 
 Nodes are critical cells, arcs are V-paths connecting critical cells
-differing in dimension by one, and every arc carries a *geometry object*
-— the list of (global) cell addresses of the cells along its V-path.
+differing in dimension by one, and every arc points at a *geometry object*
+— the (global) cell addresses of the cells along its V-path.
 Following the data structure of Gyulassy et al. [11], nodes, arcs and
 geometry objects are constant-sized records in flat arrays, optimized for
 efficient simplification:
@@ -13,30 +13,37 @@ efficient simplification:
   deleted arcs ... a new geometry object is created that references the
   geometry objects that were merged"),
 - :meth:`MorseSmaleComplex.compact` performs the paper's
-  pre-communication cleanup (§IV-F1): dead records are dropped, composite
-  geometries are flattened, and only the living (coarsest) level of the
-  hierarchy is retained.
+  pre-communication cleanup (§IV-F1): dead records and the geometry
+  objects no living arc reaches are dropped, and only the living
+  (coarsest) level of the hierarchy is retained.
 
 The geometry store
 ------------------
-Geometry is CSR in three tables owned by the complex: **one int64 address
-buffer** (amortised growth) holding every leaf V-path back to back in
-geometry-id order; **per-geometry columns** ``geom_start`` /
+Geometry is a DAG in three tables owned by the complex: **one int64
+address buffer** (amortised growth) holding every leaf V-path back to back
+in geometry-id order; **per-geometry columns** ``geom_start`` /
 ``geom_length`` / ``geom_children`` — a leaf (``geom_children == -1``) is
 cells ``[start, start + length)`` of the buffer, a *composite* created by
 a cancellation is rows ``[start, start + geom_children)`` of **the flat
-child table** ``geom_child``, one ``(geometry id, reversed)`` row per
-chained segment (its ``geom_length`` sums its children's, junction
-duplicates counted).
+child table** ``geom_child``, one int ``(geometry id << 1) | reversed``
+per chained segment, likewise back to back in geometry-id order (its
+``geom_length`` sums its children's, junction duplicates counted).  A
+child's id is always smaller than its parent's, so ascending id order is
+a topological order and the table cannot hold a cycle.
 
-Geometry moves as ``(data, lengths)``: the tracer's address gather is
-adopted as the buffer, ``compact`` flattens all living arcs with a
-batched vectorised gather into a fresh buffer that *is* the payload's
-``geom_data``, ``to_payload`` returns views of it and ``from_payload``
-adopts the views of a received record.  An adopted buffer has no spare
-capacity, so it is only ever grown by reallocation, never written in
-place.  Node and arc records stay Python lists: the cancellation loop
-reads them one scalar at a time, where a list beats an ``ndarray``.
+The DAG is what moves: ``compact`` keeps the sub-DAG reachable from
+living arcs (renumbered densely in ascending old-id order, which makes
+the result canonical), ``to_payload`` returns the leaf cells, the two
+columns and the child table — views, not copies — ``from_payload`` adopts
+the views of a received record, and ``glue_into`` appends a member's
+store with an id offset.  Arcs that share a geometry object keep sharing
+it.  An adopted buffer has no spare capacity, so it is only ever grown by
+reallocation, never written in place.  *Expansion* — the V-path of an arc
+as one address list — is the reader's view of the store:
+:meth:`~MorseSmaleComplex.geometry_addresses` for one arc,
+:meth:`~MorseSmaleComplex.expand_arcs` batched.  Node and arc records
+stay Python lists: the cancellation loop reads them one scalar at a time,
+where a list beats an ``ndarray``.
 
 Node identity across blocks is the cell's global address, which encodes
 its geometric location in the global refined grid; gluing two block
@@ -67,9 +74,10 @@ _NODE_COLUMNS = (
     ("node_ghost", np.bool_),
 )
 _ARC_COLUMNS = ("arc_upper", "arc_lower", "arc_geom")
+_GEOM_COLUMNS = ("geom_length", "geom_children", "geom_child")
 
-#: compact() flattens living arcs in batches of about this many cells, so
-#: the gather's index temporaries stay a few MiB however large the complex
+#: arcs are expanded in batches of about this many cells, so the gather's
+#: index temporaries stay a few MiB however large the complex
 _FLATTEN_BATCH_CELLS = 1 << 16
 
 
@@ -151,7 +159,7 @@ class MorseSmaleComplex:
         #: cached cell count (junction duplicates counted for composites)
         self.geom_length: list[int] = []
         self.geom_children: list[int] = []  # -1 marks a leaf
-        self.geom_child: list[tuple[int, bool]] = []
+        self.geom_child: list[int] = []  # (geometry id << 1) | reversed
 
         #: living-arc multiplicity per node pair, keyed (min id, max id).
         #: Maintained on arc insertion only: arcs die only when an endpoint
@@ -190,11 +198,12 @@ class MorseSmaleComplex:
         return self._append_leaves(arr, np.array([arr.size], dtype=np.int64))
 
     def new_composite_geometry(self, segments: list[tuple[int, bool]]) -> int:
-        """Register a composite geometry referencing child geometries."""
+        """Register a composite geometry chaining earlier geometries, one
+        ``(geometry id, reversed)`` pair per segment."""
         length = self.geom_length
         self.geom_start.append(len(self.geom_child))
         self.geom_children.append(len(segments))
-        self.geom_child.extend(segments)
+        self.geom_child.extend([(g << 1) | r for g, r in segments])
         length.append(sum([length[g] for g, _ in segments]))
         return len(length) - 1
 
@@ -208,39 +217,50 @@ class MorseSmaleComplex:
             grown[: self._geom_used] = self._geom_data[: self._geom_used]
             self._geom_data = grown
 
-    def _append_leaves(self, data, lengths, starts=None) -> int:
-        """Append leaf geometries ``data[starts[i]: starts[i] + lengths[i]]``;
-        returns the first new geometry id.
-
-        ``starts=None``: ``data`` is the leaves back to back (tight CSR),
-        and an empty store *adopts* it as its buffer.  Otherwise ranges
-        are copied in, each run of consecutive ranges as one slice.
-        """
-        data = np.ascontiguousarray(data, dtype=np.int64)
-        total = int(lengths.sum())
+    def _append_cells(self, cells: np.ndarray) -> int:
+        """Append ``cells`` to the address buffer (an empty store *adopts*
+        the array); returns the buffer position they start at."""
         used = self._geom_used
-        dst = used + np.cumsum(lengths) - lengths
-        tight = starts is None
-        if tight and data.size != total:
-            raise ValueError(
-                f"geometry data has {data.size} cells, lengths sum to {total}"
-            )
-        if tight and self._geom_data.size == 0:
+        if self._geom_data.size == 0:
             # adopted with no spare capacity: never written in place
-            self._geom_data = data
-        elif total:
-            self.reserve_geometry(total)
-            starts = dst - used if tight else starts
-            ends = starts + lengths
-            cuts = (np.flatnonzero(starts[1:] != ends[:-1]) + 1).tolist()
-            for lo, hi in zip([0] + cuts, cuts + [len(lengths)]):
-                s, e, d = int(starts[lo]), int(ends[hi - 1]), int(dst[lo])
-                self._geom_data[d: d + e - s] = data[s:e]
-        self._geom_used = used + total
+            self._geom_data = cells
+        elif cells.size:
+            self.reserve_geometry(cells.size)
+            self._geom_data[used: used + cells.size] = cells
+        self._geom_used = used + cells.size
+        return used
+
+    def _append_leaves(self, data, lengths) -> int:
+        """Append leaf geometries held back to back in ``data`` (tight
+        CSR); returns the first new geometry id."""
+        data = np.ascontiguousarray(data, dtype=np.int64)
+        if data.size != lengths.sum():
+            raise ValueError(
+                f"geometry data has {data.size} cells, "
+                f"lengths sum to {lengths.sum()}"
+            )
+        dst = self._append_cells(data) + np.cumsum(lengths) - lengths
         gid0 = len(self.geom_start)
         self.geom_start.extend(dst.tolist())
         self.geom_length.extend(lengths.tolist())
         self.geom_children.extend([-1] * len(lengths))
+        return gid0
+
+    def append_geometry_store(self, other: "MorseSmaleComplex") -> int:
+        """Append every geometry object of ``other``'s store — cells,
+        columns and child rows, sharing preserved; returns the offset
+        that maps ``other``'s geometry ids to their new ones."""
+        gid0, rows = len(self.geom_start), len(self.geom_child)
+        used = self._append_cells(other._geom_data[: other._geom_used])
+        children = np.asarray(other.geom_children, dtype=np.int64)
+        start = np.asarray(other.geom_start, dtype=np.int64)
+        self.geom_start.extend(
+            (start + np.where(children < 0, used, rows)).tolist()
+        )
+        self.geom_length.extend(other.geom_length)
+        self.geom_children.extend(other.geom_children)
+        child = np.asarray(other.geom_child, dtype=np.int64)
+        self.geom_child.extend((child + (gid0 << 1)).tolist())
         return gid0
 
     def add_arc(self, upper: int, lower: int, geom: int) -> int:
@@ -299,7 +319,7 @@ class MorseSmaleComplex:
         self.node_arcs.extend([] for _ in range(k))
         return first
 
-    def _append_arcs(self, uppers, lowers, geoms) -> None:
+    def add_arcs(self, uppers, lowers, geoms) -> None:
         """Bulk-append living arcs given int64 endpoint arrays.
 
         ``geoms`` holds each arc's geometry id.  Produces the records of
@@ -450,8 +470,8 @@ class MorseSmaleComplex:
             else:
                 # pushed in reverse so children pop in emission order
                 rows = self.geom_child[s: s + k]
-                for child, crev in rows if rev else rows[::-1]:
-                    stack.append((child, crev != rev))
+                for row in rows if rev else rows[::-1]:
+                    stack.append((row >> 1, bool(row & 1) != rev))
         if not parts:
             return np.empty(0, dtype=np.int64)
         out = [parts[0]]
@@ -462,9 +482,25 @@ class MorseSmaleComplex:
             out.append(seg)
         return np.concatenate(out)
 
-    def _all_leaves(self) -> bool:
-        """True when the store holds no composite geometry."""
-        return max(self.geom_children, default=-1) < 0
+    def _geometry_columns(self) -> list[np.ndarray]:
+        """``geom_start``, ``geom_length``, ``geom_children`` and
+        ``geom_child`` as int64 arrays (the batched routines' view)."""
+        return [
+            np.asarray(column, dtype=np.int64)
+            for column in (self.geom_start, self.geom_length,
+                           self.geom_children, self.geom_child)
+        ]
+
+    def expand_arcs(self, aids) -> tuple[np.ndarray, np.ndarray]:
+        """Expanded V-paths of arcs ``aids`` as tight CSR ``(data,
+        lengths)`` — :meth:`geometry_addresses` of each, back to back.
+
+        The batched reader-side view: one call costs a pass over the
+        store's columns plus the cells it emits, so use it wherever many
+        arcs are expanded.
+        """
+        aids = np.asarray(aids, dtype=np.int64)
+        return self._flatten(np.asarray(self.arc_geom, dtype=np.int64)[aids])
 
     def _flatten(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flatten geometries ``gids`` into a fresh buffer: tight CSR
@@ -479,10 +515,7 @@ class MorseSmaleComplex:
         """
         if gids.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        start = np.asarray(self.geom_start, dtype=np.int64)
-        length = np.asarray(self.geom_length, dtype=np.int64)
-        children = np.asarray(self.geom_children, dtype=np.int64)
-        child = np.array(self.geom_child, dtype=np.int64).reshape(-1, 2)
+        start, length, children, child = self._geometry_columns()
         src = self._geom_data
         bound = np.cumsum(length[gids])  # junction duplicates still counted
         out = np.empty(int(bound[-1]), dtype=np.int64)
@@ -510,8 +543,8 @@ class MorseSmaleComplex:
                     rev[up], k[up] - 1 - rank, rank
                 )
                 seg, rev, owner = seg[parent], rev[parent], owner[parent]
-                seg[comp] = child[row, 0]
-                rev[comp] ^= child[row, 1] != 0
+                seg[comp] = child[row] >> 1
+                rev[comp] ^= (child[row] & 1) != 0
             s, n = start[seg], length[seg]
             if n.size and n.min() < 2:
                 # the junction rule is order-dependent for 0/1-cell
@@ -543,8 +576,48 @@ class MorseSmaleComplex:
             lengths[lo:hi] = np.bincount(owner, weights=m, minlength=hi - lo)
         return out[:pos], lengths
 
+    def geometry_ends(self, aids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(first, last, empty)``: the first and last address of each of
+        arcs ``aids``' expanded V-paths, and which of them are empty —
+        from a per-geometry head/tail table, cost O(store) not O(expansion).
+
+        A composite starts where its first child starts — or ends, if that
+        child is reversed — so every ``(geometry, end)`` pair points at one
+        ``(child, end xor reversed)`` pair and pointer doubling resolves
+        all of them down to leaves.  Arcs that resolve to an empty leaf
+        (hand-built stores only) are walked one at a time.
+        """
+        start, length, children, child = self._geometry_columns()
+        comp = np.flatnonzero(children > 0)
+        hop = np.arange(2 * length.size)  # state 2 * gid + (1 for "last")
+        hop[2 * comp] = child[start[comp]]
+        hop[2 * comp + 1] = child[start[comp] + children[comp] - 1] ^ 1
+        while True:
+            twice = hop[hop]
+            if np.array_equal(twice, hop):
+                break
+            hop = twice
+        gids = np.asarray(self.arc_geom, dtype=np.int64)[
+            np.asarray(aids, dtype=np.int64)
+        ]
+        head, tail = hop[2 * gids], hop[2 * gids + 1]
+        empty = (length[head >> 1] == 0) | (length[tail >> 1] == 0)
+        ends = np.zeros((2, gids.size), dtype=np.int64)
+        ok = ~empty
+        for out, state in zip(ends, (head[ok], tail[ok])):
+            leaf = state >> 1
+            out[ok] = self._geom_data[
+                start[leaf] + (state & 1) * (length[leaf] - 1)
+            ]
+        for i in np.flatnonzero(empty).tolist():
+            flat = self._expand_geometry(int(gids[i]))
+            if flat.size:
+                empty[i], ends[0, i], ends[1, i] = False, flat[0], flat[-1]
+        return ends[0], ends[1], empty
+
     def total_geometry_length(self) -> int:
-        """Total stored V-path cell count over living arcs."""
+        """Total *expanded* V-path cell count over living arcs (junction
+        duplicates of composites counted)."""
         return sum(
             map(
                 self.geom_length.__getitem__,
@@ -552,12 +625,17 @@ class MorseSmaleComplex:
             )
         )
 
+    def stored_geometry_length(self) -> int:
+        """Leaf cells held in the address buffer (shared, not expanded)."""
+        return self._geom_used
+
     def nbytes(self) -> int:
-        """Serialized size estimate (paper §V-B: ``k*c + geometry``)."""
+        """Serialized size estimate (paper §V-B: ``k*c + geometry``), the
+        geometry term being what is stored: leaf cells plus child rows."""
         return (
             self.num_alive_nodes() * NODE_RECORD_BYTES
             + self.num_alive_arcs() * ARC_RECORD_BYTES
-            + self.total_geometry_length() * GEOM_ADDRESS_BYTES
+            + (self._geom_used + len(self.geom_child)) * GEOM_ADDRESS_BYTES
         )
 
     def summary(self) -> str:
@@ -567,7 +645,9 @@ class MorseSmaleComplex:
             f"MS complex: {self.num_alive_nodes()} nodes "
             f"(min={c0}, 1sad={c1}, 2sad={c2}, max={c3}), "
             f"{self.num_alive_arcs()} arcs, "
-            f"geometry={self.total_geometry_length()} cells, "
+            f"geometry={self._geom_used} cells stored + "
+            f"{len(self.geom_child)} child rows (expanding to <= "
+            f"{self.total_geometry_length()} cells), "
             f"~{self.nbytes()} bytes"
         )
 
@@ -585,77 +665,95 @@ class MorseSmaleComplex:
 
     def add_leaf_arcs_flat(
         self, uppers: np.ndarray, lowers: np.ndarray,
-        data: np.ndarray, lengths, starts: np.ndarray | None = None,
+        data: np.ndarray, lengths,
     ) -> None:
-        """Bulk-append leaf arcs whose V-paths are ranges of ``data``.
+        """Bulk-append leaf arcs whose V-paths are ``data`` as tight CSR.
 
         ``uppers`` / ``lowers`` are int64 endpoint node ids, one arc each
-        in arc order; arc ``i``'s V-path is ``data[starts[i]: starts[i] +
-        lengths[i]]`` — ``starts`` omitted, ``(data, lengths)`` is tight
-        CSR.  The cells are copied into the address buffer (an empty
-        store adopts a tight ``data``).  Records are those of sequential
-        ``new_leaf_geometry`` + ``add_arc`` calls.
+        in arc order; arc ``i``'s V-path is the ``lengths[i]`` cells after
+        those of arcs ``0..i-1``.  The cells are copied into the address
+        buffer (an empty store adopts ``data``).  Records are those of
+        sequential ``new_leaf_geometry`` + ``add_arc`` calls.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         if not uppers.size == lowers.size == lengths.size:
             raise ValueError("one upper id, lower id and length per arc")
-        gid0 = self._append_leaves(data, lengths, starts)
-        self._append_arcs(uppers, lowers, range(gid0, gid0 + lengths.size))
-
-    def arc_geometry_csr(self, aids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """V-paths of arcs ``aids`` as ``(data, lengths, starts)``.
-
-        The form :meth:`add_leaf_arcs_flat` consumes.  A store without
-        composites (any compacted complex) answers with its own buffer;
-        otherwise the arcs are flattened into a fresh one.
-        """
-        gids = np.asarray(self.arc_geom, dtype=np.int64)[aids]
-        if self._all_leaves():
-            return (
-                self._geom_data,
-                np.asarray(self.geom_length, dtype=np.int64)[gids],
-                np.asarray(self.geom_start, dtype=np.int64)[gids],
-            )
-        data, lengths = self._flatten(gids)
-        return data, lengths, np.cumsum(lengths) - lengths
+        gid0 = self._append_leaves(data, lengths)
+        self.add_arcs(uppers, lowers, range(gid0, gid0 + lengths.size))
 
     def compact(self) -> None:
-        """Drop dead records and flatten composite geometries (§IV-F1).
+        """Drop dead records and unreachable geometry objects (§IV-F1).
 
         This is the paper's "cleaning up the memory after computing the
-        simplified MS complex": only living elements survive, and each
-        living arc's geometry becomes its own run of one fresh address
-        buffer (arcs sharing a geometry each get a copy).  The
+        simplified MS complex": only living nodes and arcs survive, and of
+        the geometry DAG only what a living arc reaches — marked level by
+        level over the child table, then renumbered densely in ascending
+        old-id order (children stay below their parents; the result does
+        not depend on how the store was built up, so compacting an
+        unpacked compacted complex changes nothing).  Cost is
+        proportional to the store, not to the arcs' expansion.  The
         cancellation hierarchy is preserved for analysis queries.
         """
-        # Fast path: nothing was cancelled and every geometry is a leaf —
-        # the rebuild would reproduce the current records exactly
-        # (node_arcs and pair_multiplicity are kept in arc-id order).
-        if (
-            len(self.geom_start) == len(self.arc_geom)
-            and all(self.node_alive)
-            and all(self.arc_alive)
-            and self._all_leaves()
-        ):
-            return
-
-        alive = np.asarray(self.node_alive, dtype=bool)
-        keep, node_map = np.flatnonzero(alive), np.cumsum(alive) - 1
-        for key, dtype in _NODE_COLUMNS:
-            column = np.asarray(getattr(self, key), dtype=dtype)
-            setattr(self, key, column[keep].tolist())
-        self.node_alive = [True] * keep.size
-        self.node_arcs = [[] for _ in range(keep.size)]
-
+        start, length, children, child = self._geometry_columns()
         arc_keep = np.flatnonzero(self.arc_alive)
         upper, lower, gids = (
             np.asarray(getattr(self, key), dtype=np.int64)[arc_keep]
             for key in _ARC_COLUMNS
         )
-        data, lengths = self._flatten(gids)
+        keep = np.zeros(length.size, dtype=bool)
+        keep[gids] = True
+        frontier = np.flatnonzero(keep)
+        while frontier.size:
+            comp = frontier[children[frontier] > 0]
+            k = children[comp]
+            rows = np.repeat(start[comp] - (np.cumsum(k) - k), k)
+            seen = keep.copy()
+            keep[child[rows + np.arange(rows.size)] >> 1] = True
+            frontier = np.flatnonzero(keep ^ seen)
+        # Fast path: nothing is dead or unreachable — the rebuild would
+        # reproduce the current records exactly (node_arcs and
+        # pair_multiplicity are kept in arc-id order).
+        if keep.all() and arc_keep.size == len(self.arc_alive) and all(
+            self.node_alive
+        ):
+            return
+
+        alive = np.asarray(self.node_alive, dtype=bool)
+        node_keep, node_map = np.flatnonzero(alive), np.cumsum(alive) - 1
+        for key, dtype in _NODE_COLUMNS:
+            column = np.asarray(getattr(self, key), dtype=dtype)
+            setattr(self, key, column[node_keep].tolist())
+        self.node_alive = [True] * node_keep.size
+        self.node_arcs = [[] for _ in range(node_keep.size)]
+
+        # leaves and child rows lie back to back in geometry-id order, so
+        # one mask over the buffer / the table keeps the survivors' runs
+        leaf = children < 0
+        new_id = np.cumsum(keep) - 1
+        data = self._geom_data[: self._geom_used][
+            np.repeat(keep[leaf], length[leaf])
+        ]
+        child = child[np.repeat(keep[~leaf], children[~leaf])]
         self._clear_arcs()
-        upper, lower = node_map[upper], node_map[lower]
-        self.add_leaf_arcs_flat(upper, lower, data, lengths)
+        self._adopt_store(
+            data, length[keep], children[keep],
+            (new_id[child >> 1] << 1) | (child & 1),
+        )
+        self.add_arcs(node_map[upper], node_map[lower], new_id[gids].tolist())
+
+    def _adopt_store(self, data, length, children, child) -> None:
+        """Make four validated arrays the (empty) store's tables: leaf
+        cells and child rows back to back in geometry-id order."""
+        leaf = children < 0
+        cells, rows = np.where(leaf, length, 0), np.where(leaf, 0, children)
+        self._geom_data = np.ascontiguousarray(data, dtype=np.int64)
+        self._geom_used = self._geom_data.size
+        self.geom_start = np.where(
+            leaf, np.cumsum(cells) - cells, np.cumsum(rows) - rows
+        ).tolist()
+        self.geom_length = length.tolist()
+        self.geom_children = children.tolist()
+        self.geom_child = child.tolist()
 
     def update_boundary_flags(self, cut_planes, return_ids: bool = False):
         """Recompute node boundary flags from the remaining cut planes.
@@ -701,14 +799,14 @@ class MorseSmaleComplex:
     def to_payload(self) -> dict[str, np.ndarray]:
         """The living complex as flat numpy arrays.
 
-        Requires a compacted complex (call :meth:`compact` first): every
-        geometry must be a leaf so the payload is a fixed set of arrays.
-        ``geom_data`` is a view of the address buffer, not a copy.
+        Requires a compacted complex (call :meth:`compact` first): dead
+        records are not representable.  The geometry DAG travels as it is
+        stored — ``geom_data`` (leaf cells back to back, a view of the
+        address buffer, not a copy), ``geom_length``, ``geom_children``
+        (``-1`` marks a leaf) and the child table ``geom_child``.
         """
-        if not self._all_leaves():
+        if not (all(self.node_alive) and all(self.arc_alive)):
             raise ValueError("to_payload requires a compacted complex")
-        geom_offsets = np.zeros(len(self.geom_length) + 1, dtype=np.int64)
-        np.cumsum(self.geom_length, out=geom_offsets[1:])
         region = self.region_lo + self.region_hi
         payload = {
             "global_refined_dims": np.asarray(
@@ -718,10 +816,9 @@ class MorseSmaleComplex:
         }
         for key, dtype in _NODE_COLUMNS:
             payload[key] = np.asarray(getattr(self, key), dtype=dtype)
-        for key in _ARC_COLUMNS:
+        for key in _ARC_COLUMNS + _GEOM_COLUMNS:
             payload[key] = np.asarray(getattr(self, key), dtype=np.int64)
         payload["geom_data"] = self._geom_data[: self._geom_used]
-        payload["geom_offsets"] = geom_offsets
         return payload
 
     @classmethod
@@ -741,9 +838,11 @@ class MorseSmaleComplex:
             payload = {**payload, "node_ghost": np.zeros(n, dtype=bool)}
         nodes = {k: np.asarray(payload[k], dtype=t) for k, t in _NODE_COLUMNS}
         arcs = {k: np.asarray(payload[k], np.int64) for k in _ARC_COLUMNS}
-        offsets = np.asarray(payload["geom_offsets"], dtype=np.int64)
-        data = payload["geom_data"]
-        for columns in (nodes, arcs):
+        length, children, child = (
+            np.asarray(payload[k], np.int64) for k in _GEOM_COLUMNS
+        )
+        geoms = {"geom_length": length, "geom_children": children}
+        for columns in (nodes, arcs, geoms):
             first, *rest = columns
             for key in rest:
                 if columns[key].size != columns[first].size:
@@ -751,25 +850,46 @@ class MorseSmaleComplex:
                         f"{key} has {columns[key].size} entries, "
                         f"{first} has {columns[first].size}"
                     )
-        if (
-            offsets.size == 0
-            or offsets[0] != 0
-            or offsets[-1] != len(data)
-            or (np.diff(offsets) < 0).any()
-        ):
+        if length.size and length.min() < 0:
+            raise ValueError("geom_length must be >= 0")
+        if length.size and children.min() < -1:
+            raise ValueError("geom_children must be >= -1 (-1 marks a leaf)")
+        leaf = children < 0
+        if length[leaf].sum() != len(payload["geom_data"]):
             raise ValueError(
-                "geom_offsets must start at 0, be non-decreasing and end at "
-                f"len(geom_data) = {len(data)}"
+                f"geom_length: leaf lengths sum to {length[leaf].sum()}, "
+                f"geom_data has {len(payload['geom_data'])} cells"
             )
-        for key, limit in zip(_ARC_COLUMNS, (n, n, offsets.size - 1)):
+        counts = children[~leaf]
+        if counts.sum() != child.size:
+            raise ValueError(
+                f"geom_children: child counts sum to {counts.sum()}, "
+                f"geom_child has {child.size} rows"
+            )
+        # a child precedes its parent, so the table cannot hold a cycle
+        if (child < 0).any() or (
+            (child >> 1) >= np.repeat(np.flatnonzero(~leaf), counts)
+        ).any():
+            raise ValueError(
+                "geom_child: every child id must be >= 0 and below its "
+                "parent's id"
+            )
+        ends = np.cumsum(counts)
+        sums = np.concatenate([[0], np.cumsum(length[child >> 1])])
+        if (sums[ends] - sums[ends - counts] != length[~leaf]).any():
+            raise ValueError(
+                "geom_length: a composite's length must equal the sum of "
+                "its children's"
+            )
+        for key, limit in zip(_ARC_COLUMNS, (n, n, length.size)):
             col = arcs[key]
             if col.size and not 0 <= col.min() <= col.max() < limit:
                 raise ValueError(f"{key} out of range 0..{limit - 1}")
         msc.add_nodes(*(nodes[k].tolist() for k, _ in _NODE_COLUMNS))
-        msc._append_arcs(
+        msc.add_arcs(
             arcs["arc_upper"], arcs["arc_lower"], arcs["arc_geom"].tolist()
         )
-        msc._append_leaves(data, np.diff(offsets))
+        msc._adopt_store(payload["geom_data"], length, children, child)
         return msc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

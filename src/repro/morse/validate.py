@@ -86,8 +86,9 @@ def assert_ms_complex_valid(
 
     Checks index relations on arcs, endpoint liveness, adjacency
     consistency, address uniqueness among living nodes, and (optionally)
-    that each living leaf geometry starts/ends at its arc's node
-    addresses.
+    that each living arc's expanded geometry starts/ends at its node
+    addresses — read from the store's head/tail table
+    (:meth:`MorseSmaleComplex.geometry_ends`), not by expanding the arcs.
     """
     alive_nodes = set(msc.alive_nodes())
     seen_addr: dict[int, int] = {}
@@ -100,7 +101,10 @@ def assert_ms_complex_valid(
             )
         seen_addr[addr] = nid
 
-    for aid in msc.alive_arcs():
+    arcs = msc.alive_arcs()
+    if check_geometry:
+        first, last, empty = (c.tolist() for c in msc.geometry_ends(arcs))
+    for i, aid in enumerate(arcs):
         u, l = msc.arc_upper[aid], msc.arc_lower[aid]
         if u not in alive_nodes or l not in alive_nodes:
             raise AssertionError(f"arc {aid} has a dead endpoint")
@@ -108,14 +112,12 @@ def assert_ms_complex_valid(
             raise AssertionError(f"arc {aid} violates the index relation")
         if aid not in msc.node_arcs[u] or aid not in msc.node_arcs[l]:
             raise AssertionError(f"arc {aid} missing from endpoint adjacency")
-        if check_geometry:
-            geo = msc.geometry_addresses(aid)
-            if geo.size:
-                if geo[0] != msc.node_address[u]:
-                    raise AssertionError(
-                        f"arc {aid} geometry does not start at its upper node"
-                    )
-                if geo[-1] != msc.node_address[l]:
-                    raise AssertionError(
-                        f"arc {aid} geometry does not end at its lower node"
-                    )
+        if check_geometry and not empty[i]:
+            if first[i] != msc.node_address[u]:
+                raise AssertionError(
+                    f"arc {aid} geometry does not start at its upper node"
+                )
+            if last[i] != msc.node_address[l]:
+                raise AssertionError(
+                    f"arc {aid} geometry does not end at its lower node"
+                )

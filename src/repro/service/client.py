@@ -189,7 +189,7 @@ class ServiceClient:
     ) -> dict:
         """Answer a multiscale query from a cached artifact — no compute.
 
-        The artifact's persisted ``.msc`` v2 hierarchy footer answers
+        The artifact's persisted ``.msc`` hierarchy footer answers
         any persistence threshold or top-k request as a pure lookup;
         loaded hierarchies are memoized per key, so a threshold sweep
         parses the file image exactly once.  Requires the artifact to

@@ -1,15 +1,19 @@
 """Test oracle: the per-arc geometry objects the MS complex used to hold.
 
-Before the CSR geometry store, every arc's V-path was its own
+Before the geometry store, every arc's V-path was its own
 :class:`ArcGeometry` (a small ``ndarray`` leaf, or a composite listing
-child geometries), ``compact()`` walked the living arcs one at a time
-through ``_expand_geometry``, ``to_payload()`` re-concatenated the leaves
-and ``_serialize_sections`` copied every section three times.  That code
-is kept here **verbatim** (tests only) as the oracle for
-``tests/test_property_msc_geometry.py``: :class:`ReferenceComplex` is the
-production node/arc record keeping with this geometry representation
-swapped in, so the tracer, ``simplify_ms_complex`` and ``glue_into`` can
-drive both with the same operation sequence.
+child geometries), ``compact()`` *flattened*: it walked the living arcs
+one at a time through ``_expand_geometry`` and gave each its own expanded
+copy, ``to_payload()`` re-concatenated the leaves (``geom_data`` + CSR
+``geom_offsets``, the v1/v2 block record) and ``_serialize_sections``
+copied every section three times.  That code is kept here **verbatim**
+(tests only) as the oracle for ``tests/test_property_msc_geometry.py``:
+:class:`ReferenceComplex` is the production node/arc record keeping with
+this geometry representation swapped in, so the tracer,
+``simplify_ms_complex`` and ``glue_into`` can drive both with the same
+operation sequence.  Production now ships the geometry DAG itself, so the
+two are compared after expansion: the oracle's flattened record *is* the
+per-arc expanded address lists.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.io.mscfile import _SECTIONS
+from repro.io.mscfile import _LEGACY_SECTIONS, _deserialize_sections
 from repro.morse.msc import MorseSmaleComplex
 
-__all__ = ["ArcGeometry", "ReferenceComplex", "reference_pack"]
+__all__ = ["ArcGeometry", "ReferenceComplex", "reference_pack",
+           "reference_unpack"]
 
 
 @dataclass(slots=True)
@@ -55,28 +60,38 @@ class ReferenceComplex(MorseSmaleComplex):
         super()._clear_arcs()
         self.geoms: list[ArcGeometry] = []
 
-    def _append_leaves(self, data, lengths, starts=None) -> int:
+    def _append_leaves(self, data, lengths) -> int:
         """One leaf object per CSR range (what the tracer's per-arc
-        slicing and the glue's per-arc adoption used to produce)."""
+        slicing used to produce)."""
         data = np.asarray(data, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        if starts is None:
-            starts = np.cumsum(lengths) - lengths
+        starts = np.cumsum(lengths) - lengths
         gid0 = len(self.geoms)
-        for s, n in zip(np.asarray(starts).tolist(), lengths.tolist()):
+        for s, n in zip(starts.tolist(), lengths.tolist()):
             self.new_leaf_geometry(data[s: s + n].copy())
         return gid0
 
-    def _all_leaves(self) -> bool:
-        return all(g.is_leaf for g in self.geoms)
+    def append_geometry_store(self, other: "ReferenceComplex") -> int:
+        """The glue's hand-over: a received complex is compacted, so every
+        geometry is a flattened leaf, adopted one object per arc."""
+        gid0 = len(self.geoms)
+        for geo in other.geoms:
+            if geo.is_leaf:
+                self.geoms.append(geo)
+            else:
+                segments = [(g + gid0, rev) for g, rev in geo.segments]
+                self.geoms.append(ArcGeometry(
+                    segments=segments, length=geo.length
+                ))
+        return gid0
 
-    def arc_geometry_csr(self, aids):
+    def expand_arcs(self, aids):
         flats = [self.geometry_addresses(a) for a in np.asarray(aids).tolist()]
         lengths = np.array([f.size for f in flats], dtype=np.int64)
-        data = (
-            np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
+        return (
+            np.concatenate(flats) if flats else np.empty(0, dtype=np.int64),
+            lengths,
         )
-        return data, lengths, np.cumsum(lengths) - lengths
 
     # -- verbatim from repro/morse/msc.py at the parent commit -------------
 
@@ -255,6 +270,30 @@ class ReferenceComplex(MorseSmaleComplex):
         }
 
 
+    @classmethod
+    def from_payload(cls, payload) -> "ReferenceComplex":
+        """The oracle's own record (``geom_offsets``) back into leaves."""
+        dims = tuple(int(d) for d in payload["global_refined_dims"])
+        region = [int(c) for c in payload["region"]]
+        msc = cls(dims, tuple(region[:3]), tuple(region[3:]))
+        msc.add_nodes(
+            payload["node_address"].tolist(),
+            payload["node_index"].tolist(),
+            payload["node_value"].tolist(),
+            payload["node_boundary"].tolist(),
+            payload["node_ghost"].tolist(),
+        )
+        msc._append_leaves(
+            payload["geom_data"], np.diff(payload["geom_offsets"])
+        )
+        msc.add_arcs(
+            np.asarray(payload["arc_upper"], dtype=np.int64),
+            np.asarray(payload["arc_lower"], dtype=np.int64),
+            payload["arc_geom"].tolist(),
+        )
+        return msc
+
+
 # -- verbatim from repro/io/mscfile.py at the parent commit ----------------
 
 
@@ -271,4 +310,11 @@ def _serialize_sections(payload, sections) -> bytes:
 
 def reference_pack(msc: ReferenceComplex) -> bytes:
     """``pack_complex`` of the parent commit."""
-    return _serialize_sections(msc.to_payload(), _SECTIONS)
+    return _serialize_sections(msc.to_payload(), _LEGACY_SECTIONS)
+
+
+def reference_unpack(blob: bytes) -> ReferenceComplex:
+    """Inverse of :func:`reference_pack`."""
+    return ReferenceComplex.from_payload(
+        _deserialize_sections(blob, _LEGACY_SECTIONS)
+    )

@@ -56,9 +56,12 @@ class TestSerialEntryPoint:
             field, persistence_threshold=0.05, validate=True
         )
         assert_ms_complex_valid(msc)
-        # compacted: every geometry a concrete leaf, one per living arc
-        offsets = msc.to_payload()["geom_offsets"]  # raises on a composite
-        assert len(offsets) - 1 == msc.num_alive_arcs()
+        # compacted: no dead record, and compacting again changes nothing
+        payload = msc.to_payload()  # raises on a dead node or arc
+        assert len(payload["arc_geom"]) == msc.num_alive_arcs()
+        msc.compact()
+        for key, column in msc.to_payload().items():
+            assert column.tolist() == payload[key].tolist(), key
 
     def test_no_simplify(self, field):
         raw = compute_morse_smale_complex(field, simplify=False)

@@ -12,9 +12,17 @@ fix the regression, or regenerate the golden file::
         g.golden_result().write(str(g.GOLDEN))"
 
 and justify the format change in the commit.
+
+The goldens were re-recorded once, for ``.msc`` v3 (the geometry DAG
+instead of its expansion).  The files of the commit before stay in the
+tree as read-only fixtures — ``golden_bumps8_v2.msc`` (a v1 file: no
+hierarchy) and ``golden_bumps8_hier_v2.msc`` (v2) — and are the oracle
+for that bump: the v3 goldens must decode to the same nodes, the same
+arcs and the same expanded address list per arc.
 """
 
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +34,7 @@ from repro.analysis.query import load_hierarchy
 from repro.io.mscfile import (
     MAGIC,
     MAGIC_V2,
+    MAGIC_V3,
     read_msc_file,
     read_msc_hierarchies,
     write_msc_file,
@@ -34,6 +43,23 @@ from repro.morse.msc import MorseSmaleComplex
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bumps8.msc"
 GOLDEN_HIER = Path(__file__).parent / "data" / "golden_bumps8_hier.msc"
+LEGACY_V1 = Path(__file__).parent / "data" / "golden_bumps8_v2.msc"
+LEGACY_V2 = Path(__file__).parent / "data" / "golden_bumps8_hier_v2.msc"
+
+
+def decoded(path):
+    """What a reader sees in block 0: node columns, arc endpoints, and
+    every arc's expanded V-path as ``(data, lengths)``."""
+    block = read_msc_file(path)[0]
+    msc = MorseSmaleComplex.from_payload(block)
+    columns = {
+        key: block[key].tolist()
+        for key in block
+        if key.startswith("node_") or key in ("arc_upper", "arc_lower",
+                                              "global_refined_dims", "region")
+    }
+    data, lengths = msc.expand_arcs(range(len(block["arc_upper"])))
+    return {**columns, "data": data.tolist(), "lengths": lengths.tolist()}
 
 
 def golden_result():
@@ -46,7 +72,7 @@ def golden_result():
 
 def golden_hier_result(**extra):
     """Same run as :func:`golden_result` with the hierarchy captured —
-    the committed ``golden_bumps8_hier.msc`` (v2) regenerates as::
+    the committed ``golden_bumps8_hier.msc`` regenerates as::
 
         PYTHONPATH=src python -c "import tests.test_golden_mscfile as g; \
             g.golden_hier_result().write(str(g.GOLDEN_HIER))"
@@ -143,23 +169,52 @@ def test_write_read_write_is_identity(tmp_path):
 
 def test_golden_footer_index_is_consistent():
     data = GOLDEN.read_bytes()
-    assert data[-4:] == MAGIC
+    assert data[-4:] == MAGIC_V3
     (footer_offset,) = struct.unpack_from("<Q", data, len(data) - 12)
     (count,) = struct.unpack_from("<Q", data, footer_offset)
     assert count == 1
     pos = footer_offset + 8
     end = 0
     for _ in range(count):
-        block_id, off, ln = struct.unpack_from("<qQQ", data, pos)
-        pos += 24
+        block_id, off, ln, crc = struct.unpack_from("<qQQI", data, pos)
+        pos += 28
         assert block_id == 0
         assert off == end  # records are packed back to back
         end = off + ln
+        assert crc == zlib.crc32(data[off:end])
     assert end == footer_offset  # index spans exactly all records
+    (hierarchies,) = struct.unpack_from("<Q", data, pos)
+    assert hierarchies == 0  # the hierarchy index is there, and empty
+    (footer_crc,) = struct.unpack_from("<I", data, pos + 8)
+    assert footer_crc == zlib.crc32(data[footer_offset: pos + 8])
+    assert pos + 8 + 4 == len(data) - 12
+
+
+def test_v3_golden_decodes_to_the_v1_fixture():
+    """The format bump's oracle: same nodes, arcs, expanded addresses."""
+    assert LEGACY_V1.read_bytes()[-4:] == MAGIC
+    assert decoded(GOLDEN) == decoded(LEGACY_V1)
+    # ... held as a DAG: a fraction of the expanded cells is stored
+    block = read_msc_file(GOLDEN)[0]
+    assert (block["geom_children"] >= 0).any()
+    assert 4 * len(block["geom_data"]) < len(decoded(GOLDEN)["data"])
+    assert GOLDEN.stat().st_size < 0.6 * LEGACY_V1.stat().st_size
+
+
+def test_legacy_fixtures_rewrite_as_v3(tmp_path):
+    """A v1/v2 file read and written back is a valid v3 file of the same
+    decoded content (one flattened leaf per arc, no composites)."""
+    out = tmp_path / "rewritten.msc"
+    write_msc_file(out, sorted(read_msc_file(LEGACY_V2).items()),
+                   hierarchies=read_msc_hierarchies(LEGACY_V2))
+    assert out.read_bytes()[-4:] == MAGIC_V3
+    assert decoded(out) == decoded(LEGACY_V2) == decoded(GOLDEN_HIER)
+    for key, arr in read_msc_hierarchies(GOLDEN_HIER)[0].items():
+        np.testing.assert_array_equal(read_msc_hierarchies(out)[0][key], arr)
 
 
 class TestGoldenHierarchy:
-    """Pins for the v2 golden (same run with ``hierarchy=True``)."""
+    """Pins for the hierarchy golden (same run with ``hierarchy=True``)."""
 
     def test_pipeline_output_matches_golden_bytes(self, tmp_path):
         out = tmp_path / "regen_hier.msc"
@@ -186,20 +241,25 @@ class TestGoldenHierarchy:
         assert out.read_bytes() == GOLDEN_HIER.read_bytes()
 
     def test_v2_magic_and_block_region_extends_v1(self):
-        data = GOLDEN_HIER.read_bytes()
+        """The legacy fixtures: v2 appended the hierarchy after the v1
+        block-record region.  v3 keeps that property with one magic."""
+        data = LEGACY_V2.read_bytes()
         assert data[-4:] == MAGIC_V2
-        v1 = GOLDEN.read_bytes()
+        v1 = LEGACY_V1.read_bytes()
         (v1_footer,) = struct.unpack_from("<Q", v1, len(v1) - 12)
-        # v2 appends the hierarchy after the v1 block-record region:
-        # the stored complexes are byte-identical across the versions
         assert data[:v1_footer] == v1[:v1_footer]
+        plain, hier = GOLDEN.read_bytes(), GOLDEN_HIER.read_bytes()
+        assert plain[-4:] == hier[-4:] == MAGIC_V3
+        (footer,) = struct.unpack_from("<Q", plain, len(plain) - 12)
+        assert hier[:footer] == plain[:footer]
 
     def test_blocks_read_back_identical_to_v1_golden(self):
-        v1_blocks = read_msc_file(GOLDEN)
-        v2_blocks = read_msc_file(GOLDEN_HIER)
-        assert set(v2_blocks) == set(v1_blocks) == {0}
-        for key, arr in v1_blocks[0].items():
-            np.testing.assert_array_equal(v2_blocks[0][key], arr)
+        plain_blocks = read_msc_file(GOLDEN)
+        hier_blocks = read_msc_file(GOLDEN_HIER)
+        assert set(hier_blocks) == set(plain_blocks) == {0}
+        for key, arr in plain_blocks[0].items():
+            np.testing.assert_array_equal(hier_blocks[0][key], arr)
+        assert decoded(GOLDEN_HIER) == decoded(LEGACY_V2) == decoded(LEGACY_V1)
 
     def test_hierarchy_reads_back(self):
         arrays = read_msc_hierarchies(GOLDEN_HIER)
@@ -214,5 +274,14 @@ class TestGoldenHierarchy:
             np.testing.assert_array_equal(arrays[0][key], arr)
 
     def test_v1_golden_has_no_hierarchy(self):
-        with pytest.raises(ValueError, match="no hierarchy recorded"):
+        with pytest.raises(ValueError, match="no hierarchy recorded.*v1 file"):
+            read_msc_hierarchies(LEGACY_V1)
+        with pytest.raises(ValueError, match="no hierarchy recorded.*empty"):
             read_msc_hierarchies(GOLDEN)
+
+    def test_legacy_hierarchy_reads_back_identical(self):
+        new, old = (read_msc_hierarchies(p)[0]
+                    for p in (GOLDEN_HIER, LEGACY_V2))
+        assert set(new) == set(old)
+        for key, arr in old.items():
+            np.testing.assert_array_equal(new[key], arr)

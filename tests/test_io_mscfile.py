@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.io.mscfile import (
-    MAGIC,
-    MAGIC_V2,
+    MAGIC_V3,
     deserialize_hierarchy,
     deserialize_payload,
     read_msc_file,
@@ -100,7 +99,7 @@ class TestFileRoundtrip:
     def test_footer_magic(self, tmp_path, payload):
         path = tmp_path / "m.msc"
         write_msc_file(path, [(0, payload)])
-        assert path.read_bytes()[-4:] == MAGIC
+        assert path.read_bytes()[-4:] == MAGIC_V3
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.msc"
@@ -150,7 +149,7 @@ class TestHierarchyFooter:
             path, [(0, payload), (7, payload)], hierarchies=hier
         )
         assert path.stat().st_size == nbytes
-        assert path.read_bytes()[-4:] == MAGIC_V2
+        assert path.read_bytes()[-4:] == MAGIC_V3
         blocks = read_msc_file(path)
         assert set(blocks) == {0, 7}
         for key in payload:
@@ -173,16 +172,21 @@ class TestHierarchyFooter:
         )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_no_hierarchy_stays_v1(self, tmp_path, payload):
-        """Omitting hierarchies yields exact v1 bytes — old readers and
-        golden pins are unaffected by the format revision."""
-        v1, none_, empty = (tmp_path / n for n in ("a", "b", "c"))
-        write_msc_file(v1, [(0, payload)])
+    def test_no_hierarchy_writes_an_empty_index(self, tmp_path, payload):
+        """One footer layout: omitting hierarchies writes the hierarchy
+        index empty, whichever way they are omitted."""
+        plain, none_, empty = (tmp_path / n for n in ("a", "b", "c"))
+        write_msc_file(plain, [(0, payload)])
         write_msc_file(none_, [(0, payload)], hierarchies=None)
         write_msc_file(empty, [(0, payload)], hierarchies={})
-        assert v1.read_bytes()[-4:] == MAGIC
-        assert none_.read_bytes() == v1.read_bytes()
-        assert empty.read_bytes() == v1.read_bytes()
+        data = plain.read_bytes()
+        assert data[-4:] == MAGIC_V3
+        assert none_.read_bytes() == data
+        assert empty.read_bytes() == data
+        footer_offset = int.from_bytes(data[-12:-4], "little")
+        # [u64 1][28-byte row][u64 0][u32 footer crc]
+        assert len(data) - 12 - footer_offset == 8 + 28 + 8 + 4
+        assert data[footer_offset + 36: footer_offset + 44] == bytes(8)
 
     def test_v1_file_raises_readable_error(self, tmp_path, payload):
         path = tmp_path / "v1.msc"
@@ -226,6 +230,67 @@ class TestHierarchyFooter:
         footer_offset = int.from_bytes(v1.read_bytes()[-12:-4], "little")
         assert (v2.read_bytes()[:footer_offset]
                 == v1.read_bytes()[:footer_offset])
+
+
+class TestChecksums:
+    """Every v3 index row carries its record's CRC-32 and the footer its
+    own: one flipped bit anywhere fails readably, naming file and block."""
+
+    @pytest.fixture
+    def image(self, tmp_path, payload):
+        path = tmp_path / "crc.msc"
+        write_msc_file(path, [(0, payload), (7, payload)],
+                       hierarchies={7: _toy_hierarchy(seed=5)})
+        return path
+
+    @staticmethod
+    def _flipped(path, at, bit=3):
+        data = bytearray(path.read_bytes())
+        data[at] ^= 1 << bit
+        path.write_bytes(bytes(data))
+        return bytes(data)
+
+    def _index(self, path):
+        data = path.read_bytes()
+        footer = int.from_bytes(data[-12:-4], "little")
+        rows = [struct.unpack_from("<qQQI", data, footer + 8 + 28 * i)
+                for i in range(2)]
+        hier = struct.unpack_from("<qQQI", data, footer + 8 + 56 + 8)
+        return footer, rows, hier
+
+    def test_flipped_bit_in_a_block_record(self, image):
+        _footer, rows, _hier = self._index(image)
+        _bid, off, ln, _crc = rows[1]
+        data = self._flipped(image, off + ln // 2)
+        for source in (image, data):
+            with pytest.raises(ValueError, match="block 7.*CRC-32"):
+                read_msc_file(source)
+        with pytest.raises(ValueError, match="crc.msc"):
+            read_msc_file(image)
+        # the hierarchy records are intact, and checked on their own
+        assert set(read_msc_hierarchies(image)) == {7}
+
+    def test_flipped_bit_in_a_hierarchy_record(self, image):
+        _footer, _rows, (bid, off, ln, _crc) = self._index(image)
+        assert bid == 7
+        self._flipped(image, off + ln - 1, bit=0)
+        with pytest.raises(ValueError, match="crc.msc.*block 7.*CRC-32"):
+            read_msc_hierarchies(image)
+        assert set(read_msc_file(image)) == {0, 7}
+
+    def test_flipped_bit_anywhere_in_the_footer(self, image):
+        footer, _rows, _hier = self._index(image)
+        pristine = image.read_bytes()
+        for at in range(footer, len(pristine)):
+            data = bytearray(pristine)
+            data[at] ^= 1 << (at % 8)
+            for read in (read_msc_file, read_msc_hierarchies):
+                with pytest.raises(ValueError, match="<memory>"):
+                    read(bytes(data))
+
+    def test_intact_file_passes(self, image):
+        assert set(read_msc_file(image)) == {0, 7}
+        assert set(read_msc_hierarchies(image.read_bytes())) == {7}
 
 
 class TestBytesSources:

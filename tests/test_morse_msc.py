@@ -1,16 +1,35 @@
 """Tests for repro.morse.msc: the MS complex data structure."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from repro.morse.msc import MorseSmaleComplex
+from repro.io.mscfile import (
+    _legacy_payload,
+    deserialize_payload,
+    read_msc_file,
+    serialize_payload,
+    write_msc_file,
+)
+from repro.morse.msc import _GEOM_COLUMNS, MorseSmaleComplex
 
 
-def assert_all_leaves(msc):
-    """Every geometry is a concrete leaf, one per living arc."""
-    payload = msc.to_payload()  # raises while a composite remains
-    assert len(payload["geom_offsets"]) - 1 == msc.num_alive_arcs()
-    assert payload["geom_offsets"][-1] == msc.total_geometry_length()
+def assert_tight_store(msc):
+    """A compacted store: every geometry reachable from a living arc, leaf
+    cells and child rows back to back with nothing left over."""
+    payload = msc.to_payload()  # raises while a dead record remains
+    length, children = payload["geom_length"], payload["geom_children"]
+    leaf = children < 0
+    assert length[leaf].sum() == len(payload["geom_data"])
+    assert children[~leaf].sum() == len(payload["geom_child"])
+    rows = iter(payload["geom_child"].tolist())
+    kids = [[next(rows) >> 1 for _ in range(max(k, 0))] for k in children]
+    reached = set(payload["arc_geom"].tolist())
+    for gid in reversed(range(len(length))):  # parents before children
+        if gid in reached:
+            reached.update(kids[gid])
+    assert reached == set(range(len(length)))
 
 
 @pytest.fixture
@@ -116,22 +135,49 @@ class TestMutationAndCompact:
         tiny_msc.compact()
         assert tiny_msc.num_alive_nodes() == 3
         assert tiny_msc.num_alive_arcs() == 2
-        assert_all_leaves(tiny_msc)
+        assert_tight_store(tiny_msc)
+        assert tiny_msc.stored_geometry_length() == 6  # g2's cells dropped
 
-    def test_compact_flattens_composites(self, tiny_msc):
+    def test_compact_keeps_the_reachable_dag(self, tiny_msc):
+        """A composite survives compaction as a composite over the pieces
+        it shares with other arcs; its expansion is unchanged."""
         gid = tiny_msc.new_composite_geometry([(2, False), (1, False)])
+        tiny_msc.new_composite_geometry([(0, False), (gid, True)])  # unused
         tiny_msc.kill_arc(2)
-        new_aid = tiny_msc.add_arc(3, 1, gid)  # 2-saddle -> 1-saddle
-        tiny_msc.compact()
-        assert_all_leaves(tiny_msc)
-        assert tiny_msc.num_alive_arcs() == 3
-        # the composite arc expanded to its concrete path
-        flats = [
+        tiny_msc.add_arc(3, 1, gid)  # 2-saddle -> 1-saddle
+        before = [
             tiny_msc.geometry_addresses(a).tolist()
             for a in tiny_msc.alive_arcs()
         ]
-        assert [30, 25, 10, 15, 20] in flats
-        del new_aid
+        assert [30, 25, 10, 15, 20] in before
+        tiny_msc.compact()
+        assert_tight_store(tiny_msc)
+        assert tiny_msc.num_alive_arcs() == 3
+        # g1 is stored once though two arcs run along it; the unused
+        # composite is gone, the used one is still a composite
+        assert tiny_msc.geom_children == [-1, -1, -1, 2]
+        assert tiny_msc.stored_geometry_length() == 9
+        after = [
+            tiny_msc.geometry_addresses(a).tolist()
+            for a in tiny_msc.alive_arcs()
+        ]
+        assert after == before
+        data, lengths = tiny_msc.expand_arcs(tiny_msc.alive_arcs())
+        assert data.tolist() == sum(before, [])
+        assert lengths.tolist() == [len(path) for path in before]
+
+    def test_compact_is_idempotent_and_canonical(self, tiny_msc):
+        gid = tiny_msc.new_composite_geometry([(2, True), (1, False)])
+        tiny_msc.kill_arc(0)
+        tiny_msc.add_arc(3, 1, gid)
+        tiny_msc.compact()
+        once = {k: v.tolist() for k, v in tiny_msc.to_payload().items()}
+        tiny_msc.compact()
+        back = MorseSmaleComplex.from_payload(tiny_msc.to_payload())
+        back.compact()
+        for msc in (tiny_msc, back):
+            again = {k: v.tolist() for k, v in msc.to_payload().items()}
+            assert again == once
 
     def test_update_boundary_flags(self):
         msc = MorseSmaleComplex((9, 9, 9))
@@ -160,9 +206,27 @@ class TestPayloadRoundtrip:
             )
 
     def test_payload_requires_compacted(self, tiny_msc):
-        tiny_msc.new_composite_geometry([(0, False)])
-        with pytest.raises(ValueError):
+        """Dead records are what a payload cannot carry; a composite can."""
+        gid = tiny_msc.new_composite_geometry([(2, False), (0, False)])
+        tiny_msc.add_arc(3, 1, gid)
+        tiny_msc.to_payload()
+        tiny_msc.kill_arc(0)
+        with pytest.raises(ValueError, match="compacted"):
             tiny_msc.to_payload()
+
+    def test_sizes_stored_and_expanded(self, tiny_msc):
+        gid = tiny_msc.new_composite_geometry([(2, False), (1, False)])
+        tiny_msc.add_arc(3, 1, gid)
+        assert tiny_msc.stored_geometry_length() == 9
+        assert tiny_msc.total_geometry_length() == 9 + 6
+        # nbytes models what is stored: 9 cells + 2 child rows
+        bare = MorseSmaleComplex((9, 9, 9))
+        for i, index in enumerate([0, 1, 0, 2]):
+            bare.add_node(i, index, 0.0)
+        assert tiny_msc.nbytes() - bare.nbytes() == 4 * 16 + (9 + 2) * 8
+        assert "9 cells stored + 2 child rows (expanding to <= 15 cells)" in (
+            tiny_msc.summary()
+        )
 
     def test_empty_complex_roundtrip(self):
         msc = MorseSmaleComplex((5, 5, 5))
@@ -176,6 +240,13 @@ class TestPayloadRoundtrip:
 
 def _corrupt(payload, key, value):
     return {**payload, key: np.asarray(value, dtype=payload[key].dtype)}
+
+
+def _legacy(payload, offsets):
+    """The payload's leaves as a v1/v2 record, decoded the reader's way."""
+    record = {k: v for k, v in payload.items() if k not in _GEOM_COLUMNS}
+    record["geom_offsets"] = np.asarray(offsets, dtype=np.int64)
+    return _legacy_payload(record)
 
 
 #: one hostile payload per validation rule of ``from_payload``:
@@ -197,17 +268,59 @@ HOSTILE_PAYLOADS = {
         "arc_geom", lambda p: _corrupt(p, "arc_geom", [0, 1, 3])),
     "endpoint indices two apart": (
         "arc_upper", lambda p: _corrupt(p, "arc_upper", [1, 1, 0])),
+    # a v1/v2 block record holds one flattened leaf per CSR interval; the
+    # reader checks the offsets while decoding it into the payload
     "offsets not from zero": (
-        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [1, 3, 6, 9])),
+        "geom_offsets", lambda p: _legacy(p, [1, 3, 6, 9])),
     "offsets decreasing": (
-        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [0, 5, 3, 9])),
+        "geom_offsets", lambda p: _legacy(p, [0, 5, 3, 9])),
     "offsets empty": (
-        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [])),
+        "geom_offsets", lambda p: _legacy(p, [])),
     "offsets end short of the data": (
-        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [0, 3, 6, 8])),
+        "geom_offsets", lambda p: _legacy(p, [0, 3, 6, 8])),
     "offsets end past the data": (
-        "geom_offsets", lambda p: _corrupt(p, "geom_offsets", [0, 3, 6, 12])),
+        "geom_offsets", lambda p: _legacy(p, [0, 3, 6, 12])),
 }
+
+#: the same for the geometry DAG columns, corrupting ``dag_msc``'s payload:
+#: geom_length [3, 3, 3, 6], geom_children [-1, -1, -1, 2], geom_child
+#: [(2 << 1), (1 << 1)] over 9 leaf cells
+HOSTILE_GEOMETRY = {
+    "geometry column short": (
+        "geom_children", lambda p: _corrupt(p, "geom_children", [-1, -1, 2])),
+    "negative length": (
+        "geom_length", lambda p: _corrupt(p, "geom_length", [3, 3, -3, 6])),
+    "child count below -1": (
+        "geom_children",
+        lambda p: _corrupt(p, "geom_children", [-1, -2, -1, 2])),
+    "leaf lengths one short of the data": (
+        "geom_length", lambda p: _corrupt(p, "geom_length", [3, 3, 2, 6])),
+    "leaf lengths one past the data": (
+        "geom_length", lambda p: _corrupt(p, "geom_length", [3, 3, 4, 6])),
+    "child counts one past the rows": (
+        "geom_children",
+        lambda p: _corrupt(p, "geom_children", [-1, -1, -1, 3])),
+    "child counts one short of the rows": (
+        "geom_children",
+        lambda p: _corrupt(p, "geom_children", [-1, -1, -1, 1])),
+    "forward child id": (
+        "geom_child", lambda p: _corrupt(p, "geom_child", [5 << 1, 1 << 1])),
+    "self child id": (
+        "geom_child", lambda p: _corrupt(p, "geom_child", [2 << 1, 3 << 1])),
+    "negative child id": (
+        "geom_child", lambda p: _corrupt(p, "geom_child", [-2, 1 << 1])),
+    "composite length is not its children's": (
+        "geom_length", lambda p: _corrupt(p, "geom_length", [3, 3, 3, 5])),
+}
+
+
+@pytest.fixture
+def dag_msc(tiny_msc):
+    """``tiny_msc`` plus a fourth arc along the composite g2 -> g1."""
+    gid = tiny_msc.new_composite_geometry([(2, False), (1, False)])
+    tiny_msc.add_arc(3, 1, gid)
+    tiny_msc.compact()
+    return tiny_msc
 
 
 class TestHostilePayloads:
@@ -220,6 +333,34 @@ class TestHostilePayloads:
         tiny_msc.compact()
         with pytest.raises(ValueError, match=section):
             MorseSmaleComplex.from_payload(corrupt(tiny_msc.to_payload()))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_GEOMETRY))
+    def test_geometry_dag_rejected_naming_the_section(self, dag_msc, case):
+        section, corrupt = HOSTILE_GEOMETRY[case]
+        payload = dag_msc.to_payload()
+        assert payload["geom_child"].tolist() == [2 << 1, 1 << 1]
+        MorseSmaleComplex.from_payload(payload)  # intact: accepted
+        with pytest.raises(ValueError, match=section):
+            MorseSmaleComplex.from_payload(corrupt(payload))
+
+    def test_ragged_child_section_rejected(self, dag_msc):
+        """A ``geom_child`` section cut mid-row is an error naming it."""
+        blob = bytearray(serialize_payload(dag_msc.to_payload()))
+        at = 4 + 8 * 13  # geom_child is the 14th section length
+        (nbytes,) = struct.unpack_from("<Q", blob, at)
+        assert nbytes == 16
+        struct.pack_into("<Q", blob, at, nbytes - 3)
+        with pytest.raises(ValueError, match="geom_child.*not a multiple"):
+            deserialize_payload(bytes(blob))
+
+    def test_truncated_v3_file_rejected(self, tmp_path, dag_msc):
+        path = tmp_path / "t.msc"
+        write_msc_file(path, [(0, dag_msc.to_payload())])
+        data = path.read_bytes()
+        for cut in (data[:-1], data[: len(data) // 2] + data[-16:],
+                    data[:40] + data[48:]):
+            with pytest.raises(ValueError, match="not an MSC|truncated|CRC"):
+                read_msc_file(cut)
 
     def test_adopted_buffer_is_never_written_in_place(self, tiny_msc):
         """Appending to a complex built on (read-only) payload views
