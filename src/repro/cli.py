@@ -136,7 +136,7 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                         "blobs the driver holds until each block's "
                         "first merge (e.g. 64M, 2G, or plain bytes; 0 "
                         "spills everything).  Over budget, blobs spill "
-                        "LRU-first to a run-scoped temp dir; outputs are "
+                        "LRU-first to one unlinked scratch file; outputs are "
                         "bit-identical at any budget (default: unbounded, "
                         "no spool)")
     p.add_argument("--persistence", type=float, default=0.0,

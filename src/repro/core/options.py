@@ -119,8 +119,8 @@ class ExecutionOptions:
         holds between a block landing and that block's first merge (or
         the write stage).  ``None`` (default) keeps them in driver
         memory and creates no spool.  A bound spills
-        least-recently-used blobs to content-addressed files under a
-        run-scoped temp directory; ``0`` spills everything.  Pure
+        least-recently-used blobs to one unlinked scratch file in the
+        temp directory; ``0`` spills everything.  Pure
         scheduling: outputs are bit-identical at any budget (see
         ``docs/PERFORMANCE.md``, "Spill budget").
     """

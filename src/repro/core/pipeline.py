@@ -569,7 +569,7 @@ class ParallelMSComplexPipeline:
         # a spool exists exactly when a budget is set: it bounds the
         # packed compute blobs the driver holds between a block landing
         # and that block's first merge (or the write stage), spilling
-        # LRU-first to a run-scoped dir that lives as long as the run
+        # LRU-first to one unlinked scratch file that dies with the run
         spool: BlobSpool | None = None
         if cfg.options.merge_spill_budget_bytes is not None:
             spool = BlobSpool(

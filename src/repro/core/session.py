@@ -54,7 +54,6 @@ import numpy as np
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ParallelMSComplexPipeline, build_plan
 from repro.core.result import PipelineResult
-from repro.io.spool import maybe_sweep_stale_spool_dirs
 from repro.io.volume import VolumeSpec, invalidate_map_cache
 from repro.mesh.grid import StructuredGrid
 from repro.obs.trace import Tracer
@@ -138,10 +137,6 @@ class PipelineSession:
         self._plans: dict[tuple[int, int, int], Any] = {}
         self._compute_exec: FaultTolerantExecutor | None = None
         self._closed = False
-        # long-lived drivers are the natural place to reap spool dirs a
-        # crashed earlier driver left behind (dead owner pid + an age
-        # guard; once per process, cheap no-op afterwards)
-        maybe_sweep_stale_spool_dirs()
 
     # -- the public surface ------------------------------------------------
 

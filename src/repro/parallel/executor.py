@@ -263,7 +263,9 @@ class FaultTolerantExecutor:
         budget is set), so the payload list it gets back carries work
         counters only.  It only ever fires for validated successes
         (retried or re-dispatched attempts fire it once, on the attempt
-        that finally lands).
+        that finally lands).  An exception the hook raises is the
+        caller's — a full spill disk, say — and propagates at once
+        instead of being retried as a block failure.
         """
         specs = list(specs)
         results: list[Any] = [None] * len(specs)
@@ -428,12 +430,12 @@ class FaultTolerantExecutor:
                     self._charge_dispatch(spec, shipped=False)
                     payload = _invoke(fn, spec, attempt, self.plan, "serial")
                     self._validate(spec, payload)
-                    if on_result is not None:
-                        on_result(spec, payload)
-                    results[idx] = payload
                     break
                 except Exception as exc:
                     attempt = self._next_attempt(spec, attempt, exc, "serial")
+            if on_result is not None:
+                on_result(spec, payload)
+            results[idx] = payload
         return []
 
     # -- pooled path -------------------------------------------------------
@@ -501,9 +503,6 @@ class FaultTolerantExecutor:
             try:
                 payload = fut.result(timeout=self.policy.block_timeout)
                 self._validate(spec, payload)
-                if on_result is not None:
-                    on_result(spec, payload)
-                results[idx] = payload
             except FuturesTimeoutError:
                 fut.cancel()
                 self._suspect_workers += 1
@@ -533,4 +532,8 @@ class FaultTolerantExecutor:
                 next_round.append(
                     (idx, self._next_attempt(spec, attempt, exc, "pool"))
                 )
+            else:
+                if on_result is not None:
+                    on_result(spec, payload)
+                results[idx] = payload
         return next_round

@@ -26,6 +26,8 @@ into :class:`~repro.service.scheduler.JobScheduler`.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -209,8 +211,6 @@ class ServiceClient:
 
     def stats(self) -> dict:
         """Service counters and latency metrics as one JSON-able dict."""
-        from repro.io.spool import process_spool_totals
-
         started = time.perf_counter()
         snap = self.metrics.snapshot()
         hits = snap.get("service.cache.hits", {}).get("value", 0)
@@ -220,11 +220,6 @@ class ServiceClient:
             "cache_hit_rate": (hits / total) if total else 0.0,
             "store_memory_entries": self.store.memory_entries,
             "jobs_tracked": len(self.scheduler.jobs()),
-            # packed-blob memory pressure: blob-spool counters and
-            # the resident-blob gauge, process-wide across every job this
-            # daemon has run (spills stay 0 until a submission carries a
-            # merge_spill_budget_bytes that forces them)
-            "merge_spool": process_spool_totals(),
             "metrics": snap,
         }
         self._observe("stats", started)
@@ -240,7 +235,9 @@ class ServiceClient:
 
         The file is named by the field's content hash, so staging the
         same field twice writes once and submitting it is always a
-        cache-key match with its volume-file twin.
+        cache-key match with its volume-file twin.  It is published
+        atomically (temp name + ``os.replace``), and one of the wrong
+        size — a writer killed mid-write — counts as absent.
         """
         digest = content_hash(values)
         staging = self.cache_dir / "volumes"
@@ -249,8 +246,15 @@ class ServiceClient:
         spec = VolumeSpec(
             str(path), tuple(np.asarray(values).shape), "float64"
         )
-        if not path.exists():
-            write_volume(path, values, dtype="float64")
+        if not path.is_file() or path.stat().st_size != spec.nbytes:
+            fd, tmp = tempfile.mkstemp(dir=staging, prefix=path.name + ".")
+            os.close(fd)
+            try:
+                write_volume(tmp, values, dtype="float64")
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
         return spec
 
     def close(self) -> None:

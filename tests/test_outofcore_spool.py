@@ -1,23 +1,22 @@
 """Tests for the blob spool (repro.io.spool) and the spill-budgeted
-pipeline: budget enforcement, LRU spill order, crash-safe cleanup, and
-bit-identity of fully spilled runs against the golden file.
+pipeline: budget enforcement, LRU spill order, a full disk on spill,
+crash safety of the nameless scratch file, and bit-identity of fully
+spilled runs against the golden file.
 """
 
+import errno
 import os
-import time
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 from repro import ExecutionOptions
-from repro.io import spool as spoolmod
-from repro.io.spool import (
-    SPOOL_PREFIX,
-    BlobSpool,
-    process_spool_totals,
-    sweep_stale_spool_dirs,
-)
+from repro.io.spool import BlobSpool
 
 from tests.test_golden_mscfile import GOLDEN
 
@@ -26,8 +25,7 @@ class TestBlobHelpers:
     def test_truncated_spill_detected(self, tmp_path):
         with BlobSpool(budget_bytes=0, base_dir=tmp_path) as sp:
             sp.put("k", b"eight by")
-            (spill,) = sp.spool_dir.glob("*.blob")
-            spill.write_bytes(b"half")
+            os.ftruncate(sp._file.fileno(), 4)
             with pytest.raises(OSError, match="truncated"):
                 sp.get("k")
 
@@ -39,7 +37,7 @@ class TestUnboundedSpool:
             sp.put(("b", 0), blob)
             assert sp.get(("b", 0)) is blob
             assert sp.stats.spills == 0
-            assert sp.spool_dir is None
+            assert sp._file is None  # no budget, no scratch file
             assert list(tmp_path.iterdir()) == []
 
     def test_missing_key_raises(self):
@@ -80,16 +78,6 @@ class TestBudgetEnforcement:
             assert sp.get("k") == b"data"
             assert sp.stats.read_backs == 1
 
-    def test_content_addressed_dedup(self, tmp_path):
-        with BlobSpool(budget_bytes=0, base_dir=tmp_path) as sp:
-            sp.put("x", b"same-bytes")
-            sp.put("y", b"same-bytes")
-            assert sp.stats.spills == 2
-            assert sp.stats.dedup_hits == 1
-            files = list(sp.spool_dir.glob("*.blob"))
-            assert len(files) == 1  # one file serves both keys
-            assert sp.get("x") == sp.get("y") == b"same-bytes"
-
     def test_rejects_non_bytes(self):
         with BlobSpool() as sp:
             with pytest.raises(TypeError):
@@ -99,71 +87,110 @@ class TestBudgetEnforcement:
         with pytest.raises(ValueError):
             BlobSpool(budget_bytes=-1)
 
-    def test_close_removes_spool_dir(self, tmp_path):
+    def test_nothing_visible_in_base_dir_while_spilled(self, tmp_path):
         sp = BlobSpool(budget_bytes=0, base_dir=tmp_path)
-        sp.put("k", b"spilled")
-        spool_dir = sp.spool_dir
-        assert spool_dir is not None and spool_dir.exists()
-        assert spool_dir.name.startswith(f"{SPOOL_PREFIX}{os.getpid()}-")
+        for i in range(5):
+            sp.put(i, bytes([i]) * 1000)
+        assert sp.stats.spills == 5 and sp.stats.bytes_spilled == 5000
+        assert list(tmp_path.iterdir()) == []  # the scratch file is nameless
+        assert sp.get(3) == bytes([3]) * 1000
         sp.close()
-        assert not spool_dir.exists()
+        assert list(tmp_path.iterdir()) == []
         sp.close()  # idempotent
         with pytest.raises(RuntimeError):
             sp.put("k", b"after close")
 
-    def test_process_totals_track_spills(self, tmp_path):
-        before = process_spool_totals()
-        with BlobSpool(budget_bytes=0, base_dir=tmp_path) as sp:
-            sp.put("k", b"counted")
-            sp.get("k")
-        after = process_spool_totals()
-        assert after["spills"] == before["spills"] + 1
-        assert after["read_backs"] == before["read_backs"] + 1
-        assert after["resident_bytes"] == before["resident_bytes"]
+
+def _full_disk(monkeypatch, written=None):
+    """Make every ``os.pwrite`` fail with ENOSPC, or write ``written``
+    bytes short."""
+
+    def pwrite(fd, data, offset):
+        if written is None:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return written
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
 
 
-class TestStaleSweep:
-    def _make_spool_dir(self, base, pid, age_seconds):
-        d = base / f"{SPOOL_PREFIX}{pid}-deadbeef"
-        d.mkdir()
-        (d / "x.blob").write_bytes(b"orphan")
-        old = time.time() - age_seconds
-        os.utime(d, (old, old))
-        return d
+class TestFullDisk:
+    """One behaviour for a failed spill: a readable ``OSError`` naming
+    the spool, the budget and the byte count; the victim stays
+    resident and readable, and the counters stay true."""
 
-    def test_dead_owner_old_dir_is_reaped(self, tmp_path):
-        # regression: crashed-driver leftovers used to live forever
-        dead = self._make_spool_dir(tmp_path, 2**22 + 12345, 7200)
-        removed = sweep_stale_spool_dirs(tmp_path, min_age_seconds=3600)
-        assert removed == [dead]
-        assert not dead.exists()
+    @pytest.mark.parametrize("written", [None, 3], ids=["enospc", "short"])
+    def test_failed_spill_keeps_the_victim(self, tmp_path, monkeypatch,
+                                           written):
+        with BlobSpool(budget_bytes=8, base_dir=tmp_path) as sp:
+            sp.put("a", b"a" * 6)
+            _full_disk(monkeypatch, written)
+            with pytest.raises(OSError) as info:
+                sp.put("b", b"b" * 6)  # over budget -> "a" must spill
+            assert info.value.errno == errno.ENOSPC
+            message = str(info.value)
+            assert "blob spool" in message and str(tmp_path) in message
+            assert "8-byte budget" in message and "6 bytes" in message
+            assert sp.stats.spills == 0 and sp.stats.bytes_spilled == 0
+            assert sp.stats.resident_bytes == 12
+            assert sp.stats.resident_blobs == 2
+            assert sp.get("a") == b"a" * 6 and sp.get("b") == b"b" * 6
+            monkeypatch.undo()  # the disk has room again
+            sp.put("c", b"c" * 6)
+            assert sp.stats.resident_bytes <= 8
+            assert [sp.get(k) for k in "abc"] == [b"a" * 6, b"b" * 6,
+                                                   b"c" * 6]
 
-    def test_age_guard_protects_recent_dirs(self, tmp_path):
-        recent = self._make_spool_dir(tmp_path, 2**22 + 12345, 10)
-        assert sweep_stale_spool_dirs(tmp_path, min_age_seconds=3600) == []
-        assert recent.exists()
+    def test_compute_raises_the_spill_error(self, monkeypatch):
+        _full_disk(monkeypatch)
+        with pytest.raises(OSError, match="blob spool .* 0-byte budget"):
+            _budgeted_run(0, workers=1)
 
-    def test_live_owner_never_swept(self, tmp_path):
-        live = self._make_spool_dir(tmp_path, os.getpid(), 7200)
-        assert sweep_stale_spool_dirs(tmp_path, min_age_seconds=0) == []
-        assert live.exists()
+    def test_cli_exits_2_with_one_error_line(self, tmp_path, monkeypatch,
+                                             capsys):
+        from repro.cli import main
+        from repro.io.volume import write_volume
 
-    def test_foreign_dirs_untouched(self, tmp_path):
-        other = tmp_path / "not-a-spool-dir"
-        other.mkdir()
-        unparsable = tmp_path / f"{SPOOL_PREFIX}notapid-x"
-        unparsable.mkdir()
-        assert sweep_stale_spool_dirs(tmp_path, min_age_seconds=0) == []
-        assert other.exists() and unparsable.exists()
+        field = np.random.default_rng(42).random((9, 9, 9))
+        spec = write_volume(tmp_path / "f.raw", field, dtype="float64")
+        _full_disk(monkeypatch)
+        rc = main(["compute", spec.path, "--dims", "9", "9", "9",
+                   "--dtype", "float64", "--blocks", "8",
+                   "--merge-spill-budget", "0"])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "blob spool" in lines[0]
 
-    def test_maybe_sweep_runs_once_per_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(spoolmod, "_SWEPT", False)
-        dead = self._make_spool_dir(tmp_path, 2**22 + 54321, 7200)
-        assert spoolmod.maybe_sweep_stale_spool_dirs(tmp_path) == [dead]
-        # latched: a second call does not even scan
-        again = self._make_spool_dir(tmp_path, 2**22 + 54321, 7200)
-        assert spoolmod.maybe_sweep_stale_spool_dirs(tmp_path) == []
-        assert again.exists()
+
+_SPILL_AND_WAIT = """
+import sys, time
+from repro.io.spool import BlobSpool
+sp = BlobSpool(budget_bytes=0, base_dir=sys.argv[1])
+for i in range(20):
+    sp.put(i, bytes([i]) * 4096)
+assert sp.stats.spills == 20
+print("spilled", flush=True)
+time.sleep(120)
+"""
+
+
+def test_sigkill_leaves_base_dir_empty(tmp_path):
+    """Crash safety by construction: nothing to sweep after SIGKILL."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SPILL_AND_WAIT, str(tmp_path)],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        assert child.stdout.readline().strip() == "spilled"
+        assert list(tmp_path.iterdir()) == []  # live spills, no name
+    finally:
+        child.send_signal(signal.SIGKILL)
+        child.wait(timeout=30)
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    assert list(tmp_path.iterdir()) == []
 
 
 def _budgeted_run(budget, faults=None, workers=2, **options):
@@ -177,7 +204,7 @@ def _budgeted_run(budget, faults=None, workers=2, **options):
 
 @pytest.fixture
 def spool_base(tmp_path, monkeypatch):
-    """Run-scoped spool dirs land under ``tmp_path`` for this test."""
+    """The system temp dir is ``tmp_path`` for this test."""
     import tempfile as _tempfile
 
     monkeypatch.setattr(_tempfile, "gettempdir", lambda: str(tmp_path))
@@ -185,7 +212,7 @@ def spool_base(tmp_path, monkeypatch):
 
 
 def _spool_dirs(base):
-    return [p for p in base.iterdir() if p.name.startswith(SPOOL_PREFIX)]
+    return list(base.iterdir())
 
 
 @pytest.mark.slow

@@ -87,6 +87,20 @@ class TestLifecycle:
         staged = list((client.cache_dir / "volumes").glob("*.raw"))
         assert len(staged) == 1
 
+    def test_truncated_staging_file_is_rewritten(self, client, field):
+        """A writer killed mid-write left a short file: it counts as
+        absent, so the field still stages and computes."""
+        from repro.io.volume import content_hash
+
+        staging = client.cache_dir / "volumes"
+        staging.mkdir(parents=True)
+        short = staging / f"{content_hash(field)}.raw"
+        short.write_bytes(b"\0" * 100)
+        job = client.submit(field, persistence=0.05, wait=True)
+        assert job.state == "done", job.error
+        assert short.stat().st_size == field.size * 8
+        assert [p.name for p in staging.iterdir()] == [short.name]
+
     def test_close_is_idempotent(self, tmp_path, volume):
         svc = ServiceClient(tmp_path / "c2", max_jobs=1)
         svc.submit(volume, wait=True)
