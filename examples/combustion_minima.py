@@ -24,7 +24,7 @@ from repro import (
     PipelineConfig,
     compute_morse_smale_complex,
 )
-from repro.analysis import persistence_curve, significant_extrema
+from repro.analysis.features import persistence_curve, significant_extrema
 from repro.data import jet_mixture_fraction_proxy
 
 

@@ -18,14 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import PipelineConfig, ParallelMSComplexPipeline
-from repro.analysis import (
-    arcs_by_family,
-    filament_statistics,
-    filter_arcs_by_value,
-    project_ascii,
-    rasterize,
-    to_networkx,
-)
+from repro.analysis.features import arcs_by_family, filter_arcs_by_value
+from repro.analysis.graphtools import filament_statistics, to_networkx
+from repro.analysis.raster import project_ascii, rasterize
 
 
 def porous_material_field(

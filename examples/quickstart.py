@@ -16,7 +16,7 @@ Usage::
 from __future__ import annotations
 
 from repro import compute
-from repro.analysis import arcs_by_family, significant_extrema
+from repro.analysis.features import arcs_by_family, significant_extrema
 from repro.data import gaussian_bumps_field
 
 

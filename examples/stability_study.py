@@ -19,7 +19,7 @@ from repro import (
     PipelineConfig,
     compute_morse_smale_complex,
 )
-from repro.analysis import arcs_by_family
+from repro.analysis.features import arcs_by_family
 from repro.data import hydrogen_atom
 
 

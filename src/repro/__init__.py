@@ -9,10 +9,10 @@ The package implements the paper's two-stage data-parallel algorithm —
 per-block discrete-gradient / MS-complex computation followed by radix-k
 merge rounds — together with every substrate it depends on: a cubical
 cell complex over structured grids, discrete Morse theory (gradient
-construction, V-path tracing, persistence simplification), a virtual MPI
-runtime, a real shared-memory process-pool backend for the compute
-stage, parallel block I/O, a Blue Gene/P machine model, and dataset
-generators for the paper's synthetic and scientific workloads.
+construction, V-path tracing, persistence simplification), a
+shared-memory process-pool backend for the compute stage, parallel
+block I/O, a Blue Gene/P machine model, and dataset generators for the
+paper's synthetic and scientific workloads.
 
 Quickstart (the unified facade, see ``docs/API.md``)::
 
@@ -67,49 +67,57 @@ The lower-level entry points (``compute_morse_smale_complex`` for a bare
 serial complex with its cancellation hierarchy,
 ``ParallelMSComplexPipeline`` for full configuration control) remain
 available below the facade.
+
+``import repro`` itself imports nothing else: each public name loads its
+defining module on first use, so ``repro --version`` never imports
+numpy and ``repro.compute`` never imports the service.
 """
 
-from repro import api, obs
-from repro.api import (
-    ServiceClient,
-    compute,
-    load_hierarchy,
-    open_service,
-    open_session,
-    query,
-)
-from repro.core.config import MergeSchedule, PipelineConfig
-from repro.core.options import ExecutionOptions
-from repro.core.pipeline import (
-    ParallelMSComplexPipeline,
-    compute_morse_smale_complex,
-)
-from repro.core.result import PipelineResult
-from repro.core.session import PipelineSession
-from repro.morse.msc import MorseSmaleComplex
-from repro.morse.gradient import compute_discrete_gradient
-from repro.mesh.grid import StructuredGrid
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExecutionOptions",
-    "MergeSchedule",
-    "MorseSmaleComplex",
-    "ParallelMSComplexPipeline",
-    "PipelineConfig",
-    "PipelineResult",
-    "PipelineSession",
-    "ServiceClient",
-    "StructuredGrid",
-    "api",
-    "compute",
-    "compute_discrete_gradient",
-    "compute_morse_smale_complex",
-    "load_hierarchy",
-    "obs",
-    "open_service",
-    "open_session",
-    "query",
-    "__version__",
-]
+#: every public name -> the module that defines it (a module maps to
+#: itself), imported on first use (PEP 562)
+_EXPORTS = {
+    "ExecutionOptions": "repro.core.options",
+    "MergeSchedule": "repro.parallel.radixk",
+    "MorseSmaleComplex": "repro.morse.msc",
+    "ParallelMSComplexPipeline": "repro.core.pipeline",
+    "PipelineConfig": "repro.core.config",
+    "PipelineResult": "repro.core.result",
+    "PipelineSession": "repro.core.session",
+    "ServiceClient": "repro.service.client",
+    "StructuredGrid": "repro.mesh.grid",
+    "api": "repro.api",
+    "compute": "repro.api",
+    "compute_discrete_gradient": "repro.morse.gradient",
+    "compute_morse_smale_complex": "repro.core.pipeline",
+    "load_hierarchy": "repro.analysis.query",
+    "obs": "repro.obs",
+    "open_service": "repro.api",
+    "open_session": "repro.api",
+    "query": "repro.analysis.query",
+}
+__all__ = [*_EXPORTS, "__version__"]
+
+#: not in ``__all__``, but ``repro.morse.extract_ms_complex`` keeps working
+_SUBPACKAGES = ("analysis", "core", "data", "io", "machine", "mesh",
+                "morse", "parallel", "service")
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        path = f"{__name__}.{name}"
+    elif name in _EXPORTS:
+        path = _EXPORTS[name]
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(path)
+    value = module if path == f"{__name__}.{name}" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBPACKAGES})

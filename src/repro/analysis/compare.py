@@ -7,8 +7,9 @@ module quantifies that: two complexes are matched node-by-node, first by
 exact global address, then by (Morse index, value) signature — which is
 invariant under the half-cell shifts discretization allows — and the
 remainder is reported as unmatched.  The resulting
-:class:`ComplexComparison` provides the precision/recall-style numbers
-used by the stability tests and the Fig. 4 bench.
+:class:`ComplexComparison` provides precision/recall-style numbers; its
+only callers are the stability tests (the Fig. 4 bench matches feature
+values itself).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ if TYPE_CHECKING:  # the four users below import it: `import repro`
 
 __all__ = [
     "to_networkx",
-    "arc_length",
     "cycle_count",
     "minimum_cut",
     "filament_statistics",
@@ -42,17 +41,6 @@ def _path_length(addrs, gdims, spacing) -> float:
         axis=1,
     )
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
-
-def arc_length(
-    msc: MorseSmaleComplex,
-    aid: int,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> float:
-    """Geometric length of an arc's embedded V-path."""
-    return _path_length(
-        msc.geometry_addresses(aid), msc.global_refined_dims, spacing
-    )
 
 
 def to_networkx(

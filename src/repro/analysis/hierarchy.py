@@ -67,9 +67,7 @@ class MSComplexHierarchy:
         arc_death: np.ndarray,
         persistences: list[float],
     ) -> None:
-        self._nodes = node_records
         self._node_death = np.asarray(node_death, dtype=np.int64)
-        self._arcs = arc_records
         self._arc_birth = np.asarray(arc_birth, dtype=np.int64)
         self._arc_death = np.asarray(arc_death, dtype=np.int64)
         #: persistence of each cancellation, in application order
@@ -305,19 +303,6 @@ class MSComplexHierarchy:
         return HierarchyLevelView(
             level=level, persistence=pers, nodes=nodes, arcs=arcs
         )
-
-    def view_at_persistence(self, persistence: float) -> HierarchyLevelView:
-        """Materialize the complex at a persistence threshold."""
-        return self.view_at_level(self.level_of_persistence(persistence))
-
-    def node_count_curve(self) -> tuple[list[float], list[int]]:
-        """(persistence, surviving node count) at every level boundary."""
-        total = len(self._nodes)
-        xs, ys = [0.0], [total]
-        for level, p in enumerate(self.persistences, start=1):
-            xs.append(p)
-            ys.append(total - 2 * level)
-        return xs, ys
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.num_levels:

@@ -17,9 +17,9 @@ threshold on the stored complexes — the equivalence the property suite
     res = repro.compute(field, options=repro.ExecutionOptions(hierarchy=True))
     res.write("out.msc")
 
-    hier = repro.api.load_hierarchy("out.msc")   # load once ...
-    for p in thresholds:                         # ... query many times
-        print(repro.api.query(hier, persistence=p).node_counts_by_index())
+    hier = repro.load_hierarchy("out.msc")   # load once ...
+    for p in thresholds:                     # ... query many times
+        print(repro.query(hier, persistence=p).node_counts_by_index())
 """
 
 from __future__ import annotations

@@ -31,21 +31,24 @@ Execution knobs have exactly one spelling, ``options=``
 from __future__ import annotations
 
 from collections.abc import Sequence
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.analysis.query import QueryResult, load_hierarchy, query
 from repro.core.config import _facade_config
-from repro.core.options import ExecutionOptions
 from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.core.result import PipelineResult
-from repro.core.session import PipelineSession
 from repro.io.volume import VolumeSpec
-from repro.mesh.grid import StructuredGrid
-from repro.service.client import ServiceClient
 
-__all__ = ["ExecutionOptions", "PipelineSession", "QueryResult",
-           "ServiceClient", "compute", "load_hierarchy", "open_service",
-           "open_session", "query"]
+# open_session / open_service import their classes when called, so
+# `compute` never loads the session or the service
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core.options import ExecutionOptions
+    from repro.core.result import PipelineResult
+    from repro.core.session import PipelineSession
+    from repro.mesh.grid import StructuredGrid
+    from repro.service.client import ServiceClient
+
+__all__ = ["compute", "open_service", "open_session"]
 
 def compute(
     values: np.ndarray | StructuredGrid | VolumeSpec,
@@ -91,7 +94,8 @@ def compute(
         scheduling — results are bit-identical across all settings; the
         additive ``hierarchy`` flag captures the multiscale cancellation
         hierarchy into ``result.hierarchies`` (persisted on ``write()``,
-        queryable via :func:`load_hierarchy` / :func:`query`) without
+        queryable via :func:`repro.analysis.query.load_hierarchy` /
+        :func:`repro.analysis.query.query`) without
         changing the complex by a byte.
     faults:
         Optional :class:`repro.parallel.faults.FaultPlan` injecting
@@ -167,6 +171,8 @@ def open_session(
         trace=trace,
         metrics=metrics,
     )
+    from repro.core.session import PipelineSession
+
     return PipelineSession(cfg)
 
 
@@ -195,6 +201,8 @@ def open_service(
     The HTTP daemon (``repro serve``) wraps exactly this client; see
     ``docs/SERVICE.md``.
     """
+    from repro.service.client import ServiceClient
+
     return ServiceClient(
         cache_dir,
         max_jobs=max_jobs,

@@ -38,8 +38,6 @@ import argparse
 import logging
 import sys
 
-import numpy as np
-
 __all__ = ["main", "build_parser"]
 
 #: marker attached to the handler :func:`_configure_logging` installs,
@@ -576,6 +574,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    import numpy as np
+
     from repro.data import (
         gaussian_bumps_field,
         hydrogen_atom,

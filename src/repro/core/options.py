@@ -112,7 +112,7 @@ class ExecutionOptions:
         the merge stage and persist it in the ``.msc`` hierarchy
         footer on :meth:`~repro.core.result.PipelineResult.write`, so
         any persistence threshold can later be answered as a pure query
-        (:func:`repro.api.query`) with zero re-simplification.  The
+        (:func:`repro.analysis.query.query`) with zero re-simplification.  The
         output complex bytes are unchanged; off by default.
     merge_spill_budget_bytes:
         Resident-byte budget for the packed compute blobs the driver

@@ -293,9 +293,6 @@ class PipelineStats:
     def total_cells(self) -> int:
         return sum(b.cells for b in self.block_stats)
 
-    def total_critical_points(self) -> int:
-        return sum(sum(b.critical_counts) for b in self.block_stats)
-
     def describe(self) -> str:
         """Multi-line human-readable run report.
 

@@ -61,7 +61,3 @@ class TorusTopology:
             d = abs(sc[axis] - dc[axis])
             total += min(d, self.dims[axis] - d)
         return total
-
-    def diameter(self) -> int:
-        """Maximum hop distance on this torus."""
-        return sum(d // 2 for d in self.dims)

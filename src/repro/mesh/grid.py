@@ -66,10 +66,6 @@ class Box:
         x, y, z = self.refined_shape
         return x * y * z
 
-    def contains_vertex(self, v: tuple[int, int, int]) -> bool:
-        """Whether global vertex coordinate ``v`` lies in this box."""
-        return all(l <= c < h for c, l, h in zip(v, self.lo, self.hi))
-
     def union(self, other: "Box") -> "Box":
         """Smallest box containing both boxes (used when merging blocks)."""
         lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
@@ -126,11 +122,6 @@ class StructuredGrid:
     def refined_dims(self) -> tuple[int, int, int]:
         """Refined-grid extents ``2N - 1`` per axis."""
         return tuple(2 * n - 1 for n in self.dims)
-
-    @property
-    def domain_box(self) -> Box:
-        """The box covering the whole domain."""
-        return Box((0, 0, 0), self.dims)
 
     @property
     def nbytes(self) -> int:

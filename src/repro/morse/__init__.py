@@ -16,20 +16,12 @@ from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.msc import MorseSmaleComplex
 from repro.morse.tracing import extract_ms_complex
 from repro.morse.simplify import simplify_ms_complex, Cancellation
-from repro.morse.persistence import (
-    PersistencePair,
-    diagram_statistics,
-    persistence_diagram,
-)
 
 __all__ = [
     "Cancellation",
     "GradientField",
     "MorseSmaleComplex",
-    "PersistencePair",
     "compute_discrete_gradient",
-    "diagram_statistics",
     "extract_ms_complex",
-    "persistence_diagram",
     "simplify_ms_complex",
 ]

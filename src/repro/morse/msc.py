@@ -393,15 +393,6 @@ class MorseSmaleComplex:
         self.node_arcs[nid] = arcs
         return list(arcs)
 
-    def other_endpoint(self, aid: int, nid: int) -> int:
-        """The endpoint of arc ``aid`` that is not ``nid``."""
-        u, l = self.arc_upper[aid], self.arc_lower[aid]
-        if nid == u:
-            return l
-        if nid == l:
-            return u
-        raise ValueError(f"node {nid} is not an endpoint of arc {aid}")
-
     def arcs_between(self, u: int, v: int) -> list[int]:
         """Living arcs connecting nodes ``u`` and ``v``."""
         base = u if len(self.node_arcs[u]) <= len(self.node_arcs[v]) else v

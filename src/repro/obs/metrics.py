@@ -12,11 +12,17 @@ so the aggregate is independent of worker scheduling and retry order.
 Fixed buckets (rather than adaptive ones) keep histograms mergeable:
 two histograms with the same name always have the same bucket bounds,
 so their counts add element-wise.
+
+Within a process a registry is shared across threads (the service's
+HTTP handlers and pool threads), so it holds one lock that its metrics
+share: get-or-create, every update, ``snapshot`` and ``merge_snapshot``
+take it.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 from typing import Iterable
 
 __all__ = [
@@ -44,16 +50,19 @@ class Counter:
     """Monotonically increasing sum."""
 
     kind = "counter"
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str,
+                 lock: threading.RLock | None = None) -> None:
         self.name = name
         self.value = 0.0
+        self._lock = lock if lock is not None else threading.RLock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only increase")
-        self.value += amount
+        with self._lock:
+            self.value += amount
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
@@ -71,14 +80,17 @@ class Gauge:
     """
 
     kind = "gauge"
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str,
+                 lock: threading.RLock | None = None) -> None:
         self.name = name
         self.value = 0.0
+        self._lock = lock if lock is not None else threading.RLock()
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        with self._lock:
+            self.value = float(value)
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
@@ -96,11 +108,13 @@ class Histogram:
     """
 
     kind = "histogram"
-    __slots__ = ("name", "buckets", "counts", "sum", "count")
+    __slots__ = ("name", "buckets", "counts", "sum", "count", "_lock")
 
     def __init__(self, name: str,
-                 buckets: Iterable[float] = SECONDS_BUCKETS) -> None:
+                 buckets: Iterable[float] = SECONDS_BUCKETS,
+                 lock: threading.RLock | None = None) -> None:
         self.name = name
+        self._lock = lock if lock is not None else threading.RLock()
         self.buckets = tuple(float(b) for b in buckets)
         if not self.buckets or list(self.buckets) != sorted(self.buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")
@@ -109,9 +123,10 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
+        with self._lock:
+            self.counts[bisect.bisect_left(self.buckets, value)] += 1
+            self.sum += value
+            self.count += 1
 
     @property
     def mean(self) -> float:
@@ -146,18 +161,21 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        # reentrant: merge_snapshot holds it across get-or-create
+        self._lock = threading.RLock()
 
     def _get(self, name: str, kind: type, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = kind(name, **kwargs)
-            self._metrics[name] = metric
-        elif not isinstance(metric, kind):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{metric.kind}, not {kind.kind}"
-            )
-        return metric
+        with self._lock:
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = kind(name, lock=self._lock, **kwargs)
+                self._metrics[name] = metric
+            elif not isinstance(metric, kind):
+                raise TypeError(
+                    f"metric {name!r} already registered as "
+                    f"{metric.kind}, not {kind.kind}"
+                )
+            return metric
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
@@ -176,13 +194,15 @@ class MetricsRegistry:
         return self._metrics[name]
 
     def names(self) -> list[str]:
-        return sorted(self._metrics)
+        with self._lock:
+            return sorted(self._metrics)
 
     # -- aggregation -------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able value dump, the unit of cross-process shipping."""
-        return {name: m.snapshot() for name, m in self._metrics.items()}
+        with self._lock:
+            return {name: m.snapshot() for name, m in self._metrics.items()}
 
     def merge_snapshot(self, snap: dict | None) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
@@ -193,13 +213,14 @@ class MetricsRegistry:
         """
         if not snap:
             return
-        for name, entry in snap.items():
-            kind = _KINDS[entry["kind"]]
-            if kind is Histogram:
-                metric = self._get(name, kind, buckets=entry["buckets"])
-            else:
-                metric = self._get(name, kind)
-            metric.merge(entry)
+        with self._lock:
+            for name, entry in snap.items():
+                kind = _KINDS[entry["kind"]]
+                if kind is Histogram:
+                    metric = self._get(name, kind, buckets=entry["buckets"])
+                else:
+                    metric = self._get(name, kind)
+                metric.merge(entry)
 
     def describe(self) -> str:
         """Readable one-metric-per-line summary (sorted by name)."""

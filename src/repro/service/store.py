@@ -46,7 +46,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.config import PipelineConfig
 from repro.core.options import canonical_fingerprint
-from repro.io.volume import VolumeSpec, content_hash
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 
@@ -236,14 +235,6 @@ class ResultStore:
         self._hot: OrderedDict[str, tuple[ResultRecord, bytes]] = (
             OrderedDict()
         )
-
-    # -- keying ------------------------------------------------------------
-
-    def key_for(
-        self, source: VolumeSpec | "object", config: PipelineConfig
-    ) -> str:
-        """The cache key of a request (hashes the volume content)."""
-        return cache_key(content_hash(source), config)
 
     # -- reads -------------------------------------------------------------
 

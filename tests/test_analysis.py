@@ -12,7 +12,6 @@ from repro.analysis.features import (
     significant_extrema,
 )
 from repro.analysis.graphtools import (
-    arc_length,
     cycle_count,
     filament_statistics,
     minimum_cut,
@@ -80,17 +79,6 @@ class TestGraphTools:
         # all attributes present
         for _u, _v, d in g.edges(data=True):
             assert {"arc_id", "length", "persistence"} <= set(d)
-
-    def test_arc_length_positive(self, msc):
-        for aid in msc.alive_arcs()[:20]:
-            if msc.geometry_addresses(aid).size >= 2:
-                assert arc_length(msc, aid) > 0.0
-
-    def test_arc_length_spacing_scales(self, msc):
-        aid = msc.alive_arcs()[0]
-        base = arc_length(msc, aid)
-        doubled = arc_length(msc, aid, spacing=(2.0, 2.0, 2.0))
-        assert doubled == pytest.approx(2 * base)
 
     def test_cycle_count_tree_is_zero(self):
         g = nx.MultiGraph()

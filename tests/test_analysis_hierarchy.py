@@ -86,17 +86,6 @@ class TestQueries:
         assert 0 < level <= hierarchy.num_levels
         assert all(p <= mid for p in hierarchy.persistences[:level])
 
-    def test_view_at_persistence(self, hierarchy):
-        view = hierarchy.view_at_persistence(np.inf)
-        assert view.level == hierarchy.num_levels
-        assert sum(view.node_counts_by_index()) >= 1
-
-    def test_node_count_curve(self, hierarchy):
-        xs, ys = hierarchy.node_count_curve()
-        assert len(xs) == hierarchy.num_levels + 1
-        assert ys[0] - ys[-1] == 2 * hierarchy.num_levels
-        assert all(b <= a for a, b in zip(ys, ys[1:]))
-
     def test_bad_level_rejected(self, hierarchy):
         with pytest.raises(ValueError):
             hierarchy.counts_at_level(-1)

@@ -3,6 +3,7 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
 import subprocess
 import sys
@@ -474,8 +475,10 @@ class TestHierarchyKnob:
 
 class TestQuerySurface:
     def test_exported_at_top_level(self):
-        assert repro.query is repro.api.query
-        assert repro.load_hierarchy is repro.api.load_hierarchy
+        from repro.analysis.query import load_hierarchy, query
+
+        assert repro.query is query
+        assert repro.load_hierarchy is load_hierarchy
         assert "query" in repro.__all__
         assert "load_hierarchy" in repro.__all__
 
@@ -512,3 +515,97 @@ class TestQuerySurface:
         res.write(str(path))
         with pytest.raises(ValueError, match="no hierarchy recorded"):
             repro.query(str(path), persistence=0.1)
+
+
+# ---------------------------------------------------------------------------
+# what each entry point imports
+# ---------------------------------------------------------------------------
+
+#: runs the CLI the way ``python -m repro.cli`` does, then leaves
+_RUN_CLI = """
+import runpy
+sys.argv = ["repro", *ARGS]
+try:
+    runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+
+
+def _loaded_modules(tmp_path, code: str, args=()) -> set[str]:
+    """``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    out = tmp_path / "modules.txt"
+    script = (
+        f"import sys\nARGS = {list(args)!r}\n{code}\n"
+        f"open({str(out)!r}, 'w').write('\\n'.join(sys.modules))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(out.read_text().split())
+
+
+def _under(modules: set[str], *prefixes: str) -> set[str]:
+    """The modules that are, or sit under, one of ``prefixes``."""
+    return {
+        m for m in modules for p in prefixes
+        if m == p or m.startswith(p + ".")
+    }
+
+
+@pytest.mark.slow
+class TestImportSets:
+    def test_version_loads_no_numpy(self, tmp_path):
+        mods = _loaded_modules(tmp_path, _RUN_CLI, ["--version"])
+        assert "numpy" not in mods
+        assert _under(mods, "repro") <= {"repro", "repro.cli"}
+
+    def test_compute_loads_the_pipeline_only(self, tmp_path):
+        import numpy as np
+
+        from repro.io.volume import write_volume
+
+        field = np.random.default_rng(0).random((12, 12, 12))
+        spec = write_volume(tmp_path / "v.raw", field)
+        mods = _loaded_modules(
+            tmp_path, _RUN_CLI,
+            ["compute", spec.path, "--dims", "12", "12", "12",
+             "--workers", "1"],
+        )
+        assert "repro.core.pipeline" in mods
+        assert not _under(
+            mods, "repro.api", "repro.service", "repro.core.session",
+            "repro.core.insitu", "http.server", "networkx", "asyncio",
+        )
+        assert _under(mods, "repro.analysis") == {
+            "repro.analysis", "repro.analysis.hierarchy",
+        }
+
+    def test_facade_compute_loads_no_service(self, tmp_path):
+        mods = _loaded_modules(
+            tmp_path,
+            "import numpy as np, repro\n"
+            "repro.compute(np.random.default_rng(0).random((12, 12, 12)))",
+        )
+        assert "repro.api" in mods
+        assert not _under(mods, "repro.service", "repro.core.session")
+
+    def test_lazy_names_resolve_in_a_fresh_process(self, tmp_path):
+        mods = _loaded_modules(
+            tmp_path,
+            "import repro\n"
+            "from repro.core.options import ExecutionOptions\n"
+            "from repro.core.session import PipelineSession\n"
+            "from repro.service.client import ServiceClient\n"
+            "assert repro.ExecutionOptions is ExecutionOptions\n"
+            "assert repro.PipelineSession is PipelineSession\n"
+            "assert repro.ServiceClient is ServiceClient\n"
+            "assert repro.obs.MetricsRegistry\n"
+            "assert repro.morse.extract_ms_complex\n"
+            "assert set(repro.__all__) <= set(dir(repro))\n",
+        )
+        assert "repro.service.client" in mods

@@ -73,7 +73,6 @@ class TestStageTimes:
                 )
             )
         assert s.total_cells() == 200
-        assert s.total_critical_points() == 12
 
 
 class TestDescribe:

@@ -35,11 +35,8 @@ def test_porous_filaments_components():
     assert (field > 0).any() and (field < 0).any()
 
     from repro import PipelineConfig, ParallelMSComplexPipeline
-    from repro.analysis import (
-        arcs_by_family,
-        filament_statistics,
-        to_networkx,
-    )
+    from repro.analysis.features import arcs_by_family
+    from repro.analysis.graphtools import filament_statistics, to_networkx
 
     cfg = PipelineConfig(num_blocks=8, persistence_threshold=0.01)
     msc = ParallelMSComplexPipeline(cfg).run(field).merged_complexes[0]

@@ -29,12 +29,6 @@ class TestTorus:
         # ranks 0 and 3 are 3 apart linearly but 1 hop around the torus
         assert t.hops(0, 3) == 1
 
-    def test_diameter_bound(self):
-        t = TorusTopology(64)
-        assert t.diameter() == 6
-        for a in range(64):
-            assert t.hops(0, a) <= t.diameter()
-
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             TorusTopology(8).coords(8)

@@ -22,13 +22,6 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((0, 0, 0), (1, 5, 5))
 
-    def test_contains_vertex(self):
-        b = Box((1, 1, 1), (3, 3, 3))
-        assert b.contains_vertex((1, 2, 2))
-        assert b.contains_vertex((2, 2, 2))
-        assert not b.contains_vertex((3, 2, 2))  # hi is exclusive
-        assert not b.contains_vertex((0, 2, 2))
-
     def test_union(self):
         a = Box((0, 0, 0), (3, 3, 3))
         b = Box((2, 0, 0), (5, 3, 3))
@@ -48,7 +41,6 @@ class TestStructuredGrid:
         g = StructuredGrid(small_random_field)
         assert g.dims == (6, 7, 8)
         assert g.refined_dims == (11, 13, 15)
-        assert g.domain_box == Box((0, 0, 0), (6, 7, 8))
         assert g.nbytes == 6 * 7 * 8 * 8
 
     def test_values_promoted_to_float64(self):

@@ -73,12 +73,6 @@ class TestConstruction:
         assert tiny_msc.arcs_between(0, 1) == [0]
         assert tiny_msc.arcs_between(0, 2) == []
 
-    def test_other_endpoint(self, tiny_msc):
-        assert tiny_msc.other_endpoint(0, 0) == 1
-        assert tiny_msc.other_endpoint(0, 1) == 0
-        with pytest.raises(ValueError):
-            tiny_msc.other_endpoint(0, 3)
-
     def test_address_index(self, tiny_msc):
         idx = tiny_msc.address_index()
         assert idx == {0: 0, 10: 1, 20: 2, 30: 3}

@@ -1,6 +1,8 @@
 """Tests for repro.obs.metrics: metric types and worker aggregation."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +115,65 @@ class TestRegistry:
         text = r.describe()
         assert text.index("a:") < text.index("z:")  # sorted
         assert "count=1" in text
+
+
+class TestThreadSafety:
+    """One registry is shared by the service's HTTP handler threads and
+    its pool threads; both races reproduce without the registry lock."""
+
+    @pytest.fixture(autouse=True)
+    def _switch_often(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def test_snapshot_while_names_register(self):
+        r = MetricsRegistry()
+        done = threading.Event()
+        errors = []
+
+        def register():
+            for i in range(1000):
+                r.counter(f"c{i}").inc()
+            done.set()
+
+        def snapshot():
+            while not done.is_set():
+                try:
+                    r.snapshot()
+                except RuntimeError as exc:  # dict changed size
+                    errors.append(exc)
+                    return
+
+        threads = [threading.Thread(target=f) for f in (register, snapshot)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        assert len(r.snapshot()) == 1000
+
+    def test_get_or_create_loses_no_increment(self):
+        lost = 0
+        for _ in range(200):
+            r = MetricsRegistry()
+            barrier = threading.Barrier(8)
+
+            def work():
+                barrier.wait(timeout=60)
+                for i in range(50):
+                    r.counter(f"c{i}").inc()
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            lost += sum(8 - r[f"c{i}"].value for i in range(50))
+        assert lost == 0
 
 
 class TestPipelineMetrics:

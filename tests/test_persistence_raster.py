@@ -1,84 +1,11 @@
-"""Tests for repro.morse.persistence and repro.analysis.raster."""
+"""Tests for repro.analysis.raster."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.raster import LABELS, project_ascii, rasterize
 from repro.data.synthetic import gaussian_bumps_field
-from repro.mesh.cubical import CubicalComplex
-from repro.morse.gradient import compute_discrete_gradient
-from repro.morse.persistence import (
-    diagram_statistics,
-    persistence_diagram,
-)
-from repro.morse.simplify import simplify_ms_complex
-from repro.morse.tracing import extract_ms_complex
 from repro.core.pipeline import compute_morse_smale_complex
-
-
-@pytest.fixture(scope="module")
-def simplified():
-    field = gaussian_bumps_field((14, 14, 14), 4, seed=3, noise=0.01)
-    msc = extract_ms_complex(
-        compute_discrete_gradient(CubicalComplex(field))
-    )
-    simplify_ms_complex(msc, np.inf, respect_boundary=False)
-    return msc
-
-
-class TestPersistenceDiagram:
-    def test_one_pair_per_cancellation(self, simplified):
-        pairs = persistence_diagram(simplified)
-        assert len(pairs) == len(simplified.hierarchy)
-
-    def test_birth_death_consistency(self, simplified):
-        for p in persistence_diagram(simplified):
-            assert p.death >= p.birth
-            assert p.persistence == pytest.approx(p.death - p.birth)
-            assert p.upper_index in (1, 2, 3)
-
-    def test_index_filter(self, simplified):
-        all_pairs = persistence_diagram(simplified)
-        by_index = [
-            persistence_diagram(simplified, upper_index=d)
-            for d in (1, 2, 3)
-        ]
-        assert sum(len(b) for b in by_index) == len(all_pairs)
-        for d, pairs in zip((1, 2, 3), by_index):
-            assert all(p.upper_index == d for p in pairs)
-        with pytest.raises(ValueError):
-            persistence_diagram(simplified, upper_index=0)
-
-    def test_statistics(self, simplified):
-        pairs = persistence_diagram(simplified)
-        stats = diagram_statistics(pairs)
-        assert stats["count"] == len(pairs)
-        assert stats["max_persistence"] >= stats["median_persistence"]
-        assert diagram_statistics([])["count"] == 0.0
-
-    def test_compacted_complex_raises(self, simplified):
-        import copy
-
-        msc = copy.deepcopy(simplified)
-        msc.compact()
-        with pytest.raises(LookupError):
-            persistence_diagram(msc)
-
-    def test_feature_pairs_match_noise_scale(self):
-        """Noise pairs sit near the noise amplitude; feature pairs are
-        an order of magnitude higher (the diagram's gap)."""
-        field = gaussian_bumps_field((14, 14, 14), 3, seed=5, noise=0.01)
-        msc = extract_ms_complex(
-            compute_discrete_gradient(CubicalComplex(field))
-        )
-        simplify_ms_complex(msc, np.inf, respect_boundary=False)
-        pairs = sorted(
-            persistence_diagram(msc), key=lambda p: p.persistence
-        )
-        persistences = [p.persistence for p in pairs]
-        # a gap exists between the noise band and the feature band
-        assert persistences[0] < 0.1
-        assert persistences[-1] > 0.3
 
 
 class TestRaster:

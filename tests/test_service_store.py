@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions
-from repro.io.volume import content_hash, write_volume
 from repro.obs.metrics import MetricsRegistry
 from repro.service.store import (
     FileSystemPersistenceProvider,
@@ -61,13 +60,6 @@ class TestCacheKey:
             options=ExecutionOptions(workers=4, max_retries=0)
         )
         assert cache_key("a" * 64, lean) == cache_key("a" * 64, wide)
-
-    def test_key_matches_store_key_for(self, tmp_path, rng):
-        field = rng.random((6, 6, 6))
-        spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
-        store = ResultStore(tmp_path / "cache")
-        cfg = _config()
-        assert store.key_for(spec, cfg) == cache_key(content_hash(spec), cfg)
 
 
 class TestResultRecord:
