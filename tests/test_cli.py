@@ -162,6 +162,26 @@ class TestComputeErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_fail_readably(self, tmp_path, capsys,
+                                              caplog, bad):
+        """One non-finite sample fails the run unretried: no complex, no
+        output file, one error line naming the volume and the block."""
+        field = np.random.default_rng(0).random((12, 12, 12))
+        field[5, 6, 7] = bad
+        spec = write_volume(tmp_path / "bad.raw", field, dtype="float32")
+        out = tmp_path / "out.msc"
+        rc = main([
+            "compute", spec.path, "--dims", "12", "12", "12",
+            "--dtype", "float32", "--blocks", "8", "--output", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "bad.raw: block " in err[0] and "non-finite" in err[0]
+        assert "retrying" not in caplog.text
+        assert not out.exists()
+
 
 class TestSynth:
     @pytest.mark.parametrize(

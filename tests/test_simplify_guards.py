@@ -1,5 +1,5 @@
-"""Tests for the simplification guards: multiplicity cap, new-arc limit,
-and ghost protection."""
+"""Tests for the simplification guards: multiplicity cap and ghost
+protection."""
 
 import numpy as np
 import pytest
@@ -29,24 +29,6 @@ def _star_complex(fan=6):
         gx = msc.new_leaf_geometry(np.array([20, 60 + i, 200 + i]))
         msc.add_arc(U, x, gx)
     return msc, U, L
-
-
-class TestMaxNewArcs:
-    def test_expensive_cancellation_skipped(self):
-        msc, U, L = _star_complex(fan=6)  # would create 36 arcs
-        cancels = simplify_ms_complex(
-            msc, 0.1, respect_boundary=False, max_new_arcs=10
-        )
-        assert cancels == []
-        assert msc.node_alive[U] and msc.node_alive[L]
-
-    def test_cheap_cancellation_allowed(self):
-        msc, U, L = _star_complex(fan=2)  # creates 4 arcs
-        cancels = simplify_ms_complex(
-            msc, 0.1, respect_boundary=False, max_new_arcs=10
-        )
-        assert len(cancels) == 1
-        assert not msc.node_alive[U]
 
 
 class TestMultiplicityCap:
