@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.io.mscfile import _LEGACY_SECTIONS, _deserialize_sections
 from repro.morse.msc import MorseSmaleComplex
+from tests.reference_simplify import _cancel
 
 __all__ = ["ArcGeometry", "ReferenceComplex", "reference_pack",
            "reference_unpack"]
@@ -84,6 +85,11 @@ class ReferenceComplex(MorseSmaleComplex):
                     segments=segments, length=geo.length
                 ))
         return gid0
+
+    def cancel(self, aid, upper, lower, cap, push):
+        """The single-record cancellation, through this class's
+        ``new_composite_geometry`` (production's writes the columns)."""
+        return _cancel(self, aid, upper, lower, push, cap)
 
     def expand_arcs(self, aids):
         flats = [self.geometry_addresses(a) for a in np.asarray(aids).tolist()]

@@ -119,13 +119,13 @@ class TestGeometry:
 
 class TestMutationAndCompact:
     def test_kill_and_incident_pruning(self, tiny_msc):
-        tiny_msc.kill_arc(0)
+        tiny_msc.arc_alive[0] = False
         assert tiny_msc.incident_arcs(1) == [1, 2]
         assert tiny_msc.num_alive_arcs() == 2
 
     def test_compact_drops_dead(self, tiny_msc):
-        tiny_msc.kill_arc(2)
-        tiny_msc.kill_node(3)
+        tiny_msc.arc_alive[2] = False
+        tiny_msc.node_alive[3] = False
         tiny_msc.compact()
         assert tiny_msc.num_alive_nodes() == 3
         assert tiny_msc.num_alive_arcs() == 2
@@ -137,7 +137,7 @@ class TestMutationAndCompact:
         it shares with other arcs; its expansion is unchanged."""
         gid = tiny_msc.new_composite_geometry([(2, False), (1, False)])
         tiny_msc.new_composite_geometry([(0, False), (gid, True)])  # unused
-        tiny_msc.kill_arc(2)
+        tiny_msc.arc_alive[2] = False
         tiny_msc.add_arc(3, 1, gid)  # 2-saddle -> 1-saddle
         before = [
             tiny_msc.geometry_addresses(a).tolist()
@@ -162,7 +162,7 @@ class TestMutationAndCompact:
 
     def test_compact_is_idempotent_and_canonical(self, tiny_msc):
         gid = tiny_msc.new_composite_geometry([(2, True), (1, False)])
-        tiny_msc.kill_arc(0)
+        tiny_msc.arc_alive[0] = False
         tiny_msc.add_arc(3, 1, gid)
         tiny_msc.compact()
         once = {k: v.tolist() for k, v in tiny_msc.to_payload().items()}
@@ -204,7 +204,7 @@ class TestPayloadRoundtrip:
         gid = tiny_msc.new_composite_geometry([(2, False), (0, False)])
         tiny_msc.add_arc(3, 1, gid)
         tiny_msc.to_payload()
-        tiny_msc.kill_arc(0)
+        tiny_msc.arc_alive[0] = False
         with pytest.raises(ValueError, match="compacted"):
             tiny_msc.to_payload()
 

@@ -75,7 +75,7 @@ class TestMSComplexValidation:
         s = msc.add_node(2, 1, 1.0)
         gid = msc.new_leaf_geometry(np.array([2, 1, 0]))
         msc.add_arc(s, m, gid)
-        msc.kill_node(m)
+        msc.node_alive[m] = False
         with pytest.raises(AssertionError, match="dead endpoint"):
             assert_ms_complex_valid(msc)
 

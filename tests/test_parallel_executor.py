@@ -384,6 +384,30 @@ class TestFaultTolerantSerial:
         ex.close()
 
 
+def _reject_block_one(spec):
+    """Module-level (picklable) worker that rejects block 1's spec."""
+    if spec.block_id == 1:
+        raise ValueError(f"block {spec.block_id} rejected")
+    return spec.block_id * 10
+
+
+class TestValueErrorIsNotRetried:
+    """A ``ValueError`` is the worker rejecting its input: it would recur,
+    so it propagates at once — no retry, no degradation — on both
+    backends, the pooled one while other futures are still in flight."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_value_error_propagates_unretried(self, workers):
+        stats = FaultToleranceStats()
+        with FaultTolerantExecutor(
+            workers=workers, policy=RetryPolicy(backoff=0.0), stats=stats
+        ) as ex:
+            with pytest.raises(ValueError, match="block 1 rejected"):
+                ex.map_blocks(_reject_block_one, [_Spec(i) for i in range(4)])
+        assert stats.retries == 0 and stats.crashes == 0
+        assert not stats.degraded and stats.pool_restarts == 0
+
+
 class TestPoolBreaksDuringSubmit:
     def test_submit_raising_broken_pool_restarts_then_degrades(self):
         """A worker that dies while a wave is still being submitted
