@@ -36,7 +36,7 @@ cannot change a single output bit (asserted by the test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +65,21 @@ CELLTYPES_OF_DIM = ((0,), (1, 2, 4), (3, 5, 6), (7,))
 def _axis_bits(t: int) -> tuple[int, int, int]:
     """Parity bits (x, y, z) of celltype ``t``."""
     return (t & 1, (t >> 1) & 1, (t >> 2) & 1)
+
+
+def _pack_words(fields: list, widths: list[int]) -> list[np.ndarray]:
+    """Pack ``uint64`` fields big-end-first into ``uint64`` words, no
+    field split across two, the last field in the low bits of the last
+    word: the words compare lexicographically as the fields do."""
+    words, used = [], 64
+    for f, w in zip(reversed(fields), reversed(widths)):
+        if used + w > 64:
+            words.append(f)
+            used = 0
+        else:
+            words[-1] = words[-1] | (f << np.uint64(used))
+        used += w
+    return words[::-1]
 
 
 @dataclass(frozen=True)
@@ -103,9 +118,6 @@ class MeshStructureTables:
     #: the facet a descending trace arrived through when the arriving
     #: cell's pairing code is ``code``
     trace_facets: tuple[tuple[tuple[int, ...], ...], ...]
-    #: padded indices of valid cells per dimension (layout order, not
-    #: SoS order — the data-dependent sort stays per block)
-    cells_of_dim: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def build_structure_tables(
@@ -170,11 +182,7 @@ def build_structure_tables(
         for t in range(8)
     )
 
-    cells_of_dim = tuple(
-        np.flatnonzero(valid & (cell_dim == d)) for d in range(4)
-    )
-
-    for arr in (celltype, cell_dim, valid, interior_index, *cells_of_dim):
+    for arr in (celltype, cell_dim, valid, interior_index):
         arr.setflags(write=False)
 
     return MeshStructureTables(
@@ -191,7 +199,6 @@ def build_structure_tables(
         cofacet_offsets=cofacet_offsets,
         dir_offsets=dir_offsets,
         trace_facets=trace_facets,
-        cells_of_dim=cells_of_dim,
     )
 
 
@@ -342,9 +349,9 @@ class CubicalComplex:
             np.ascontiguousarray(sig3d), np.uint8(255)
         )
 
-        self._build_order_rank(addr)
+        self._build_order_rank()
 
-    def _build_order_rank(self, addr: np.ndarray) -> None:
+    def _build_order_rank(self) -> None:
         """Dense simulation-of-simplicity rank over all valid cells.
 
         Key = (descending-sorted vertex values, global address), compared
@@ -352,52 +359,53 @@ class CubicalComplex:
         compared (by the gradient kernel and :attr:`cells_by_dim`), so
         each dimension d is sorted on its own with its ``2**d`` real
         keys, and its ranks follow those of the lower dimensions.
+
+        The vertices are sorted once: dense ranks stand in for the exact
+        samples (equal samples, ``-0.0`` and ``+0.0`` too, rank equal).
+        Inside a block, global-address order is padded-index order (both
+        x-fastest over a sub-box), so the padded index in the low field
+        breaks ties, keeps every key unique and names the sorted cells.
         """
-        # Order-preserving map of the float32 vertex values to uint32
-        # (IEEE bit trick): integer keys sort and pack without caring
-        # about signed zeros.
-        u = self.vertex_values.astype(np.float32).view(np.uint32)
-        u = u ^ np.where(
-            (u >> 31) != 0, np.uint32(0xFFFFFFFF), np.uint32(0x80000000)
-        )
-        nv = self.vertex_shape
+        _, vrank = np.unique(self.vertex_values, return_inverse=True)
+        vbits = int(vrank.max()).bit_length()
+        vrank = vrank.astype(np.uint64).reshape(self.vertex_shape)
+        ibits = (self.num_padded - 1).bit_length()
+        index3 = self.tables.interior_index.reshape(self.refined_shape)
         self.order_rank = np.full(self.num_padded, np.iinfo(np.int64).max)
-        rank_xyz = self.order_rank.reshape(self.padded_shape[::-1]).T
+        cells_by_dim = []
         base = 0
         for types in CELLTYPES_OF_DIM:
-            keys, cell_addr, targets = [], [], []
+            corners, index = [], []
             for t in types:
                 bits = _axis_bits(t)
-                # the t-cells form an (nv - bits) grid; their corner m
+                # the t-cells form a (vertex_shape - bits) grid; corner m
                 # (a subset of t's axes) is the vertex block shifted by m
-                extent = tuple(n - b for n, b in zip(nv, bits))
-                keys.append(np.stack([
-                    u[tuple(
+                extent = tuple(n - b for n, b in zip(self.vertex_shape, bits))
+                corners.append(np.stack([
+                    vrank[tuple(
                         slice(c, c + e) for c, e in zip(_axis_bits(m), extent)
                     )].ravel()
                     for m in range(8) if m & ~t == 0
                 ]))
-                cell_addr.append(
-                    addr[tuple(slice(b, None, 2) for b in bits)].ravel()
+                index.append(
+                    index3[tuple(slice(b, None, 2) for b in bits)].ravel()
                 )
-                targets.append(
-                    rank_xyz[tuple(slice(1 + b, -1, 2) for b in bits)]
-                )
-            keys = np.concatenate(keys, axis=1)
-            keys.sort(axis=0)
-            keys = keys[::-1]  # descending
-            if len(keys) > 1:
-                # pack adjacent key pairs big-end-first: same
-                # lexicographic order, half the lexsort passes
-                keys = (keys[0::2].astype(np.uint64) << np.uint64(32)) | keys[1::2]
-            # np.lexsort: last key is primary
-            perm = np.lexsort((np.concatenate(cell_addr), *keys[::-1]))
-            ranks = np.empty(len(perm), dtype=np.int64)
-            ranks[perm] = np.arange(base, base + len(perm), dtype=np.int64)
-            base += len(perm)
-            for target in targets:
-                target[...] = ranks[:target.size].reshape(target.shape)
-                ranks = ranks[target.size:]
+            corners = np.concatenate(corners, axis=1)
+            corners.sort(axis=0)
+            words = _pack_words(
+                [*corners[::-1], np.concatenate(index).astype(np.uint64)],
+                [vbits] * len(corners) + [ibits],
+            )
+            if len(words) == 1:
+                keys = np.sort(words[0])
+            else:  # np.lexsort: last key is primary
+                keys = words[-1][np.lexsort(words[::-1])]
+            cells = (keys & np.uint64((1 << ibits) - 1)).astype(np.int64)
+            self.order_rank[cells] = np.arange(base, base + cells.size)
+            base += cells.size
+            cells_by_dim.append(cells)
+        #: padded indices of the valid cells per dimension, in SoS order
+        self.cells_by_dim = tuple(cells_by_dim)
 
     # ------------------------------------------------------------------
     # coordinate / identity helpers
@@ -418,16 +426,6 @@ class CubicalComplex:
         i, j, k = self.refined_coords(p)
         o = self.refined_origin
         return (i + o[0], j + o[1], k + o[2])
-
-    @cached_property
-    def cells_by_dim(self) -> tuple[np.ndarray, ...]:
-        """Padded flat indices of valid cells per dimension, in SoS order."""
-        out = []
-        for d in range(4):
-            cells = self.tables.cells_of_dim[d]
-            order = np.argsort(self.order_rank[cells], kind="stable")
-            out.append(cells[order].astype(np.int64))
-        return tuple(out)
 
     def vertices_of_cell(self, p: int) -> list[int]:
         """Padded flat indices of the vertices (0-cells) of cell ``p``."""

@@ -126,31 +126,30 @@ class _PointerState:
             [o for f in cx.facet_offsets for o in f], dtype=np.int64
         )
 
-        # classify every continuing cell's step: enumerate its head's
-        # candidates once, field-wide, and mark the steps that neither
-        # branch nor emit an arc — the compressible chain cells
+        # the step through alpha (head b = cont[alpha]) neither branches
+        # nor emits iff no facet of b is critical and exactly two are
+        # live: alpha and the continuation, which is then
+        # (b + o1) + (b + o2) - alpha over the live facet offsets.  Live
+        # facets weigh 1 and critical ones 8 (b has <= 6 facets), so the
+        # test is: the weights sum to 2.
+        weight = (cont >= 0).astype(np.int8)
+        weight[cont == CONT_CRITICAL] = 8
         alphas = np.flatnonzero(cont >= 0)
+        heads = cont[alphas]
+        head_type = cx.celltype[heads]
+        total = np.zeros(alphas.size, dtype=np.int8)
+        live_offsets = np.zeros(alphas.size, dtype=np.int64)
+        for a, step in enumerate(cx.steps):
+            along = (head_type >> a) & 1 != 0  # b has facets along axis a
+            for off in (step, -step):
+                w = weight[heads + off] * along
+                total += w
+                live_offsets += (w == 1) * off
+        chain = total == 2
         chain_next = np.full(n, -1, dtype=np.int64)
-        if alphas.size:
-            key = ckey[alphas]
-            k = self.cand_len[key]
-            parent = np.repeat(np.arange(alphas.size, dtype=np.int64), k)
-            within = np.arange(int(k.sum()), dtype=np.int64) - np.repeat(
-                np.cumsum(k) - k, k
-            )
-            beta = cont[alphas][parent] + self.cand_flat[
-                np.repeat(self.cand_start[key], k) + within
-            ]
-            bc = cont[beta]
-            ncrit = np.bincount(
-                parent, weights=(bc == CONT_CRITICAL), minlength=alphas.size
-            )
-            nlive = np.bincount(
-                parent, weights=(bc >= 0), minlength=alphas.size
-            )
-            chain = (ncrit == 0) & (nlive == 1)
-            sel = (bc >= 0) & chain[parent]
-            chain_next[alphas[parent[sel]]] = beta[sel]
+        chain_next[alphas[chain]] = (
+            2 * heads[chain] + live_offsets[chain] - alphas[chain]
+        )
         self.chain_next = chain_next
 
         # pointer doubling: O(log L) whole-array passes compress every
@@ -177,7 +176,10 @@ class _PointerState:
 def _pointer_state(field: GradientField) -> _PointerState:
     state = getattr(field, "_pointer_state", None)
     if state is None:
-        state = _PointerState(field)
+        with get_tracer().span("trace.pointer.state", cat="kernel") as span:
+            state = _PointerState(field)
+            span.annotate(chain_cells=int((state.chain_next >= 0).sum()),
+                          doubling_rounds=state.doubling_rounds)
         field._pointer_state = state
     return state
 
@@ -280,7 +282,6 @@ def _trace_down_many(
             level += 1
         span.annotate(
             levels=level,
-            doubling_rounds=st.doubling_rounds,
             frontier_peak=int(max(e.size for e in ent_alpha)),
         )
 

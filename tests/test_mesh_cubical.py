@@ -164,7 +164,7 @@ class TestSoSOrder:
     @pytest.mark.parametrize("levels", [0, 3])
     def test_rank_is_the_sos_order_within_each_dimension(self, levels):
         """Brute force: sort every dimension's cells by (descending
-        float32 vertex values, global address); dimension d's ranks
+        exact vertex values, global address); dimension d's ranks
         follow those of the lower dimensions."""
         rng = np.random.default_rng(8)
         v = rng.random((4, 3, 5))
@@ -175,10 +175,10 @@ class TestSoSOrder:
         )
         base = 0
         for d in range(4):
-            cells = cx.tables.cells_of_dim[d].tolist()
+            cells = np.flatnonzero(cx.valid & (cx.cell_dim == d)).tolist()
 
             def sos_key(p):
-                verts = np.float32(cx.cell_value[cx.vertices_of_cell(p)])
+                verts = cx.cell_value[cx.vertices_of_cell(p)]
                 return sorted(verts.tolist(), reverse=True), int(
                     cx.global_address[p]
                 )

@@ -1,9 +1,9 @@
 """The memoized mesh structure tables must be output-invisible.
 
 The shape-dependent tables (facet/cofacet offsets, trace continuation
-facets, per-dimension cell lists) are pure functions of ``padded_shape`` and
-are shared through a module-level LRU cache.  These tests pin the two
-properties that make the cache safe:
+facets, the padded-layout scatter index) are pure functions of
+``padded_shape`` and are shared through a module-level LRU cache.  These
+tests pin the two properties that make the cache safe:
 
 - keying: distinct padded shapes get distinct table sets, equal shapes
   share one; nothing cut-plane- or value-dependent lives in the tables,

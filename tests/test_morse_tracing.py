@@ -94,6 +94,18 @@ class TestExtractMSComplex:
         capped = extract_ms_complex(field, max_paths_per_node=1)
         assert capped.num_alive_arcs() <= full.num_alive_arcs()
 
+    def test_no_arc_runs_uphill_on_float64_input(self):
+        """Samples 1e-6 apart collapse to a handful of float32 values;
+        the SoS order must still follow the exact float64 samples that
+        ``cell_value`` (and persistence) read."""
+        v = 1.0 + np.random.default_rng(0).random((12, 12, 12)) * 1e-6
+        assert np.unique(v.astype(np.float32)).size < 16
+        msc = extract_ms_complex(compute_discrete_gradient(CubicalComplex(v)))
+        up = np.asarray(msc.node_value)[msc.arc_upper]
+        down = np.asarray(msc.node_value)[msc.arc_lower]
+        assert len(up) > 1000
+        assert np.all(up >= down)
+
     def test_boundary_flags_zero_without_cuts(self, field):
         msc = extract_ms_complex(field)
         assert not any(
