@@ -1,4 +1,4 @@
-"""Real shared-memory speedup of the compute stage (process pool).
+"""Real multi-core speedup of the compute stage (process pool).
 
 The paper's compute stage is embarrassingly parallel: boundary-restricted
 pairing makes each block's gradient / MS complex / simplification
@@ -78,7 +78,6 @@ def bench_executor_speedup(runs, benchmark):
                 "compute_cpu_s": s.compute_cpu_seconds,
                 "speedup_vs_serial": vs_serial,
                 "dispatch_bytes": s.transport.dispatch_bytes,
-                "shared_volume_bytes": s.transport.shared_volume_bytes,
                 "stage_seconds": s.compute_stage_seconds(),
             }
         )

@@ -4,10 +4,10 @@ Measures the two claims the streaming rework makes:
 
 - ``steady_state``: steps/second of an 8+ step time series processed
   through one persistent :class:`~repro.core.session.PipelineSession`
-  (pools, shm slot, plan, and warmed tables reused every step) versus
-  the prior shape — a fresh per-step
+  (pool, plan, and warmed tables reused every step) versus the prior
+  shape — a fresh per-step
   :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run` that pays
-  pool fork + segment publish + planning every time.  Both sides time
+  pool fork + planning every time.  Both sides time
   steps ``[1:]`` so the session's one-time warm-up and the process
   pool's first fork are excluded symmetrically.
 - ``mmap_independence``: driver-side transport bytes of the ``mmap``
@@ -46,7 +46,7 @@ from repro.data.synthetic import gaussian_bumps_field
 from repro.io.volume import VolumeSpec, write_volume
 
 #: the throughput series: small enough steps that per-step setup
-#: (pool fork, shm publish, planning) is a large share of a one-shot
+#: (pool fork, planning) is a large share of a one-shot
 #: run — the regime a real in-situ monitoring coupling streams in
 #: (compute-bound steps amortize nothing; there the session simply ties)
 DIMS = (12, 12, 12)
@@ -103,8 +103,6 @@ def measure_steady_state(
         reuse = {
             "pool_reuse_hits": session.stats.pool_reuse_hits,
             "plan_cache_hits": session.stats.plan_cache_hits,
-            "shm_rebinds": session.stats.shm_rebinds,
-            "shm_republishes": session.stats.shm_republishes,
         }
 
     steady_oneshot = sum(oneshot_secs[1:]) / len(oneshot_secs[1:])

@@ -1,6 +1,6 @@
 """Overhead of the repro.obs tracing/metrics subsystem (docs/OBSERVABILITY.md).
 
-Measures the same pooled shm pipeline run three ways — observability
+Measures the same pooled in-memory pipeline run three ways — observability
 off, trace only, trace + metrics — on the ISSUE's reference workload (a
 24^3 gaussian-bumps field, 8 ranks, 2 workers) and records the relative
 compute-stage overhead into the repo-root ``BENCH_trace_overhead.json``.

@@ -5,8 +5,8 @@ combustion code and generate parallel MS complexes in situ" — realized
 at laptop scale: a time-evolving Rayleigh-Taylor simulation proxy is
 streamed through a persistent :class:`InSituAnalyzer`.  The analyzer
 rides one :class:`~repro.core.session.PipelineSession`, so the worker
-pools, the shared-memory slot, the decomposition/merge plan, and the
-warmed structure tables are built on the first step and *reused* by
+pool, the decomposition/merge plan, and the warmed structure tables
+are built on the first step and *reused* by
 every later one — the amortization a real coupling lives on.  Each
 step is still bit-identical to a one-shot run of the same field.
 

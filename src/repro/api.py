@@ -149,8 +149,8 @@ def open_session(
     Takes the same keywords as :func:`compute` (minus the input field)
     and returns a session
     whose :meth:`~repro.core.session.PipelineSession.run` processes one
-    timestep per call while reusing the worker pools, the shared-memory
-    slot, and the cached plan across steps::
+    timestep per call while reusing the worker pool and the cached plan
+    across steps::
 
         with repro.open_session(persistence=0.05, ranks=8,
                                 options=ExecutionOptions(workers=4)) as s:
@@ -159,7 +159,7 @@ def open_session(
 
     Each step is bit-identical to ``repro.compute(field, ...)`` with the
     same settings.  Close the session (or use ``with``) to release the
-    pools and shared memory.
+    pool.
     """
     cfg = _facade_config(
         persistence=persistence,

@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser(
         "stream",
         help="stream a time series of volumes through one persistent "
-             "session (pools, shared memory, and the plan are reused "
+             "session (the worker pool and the plan are reused "
              "across steps; out-of-core via the mmap transport)",
     )
     st.add_argument("volumes", nargs="+",
@@ -461,8 +461,6 @@ def _cmd_stream(args) -> int:
                             "runs": stats.runs,
                             "pool_reuse_hits": stats.pool_reuse_hits,
                             "plan_cache_hits": stats.plan_cache_hits,
-                            "shm_rebinds": stats.shm_rebinds,
-                            "shm_republishes": stats.shm_republishes,
                             "steady_state_steps_per_sec": (
                                 stats.steady_state_steps_per_sec()
                             ),

@@ -100,8 +100,12 @@ class PipelineConfig:
             raise ValueError("num_blocks must be >= 1")
         if self.num_procs is not None and self.num_procs < 1:
             raise ValueError("num_procs must be >= 1")
-        if self.persistence_threshold < 0:
-            raise ValueError("persistence_threshold must be >= 0")
+        # written so NaN fails too (every comparison with NaN is False)
+        if not (self.persistence_threshold >= 0):
+            raise ValueError(
+                "persistence_threshold must be >= 0, got "
+                f"{self.persistence_threshold!r}"
+            )
         if isinstance(self.merge_radices, str):
             if self.merge_radices not in ("full", "none"):
                 raise ValueError(

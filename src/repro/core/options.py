@@ -21,9 +21,10 @@ at configuration time rather than deep inside the pipeline.
 This is the only spelling: :class:`~repro.core.config.PipelineConfig`
 *holds* one of these as its ``options`` field (readers say
 ``cfg.options.workers``).  What the code can derive is not an option:
-the executor follows from ``workers`` and the block transport from the
-kind of input (see :attr:`ExecutionOptions.resolved_executor` and
-:meth:`ExecutionOptions.resolve_transport`).
+the executor follows from ``workers`` (see
+:attr:`ExecutionOptions.resolved_executor`) and the block transport
+from the kind of input alone — a volume file is ``mmap``-read where it
+is computed, an in-memory field's blocks travel by value.
 """
 
 from __future__ import annotations
@@ -159,18 +160,6 @@ class ExecutionOptions:
     def resolved_executor(self) -> str:
         """``"process"`` exactly when a worker pool runs, else ``"serial"``."""
         return "process" if self.workers > 1 else "serial"
-
-    def resolve_transport(self, input_kind: str) -> str:
-        """How block data reaches whoever computes it.
-
-        ``input_kind`` is ``"volume"`` (a :class:`repro.io.volume.VolumeSpec`
-        file: every block is ``mmap``-read where it is computed) or
-        ``"memory"`` (a vertex array held by the driver: published once
-        to shared memory under a pool, passed by value in-process).
-        """
-        if input_kind == "volume":
-            return "mmap"
-        return "shm" if self.workers > 1 else "pickle"
 
     def fingerprint(self) -> str:
         """Stable content hash over every execution knob.

@@ -95,7 +95,6 @@ from repro.parallel.executor import (
     CorruptPayloadError,
     FaultTolerantExecutor,
 )
-from repro.parallel.transport import SPEC_HEADER_BYTES, SharedVolumeHandle
 from repro.parallel.radixk import MergeSchedule
 
 __all__ = [
@@ -146,15 +145,19 @@ def compute_morse_smale_complex(
 # ---------------------------------------------------------------------------
 
 
+#: Estimated pickled size of one BlockSpec header (everything except the
+#: vertex samples); used for transport byte accounting only.
+SPEC_HEADER_BYTES = 256
+
+
 @dataclass(frozen=True)
 class BlockSpec:
     """Everything needed to compute one block, picklable and immutable.
 
     Exactly one of ``values`` (the block's vertex samples, shared layers
-    included), ``volume`` (a raw volume file the worker reads its own
-    subarray from, the parallel-I/O path of §IV-B) and ``shm`` (a
-    published shared-memory volume the worker attaches to and slices its
-    block view from — the zero-copy transport) is set.
+    included — an in-memory field's block travels by value) and
+    ``volume`` (a raw volume file the worker reads its own subarray
+    from, the parallel-I/O path of §IV-B) is set.
     """
 
     block_id: int
@@ -167,7 +170,6 @@ class BlockSpec:
     validate: bool
     values: np.ndarray | None = None
     volume: VolumeSpec | None = None
-    shm: SharedVolumeHandle | None = None
     #: ship the worker's span buffer back with the payload (tracing on)
     trace: bool = False
     #: ship a worker-local metrics snapshot back with the payload
@@ -225,13 +227,8 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
     payload bytes (§IV-C's boundary-restricted pairing makes the result
     independent of all other blocks).
     """
-    sources = sum(
-        x is not None for x in (spec.values, spec.volume, spec.shm)
-    )
-    if sources != 1:
-        raise ValueError(
-            "spec must carry exactly one of values/volume/shm"
-        )
+    if (spec.values is None) == (spec.volume is None):
+        raise ValueError("spec must carry exactly one of values/volume")
     # Every block runs under a local tracer — the single source of its
     # stage timings (``stage_seconds`` below are span durations).  The
     # tracer becomes process-ambient only when the run traces, so
@@ -249,17 +246,12 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
                     # no normalization: CubicalComplex copies at most once
                     block_values = spec.values
                     read_span.annotate(source="pickle")
-                elif spec.shm is not None:
-                    # zero-copy: attach (cached per process) and slice the
-                    # block's view; CubicalComplex makes the one copy
-                    block_values = spec.shm.open()[spec.box.slices()]
-                    read_span.annotate(source="shm")
                 else:
                     # out-of-core: map the file (cached per process)
                     # and gather only this block's subarray
                     block_values = read_block(spec.volume, spec.box)
                     read_span.annotate(source="mmap")
-                    # (arrays and the shm publish are grid-checked)
+                    # (in-memory arrays are grid-checked)
                     if not np.isfinite(block_values).all():
                         raise ValueError(
                             f"{spec.volume.path}: block {spec.block_id} "
@@ -497,26 +489,17 @@ class ParallelMSComplexPipeline:
         decomp: BlockDecomposition,
         grid: StructuredGrid | None,
         volume: VolumeSpec | None,
-        shm: SharedVolumeHandle | None = None,
     ) -> list[BlockSpec]:
-        """Picklable per-block work orders, in block-id order.
-
-        With ``shm`` set (the zero-copy transport), specs carry only the
-        tiny segment handle; workers slice their block out of the
-        published volume themselves.
-        """
+        """Picklable per-block work orders, in block-id order."""
         cfg = self.config
         specs = []
         for bid in range(decomp.num_blocks):
             box = decomp.block_box(decomp.block_coords(bid))
-            if shm is not None:
-                values = None
-            elif grid is not None:
+            values = None
+            if grid is not None:
                 values = np.ascontiguousarray(
                     grid.extract_block(box), dtype=np.float64
                 )
-            else:
-                values = None
             specs.append(
                 BlockSpec(
                     block_id=bid,
@@ -531,7 +514,6 @@ class ParallelMSComplexPipeline:
                     validate=cfg.validate,
                     values=values,
                     volume=volume,
-                    shm=shm,
                     trace=cfg.trace,
                     collect_metrics=cfg.metrics,
                 )
@@ -609,11 +591,7 @@ class ParallelMSComplexPipeline:
             dims, vertex_bytes = grid.dims, grid.values.dtype.itemsize
         else:
             dims, vertex_bytes = volume.dims, volume.np_dtype.itemsize
-        transport = TransportStats(
-            kind=cfg.options.resolve_transport(
-                "memory" if grid is not None else "volume"
-            )
-        )
+        transport = TransportStats(kind="mmap" if grid is None else "pickle")
         with tracer.span("pipeline.plan", cat="pipeline") as plan_span:
             if session is not None:
                 plan, plan_cached = session._plan_for(dims)
@@ -726,18 +704,11 @@ class ParallelMSComplexPipeline:
         try:
             # a file input is mmap-read wherever its blocks are computed
             # (the driver never materializes the volume); an in-memory
-            # field is published once for a pool, passed by value
-            # in-process
-            shm_handle = None
-            if transport.kind == "shm":
-                with tracer.span("shm.publish", cat="transport"):
-                    shm_handle = executor.publish_volume(grid.values)
+            # field's blocks travel in their specs, by value
             if grid is not None:
                 transport.driver_staged_bytes += grid.values.nbytes
             with tracer.span("pipeline.specs", cat="pipeline"):
-                specs = self._block_specs(
-                    plan.decomp, grid, volume, shm=shm_handle
-                )
+                specs = self._block_specs(plan.decomp, grid, volume)
             with tracer.span(
                 "compute.dispatch", cat="compute", blocks=len(specs),
                 executor=cfg.options.resolved_executor,
@@ -748,7 +719,7 @@ class ParallelMSComplexPipeline:
                 )
         finally:
             # a session owns its executor across runs; one-shot runs
-            # release it (pool, shm slot) here
+            # release its pool here
             if session is None:
                 executor.close()
         logger.info(
@@ -944,15 +915,6 @@ class ParallelMSComplexPipeline:
         )
         registry.gauge("transport.driver_staged_bytes").set(
             stats.transport.driver_staged_bytes
-        )
-        registry.counter("transport.shm_rebinds").inc(
-            stats.transport.shm_rebinds
-        )
-        registry.counter("transport.shm_republishes").inc(
-            stats.transport.shm_republishes
-        )
-        registry.gauge("shm.volume_bytes").set(
-            stats.transport.shared_volume_bytes
         )
         registry.gauge("pipeline.workers").set(stats.workers)
         for ev in stats.merge_events:

@@ -2,12 +2,11 @@
 
 A one-shot :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run`
 pays its full setup cost every time: it forks a fresh compute worker
-pool, publishes a new shared-memory segment, decomposes the domain,
-builds the merge schedule, and warms the mesh structure tables — then
-tears it all down.  That is the right shape for a single volume, and
-exactly the wrong shape for the paper's stated in-situ direction
-(§VII-B, coupling with S3D), where the *same* decomposition processes
-hundreds of timesteps back to back.
+pool, decomposes the domain, builds the merge schedule, and warms the
+mesh structure tables — then tears it all down.  That is the right
+shape for a single volume, and exactly the wrong shape for the paper's
+stated in-situ direction (§VII-B, coupling with S3D), where the *same*
+decomposition processes hundreds of timesteps back to back.
 
 :class:`PipelineSession` owns those resources across runs:
 
@@ -17,10 +16,6 @@ hundreds of timesteps back to back.
   subsequent step — its restart/degrade fault handling is untouched
   (per-run budgets are fresh because each run swaps in zeroed stats via
   :meth:`~repro.parallel.executor.FaultTolerantExecutor.begin_run`);
-- the shared-memory transport publishes into a reusable slot sized to
-  the largest step seen so far: a steady-state step *rebinds* the
-  existing segment in place (workers keep their cached attachment) and
-  only a grown volume republishes;
 - the plan — decomposition, merge schedule, per-round groups and cut
   planes, cost model — is cached per ``dims`` and replayed, and the
   structure-table memo stays warm from the first step.
@@ -74,10 +69,6 @@ class SessionStats:
     plan_cache_hits: int = 0
     #: runs that reused the live compute executor (pool intact)
     pool_reuse_hits: int = 0
-    #: steps whose shm publish rebound the existing segment in place
-    shm_rebinds: int = 0
-    #: steps whose shm publish created (or grew) a segment
-    shm_republishes: int = 0
     #: real wall seconds of each step, in step order
     step_seconds: list[float] = field(default_factory=list)
 
@@ -98,9 +89,7 @@ class SessionStats:
         out = (
             f"session: {self.runs} steps, "
             f"{self.pool_reuse_hits} pool reuses, "
-            f"{self.plan_cache_hits} plan cache hits, "
-            f"{self.shm_rebinds} shm rebinds / "
-            f"{self.shm_republishes} republishes"
+            f"{self.plan_cache_hits} plan cache hits"
         )
         if len(self.step_seconds) > 1:
             out += (
@@ -118,16 +107,16 @@ class PipelineSession:
     facade), call :meth:`run` once per timestep, and :meth:`close` when
     done (or use as a context manager).  Each run returns the same
     :class:`~repro.core.result.PipelineResult` — bit-identical to a
-    fresh ``ParallelMSComplexPipeline(config).run(...)`` — while the pool,
-    the shm slot, plans, and warmed tables persist between calls.
+    fresh ``ParallelMSComplexPipeline(config).run(...)`` — while the
+    pool, plans, and warmed tables persist between calls.
 
     Fault tolerance across steps: a worker crash mid-series restarts the
     pool inside that step exactly as a one-shot run would, and the
     restarted pool serves the following steps.  An executor that
     *degraded* to serial stays serial for the rest of the session (the
     pool was declared unhealthy; per-step flip-flopping would thrash).
-    Session close is the single release point for every OS resource —
-    pool and shm segment — so chaos tests can assert nothing leaks.
+    Session close is the single release point for the pool, so chaos
+    tests can assert nothing leaks.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -169,14 +158,10 @@ class PipelineSession:
             )
         self.stats.runs += 1
         self.stats.step_seconds.append(result.stats.real_seconds_total)
-        self.stats.shm_rebinds += result.stats.transport.shm_rebinds
-        self.stats.shm_republishes += (
-            result.stats.transport.shm_republishes
-        )
         return result
 
     def close(self) -> None:
-        """Release every owned OS resource: the pool and the shm slot.
+        """Release every owned OS resource: the worker pool.
 
         Idempotent.  After close the session refuses further runs.
         Also drops the driver-process memmap cache: a service process

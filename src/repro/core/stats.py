@@ -99,23 +99,17 @@ class FaultToleranceStats:
 class TransportStats:
     """Byte accounting of the compute stage's block transport."""
 
-    #: concrete transport the run used ("pickle", "shm", or "mmap")
+    #: concrete transport the run used: "pickle" (an in-memory field,
+    #: blocks by value) or "mmap" (a volume file)
     kind: str = "pickle"
-    #: bytes of the published shared-memory volume (0 on pickle/mmap)
-    shared_volume_bytes: int = 0
     #: bytes shipped to workers across every dispatch, retries included
     dispatch_bytes: int = 0
     #: compute dispatches performed (first attempts + retries)
     dispatches: int = 0
     #: full-volume vertex bytes the *driver* staged for transport —
-    #: the in-memory grid for pickle/shm, 0 for mmap (workers subarray-
+    #: the in-memory grid for pickle, 0 for mmap (workers subarray-
     #: read from disk; the driver never materializes the volume)
     driver_staged_bytes: int = 0
-    #: streaming-session steps served by rebinding the existing shm
-    #: segment in place (same name, workers keep their attachment)
-    shm_rebinds: int = 0
-    #: shm publishes that created (or grew) a segment
-    shm_republishes: int = 0
 
     def describe(self) -> str:
         """One-line summary, e.g. for the CLI timing report."""
@@ -123,10 +117,6 @@ class TransportStats:
             f"transport: {self.kind}, {self.dispatches} dispatches, "
             f"{self.dispatch_bytes} bytes shipped"
         )
-        if self.shared_volume_bytes:
-            out += f" (+{self.shared_volume_bytes} bytes published once)"
-        if self.shm_rebinds:
-            out += f" ({self.shm_rebinds} segment rebinds)"
         if self.kind == "mmap":
             out += " (driver stages no volume bytes)"
         return out

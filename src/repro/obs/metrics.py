@@ -74,7 +74,7 @@ class Counter:
 class Gauge:
     """Last-set value; merges across processes by maximum.
 
-    The pipeline uses gauges for high-water marks (published segment
+    The pipeline uses gauges for high-water marks (driver-staged
     bytes, pool width), where the max of per-process observations is
     the meaningful aggregate.
     """

@@ -14,8 +14,6 @@ one execution needs:
   one executor: per-block work runs in-process with ``workers=1`` and on
   a pool of OS processes otherwise, under timeouts, retries, pool
   restarts and degradation to serial,
-- :mod:`repro.parallel.transport` — the shared-memory slot an in-memory
-  volume is published into once for a pool's workers,
 - :mod:`repro.parallel.faults` — the deterministic fault plan the chaos
   tests drive the executor with.
 

@@ -173,22 +173,14 @@ class FaultTolerantExecutor:
     it for payload checksums.  ``sleep`` is injectable so tests can
     record backoff without waiting.
 
-    The executor also owns the zero-copy transport's shared-memory
-    segment, when one is used: :meth:`publish_volume` copies the volume
-    into a fresh segment exactly once and returns the picklable handle
-    the block specs carry; the segment outlives worker-pool restarts and
-    degradation to serial (both read paths resolve through the same
-    handle), and :meth:`close` always unlinks it, so no run can leak a
-    segment.  ``transport`` (optional,
-    :class:`repro.core.stats.TransportStats`) accumulates per-dispatch
-    byte counts — retries included — from the specs'
-    ``transport_nbytes``.
+    ``transport`` (optional, :class:`repro.core.stats.TransportStats`)
+    accumulates per-dispatch byte counts — retries included — from the
+    specs' ``transport_nbytes``.
 
     Observability: retries, pool restarts, and degradations log at
     WARNING on the ``repro.parallel.executor`` logger, and — when a
     ``tracer`` (:class:`repro.obs.trace.Tracer`) is passed — are marked
-    as instant events on the run timeline, alongside the shared-memory
-    segment's publish/unlink lifecycle.
+    as instant events on the run timeline.
     """
 
     def __init__(
@@ -219,10 +211,6 @@ class FaultTolerantExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._degraded = False
         self._suspect_workers = 0  # pooled slots clogged by hung blocks
-        from repro.parallel.transport import SharedVolumeSlot
-
-        self._volume_slot = SharedVolumeSlot()
-        self._published_this_run = False
 
     # -- public protocol -------------------------------------------------
 
@@ -236,18 +224,15 @@ class FaultTolerantExecutor:
         this executor for its next step.
 
         Swaps in the new run's :class:`FaultToleranceStats` /
-        :class:`TransportStats` / tracer and re-arms
-        :meth:`publish_volume` (each run still publishes at most once).
-        The worker pool, the shared-memory slot, and the degradation
-        state are deliberately *not* reset: a pool that already degraded
-        to serial stays serial, and pool-restart budgets are per run
-        because the swapped-in stats start at zero.
+        :class:`TransportStats` / tracer.  The worker pool and the
+        degradation state are deliberately *not* reset: a pool that
+        already degraded to serial stays serial, and pool-restart
+        budgets are per run because the swapped-in stats start at zero.
         """
         if stats is not None:
             self.stats = stats
         self.transport = transport
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._published_this_run = False
 
     def map_blocks(
         self,
@@ -280,52 +265,17 @@ class FaultTolerantExecutor:
                                              on_result)
         return results
 
-    def publish_volume(self, values: Any) -> Any:
-        """Publish a vertex volume for the zero-copy transport.
-
-        Copies ``values`` into this executor's shared-memory slot and
-        returns the :class:`~repro.parallel.transport.SharedVolumeHandle`
-        to embed in block specs.  The slot lives until :meth:`close`;
-        across session runs (see :meth:`begin_run`) it is *rebound* in
-        place when the new volume fits the existing segment's capacity,
-        so steady-state streaming steps create no segments at all.  At
-        most one publish per run.
-        """
-        if self._published_this_run:
-            raise RuntimeError("executor already published a volume")
-        handle, reused = self._volume_slot.publish(values)
-        self._published_this_run = True
-        if self.transport is not None:
-            self.transport.shared_volume_bytes += handle.nbytes
-            if reused:
-                self.transport.shm_rebinds += 1
-            else:
-                self.transport.shm_republishes += 1
-        self.tracer.event(
-            "shm.publish", cat="transport",
-            segment=handle.name, bytes=handle.nbytes, rebound=reused,
-        )
-        return handle
-
     def close(self) -> None:
-        """Shut the worker pool down and unlink the published segment.
+        """Shut the worker pool down.
 
         Idempotent; does not wait for workers clogged by timed-out
-        blocks.  The shared-memory slot (if any) is unlinked here and
-        only here, after every dispatch path — pooled, restarted pool,
-        or degraded serial — is done with it.
+        blocks.
         """
         if self._pool is not None:
             self._pool.shutdown(
                 wait=self._suspect_workers == 0, cancel_futures=True
             )
             self._pool = None
-        if self._volume_slot.active:
-            self.tracer.event(
-                "shm.unlink", cat="transport",
-                segment=self._volume_slot.handle.name,
-            )
-            self._volume_slot.unlink()
 
     def __enter__(self) -> "FaultTolerantExecutor":
         return self

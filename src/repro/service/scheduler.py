@@ -13,8 +13,8 @@ compute request resolves — in this order — to:
    identical concurrent submissions run the pipeline exactly once;
 3. a **cold compute**: the job waits in the pool's queue for one of
    its ``max_concurrency`` threads, which runs it through a long-lived
-   :class:`~repro.core.session.PipelineSession` (pools, shm slot, and
-   plans reused across jobs of the same configuration) — or a one-shot
+   :class:`~repro.core.session.PipelineSession` (worker pool and plans
+   reused across jobs of the same configuration) — or a one-shot
    pipeline while that session is busy — and stores the artifact
    *before* the job leaves the in-flight table.
 

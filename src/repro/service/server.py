@@ -40,6 +40,7 @@ Per-route latency histograms land in the shared metrics registry as
 from __future__ import annotations
 
 import json
+import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -56,6 +57,18 @@ class _BadRequest(ValueError):
     """A request error answered with HTTP 400 and a readable message."""
 
 
+def _number(name: str, value: object, kind: type) -> int | float:
+    """``kind(value)``, or a 400 naming the field when JSON gave a value
+    of the wrong type (``null``, a list, an object, a non-numeric
+    string, or an infinity where an int belongs)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _BadRequest(
+            f"{name} must be a finite number, got {json.dumps(value)}"
+        ) from None
+
+
 def _parse_submit_body(body: dict) -> dict:
     """Validate a submit body into :meth:`ServiceClient.submit` kwargs."""
     if not isinstance(body, dict):
@@ -70,7 +83,7 @@ def _parse_submit_body(body: dict) -> dict:
         raise _BadRequest("volume.dims must be a 3-element list")
     spec = VolumeSpec(
         str(vol["path"]),
-        tuple(int(n) for n in dims),
+        tuple(_number("volume.dims", n, int) for n in dims),
         str(vol.get("dtype", "float32")),
     )
     options = None
@@ -85,16 +98,27 @@ def _parse_submit_body(body: dict) -> dict:
             raise _BadRequest(f"invalid options: {exc}") from None
     merge_radix = body.get("merge_radix", 2)
     if isinstance(merge_radix, list):
-        merge_radix = [int(r) for r in merge_radix]
+        merge_radix = [_number("merge_radix", r, int) for r in merge_radix]
+    elif not isinstance(merge_radix, (int, str)):
+        raise _BadRequest(
+            'merge_radix must be an int, a list of ints or "none", got '
+            f"{json.dumps(merge_radix)}"
+        )
+    persistence = _number("persistence", body.get("persistence", 0.0), float)
+    if math.isinf(persistence):
+        # the cache key is canonical JSON, which has no infinity
+        raise _BadRequest(
+            f"persistence must be finite, got {json.dumps(persistence)}"
+        )
     return {
         "source": spec,
-        "persistence": float(body.get("persistence", 0.0)),
-        "ranks": int(body.get("ranks", 1)),
+        "persistence": persistence,
+        "ranks": _number("ranks", body.get("ranks", 1), int),
         "merge_radix": merge_radix,
         "hierarchy": bool(body.get("hierarchy", False)),
         "options": options,
         "timeout": (
-            float(body["timeout"])
+            _number("timeout", body["timeout"], float)
             if body.get("timeout") is not None
             else None
         ),

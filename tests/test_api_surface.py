@@ -326,7 +326,8 @@ def _parse_cli(*argv):
 
 
 #: every spelling removed with the shims, the tracing-backend knob, the
-#: second merge engine and the executor/transport knobs
+#: second merge engine, the executor/transport knobs and the
+#: shared-memory transport
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -378,13 +379,21 @@ REMOVED_SPELLINGS = {
     "FaultTolerantExecutor(kind=)": lambda f: (
         repro.parallel.FaultTolerantExecutor(kind="serial")
     ),
+    "ExecutionOptions.resolve_transport": lambda f: (
+        repro.ExecutionOptions(workers=2).resolve_transport("memory")
+    ),
+    "repro.parallel.transport": lambda f: importlib.import_module(
+        "repro.parallel.transport"
+    ),
 }
 
 
 class TestDeprecationShims:
     @pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
     def test_removed_spelling_fails_loudly(self, spelling, facade_field):
-        with pytest.raises((TypeError, SystemExit)) as err:
+        with pytest.raises(
+            (TypeError, AttributeError, ImportError, SystemExit)
+        ) as err:
             REMOVED_SPELLINGS[spelling](facade_field)
         if err.type is SystemExit:
             assert err.value.code == 2  # argparse usage error

@@ -162,6 +162,17 @@ class TestComputeErrors:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_persistence_fails_readably(self, volume, capsys):
+        rc = main([
+            "compute", volume.path,
+            "--dims", *map(str, volume.dims),
+            "--persistence", "nan",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: persistence_threshold must be >= 0")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_fail_readably(self, tmp_path, capsys,
                                               caplog, bad):
@@ -588,6 +599,7 @@ class TestStream:
         assert len(payload["steps"]) == 2
         assert payload["session"]["runs"] == 2
         assert payload["session"]["plan_cache_hits"] == 1
+        assert not any(k.startswith("shm_") for k in payload["session"])
 
     def test_wrong_size_volume_fails_before_first_step(
         self, series, tmp_path, capsys

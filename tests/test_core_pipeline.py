@@ -49,6 +49,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(8, num_procs=0)
 
+    def test_nan_threshold_rejected_inf_allowed(self):
+        # NaN passes a `< 0` check and would cancel nothing, silently
+        with pytest.raises(ValueError, match="persistence_threshold"):
+            PipelineConfig(8, persistence_threshold=float("nan"))
+        cfg = PipelineConfig(8, persistence_threshold=float("inf"))
+        assert cfg.persistence_threshold == float("inf")
+
 
 class TestSerialEntryPoint:
     def test_returns_compacted_valid_complex(self, field):

@@ -1,8 +1,8 @@
 """Tests for repro.core.session: persistent streaming sessions.
 
 The contract under test is the streaming rework's central claim: a
-:class:`~repro.core.session.PipelineSession` reuses pools, the shm
-slot, cached plans, and warmed tables across steps while every step's
+:class:`~repro.core.session.PipelineSession` reuses its pool, cached
+plans, and warmed tables across steps while every step's
 output stays byte-identical to a one-shot ``pipeline.run()`` of the
 same field with the same config.
 """
@@ -17,7 +17,6 @@ from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.core.session import PipelineSession, SessionStats
 from repro.io.volume import write_volume
 from repro.parallel.faults import FaultPlan
-from repro.parallel.transport import attached_segment_names
 
 PERS = 0.05
 
@@ -133,7 +132,6 @@ class TestMmapDriverBytes:
         assert t.kind == "mmap"
         assert t.driver_staged_bytes == 0
         assert t.dispatch_bytes < spec.nbytes
-        assert t.shared_volume_bytes == 0
 
 
 class TestVertexBytes:
@@ -191,7 +189,7 @@ class TestSessionMetrics:
 
 @pytest.mark.slow
 class TestPooledSession:
-    def test_shm_rebinds_and_bit_identity(self, tmp_path):
+    def test_pooled_steps_bit_identical(self, tmp_path):
         cfg = config(workers=2)
         series = fields(3)
         refs = [
@@ -201,24 +199,28 @@ class TestPooledSession:
         with PipelineSession(cfg) as session:
             for i, f in enumerate(series):
                 out = tmp_path / f"pooled{i}.msc"
-                session.run(f).write(str(out))
+                result = session.run(f)
+                result.write(str(out))
                 assert out.read_bytes() == refs[i]
-            assert session.stats.shm_republishes == 1
-            assert session.stats.shm_rebinds == 2
+                assert result.stats.transport.kind == "pickle"
             assert session.stats.pool_reuse_hits == 2
-        # close released the slot: nothing stays attached in the driver
-        assert attached_segment_names() == ()
 
-    def test_grown_volume_republishes_shrunk_rebinds(self):
-        cfg = config(workers=2)
-        with PipelineSession(cfg) as session:
-            session.run(np.random.default_rng(0).random((9, 9, 9)))
-            session.run(np.random.default_rng(1).random((12, 12, 12)))
-            assert session.stats.shm_republishes == 2  # grew
-            session.run(np.random.default_rng(2).random((9, 9, 9)))
-            # smaller step fits the grown slot: rebind, not republish
-            assert session.stats.shm_republishes == 2
-            assert session.stats.shm_rebinds == 1
+    def test_grown_and_shrunk_steps_bit_identical(self, tmp_path):
+        """Steps of changing size reuse the one pool; each matches its
+        one-shot bytes."""
+        series = [
+            np.random.default_rng(0).random((9, 9, 9)),
+            np.random.default_rng(1).random((12, 12, 12)),
+            np.random.default_rng(2).random((9, 9, 9)),
+        ]
+        with PipelineSession(config(workers=2)) as session:
+            for i, f in enumerate(series):
+                out = tmp_path / f"sized{i}.msc"
+                session.run(f).write(str(out))
+                assert out.read_bytes() == oneshot_bytes(
+                    config(), tmp_path, f, f"ref{i}"
+                )
+            assert session.stats.pool_reuse_hits == 2
 
 
 @pytest.mark.slow
@@ -249,7 +251,7 @@ class TestSessionChaos:
                 if i == 0:
                     assert result.stats.faults.pool_restarts >= 1
             assert session.stats.runs == 3
-        assert attached_segment_names() == ()
+        assert session._compute_exec is None
 
     def test_degraded_session_stays_serial(self, tmp_path):
         """Degradation is sticky by design: once the pool is declared

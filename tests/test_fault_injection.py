@@ -174,7 +174,7 @@ class TestPooledMergeChaos:
     """Merge faults in a run whose compute stage is pooled: there is one
     merge engine — the driver's round loop — so the scenarios of
     :class:`TestMergeFaults` must land identically with ``workers=2``
-    (blocks arriving from pool workers, over shm), bit-identical to the
+    (blocks arriving from pool workers), bit-identical to the
     fault-free serial reference."""
 
     def test_pooled_merge_crash_retries_identical(self, field, baseline):
@@ -264,6 +264,39 @@ class TestDeterminism:
 
 @pytest.mark.slow
 class TestPoolChaos:
+    """Faults behind a pooled compute stage fed an in-memory field: the
+    blocks travel to the workers by value, and every fault path lands
+    on the serial reference's bytes."""
+
+    @pytest.mark.parametrize("kind", ["crash", "hang", "corrupt"])
+    def test_injected_faults_converge_bit_identical(
+        self, field, baseline, kind
+    ):
+        plans = {
+            "crash": FaultPlan.crash_on([3]),
+            "hang": FaultPlan.hang_on([3]),
+            "corrupt": FaultPlan.corrupt_on([3], seed=17),
+        }
+        res = run(field, plans[kind], workers=2)
+        assert_identical(res, baseline)
+        assert res.stats.faults.counters()["retries"] == 1
+        assert res.stats.transport.kind == "pickle"
+
+    def test_retried_block_is_shipped_again(self, field, baseline):
+        """Each retry re-sends the block's spec, samples included, and
+        the transport accounting counts every attempt."""
+        res = run(
+            field,
+            FaultPlan.crash_on([5], attempts=(0, 1)),
+            workers=2,
+        )
+        assert_identical(res, baseline)
+        assert res.stats.faults.counters()["retries"] == 2
+        ts = res.stats.transport
+        per_block = [b.transport_nbytes for b in res.stats.block_stats]
+        assert ts.dispatches == BLOCKS + 2
+        assert ts.dispatch_bytes == sum(per_block) + 2 * per_block[5]
+
     def test_worker_death_restarts_pool_then_degrades(self, field, baseline):
         """os._exit in a worker breaks the pool; restarts are bounded and
         the run degrades to serial, still bit-identical."""
@@ -272,6 +305,7 @@ class TestPoolChaos:
         f = res.stats.faults
         assert f.pool_restarts >= 1
         assert f.degraded and f.degradation_events
+        assert res.stats.transport.kind == "pickle"
 
     def test_pool_only_persistent_crash_degrades_to_serial(
         self, field, baseline
@@ -309,99 +343,3 @@ class TestPoolChaos:
         res = run(field, FaultPlan.hang_on([1, 5]), workers=2)
         assert_identical(res, baseline)
         assert res.stats.faults.counters()["timeouts"] == 2
-
-
-# ---------------------------------------------------------------------------
-# zero-copy (shm) transport under faults: same answers, no leaked segments
-# ---------------------------------------------------------------------------
-
-
-def _shm_segments() -> set:
-    """Names currently present in the host's POSIX shm namespace."""
-    import os
-
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - non-Linux hosts
-        return set()
-
-
-class TestShmTransportChaos:
-    """Every fault path must neither corrupt shm-transported results
-    nor leak the published segment."""
-
-    def assert_clean(self, before):
-        from repro.parallel.transport import attached_segment_names
-
-        assert attached_segment_names() == ()
-        assert _shm_segments() == before
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("kind", ["crash", "hang", "corrupt"])
-    def test_injected_faults_converge_bit_identical(
-        self, field, baseline, kind
-    ):
-        plans = {
-            "crash": FaultPlan.crash_on([3]),
-            "hang": FaultPlan.hang_on([3]),
-            "corrupt": FaultPlan.corrupt_on([3], seed=17),
-        }
-        before = _shm_segments()
-        res = run(field, plans[kind], workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.faults.counters()["retries"] == 1
-        assert res.stats.transport.kind == "shm"
-        self.assert_clean(before)
-
-    @pytest.mark.slow
-    def test_retries_reread_from_segment(self, field, baseline):
-        """A block that fails on every ghost attempt still re-reads its
-        samples from the published segment, not a re-pickled copy."""
-        before = _shm_segments()
-        res = run(
-            field,
-            FaultPlan.crash_on([5], attempts=(0, 1)),
-            workers=2,
-        )
-        assert_identical(res, baseline)
-        assert res.stats.faults.counters()["retries"] == 2
-        self.assert_clean(before)
-
-    @pytest.mark.slow
-    def test_pool_restart_keeps_segment_alive_then_unlinks(
-        self, field, baseline
-    ):
-        """os._exit kills the pool; the segment outlives the restart
-        (and the degradation to serial) and is unlinked at close."""
-        before = _shm_segments()
-        res = run(field, FaultPlan.exit_on([2]), workers=2)
-        assert_identical(res, baseline)
-        f = res.stats.faults
-        assert f.pool_restarts >= 1
-        assert f.degraded
-        self.assert_clean(before)
-
-    @pytest.mark.slow
-    def test_degrade_to_serial_reads_creator_mapping(
-        self, field, baseline
-    ):
-        """After degradation the driver computes in-process; the handle
-        resolves to the creator's own mapping and the answer and the
-        cleanup are unchanged."""
-        plan = FaultPlan.crash_on(
-            [6], attempts=tuple(range(8)), contexts=("pool",)
-        )
-        before = _shm_segments()
-        res = run(field, plan, workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.faults.degraded
-        self.assert_clean(before)
-
-    @pytest.mark.slow
-    def test_exhaustion_still_unlinks(self, field):
-        """Even a failed run must not leak the published segment."""
-        before = _shm_segments()
-        plan = FaultPlan.crash_on([3], attempts=(0, 1, 2, 3, 4))
-        with pytest.raises(ComputeStageError):
-            run(field, plan, workers=2)
-        self.assert_clean(before)

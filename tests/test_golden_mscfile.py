@@ -232,7 +232,7 @@ class TestGoldenHierarchy:
         assert out.read_bytes() == GOLDEN_HIER.read_bytes()
 
     @pytest.mark.slow
-    def test_pooled_shm_run_matches_golden_bytes(self, tmp_path):
+    def test_pooled_in_memory_run_matches_golden_bytes(self, tmp_path):
         """Hierarchy capture happens on the merged global complex, so
         the persisted hierarchy is identical however compute ran."""
         result = golden_hier_result(workers=2)

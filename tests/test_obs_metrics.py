@@ -220,4 +220,6 @@ class TestPipelineMetrics:
             assert pooled[name]["value"] == serial[name]["value"]
         assert pooled["compute.block_seconds"]["count"] == 8
         assert pooled["pipeline.workers"]["value"] == 2
-        assert pooled["shm.volume_bytes"]["value"] > 0
+        # in-memory blocks were pickled to the workers, by value
+        assert pooled["transport.dispatch_bytes"]["value"] > 0
+        assert "shm.volume_bytes" not in pooled

@@ -246,10 +246,3 @@ class TestPooledTrace:
         assert worker_pids and driver_pid[0] not in worker_pids
         for pid in worker_pids:
             assert record.process_names[pid].startswith("worker")
-
-    def test_shm_lifecycle_events_present(self):
-        result = _traced_result(workers=2)
-        names = {e.name for e in result.stats.trace.events}
-        assert "shm.publish" in names
-        assert "shm.create" in names
-        assert "shm.destroy" in names

@@ -1,29 +1,24 @@
-"""Block transport: shared memory, and the selection the code derives.
+"""Block transport: the selection the code derives from the input.
 
-Covers the shared-memory layer directly (publish / attach / unlink
-lifecycle, handle semantics) and through the pipeline: ``workers``
-picks the executor and the input picks the transport, all four
-resulting runs are bit-identical, a pooled run ships only handle-sized
-specs, and no run leaks a segment — the executor owns the unlink,
-including on error paths.
+A volume file is ``mmap``-read wherever a block is computed; an
+in-memory field's blocks travel in their specs by value, in-process or
+pickled to a pool worker.  Covered through the pipeline: ``workers``
+picks the executor and the input picks the transport, the runs are
+bit-identical, a pooled in-memory run ships each block's samples once
+per dispatch, and no run needs (or leaves anything in) POSIX shared
+memory.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.merge import pack_complex
-from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.core.stats import TransportStats
+from repro.core.pipeline import SPEC_HEADER_BYTES, ParallelMSComplexPipeline
 from repro.data.synthetic import gaussian_bumps_field
 from repro.io.volume import write_volume
-from repro.parallel.executor import FaultTolerantExecutor, RetryPolicy
-from repro.parallel.transport import (
-    SPEC_HEADER_BYTES,
-    SharedVolume,
-    SharedVolumeHandle,
-    attached_segment_names,
-)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +41,7 @@ def run(source, **options):
 
 @pytest.fixture(scope="module")
 def pooled(field):
-    """One in-memory run on a 2-worker pool (so: shared memory)."""
+    """One in-memory run on a 2-worker pool (blocks pickled by value)."""
     return run(field, workers=2)
 
 
@@ -56,90 +51,24 @@ def blobs(result):
     }
 
 
-class TestSharedVolume:
-    def test_publish_roundtrip(self, field):
-        with SharedVolume(field) as vol:
-            arr = vol.handle.open()
-            np.testing.assert_array_equal(arr, field)
-            assert arr.flags.writeable is False
-            assert vol.nbytes == field.nbytes
-            assert vol.handle.nbytes == field.nbytes
-
-    def test_creator_open_is_in_process_mapping(self, field):
-        with SharedVolume(field) as vol:
-            assert vol.handle.open() is vol.handle.open()
-            assert vol.handle.name in attached_segment_names()
-        assert vol.handle.name not in attached_segment_names()
-
-    def test_unlink_is_idempotent_and_releases_segment(self, field):
-        vol = SharedVolume(field)
-        handle = vol.handle
-        vol.unlink()
-        vol.unlink()
-        with pytest.raises(FileNotFoundError):
-            handle.open()
-
-    def test_handle_is_tiny_and_picklable(self, field):
-        import pickle
-
-        with SharedVolume(field) as vol:
-            wire = pickle.dumps(vol.handle)
-            assert len(wire) < SPEC_HEADER_BYTES
-            back = pickle.loads(wire)
-            assert back == vol.handle
-            np.testing.assert_array_equal(back.open(), field)
-
-    def test_rejects_non_3d_volumes(self):
-        with pytest.raises(ValueError, match="3D"):
-            SharedVolume(np.zeros(8))
-
-
-class TestExecutorOwnership:
-    def _executor(self):
-        # a pool is only spawned by map_blocks; these never dispatch
-        return FaultTolerantExecutor(
-            workers=2,
-            policy=RetryPolicy(),
-            transport=TransportStats(kind="shm"),
-        )
-
-    def test_close_unlinks_published_segment(self, field):
-        ex = self._executor()
-        handle = ex.publish_volume(field)
-        np.testing.assert_array_equal(handle.open(), field)
-        ex.close()
-        with pytest.raises(FileNotFoundError):
-            handle.open()
-        assert handle.name not in attached_segment_names()
-
-    def test_publish_twice_is_an_error(self, field):
-        ex = self._executor()
-        ex.publish_volume(field)
-        try:
-            with pytest.raises(RuntimeError, match="already"):
-                ex.publish_volume(field)
-        finally:
-            ex.close()
-
-    def test_publish_charges_transport_stats(self, field):
-        ex = self._executor()
-        ex.publish_volume(field)
-        assert ex.transport.shared_volume_bytes == field.nbytes
-        ex.close()
+def _dev_shm() -> set:
+    """Names currently present in the host's POSIX shm namespace."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # pragma: no cover - non-Linux hosts
+        return set()
 
 
 class TestDerivedSelection:
     @pytest.mark.slow
-    def test_four_runs_three_paths_one_output(self, field, tmp_path):
-        """Array or file × one worker or two: four runs over three
-        block-data paths, one output."""
+    def test_three_runs_two_paths_one_output(self, field, tmp_path):
+        """Array at one worker or two, file at two: three runs over
+        both block-data paths and both executors, one output."""
         spec = write_volume(tmp_path / "f.raw", field, dtype="float64")
-        before = attached_segment_names()
         images = []
         for source, workers, transport, executor in [
             (field, 1, "pickle", "serial"),
-            (field, 2, "shm", "process"),
-            (spec, 1, "mmap", "serial"),
+            (field, 2, "pickle", "process"),
             (spec, 2, "mmap", "process"),
         ]:
             res = run(source, workers=workers)
@@ -151,57 +80,72 @@ class TestDerivedSelection:
             out = tmp_path / f"{transport}-{workers}.msc"
             res.write(out)
             images.append(out.read_bytes())
-        assert images[1:] == images[:1] * 3
-        assert attached_segment_names() == before
+        assert images[1:] == images[:1] * 2
 
 
 class TestPipelineTransport:
     def test_auto_resolution(self):
-        serial = ExecutionOptions()
-        pooled = ExecutionOptions(workers=2)
-        assert serial.resolved_executor == "serial"
-        assert pooled.resolved_executor == "process"
-        assert serial.resolve_transport("memory") == "pickle"
-        assert pooled.resolve_transport("memory") == "shm"
-        assert serial.resolve_transport("volume") == "mmap"
-        assert pooled.resolve_transport("volume") == "mmap"
+        assert ExecutionOptions().resolved_executor == "serial"
+        assert ExecutionOptions(workers=2).resolved_executor == "process"
 
     @pytest.mark.slow
-    def test_pool_shm_bit_identical_to_pickle_and_serial(
-        self, field, pooled
+    def test_pooled_in_memory_run_needs_no_shared_memory(
+        self, field, monkeypatch
     ):
-        assert pooled.stats.transport.kind == "shm"
-        assert blobs(pooled) == blobs(run(field))
+        """A host that denies POSIX shared memory still runs a pooled
+        in-memory field, to the serial run's bytes (the forked workers
+        inherit the patch)."""
+        import multiprocessing.shared_memory
+
+        import repro
+
+        def denied(*args, **kwargs):
+            raise PermissionError("shm_open denied")
+
+        serial = repro.compute(field, ranks=8)
+        monkeypatch.setattr(
+            multiprocessing.shared_memory, "SharedMemory", denied
+        )
+        res = repro.compute(
+            field, ranks=8, options=ExecutionOptions(workers=2)
+        )
+        assert res.stats.executor == "process"
+        assert res.output_blobs == serial.output_blobs
 
     def test_serial_transport_accounting(self, field):
-        """In-process dispatches ship nothing and publish nothing."""
+        """In-process dispatches ship nothing."""
         tp = run(field).stats.transport
         assert tp.kind == "pickle"
         assert tp.dispatches == 8
         assert tp.dispatch_bytes == 0
-        assert tp.shared_volume_bytes == 0
         assert tp.driver_staged_bytes == field.nbytes
 
     @pytest.mark.slow
-    def test_pool_shm_ships_handles_not_subarrays(self, field, pooled):
+    def test_pooled_in_memory_ships_block_subarrays(self, pooled):
+        """Each pooled dispatch ships its block's float64 samples plus
+        one spec header — the ghost-padded subarray, not the volume."""
         ts = pooled.stats.transport
+        decomp = pooled.decomposition
+        samples = sum(
+            int(np.prod(decomp.block_box(decomp.block_coords(b)).shape))
+            for b in range(decomp.num_blocks)
+        )
         assert ts.dispatches == 8
-        assert ts.shared_volume_bytes == field.nbytes
-        # headers only: no block's samples cross the pool's pipe
-        assert ts.dispatch_bytes == 8 * SPEC_HEADER_BYTES
+        assert ts.dispatch_bytes == samples * 8 + 8 * SPEC_HEADER_BYTES
+        assert ts.dispatch_bytes == sum(
+            b.transport_nbytes for b in pooled.stats.block_stats
+        )
 
     @pytest.mark.slow
     def test_no_segment_leaks_across_runs(self, field):
-        before = attached_segment_names()
+        before = _dev_shm()
         run(field, workers=2)
         run(field, workers=2)
-        assert attached_segment_names() == before
+        assert _dev_shm() <= before
 
     @pytest.mark.slow
     def test_stats_describe_mentions_transport(self, pooled):
-        text = pooled.stats.describe()
-        assert "transport: shm" in text
-        assert "published once" in text
+        assert "transport: pickle" in pooled.stats.describe()
 
     @pytest.mark.slow
     def test_per_block_stage_seconds_recorded(self, pooled):
@@ -210,7 +154,7 @@ class TestPipelineTransport:
                 "build", "gradient", "trace", "simplify", "pack"
             }
             assert all(v >= 0 for v in b.stage_seconds.values())
-            assert b.transport_nbytes == SPEC_HEADER_BYTES
+            assert b.transport_nbytes > SPEC_HEADER_BYTES
         agg = pooled.stats.compute_stage_seconds()
         assert agg["build"] > 0 and agg["trace"] > 0
 
@@ -225,7 +169,7 @@ class TestApiAndCli:
             field, persistence=0.05, ranks=8,
             options=repro.ExecutionOptions(workers=2),
         )
-        assert res.stats.transport.kind == "shm"
+        assert res.stats.transport.kind == "pickle"
         assert blobs(res) == blobs(pooled)
 
     def test_cli_flag_rejects_unknown(self):

@@ -153,6 +153,32 @@ def test_error_mapping(service):
         assert status == 400
         assert err["error"].startswith("invalid options:")
         assert next(iter(bad)) in err["error"]  # names the field
+    # a JSON value of the wrong type is a 400 naming the field, not a
+    # dropped connection
+    null_dims = _submit_body(spec)
+    null_dims["volume"]["dims"] = [None, 4, 4]
+    for body, name in (
+        (_submit_body(spec, ranks=None), "ranks"),
+        (_submit_body(spec, ranks=float("inf")), "ranks"),
+        (null_dims, "volume.dims"),
+        (_submit_body(spec, persistence=[1]), "persistence"),
+        (_submit_body(spec, merge_radix=[None]), "merge_radix"),
+    ):
+        status, err = _post(base, "/v1/submit", body)
+        assert status == 400
+        assert err["error"].startswith(f"{name} must be a finite number")
+    status, err = _post(
+        base, "/v1/submit", _submit_body(spec, merge_radix=None)
+    )
+    assert status == 400 and err["error"].startswith("merge_radix must")
+    # NaN parses as a float but is no threshold; inf is one, but the
+    # cache key (canonical JSON) cannot hold it
+    for value, words in ((float("nan"), "persistence_threshold"),
+                         (float("inf"), "persistence must be finite")):
+        status, err = _post(
+            base, "/v1/submit", _submit_body(spec, persistence=value)
+        )
+        assert status == 400 and words in err["error"]
     key = "irrelevant"
     assert _get(base, f"/v1/query?key={key}")[0] == 400
     assert _get(
