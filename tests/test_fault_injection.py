@@ -343,3 +343,68 @@ class TestPoolChaos:
         res = run(field, FaultPlan.hang_on([1, 5]), workers=2)
         assert_identical(res, baseline)
         assert res.stats.faults.counters()["timeouts"] == 2
+
+
+# ---------------------------------------------------------------------------
+# pool restarts and degradation never reach for POSIX shared memory
+# ---------------------------------------------------------------------------
+
+
+def _dev_shm() -> set:
+    """Names currently present in the host's POSIX shm namespace."""
+    import os
+
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:  # pragma: no cover - non-Linux hosts
+        return set()
+
+
+@pytest.fixture
+def shm_denied(monkeypatch):
+    """A host that refuses POSIX shared memory: creating a segment
+    raises, in the driver and in every pool worker forked after it."""
+    import multiprocessing.shared_memory
+
+    def denied(*args, **kwargs):
+        raise PermissionError("shm_open denied")
+
+    monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory", denied)
+
+
+@pytest.mark.slow
+class TestShmTransportChaos:
+    """The fault paths that rebuild or abandon the pool must not depend
+    on a shared-memory segment: a pooled in-memory run ships its blocks
+    by value, so on a host that denies shared memory a restarted pool
+    and a degraded serial stage still land on the serial reference's
+    bytes, and nothing is left in the shm namespace."""
+
+    def test_pool_restart_keeps_segment_alive_then_unlinks(
+        self, field, baseline, shm_denied
+    ):
+        """os._exit kills the pool; the restarted pool and the serial
+        fallback re-ship the blocks by value."""
+        before = _dev_shm()
+        res = run(field, FaultPlan.exit_on([2]), workers=2)
+        assert_identical(res, baseline)
+        f = res.stats.faults
+        assert f.pool_restarts >= 1
+        assert f.degraded
+        assert res.stats.transport.kind == "pickle"
+        assert _dev_shm() <= before
+
+    def test_degrade_to_serial_reads_creator_mapping(
+        self, field, baseline, shm_denied
+    ):
+        """After degradation the driver computes each block in-process
+        from the caller's own array; the answer is unchanged."""
+        plan = FaultPlan.crash_on(
+            [6], attempts=tuple(range(8)), contexts=("pool",)
+        )
+        before = _dev_shm()
+        res = run(field, plan, workers=2)
+        assert_identical(res, baseline)
+        assert res.stats.faults.degraded
+        assert res.stats.transport.kind == "pickle"
+        assert _dev_shm() <= before

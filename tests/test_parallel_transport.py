@@ -61,14 +61,16 @@ def _dev_shm() -> set:
 
 class TestDerivedSelection:
     @pytest.mark.slow
-    def test_three_runs_two_paths_one_output(self, field, tmp_path):
-        """Array at one worker or two, file at two: three runs over
-        both block-data paths and both executors, one output."""
+    def test_four_runs_three_paths_one_output(self, field, tmp_path):
+        """Array or file × one worker or two: four runs over three
+        block-data paths (in-process by value, pickled to a pool
+        worker, mmap-read), one output."""
         spec = write_volume(tmp_path / "f.raw", field, dtype="float64")
         images = []
         for source, workers, transport, executor in [
             (field, 1, "pickle", "serial"),
             (field, 2, "pickle", "process"),
+            (spec, 1, "mmap", "serial"),
             (spec, 2, "mmap", "process"),
         ]:
             res = run(source, workers=workers)
@@ -80,7 +82,7 @@ class TestDerivedSelection:
             out = tmp_path / f"{transport}-{workers}.msc"
             res.write(out)
             images.append(out.read_bytes())
-        assert images[1:] == images[:1] * 2
+        assert images[1:] == images[:1] * 3
 
 
 class TestPipelineTransport:
@@ -111,6 +113,17 @@ class TestPipelineTransport:
         )
         assert res.stats.executor == "process"
         assert res.output_blobs == serial.output_blobs
+
+    @pytest.mark.slow
+    def test_pool_shm_bit_identical_to_pickle_and_serial(
+        self, field, pooled
+    ):
+        """The pooled in-memory run pickles its blocks where a shared
+        segment once served them, and matches the in-process run bit
+        for bit."""
+        assert pooled.stats.transport.kind == "pickle"
+        assert pooled.stats.executor == "process"
+        assert blobs(pooled) == blobs(run(field))
 
     def test_serial_transport_accounting(self, field):
         """In-process dispatches ship nothing."""
