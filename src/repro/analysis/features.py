@@ -35,9 +35,7 @@ def nodes_by_index(msc: MorseSmaleComplex, index: int) -> list[int]:
     """Living node ids with the given Morse index."""
     if not 0 <= index <= 3:
         raise ValueError("Morse index must be 0..3")
-    return [
-        nid for nid in msc.alive_nodes() if msc.node_index[nid] == index
-    ]
+    return np.flatnonzero(msc.node_alive & (msc.node_index == index)).tolist()
 
 
 def arcs_by_family(msc: MorseSmaleComplex, upper_index: int) -> list[int]:
@@ -49,11 +47,8 @@ def arcs_by_family(msc: MorseSmaleComplex, upper_index: int) -> list[int]:
     """
     if upper_index not in ARC_FAMILIES:
         raise ValueError(f"upper_index must be in {sorted(ARC_FAMILIES)}")
-    return [
-        aid
-        for aid in msc.alive_arcs()
-        if msc.node_index[msc.arc_upper[aid]] == upper_index
-    ]
+    family = msc.node_index[msc.arc_upper] == upper_index
+    return np.flatnonzero(msc.arc_alive & family).tolist()
 
 
 def filter_arcs_by_value(

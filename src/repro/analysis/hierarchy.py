@@ -58,47 +58,28 @@ class HierarchyLevelView:
 class MSComplexHierarchy:
     """Birth/death interval representation of a cancellation sequence."""
 
-    def __init__(
-        self,
-        node_records: list[tuple[int, int, float]],
-        node_death: np.ndarray,
-        arc_records: list[tuple[int, int]],
-        arc_birth: np.ndarray,
-        arc_death: np.ndarray,
-        persistences: list[float],
-    ) -> None:
+    def __init__(self, node_address, node_index, node_value, node_death,
+                 arc_upper_address, arc_lower_address, arc_birth, arc_death,
+                 persistences) -> None:
+        """The nine columns of :meth:`to_arrays` (one per node, per arc
+        and per level)."""
+        self._node_addr = np.asarray(node_address, dtype=np.int64)
+        self._node_index = np.asarray(node_index, dtype=np.uint8)
+        self._node_value = np.asarray(node_value, dtype=np.float64)
         self._node_death = np.asarray(node_death, dtype=np.int64)
+        self._arc_upper = np.asarray(arc_upper_address, dtype=np.int64)
+        self._arc_lower = np.asarray(arc_lower_address, dtype=np.int64)
         self._arc_birth = np.asarray(arc_birth, dtype=np.int64)
         self._arc_death = np.asarray(arc_death, dtype=np.int64)
         #: persistence of each cancellation, in application order
-        self.persistences = list(persistences)
-        # columnar copies of the records: vectorized materialization
-        self._node_addr = np.asarray(
-            [r[0] for r in node_records], dtype=np.int64
-        )
-        self._node_index = np.asarray(
-            [r[1] for r in node_records], dtype=np.uint8
-        )
-        self._node_value = np.asarray(
-            [r[2] for r in node_records], dtype=np.float64
-        )
-        self._arc_upper = np.asarray(
-            [r[0] for r in arc_records], dtype=np.int64
-        )
-        self._arc_lower = np.asarray(
-            [r[1] for r in arc_records], dtype=np.int64
-        )
+        self.persistences = np.asarray(persistences, np.float64).tolist()
         # Running maximum of the persistences.  It is non-decreasing by
         # construction, so a query threshold locates its level with one
         # bisection: the longest prefix of cancellations that a fresh
         # bounded-threshold run would also have applied (see
         # level_of_persistence).
-        self._prefix_max = (
-            np.maximum.accumulate(
-                np.asarray(self.persistences, dtype=np.float64)
-            )
-            if self.persistences
-            else np.empty(0, dtype=np.float64)
+        self._prefix_max = np.maximum.accumulate(
+            np.asarray(self.persistences, dtype=np.float64)
         )
 
     # -- construction -----------------------------------------------------
@@ -111,50 +92,35 @@ class MSComplexHierarchy:
         complex's tables — the symptom of building from a compacted
         complex.
         """
-        n_nodes = len(msc.node_address)
-        n_arcs = len(msc.arc_upper)
-        node_death = np.full(n_nodes, _INF, dtype=np.int64)
-        arc_birth = np.zeros(n_arcs, dtype=np.int64)
-        arc_death = np.full(n_arcs, _INF, dtype=np.int64)
+        levels = range(1, len(msc.hierarchy) + 1)
 
-        for level, c in enumerate(msc.hierarchy, start=1):
-            for nid in c.killed_nodes:
-                if not 0 <= nid < n_nodes:
-                    raise ValueError(
-                        "hierarchy references unknown node ids; build the "
-                        "hierarchy before compacting the complex"
-                    )
-                node_death[nid] = level
-            for aid in c.killed_arcs:
-                arc_death[aid] = level
-            for aid in c.created_arcs:
-                arc_birth[aid] = level
+        def level_of(ids: str, size: int, default: int) -> np.ndarray:
+            """Per record: the level whose cancellation lists it in
+            ``ids`` (each id is listed at most once)."""
+            out = np.full(size, default, dtype=np.int64)
+            lists = [getattr(c, ids) for c in msc.hierarchy]
+            flat = np.fromiter((i for x in lists for i in x), np.int64)
+            if flat.size and not 0 <= flat.min() <= flat.max() < size:
+                raise ValueError(
+                    "hierarchy references unknown record ids; build the "
+                    "hierarchy before compacting the complex"
+                )
+            out[flat] = np.repeat(levels, [len(x) for x in lists])
+            return out
 
+        n_nodes, n_arcs = msc.node_address.size, msc.arc_upper.size
+        node_death = level_of("killed_nodes", n_nodes, _INF)
         # consistency: a record that the complex still considers alive
         # must have an open interval, and vice versa
-        for nid, alive in enumerate(msc.node_alive):
-            if alive != (node_death[nid] == _INF):
-                raise ValueError(
-                    "complex liveness disagrees with hierarchy records"
-                )
-
-        node_records = [
-            (msc.node_address[i], msc.node_index[i], msc.node_value[i])
-            for i in range(n_nodes)
-        ]
-        arc_records = [
-            (
-                msc.node_address[msc.arc_upper[a]],
-                msc.node_address[msc.arc_lower[a]],
+        if (msc.node_alive != (node_death == _INF)).any():
+            raise ValueError(
+                "complex liveness disagrees with hierarchy records"
             )
-            for a in range(n_arcs)
-        ]
         return cls(
-            node_records,
-            node_death,
-            arc_records,
-            arc_birth,
-            arc_death,
+            msc.node_address, msc.node_index, msc.node_value, node_death,
+            msc.node_address[msc.arc_upper], msc.node_address[msc.arc_lower],
+            level_of("created_arcs", n_arcs, 0),
+            level_of("killed_arcs", n_arcs, _INF),
             [c.persistence for c in msc.hierarchy],
         )
 
@@ -212,27 +178,7 @@ class MSComplexHierarchy:
         cls, arrays: dict[str, np.ndarray]
     ) -> "MSComplexHierarchy":
         """Rebuild a hierarchy from its :meth:`to_arrays` representation."""
-        node_records = list(
-            zip(
-                arrays["node_address"].tolist(),
-                arrays["node_index"].tolist(),
-                arrays["node_value"].tolist(),
-            )
-        )
-        arc_records = list(
-            zip(
-                arrays["arc_upper_address"].tolist(),
-                arrays["arc_lower_address"].tolist(),
-            )
-        )
-        return cls(
-            node_records,
-            arrays["node_death"],
-            arc_records,
-            arrays["arc_birth"],
-            arrays["arc_death"],
-            arrays["persistences"].tolist(),
-        )
+        return cls(**arrays)
 
     # -- queries ------------------------------------------------------------
 

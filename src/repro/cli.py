@@ -479,11 +479,19 @@ def _cmd_info(args) -> int:
     from repro.io.mscfile import read_msc_file
     from repro.morse.msc import MorseSmaleComplex
 
-    blocks = read_msc_file(args.mscfile)
+    try:
+        blocks = read_msc_file(args.mscfile)
+        summaries = [
+            (bid, MorseSmaleComplex.from_payload(blocks[bid]).summary())
+            for bid in sorted(blocks)
+        ]
+    except OSError as exc:
+        return _fail(f"cannot read {args.mscfile!r}: {exc.strerror or exc}")
+    except ValueError as exc:
+        return _fail(str(exc))
     print(f"{args.mscfile}: {len(blocks)} block(s)")
-    for bid in sorted(blocks):
-        msc = MorseSmaleComplex.from_payload(blocks[bid])
-        print(f"  block {bid}: {msc.summary()}")
+    for bid, summary in summaries:
+        print(f"  block {bid}: {summary}")
     return 0
 
 

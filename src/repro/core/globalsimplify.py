@@ -102,7 +102,9 @@ def split_complex(
     of the paper's output format).  Each living arc is assigned to
     exactly one half — the side of its upper endpoint, tie-broken by the
     lower endpoint; arcs lying entirely in the plane are replicated.
-    Remote endpoints become ghost placeholders.
+    Remote endpoints become ghost placeholders.  Each half is built with
+    one bulk node append and one bulk leaf-arc append over the arcs'
+    expanded V-paths.
     """
     gdims = msc.global_refined_dims
     cut_vertex = plane // 2
@@ -124,53 +126,36 @@ def split_complex(
     )
     low.hierarchy = list(msc.hierarchy)
 
-    def node_side(nid: int) -> int:
-        coords = address_to_coords(msc.node_address[nid], gdims)
-        c = coords[axis]
-        return -1 if c < plane else (1 if c > plane else 0)
-
-    maps: dict[int, dict[int, int]] = {-1: {}, 1: {}, 0: {}}
-
-    def ensure(half: MorseSmaleComplex, side_key: int, nid: int,
-               ghost: bool) -> int:
-        table = maps[side_key]
-        got = table.get(nid)
-        if got is not None:
-            return got
-        new = half.add_node(
-            msc.node_address[nid],
-            msc.node_index[nid],
-            msc.node_value[nid],
-            boundary=msc.node_boundary[nid] or (node_side(nid) == 0),
-            ghost=ghost or msc.node_ghost[nid],
+    # each node's side of the plane: -1 below, 1 above, 0 on it
+    side = np.sign(address_to_coords(msc.node_address, gdims)[axis] - plane)
+    aids = np.flatnonzero(msc.arc_alive)
+    uppers, lowers = msc.arc_upper[aids], msc.arc_lower[aids]
+    arc_side = np.where(side[uppers] != 0, side[uppers], side[lowers])
+    live = np.flatnonzero(msc.node_alive)
+    for half, h in ((low, -1), (high, 1)):
+        mine = (arc_side == h) | (arc_side == 0)  # in-plane: replicated
+        ups, los = uppers[mine], lowers[mine]
+        # node ids in order of first reference — each arc's endpoints,
+        # then the nodes of this side (isolated ones included)
+        refs = np.concatenate([
+            np.stack([ups, los], axis=1).ravel(),
+            live[(side[live] == h) | (side[live] == 0)],
+        ])
+        ids, first = np.unique(refs, return_index=True)
+        nodes = ids[np.argsort(first)]
+        new_id = np.empty(msc.node_address.size, dtype=np.int64)
+        new_id[nodes] = np.arange(nodes.size)
+        half.add_nodes(
+            msc.node_address[nodes],
+            msc.node_index[nodes],
+            msc.node_value[nodes],
+            msc.node_boundary[nodes] | (side[nodes] == 0),
+            # a remote endpoint is a ghost placeholder
+            ghosts=msc.node_ghost[nodes] | (side[nodes] == -h),
         )
-        table[nid] = new
-        return new
-
-    halves = {-1: low, 1: high}
-    for aid in msc.alive_arcs():
-        u, l = msc.arc_upper[aid], msc.arc_lower[aid]
-        su, sl = node_side(u), node_side(l)
-        if su == 0 and sl == 0:
-            targets = [(-1, low), (1, high)]  # in-plane arc: replicate
-        else:
-            side = su if su != 0 else sl
-            targets = [(side, halves[side])]
-        for side, half in targets:
-            key = side
-            nu = ensure(half, key, u, ghost=(su not in (0, side)))
-            nl = ensure(half, key, l, ghost=(sl not in (0, side)))
-            gid = half.new_leaf_geometry(msc.geometry_addresses(aid))
-            half.add_arc(nu, nl, gid)
-
-    # isolated nodes (no arcs) still belong to a side
-    for nid in msc.alive_nodes():
-        side = node_side(nid)
-        if side == 0:
-            ensure(low, -1, nid, ghost=False)
-            ensure(high, 1, nid, ghost=False)
-        else:
-            ensure(halves[side], side, nid, ghost=False)
+        half.add_leaf_arcs_flat(
+            new_id[ups], new_id[los], *msc.expand_arcs(aids[mine])
+        )
     return low, high
 
 
@@ -302,10 +287,8 @@ def global_persistence_simplification(
             bid: MSComplexHierarchy.capture(m) for bid, m in blocks.items()
         }
     stats.ghost_nodes = sum(
-        1
+        int(np.count_nonzero(m.node_alive & m.node_ghost))
         for m in blocks.values()
-        for n in m.alive_nodes()
-        if m.node_ghost[n]
     )
     return stats
 

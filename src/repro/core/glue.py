@@ -79,12 +79,12 @@ class AddressIndex:
     def from_complex(cls, msc: MorseSmaleComplex) -> "AddressIndex":
         """Index ``msc``'s living nodes by global address."""
         index = cls()
-        nids = np.nonzero(np.asarray(msc.node_alive, dtype=bool))[0]
+        nids = np.flatnonzero(msc.node_alive)
         if nids.size:
-            addrs = np.asarray(msc.node_address, dtype=np.int64)[nids]
+            addrs = msc.node_address[nids]
             order = np.argsort(addrs)
             index._addrs = addrs[order]
-            index._ids = nids[order].astype(np.int64)
+            index._ids = nids[order]
         return index
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
@@ -147,13 +147,12 @@ def glue_into(
         raise ValueError("cannot glue complexes of different datasets")
 
     stats = GlueStats()
-    n_other = len(other.node_address)
-    node_map = np.full(n_other, -1, dtype=np.int64)
-    shared = np.zeros(n_other, dtype=bool)
-    nids = np.nonzero(np.asarray(other.node_alive, dtype=bool))[0]
+    node_map = np.full(other.node_address.size, -1, dtype=np.int64)
+    shared = np.zeros(other.node_address.size, dtype=bool)
+    nids = np.flatnonzero(other.node_alive)
 
     if nids.size:
-        addrs = np.asarray(other.node_address, dtype=np.int64)[nids]
+        addrs = other.node_address[nids]
         if isinstance(addr_index, dict):
             get = addr_index.get
             existing = np.fromiter(
@@ -167,57 +166,42 @@ def glue_into(
         hit_nids = nids[hit]
         hit_ids = existing[hit]
         if hit_nids.size:
-            other_index = np.asarray(other.node_index, dtype=np.int64)
-            root_index = np.asarray(root.node_index, dtype=np.int64)
-            mismatch = root_index[hit_ids] != other_index[hit_nids]
+            other_index = other.node_index[hit_nids]
+            root_index = root.node_index[hit_ids]
+            mismatch = root_index != other_index
             if mismatch.any():
                 k = int(np.argmax(mismatch))
                 raise AssertionError(
                     f"shared node at address {int(addrs[hit][k])} "
                     "disagrees on Morse index: "
-                    f"{int(root_index[hit_ids[k]])} vs "
-                    f"{int(other_index[hit_nids[k]])}"
+                    f"{int(root_index[k])} vs {int(other_index[k])}"
                 )
             # The "arc already exists in the root" rule only applies to
             # genuine shared-boundary nodes.  A ghost placeholder (from a
             # global-simplification split) matching an incoming real node
             # carries none of its arcs, so it must not suppress them.
-            root_ghost = np.asarray(root.node_ghost, dtype=bool)
-            other_ghost = np.asarray(other.node_ghost, dtype=bool)
-            unghost = root_ghost[hit_ids] & ~other_ghost[hit_nids]
-            for nid, ex in zip(
-                hit_nids[unghost].tolist(), hit_ids[unghost].tolist()
-            ):
-                root.node_ghost[ex] = False
-                root.node_boundary[ex] = other.node_boundary[nid]
-            shared[hit_nids[~root_ghost[hit_ids] & ~other_ghost[hit_nids]]] = (
-                True
-            )
+            root_ghost = root.node_ghost[hit_ids]
+            other_ghost = other.node_ghost[hit_nids]
+            unghost = root_ghost & ~other_ghost
+            root.node_ghost[hit_ids[unghost]] = False
+            root.node_boundary[hit_ids[unghost]] = other.node_boundary[
+                hit_nids[unghost]
+            ]
+            shared[hit_nids[~root_ghost & ~other_ghost]] = True
             node_map[hit_nids] = hit_ids
             stats.shared_nodes = int(hit_nids.size)
 
         miss_nids = nids[~hit]
         if miss_nids.size:
             new_addrs = addrs[~hit]
-            first = len(root.node_address)
-            root.add_nodes(
-                new_addrs.tolist(),
-                np.asarray(other.node_index, dtype=np.int64)[
-                    miss_nids
-                ].tolist(),
-                np.asarray(other.node_value, dtype=np.float64)[
-                    miss_nids
-                ].tolist(),
-                np.asarray(other.node_boundary, dtype=bool)[
-                    miss_nids
-                ].tolist(),
-                ghosts=np.asarray(other.node_ghost, dtype=bool)[
-                    miss_nids
-                ].tolist(),
+            first = root.add_nodes(
+                new_addrs,
+                other.node_index[miss_nids],
+                other.node_value[miss_nids],
+                other.node_boundary[miss_nids],
+                ghosts=other.node_ghost[miss_nids],
             )
-            new_ids = np.arange(
-                first, first + miss_nids.size, dtype=np.int64
-            )
+            new_ids = first + np.arange(miss_nids.size, dtype=np.int64)
             node_map[miss_nids] = new_ids
             if isinstance(addr_index, dict):
                 addr_index.update(
@@ -230,20 +214,20 @@ def glue_into(
         if touched is not None:
             touched.update(node_map[nids].tolist())
 
-    aids = np.nonzero(np.asarray(other.arc_alive, dtype=bool))[0]
+    aids = np.flatnonzero(other.arc_alive)
     if aids.size:
-        uppers = np.asarray(other.arc_upper, dtype=np.int64)[aids]
-        lowers = np.asarray(other.arc_lower, dtype=np.int64)[aids]
+        uppers = other.arc_upper[aids]
+        lowers = other.arc_lower[aids]
         # an arc between two shared nodes lies within the shared
         # boundary and already exists in the root complex
         skip = shared[uppers] & shared[lowers]
         keep = ~skip
         stats.arcs_skipped = int(np.count_nonzero(skip))
-        gids = np.asarray(other.arc_geom, dtype=np.int64)[aids[keep]]
+        gids = other.arc_geom[aids[keep]]
         root.add_arcs(
             node_map[uppers[keep]],
             node_map[lowers[keep]],
-            (root.append_geometry_store(other) + gids).tolist(),
+            root.append_geometry_store(other) + gids,
         )
         stats.arcs_added = int(gids.size)
 

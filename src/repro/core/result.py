@@ -61,13 +61,12 @@ class PipelineResult:
         seen: set[int] = set()
         counts = [0, 0, 0, 0]
         for msc in self.output_blocks.values():
-            for nid in msc.alive_nodes():
-                if msc.node_ghost[nid]:
-                    continue
-                addr = msc.node_address[nid]
+            real = msc.node_alive & ~msc.node_ghost
+            for addr, index in zip(msc.node_address[real].tolist(),
+                                   msc.node_index[real].tolist()):
                 if addr not in seen:
                     seen.add(addr)
-                    counts[msc.node_index[nid]] += 1
+                    counts[index] += 1
         return tuple(counts)
 
     def write(self, path: str | Path) -> int:

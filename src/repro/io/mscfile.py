@@ -99,6 +99,10 @@ def _serialize_sections(payload, sections) -> bytes:
 
 def _deserialize_sections(record, sections) -> dict[str, np.ndarray]:
     """Zero-copy: each section is a ``frombuffer`` view into ``record``."""
+    if len(record) < 4 + 8 * len(sections):
+        raise ValueError(
+            f"record is {len(record)} bytes, shorter than its section header"
+        )
     (nsec,) = struct.unpack_from("<I", record, 0)
     if nsec != len(sections):
         raise ValueError(
@@ -113,6 +117,11 @@ def _deserialize_sections(record, sections) -> dict[str, np.ndarray]:
             raise ValueError(
                 f"section {key}: {ln} bytes is not a multiple of its "
                 f"item size {itemsize}"
+            )
+        if offset + ln > len(record):
+            raise ValueError(
+                f"section {key}: {ln} bytes overrun the {len(record)}-byte "
+                "record"
             )
         out[key] = np.frombuffer(
             record, dtype=dtype, count=ln // itemsize, offset=offset
@@ -277,10 +286,13 @@ def _read_records(data: bytes, path: str, index, sections) -> dict[int, dict]:
                 f"{path}: record of block {block_id} fails its CRC-32 "
                 "check (corrupt file)"
             )
-        out[block_id] = {
-            key: view.copy()
-            for key, view in _deserialize_sections(record, sections).items()
-        }
+        try:
+            views = _deserialize_sections(record, sections)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: record of block {block_id}: {exc}"
+            ) from None
+        out[block_id] = {key: view.copy() for key, view in views.items()}
     return out
 
 

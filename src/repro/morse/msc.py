@@ -17,33 +17,51 @@ efficient simplification:
   objects no living arc reaches are dropped, and only the living
   (coarsest) level of the hierarchy is retained.
 
+Records at rest
+---------------
+Every node, arc and geometry column is a numpy array with the dtype it
+has in the payload (``node_index`` ``uint8``, flags ``bool``, the rest
+``int64`` / ``float64``).  Appending concatenates, ``compact`` masks and
+renumbers, ``to_payload`` returns the columns themselves and
+``from_payload`` adopts them — read-only views of a received blob, except
+the flags written in place (alive, boundary, ghost), which are owned
+copies.  The one per-scalar consumer is the cancellation loop of
+:func:`repro.morse.simplify.simplify_ms_complex`: it works on Python-list
+copies of the columns it reads (:meth:`MorseSmaleComplex.loop_lists`),
+where a list beats an ``ndarray`` one scalar at a time, and writes the
+appended records and killed flags back as arrays when it ends.  The
+incidence it needs — ``node_arcs`` and ``pair_multiplicity`` — is built
+from the living arcs in arc-id order on first use
+(:meth:`~MorseSmaleComplex.incidence`), kept (lazily pruned) across
+further simplifications, and dropped by ``compact``.
+
 The geometry store
 ------------------
 Geometry is a DAG in three tables owned by the complex: **one int64
 address buffer** (amortised growth) holding every leaf V-path back to back
-in geometry-id order; **per-geometry columns** ``geom_start`` /
-``geom_length`` / ``geom_children`` — a leaf (``geom_children == -1``) is
-cells ``[start, start + length)`` of the buffer, a *composite* created by
-a cancellation is rows ``[start, start + geom_children)`` of **the flat
-child table** ``geom_child``, one int ``(geometry id << 1) | reversed``
-per chained segment, likewise back to back in geometry-id order (its
-``geom_length`` sums its children's, junction duplicates counted).  A
-child's id is always smaller than its parent's, so ascending id order is
-a topological order and the table cannot hold a cycle.
+in geometry-id order; **per-geometry columns** ``geom_length`` /
+``geom_children`` — a leaf (``geom_children == -1``) is the next
+``length`` cells of the buffer, a *composite* created by a cancellation
+is the next ``geom_children`` rows of **the flat child table**
+``geom_child``, one int ``(geometry id << 1) | reversed`` per chained
+segment, likewise back to back in geometry-id order (its ``geom_length``
+sums its children's, junction duplicates counted).  Where each geometry
+starts, ``geom_start``, is the running sum of those counts, derived on
+first use.  A child's id is always smaller than its parent's, so
+ascending id order is a topological order and the table cannot hold a
+cycle.
 
 The DAG is what moves: ``compact`` keeps the sub-DAG reachable from
 living arcs (renumbered densely in ascending old-id order, which makes
 the result canonical), ``to_payload`` returns the leaf cells, the two
-columns and the child table — views, not copies — ``from_payload`` adopts
-the views of a received record, and ``glue_into`` appends a member's
-store with an id offset.  Arcs that share a geometry object keep sharing
-it.  An adopted buffer has no spare capacity, so it is only ever grown by
-reallocation, never written in place.  *Expansion* — the V-path of an arc
-as one address list — is the reader's view of the store:
+columns and the child table, ``from_payload`` adopts the views of a
+received record, and ``glue_into`` appends a member's store with an id
+offset.  Arcs that share a geometry object keep sharing it.  An adopted
+buffer has no spare capacity, so it is only ever grown by reallocation,
+never written in place.  *Expansion* — the V-path of an arc as one
+address list — is the reader's view of the store:
 :meth:`~MorseSmaleComplex.geometry_addresses` for one arc,
-:meth:`~MorseSmaleComplex.expand_arcs` batched.  Node and arc records
-stay Python lists: the cancellation loop reads them one scalar at a time,
-where a list beats an ``ndarray``.
+:meth:`~MorseSmaleComplex.expand_arcs` batched.
 
 Node identity across blocks is the cell's global address, which encodes
 its geometric location in the global refined grid; gluing two block
@@ -53,9 +71,10 @@ complexes matches boundary nodes by address (§IV-F3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
+
+from repro.obs.trace import get_tracer
 
 __all__ = ["MorseSmaleComplex", "NODE_RECORD_BYTES",
            "ARC_RECORD_BYTES", "GEOM_ADDRESS_BYTES"]
@@ -75,6 +94,12 @@ _NODE_COLUMNS = (
 )
 _ARC_COLUMNS = ("arc_upper", "arc_lower", "arc_geom")
 _GEOM_COLUMNS = ("geom_length", "geom_children", "geom_child")
+
+#: the columns the cancellation loop reads, copied to lists on entry
+_LOOP_COLUMNS = (
+    "node_index", "node_value", "node_boundary", "node_ghost", "node_alive",
+    "arc_upper", "arc_lower", "arc_geom", "arc_alive", "geom_length",
+)
 
 #: arcs are expanded in batches of about this many cells, so the gather's
 #: index temporaries stay a few MiB however large the complex
@@ -126,18 +151,20 @@ class MorseSmaleComplex:
             region_hi = tuple((d + 1) // 2 for d in self.global_refined_dims)
         self.region_hi = tuple(int(c) for c in region_hi)
 
-        # node records
-        self.node_address: list[int] = []
-        self.node_index: list[int] = []  # Morse index (= cell dimension)
-        self.node_value: list[float] = []
-        self.node_boundary: list[bool] = []
-        #: ghost nodes are remote-endpoint placeholders introduced by the
-        #: global-simplification split (§VII-B extension): they belong to
-        #: another block, are never cancelled here, and are not counted
-        #: as this block's features
-        self.node_ghost: list[bool] = []
-        self.node_alive: list[bool] = []
-        self.node_arcs: list[list[int]] = []  # incident arc ids (lazy-pruned)
+        # node records; node_index is the Morse index (= cell dimension).
+        # Ghost nodes are remote-endpoint placeholders introduced by the
+        # global-simplification split (§VII-B extension): they belong to
+        # another block, are never cancelled here, and are not counted as
+        # this block's features
+        for key, dtype in _NODE_COLUMNS:
+            setattr(self, key, np.empty(0, dtype))
+        self.node_alive = np.empty(0, bool)
+
+        #: incident arc ids per node (lazily pruned) and living-arc
+        #: multiplicity per node pair, keyed (min id, max id); ``None``
+        #: until :meth:`incidence` builds them
+        self.node_arcs: list[list[int]] | None = None
+        self.pair_multiplicity: dict[tuple[int, int], int] | None = None
 
         self._clear_arcs()
 
@@ -147,29 +174,27 @@ class MorseSmaleComplex:
     def _clear_arcs(self) -> None:
         """Empty the arc records and the geometry store."""
         # arc records: upper node has index d, lower node index d-1
-        self.arc_upper: list[int] = []
-        self.arc_lower: list[int] = []
-        self.arc_geom: list[int] = []
-        self.arc_alive: list[bool] = []
-
+        for key in _ARC_COLUMNS:
+            setattr(self, key, np.empty(0, np.int64))
+        self.arc_alive = np.empty(0, bool)
         # the geometry store's three tables (module docstring)
-        self._geom_data = np.empty(0, dtype=np.int64)
-        self._geom_used = 0  # cells of the buffer holding leaves
-        self.geom_start: list[int] = []
-        #: cached cell count (junction duplicates counted for composites)
-        self.geom_length: list[int] = []
-        self.geom_children: list[int] = []  # -1 marks a leaf
-        self.geom_child: list[int] = []  # (geometry id << 1) | reversed
-
-        #: living-arc multiplicity per node pair, keyed (min id, max id).
-        #: Maintained on arc insertion only: arcs die only when an endpoint
-        #: dies, so for a *living* pair the count equals the alive-arc
-        #: multiplicity, which is all the simplifier ever consults.
-        self.pair_multiplicity: dict[tuple[int, int], int] = {}
+        self._adopt_store(*(np.empty(0, np.int64) for _ in range(4)))
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+
+    def _append(self, **columns) -> None:
+        """Append rows to record columns, one concatenation per column
+        (a column keeps its dtype; an empty batch leaves it alone)."""
+        for key, rows in columns.items():
+            if len(rows):
+                column = getattr(self, key)
+                setattr(self, key, np.concatenate(
+                    [column, np.asarray(rows, column.dtype)]
+                ))
+        if "geom_length" in columns:
+            self._start = None
 
     def add_node(
         self,
@@ -179,18 +204,9 @@ class MorseSmaleComplex:
         boundary: bool = False,
         ghost: bool = False,
     ) -> int:
-        """Append a node record; returns its id."""
-        if not 0 <= index <= 3:
-            raise ValueError(f"Morse index must be 0..3, got {index}")
-        nid = len(self.node_address)
-        self.node_address.append(int(address))
-        self.node_index.append(int(index))
-        self.node_value.append(float(value))
-        self.node_boundary.append(bool(boundary))
-        self.node_ghost.append(bool(ghost))
-        self.node_alive.append(True)
-        self.node_arcs.append([])
-        return nid
+        """Append a node record; returns its id (one row of
+        :meth:`add_nodes`, for hand-built complexes)."""
+        return self.add_nodes([address], [index], [value], [boundary], [ghost])
 
     def new_leaf_geometry(self, addresses: np.ndarray) -> int:
         """Register a leaf geometry object; returns its id."""
@@ -199,13 +215,13 @@ class MorseSmaleComplex:
 
     def new_composite_geometry(self, segments: list[tuple[int, bool]]) -> int:
         """Register a composite chaining earlier geometries, one ``(geometry
-        id, reversed)`` per segment (:meth:`cancel` writes its own)."""
-        length = self.geom_length
-        self.geom_start.append(len(self.geom_child))
-        self.geom_children.append(len(segments))
-        self.geom_child.extend([(g << 1) | r for g, r in segments])
-        length.append(sum([length[g] for g, _ in segments]))
-        return len(length) - 1
+        id, reversed)`` per segment (the cancellation loop writes its own)."""
+        gids = [int(g) for g, _ in segments]
+        rows = [(g << 1) | bool(r) for g, (_, r) in zip(gids, segments)]
+        gid = self.geom_length.size
+        self._append(geom_length=[self.geom_length[gids].sum()],
+                     geom_children=[len(rows)], geom_child=rows)
+        return gid
 
     def reserve_geometry(self, cells: int) -> None:
         """Make room for ``cells`` more cells in the address buffer: growth
@@ -239,135 +255,132 @@ class MorseSmaleComplex:
                 f"geometry data has {data.size} cells, "
                 f"lengths sum to {lengths.sum()}"
             )
-        dst = self._append_cells(data) + np.cumsum(lengths) - lengths
-        gid0 = len(self.geom_start)
-        self.geom_start.extend(dst.tolist())
-        self.geom_length.extend(lengths.tolist())
-        self.geom_children.extend([-1] * len(lengths))
+        self._append_cells(data)
+        gid0 = self.geom_length.size
+        self._append(
+            geom_length=lengths, geom_children=np.full(lengths.size, -1)
+        )
         return gid0
 
     def append_geometry_store(self, other: "MorseSmaleComplex") -> int:
         """Append every geometry object of ``other``'s store — cells,
         columns and child rows, sharing preserved; returns the offset
         that maps ``other``'s geometry ids to their new ones."""
-        gid0, rows = len(self.geom_start), len(self.geom_child)
-        used = self._append_cells(other._geom_data[: other._geom_used])
-        children = np.asarray(other.geom_children, dtype=np.int64)
-        start = np.asarray(other.geom_start, dtype=np.int64)
-        self.geom_start.extend(
-            (start + np.where(children < 0, used, rows)).tolist()
+        gid0 = self.geom_length.size
+        self._append_cells(other._geom_data[: other._geom_used])
+        self._append(
+            geom_length=other.geom_length,
+            geom_children=other.geom_children,
+            geom_child=other.geom_child + (gid0 << 1),
         )
-        self.geom_length.extend(other.geom_length)
-        self.geom_children.extend(other.geom_children)
-        child = np.asarray(other.geom_child, dtype=np.int64)
-        self.geom_child.extend((child + (gid0 << 1)).tolist())
         return gid0
 
     def add_arc(self, upper: int, lower: int, geom: int) -> int:
-        """Append an arc between nodes ``upper`` (index d) and ``lower`` (d-1)."""
-        if self.node_index[upper] != self.node_index[lower] + 1:
-            raise ValueError(
-                "arc endpoints must differ in Morse index by exactly 1 "
-                f"(got {self.node_index[upper]} and {self.node_index[lower]})"
-            )
-        aid = len(self.arc_upper)
-        self.arc_upper.append(upper)
-        self.arc_lower.append(lower)
-        self.arc_geom.append(geom)
-        self.arc_alive.append(True)
-        self.node_arcs[upper].append(aid)
-        self.node_arcs[lower].append(aid)
-        key = (upper, lower) if upper < lower else (lower, upper)
-        self.pair_multiplicity[key] = (
-            self.pair_multiplicity.get(key, 0) + 1
-        )
+        """Append an arc between nodes ``upper`` (index d) and ``lower``
+        (d-1); returns its id (one row of :meth:`add_arcs`)."""
+        aid = self.arc_upper.size
+        self.add_arcs([upper], [lower], [geom])
         return aid
 
-    def add_nodes(
-        self,
-        addresses: list[int],
-        index,
-        values: list[float],
-        boundaries: list[bool],
-        ghosts: list[bool] | None = None,
-    ) -> int:
+    def add_nodes(self, addresses, index, values, boundaries,
+                  ghosts=None) -> int:
         """Bulk-append node records; returns the first new id.
 
-        Produces records identical to repeated :meth:`add_node` calls
-        (ids ``first .. first + len(addresses) - 1`` in list order),
-        using C-speed list extends instead of per-node calls — this is
-        the node half of 1-skeleton extraction.  ``index`` is either one
-        Morse index shared by the whole batch (the extraction case) or a
-        per-node sequence (the glue case, where a batch interleaves
-        indexes); ``ghosts`` defaults to all-real nodes.
+        New ids are ``first .. first + len(addresses) - 1`` in input
+        order.  ``index`` is either one Morse index shared by the whole
+        batch (the extraction case) or a per-node sequence (the glue
+        case, where a batch interleaves indexes); ``ghosts`` defaults to
+        all-real nodes.
         """
-        k = len(addresses)
-        indexes = [index] * k if isinstance(index, int) else list(index)
-        if len(indexes) != k:
+        addresses = np.asarray(addresses, np.int64)
+        k = addresses.size
+        indexes = np.asarray(index, np.int64)
+        if indexes.ndim == 0:
+            indexes = np.full(k, indexes)
+        if indexes.size != k:
             raise ValueError(
-                f"node_index has {len(indexes)} entries for {k} addresses"
+                f"node_index has {indexes.size} entries for {k} addresses"
             )
-        if k and not 0 <= min(indexes) <= max(indexes) <= 3:
+        if k and not 0 <= indexes.min() <= indexes.max() <= 3:
             raise ValueError("node_index: Morse index must be 0..3")
-        first = len(self.node_address)
-        self.node_address.extend(addresses)
-        self.node_index.extend(indexes)
-        self.node_value.extend(values)
-        self.node_boundary.extend(boundaries)
-        self.node_ghost.extend([False] * k if ghosts is None else ghosts)
-        self.node_alive.extend([True] * k)
-        self.node_arcs.extend([] for _ in range(k))
+        first = self.node_address.size
+        self._append(
+            node_address=addresses, node_index=indexes, node_value=values,
+            node_boundary=boundaries,
+            node_ghost=np.zeros(k, bool) if ghosts is None else ghosts,
+            node_alive=np.ones(k, bool),
+        )
+        if self.node_arcs is not None:
+            self.node_arcs.extend([] for _ in range(k))
         return first
 
     def add_arcs(self, uppers, lowers, geoms) -> None:
-        """Bulk-append living arcs given int64 endpoint arrays.
-
-        ``geoms`` holds each arc's geometry id.  Produces the records of
-        sequential :meth:`add_arc` calls — the one routine that updates
-        ``node_arcs`` and ``pair_multiplicity`` in bulk.
-        """
-        k = int(uppers.size)
-        if k == 0:
+        """Bulk-append living arcs: endpoint node ids and each arc's
+        geometry id.  The incidence, if built, is extended in arc-id
+        order."""
+        uppers, lowers, geoms = (
+            np.asarray(c, np.int64) for c in (uppers, lowers, geoms)
+        )
+        if uppers.size == 0:
             return
-        node_index = np.asarray(self.node_index, dtype=np.int64)
-        bad = np.flatnonzero(node_index[uppers] != node_index[lowers] + 1)
+        self._check_arc_indexes(uppers, lowers)
+        aid0 = self.arc_upper.size
+        self._append(
+            arc_upper=uppers, arc_lower=lowers, arc_geom=geoms,
+            arc_alive=np.ones(uppers.size, bool),
+        )
+        if self.node_arcs is not None:
+            node_arcs, pm = self.node_arcs, self.pair_multiplicity
+            pairs = zip(uppers.tolist(), lowers.tolist())
+            for aid, (u, v) in enumerate(pairs, aid0):
+                node_arcs[u].append(aid)
+                node_arcs[v].append(aid)
+                key = (u, v) if u < v else (v, u)
+                pm[key] = pm.get(key, 0) + 1
+
+    def _check_arc_indexes(self, uppers, lowers) -> None:
+        index = self.node_index
+        bad = np.flatnonzero(index[uppers] != index[lowers] + 1)
         if bad.size:
             i = int(bad[0])
             raise ValueError(
                 "arc_upper/arc_lower: endpoints must differ in Morse index "
-                f"by 1 (got {node_index[uppers[i]]}, {node_index[lowers[i]]})"
+                f"by 1 (got {index[uppers[i]]}, {index[lowers[i]]})"
             )
-        aid0 = len(self.arc_upper)
-        self.arc_upper.extend(uppers.tolist())
-        self.arc_lower.extend(lowers.tolist())
-        self.arc_geom.extend(geoms)
-        self.arc_alive.extend([True] * k)
-        # (upper, lower) interleaved per arc: a stable sort by node then
-        # lists each node's new arcs in ascending arc-id order — the
-        # order sequential add_arc calls would append
-        ends = np.stack([uppers, lowers], axis=1).ravel()
-        order = np.argsort(ends, kind="stable")
-        ends_s = ends[order]
-        aids_s = (aid0 + (order >> 1)).tolist()
-        starts = np.flatnonzero(np.r_[True, ends_s[1:] != ends_s[:-1]])
-        bounds = np.append(starts, 2 * k).tolist()
-        node_arcs = self.node_arcs
-        for nid, s, e in zip(ends_s[starts].tolist(), bounds, bounds[1:]):
-            node_arcs[nid].extend(aids_s[s:e])
-        span = len(self.node_address)
-        pairs, mult = np.unique(
-            np.minimum(uppers, lowers) * span + np.maximum(uppers, lowers),
-            return_counts=True,
-        )
-        pm = self.pair_multiplicity
-        for p, m in zip(pairs.tolist(), mult.tolist()):
-            key = divmod(p, span)
-            pm[key] = pm.get(key, 0) + m
+
+    def incidence(self) -> tuple[list[list[int]], dict[tuple[int, int], int]]:
+        """``(node_arcs, pair_multiplicity)``, built from the living arcs
+        in arc-id order on first use and kept until :meth:`compact`.
+
+        ``pair_multiplicity`` is maintained on arc insertion only: arcs die
+        only when an endpoint dies, so for a *living* pair the count equals
+        the alive-arc multiplicity, which is all the simplifier consults.
+        """
+        if self.node_arcs is None:
+            live = np.flatnonzero(self.arc_alive)
+            uppers, lowers = self.arc_upper[live], self.arc_lower[live]
+            # (upper, lower) interleaved per arc: a stable sort by node
+            # lists each node's arcs in ascending arc-id order
+            ends = np.stack([uppers, lowers], axis=1).ravel()
+            order = np.argsort(ends, kind="stable")
+            aids = live[order >> 1].tolist()
+            n = self.node_address.size
+            bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+            self.node_arcs = [aids[s:e] for s, e in zip([0] + bounds, bounds)]
+            pairs, mult = np.unique(
+                np.minimum(uppers, lowers) * n + np.maximum(uppers, lowers),
+                return_counts=True,
+            )
+            lo, hi = np.divmod(pairs, n)
+            self.pair_multiplicity = dict(
+                zip(zip(lo.tolist(), hi.tolist()), mult.tolist())
+            )
+        return self.node_arcs, self.pair_multiplicity
 
     def multiplicity(self, u: int, v: int) -> int:
         """Number of living arcs between two living nodes."""
         key = (u, v) if u < v else (v, u)
-        return self.pair_multiplicity.get(key, 0)
+        return self.incidence()[1].get(key, 0)
 
     # ------------------------------------------------------------------
     # queries
@@ -375,27 +388,29 @@ class MorseSmaleComplex:
 
     def alive_nodes(self) -> list[int]:
         """Ids of living nodes."""
-        return [i for i, a in enumerate(self.node_alive) if a]
+        return np.flatnonzero(self.node_alive).tolist()
 
     def alive_arcs(self) -> list[int]:
         """Ids of living arcs."""
-        return [i for i, a in enumerate(self.arc_alive) if a]
+        return np.flatnonzero(self.arc_alive).tolist()
 
     def num_alive_nodes(self) -> int:
-        return sum(self.node_alive)
+        return int(np.count_nonzero(self.node_alive))
 
     def num_alive_arcs(self) -> int:
-        return sum(self.arc_alive)
+        return int(np.count_nonzero(self.arc_alive))
 
     def incident_arcs(self, nid: int) -> list[int]:
         """Living arcs incident to node ``nid`` (prunes dead entries in place)."""
-        arcs = [a for a in self.node_arcs[nid] if self.arc_alive[a]]
-        self.node_arcs[nid] = arcs
+        node_arcs = self.incidence()[0]
+        arcs = [a for a in node_arcs[nid] if self.arc_alive[a]]
+        node_arcs[nid] = arcs
         return list(arcs)
 
     def arcs_between(self, u: int, v: int) -> list[int]:
         """Living arcs connecting nodes ``u`` and ``v``."""
-        base = u if len(self.node_arcs[u]) <= len(self.node_arcs[v]) else v
+        node_arcs = self.incidence()[0]
+        base = u if len(node_arcs[u]) <= len(node_arcs[v]) else v
         other = v if base == u else u
         # every arc incident to ``base`` has it as one endpoint
         upper, lower = self.arc_upper, self.arc_lower
@@ -407,21 +422,19 @@ class MorseSmaleComplex:
 
     def persistence(self, aid: int) -> float:
         """Absolute function-value difference of the arc's endpoints."""
-        return abs(
+        return float(abs(
             self.node_value[self.arc_upper[aid]]
             - self.node_value[self.arc_lower[aid]]
-        )
+        ))
 
     def node_counts_by_index(self) -> tuple[int, int, int, int]:
         """Living node counts as (minima, 1-saddles, 2-saddles, maxima).
 
         Ghost nodes are excluded: they are another block's features.
         """
-        counts = [0, 0, 0, 0]
-        for i, alive in enumerate(self.node_alive):
-            if alive and not self.node_ghost[i]:
-                counts[self.node_index[i]] += 1
-        return tuple(counts)
+        real = self.node_alive & ~self.node_ghost
+        counts = np.bincount(self.node_index[real], minlength=4)
+        return tuple(int(c) for c in counts[:4])
 
     def euler_characteristic(self) -> int:
         """Alternating sum of living node counts (= region Euler number)."""
@@ -430,15 +443,26 @@ class MorseSmaleComplex:
 
     def address_index(self) -> dict[int, int]:
         """Map global address -> node id over living nodes."""
-        return {
-            self.node_address[i]: i
-            for i, alive in enumerate(self.node_alive)
-            if alive
-        }
+        live = np.flatnonzero(self.node_alive)
+        return dict(zip(self.node_address[live].tolist(), live.tolist()))
+
+    @property
+    def geom_start(self) -> np.ndarray:
+        """Where each geometry starts: a leaf's first cell in the address
+        buffer, a composite's first row of the child table — the running
+        sums of the two count columns, derived on first use."""
+        if self._start is None:
+            leaf = self.geom_children < 0
+            cells = np.where(leaf, self.geom_length, 0)
+            rows = np.where(leaf, 0, self.geom_children)
+            self._start = np.where(
+                leaf, np.cumsum(cells) - cells, np.cumsum(rows) - rows
+            )
+        return self._start
 
     def geometry_addresses(self, aid: int) -> np.ndarray:
         """Expanded V-path addresses of arc ``aid``, upper node to lower."""
-        return self._expand_geometry(self.arc_geom[aid])
+        return self._expand_geometry(int(self.arc_geom[aid]))
 
     def _expand_geometry(self, gid: int) -> np.ndarray:
         """Flatten a (possibly composite) geometry into one address array.
@@ -460,7 +484,7 @@ class MorseSmaleComplex:
                 parts.append(leaf[::-1] if rev else leaf)
             else:
                 # pushed in reverse so children pop in emission order
-                rows = self.geom_child[s: s + k]
+                rows = self.geom_child[s: s + k].tolist()
                 for row in rows if rev else rows[::-1]:
                     stack.append((row >> 1, bool(row & 1) != rev))
         if not parts:
@@ -473,15 +497,6 @@ class MorseSmaleComplex:
             out.append(seg)
         return np.concatenate(out)
 
-    def _geometry_columns(self) -> list[np.ndarray]:
-        """``geom_start``, ``geom_length``, ``geom_children`` and
-        ``geom_child`` as int64 arrays (the batched routines' view)."""
-        return [
-            np.asarray(column, dtype=np.int64)
-            for column in (self.geom_start, self.geom_length,
-                           self.geom_children, self.geom_child)
-        ]
-
     def expand_arcs(self, aids) -> tuple[np.ndarray, np.ndarray]:
         """Expanded V-paths of arcs ``aids`` as tight CSR ``(data,
         lengths)`` — :meth:`geometry_addresses` of each, back to back.
@@ -490,8 +505,7 @@ class MorseSmaleComplex:
         store's columns plus the cells it emits, so use it wherever many
         arcs are expanded.
         """
-        aids = np.asarray(aids, dtype=np.int64)
-        return self._flatten(np.asarray(self.arc_geom, dtype=np.int64)[aids])
+        return self._flatten(self.arc_geom[np.asarray(aids, dtype=np.int64)])
 
     def _flatten(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flatten geometries ``gids`` into a fresh buffer: tight CSR
@@ -506,7 +520,8 @@ class MorseSmaleComplex:
         """
         if gids.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        start, length, children, child = self._geometry_columns()
+        start, length = self.geom_start, self.geom_length
+        children, child = self.geom_children, self.geom_child
         src = self._geom_data
         bound = np.cumsum(length[gids])  # junction duplicates still counted
         out = np.empty(int(bound[-1]), dtype=np.int64)
@@ -578,7 +593,8 @@ class MorseSmaleComplex:
         all of them down to leaves.  Arcs that resolve to an empty leaf
         (hand-built stores only) are walked one at a time.
         """
-        start, length, children, child = self._geometry_columns()
+        start, length = self.geom_start, self.geom_length
+        children, child = self.geom_children, self.geom_child
         comp = np.flatnonzero(children > 0)
         hop = np.arange(2 * length.size)  # state 2 * gid + (1 for "last")
         hop[2 * comp] = child[start[comp]]
@@ -588,9 +604,7 @@ class MorseSmaleComplex:
             if np.array_equal(twice, hop):
                 break
             hop = twice
-        gids = np.asarray(self.arc_geom, dtype=np.int64)[
-            np.asarray(aids, dtype=np.int64)
-        ]
+        gids = self.arc_geom[np.asarray(aids, dtype=np.int64)]
         head, tail = hop[2 * gids], hop[2 * gids + 1]
         empty = (length[head >> 1] == 0) | (length[tail >> 1] == 0)
         ends = np.zeros((2, gids.size), dtype=np.int64)
@@ -609,12 +623,7 @@ class MorseSmaleComplex:
     def total_geometry_length(self) -> int:
         """Total *expanded* V-path cell count over living arcs (junction
         duplicates of composites counted)."""
-        return sum(
-            map(
-                self.geom_length.__getitem__,
-                compress(self.arc_geom, self.arc_alive),
-            )
-        )
+        return int(self.geom_length[self.arc_geom[self.arc_alive]].sum())
 
     def stored_geometry_length(self) -> int:
         """Leaf cells held in the address buffer (shared, not expanded)."""
@@ -626,7 +635,7 @@ class MorseSmaleComplex:
         return (
             self.num_alive_nodes() * NODE_RECORD_BYTES
             + self.num_alive_arcs() * ARC_RECORD_BYTES
-            + (self._geom_used + len(self.geom_child)) * GEOM_ADDRESS_BYTES
+            + (self._geom_used + self.geom_child.size) * GEOM_ADDRESS_BYTES
         )
 
     def summary(self) -> str:
@@ -637,7 +646,7 @@ class MorseSmaleComplex:
             f"(min={c0}, 1sad={c1}, 2sad={c2}, max={c3}), "
             f"{self.num_alive_arcs()} arcs, "
             f"geometry={self._geom_used} cells stored + "
-            f"{len(self.geom_child)} child rows (expanding to <= "
+            f"{self.geom_child.size} child rows (expanding to <= "
             f"{self.total_geometry_length()} cells), "
             f"~{self.nbytes()} bytes"
         )
@@ -646,71 +655,10 @@ class MorseSmaleComplex:
     # mutation
     # ------------------------------------------------------------------
 
-    def cancel(self, aid: int, upper: int, lower: int, cap, push):
-        """Cancel the pair ``upper`` / ``lower`` joined by arc ``aid``;
-        returns ``(created arc ids, killed arc ids)``.
-
-        Each other upper neighbour ``y`` of ``lower`` gets an arc to each
-        other lower neighbour ``x`` of ``upper`` (geometry ``y -> L``,
-        ``L -> U`` reversed, ``U -> x``) unless ``cap`` arcs already join
-        them (``None``: no cap); ``push`` gets each new arc id once its
-        records exist.  Both nodes and their living arcs die.  One pass
-        writes what per-arc ``new_composite_geometry`` + ``add_arc`` would.
-        """
-        node_arcs, node_index = self.node_arcs, self.node_index
-        arc_upper, arc_lower = self.arc_upper, self.arc_lower
-        arc_geom, arc_alive = self.arc_geom, self.arc_alive
-        length, child = self.geom_length, self.geom_child
-        pm = self.pair_multiplicity
-        # the living incident arcs, pruned in place (a push reads the
-        # pruned lengths), all die with the pair
-        for n in (upper, lower):
-            node_arcs[n] = [a for a in node_arcs[n] if arc_alive[a]]
-        upper_arcs = [a for a in node_arcs[upper] if a != aid]
-        lower_arcs = [a for a in node_arcs[lower] if a != aid]
-        mid_row, mid_len = (arc_geom[aid] << 1) | 1, length[arc_geom[aid]]
-        downs = []
-        for q in upper_arcs:
-            if arc_upper[q] == upper:
-                x, g = arc_lower[q], arc_geom[q]
-                downs.append((x, node_index[x] + 1, g << 1, length[g]))
-        aid0 = new_aid = len(arc_upper)
-        gid0, row0 = len(length), len(child)
-        for p in lower_arcs:
-            if arc_lower[p] != lower:
-                continue
-            y, g = arc_upper[p], arc_geom[p]
-            index_y, y_arcs = node_index[y], node_arcs[y]
-            head_row, head_len = g << 1, length[g] + mid_len
-            for x, index_x, tail_row, tail_len in downs:
-                key = (y, x) if y < x else (x, y)
-                m = pm.get(key, 0)
-                if cap is not None and m >= cap:
-                    continue
-                if index_y != index_x:
-                    raise ValueError(
-                        "arc endpoints must differ in Morse index by 1 "
-                        f"(got {index_y} and {index_x - 1})"
-                    )
-                pm[key] = m + 1
-                child += (head_row, mid_row, tail_row)
-                length.append(head_len + tail_len)
-                arc_upper.append(y)
-                arc_lower.append(x)
-                y_arcs.append(new_aid)
-                node_arcs[x].append(new_aid)
-                push(new_aid)
-                new_aid += 1
-        k = new_aid - aid0  # the columns the pass does not read:
-        self.geom_start.extend(range(row0, row0 + 3 * k, 3))
-        self.geom_children.extend([3] * k)
-        arc_geom.extend(range(gid0, gid0 + k))
-        arc_alive.extend([True] * k)
-        killed = [aid] + upper_arcs + lower_arcs
-        for a in killed:
-            arc_alive[a] = False
-        self.node_alive[upper] = self.node_alive[lower] = False
-        return list(range(aid0, new_aid)), killed
+    def loop_lists(self) -> "LoopLists":
+        """Python-list working copies of the columns the cancellation loop
+        reads, plus the incidence (built now if need be)."""
+        return LoopLists(self)
 
     def add_leaf_arcs_flat(
         self, uppers: np.ndarray, lowers: np.ndarray,
@@ -739,16 +687,23 @@ class MorseSmaleComplex:
         level over the child table, then renumbered densely in ascending
         old-id order (children stay below their parents; the result does
         not depend on how the store was built up, so compacting an
-        unpacked compacted complex changes nothing).  Cost is
-        proportional to the store, not to the arcs' expansion.  The
-        cancellation hierarchy is preserved for analysis queries.
+        unpacked compacted complex changes nothing).  Masks and
+        renumbering over the columns, cost proportional to the store, not
+        to the arcs' expansion; the incidence is dropped, not rebuilt.
+        The cancellation hierarchy is preserved for analysis queries.
         """
-        start, length, children, child = self._geometry_columns()
-        arc_keep = np.flatnonzero(self.arc_alive)
-        upper, lower, gids = (
-            np.asarray(getattr(self, key), dtype=np.int64)[arc_keep]
-            for key in _ARC_COLUMNS
-        )
+        with get_tracer().span("msc.compact", cat="kernel",
+                               arcs_in=self.arc_alive.size) as span:
+            self._compact()
+            span.annotate(arcs_out=self.arc_alive.size,
+                          geoms_out=self.geom_length.size)
+
+    def _compact(self) -> None:
+        self.node_arcs = self.pair_multiplicity = None
+        start, length = self.geom_start, self.geom_length
+        children, child = self.geom_children, self.geom_child
+        arc_keep = self.arc_alive
+        gids = self.arc_geom[arc_keep]
         keep = np.zeros(length.size, dtype=bool)
         keep[gids] = True
         frontier = np.flatnonzero(keep)
@@ -759,50 +714,40 @@ class MorseSmaleComplex:
             seen = keep.copy()
             keep[child[rows + np.arange(rows.size)] >> 1] = True
             frontier = np.flatnonzero(keep ^ seen)
-        # Fast path: nothing is dead or unreachable — the rebuild would
-        # reproduce the current records exactly (node_arcs and
-        # pair_multiplicity are kept in arc-id order).
-        if keep.all() and arc_keep.size == len(self.arc_alive) and all(
-            self.node_alive
-        ):
+        # nothing dead or unreachable: the columns are already compact
+        if keep.all() and arc_keep.all() and self.node_alive.all():
             return
 
-        alive = np.asarray(self.node_alive, dtype=bool)
-        node_keep, node_map = np.flatnonzero(alive), np.cumsum(alive) - 1
-        for key, dtype in _NODE_COLUMNS:
-            column = np.asarray(getattr(self, key), dtype=dtype)
-            setattr(self, key, column[node_keep].tolist())
-        self.node_alive = [True] * node_keep.size
-        self.node_arcs = [[] for _ in range(node_keep.size)]
+        alive = self.node_alive
+        node_map = np.cumsum(alive) - 1
+        for key, _ in _NODE_COLUMNS:
+            setattr(self, key, getattr(self, key)[alive])
+        self.node_alive = np.ones(self.node_address.size, bool)
+        self.arc_upper = node_map[self.arc_upper[arc_keep]]
+        self.arc_lower = node_map[self.arc_lower[arc_keep]]
+        self.arc_alive = np.ones(gids.size, bool)
 
         # leaves and child rows lie back to back in geometry-id order, so
         # one mask over the buffer / the table keeps the survivors' runs
         leaf = children < 0
         new_id = np.cumsum(keep) - 1
+        self.arc_geom = new_id[gids]
         data = self._geom_data[: self._geom_used][
             np.repeat(keep[leaf], length[leaf])
         ]
         child = child[np.repeat(keep[~leaf], children[~leaf])]
-        self._clear_arcs()
         self._adopt_store(
             data, length[keep], children[keep],
             (new_id[child >> 1] << 1) | (child & 1),
         )
-        self.add_arcs(node_map[upper], node_map[lower], new_id[gids].tolist())
 
     def _adopt_store(self, data, length, children, child) -> None:
-        """Make four validated arrays the (empty) store's tables: leaf
-        cells and child rows back to back in geometry-id order."""
-        leaf = children < 0
-        cells, rows = np.where(leaf, length, 0), np.where(leaf, 0, children)
+        """Make four validated arrays the store's tables: leaf cells and
+        child rows back to back in geometry-id order."""
         self._geom_data = np.ascontiguousarray(data, dtype=np.int64)
         self._geom_used = self._geom_data.size
-        self.geom_start = np.where(
-            leaf, np.cumsum(cells) - cells, np.cumsum(rows) - rows
-        ).tolist()
-        self.geom_length = length.tolist()
-        self.geom_children = children.tolist()
-        self.geom_child = child.tolist()
+        self.geom_length, self.geom_children = length, children
+        self.geom_child, self._start = child, None
 
     def update_boundary_flags(self, cut_planes, return_ids: bool = False):
         """Recompute node boundary flags from the remaining cut planes.
@@ -816,7 +761,7 @@ class MorseSmaleComplex:
         for incremental re-simplification).  Ghost nodes keep their
         protection unconditionally.
         """
-        if not self.node_address:
+        if self.node_address.size == 0:
             return [] if return_ids else 0
         gx, gy, _gz = self.global_refined_dims
         tables = []
@@ -826,19 +771,17 @@ class MorseSmaleComplex:
             if planes.size:
                 table[planes] = True
             tables.append(table)
-        addr = np.asarray(self.node_address, dtype=np.int64)
+        addr = self.node_address
         ci = addr % gx
         cj = (addr // gx) % gy
         ck = addr // (gx * gy)
         on_boundary = tables[0][ci] | tables[1][cj] | tables[2][ck]
-        active = np.asarray(self.node_alive, dtype=bool) & ~np.asarray(
-            self.node_ghost, dtype=bool
-        )
-        old = np.asarray(self.node_boundary, dtype=bool)
+        active = self.node_alive & ~self.node_ghost
+        old = self.node_boundary
         freed_mask = active & old & ~on_boundary
-        self.node_boundary = np.where(active, on_boundary, old).tolist()
+        self.node_boundary = np.where(active, on_boundary, old)
         if return_ids:
-            return np.nonzero(freed_mask)[0].tolist()
+            return np.flatnonzero(freed_mask).tolist()
         return int(freed_mask.sum())
 
     # ------------------------------------------------------------------
@@ -846,15 +789,16 @@ class MorseSmaleComplex:
     # ------------------------------------------------------------------
 
     def to_payload(self) -> dict[str, np.ndarray]:
-        """The living complex as flat numpy arrays.
+        """The living complex as flat numpy arrays — the columns
+        themselves, not copies.
 
         Requires a compacted complex (call :meth:`compact` first): dead
         records are not representable.  The geometry DAG travels as it is
         stored — ``geom_data`` (leaf cells back to back, a view of the
-        address buffer, not a copy), ``geom_length``, ``geom_children``
-        (``-1`` marks a leaf) and the child table ``geom_child``.
+        address buffer), ``geom_length``, ``geom_children`` (``-1`` marks
+        a leaf) and the child table ``geom_child``.
         """
-        if not (all(self.node_alive) and all(self.arc_alive)):
+        if not (self.node_alive.all() and self.arc_alive.all()):
             raise ValueError("to_payload requires a compacted complex")
         region = self.region_lo + self.region_hi
         payload = {
@@ -863,10 +807,10 @@ class MorseSmaleComplex:
             ),
             "region": np.asarray(region, dtype=np.int64),
         }
-        for key, dtype in _NODE_COLUMNS:
-            payload[key] = np.asarray(getattr(self, key), dtype=dtype)
-        for key in _ARC_COLUMNS + _GEOM_COLUMNS:
-            payload[key] = np.asarray(getattr(self, key), dtype=np.int64)
+        for key in [k for k, _ in _NODE_COLUMNS] + list(
+            _ARC_COLUMNS + _GEOM_COLUMNS
+        ):
+            payload[key] = getattr(self, key)
         payload["geom_data"] = self._geom_data[: self._geom_used]
         return payload
 
@@ -874,10 +818,10 @@ class MorseSmaleComplex:
     def from_payload(cls, payload: dict[str, np.ndarray]) -> "MorseSmaleComplex":
         """Inverse of :meth:`to_payload`.
 
-        The columns are validated once, vectorised, and the records built
-        in bulk; ``geom_data`` is adopted as the address buffer (a
-        zero-copy view when the payload came from ``deserialize_payload``).
-        Raises :class:`ValueError` naming the offending section.
+        The columns are validated once, vectorised, and adopted as they
+        are (zero-copy views when the payload came from
+        ``deserialize_payload``); only the flags written in place are
+        copied.  Raises :class:`ValueError` naming the offending section.
         """
         dims = tuple(int(d) for d in payload["global_refined_dims"])
         region = [int(c) for c in payload["region"]]
@@ -899,6 +843,8 @@ class MorseSmaleComplex:
                         f"{key} has {columns[key].size} entries, "
                         f"{first} has {columns[first].size}"
                     )
+        if n and nodes["node_index"].max() > 3:
+            raise ValueError("node_index: Morse index must be 0..3")
         if length.size and length.min() < 0:
             raise ValueError("geom_length must be >= 0")
         if length.size and children.min() < -1:
@@ -934,12 +880,115 @@ class MorseSmaleComplex:
             col = arcs[key]
             if col.size and not 0 <= col.min() <= col.max() < limit:
                 raise ValueError(f"{key} out of range 0..{limit - 1}")
-        msc.add_nodes(*(nodes[k].tolist() for k, _ in _NODE_COLUMNS))
-        msc.add_arcs(
-            arcs["arc_upper"], arcs["arc_lower"], arcs["arc_geom"].tolist()
-        )
+        for flag in ("node_boundary", "node_ghost"):  # written in place
+            nodes[flag] = nodes[flag].copy()
+        for key, column in {**nodes, **arcs}.items():
+            setattr(msc, key, column)
+        msc._check_arc_indexes(msc.arc_upper, msc.arc_lower)
+        msc.node_alive = np.ones(n, bool)
+        msc.arc_alive = np.ones(msc.arc_upper.size, bool)
         msc._adopt_store(payload["geom_data"], length, children, child)
         return msc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.summary()}>"
+
+
+class LoopLists:
+    """The cancellation loop's Python-list working copies of a complex.
+
+    Holds lists of :data:`_LOOP_COLUMNS` and the complex's incidence;
+    :meth:`cancel` applies one cancellation to them, and
+    :meth:`write_back` appends the records created since the copy was
+    taken to the complex's arrays and clears the killed flags there.
+    """
+
+    def __init__(self, msc: MorseSmaleComplex) -> None:
+        self.msc = msc
+        self.node_arcs, self.pair_multiplicity = msc.incidence()
+        for key in _LOOP_COLUMNS:
+            setattr(self, key, getattr(msc, key).tolist())
+        self._arcs0, self._geoms0 = len(self.arc_upper), len(self.geom_length)
+        self.geom_child: list[int] = []  # the rows of new composites
+        self.killed_nodes: list[int] = []
+        self.killed_arcs: list[int] = []
+
+    def cancel(self, aid: int, upper: int, lower: int, cap, push):
+        """Cancel the pair ``upper`` / ``lower`` joined by arc ``aid``;
+        returns ``(created arc ids, killed arc ids)``.
+
+        Each other upper neighbour ``y`` of ``lower`` gets an arc to each
+        other lower neighbour ``x`` of ``upper`` (geometry ``y -> L``,
+        ``L -> U`` reversed, ``U -> x``) unless ``cap`` arcs already join
+        them (``None``: no cap); ``push`` gets each new arc id once its
+        records exist.  Both nodes and their living arcs die.  One pass
+        writes what per-arc ``new_composite_geometry`` + ``add_arc`` would.
+        """
+        node_arcs, node_index = self.node_arcs, self.node_index
+        arc_upper, arc_lower = self.arc_upper, self.arc_lower
+        arc_geom, arc_alive = self.arc_geom, self.arc_alive
+        length, child = self.geom_length, self.geom_child
+        pm = self.pair_multiplicity
+        # the living incident arcs, pruned in place (a push reads the
+        # pruned lengths), all die with the pair
+        for n in (upper, lower):
+            node_arcs[n] = [a for a in node_arcs[n] if arc_alive[a]]
+        upper_arcs = [a for a in node_arcs[upper] if a != aid]
+        lower_arcs = [a for a in node_arcs[lower] if a != aid]
+        mid_row, mid_len = (arc_geom[aid] << 1) | 1, length[arc_geom[aid]]
+        downs = []
+        for q in upper_arcs:
+            if arc_upper[q] == upper:
+                x, g = arc_lower[q], arc_geom[q]
+                downs.append((x, node_index[x] + 1, g << 1, length[g]))
+        aid0 = new_aid = len(arc_upper)
+        gid0 = len(length)
+        for p in lower_arcs:
+            if arc_lower[p] != lower:
+                continue
+            y, g = arc_upper[p], arc_geom[p]
+            index_y, y_arcs = node_index[y], node_arcs[y]
+            head_row, head_len = g << 1, length[g] + mid_len
+            for x, index_x, tail_row, tail_len in downs:
+                key = (y, x) if y < x else (x, y)
+                m = pm.get(key, 0)
+                if cap is not None and m >= cap:
+                    continue
+                if index_y != index_x:
+                    raise ValueError(
+                        "arc endpoints must differ in Morse index by 1 "
+                        f"(got {index_y} and {index_x - 1})"
+                    )
+                pm[key] = m + 1
+                child += (head_row, mid_row, tail_row)
+                length.append(head_len + tail_len)
+                arc_upper.append(y)
+                arc_lower.append(x)
+                y_arcs.append(new_aid)
+                node_arcs[x].append(new_aid)
+                push(new_aid)
+                new_aid += 1
+        k = new_aid - aid0  # the columns the pass does not read
+        arc_geom.extend(range(gid0, gid0 + k))
+        arc_alive.extend([True] * k)
+        killed = [aid] + upper_arcs + lower_arcs
+        for a in killed:
+            arc_alive[a] = False
+        self.killed_arcs += killed
+        self.node_alive[upper] = self.node_alive[lower] = False
+        self.killed_nodes += (upper, lower)
+        return list(range(aid0, new_aid)), killed
+
+    def write_back(self) -> None:
+        """Append the new arcs and composites to the complex's columns
+        and clear the killed flags there."""
+        msc, a0, g0 = self.msc, self._arcs0, self._geoms0
+        msc._append(
+            arc_upper=self.arc_upper[a0:], arc_lower=self.arc_lower[a0:],
+            arc_geom=self.arc_geom[a0:], arc_alive=self.arc_alive[a0:],
+            geom_length=self.geom_length[g0:],
+            geom_children=[3] * (len(self.geom_length) - g0),
+            geom_child=self.geom_child,
+        )
+        msc.arc_alive[self.killed_arcs] = False
+        msc.node_alive[self.killed_nodes] = False

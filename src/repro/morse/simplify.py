@@ -97,10 +97,13 @@ def simplify_ms_complex(
 
     heap: list[tuple[float, int, int, int]] = []
     counter = 0
-    node_arcs, node_value = msc.node_arcs, msc.node_value
-    node_alive, node_ghost = msc.node_alive, msc.node_ghost
-    arc_upper, arc_lower = msc.arc_upper, msc.arc_lower
-    arc_alive, node_boundary = msc.arc_alive, msc.node_boundary
+    lists = msc.loop_lists()
+    node_arcs, pm = lists.node_arcs, lists.pair_multiplicity
+    node_value, node_index = lists.node_value, lists.node_index
+    node_alive, node_ghost = lists.node_alive, lists.node_ghost
+    arc_upper, arc_lower = lists.arc_upper, lists.arc_lower
+    arc_alive, node_boundary = lists.arc_alive, lists.node_boundary
+    address = msc.node_address
 
     def push(aid: int) -> None:
         # an arc's persistence is fixed at creation, so only one at or
@@ -127,40 +130,53 @@ def simplify_ms_complex(
             push(aid)
 
     performed: list[Cancellation] = []
-    while heap:
-        if max_cancellations is not None and len(performed) >= max_cancellations:
-            break
-        pers, _, _, aid = heappop(heap)
-        if not arc_alive[aid]:
-            continue
-        upper, lower = arc_upper[aid], arc_lower[aid]
-        if not (node_alive[upper] and node_alive[lower]):
-            continue
-        if node_ghost[upper] or node_ghost[lower]:
-            continue  # remote placeholders are never cancelled locally
-        if respect_boundary and (node_boundary[upper] or node_boundary[lower]):
-            continue
-        # unique-connection requirement; multiplicity between a living
-        # pair never decreases, so skipped arcs need not be re-queued
-        if len(msc.arcs_between(upper, lower)) != 1:
-            continue
+    try:
+        while heap:
+            if (max_cancellations is not None
+                    and len(performed) >= max_cancellations):
+                break
+            pers, _, _, aid = heappop(heap)
+            if not arc_alive[aid]:
+                continue
+            upper, lower = arc_upper[aid], arc_lower[aid]
+            if not (node_alive[upper] and node_alive[lower]):
+                continue
+            if node_ghost[upper] or node_ghost[lower]:
+                continue  # remote placeholders are never cancelled locally
+            if respect_boundary and (
+                node_boundary[upper] or node_boundary[lower]
+            ):
+                continue
+            # unique-connection requirement; multiplicity between a living
+            # pair never decreases, so skipped arcs need not be re-queued.
+            # A skip prunes the smaller-degree endpoint's list, as the
+            # incidence scan it replaces did (a push reads list lengths)
+            key = (upper, lower) if upper < lower else (lower, upper)
+            if pm.get(key) != 1:
+                base = (upper
+                        if len(node_arcs[upper]) <= len(node_arcs[lower])
+                        else lower)
+                node_arcs[base] = [a for a in node_arcs[base] if arc_alive[a]]
+                continue
 
-        created, killed = msc.cancel(
-            aid, upper, lower, max_arc_multiplicity, push
-        )
-        record = Cancellation(
-            persistence=pers,
-            upper_address=msc.node_address[upper],
-            lower_address=msc.node_address[lower],
-            upper_index=msc.node_index[upper],
-            arcs_removed=len(killed),
-            arcs_created=len(created),
-            killed_nodes=[upper, lower],
-            killed_arcs=killed,
-            created_arcs=created,
-        )
-        msc.hierarchy.append(record)
-        performed.append(record)
+            created, killed = lists.cancel(
+                aid, upper, lower, max_arc_multiplicity, push
+            )
+            record = Cancellation(
+                persistence=pers,
+                upper_address=int(address[upper]),
+                lower_address=int(address[lower]),
+                upper_index=node_index[upper],
+                arcs_removed=len(killed),
+                arcs_created=len(created),
+                killed_nodes=[upper, lower],
+                killed_arcs=killed,
+                created_arcs=created,
+            )
+            msc.hierarchy.append(record)
+            performed.append(record)
+    finally:
+        lists.write_back()
     span.annotate(cancellations=len(performed), queued=counter)
     span.__exit__(None, None, None)
     return performed

@@ -475,10 +475,10 @@ def extract_ms_complex(
     for d in range(4):
         cells = crit_by_dim[d]
         msc.add_nodes(
-            cx.global_address[cells].tolist(),
+            cx.global_address[cells],
             d,
-            cx.cell_value[cells].tolist(),
-            (cx.boundary_sig[cells] != 0).tolist(),
+            cx.cell_value[cells],
+            cx.boundary_sig[cells] != 0,
         )
         node_of_cell[cells] = np.arange(nid, nid + cells.size)
         nid += cells.size

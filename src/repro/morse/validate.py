@@ -91,9 +91,10 @@ def assert_ms_complex_valid(
     (:meth:`MorseSmaleComplex.geometry_ends`), not by expanding the arcs.
     """
     alive_nodes = set(msc.alive_nodes())
+    address, index = msc.node_address.tolist(), msc.node_index.tolist()
     seen_addr: dict[int, int] = {}
     for nid in alive_nodes:
-        addr = msc.node_address[nid]
+        addr = address[nid]
         if addr in seen_addr:
             raise AssertionError(
                 f"duplicate node address {addr} "
@@ -104,20 +105,25 @@ def assert_ms_complex_valid(
     arcs = msc.alive_arcs()
     if check_geometry:
         first, last, empty = (c.tolist() for c in msc.geometry_ends(arcs))
+    upper, lower = msc.arc_upper.tolist(), msc.arc_lower.tolist()
+    # the incidence exists only between a simplification and compact()
+    node_arcs = msc.node_arcs
     for i, aid in enumerate(arcs):
-        u, l = msc.arc_upper[aid], msc.arc_lower[aid]
+        u, l = upper[aid], lower[aid]
         if u not in alive_nodes or l not in alive_nodes:
             raise AssertionError(f"arc {aid} has a dead endpoint")
-        if msc.node_index[u] != msc.node_index[l] + 1:
+        if index[u] != index[l] + 1:
             raise AssertionError(f"arc {aid} violates the index relation")
-        if aid not in msc.node_arcs[u] or aid not in msc.node_arcs[l]:
+        if node_arcs is not None and (
+            aid not in node_arcs[u] or aid not in node_arcs[l]
+        ):
             raise AssertionError(f"arc {aid} missing from endpoint adjacency")
         if check_geometry and not empty[i]:
-            if first[i] != msc.node_address[u]:
+            if first[i] != address[u]:
                 raise AssertionError(
                     f"arc {aid} geometry does not start at its upper node"
                 )
-            if last[i] != msc.node_address[l]:
+            if last[i] != address[l]:
                 raise AssertionError(
                     f"arc {aid} geometry does not end at its lower node"
                 )

@@ -9,11 +9,14 @@ copy, ``to_payload()`` re-concatenated the leaves (``geom_data`` + CSR
 copied every section three times.  That code is kept here **verbatim**
 (tests only) as the oracle for ``tests/test_property_msc_geometry.py``:
 :class:`ReferenceComplex` is the production node/arc record keeping with
-this geometry representation swapped in, so the tracer,
-``simplify_ms_complex`` and ``glue_into`` can drive both with the same
-operation sequence.  Production now ships the geometry DAG itself, so the
-two are compared after expansion: the oracle's flattened record *is* the
-per-arc expanded address lists.
+this geometry representation swapped in, so the tracer and
+``glue_into`` can drive both with the same operation sequence (the
+oracle is simplified by the oracle loop of `tests/reference_simplify.py`).
+The columns are the production arrays, so ``compact`` writes arrays
+where it used to write lists; it still rebuilds the incidence eagerly,
+the check on the production complex's lazy build.  Production now ships
+the geometry DAG itself, so the two are compared after expansion: the
+oracle's flattened record *is* the per-arc expanded address lists.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from repro.io.mscfile import _LEGACY_SECTIONS, _deserialize_sections
 from repro.morse.msc import MorseSmaleComplex
-from tests.reference_simplify import _cancel
 
 __all__ = ["ArcGeometry", "ReferenceComplex", "reference_pack",
            "reference_unpack"]
@@ -85,11 +87,6 @@ class ReferenceComplex(MorseSmaleComplex):
                     segments=segments, length=geo.length
                 ))
         return gid0
-
-    def cancel(self, aid, upper, lower, cap, push):
-        """The single-record cancellation, through this class's
-        ``new_composite_geometry`` (production's writes the columns)."""
-        return _cancel(self, aid, upper, lower, push, cap)
 
     def expand_arcs(self, aids):
         flats = [self.geometry_addresses(a) for a in np.asarray(aids).tolist()]
@@ -179,21 +176,11 @@ class ReferenceComplex(MorseSmaleComplex):
         node_map = np.cumsum(alive_n) - 1  # valid at alive indices only
         keep = np.nonzero(alive_n)[0]
         num_nodes = int(keep.size)
-        self.node_address = (
-            np.asarray(self.node_address, dtype=np.int64)[keep].tolist()
-        )
-        self.node_index = (
-            np.asarray(self.node_index, dtype=np.int64)[keep].tolist()
-        )
-        self.node_value = (
-            np.asarray(self.node_value, dtype=np.float64)[keep].tolist()
-        )
-        self.node_boundary = (
-            np.asarray(self.node_boundary, dtype=bool)[keep].tolist()
-        )
-        self.node_ghost = (
-            np.asarray(self.node_ghost, dtype=bool)[keep].tolist()
-        )
+        self.node_address = self.node_address[keep]
+        self.node_index = self.node_index[keep]
+        self.node_value = self.node_value[keep]
+        self.node_boundary = self.node_boundary[keep]
+        self.node_ghost = self.node_ghost[keep]
 
         arc_keep = np.nonzero(np.asarray(self.arc_alive, dtype=bool))[0]
         num_arcs = int(arc_keep.size)
@@ -207,11 +194,11 @@ class ReferenceComplex(MorseSmaleComplex):
                 geo = ArcGeometry(leaf=flat, length=int(flat.size))
             new_geoms.append(geo)
 
-        self.node_alive = [True] * num_nodes
-        self.arc_upper = new_up.tolist()
-        self.arc_lower = new_lo.tolist()
-        self.arc_geom = list(range(num_arcs))
-        self.arc_alive = [True] * num_arcs
+        self.node_alive = np.ones(num_nodes, bool)
+        self.arc_upper = new_up
+        self.arc_lower = new_lo
+        self.arc_geom = np.arange(num_arcs)
+        self.arc_alive = np.ones(num_arcs, bool)
         self.geoms = new_geoms
 
         if num_arcs:

@@ -10,9 +10,11 @@ new arc through ``multiplicity``, ``new_composite_geometry`` and
 ``add_arc`` — the single-record API.  ``simplify_ms_complex`` and
 ``_cancel`` are that loop verbatim, minus the ``max_new_arcs`` guard the
 production function no longer has and with the deleted one-line
-``kill_arc`` / ``kill_node`` written out, so a test can require the
-rewrite to perform the same cancellations in the same order and leave
-the same complex behind.
+``kill_arc`` / ``kill_node`` written out and the incidence built on
+entry (the complex no longer keeps it at rest), so a test can require
+the rewrite to perform the same cancellations in the same order and
+leave the same complex behind.  It runs on the production columns
+through the one-row ``add_arc`` / ``new_composite_geometry``.
 
 Tests only; nothing under ``src/`` imports it.
 """
@@ -46,6 +48,7 @@ def simplify_ms_complex(
 
     heap: list[tuple[float, int, int, int]] = []
     counter = 0
+    msc.incidence()  # node_arcs / pair_multiplicity, built on first use
 
     def push(aid: int) -> None:
         # tie-break equal persistences by an (inexpensive, push-time)

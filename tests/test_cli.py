@@ -121,6 +121,19 @@ class TestCompute:
             )
 
 
+class TestInfoErrors:
+    @pytest.mark.parametrize("content", [None, b"garbage"],
+                             ids=["missing", "not-an-msc"])
+    def test_unreadable_file_fails_readably(self, tmp_path, capsys, content):
+        path = tmp_path / "x.msc"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("cannot read" if content is None else "not an MSC") in err
+
+
 class TestComputeErrors:
     def test_missing_volume_fails_readably(self, tmp_path, capsys):
         rc = main([

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.io.mscfile import (
+    _LEGACY_SECTIONS,
     MAGIC_V3,
     deserialize_hierarchy,
     deserialize_payload,
@@ -291,6 +292,27 @@ class TestChecksums:
     def test_intact_file_passes(self, image):
         assert set(read_msc_file(image)) == {0, 7}
         assert set(read_msc_hierarchies(image.read_bytes())) == {7}
+
+
+class TestShortRecords:
+    """A v2 record (no CRC) shorter than its header, or whose section
+    lengths overrun it, fails with a ValueError naming file and block."""
+
+    @staticmethod
+    def _v2_image(record: bytes) -> bytes:
+        index = struct.pack("<Q", 1) + struct.pack("<qQQ", 5, 0, len(record))
+        footer = index + struct.pack("<Q", 0)
+        return record + footer + struct.pack("<Q", len(record)) + b"MSC2"
+
+    def test_record_shorter_than_its_header(self):
+        with pytest.raises(ValueError, match="block 5.*3 bytes.*header"):
+            read_msc_file(self._v2_image(b"abc"))
+
+    def test_sections_overrunning_the_record(self):
+        n = len(_LEGACY_SECTIONS)  # one int64 each, the last one missing
+        record = struct.pack(f"<I{n}Q", n, *[8] * n) + bytes(8 * (n - 1))
+        with pytest.raises(ValueError, match="block 5.*section .*overrun"):
+            read_msc_file(self._v2_image(record))
 
 
 class TestBytesSources:

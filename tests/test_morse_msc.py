@@ -149,7 +149,7 @@ class TestMutationAndCompact:
         assert tiny_msc.num_alive_arcs() == 3
         # g1 is stored once though two arcs run along it; the unused
         # composite is gone, the used one is still a composite
-        assert tiny_msc.geom_children == [-1, -1, -1, 2]
+        assert tiny_msc.geom_children.tolist() == [-1, -1, -1, 2]
         assert tiny_msc.stored_geometry_length() == 9
         after = [
             tiny_msc.geometry_addresses(a).tolist()

@@ -45,6 +45,7 @@ from repro.morse.msc import MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
 from repro.parallel.decomposition import decompose
 from repro.parallel.radixk import MergeSchedule
+from tests import reference_simplify as reference
 from tests.reference_msc_geometry import (
     ReferenceComplex,
     reference_pack,
@@ -82,13 +83,22 @@ def assert_same_before_compact(got, want, same_nesting=True) -> None:
         assert got.total_geometry_length() == want.total_geometry_length()
 
 
+def simplify(msc, *args, **kwargs):
+    """The production loop, or the oracle loop for the oracle complex."""
+    loop = (reference.simplify_ms_complex if isinstance(msc, ReferenceComplex)
+            else simplify_ms_complex)
+    return loop(msc, *args, **kwargs)
+
+
 def assert_same_decoded(got, want) -> None:
     """Two compacted complexes a reader cannot tell apart: same nodes,
-    same arcs in the same order, same expanded V-path per arc."""
+    same arcs in the same order, same expanded V-path per arc — and the
+    incidence the next simplification builds equals the one the oracle's
+    compact() rebuilt eagerly."""
     for key in ("node_address", "node_index", "node_value", "node_boundary",
-                "node_ghost", "arc_upper", "arc_lower", "node_arcs",
-                "pair_multiplicity"):
-        assert getattr(got, key) == getattr(want, key), key
+                "node_ghost", "arc_upper", "arc_lower"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert got.incidence() == want.incidence()
     arcs = range(len(got.arc_upper))
     for a, b in zip(got.expand_arcs(arcs), want.expand_arcs(arcs)):
         np.testing.assert_array_equal(a, b)
@@ -137,7 +147,7 @@ def test_simplified_field_equals_oracle(values, fraction):
     assert_same_before_compact(got, want)
     threshold = fraction * max(float(np.ptp(values)), 1.0)
     for msc in (got, want):
-        simplify_ms_complex(msc, threshold, respect_boundary=False)
+        simplify(msc, threshold, respect_boundary=False)
     assert_same_packed(got, want)
 
 
@@ -223,7 +233,7 @@ def test_flatten_batches_split_and_rejoin(monkeypatch):
     values = np.random.default_rng(3).random((7, 7, 7))
     cx = CubicalComplex(values)
     want = extract(cx, ReferenceComplex)
-    simplify_ms_complex(want, 0.4, respect_boundary=False)
+    simplify(want, 0.4, respect_boundary=False)
     want.compact()
     got = extract(cx, MorseSmaleComplex)
     simplify_ms_complex(got, 0.4, respect_boundary=False)
@@ -248,7 +258,7 @@ def merged_blobs(values, blocks, radices, persistence, cls, pack, unpack,
     live = {}
     for bid, cx in enumerate(block_complexes(values, blocks, splits)):
         msc = extract(cx, cls)
-        simplify_ms_complex(msc, persistence, respect_boundary=True)
+        simplify(msc, persistence, respect_boundary=True)
         msc.compact()
         blobs.append(pack(msc))
         live[bid] = unpack(blobs[-1])
@@ -263,7 +273,7 @@ def merged_blobs(values, blocks, radices, persistence, cls, pack, unpack,
             touched.update(root.update_boundary_flags(
                 schedule.cut_planes_after(r + 1), return_ids=True
             ))
-            simplify_ms_complex(
+            simplify(
                 root, persistence, respect_boundary=True, seed_nodes=touched
             )
             root.compact()
