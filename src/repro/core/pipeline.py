@@ -271,9 +271,10 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
                     assert_gradient_field_valid(gradient)
                     assert_acyclic(gradient)
                 msc = extract_ms_complex(gradient)
+                # one node per critical cell, none simplified yet
+                crit_counts = msc.node_counts_by_index()
             with tracer.span("compute.simplify", cat="compute") as simp:
                 geometry_traced = msc.total_geometry_length()
-                crit_counts = gradient.critical_counts()
                 if (
                     spec.persistence_threshold == 0
                     and not spec.simplify_at_zero_persistence

@@ -22,7 +22,7 @@ Structure-table memoization
 ---------------------------
 Everything about the complex that depends only on the block's *shape* —
 celltype and dimension per padded cell, the valid-cell mask, the
-facet/cofacet flat-offset tables, the padded-layout scatter indices, and
+facet/cofacet flat-offset tables, the padded index per refined cell, and
 the per-celltype continuation tables the tracing kernels walk
 — is factored into :class:`MeshStructureTables` and memoized per
 ``padded_shape`` in a module-level LRU cache.  A worker process
@@ -41,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.mesh.addressing import boundary_signature, global_refined_address
+from repro.obs.trace import get_tracer
 
 __all__ = [
     "CubicalComplex",
@@ -67,19 +68,11 @@ def _axis_bits(t: int) -> tuple[int, int, int]:
     return (t & 1, (t >> 1) & 1, (t >> 2) & 1)
 
 
-def _pack_words(fields: list, widths: list[int]) -> list[np.ndarray]:
-    """Pack ``uint64`` fields big-end-first into ``uint64`` words, no
-    field split across two, the last field in the low bits of the last
-    word: the words compare lexicographically as the fields do."""
-    words, used = [], 64
-    for f, w in zip(reversed(fields), reversed(widths)):
-        if used + w > 64:
-            words.append(f)
-            used = 0
-        else:
-            words[-1] = words[-1] | (f << np.uint64(used))
-        used += w
-    return words[::-1]
+#: optimal sorting networks of 1, 2, 4 and 8 rows (0/1/5/19 comparators)
+_NETWORKS = {1: (), 2: ((0, 1),), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+             8: ((0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6),
+                 (3, 7), (0, 1), (2, 3), (4, 5), (6, 7), (2, 4), (3, 5),
+                 (1, 4), (3, 6), (1, 2), (3, 4), (5, 6))}
 
 
 @dataclass(frozen=True)
@@ -104,8 +97,8 @@ class MeshStructureTables:
     #: True exactly on the refined interior (sentinels False)
     valid: np.ndarray
     #: flat padded indices of the refined interior, in C order of the
-    #: refined block — the scatter index embedding a refined-grid array
-    #: into the padded flat layout
+    #: refined block — the padded index of every refined coordinate,
+    #: which names the cells the rank build sorts
     interior_index: np.ndarray
     #: facet flat offsets per celltype
     facet_offsets: tuple[tuple[int, ...], ...]
@@ -249,6 +242,8 @@ class CubicalComplex:
         cut_planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
         use_structure_cache: bool = True,
     ) -> None:
+        if np.prod([2 * n - 1 for n in np.shape(block_values)]) >= 2**31:
+            raise ValueError("block has over 2**31 - 1 cells")  # int32 rank
         # the single normalization point for block values: at most one
         # copy, and none when the caller already holds a contiguous
         # float64 array
@@ -298,13 +293,11 @@ class CubicalComplex:
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _pad_and_flatten(self, arr3d: np.ndarray, fill) -> np.ndarray:
-        """Embed a refined-grid array into the padded flat layout."""
-        flat = np.full(self.num_padded, fill, dtype=arr3d.dtype)
-        flat[self.tables.interior_index] = np.ascontiguousarray(
-            arr3d
-        ).ravel()
-        return flat
+    def _interior(self, flat: np.ndarray) -> np.ndarray:
+        """The refined interior of a padded flat array, as an
+        ``(x, y, z)``-indexed view."""
+        px, py, pz = self.padded_shape
+        return flat.reshape(pz, py, px)[1:-1, 1:-1, 1:-1].T
 
     def _build_flat_arrays(self, cut_planes) -> None:
         rx, ry, rz = self.refined_shape
@@ -314,44 +307,42 @@ class CubicalComplex:
         rj = np.arange(ry, dtype=np.int64)[None, :, None]
         rk = np.arange(rz, dtype=np.int64)[None, None, :]
 
-        # cell values: separable max over the vertices of each cell
-        ref = np.full(self.refined_shape, -np.inf)
+        # cell values: separable max over the vertices of each cell,
+        # computed in place in the padded array's interior
+        self.cell_value = np.full(self.num_padded, -np.inf)
+        ref = self._interior(self.cell_value)
         ref[::2, ::2, ::2] = self.vertex_values
-        ref[1::2, :, :] = np.maximum(ref[0:-1:2, :, :], ref[2::2, :, :])
-        ref[:, 1::2, :] = np.maximum(ref[:, 0:-1:2, :], ref[:, 2::2, :])
-        ref[:, :, 1::2] = np.maximum(ref[:, :, 0:-1:2], ref[:, :, 2::2])
-        self.cell_value = self._pad_and_flatten(ref, -np.inf)
+        np.maximum(ref[0:-1:2], ref[2::2], out=ref[1::2])
+        np.maximum(ref[:, 0:-1:2], ref[:, 2::2], out=ref[:, 1::2])
+        np.maximum(ref[:, :, 0:-1:2], ref[:, :, 2::2], out=ref[:, :, 1::2])
 
         # global addresses
         gi = ri + self.refined_origin[0]
         gj = rj + self.refined_origin[1]
         gk = rk + self.refined_origin[2]
         addr = global_refined_address(gi, gj, gk, self.global_refined_dims)
-        addr = np.ascontiguousarray(
-            np.broadcast_to(addr, self.refined_shape), dtype=np.int64
-        )
-        self.global_address = self._pad_and_flatten(addr, -1)
+        self.global_address = np.full(self.num_padded, -1)
+        self._interior(self.global_address)[...] = addr
 
-        # boundary signatures
-        if cut_planes is None:
-            sig3d = np.zeros(self.refined_shape, dtype=np.uint8)
-        else:
-            sig3d = boundary_signature(
+        # boundary signatures; sentinel cells get an impossible
+        # signature so they are never candidates for pairing
+        sig = 0
+        if cut_planes is not None:
+            sig = boundary_signature(
                 np.broadcast_to(gi, self.refined_shape),
                 np.broadcast_to(gj, self.refined_shape),
                 np.broadcast_to(gk, self.refined_shape),
                 cut_planes,
                 self.global_refined_dims,
             )
-        # sentinel cells get an impossible signature so they are never
-        # candidates for pairing
-        self.boundary_sig = self._pad_and_flatten(
-            np.ascontiguousarray(sig3d), np.uint8(255)
-        )
+        self.boundary_sig = np.full(self.num_padded, 255, dtype=np.uint8)
+        self._interior(self.boundary_sig)[...] = sig
 
-        self._build_order_rank()
+        with get_tracer().span("mesh.rank", cat="kernel") as span:
+            words, tied = self._build_order_rank()
+            span.annotate(words=words, tied=tied)
 
-    def _build_order_rank(self) -> None:
+    def _build_order_rank(self) -> tuple[list[int], int]:
         """Dense simulation-of-simplicity rank over all valid cells.
 
         Key = (descending-sorted vertex values, global address), compared
@@ -363,49 +354,76 @@ class CubicalComplex:
         The vertices are sorted once: dense ranks stand in for the exact
         samples (equal samples, ``-0.0`` and ``+0.0`` too, rank equal).
         Inside a block, global-address order is padded-index order (both
-        x-fastest over a sub-box), so the padded index in the low field
+        x-fastest over a sub-box), so the padded index as the last field
         breaks ties, keeps every key unique and names the sorted cells.
+        A one-word key is sorted; a longer one argsorts word 0 and orders
+        only its runs of equal words by the rest (docs/ALGORITHM.md §1).
+        Returns the word count per dimension and the cells in those runs.
         """
         _, vrank = np.unique(self.vertex_values, return_inverse=True)
-        vbits = int(vrank.max()).bit_length()
-        vrank = vrank.astype(np.uint64).reshape(self.vertex_shape)
+        vbits = max(int(vrank.max()).bit_length(), 1)
+        vrank = vrank.astype(np.uint32).reshape(self.vertex_shape)
         ibits = (self.num_padded - 1).bit_length()
         index3 = self.tables.interior_index.reshape(self.refined_shape)
-        self.order_rank = np.full(self.num_padded, np.iinfo(np.int64).max)
-        cells_by_dim = []
-        base = 0
-        for types in CELLTYPES_OF_DIM:
-            corners, index = [], []
-            for t in types:
-                bits = _axis_bits(t)
-                # the t-cells form a (vertex_shape - bits) grid; corner m
-                # (a subset of t's axes) is the vertex block shifted by m
-                extent = tuple(n - b for n, b in zip(self.vertex_shape, bits))
-                corners.append(np.stack([
-                    vrank[tuple(
-                        slice(c, c + e) for c, e in zip(_axis_bits(m), extent)
-                    )].ravel()
-                    for m in range(8) if m & ~t == 0
-                ]))
-                index.append(
-                    index3[tuple(slice(b, None, 2) for b in bits)].ravel()
-                )
-            corners = np.concatenate(corners, axis=1)
-            corners.sort(axis=0)
-            words = _pack_words(
-                [*corners[::-1], np.concatenate(index).astype(np.uint64)],
-                [vbits] * len(corners) + [ibits],
+        self.order_rank = np.full(self.num_padded, 2**31 - 1, dtype=np.int32)
+        cells_by_dim, words, tied = [], [], 0
+        for d, types in enumerate(CELLTYPES_OF_DIM):
+            # the t-cells form a (vertex_shape - bits) grid; corner m
+            # (a subset of t's axes) is the vertex block shifted by m
+            grids = [[n - b for n, b in zip(self.vertex_shape, _axis_bits(t))]
+                     for t in types]
+            ends = np.cumsum([0] + [np.prod(g) for g in grids])
+            rows = list(np.empty((2**d, ends[-1]), dtype=np.uint32))
+            index = np.empty(ends[-1], dtype=np.int64)
+            for t, g, lo, hi in zip(types, grids, ends, ends[1:]):
+                corners = [m for m in range(8) if m & ~t == 0]
+                for row, m in zip(rows, corners):
+                    row[lo:hi].reshape(g)[...] = vrank[tuple(
+                        slice(c, c + n) for c, n in zip(_axis_bits(m), g)
+                    )]
+                index[lo:hi].reshape(g)[...] = index3[tuple(
+                    slice(b, None, 2) for b in _axis_bits(t)
+                )]
+            spare = np.empty_like(rows[0])  # sort each column, largest first
+            for i, j in _NETWORKS[2**d]:
+                np.maximum(rows[i], rows[j], out=spare)
+                np.minimum(rows[i], rows[j], out=rows[j])
+                rows[i], spare = spare, rows[i]
+            # words of whole ranks, plus one if the index does not fit
+            # beside the last word's ranks
+            per = 64 // vbits
+            lead, nwords = min(2**d, per), -(-(2**d) // per)
+            last = 2**d - per * (nwords - 1)
+            words.append(nwords + (last * vbits + ibits > 64))
+            word = rows[0].astype(np.uint64)
+            for row in rows[1:lead]:
+                word <<= np.uint64(vbits)
+                word |= row
+            if words[-1] == 1:
+                word <<= np.uint64(ibits)
+                word |= index.view(np.uint64)
+                word.sort()
+                cells = (word & np.uint64((1 << ibits) - 1)).view(np.int64)
+            else:
+                order = np.argsort(word)
+                word = word[order]
+                tie = word[1:] == word[:-1]
+                pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+                # np.lexsort, last key primary: word 0 keeps each run in
+                # place, the remaining fields order it
+                sub = order[pos]
+                keys = [index[sub], *[row[sub] for row in rows[lead:][::-1]]]
+                order[pos] = sub[np.lexsort([*keys, word[pos]])]
+                tied += pos.size
+                cells = index[order]
+            base = sum(c.size for c in cells_by_dim)
+            self.order_rank[cells] = np.arange(
+                base, base + cells.size, dtype=np.int32
             )
-            if len(words) == 1:
-                keys = np.sort(words[0])
-            else:  # np.lexsort: last key is primary
-                keys = words[-1][np.lexsort(words[::-1])]
-            cells = (keys & np.uint64((1 << ibits) - 1)).astype(np.int64)
-            self.order_rank[cells] = np.arange(base, base + cells.size)
-            base += cells.size
             cells_by_dim.append(cells)
         #: padded indices of the valid cells per dimension, in SoS order
         self.cells_by_dim = tuple(cells_by_dim)
+        return words, tied
 
     # ------------------------------------------------------------------
     # coordinate / identity helpers

@@ -73,7 +73,7 @@ from repro.obs.trace import get_tracer
 
 __all__ = ["compute_discrete_gradient"]
 
-_NO_RANK = np.iinfo(np.int64).max
+_NO_RANK = np.iinfo(np.int32).max
 
 
 def _cells(shape_zyx, celltype: int, code: int | None = None):
@@ -125,7 +125,7 @@ def compute_discrete_gradient(complex_: CubicalComplex) -> GradientField:
                 heads = _cells(shape, t)
                 sig_b = sig[heads]
                 choice = elected[heads]  # a view: writes land in `elected`
-                best = np.full(choice.shape, -1, dtype=np.int64)
+                best = np.full(choice.shape, -1, dtype=np.int32)
                 for code in _directions(t, facets=True):
                     facet = _cells(shape, t, code)
                     better = (
@@ -139,7 +139,7 @@ def compute_discrete_gradient(complex_: CubicalComplex) -> GradientField:
             # (a d-cell taken as a head by pass d-1 is in no F(b))
             for t in CELLTYPES_OF_DIM[d]:
                 choice = pairing[_cells(shape, t)]  # a view, as above
-                best = np.full(choice.shape, _NO_RANK)
+                best = np.full(choice.shape, _NO_RANK, dtype=np.int32)
                 cofacets = _directions(t, facets=False)
                 for code in cofacets:
                     head = _cells(shape, t, code)

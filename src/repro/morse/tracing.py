@@ -55,7 +55,7 @@ def trace_down(field: GradientField, crit: int) -> list[list[int]]:
     flat = flat.tolist()
     results: list[list[int]] = []
     pos = 0
-    for length in lens:
+    for length in lens.tolist():
         results.append(flat[pos:pos + length])
         pos += length
     return results
@@ -99,7 +99,7 @@ class _PointerState:
         n = cx.num_padded
         self.cont = cont
         self.ckey = ckey
-        self.celltype = cx.celltype.astype(np.int64)
+        self.celltype = cx.celltype
 
         # flattened continuation-facet table (key = celltype*6 + code)
         cand_lists = [
@@ -192,9 +192,9 @@ def _trace_down_many(
     """Trace descending V-paths from a whole batch of critical cells.
 
     Returns ``(flat, lens, terminals, counts)``: the concatenated paths
-    of every source (an int64 array), each path's length, each path's
-    terminating critical cell, and the number of paths per source (plain
-    lists) — the form :func:`extract_ms_complex` consumes.  Per-source
+    of every source, each path's length, each path's terminating
+    critical cell, and the number of paths per source (int64 arrays) —
+    the form :func:`extract_ms_complex` consumes.  Per-source
     enumeration order is depth-first in candidate-table order, exactly
     :func:`trace_down`'s.
 
@@ -214,7 +214,7 @@ def _trace_down_many(
     nsrc = int(src.size)
     empty = np.empty(0, dtype=np.int64)
     if nsrc == 0:
-        return empty, [], [], []
+        return empty, empty, empty, empty
 
     tracer = get_tracer()
 
@@ -288,7 +288,7 @@ def _trace_down_many(
     nlev = level  # levels 0 .. nlev-1 hold entries that were expanded
     narcs = int(sum(a.size for a in arc_parent))
     if narcs == 0:
-        return empty, [], [], [0] * nsrc
+        return empty, empty, empty, np.zeros(nsrc, dtype=np.int64)
 
     # ---- DFS-order reconstruction -------------------------------------
     with tracer.span("trace.pointer.order", cat="kernel") as span:
@@ -428,7 +428,7 @@ def _trace_down_many(
                 rem = rem[m]
         span.annotate(cells=int(flat.size))
 
-    return flat, lens.tolist(), beta_d.tolist(), counts.tolist()
+    return flat, lens, beta_d, counts
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +487,15 @@ def extract_ms_complex(
 
     arcs_span = tracer.span("trace.arcs", cat="kernel")
     arcs_span.__enter__()
-    for d in range(1, 4):
-        sources = crit_by_dim[d]
-        if not sources.size:
-            continue
+    # one kernel call for every saddle and maximum: sources in (dim,
+    # SoS) order give the arcs in the order of one call per dimension
+    sources = np.concatenate(crit_by_dim[1:])
+    if sources.size:
         flat, lens, terminals, counts = _trace_down_many(
             field, sources, max_paths_per_node
         )
-        # one address gather for every path of every source of this
-        # dimension, handed over as CSR (data, lengths)
+        # one address gather for every path, handed over as CSR
+        # (data, lengths)
         msc.add_leaf_arcs_flat(
             np.repeat(node_of_cell[sources], counts),
             node_of_cell[terminals],

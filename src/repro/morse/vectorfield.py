@@ -36,6 +36,10 @@ SENTINEL = 255
 CONT_CRITICAL = -2
 CONT_DEAD = -1
 
+#: axis bit of each pairing code's direction; 0 for the other codes
+_AXIS_BIT = np.zeros(256, dtype=np.uint8)
+_AXIS_BIT[:6] = (1, 1, 2, 2, 4, 4)
+
 
 class GradientField:
     """A discrete gradient vector field over a block's cubical complex.
@@ -141,25 +145,26 @@ class GradientField:
         """
         tables = getattr(self, "_continuation_tables", None)
         if tables is None:
-            cx = self.complex
             pairing = self.pairing
-            n = cx.num_padded
-            offs = np.asarray(self.dir_offsets, dtype=np.int64)
+            celltype = self.complex.celltype
+            # a paired cell is a tail iff its pairing axis is not one of
+            # its own axes; the head's celltype then adds that axis
+            head_type = _AXIS_BIT[pairing]
+            head_type |= celltype
+            tails = head_type != celltype
 
-            cont = np.full(n, CONT_DEAD, dtype=np.int64)
-            cont[pairing == CRITICAL] = CONT_CRITICAL
-            paired = np.flatnonzero(cx.valid & (pairing < CRITICAL))
-            partner = paired + offs[pairing[paired]]
-            # the path continues only through tails (partner one dim
-            # up); heads of lower vectors stay CONT_DEAD
-            tails = cx.cell_dim[partner] == cx.cell_dim[paired] + 1
-            cont[paired[tails]] = partner[tails]
+            code_offset = np.zeros(256, dtype=np.int64)
+            code_offset[:6] = self.dir_offsets
+            cont = code_offset[pairing]
+            cont += np.arange(cont.size, dtype=np.int64)
+            np.copyto(cont, CONT_DEAD, where=~tails)
+            np.copyto(cont, CONT_CRITICAL, where=pairing == CRITICAL)
 
-            ckey = np.zeros(n, dtype=np.int64)
-            ckey[paired[tails]] = (
-                cx.celltype[partner[tails]].astype(np.int64) * 6
-                + pairing[paired[tails]]
-            )
+            # uint8 arithmetic: at most 7 * 6 + 5 on tails, zeroed elsewhere
+            ckey = head_type
+            ckey *= 6
+            ckey += pairing
+            np.copyto(ckey, 0, where=~tails)
             cont.setflags(write=False)
             ckey.setflags(write=False)
             tables = (cont, ckey)

@@ -1,9 +1,11 @@
 """Tests for repro.mesh.cubical: the flat-array cubical complex."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.mesh.cubical import CubicalComplex
+from repro.mesh.cubical import _NETWORKS, CubicalComplex
 
 
 @pytest.fixture
@@ -55,6 +57,14 @@ class TestStructure:
                 refined_origin=(30, 0, 0),
                 global_refined_dims=(31, 33, 35),
             )
+
+    def test_block_over_int32_cells_rejected(self):
+        """The SoS rank is int32; the check runs on the shape alone, so a
+        zero-stride view of the size stays cheap."""
+        big = np.broadcast_to(np.zeros(1), (2, 2, 2**29))
+        assert 3 * 3 * (2**30 - 1) >= 2**31
+        with pytest.raises(ValueError, match="2\\*\\*31 - 1 cells"):
+            CubicalComplex(big)
 
 
 class TestValues:
@@ -116,6 +126,16 @@ class TestIncidence:
 
 
 class TestSoSOrder:
+    def test_corner_networks_sort_every_zero_one_column(self):
+        """By the 0-1 principle a compare-exchange network that sorts
+        every 0/1 column sorts every column."""
+        for n, network in _NETWORKS.items():
+            for bits in itertools.product((0, 1), repeat=n):
+                col = list(bits)
+                for i, j in network:
+                    col[i], col[j] = max(col[i], col[j]), min(col[i], col[j])
+                assert col == sorted(bits, reverse=True), (n, bits)
+
     def test_rank_is_dense_permutation(self, cx):
         ranks = cx.order_rank[cx.valid]
         assert sorted(ranks.tolist()) == list(range(cx.num_cells))

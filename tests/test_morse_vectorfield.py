@@ -5,7 +5,13 @@ import pytest
 
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
-from repro.morse.vectorfield import CRITICAL, UNASSIGNED, GradientField
+from repro.morse.vectorfield import (
+    CONT_CRITICAL,
+    CONT_DEAD,
+    CRITICAL,
+    UNASSIGNED,
+    GradientField,
+)
 
 
 @pytest.fixture
@@ -72,3 +78,20 @@ def test_assert_complete_detects_non_mutual_pairing(field):
 def test_mismatched_array_rejected(field):
     with pytest.raises(ValueError):
         GradientField(field.complex, np.zeros(3, dtype=np.uint8))
+
+
+def test_continuation_tables_follow_their_definition(field):
+    """Per cell, from the pairing alone: a tail (partner one dimension
+    up) continues into its head, with the head's celltype and the
+    pairing code as key; a critical cell ends the path; the rest die."""
+    cx = field.complex
+    cont, ckey = field.continuation_tables()
+    for p in range(cx.num_padded):
+        code = int(field.pairing[p])
+        head = field.pair_of(p) if code < CRITICAL else p
+        if code == CRITICAL:
+            assert (cont[p], ckey[p]) == (CONT_CRITICAL, 0)
+        elif cx.cell_dim[head] > cx.cell_dim[p]:
+            assert (cont[p], ckey[p]) == (head, cx.celltype[head] * 6 + code)
+        else:
+            assert (cont[p], ckey[p]) == (CONT_DEAD, 0)

@@ -152,6 +152,21 @@ class TestPipelineTrace:
             "critical": sum(field.critical_counts()),
         }
 
+    def test_each_block_ranks_once_and_traces_in_one_kernel_call(self):
+        """`mesh.rank` splits `compute.build`; `trace.arcs` wraps one
+        kernel call over the saddles and maxima of its block."""
+        events = _traced_result().stats.trace.events
+        per_name = {}
+        for e in events:
+            per_name.setdefault(e.name, []).append(e)
+        assert len(per_name["compute.block"]) == 8
+        for name in ("mesh.rank", "trace.arcs", "trace.pointer.expand",
+                     "trace.pointer.order", "trace.pointer.geometry"):
+            assert len(per_name[name]) == 8, name
+        for e in per_name["mesh.rank"]:
+            assert e.args["words"] == [1, 1, 1, 2]
+            assert e.args["tied"] == 0
+
     def test_every_block_has_a_compute_span(self):
         result = _traced_result()
         blocks = {e.args["block"] for e in result.stats.trace.events

@@ -7,16 +7,22 @@ definition's keys from float64 samples and global addresses and sorts
 them with Python's ``sorted``; ``order_rank`` and ``cells_by_dim`` must
 match it on the inputs where a packing or ranking shortcut would break:
 two-vertex axes, plateaus, samples that collide in float32, signed
-zeros, integers above 2**24, blocks with an origin and cut planes, and
-a block whose vertex ranks need 17 bits.
+zeros, integers above 2**24, blocks with an origin and cut planes, a
+block whose vertex ranks need 17 bits, and quantized blocks whose
+multi-word keys tie in their leading word.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data import sinusoidal_field
 from repro.mesh.cubical import CubicalComplex
+from repro.obs.trace import Tracer
 
 
 def sos_brute_force(cx: CubicalComplex) -> list[list[int]]:
@@ -113,3 +119,49 @@ def test_rank_equals_brute_force_with_17_bit_vertex_ranks():
     v = np.random.default_rng(5).random((41, 41, 41))
     assert np.unique(v).size > 2**16
     assert_rank_is_sos_order(CubicalComplex(v))
+
+
+def _has_equal_vertex_keys(v: np.ndarray, d: int) -> bool:
+    """Whether two d-cells of the vertex grid ``v`` have the same
+    descending list of corner values."""
+    keys = []
+    for axes in itertools.combinations(range(3), d):
+        extent = [n - (a in axes) for a, n in enumerate(v.shape)]
+        shifts = itertools.product(*[(0, 1) if a in axes else (0,)
+                                     for a in range(3)])
+        keys.append(np.sort(np.stack([
+            v[tuple(slice(s, s + e) for s, e in zip(shift, extent))].ravel()
+            for shift in shifts
+        ]), axis=0))
+    keys = np.concatenate(keys, axis=1)
+    return np.unique(keys, axis=1).shape[1] < keys.shape[1]
+
+
+@pytest.mark.parametrize("placed", [False, True],
+                         ids=["serial", "origin_cuts"])
+def test_rank_resolves_tied_leading_words(placed):
+    """A smooth 24**3 field quantized to 2**12 levels: 12-bit vertex
+    ranks make the 2-cell key span two words, and plateaus give distinct
+    2-cells equal vertex keys, so equal leading words must be ordered by
+    the rest of the key and the address tie-break."""
+    f = sinusoidal_field(24, 3, dtype=np.float64, tilt=1e-2)
+    v = np.floor((f - f.min()) / np.ptp(f) * (2**12 - 1))
+    vbits = (np.unique(v).size - 1).bit_length()
+    ibits = (49**3 - 1).bit_length()
+    assert vbits == 12
+    assert 4 * vbits + ibits > 64
+    assert _has_equal_vertex_keys(v, 2)
+    kwargs = {}
+    if placed:
+        kwargs = dict(
+            refined_origin=(6, 0, 10),
+            global_refined_dims=(61, 47, 65),
+            cut_planes=(np.array([6, 30]), np.array([24]), np.array([40])),
+        )
+    tracer = Tracer(enabled=True)
+    with tracer.installed():
+        cx = CubicalComplex(v, **kwargs)
+    (span,) = tracer.spans("mesh.rank")
+    assert span.args["words"][2:] == [2, 2]
+    assert span.args["tied"] > 0
+    assert_rank_is_sos_order(cx)

@@ -36,7 +36,7 @@ def assert_equals_oracle(cx: CubicalComplex, cap=None) -> None:
         sources = cells.tolist()
         flat, lens, terminals, counts = _trace_down_many(grad, sources, cap)
         want = reference_tracing._trace_down_many(grad, sources, cap)
-        got = (flat.tolist(), lens, terminals, counts)
+        got = tuple(a.tolist() for a in (flat, lens, terminals, counts))
         for name, g, w in zip(
             ("flat", "lens", "terminals", "counts"), got, want
         ):
@@ -74,8 +74,8 @@ def test_backends_agree_on_monotone_field(monotone_field):
     """The two degenerate frontiers: an empty source list, and a ramp
     whose single critical cell (a minimum) has nothing below it."""
     grad = compute_discrete_gradient(CubicalComplex(monotone_field))
-    flat, lens, terminals, counts = _trace_down_many(grad, [])
-    assert (flat.tolist(), lens, terminals, counts) == ([], [], [], [])
+    got = _trace_down_many(grad, [])
+    assert tuple(a.tolist() for a in got) == ([], [], [], [])
     assert_equals_oracle(CubicalComplex(monotone_field))
 
 
