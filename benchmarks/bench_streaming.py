@@ -81,7 +81,7 @@ def measure_steady_state(
 
     Steps ``[1:]`` only, on both sides: the session amortizes its setup
     into step 0, and the baseline's first run also absorbs one-time
-    process-wide warmup (imports, structure tables), so excluding the
+    process-wide warmup (imports), so excluding the
     first step compares steady states fairly.
     """
     cfg = stream_config(workers)

@@ -11,10 +11,10 @@ times, output size — to a time series the scientist can monitor while
 the simulation runs.
 
 Since the streaming rework the analyzer is backed by a persistent
-:class:`~repro.core.session.PipelineSession`: the worker pool, the
-decomposition/merge-schedule plan, and the warmed structure tables are
-created on the first step and *reused* by every later one — the
-amortization a real in-situ coupling lives on.
+:class:`~repro.core.session.PipelineSession`: the worker pool and the
+decomposition/merge-schedule plan are created on the first step and
+*reused* by every later one — the amortization a real in-situ coupling
+lives on.
 Steps may also be raw volume files (:class:`~repro.io.volume.VolumeSpec`),
 in which case the ``mmap`` transport streams blocks straight from disk
 and the driver never materializes the volume.  Call :meth:`close` (or

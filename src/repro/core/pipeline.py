@@ -72,7 +72,7 @@ from repro.io.spool import BlobSpool
 from repro.io.volume import VolumeSpec, read_block
 from repro.machine.costmodel import ComputeWork, CostModel
 from repro.machine.replay import MergeRecord, replay_run
-from repro.mesh.cubical import CubicalComplex, structure_tables
+from repro.mesh.cubical import CubicalComplex
 from repro.mesh.grid import Box, StructuredGrid
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.trace import (
@@ -130,6 +130,7 @@ def compute_morse_smale_complex(
         assert_gradient_field_valid(field)
         assert_acyclic(field)
     msc = extract_ms_complex(field)
+    del cx, field  # simplification needs only the complex
     if simplify:
         simplify_ms_complex(
             msc, persistence_threshold, respect_boundary=False
@@ -273,6 +274,10 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
                 msc = extract_ms_complex(gradient)
                 # one node per critical cell, none simplified yet
                 crit_counts = msc.node_counts_by_index()
+                # the mesh, the gradient and their tracer tables die
+                # here: simplification needs only the complex
+                num_cells = cx.num_cells
+                del cx, gradient, block_values
             with tracer.span("compute.simplify", cat="compute") as simp:
                 geometry_traced = msc.total_geometry_length()
                 if (
@@ -291,7 +296,7 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
                 simp.annotate(cancellations=len(cancels))
             with tracer.span("compute.pack", cat="compute"):
                 blob = pack_complex(msc)
-            block_span.annotate(cells=cx.num_cells)
+            block_span.annotate(cells=num_cells)
     stage_seconds = {
         k: tracer.duration(f"compute.{k}") for k in COMPUTE_STAGES
     }
@@ -302,7 +307,7 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
     if spec.collect_metrics:
         reg = MetricsRegistry()
         reg.counter("compute.blocks").inc()
-        reg.counter("compute.cells").inc(cx.num_cells)
+        reg.counter("compute.cells").inc(num_cells)
         reg.counter("compute.cancellations").inc(len(cancels))
         reg.counter("transport.block_bytes_in").inc(spec.transport_nbytes)
         reg.histogram("compute.block_seconds").observe(real)
@@ -312,7 +317,7 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
     return BlockPayload(
         block_id=spec.block_id,
         blob=blob,
-        cells=cx.num_cells,
+        cells=num_cells,
         critical_counts=crit_counts,
         nodes_after_simplify=msc.num_alive_nodes(),
         arcs_after_simplify=msc.num_alive_arcs(),
@@ -374,11 +379,7 @@ class _Plan:
 
 
 def build_plan(cfg: PipelineConfig, dims: tuple[int, int, int]) -> _Plan:
-    """Plan one run: decompose, schedule the merge, price the machine.
-
-    Also pre-warms the mesh structure-table memo for every block shape,
-    so worker pools forked after planning inherit the built tables.
-    """
+    """Plan one run: decompose, schedule the merge, price the machine."""
     decomp = decompose(dims, cfg.num_blocks, cfg.splits)
     schedule = MergeSchedule(decomp, cfg.resolve_radices())
     num_procs = cfg.resolved_num_procs
@@ -405,9 +406,6 @@ def build_plan(cfg: PipelineConfig, dims: tuple[int, int, int]) -> _Plan:
             )
         groups_by_round.append(rows)
         cuts_by_round.append(schedule.cut_planes_after(r + 1))
-    for bid in range(decomp.num_blocks):
-        box = decomp.block_box(decomp.block_coords(bid))
-        structure_tables(tuple(2 * n + 1 for n in box.shape))
     return _Plan(
         decomp=decomp,
         schedule=schedule,

@@ -2,8 +2,8 @@
 
 A one-shot :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run`
 pays its full setup cost every time: it forks a fresh compute worker
-pool, decomposes the domain, builds the merge schedule, and warms the
-mesh structure tables — then tears it all down.  That is the right
+pool, decomposes the domain and builds the merge schedule — then tears
+it all down.  That is the right
 shape for a single volume, and exactly the wrong shape for the paper's
 stated in-situ direction (§VII-B, coupling with S3D), where the *same*
 decomposition processes hundreds of timesteps back to back.
@@ -17,8 +17,9 @@ decomposition processes hundreds of timesteps back to back.
   (per-run budgets are fresh because each run swaps in zeroed stats via
   :meth:`~repro.parallel.executor.FaultTolerantExecutor.begin_run`);
 - the plan — decomposition, merge schedule, per-round groups and cut
-  planes, cost model — is cached per ``dims`` and replayed, and the
-  structure-table memo stays warm from the first step.
+  planes, cost model — is cached per ``dims`` and replayed.  Nothing
+  per-cell is reused: each block builds its mesh arrays and frees them
+  before it simplifies.
 
 Outputs are bit-identical to the one-shot path: everything a session
 reuses is pure scheduling or a pure function of ``(options, dims)``.
@@ -108,7 +109,7 @@ class PipelineSession:
     done (or use as a context manager).  Each run returns the same
     :class:`~repro.core.result.PipelineResult` — bit-identical to a
     fresh ``ParallelMSComplexPipeline(config).run(...)`` — while the
-    pool, plans, and warmed tables persist between calls.
+    pool and plans persist between calls.
 
     Fault tolerance across steps: a worker crash mid-series restarts the
     pool inside that step exactly as a one-shot run would, and the

@@ -72,23 +72,15 @@ def sinusoidal_field(
         # sin(pi*k*t + pi/2k) hits +-1 exactly k times on t in [0, 1]
         k = features_per_side
         axes.append(np.sin(np.pi * k * t + np.pi / (2 * k) + phase))
-    f = (
-        axes[0][:, None, None]
-        * axes[1][None, :, None]
-        * axes[2][None, None, :]
-    )
+    # one full-size array, updated in place: the same operations in the
+    # same order as ``a0 * a1 * a2 + r0 + r1 + r2``, so the same bytes
+    f = axes[0][:, None, None] * axes[1][None, :, None]
+    f = f * axes[2][None, None, :]
     if tilt:
-        ramps = [
-            np.linspace(0.0, (a + 1) * tilt, n)
-            for a, n in enumerate(shape)
-        ]
-        f = (
-            f
-            + ramps[0][:, None, None]
-            + ramps[1][None, :, None]
-            + ramps[2][None, None, :]
-        )
-    return f.astype(dtype)
+        for a, n in enumerate(shape):
+            ramp = np.linspace(0.0, (a + 1) * tilt, n)
+            f += ramp.reshape([n if b == a else 1 for b in range(3)])
+    return f.astype(dtype, copy=False)
 
 
 def expected_extrema(features_per_side: int) -> int:

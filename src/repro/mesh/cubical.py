@@ -18,19 +18,19 @@ with the global cell address as the final tie-break.  The order is exposed
 as a dense integer rank so the gradient sweep can compare cells with one
 integer comparison.
 
-Structure-table memoization
----------------------------
-Everything about the complex that depends only on the block's *shape* —
-celltype and dimension per padded cell, the valid-cell mask, the
-facet/cofacet flat-offset tables, the padded index per refined cell, and
-the per-celltype continuation tables the tracing kernels walk
-— is factored into :class:`MeshStructureTables` and memoized per
-``padded_shape`` in a module-level LRU cache.  A worker process
-computing many same-shaped blocks builds these tables once, not once
-per block; per-*block* data (vertex values, cell values, global
-addresses, boundary signatures, SoS ranks) is never cached.  The cached
-arrays are marked read-only and shared by reference, so cache reuse
-cannot change a single output bit (asserted by the test suite).
+Per-shape tables, per-block arrays
+----------------------------------
+What depends only on the block's *shape* and is O(1) in its size —
+extents, axis steps, cell counts, and the facet / cofacet / direction /
+continuation-facet offset tuples the kernels walk — is factored into
+:class:`MeshStructureTables` and memoized per ``padded_shape``.  Every
+per-*cell* array belongs to its :class:`CubicalComplex` and is freed
+with it: celltype, dimension and the valid mask are strided writes into
+the padded array's interior (cheaper to write than to keep: a cut at a
+shared vertex layer gives a 2x2x2 split 2**3 distinct block shapes, so
+a memo of per-cell arrays built each shape once and then held it), and
+the rank build names each celltype's cells by a broadcast sum of three
+``arange`` vectors instead of a stored padded index per cell.
 """
 
 from __future__ import annotations
@@ -50,14 +50,11 @@ __all__ = [
     "MeshStructureTables",
     "build_structure_tables",
     "structure_tables",
-    "structure_cache_info",
     "clear_structure_cache",
 ]
 
 #: Human-readable names of critical cells by index, for summaries.
 CELL_DIM_NAMES = ("minimum", "1-saddle", "2-saddle", "maximum")
-
-_POPCOUNT3 = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.uint8)
 
 #: celltypes (x, y, z parity bits) of each cell dimension
 CELLTYPES_OF_DIM = ((0,), (1, 2, 4), (3, 5, 6), (7,))
@@ -77,11 +74,10 @@ _NETWORKS = {1: (), 2: ((0, 1),), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
 
 @dataclass(frozen=True)
 class MeshStructureTables:
-    """Shape-dependent structure of every block with one ``padded_shape``.
+    """The O(1) structure shared by every block of one ``padded_shape``.
 
-    All arrays are flat over the padded layout (x fastest) and read-only;
-    instances are shared between every :class:`CubicalComplex` of the
-    same shape via :func:`structure_tables`.
+    Offsets are flat over the padded layout (x fastest); instances are
+    shared via :func:`structure_tables` and hold no per-cell array.
     """
 
     padded_shape: tuple[int, int, int]
@@ -90,16 +86,6 @@ class MeshStructureTables:
     steps: tuple[int, int, int]
     num_padded: int
     num_cells: int
-    #: celltype (parity bits) per padded cell; sentinels hold 0
-    celltype: np.ndarray
-    #: cell dimension (popcount of celltype) per padded cell
-    cell_dim: np.ndarray
-    #: True exactly on the refined interior (sentinels False)
-    valid: np.ndarray
-    #: flat padded indices of the refined interior, in C order of the
-    #: refined block — the padded index of every refined coordinate,
-    #: which names the cells the rank build sorts
-    interior_index: np.ndarray
     #: facet flat offsets per celltype
     facet_offsets: tuple[tuple[int, ...], ...]
     #: cofacet flat offsets per celltype
@@ -121,28 +107,6 @@ def build_structure_tables(
     refined_shape = (px - 2, py - 2, pz - 2)
     rx, ry, rz = refined_shape
     steps = (1, px, px * py)
-    num_padded = px * py * pz
-    num_cells = rx * ry * rz
-
-    ri = np.arange(rx, dtype=np.int64)[:, None, None]
-    rj = np.arange(ry, dtype=np.int64)[None, :, None]
-    rk = np.arange(rz, dtype=np.int64)[None, None, :]
-
-    # scatter index: flat padded position of each refined cell, in the
-    # C order of the refined block (so ``flat[idx] = arr3d.ravel()``
-    # embeds without any layout copy)
-    idx3 = (ri + 1) * steps[0] + (rj + 1) * steps[1] + (rk + 1) * steps[2]
-    interior_index = np.ascontiguousarray(idx3).ravel()
-
-    ctype3 = ((ri & 1) | ((rj & 1) << 1) | ((rk & 1) << 2)).astype(np.uint8)
-    celltype = np.zeros(num_padded, dtype=np.uint8)
-    celltype[interior_index] = np.broadcast_to(
-        ctype3, refined_shape
-    ).ravel()
-    cell_dim = _POPCOUNT3[celltype]
-
-    valid = np.zeros(num_padded, dtype=bool)
-    valid[interior_index] = True
 
     facet: list[tuple[int, ...]] = []
     cofacet: list[tuple[int, ...]] = []
@@ -175,19 +139,12 @@ def build_structure_tables(
         for t in range(8)
     )
 
-    for arr in (celltype, cell_dim, valid, interior_index):
-        arr.setflags(write=False)
-
     return MeshStructureTables(
         padded_shape=tuple(int(n) for n in padded_shape),
         refined_shape=refined_shape,
         steps=steps,
-        num_padded=num_padded,
-        num_cells=num_cells,
-        celltype=celltype,
-        cell_dim=cell_dim,
-        valid=valid,
-        interior_index=interior_index,
+        num_padded=px * py * pz,
+        num_cells=rx * ry * rz,
         facet_offsets=facet_offsets,
         cofacet_offsets=cofacet_offsets,
         dir_offsets=dir_offsets,
@@ -197,11 +154,6 @@ def build_structure_tables(
 
 #: memoized entry point: one table set per padded shape per process
 structure_tables = lru_cache(maxsize=64)(build_structure_tables)
-
-
-def structure_cache_info():
-    """Hit/miss statistics of the structure-table cache."""
-    return structure_tables.cache_info()
 
 
 def clear_structure_cache() -> None:
@@ -228,10 +180,6 @@ class CubicalComplex:
         domain decomposition; cells on a cut plane receive a non-zero
         boundary signature that restricts gradient pairing.  ``None``
         (serial) means every cell has signature 0.
-    use_structure_cache:
-        Look the shape-dependent tables up in the module-level memo
-        (default).  ``False`` rebuilds them from scratch — only useful
-        for tests asserting the cache is output-invisible.
     """
 
     def __init__(
@@ -240,7 +188,6 @@ class CubicalComplex:
         refined_origin: tuple[int, int, int] = (0, 0, 0),
         global_refined_dims: tuple[int, int, int] | None = None,
         cut_planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        use_structure_cache: bool = True,
     ) -> None:
         if np.prod([2 * n - 1 for n in np.shape(block_values)]) >= 2**31:
             raise ValueError("block has over 2**31 - 1 cells")  # int32 rank
@@ -271,19 +218,12 @@ class CubicalComplex:
                     "block refined extent exceeds global refined dims"
                 )
 
-        tables = (
-            structure_tables(self.padded_shape)
-            if use_structure_cache
-            else build_structure_tables(self.padded_shape)
-        )
+        tables = structure_tables(self.padded_shape)
         #: shared shape-dependent structure (see module docstring)
         self.tables = tables
         self.steps = tables.steps
         self.num_padded = tables.num_padded
         self.num_cells = tables.num_cells
-        self.celltype = tables.celltype
-        self.cell_dim = tables.cell_dim
-        self.valid = tables.valid
         self.facet_offsets = tables.facet_offsets
         self.cofacet_offsets = tables.cofacet_offsets
 
@@ -301,6 +241,19 @@ class CubicalComplex:
 
     def _build_flat_arrays(self, cut_planes) -> None:
         rx, ry, rz = self.refined_shape
+
+        # celltype (parity bits), dimension (their popcount) and the
+        # valid mask; sentinels hold 0 / 0 / False
+        self.celltype = np.zeros(self.num_padded, dtype=np.uint8)
+        self.cell_dim = np.zeros(self.num_padded, dtype=np.uint8)
+        self.valid = np.zeros(self.num_padded, dtype=bool)
+        ctype = self._interior(self.celltype)
+        dim = self._interior(self.cell_dim)
+        odd_layers = (np.s_[1::2], np.s_[:, 1::2], np.s_[..., 1::2])
+        for a, odd in enumerate(odd_layers):
+            ctype[odd] |= 1 << a
+            dim[odd] += 1
+        self._interior(self.valid)[...] = True
 
         # refined coordinates (3D, broadcastable)
         ri = np.arange(rx, dtype=np.int64)[:, None, None]
@@ -364,7 +317,6 @@ class CubicalComplex:
         vbits = max(int(vrank.max()).bit_length(), 1)
         vrank = vrank.astype(np.uint32).reshape(self.vertex_shape)
         ibits = (self.num_padded - 1).bit_length()
-        index3 = self.tables.interior_index.reshape(self.refined_shape)
         self.order_rank = np.full(self.num_padded, 2**31 - 1, dtype=np.int32)
         cells_by_dim, words, tied = [], [], 0
         for d, types in enumerate(CELLTYPES_OF_DIM):
@@ -381,9 +333,16 @@ class CubicalComplex:
                     row[lo:hi].reshape(g)[...] = vrank[tuple(
                         slice(c, c + n) for c, n in zip(_axis_bits(m), g)
                     )]
-                index[lo:hi].reshape(g)[...] = index3[tuple(
-                    slice(b, None, 2) for b in _axis_bits(t)
-                )]
+                # padded index: sum over axes of (refined coord + 1) * step
+                ax, ay, az = (
+                    (np.arange(b, r, 2, dtype=np.int64) + 1) * s
+                    for b, r, s in zip(
+                        _axis_bits(t), self.refined_shape, self.steps
+                    )
+                )
+                index[lo:hi].reshape(g)[...] = (
+                    ax[:, None, None] + ay[None, :, None] + az[None, None, :]
+                )
             spare = np.empty_like(rows[0])  # sort each column, largest first
             for i, j in _NETWORKS[2**d]:
                 np.maximum(rows[i], rows[j], out=spare)

@@ -1,5 +1,7 @@
 """Tests for repro.data: synthetic fields and scientific proxies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,20 @@ class TestSinusoidal:
     def test_noncubic_dims(self):
         f = sinusoidal_field(0, 2, dims=(8, 12, 10))
         assert f.shape == (8, 12, 10)
+
+    @pytest.mark.parametrize("args, kwargs, digest", [
+        ((32, 8), {"phase": 0.1},
+         "934370f8dddaad3f9cd98bc00a88dbdff64086fad045b0e0d6e5b6a6c58f6bb6"),
+        ((64, 4), {},
+         "311309bb40cf081180168b1ef873719b461ff88ecbb69984a0bff2781f003f8b"),
+        ((20, 3), {"dims": (20, 30, 10)},
+         "d63353b156c5a69d58e80bf058db6b1f49ec374bcb5841e7eda708fe83fc4445"),
+    ])
+    def test_bytes_pinned(self, args, kwargs, digest):
+        """The samples are byte-stable: the benchmark volumes and every
+        recorded count depend on them."""
+        f = sinusoidal_field(*args, **kwargs)
+        assert hashlib.sha256(f.tobytes()).hexdigest() == digest
 
     def test_range(self):
         f = sinusoidal_field(32, 4)
