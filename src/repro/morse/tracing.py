@@ -17,20 +17,25 @@ distinct arcs (arc multiplicity matters for cancellation validity).
 
 The tracing kernel
 ------------------
-Paths are traced by one vectorized pointer-jumping kernel (after the GPU
-MS-complex and distributed path-compression formulations,
-arXiv:2009.03707 / 2409.03771) over the flat continuation arrays of
-:meth:`~repro.morse.vectorfield.GradientField.continuation_tables`.
-Unbranched runs of the descent are compressed with iterated pointer
-doubling — O(log L) whole-array numpy passes build a jump table from
-every cell to the end of its unbranched chain — and the remaining
-branch/emit points are expanded level-synchronously as whole-frontier
-array passes.  Exact depth-first enumeration order is reconstructed
-with a leaf-counting backward pass and a segmented-prefix-sum forward
-pass over the branching forest, and arc geometry is materialized with a
-vectorized chain walk.  A plain per-path depth-first tracer is kept as
-the test oracle (``tests/reference_tracing.py``); the property suite
-requires the two to agree on every path, in order.
+Paths are traced by one level-synchronous kernel (after the per-saddle
+traversal of the GPU MS-complex formulation, arXiv:2009.03707): the
+descent forest of every source is expanded one V-path step per level,
+each level a fixed handful of whole-frontier numpy passes, and each
+candidate is classified by
+:meth:`~repro.morse.vectorfield.GradientField.continuation` on the
+frontier alone.  The work follows the paths: no per-cell table of the
+block is built.
+
+No sort is needed to recover depth-first order.  The level-0 entries
+are the sources, in order; each level lists its candidates grouped by
+parent entry and, within a parent, in candidate-table (rank) order, so
+by induction every level's entries and candidates are in DFS order.  A
+subtree occupies a contiguous run of the DFS enumeration, so an arc's
+position is its parent's start plus the arcs of the earlier siblings:
+one exclusive prefix sum per level, after a backward pass has counted
+the arcs below every entry.  A plain per-path depth-first tracer is
+kept as the test oracle (``tests/reference_tracing.py``); the property
+suite requires the two to agree on every path, in order.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.morse.msc import MorseSmaleComplex
-from repro.morse.vectorfield import CONT_CRITICAL, GradientField
+from repro.morse.vectorfield import GradientField
 from repro.obs.trace import get_tracer
 
 __all__ = ["extract_ms_complex", "trace_down"]
@@ -62,126 +67,16 @@ def trace_down(field: GradientField, crit: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# the pointer-jumping kernel
+# the level-synchronous kernel
 # ---------------------------------------------------------------------------
 
-#: safety bound on pointer-doubling rounds (2^64 chain steps is
-#: impossible; hitting it means the gradient field is cyclic/corrupt)
-_MAX_DOUBLING_ROUNDS = 64
 
-
-class _PointerState:
-    """Per-field flat tables of the pointer-jumping tracer.
-
-    Built with whole-array numpy passes once per field and cached
-    (``field._pointer_state``); holds the shared continuation arrays,
-    the flattened candidate tables, and the chain-compression jump
-    table produced by pointer doubling:
-
-    - ``chain_next[alpha]`` — the unique continuation of an *unbranched,
-      non-emitting* descent step through ``alpha`` (its head has exactly
-      one live candidate and none critical), else ``-1``;
-    - ``jump[alpha]`` / ``dist[alpha]`` — the first branch/emit/terminal
-      cell reached by following ``chain_next`` from ``alpha``, and the
-      number of chain steps to it (0 for non-chain cells).
-    """
-
-    __slots__ = (
-        "cont", "ckey", "chain_next", "jump", "dist",
-        "cand_flat", "cand_start", "cand_len",
-        "ftab_flat", "fstart", "flen", "celltype",
-        "doubling_rounds",
-    )
-
-    def __init__(self, field: GradientField) -> None:
-        cx = field.complex
-        cont, ckey = field.continuation_tables()
-        n = cx.num_padded
-        self.cont = cont
-        self.ckey = ckey
-        self.celltype = cx.celltype
-
-        # flattened continuation-facet table (key = celltype*6 + code)
-        cand_lists = [
-            per_code
-            for per_type in cx.tables.trace_facets
-            for per_code in per_type
-        ]
-        self.cand_len = np.array(
-            [len(c) for c in cand_lists], dtype=np.int64
-        )
-        self.cand_start = np.zeros(len(cand_lists) + 1, dtype=np.int64)
-        np.cumsum(self.cand_len, out=self.cand_start[1:])
-        self.cand_flat = np.array(
-            [off for c in cand_lists for off in c], dtype=np.int64
-        )
-
-        # flattened initial-candidate table (all facets, per celltype)
-        self.flen = np.array(
-            [len(f) for f in cx.facet_offsets], dtype=np.int64
-        )
-        self.fstart = np.zeros(len(cx.facet_offsets) + 1, dtype=np.int64)
-        np.cumsum(self.flen, out=self.fstart[1:])
-        self.ftab_flat = np.array(
-            [o for f in cx.facet_offsets for o in f], dtype=np.int64
-        )
-
-        # the step through alpha (head b = cont[alpha]) neither branches
-        # nor emits iff no facet of b is critical and exactly two are
-        # live: alpha and the continuation, which is then
-        # (b + o1) + (b + o2) - alpha over the live facet offsets.  Live
-        # facets weigh 1 and critical ones 8 (b has <= 6 facets), so the
-        # test is: the weights sum to 2.
-        weight = (cont >= 0).astype(np.int8)
-        weight[cont == CONT_CRITICAL] = 8
-        alphas = np.flatnonzero(cont >= 0)
-        heads = cont[alphas]
-        head_type = cx.celltype[heads]
-        total = np.zeros(alphas.size, dtype=np.int8)
-        live_offsets = np.zeros(alphas.size, dtype=np.int64)
-        for a, step in enumerate(cx.steps):
-            along = (head_type >> a) & 1 != 0  # b has facets along axis a
-            for off in (step, -step):
-                w = weight[heads + off] * along
-                total += w
-                live_offsets += (w == 1) * off
-        chain = total == 2
-        chain_next = np.full(n, -1, dtype=np.int64)
-        chain_next[alphas[chain]] = (
-            2 * heads[chain] + live_offsets[chain] - alphas[chain]
-        )
-        self.chain_next = chain_next
-
-        # pointer doubling: O(log L) whole-array passes compress every
-        # unbranched chain to (endpoint, length)
-        jump = np.arange(n, dtype=np.int64)
-        ischain = chain_next >= 0
-        jump[ischain] = chain_next[ischain]
-        dist = ischain.astype(np.int64)
-        rounds = 0
-        while np.any(ischain[jump]):
-            dist = dist + dist[jump]
-            jump = jump[jump]
-            rounds += 1
-            if rounds > _MAX_DOUBLING_ROUNDS:  # pragma: no cover
-                raise RuntimeError(
-                    "pointer doubling did not converge: the gradient "
-                    "field contains a cycle"
-                )
-        self.jump = jump
-        self.dist = dist
-        self.doubling_rounds = rounds
-
-
-def _pointer_state(field: GradientField) -> _PointerState:
-    state = getattr(field, "_pointer_state", None)
-    if state is None:
-        with get_tracer().span("trace.pointer.state", cat="kernel") as span:
-            state = _PointerState(field)
-            span.annotate(chain_cells=int((state.chain_next >= 0).sum()),
-                          doubling_rounds=state.doubling_rounds)
-        field._pointer_state = state
-    return state
+def _flat_table(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(length, start, flat)`` int64 arrays of a table of offset tuples."""
+    length = np.array([len(r) for r in rows], dtype=np.int64)
+    start = np.cumsum(length) - length
+    flat = np.array([o for r in rows for o in r], dtype=np.int64)
+    return length, start, flat
 
 
 def _trace_down_many(
@@ -198,237 +93,162 @@ def _trace_down_many(
     enumeration order is depth-first in candidate-table order, exactly
     :func:`trace_down`'s.
 
-    The descent forest is expanded level-synchronously over *branch
-    points* only — unbranched runs between them were compressed into
-    single jumps by the per-field pointer doubling — and each level is
-    a handful of whole-frontier numpy passes.  DFS enumeration order
-    (lexicographic in the branch-choice sequence) is reconstructed
-    exactly: a backward pass counts the arcs below every forest entry,
-    a forward segmented-prefix-sum pass converts those counts into each
-    arc's absolute DFS position, and a vectorized chain walk fills the
-    geometric embeddings.
+    The descent forest is expanded one V-path step per level; a level is
+    a fixed handful of whole-frontier numpy passes.  A backward pass
+    counts the arcs below every entry, a forward pass turns those counts
+    into each arc's absolute DFS position, and a walk up the levels
+    fills the geometric embeddings.
     """
-    st = _pointer_state(field)
-    cont = st.cont
     src = np.asarray(sources, dtype=np.int64)
     nsrc = int(src.size)
     empty = np.empty(0, dtype=np.int64)
     if nsrc == 0:
         return empty, empty, empty, empty
 
+    cx = field.complex
     tracer = get_tracer()
 
     # ---- level-synchronous frontier expansion -------------------------
-    # Level 0 entries are the sources themselves; an entry at level
-    # l >= 1 is a branch/emit point, carrying the compressed chain
-    # segment that led to it: (seg = first cell of the segment,
-    # pairs = chain steps + 1 -> the segment contributes 2*pairs cells).
-    # Expanding a level yields terminal candidates (arcs) and the next
-    # level's entries; acyclicity bounds the level count.
-    ent_alpha = [src]                                  # expansion cell
-    ent_base = [src]                                   # candidate base
-    ent_seg = [src]
-    ent_pairs = [np.zeros(nsrc, dtype=np.int64)]
-    ent_parent = [np.full(nsrc, -1, dtype=np.int64)]
-    ent_rank = [np.zeros(nsrc, dtype=np.int64)]
-    ent_plen = [np.ones(nsrc, dtype=np.int64)]         # cells so far
+    # Level 0 entries are the sources and their candidates all facets.
+    # A level-l entry (l >= 1) is a live candidate ``beta`` of level
+    # l - 1 with head ``h``; its candidates are ``h + trace_facets[key]``.
+    # Per level, the candidates of entry e are items ``bounds[e] ..
+    # bounds[e + 1] - 1``, in rank order; ``arc_item`` / ``live_item``
+    # index the arcs and the next level's entries among them.
+    ent_beta = [src]
+    ent_head = [src]
+    ent_parent = [empty]
+    bounds_of: list[np.ndarray] = []
+    arc_item: list[np.ndarray] = []
     arc_parent: list[np.ndarray] = []
-    arc_rank: list[np.ndarray] = []
     arc_beta: list[np.ndarray] = []
+    live_item: list[np.ndarray] = []
+    length, start, tab = _flat_table(cx.facet_offsets)
+    key = cx.celltype[src]
 
     with tracer.span("trace.pointer.expand", cat="kernel") as span:
-        level = 0
-        while ent_alpha[level].size:
-            alpha = ent_alpha[level]
-            if level == 0:
-                key = st.celltype[alpha]
-                k = st.flen[key]
-                starts = st.fstart[key]
-                tab = st.ftab_flat
-            else:
-                key = st.ckey[alpha]
-                k = st.cand_len[key]
-                starts = st.cand_start[key]
-                tab = st.cand_flat
-            parent = np.repeat(np.arange(alpha.size, dtype=np.int64), k)
-            rank = np.arange(int(k.sum()), dtype=np.int64) - np.repeat(
-                np.cumsum(k) - k, k
-            )
-            beta = ent_base[level][parent] + tab[
-                np.repeat(starts, k) + rank
-            ]
-            bc = cont[beta]
-
-            is_arc = bc == CONT_CRITICAL
-            arc_parent.append(parent[is_arc])
-            arc_rank.append(rank[is_arc])
-            arc_beta.append(beta[is_arc])
-
-            live = bc >= 0
-            seg = beta[live]
-            # compress the unbranched run from each live candidate to
-            # its first branch/emit point in one jump
-            alpha_star = st.jump[seg]
-            pairs = st.dist[seg] + 1
-            ent_alpha.append(alpha_star)
-            ent_base.append(cont[alpha_star])
-            ent_seg.append(seg)
-            ent_pairs.append(pairs)
+        while True:
+            head = ent_head[-1]
+            k = length[key]
+            bounds = np.zeros(head.size + 1, dtype=np.int64)
+            np.cumsum(k, out=bounds[1:])
+            parent = np.repeat(np.arange(head.size, dtype=np.int64), k)
+            # item i of entry e is table entry start[key[e]] + i - bounds[e]
+            shift = start[key] - bounds[:-1]
+            beta = tab[np.arange(parent.size, dtype=np.int64) + shift[parent]]
+            beta += head[parent]
+            arcs, live, live_head, key = field.continuation(beta)
+            bounds_of.append(bounds)
+            arc_item.append(arcs)
+            arc_parent.append(parent[arcs])
+            arc_beta.append(beta[arcs])
+            live_item.append(live)
+            if live.size == 0:
+                break
+            # an acyclic V-path takes fewer steps than the block has cells
+            if len(ent_head) > cx.num_cells:
+                raise RuntimeError(
+                    "V-path tracing did not terminate: the gradient field "
+                    "contains a cycle"
+                )
+            ent_beta.append(beta[live])
+            ent_head.append(live_head)
             ent_parent.append(parent[live])
-            ent_rank.append(rank[live])
-            ent_plen.append(
-                ent_plen[level][parent[live]] + 2 * pairs
-            )
-            level += 1
+            if len(ent_head) == 2:
+                # level 1 on: continuation facets, keyed by head type
+                # and arriving code
+                length, start, tab = _flat_table(
+                    [c for per_type in cx.tables.trace_facets
+                     for c in per_type]
+                )
+        nlev = len(ent_head)
         span.annotate(
-            levels=level,
-            frontier_peak=int(max(e.size for e in ent_alpha)),
+            levels=nlev,
+            frontier_peak=int(max(e.size for e in ent_head)),
         )
 
-    nlev = level  # levels 0 .. nlev-1 hold entries that were expanded
-    narcs = int(sum(a.size for a in arc_parent))
+    narcs = int(sum(a.size for a in arc_item))
     if narcs == 0:
         return empty, empty, empty, np.zeros(nsrc, dtype=np.int64)
 
     # ---- DFS-order reconstruction -------------------------------------
+    # Each level's entries are in DFS order (by induction: level l + 1
+    # lists the live candidates of level l grouped by parent, in rank
+    # order), and so are its items.  An item weighs 1 (arc), the arcs
+    # below it (live) or 0 (dead); the exclusive prefix sum ``c`` of the
+    # weights, less its value at the parent's first item, is the item's
+    # offset from the parent's DFS start.
     with tracer.span("trace.pointer.order", cat="kernel") as span:
-        # backward pass: arcs below every entry
-        nleaves: list[np.ndarray] = [empty] * nlev
+        arc_off: list[np.ndarray] = [empty] * nlev
+        live_off: list[np.ndarray] = [empty] * nlev
+        below = empty
         for lv in range(nlev - 1, -1, -1):
-            cnt = np.bincount(
-                arc_parent[lv], minlength=ent_alpha[lv].size
-            ).astype(np.int64)
+            bounds = bounds_of[lv]
+            w = np.zeros(int(bounds[-1]), dtype=np.int64)
+            w[arc_item[lv]] = 1
+            w[live_item[lv]] = below
+            c = np.zeros(w.size + 1, dtype=np.int64)
+            np.cumsum(w, out=c[1:])
+            first = c[bounds]
+            below = first[1:] - first[:-1]
+            arc_off[lv] = c[arc_item[lv]] - first[arc_parent[lv]]
             if lv + 1 < nlev:
-                cnt += np.bincount(
-                    ent_parent[lv + 1],
-                    weights=nleaves[lv + 1].astype(np.float64),
-                    minlength=ent_alpha[lv].size,
-                ).astype(np.int64)
-            nleaves[lv] = cnt
-        counts = nleaves[0]
+                live_off[lv] = c[live_item[lv]] - first[ent_parent[lv + 1]]
+        counts = below
 
-        # forward pass: absolute DFS position per arc.  Within a parent,
-        # items (arcs and child subtrees) are ordered by candidate rank;
-        # an exclusive segmented prefix sum of their subtree sizes turns
-        # the parent's absolute start into each item's.
-        start = np.cumsum(counts) - counts
+        # forward: absolute DFS positions, level by level
+        lens = np.empty(narcs, dtype=np.int64)
+        terminals = np.empty(narcs, dtype=np.int64)
         arc_pos: list[np.ndarray] = []
+        src_start = np.cumsum(counts) - counts
+        begin = src_start
         for lv in range(nlev):
-            na = arc_parent[lv].size
+            pos = begin[arc_parent[lv]] + arc_off[lv]
+            lens[pos] = 2 * lv + 2
+            terminals[pos] = arc_beta[lv]
+            arc_pos.append(pos)
             if lv + 1 < nlev:
-                par = np.concatenate([arc_parent[lv], ent_parent[lv + 1]])
-                rnk = np.concatenate([arc_rank[lv], ent_rank[lv + 1]])
-                w = np.concatenate(
-                    [np.ones(na, dtype=np.int64), nleaves[lv + 1]]
-                )
-            else:
-                par = arc_parent[lv]
-                rnk = arc_rank[lv]
-                w = np.ones(na, dtype=np.int64)
-            if par.size == 0:
-                arc_pos.append(empty)
-                if lv + 1 < nlev:
-                    start = empty
-                continue
-            order = np.lexsort((rnk, par))
-            par_s = par[order]
-            w_s = w[order]
-            cw = np.cumsum(w_s) - w_s
-            newseg = np.empty(par_s.size, dtype=bool)
-            newseg[0] = True
-            np.not_equal(par_s[1:], par_s[:-1], out=newseg[1:])
-            segid = np.cumsum(newseg) - 1
-            pos_s = start[par_s] + (cw - cw[newseg][segid])
-            pos = np.empty(par.size, dtype=np.int64)
-            pos[order] = pos_s
-            arc_pos.append(pos[:na])
-            if lv + 1 < nlev:
-                start = pos[na:]
-
-        # gather all arcs into DFS order (arc positions are a
-        # permutation of 0..narcs-1, grouped by source)
-        all_pos = np.concatenate(arc_pos)
-        all_beta = np.concatenate(arc_beta)
-        all_parent = np.concatenate(arc_parent)
-        all_lev = np.concatenate(
-            [
-                np.full(arc_parent[lv].size, lv, dtype=np.int64)
-                for lv in range(nlev)
-            ]
-        )
-        all_len = np.concatenate(
-            [
-                ent_plen[lv][arc_parent[lv]] + 1
-                for lv in range(nlev)
-            ]
-        )
-        inv = np.empty(narcs, dtype=np.int64)
-        inv[all_pos] = np.arange(narcs, dtype=np.int64)
-        beta_d = all_beta[inv]
-        parent_d = all_parent[inv]
-        lev_d = all_lev[inv]
-        len_d = all_len[inv]
+                begin = begin[ent_parent[lv + 1]] + live_off[lv]
 
         if max_paths_per_node is not None:
-            src_start = np.cumsum(counts) - counts
-            arc_src = np.repeat(np.arange(nsrc, dtype=np.int64), counts)
-            within_src = np.arange(narcs, dtype=np.int64) - src_start[arc_src]
-            keep = within_src < max_paths_per_node
-            beta_d = beta_d[keep]
-            parent_d = parent_d[keep]
-            lev_d = lev_d[keep]
-            len_d = len_d[keep]
+            within = np.arange(narcs, dtype=np.int64) - np.repeat(
+                src_start, counts
+            )
+            keep = within < max_paths_per_node
+            renum = np.cumsum(keep) - 1
+            for lv in range(nlev):
+                kept = keep[arc_pos[lv]]
+                arc_pos[lv] = renum[arc_pos[lv][kept]]
+                arc_parent[lv] = arc_parent[lv][kept]
+            lens = lens[keep]
+            terminals = terminals[keep]
             counts = np.minimum(counts, max_paths_per_node)
-            narcs = int(beta_d.size)
+            narcs = int(lens.size)
         span.annotate(arcs=narcs)
 
     # ---- geometry materialization -------------------------------------
+    # A level-l entry writes (beta, head) at positions 2l - 1 and 2l of
+    # every arc below it.  With the arcs listed deepest level first, the
+    # arcs still climbing at level l are a prefix; the walk ends at the
+    # source, position 0.
     with tracer.span("trace.pointer.geometry", cat="kernel") as span:
-        lens = len_d
         starts = np.cumsum(lens) - lens
         flat = np.empty(int(lens.sum()), dtype=np.int64)
-        flat[starts + lens - 1] = beta_d
-
-        # walk each arc's ancestor entries top-down, collecting one
-        # (segment start, pairs, output end) record per ancestor
-        cur_ent = parent_d.copy()
-        cur_lev = lev_d.copy()
-        epos = starts + lens - 2
-        seg_cell: list[np.ndarray] = []
-        seg_pairs: list[np.ndarray] = []
-        seg_end: list[np.ndarray] = []
+        flat[starts + lens - 1] = terminals
+        cur = np.concatenate(arc_parent[::-1])
+        at = starts[np.concatenate(arc_pos[::-1])]
+        climbing = 0
         for lv in range(nlev - 1, 0, -1):
-            m = cur_lev == lv
-            if not np.any(m):
-                continue
-            e = cur_ent[m]
-            pairs = ent_pairs[lv][e]
-            seg_cell.append(ent_seg[lv][e])
-            seg_pairs.append(pairs)
-            seg_end.append(epos[m])
-            epos[m] -= 2 * pairs
-            cur_ent[m] = ent_parent[lv][e]
-            cur_lev[m] = lv - 1
-        # every walk bottomed out at level 0: the source cell
-        flat[starts] = src[cur_ent]
-
-        # vectorized chain walk: all segments of all arcs advance one
-        # (cell, head) pair per pass
-        if seg_cell:
-            c = np.concatenate(seg_cell)
-            rem = np.concatenate(seg_pairs)
-            p = np.concatenate(seg_end) - 2 * rem + 1
-            while c.size:
-                flat[p] = c
-                flat[p + 1] = cont[c]
-                rem = rem - 1
-                m = rem > 0
-                c = st.chain_next[c[m]]
-                p = p[m] + 2
-                rem = rem[m]
+            climbing += arc_parent[lv].size
+            e = cur[:climbing]
+            a = at[:climbing]
+            flat[a + (2 * lv - 1)] = ent_beta[lv][e]
+            flat[a + 2 * lv] = ent_head[lv][e]
+            cur[:climbing] = ent_parent[lv][e]
+        flat[at] = src[cur]
         span.annotate(cells=int(flat.size))
 
-    return flat, lens, beta_d, counts
+    return flat, lens, terminals, counts
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ class GradientField:
         #: flat-offset per direction code (x fastest, matching the mesh)
         sx, sy, sz = complex_.steps
         self.dir_offsets = (sx, -sx, sy, -sy, sz, -sz)
+        #: flat offset per pairing byte (0 for the non-direction codes)
+        self._code_offset = np.zeros(256, dtype=np.int64)
+        self._code_offset[:6] = self.dir_offsets
 
     # -- queries --------------------------------------------------------
 
@@ -123,48 +126,63 @@ class GradientField:
         if np.any(np.abs(dims[paired].astype(int) - dims[partner].astype(int)) != 1):
             raise AssertionError("paired cells must differ in dimension by 1")
 
+    def continuation(self, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Where a descending V-path goes from each cell of ``cells``.
+
+        ``cells`` holds int64 padded indices of descent candidates.
+        Returns ``(arcs, tails, heads, keys)``:
+
+        - ``arcs`` — positions in ``cells`` of critical cells: a path
+          reaching one ends an arc there;
+        - ``tails`` — positions of tails (cells paired with a cofacet):
+          the path continues into the head cell ``heads``, whose
+          continuation facets — its facets minus the one leading back —
+          are ``trace_facets`` entry ``keys`` =
+          ``celltype(head) * 6 + pairing_code(cell)`` (uint8);
+        - every other cell heads a lower vector: the path dies.
+
+        Everything follows from the pairing byte: a paired cell is a
+        tail iff its pairing axis is not one of its own axes, and the
+        head's celltype then adds that axis.  The tracing kernel
+        (:mod:`repro.morse.tracing`) calls this on each frontier only.
+        """
+        code = self.pairing.take(cells)
+        celltype = self.complex.celltype.take(cells)
+        # (fancy indexing: ``take`` is slow with uint8 indices)
+        head_type = _AXIS_BIT[code]
+        head_type |= celltype
+        tails = np.flatnonzero(head_type != celltype)
+        arcs = np.flatnonzero(code == CRITICAL)
+        code = code.take(tails)
+        heads = cells.take(tails)
+        heads += self._code_offset[code]
+        # uint8 arithmetic: at most 7 * 6 + 5
+        keys = head_type.take(tails)
+        keys *= 6
+        keys += code
+        return arcs, tails, heads, keys
+
     def continuation_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat V-path continuation arrays ``(cont, ckey)``, built once.
+        """:meth:`continuation` of every padded cell as flat arrays
+        ``(cont, ckey)``, built once and cached (read-only).
 
-        For every padded cell ``alpha`` reachable as a descent
-        candidate:
-
-        - ``cont[alpha]`` is the padded index of the head cell a
-          descending V-path through ``alpha`` continues into, or
-          :data:`CONT_CRITICAL` (the path ends an arc at ``alpha``) /
-          :data:`CONT_DEAD` (``alpha`` heads a lower vector: the path
-          dies);
-        - ``ckey[alpha]`` indexes the flattened memoized
-          ``trace_facets`` table with the head cell's continuation
-          facet offsets — its facets minus the one leading back to
-          ``alpha`` — as ``celltype(head) * 6 + pairing_code(alpha)``.
-
-        The tracing kernel (:mod:`repro.morse.tracing`) consumes these
-        arrays; they are built with whole-array numpy passes and cached
-        on the field.
+        ``cont[alpha]`` is the head a descending V-path through
+        ``alpha`` continues into, or :data:`CONT_CRITICAL` /
+        :data:`CONT_DEAD`; ``ckey[alpha]`` is the head's ``trace_facets``
+        key (0 off tails).  Only the per-path DFS oracle in the tests
+        reads them; the kernel classifies its frontiers directly.
         """
         tables = getattr(self, "_continuation_tables", None)
         if tables is None:
-            pairing = self.pairing
-            celltype = self.complex.celltype
-            # a paired cell is a tail iff its pairing axis is not one of
-            # its own axes; the head's celltype then adds that axis
-            head_type = _AXIS_BIT[pairing]
-            head_type |= celltype
-            tails = head_type != celltype
-
-            code_offset = np.zeros(256, dtype=np.int64)
-            code_offset[:6] = self.dir_offsets
-            cont = code_offset[pairing]
-            cont += np.arange(cont.size, dtype=np.int64)
-            np.copyto(cont, CONT_DEAD, where=~tails)
-            np.copyto(cont, CONT_CRITICAL, where=pairing == CRITICAL)
-
-            # uint8 arithmetic: at most 7 * 6 + 5 on tails, zeroed elsewhere
-            ckey = head_type
-            ckey *= 6
-            ckey += pairing
-            np.copyto(ckey, 0, where=~tails)
+            n = self.complex.num_padded
+            arcs, tails, heads, keys = self.continuation(
+                np.arange(n, dtype=np.int64)
+            )
+            cont = np.full(n, CONT_DEAD, dtype=np.int64)
+            cont[tails] = heads
+            cont[arcs] = CONT_CRITICAL
+            ckey = np.zeros(n, dtype=np.uint8)
+            ckey[tails] = keys
             cont.setflags(write=False)
             ckey.setflags(write=False)
             tables = (cont, ckey)

@@ -1,11 +1,15 @@
 """Tests for repro.morse.tracing: V-path enumeration and MSC extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.data import sinusoidal_field
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
-from repro.morse.tracing import extract_ms_complex, trace_down
+from repro.morse.tracing import _trace_down_many, extract_ms_complex, trace_down
+from repro.morse.vectorfield import CRITICAL, SENTINEL, GradientField
 from repro.morse.validate import assert_ms_complex_valid
 
 
@@ -111,3 +115,48 @@ class TestExtractMSComplex:
         assert not any(
             msc.node_boundary[n] for n in msc.alive_nodes()
         )
+
+
+class TestTracerFootprint:
+    """Tracing keeps only what the paths touch: no per-cell table
+    outlives the kernel call, and its memory follows the paths."""
+
+    def test_cyclic_gradient_fails_loudly(self):
+        """A corrupt pairing with a V-path cycle raises, never hangs:
+        the four vertices of the z = 0 face each pair with the next
+        edge around it, and a critical z-edge descends into the loop."""
+        cx = CubicalComplex(np.arange(8.0).reshape(2, 2, 2))
+        pairing = np.full(cx.num_padded, SENTINEL, dtype=np.uint8)
+        pairing[cx.valid] = CRITICAL
+        # (vertex, code toward its edge), then (edge, code back)
+        loop = [((0, 0, 0), 0), ((2, 0, 0), 2), ((2, 2, 0), 1),
+                ((0, 2, 0), 3)]
+        for vertex, code in loop:
+            v = cx.padded_index(*vertex)
+            pairing[v] = code
+            pairing[v + cx.tables.dir_offsets[code]] = code ^ 1
+        field = GradientField(cx, pairing)
+        source = cx.padded_index(0, 0, 1)
+        with pytest.raises(RuntimeError, match="contains a cycle"):
+            trace_down(field, source)
+        with pytest.raises(RuntimeError, match="contains a cycle"):
+            extract_ms_complex(field)
+
+    def test_no_tracer_table_cached_on_the_field(self, field):
+        extract_ms_complex(field)
+        assert not hasattr(field, "_pointer_state")
+        assert not hasattr(field, "_continuation_tables")
+
+    def test_memory_follows_the_paths_not_the_block(self):
+        """One 33^3-vertex block (300 763 padded cells): the kernel's
+        high-water mark stays below a few int64 arrays per cell."""
+        vals = sinusoidal_field(64, 4)[:33, :33, :33]
+        grad = compute_discrete_gradient(CubicalComplex(vals))
+        sources = np.concatenate(grad.critical_cells_by_dim()[1:])
+        tracemalloc.start()
+        try:
+            _trace_down_many(grad, sources)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * (1 << 20)
