@@ -129,9 +129,9 @@ class MSComplexHierarchy:
         """Capture the full hierarchy of a compacted complex.
 
         Sweeps a throwaway payload copy of ``msc`` to infinite
-        persistence (``respect_boundary=True``, so shared-boundary and
-        ghost nodes of partially merged blocks stay protected exactly as
-        a fresh bounded run would protect them) and records the
+        persistence (``respect_boundary=True``, so shared-boundary nodes
+        of partially merged blocks stay protected exactly as a fresh
+        bounded run would protect them) and records the
         cancellation sequence.  Level 0 of the returned hierarchy *is*
         ``msc`` as stored; ``msc`` itself is never mutated.
 

@@ -50,8 +50,6 @@ def rasterize(
 
     if nodes:
         for nid in msc.alive_nodes():
-            if msc.node_ghost[nid]:
-                continue
             gi, gj, gk = address_to_coords(
                 int(msc.node_address[nid]), gdims
             )

@@ -2,17 +2,15 @@
 
 - :mod:`repro.core.config` — pipeline configuration (blocking, merge
   strategy, simplification threshold, machine parameters),
-- :mod:`repro.core.pipeline` — Algorithm 1 as an SPMD program over the
-  virtual MPI runtime, plus the serial convenience entry point,
+- :mod:`repro.core.pipeline` — Algorithm 1 as one driver-side stage
+  list (plan, compute every block, the radix-k merge rounds at group
+  roots, write, cost replay), plus the serial convenience entry point,
 - :mod:`repro.core.glue` — gluing two block complexes at shared boundary
   nodes (§IV-F3),
 - :mod:`repro.core.merge` — pack/unpack and the per-round merge
   computation at group roots,
 - :mod:`repro.core.stats` / :mod:`repro.core.result` — per-stage work and
   timing accounting consumed by the benchmark harness,
-- :mod:`repro.core.globalsimplify` — §VII-B global persistence
-  simplification over nearest-neighbor exchanges (future work,
-  implemented),
 - :mod:`repro.core.insitu` — §VII-B in-situ per-timestep analysis.
 """
 

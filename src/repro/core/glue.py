@@ -140,8 +140,8 @@ def glue_into(
         linear-time.
     touched:
         Optional set collecting the root-side ids of every node the glue
-        referenced (matched, unghosted, or newly added) — the seed set
-        for incremental re-simplification.
+        referenced (matched or newly added) — the seed set for
+        incremental re-simplification.
     """
     if other.global_refined_dims != root.global_refined_dims:
         raise ValueError("cannot glue complexes of different datasets")
@@ -176,18 +176,7 @@ def glue_into(
                     "disagrees on Morse index: "
                     f"{int(root_index[k])} vs {int(other_index[k])}"
                 )
-            # The "arc already exists in the root" rule only applies to
-            # genuine shared-boundary nodes.  A ghost placeholder (from a
-            # global-simplification split) matching an incoming real node
-            # carries none of its arcs, so it must not suppress them.
-            root_ghost = root.node_ghost[hit_ids]
-            other_ghost = other.node_ghost[hit_nids]
-            unghost = root_ghost & ~other_ghost
-            root.node_ghost[hit_ids[unghost]] = False
-            root.node_boundary[hit_ids[unghost]] = other.node_boundary[
-                hit_nids[unghost]
-            ]
-            shared[hit_nids[~root_ghost & ~other_ghost]] = True
+            shared[hit_nids] = True
             node_map[hit_nids] = hit_ids
             stats.shared_nodes = int(hit_nids.size)
 
@@ -199,7 +188,6 @@ def glue_into(
                 other.node_index[miss_nids],
                 other.node_value[miss_nids],
                 other.node_boundary[miss_nids],
-                ghosts=other.node_ghost[miss_nids],
             )
             new_ids = first + np.arange(miss_nids.size, dtype=np.int64)
             node_map[miss_nids] = new_ids

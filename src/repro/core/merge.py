@@ -90,7 +90,7 @@ def perform_merge(
 
     With ``incremental=True`` (the default) the re-simplification heap
     is seeded only from nodes the merge actually disturbed — glued,
-    matched, unghosted, and boundary-freed nodes — instead of re-heaping
+    matched and boundary-freed nodes — instead of re-heaping
     every living arc.  This is exact (identical hierarchy and surviving
     complex) *provided* the root and every incoming complex were
     previously simplified at this same ``persistence_threshold`` with

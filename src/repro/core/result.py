@@ -54,16 +54,13 @@ class PipelineResult:
         """Node counts by Morse index summed over all output blocks.
 
         With more than one output block, shared boundary nodes are
-        counted once (they appear in several blocks' complexes), and
-        ghost placeholders are not counted at all (their real copy lives
-        in another block).
+        counted once (they appear in several blocks' complexes).
         """
         seen: set[int] = set()
         counts = [0, 0, 0, 0]
         for msc in self.output_blocks.values():
-            real = msc.node_alive & ~msc.node_ghost
-            for addr, index in zip(msc.node_address[real].tolist(),
-                                   msc.node_index[real].tolist()):
+            for addr, index in zip(msc.node_address[msc.node_alive].tolist(),
+                                   msc.node_index[msc.node_alive].tolist()):
                 if addr not in seen:
                     seen.add(addr)
                     counts[index] += 1

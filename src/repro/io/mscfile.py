@@ -11,7 +11,9 @@ Each block record serializes one compacted MS complex payload (see
 of section lengths followed by the raw array bytes — the same bytes the
 merge rounds exchange (``pack_complex``), geometry held as a DAG: leaf
 cells, per-geometry ``geom_length`` / ``geom_children`` columns and the
-flat ``geom_child`` table.  Hierarchy records (one per block, optional)
+flat ``geom_child`` table.  The record's ``node_ghost`` section is
+reserved: written as zeros, one byte per node, and checked and dropped
+on read.  Hierarchy records (one per block, optional)
 are the flat-array
 :meth:`repro.analysis.hierarchy.MSComplexHierarchy.to_arrays` encoding.
 The footer indexes both kinds with ``(block_id, offset, length, crc32)``
@@ -49,7 +51,8 @@ MAGIC = b"MSC1"  # read only
 MAGIC_V2 = b"MSC2"  # read only
 MAGIC_V3 = b"MSC3"
 
-# payload sections in fixed order: (key, dtype)
+# block record sections in fixed order: (key, dtype); node_ghost is the
+# reserved section, not a payload column
 _SECTIONS = (
     ("global_refined_dims", np.int64),
     ("region", np.int64),
@@ -83,6 +86,11 @@ _HIERARCHY_SECTIONS = (
     ("arc_death", np.int64),
     ("persistences", np.float64),
 )
+
+
+#: the reserved section is written from a view of these zeros, so a pack
+#: of up to this many nodes allocates nothing for it
+_ZEROS = np.zeros(1 << 20, np.bool_)
 
 
 def _serialize_sections(payload, sections) -> bytes:
@@ -131,15 +139,31 @@ def _deserialize_sections(record, sections) -> dict[str, np.ndarray]:
 
 
 def serialize_payload(payload: dict[str, np.ndarray]) -> bytes:
-    """Pack one MS complex payload into a block record."""
-    return _serialize_sections(payload, _SECTIONS)
+    """Pack one MS complex payload into a block record (the reserved
+    ``node_ghost`` section as zeros)."""
+    n = len(payload["node_address"])
+    zeros = _ZEROS[:n] if n <= _ZEROS.size else np.zeros(n, np.bool_)
+    return _serialize_sections({**payload, "node_ghost": zeros}, _SECTIONS)
+
+
+def _drop_reserved(block: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Check the reserved ``node_ghost`` section of a decoded block record
+    (one zero byte per node: the writer never sets one) and drop it."""
+    reserved = block.pop("node_ghost").view(np.uint8)
+    n = block["node_address"].size
+    if reserved.size != n or reserved.any():
+        raise ValueError(
+            f"node_ghost: the reserved section must be {n} zero bytes, "
+            f"not {reserved.size} with {np.count_nonzero(reserved)} set"
+        )
+    return block
 
 
 def deserialize_payload(record: bytes) -> dict[str, np.ndarray]:
     """Inverse of :func:`serialize_payload`, without copying: the arrays
     are views into ``record`` (read-only for ``bytes``, generally not
     8-byte aligned).  :func:`read_msc_file` returns owned copies."""
-    return _deserialize_sections(record, _SECTIONS)
+    return _drop_reserved(_deserialize_sections(record, _SECTIONS))
 
 
 def serialize_hierarchy(arrays: dict[str, np.ndarray]) -> bytes:
@@ -273,10 +297,11 @@ def _source_bytes(source: str | Path | bytes) -> tuple[bytes, str]:
     return Path(source).read_bytes(), str(source)
 
 
-def _read_records(data: bytes, path: str, index, sections) -> dict[int, dict]:
+def _read_records(data: bytes, path: str, index, sections,
+                  decode=lambda views: views) -> dict[int, dict]:
     """Owned, writable arrays of every indexed record: each record is
     checked against its index row's CRC-32 (v3), parsed in place through
-    one memoryview and its sections copied once."""
+    one memoryview, passed through ``decode`` and its arrays copied once."""
     image = memoryview(data)
     out = {}
     for block_id, off, ln, crc in index:
@@ -287,7 +312,7 @@ def _read_records(data: bytes, path: str, index, sections) -> dict[int, dict]:
                 "check (corrupt file)"
             )
         try:
-            views = _deserialize_sections(record, sections)
+            views = decode(_deserialize_sections(record, sections))
         except ValueError as exc:
             raise ValueError(
                 f"{path}: record of block {block_id}: {exc}"
@@ -330,9 +355,9 @@ def read_msc_file(
     data, path = _source_bytes(source)
     version, blocks, _hiers = _parse_footer(data, path)
     if version == 3:
-        return _read_records(data, path, blocks, _SECTIONS)
-    legacy = _read_records(data, path, blocks, _LEGACY_SECTIONS)
-    return {bid: _legacy_payload(block) for bid, block in legacy.items()}
+        return _read_records(data, path, blocks, _SECTIONS, _drop_reserved)
+    return _read_records(data, path, blocks, _LEGACY_SECTIONS,
+                         lambda views: _legacy_payload(_drop_reserved(views)))
 
 
 def read_msc_hierarchies(

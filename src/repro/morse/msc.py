@@ -24,7 +24,7 @@ has in the payload (``node_index`` ``uint8``, flags ``bool``, the rest
 ``int64`` / ``float64``).  Appending concatenates, ``compact`` masks and
 renumbers, ``to_payload`` returns the columns themselves and
 ``from_payload`` adopts them — read-only views of a received blob, except
-the flags written in place (alive, boundary, ghost), which are owned
+the flags written in place (alive, boundary), which are owned
 copies.  The one per-scalar consumer is the cancellation loop of
 :func:`repro.morse.simplify.simplify_ms_complex`: it works on Python-list
 copies of the columns it reads (:meth:`MorseSmaleComplex.loop_lists`),
@@ -90,14 +90,13 @@ GEOM_ADDRESS_BYTES = 8
 _NODE_COLUMNS = (
     ("node_address", np.int64), ("node_index", np.uint8),
     ("node_value", np.float64), ("node_boundary", np.bool_),
-    ("node_ghost", np.bool_),
 )
 _ARC_COLUMNS = ("arc_upper", "arc_lower", "arc_geom")
 _GEOM_COLUMNS = ("geom_length", "geom_children", "geom_child")
 
 #: the columns the cancellation loop reads, copied to lists on entry
 _LOOP_COLUMNS = (
-    "node_index", "node_value", "node_boundary", "node_ghost", "node_alive",
+    "node_index", "node_value", "node_boundary", "node_alive",
     "arc_upper", "arc_lower", "arc_geom", "arc_alive", "geom_length",
 )
 
@@ -151,11 +150,7 @@ class MorseSmaleComplex:
             region_hi = tuple((d + 1) // 2 for d in self.global_refined_dims)
         self.region_hi = tuple(int(c) for c in region_hi)
 
-        # node records; node_index is the Morse index (= cell dimension).
-        # Ghost nodes are remote-endpoint placeholders introduced by the
-        # global-simplification split (§VII-B extension): they belong to
-        # another block, are never cancelled here, and are not counted as
-        # this block's features
+        # node records; node_index is the Morse index (= cell dimension)
         for key, dtype in _NODE_COLUMNS:
             setattr(self, key, np.empty(0, dtype))
         self.node_alive = np.empty(0, bool)
@@ -202,11 +197,10 @@ class MorseSmaleComplex:
         index: int,
         value: float,
         boundary: bool = False,
-        ghost: bool = False,
     ) -> int:
         """Append a node record; returns its id (one row of
         :meth:`add_nodes`, for hand-built complexes)."""
-        return self.add_nodes([address], [index], [value], [boundary], [ghost])
+        return self.add_nodes([address], [index], [value], [boundary])
 
     def new_leaf_geometry(self, addresses: np.ndarray) -> int:
         """Register a leaf geometry object; returns its id."""
@@ -282,15 +276,13 @@ class MorseSmaleComplex:
         self.add_arcs([upper], [lower], [geom])
         return aid
 
-    def add_nodes(self, addresses, index, values, boundaries,
-                  ghosts=None) -> int:
+    def add_nodes(self, addresses, index, values, boundaries) -> int:
         """Bulk-append node records; returns the first new id.
 
         New ids are ``first .. first + len(addresses) - 1`` in input
         order.  ``index`` is either one Morse index shared by the whole
         batch (the extraction case) or a per-node sequence (the glue
-        case, where a batch interleaves indexes); ``ghosts`` defaults to
-        all-real nodes.
+        case, where a batch interleaves indexes).
         """
         addresses = np.asarray(addresses, np.int64)
         k = addresses.size
@@ -306,9 +298,7 @@ class MorseSmaleComplex:
         first = self.node_address.size
         self._append(
             node_address=addresses, node_index=indexes, node_value=values,
-            node_boundary=boundaries,
-            node_ghost=np.zeros(k, bool) if ghosts is None else ghosts,
-            node_alive=np.ones(k, bool),
+            node_boundary=boundaries, node_alive=np.ones(k, bool),
         )
         if self.node_arcs is not None:
             self.node_arcs.extend([] for _ in range(k))
@@ -428,12 +418,8 @@ class MorseSmaleComplex:
         ))
 
     def node_counts_by_index(self) -> tuple[int, int, int, int]:
-        """Living node counts as (minima, 1-saddles, 2-saddles, maxima).
-
-        Ghost nodes are excluded: they are another block's features.
-        """
-        real = self.node_alive & ~self.node_ghost
-        counts = np.bincount(self.node_index[real], minlength=4)
+        """Living node counts as (minima, 1-saddles, 2-saddles, maxima)."""
+        counts = np.bincount(self.node_index[self.node_alive], minlength=4)
         return tuple(int(c) for c in counts[:4])
 
     def euler_characteristic(self) -> int:
@@ -758,8 +744,7 @@ class MorseSmaleComplex:
         candidates for cancellation" (§IV-F3).  Returns the number of
         nodes whose flag changed from boundary to interior — or, with
         ``return_ids=True``, their ids in ascending order (the seed set
-        for incremental re-simplification).  Ghost nodes keep their
-        protection unconditionally.
+        for incremental re-simplification).
         """
         if self.node_address.size == 0:
             return [] if return_ids else 0
@@ -776,10 +761,9 @@ class MorseSmaleComplex:
         cj = (addr // gx) % gy
         ck = addr // (gx * gy)
         on_boundary = tables[0][ci] | tables[1][cj] | tables[2][ck]
-        active = self.node_alive & ~self.node_ghost
         old = self.node_boundary
-        freed_mask = active & old & ~on_boundary
-        self.node_boundary = np.where(active, on_boundary, old)
+        freed_mask = self.node_alive & old & ~on_boundary
+        self.node_boundary = np.where(self.node_alive, on_boundary, old)
         if return_ids:
             return np.flatnonzero(freed_mask).tolist()
         return int(freed_mask.sum())
@@ -827,8 +811,6 @@ class MorseSmaleComplex:
         region = [int(c) for c in payload["region"]]
         msc = cls(dims, tuple(region[:3]), tuple(region[3:]))
         n = len(payload["node_address"])
-        if payload.get("node_ghost") is None:
-            payload = {**payload, "node_ghost": np.zeros(n, dtype=bool)}
         nodes = {k: np.asarray(payload[k], dtype=t) for k, t in _NODE_COLUMNS}
         arcs = {k: np.asarray(payload[k], np.int64) for k in _ARC_COLUMNS}
         length, children, child = (
@@ -880,8 +862,8 @@ class MorseSmaleComplex:
             col = arcs[key]
             if col.size and not 0 <= col.min() <= col.max() < limit:
                 raise ValueError(f"{key} out of range 0..{limit - 1}")
-        for flag in ("node_boundary", "node_ghost"):  # written in place
-            nodes[flag] = nodes[flag].copy()
+        # the one column written in place
+        nodes["node_boundary"] = nodes["node_boundary"].copy()
         for key, column in {**nodes, **arcs}.items():
             setattr(msc, key, column)
         msc._check_arc_indexes(msc.arc_upper, msc.arc_lower)

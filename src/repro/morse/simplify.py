@@ -69,12 +69,12 @@ def simplify_ms_complex(
         re-heap would.  The merge stage's incremental entry point: if the
         complex was simplified at the *same* threshold with
         ``respect_boundary=True`` and since then only had nodes and arcs
-        glued in, matched nodes unghosted and boundary flags dropped by
-        ``update_boundary_flags``, seeding with exactly those nodes
-        provably yields the full re-heap's hierarchy — every arc the last
-        pass left alive was skipped for a reason (persistence, boundary or
-        ghost endpoint, non-unique connection) only those events lift,
-        and each cancellation pushes the arcs it creates.  ``None`` (the
+        glued in and boundary flags dropped by ``update_boundary_flags``,
+        seeding with exactly those nodes provably yields the full
+        re-heap's hierarchy — every arc the last pass left alive was
+        skipped for a reason (persistence, boundary endpoint, non-unique
+        connection) only those events lift, and each cancellation pushes
+        the arcs it creates.  ``None`` (the
         default) seeds every living arc.
 
     Returns
@@ -100,7 +100,7 @@ def simplify_ms_complex(
     lists = msc.loop_lists()
     node_arcs, pm = lists.node_arcs, lists.pair_multiplicity
     node_value, node_index = lists.node_value, lists.node_index
-    node_alive, node_ghost = lists.node_alive, lists.node_ghost
+    node_alive = lists.node_alive
     arc_upper, arc_lower = lists.arc_upper, lists.arc_lower
     arc_alive, node_boundary = lists.arc_alive, lists.node_boundary
     address = msc.node_address
@@ -141,8 +141,6 @@ def simplify_ms_complex(
             upper, lower = arc_upper[aid], arc_lower[aid]
             if not (node_alive[upper] and node_alive[lower]):
                 continue
-            if node_ghost[upper] or node_ghost[lower]:
-                continue  # remote placeholders are never cancelled locally
             if respect_boundary and (
                 node_boundary[upper] or node_boundary[lower]
             ):

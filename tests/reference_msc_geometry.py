@@ -180,7 +180,6 @@ class ReferenceComplex(MorseSmaleComplex):
         self.node_index = self.node_index[keep]
         self.node_value = self.node_value[keep]
         self.node_boundary = self.node_boundary[keep]
-        self.node_ghost = self.node_ghost[keep]
 
         arc_keep = np.nonzero(np.asarray(self.arc_alive, dtype=bool))[0]
         num_arcs = int(arc_keep.size)
@@ -254,7 +253,7 @@ class ReferenceComplex(MorseSmaleComplex):
             "node_index": np.asarray(self.node_index, dtype=np.uint8),
             "node_value": np.asarray(self.node_value, dtype=np.float64),
             "node_boundary": np.asarray(self.node_boundary, dtype=bool),
-            "node_ghost": np.asarray(self.node_ghost, dtype=bool),
+            "node_ghost": np.zeros(len(self.node_address), dtype=bool),
             "arc_upper": np.asarray(self.arc_upper, dtype=np.int64),
             "arc_lower": np.asarray(self.arc_lower, dtype=np.int64),
             "arc_geom": np.asarray(self.arc_geom, dtype=np.int64),
@@ -274,7 +273,6 @@ class ReferenceComplex(MorseSmaleComplex):
             payload["node_index"].tolist(),
             payload["node_value"].tolist(),
             payload["node_boundary"].tolist(),
-            payload["node_ghost"].tolist(),
         )
         msc._append_leaves(
             payload["geom_data"], np.diff(payload["geom_offsets"])

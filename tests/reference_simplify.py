@@ -91,8 +91,6 @@ def simplify_ms_complex(
         upper, lower = msc.arc_upper[aid], msc.arc_lower[aid]
         if not (msc.node_alive[upper] and msc.node_alive[lower]):
             continue
-        if msc.node_ghost[upper] or msc.node_ghost[lower]:
-            continue  # remote placeholders are never cancelled locally
         if respect_boundary and (
             msc.node_boundary[upper] or msc.node_boundary[lower]
         ):

@@ -2,13 +2,12 @@
 
 Until the run became one driver-side stage list priced afterwards by
 :mod:`repro.machine.replay`, ``repro.parallel`` shipped this virtual
-MPI runtime and the pipeline's merge and the §VII-B global
-simplification ran on it as generator rank programs.  Production no
-longer needs a message-passing runtime; the two reference rank programs
-(``tests/reference_rank_program.py`` and
-``tests/reference_global_simplify.py``) do, so that the driver loops can
-be required to equal a real message-passing execution, message log
-included.  This module keeps exactly what those two programs use.
+MPI runtime and the pipeline's merge ran on it as a generator rank
+program.  Production no longer needs a message-passing runtime; the
+reference rank program (``tests/reference_rank_program.py``) does, so
+that the driver's merge loop can be required to equal a real
+message-passing execution, message log included.  This module keeps
+exactly what that program uses.
 
 Rank programs are Python generators: communication is expressed by
 *yielding* request objects to :class:`VirtualMPI`::

@@ -107,6 +107,26 @@ class TestGlueTwoBlocks:
                 a.arcs_skipped) == (11, 22, 33, 44)
 
 
+class TestSharedPlaneArcs:
+    def test_real_shared_nodes_still_suppress_plane_arcs(self):
+        """An arc between two shared nodes already exists in the root, so
+        the glue skips it rather than adding a parallel copy."""
+        dims = (9, 9, 9)
+        root = MorseSmaleComplex(dims)
+        a = root.add_node(5, 1, 2.0, boundary=True)
+        b = root.add_node(7, 0, 1.0, boundary=True)
+        g = root.new_leaf_geometry(np.array([5, 6, 7]))
+        root.add_arc(a, b, g)
+        incoming = MorseSmaleComplex(dims)
+        ia = incoming.add_node(5, 1, 2.0, boundary=True)
+        ib = incoming.add_node(7, 0, 1.0, boundary=True)
+        ig = incoming.new_leaf_geometry(np.array([5, 6, 7]))
+        incoming.add_arc(ia, ib, ig)
+        stats = glue_into(root, incoming, root.address_index())
+        assert stats.arcs_skipped == 1
+        assert root.num_alive_arcs() == 1
+
+
 class TestPerformMerge:
     def test_merge_resolves_boundary_artifacts(self):
         rng = np.random.default_rng(5)

@@ -7,6 +7,10 @@ The one exception is the "removed" column of docs/API.md's
 name there must no longer be defined at that path (an import of
 something defined elsewhere, like ``repro.api._facade_config``, is not
 a definition).
+
+Every backticked repo-relative path in README.md and DESIGN.md (one
+beginning ``examples/``, ``tests/``, ``benchmarks/`` or ``src/``) exists;
+a ``::`` test id after it is ignored and a glob must match a file.
 """
 
 import importlib
@@ -20,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+PATH = re.compile(r"`((?:examples|tests|benchmarks|src)/[^`:\s]*)")
 
 
 def _resolve(dotted: str):
@@ -84,3 +89,13 @@ def test_removed_names_are_gone():
     assert "repro.parallel.runtime" in removed
     still_defined = sorted(n for n in removed if _defined_at(n))
     assert not still_defined, f"listed as removed but defined: {still_defined}"
+
+
+@pytest.mark.parametrize("doc", [ROOT / "README.md", ROOT / "DESIGN.md"],
+                         ids=lambda p: p.name)
+def test_named_paths_exist(doc):
+    missing = sorted(
+        path for path in set(PATH.findall(doc.read_text()))
+        if not any(ROOT.glob(path))
+    )
+    assert not missing, f"{doc.name} names files that are gone: {missing}"

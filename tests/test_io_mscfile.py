@@ -295,8 +295,9 @@ class TestChecksums:
 
 
 class TestShortRecords:
-    """A v2 record (no CRC) shorter than its header, or whose section
-    lengths overrun it, fails with a ValueError naming file and block."""
+    """A v2 record (no CRC) shorter than its header, whose section lengths
+    overrun it, or whose reserved ``node_ghost`` section does not match
+    its nodes, fails with a ValueError naming file and block."""
 
     @staticmethod
     def _v2_image(record: bytes) -> bytes:
@@ -312,6 +313,14 @@ class TestShortRecords:
         n = len(_LEGACY_SECTIONS)  # one int64 each, the last one missing
         record = struct.pack(f"<I{n}Q", n, *[8] * n) + bytes(8 * (n - 1))
         with pytest.raises(ValueError, match="block 5.*section .*overrun"):
+            read_msc_file(self._v2_image(record))
+
+    def test_reserved_section_longer_than_the_nodes(self):
+        n = len(_LEGACY_SECTIONS)  # every section empty but node_ghost
+        lengths = [1 if key == "node_ghost" else 0
+                   for key, _ in _LEGACY_SECTIONS]
+        record = struct.pack(f"<I{n}Q", n, *lengths) + b"\0"
+        with pytest.raises(ValueError, match="block 5: node_ghost.* not 1 "):
             read_msc_file(self._v2_image(record))
 
 

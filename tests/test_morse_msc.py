@@ -5,8 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.merge import pack_complex, unpack_complex
 from repro.io.mscfile import (
+    _SECTIONS,
     _legacy_payload,
+    _serialize_sections,
     deserialize_payload,
     read_msc_file,
     serialize_payload,
@@ -236,6 +239,14 @@ def _corrupt(payload, key, value):
     return {**payload, key: np.asarray(value, dtype=payload[key].dtype)}
 
 
+def _record(payload, **sections):
+    """The payload as a v3 block record with ``sections`` replaced, decoded
+    the reader's way."""
+    return deserialize_payload(
+        _serialize_sections({**payload, **sections}, _SECTIONS)
+    )
+
+
 def _legacy(payload, offsets):
     """The payload's leaves as a v1/v2 record, decoded the reader's way."""
     record = {k: v for k, v in payload.items() if k not in _GEOM_COLUMNS}
@@ -243,13 +254,16 @@ def _legacy(payload, offsets):
     return _legacy_payload(record)
 
 
-#: one hostile payload per validation rule of ``from_payload``:
-#: (section the error must name, corruption of tiny_msc's payload)
+#: one hostile payload per validation rule of ``from_payload`` and of the
+#: block-record decoder: (section the error must name, corruption of
+#: tiny_msc's payload)
 HOSTILE_PAYLOADS = {
     "node column short": (
         "node_boundary", lambda p: _corrupt(p, "node_boundary", [False] * 3)),
+    # the reserved node_ghost section lives only in the record; its
+    # decoder checks it
     "node_ghost short": (
-        "node_ghost", lambda p: _corrupt(p, "node_ghost", [False] * 5)),
+        "node_ghost", lambda p: _record(p, node_ghost=[False] * 5)),
     "arc column short": (
         "arc_geom", lambda p: _corrupt(p, "arc_geom", [0, 1])),
     "morse index above 3": (
@@ -346,6 +360,24 @@ class TestHostilePayloads:
         struct.pack_into("<Q", blob, at, nbytes - 3)
         with pytest.raises(ValueError, match="geom_child.*not a multiple"):
             deserialize_payload(bytes(blob))
+
+    def test_set_reserved_byte_rejected(self, tmp_path, dag_msc):
+        """The writer zero-fills the reserved ``node_ghost`` section; a
+        blob (no CRC) or a file record (valid CRC) with one byte set is
+        rejected by name."""
+        blob = bytearray(pack_complex(dag_msc))
+        lengths = struct.unpack_from(f"<{len(_SECTIONS)}Q", blob, 4)
+        at = 4 + 8 * len(_SECTIONS) + sum(lengths[:6])  # 7th section
+        assert [k for k, _ in _SECTIONS][6] == "node_ghost"
+        assert lengths[6] == 4 and not any(blob[at: at + 4])
+        unpack_complex(bytes(blob))  # intact: accepted
+        blob[at + 2] = 1
+        with pytest.raises(ValueError, match="node_ghost"):
+            unpack_complex(bytes(blob))
+        path = tmp_path / "ghost.msc"
+        write_msc_file(path, [(7, bytes(blob))])
+        with pytest.raises(ValueError, match="block 7: node_ghost.* 1 set"):
+            read_msc_file(path)
 
     def test_truncated_v3_file_rejected(self, tmp_path, dag_msc):
         path = tmp_path / "t.msc"

@@ -96,7 +96,7 @@ def assert_same_decoded(got, want) -> None:
     incidence the next simplification builds equals the one the oracle's
     compact() rebuilt eagerly."""
     for key in ("node_address", "node_index", "node_value", "node_boundary",
-                "node_ghost", "arc_upper", "arc_lower"):
+                "arc_upper", "arc_lower"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
     assert got.incidence() == want.incidence()
     arcs = range(len(got.arc_upper))

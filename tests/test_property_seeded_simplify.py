@@ -1,8 +1,8 @@
 """Property test: incremental (seeded) re-simplification is exact.
 
 The merge stage's re-simplification may seed its candidate heap only
-from nodes the merge actually disturbed — glued, matched, unghosted,
-and boundary-freed nodes — instead of re-heaping every living arc
+from nodes the merge actually disturbed — glued, matched and
+boundary-freed nodes — instead of re-heaping every living arc
 (``seed_nodes=`` on :func:`repro.morse.simplify.simplify_ms_complex`,
 ``incremental=True`` on :func:`repro.core.merge.perform_merge`).  This
 is an optimization, never an approximation: provided every input

@@ -1,10 +1,8 @@
-"""Tests for the simplification guards: multiplicity cap and ghost
-protection."""
+"""Tests for the simplification guard: the arc multiplicity cap."""
 
 import numpy as np
 import pytest
 
-from repro.core.glue import glue_into
 from repro.morse.msc import MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
 
@@ -69,44 +67,3 @@ class TestMultiplicityCap:
         assert msc.multiplicity(a, b) == 2
         assert msc.multiplicity(b, a) == 2
 
-
-class TestGhostProtection:
-    def test_ghost_pair_never_cancelled(self):
-        msc = MorseSmaleComplex((9, 9, 9))
-        m = msc.add_node(0, 0, 0.0, ghost=True)
-        s = msc.add_node(2, 1, 0.001)
-        g = msc.new_leaf_geometry(np.array([2, 1, 0]))
-        msc.add_arc(s, m, g)
-        cancels = simplify_ms_complex(msc, 1.0, respect_boundary=False)
-        assert cancels == []
-
-    def test_ghost_reconciliation_in_glue(self):
-        dims = (9, 9, 9)
-        root = MorseSmaleComplex(dims)
-        ghost_id = root.add_node(5, 3, 2.0, ghost=True)
-        incoming = MorseSmaleComplex(dims)
-        incoming.add_node(5, 3, 2.0, ghost=False)
-        sad = incoming.add_node(3, 2, 1.0)
-        g = incoming.new_leaf_geometry(np.array([5, 4, 3]))
-        incoming.add_arc(0, sad, g)
-        stats = glue_into(root, incoming, root.address_index())
-        # the ghost became real and the incoming arc was NOT suppressed
-        assert not root.node_ghost[ghost_id]
-        assert stats.arcs_added == 1
-        assert stats.arcs_skipped == 0
-
-    def test_real_shared_nodes_still_suppress_plane_arcs(self):
-        dims = (9, 9, 9)
-        root = MorseSmaleComplex(dims)
-        a = root.add_node(5, 1, 2.0, boundary=True)
-        b = root.add_node(7, 0, 1.0, boundary=True)
-        g = root.new_leaf_geometry(np.array([5, 6, 7]))
-        root.add_arc(a, b, g)
-        incoming = MorseSmaleComplex(dims)
-        ia = incoming.add_node(5, 1, 2.0, boundary=True)
-        ib = incoming.add_node(7, 0, 1.0, boundary=True)
-        ig = incoming.new_leaf_geometry(np.array([5, 6, 7]))
-        incoming.add_arc(ia, ib, ig)
-        stats = glue_into(root, incoming, root.address_index())
-        assert stats.arcs_skipped == 1
-        assert root.num_alive_arcs() == 1
