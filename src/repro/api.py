@@ -60,7 +60,6 @@ def compute(
     options: ExecutionOptions | None = None,
     faults: object | None = None,
     trace: bool = False,
-    metrics: bool = False,
 ) -> PipelineResult:
     """Compute the Morse-Smale complex of a scalar field.
 
@@ -106,9 +105,6 @@ def compute(
         ``trace_event`` JSON via ``result.stats.trace.write(path)``.
         Outputs are bit-identical either way (see
         ``docs/OBSERVABILITY.md``).
-    metrics:
-        Aggregate run metrics (counters / gauges / histograms across
-        all workers) into ``result.stats.metrics``.
 
     Returns
     -------
@@ -125,7 +121,6 @@ def compute(
         options=options,
         faults=faults,
         trace=trace,
-        metrics=metrics,
     )
     pipeline = ParallelMSComplexPipeline(cfg)
     if isinstance(values, VolumeSpec):
@@ -142,7 +137,6 @@ def open_session(
     options: ExecutionOptions | None = None,
     faults: object | None = None,
     trace: bool = False,
-    metrics: bool = False,
 ) -> PipelineSession:
     """Open a persistent :class:`~repro.core.session.PipelineSession`.
 
@@ -169,7 +163,6 @@ def open_session(
         options=options,
         faults=faults,
         trace=trace,
-        metrics=metrics,
     )
     from repro.core.session import PipelineSession
 

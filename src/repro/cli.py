@@ -164,7 +164,7 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                    help="skip the merge stage entirely")
 
 
-def _config_from_args(args, *, trace: bool = False, metrics: bool = False):
+def _config_from_args(args, *, trace: bool = False):
     """The :class:`PipelineConfig` the :func:`_add_run_arguments` flags
     describe (raises ``ValueError`` on out-of-range values)."""
     from repro.core.config import ExecutionOptions, PipelineConfig
@@ -190,7 +190,6 @@ def _config_from_args(args, *, trace: bool = False, metrics: bool = False):
             merge_spill_budget_bytes=args.merge_spill_budget,
         ),
         trace=trace,
-        metrics=metrics,
     )
 
 
@@ -245,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "as Chrome trace_event JSON (open in "
                         "chrome://tracing or ui.perfetto.dev)")
     c.add_argument("--metrics", default=None, metavar="PATH",
-                   help="aggregate run metrics (counters/gauges/"
-                        "histograms across all workers) and write them "
-                        "as JSON")
+                   help="write the run's metrics (counters/gauges/"
+                        "histograms, a view of its stats) as JSON")
 
     st = sub.add_parser(
         "stream",
@@ -372,17 +370,11 @@ def _cmd_compute(args) -> int:
 
     try:
         spec = _checked_volume_spec(args.volume, args)
-        cfg = _config_from_args(
-            args,
-            trace=args.trace is not None,
-            metrics=args.metrics is not None,
-        )
+        cfg = _config_from_args(args, trace=args.trace is not None)
         result = ParallelMSComplexPipeline(cfg).run(volume=spec)
     except (OSError, ValueError, FaultToleranceError) as exc:
         return _fail(str(exc))
     print(result.stats.describe())
-    if result.stats.faults.any_faults():
-        print(result.stats.faults.describe())
     counts = result.combined_node_counts()
     print(
         f"critical points: min={counts[0]} 1sad={counts[1]} "

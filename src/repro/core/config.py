@@ -14,7 +14,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.options import ExecutionOptions, canonical_fingerprint
+from repro.core.options import (
+    ExecutionOptions,
+    _require_int,
+    canonical_fingerprint,
+)
 from repro.machine.bgp import BlueGenePParams
 from repro.parallel.radixk import MergeSchedule, full_merge_radices
 
@@ -74,11 +78,6 @@ class PipelineConfig:
         and pool-worker lanes) into ``result.stats.trace``, exportable
         as Chrome ``trace_event`` JSON (see :mod:`repro.obs`).  Off by
         default; pipeline outputs are bit-identical either way.
-    metrics:
-        Aggregate run metrics (counters / gauges / histograms, workers
-        included) into ``result.stats.metrics`` (see
-        :mod:`repro.obs.metrics`).  Off by default; outputs are
-        bit-identical either way.
     """
 
     num_blocks: int
@@ -93,13 +92,11 @@ class PipelineConfig:
     options: ExecutionOptions = ExecutionOptions()
     faults: Any = None
     trace: bool = False
-    metrics: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        if self.num_procs is not None and self.num_procs < 1:
-            raise ValueError("num_procs must be >= 1")
+        _require_int("num_blocks", self.num_blocks, 1)
+        if self.num_procs is not None:
+            _require_int("num_procs", self.num_procs, 1)
         # written so NaN fails too (every comparison with NaN is False)
         if not (self.persistence_threshold >= 0):
             raise ValueError(
@@ -195,7 +192,6 @@ def _facade_config(
     options: ExecutionOptions | None,
     faults: object | None,
     trace: bool,
-    metrics: bool,
 ) -> PipelineConfig:
     """The facade's shared keyword-to-``PipelineConfig`` translation."""
     if ranks < 1:
@@ -227,5 +223,4 @@ def _facade_config(
         options=options if options is not None else ExecutionOptions(),
         faults=faults,
         trace=trace,
-        metrics=metrics,
     )

@@ -74,7 +74,6 @@ from repro.machine.costmodel import ComputeWork, CostModel
 from repro.machine.replay import MergeRecord, replay_run
 from repro.mesh.cubical import CubicalComplex
 from repro.mesh.grid import Box, StructuredGrid
-from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.trace import (
     DRIVER_LANE,
     RANK_LANE_BASE,
@@ -173,8 +172,6 @@ class BlockSpec:
     volume: VolumeSpec | None = None
     #: ship the worker's span buffer back with the payload (tracing on)
     trace: bool = False
-    #: ship a worker-local metrics snapshot back with the payload
-    collect_metrics: bool = False
 
     @property
     def transport_nbytes(self) -> int:
@@ -215,8 +212,6 @@ class BlockPayload:
     worker_pid: int = 0
     #: the worker's span buffer (``spec.trace`` runs only)
     trace_events: list = field(default_factory=list)
-    #: the worker's metrics snapshot (``spec.collect_metrics`` runs only)
-    metrics: dict | None = None
 
 
 def compute_block(spec: BlockSpec) -> BlockPayload:
@@ -303,17 +298,6 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
     real = sum(
         stage_seconds[k] for k in ("build", "gradient", "trace", "simplify")
     )
-    metrics = None
-    if spec.collect_metrics:
-        reg = MetricsRegistry()
-        reg.counter("compute.blocks").inc()
-        reg.counter("compute.cells").inc(num_cells)
-        reg.counter("compute.cancellations").inc(len(cancels))
-        reg.counter("transport.block_bytes_in").inc(spec.transport_nbytes)
-        reg.histogram("compute.block_seconds").observe(real)
-        for k, v in stage_seconds.items():
-            reg.counter(f"compute.{k}_seconds").inc(v)
-        metrics = reg.snapshot()
     return BlockPayload(
         block_id=spec.block_id,
         blob=blob,
@@ -329,7 +313,6 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
         transport_nbytes=spec.transport_nbytes,
         worker_pid=tracer.pid,
         trace_events=tracer.events if spec.trace else [],
-        metrics=metrics,
     )
 
 
@@ -514,7 +497,6 @@ class ParallelMSComplexPipeline:
                     values=values,
                     volume=volume,
                     trace=cfg.trace,
-                    collect_metrics=cfg.metrics,
                 )
             )
         return specs
@@ -552,7 +534,6 @@ class ParallelMSComplexPipeline:
                 else StructuredGrid(values)
             )
 
-        registry = MetricsRegistry() if cfg.metrics else None
         # a spool exists exactly when a budget is set: it bounds the
         # packed compute blobs the driver holds between a block landing
         # and that block's first merge (or the write stage), spilling
@@ -566,7 +547,7 @@ class ParallelMSComplexPipeline:
         with spool if spool is not None else nullcontext():
             with tracer.span("pipeline.run", cat="pipeline") as run_span:
                 result = self._run_stages(
-                    tracer, registry, grid, volume, session, spool
+                    tracer, grid, volume, session, spool
                 )
             if spool is not None:
                 result.stats.spool = spool.stats.to_dict()
@@ -574,15 +555,10 @@ class ParallelMSComplexPipeline:
         stats.real_seconds_total = run_span.duration
         if cfg.trace:
             stats.trace = self._trace_record(tracer, stats)
-        if registry is not None:
-            self._fill_run_metrics(registry, stats)
-            if session is not None:
-                session._fill_session_metrics(registry)
-            stats.metrics = registry.snapshot()
         return result
 
     def _run_stages(
-        self, tracer, registry, grid, volume, session, spool
+        self, tracer, grid, volume, session, spool
     ) -> PipelineResult:
         """plan → compute → merge rounds → write → cost replay."""
         cfg = self.config
@@ -604,14 +580,10 @@ class ParallelMSComplexPipeline:
             tracer, plan, grid, volume, session, plan_cached,
             ft, transport, held,
         )
-        # stitch the workers' span buffers into the driver timeline and
-        # fold their metrics snapshots into the run registry
+        # stitch the workers' span buffers into the driver timeline
         if cfg.trace:
             for p in payloads:
                 tracer.absorb(p.trace_events)
-        if registry is not None:
-            for p in payloads:
-                registry.merge_snapshot(p.metrics)
 
         with tracer.span(
             "merge.stage", cat="merge", rounds=plan.schedule.num_rounds
@@ -889,49 +861,3 @@ class ParallelMSComplexPipeline:
             process_names=process_names,
             thread_names=thread_names,
         )
-
-    @staticmethod
-    def _fill_run_metrics(
-        registry: MetricsRegistry, stats: PipelineStats
-    ) -> None:
-        """Fold driver-side observations into the run registry.
-
-        Worker-side snapshots (shipped in the payloads) were already
-        merged during the compute stage; this adds what only the driver
-        sees: fault-tolerance counters, transport bytes, merge-round
-        glue sizes, and output bytes.
-        """
-        for name, value in stats.faults.counters().items():
-            registry.counter(f"faults.{name}").inc(value)
-        registry.counter("faults.backoff_seconds").inc(
-            stats.faults.backoff_seconds
-        )
-        registry.counter("transport.dispatches").inc(
-            stats.transport.dispatches
-        )
-        registry.counter("transport.dispatch_bytes").inc(
-            stats.transport.dispatch_bytes
-        )
-        registry.gauge("transport.driver_staged_bytes").set(
-            stats.transport.driver_staged_bytes
-        )
-        registry.gauge("pipeline.workers").set(stats.workers)
-        for ev in stats.merge_events:
-            registry.histogram(
-                "merge.glue_nodes", COUNT_BUCKETS
-            ).observe(ev.nodes_glued)
-            registry.histogram(
-                "merge.glue_arcs", COUNT_BUCKETS
-            ).observe(ev.arcs_glued)
-            registry.histogram("merge.seconds").observe(ev.real_seconds)
-            registry.counter("merge.cancellations").inc(ev.cancellations)
-            registry.counter("merge.received_bytes").inc(
-                ev.received_bytes
-            )
-        registry.counter("io.output_bytes").inc(stats.output_bytes)
-        if stats.spool:
-            for name in ("puts", "spills", "bytes_spilled", "read_backs",
-                         "bytes_read_back"):
-                registry.counter(f"spool.{name}").inc(stats.spool[name])
-            for name in ("resident_blobs", "resident_peak_bytes"):
-                registry.gauge(f"spool.{name}").set(stats.spool[name])

@@ -214,16 +214,3 @@ class PipelineSession:
         )
         self.stats.pool_reuse_hits += 1
         return self._compute_exec, True
-
-    def _fill_session_metrics(self, registry) -> None:
-        """Session-reuse gauges for runs with ``metrics=True``.
-
-        Counts include the current run (called at run end).
-        """
-        registry.gauge("session.runs").set(self.stats.runs + 1)
-        registry.gauge("session.pool_reuse_hits").set(
-            self.stats.pool_reuse_hits
-        )
-        registry.gauge("session.plan_cache_hits").set(
-            self.stats.plan_cache_hits
-        )

@@ -189,13 +189,21 @@ class PipelineStats:
     #: stitched run timeline (:class:`repro.obs.trace.TraceRecord`)
     #: when the run had ``trace=True``; ``None`` otherwise
     trace: Any = None
-    #: aggregated metrics snapshot (see :mod:`repro.obs.metrics`) when
-    #: the run had ``metrics=True``; ``None`` otherwise
-    metrics: dict | None = None
     #: blob-spool counters (puts, spills, read-backs, resident peak —
     #: see :class:`repro.io.spool.SpoolStats`) when the run had a
     #: ``merge_spill_budget_bytes``; ``None`` otherwise
     spool: dict | None = None
+
+    @property
+    def metrics(self) -> dict:
+        """The run's metrics series, a view of this record.
+
+        Delegates to :func:`repro.obs.export.run_metrics`; every run
+        has them, with no flag set.
+        """
+        from repro.obs.export import run_metrics
+
+        return run_metrics(self)
 
     # -- virtual stage times (paper-style reporting) ---------------------
 

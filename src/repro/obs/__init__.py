@@ -12,15 +12,17 @@ equivalent instrumentation layer:
   stitches all buffers into one timeline with per-process (pid) and
   per-lane (tid) structure.
 - :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  histograms with cross-process snapshot/merge aggregation.
+  histograms in a thread-safe registry.
 - :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   ``chrome://tracing`` / Perfetto), a flat JSON metrics dump, and the
-  text run summary :meth:`repro.core.stats.PipelineStats.describe`
-  delegates to.
+  two views of a run record: the text run summary
+  :meth:`repro.core.stats.PipelineStats.describe` delegates to and
+  the metrics series ``PipelineStats.metrics`` reads.
 
-Enable per run with ``PipelineConfig(trace=True, metrics=True)``,
-``repro.compute(..., trace=True)``, or the CLI's ``--trace PATH`` /
-``--metrics PATH`` flags; see ``docs/OBSERVABILITY.md``.
+Enable tracing per run with ``PipelineConfig(trace=True)``,
+``repro.compute(..., trace=True)``, or the CLI's ``--trace PATH``;
+every run has its metrics, which ``--metrics PATH`` writes as JSON;
+see ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace JSON, flat metrics JSON, text run summary.
+"""Exporters: Chrome trace JSON, flat metrics JSON, run views.
 
 The trace exporter emits the Chrome ``trace_event`` format (the JSON
 object form, ``{"traceEvents": [...]}``) understood by
@@ -8,10 +8,11 @@ and process/lane labels become metadata (``"ph": "M"``) events.
 Timestamps are microseconds relative to the earliest recorded event, so
 timelines always start at zero regardless of the perf_counter epoch.
 
-:func:`format_run_summary` is the single formatter behind
-:meth:`repro.core.stats.PipelineStats.describe`; it works on any object
-exposing the ``PipelineStats`` fields, so this module never imports
-:mod:`repro.core`.
+:func:`format_run_summary` (the text behind
+:meth:`repro.core.stats.PipelineStats.describe`) and :func:`run_metrics`
+(the series behind ``PipelineStats.metrics``) are the two views of one
+run record; both work on any object exposing the ``PipelineStats``
+fields, so this module never imports :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry
 from repro.obs.trace import TraceEvent
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "metrics_to_json",
     "write_metrics_json",
     "format_run_summary",
+    "run_metrics",
 ]
 
 
@@ -112,6 +115,53 @@ def write_metrics_json(path: str | Path, metrics) -> int:
     return len(payload)
 
 
+def run_metrics(stats) -> dict:
+    """The run's counters, gauges and histograms as a metrics snapshot.
+
+    Computed on read from the run record: compute series from
+    ``block_stats``, merge series from ``merge_events``, and the fault,
+    transport, output and spool counts, so every run has them.
+    """
+    reg = MetricsRegistry()
+    for b in stats.block_stats:
+        reg.counter("compute.blocks").inc()
+        reg.counter("compute.cells").inc(b.cells)
+        reg.counter("compute.cancellations").inc(b.cancellations)
+        reg.counter("transport.block_bytes_in").inc(b.transport_nbytes)
+        reg.histogram("compute.block_seconds").observe(b.real_seconds)
+        for k, v in b.stage_seconds.items():
+            reg.counter(f"compute.{k}_seconds").inc(v)
+    for name, value in stats.faults.counters().items():
+        reg.counter(f"faults.{name}").inc(value)
+    reg.counter("faults.backoff_seconds").inc(stats.faults.backoff_seconds)
+    reg.counter("transport.dispatches").inc(stats.transport.dispatches)
+    reg.counter("transport.dispatch_bytes").inc(
+        stats.transport.dispatch_bytes
+    )
+    reg.gauge("transport.driver_staged_bytes").set(
+        stats.transport.driver_staged_bytes
+    )
+    reg.gauge("pipeline.workers").set(stats.workers)
+    for ev in stats.merge_events:
+        reg.histogram("merge.glue_nodes", COUNT_BUCKETS).observe(
+            ev.nodes_glued
+        )
+        reg.histogram("merge.glue_arcs", COUNT_BUCKETS).observe(
+            ev.arcs_glued
+        )
+        reg.histogram("merge.seconds").observe(ev.real_seconds)
+        reg.counter("merge.cancellations").inc(ev.cancellations)
+        reg.counter("merge.received_bytes").inc(ev.received_bytes)
+    reg.counter("io.output_bytes").inc(stats.output_bytes)
+    if stats.spool:
+        for name in ("puts", "spills", "bytes_spilled", "read_backs",
+                     "bytes_read_back"):
+            reg.counter(f"spool.{name}").inc(stats.spool[name])
+        for name in ("resident_blobs", "resident_peak_bytes"):
+            reg.gauge(f"spool.{name}").set(stats.spool[name])
+    return reg.snapshot()
+
+
 def format_run_summary(stats) -> str:
     """Multi-line human-readable report of one pipeline run.
 
@@ -129,7 +179,8 @@ def format_run_summary(stats) -> str:
         f"{stats.compute_wall_seconds:.3f}s wall / "
         f"{stats.compute_cpu_seconds:.3f}s cpu "
         f"({stats.executor}, workers={stats.workers}, "
-        f"speedup={stats.compute_speedup:.2f}x)",
+        f"speedup={stats.compute_speedup:.2f}x); merge stage "
+        f"{stats.merge_wall_seconds:.3f}s wall",
         f"  output: {stats.output_bytes} bytes, "
         f"messages: {stats.message_bytes} bytes",
     ]
@@ -147,6 +198,4 @@ def format_run_summary(stats) -> str:
             f"  trace: {len(stats.trace.events)} events across "
             f"{len(stats.trace.process_names)} process(es)"
         )
-    if stats.metrics is not None:
-        lines.append(f"  metrics: {len(stats.metrics)} series recorded")
     return "\n".join(lines)

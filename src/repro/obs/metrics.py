@@ -1,22 +1,17 @@
-"""Counters, gauges, and fixed-bucket histograms with worker aggregation.
+"""Counters, gauges, and fixed-bucket histograms.
 
-A :class:`MetricsRegistry` is a process-local bag of named metrics.
-Cross-process aggregation works by value, not by shared state: each pool
-worker fills its own registry while computing a block, ships
-``registry.snapshot()`` (a plain JSON-able dict) back inside the block
-payload, and the driver folds every snapshot into the run registry with
-:meth:`MetricsRegistry.merge_snapshot`.  Merging is associative and
-commutative — counters and histograms add, gauges keep their maximum —
-so the aggregate is independent of worker scheduling and retry order.
+A :class:`MetricsRegistry` is a process-local bag of named metrics;
+``registry.snapshot()`` is its plain JSON-able dump.  A pipeline run
+keeps no registry: its metrics are a view computed on read from the
+run record (:func:`repro.obs.export.run_metrics`).  The service keeps
+one registry live.
 
-Fixed buckets (rather than adaptive ones) keep histograms mergeable:
-two histograms with the same name always have the same bucket bounds,
-so their counts add element-wise.
+Fixed buckets (rather than adaptive ones) keep histograms comparable:
+two histograms with the same name always have the same bucket bounds.
 
 Within a process a registry is shared across threads (the service's
 HTTP handlers and pool threads), so it holds one lock that its metrics
-share: get-or-create, every update, ``snapshot`` and ``merge_snapshot``
-take it.
+share: get-or-create, every update and ``snapshot`` take it.
 """
 
 from __future__ import annotations
@@ -67,17 +62,9 @@ class Counter:
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
-    def merge(self, snap: dict) -> None:
-        self.value += snap["value"]
-
 
 class Gauge:
-    """Last-set value; merges across processes by maximum.
-
-    The pipeline uses gauges for high-water marks (driver-staged
-    bytes, pool width), where the max of per-process observations is
-    the meaningful aggregate.
-    """
+    """Last-set value."""
 
     kind = "gauge"
     __slots__ = ("name", "value", "_lock")
@@ -94,9 +81,6 @@ class Gauge:
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
-
-    def merge(self, snap: dict) -> None:
-        self.value = max(self.value, snap["value"])
 
 
 class Histogram:
@@ -141,27 +125,12 @@ class Histogram:
             "count": self.count,
         }
 
-    def merge(self, snap: dict) -> None:
-        if tuple(snap["buckets"]) != self.buckets:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge mismatched "
-                f"buckets {snap['buckets']} into {list(self.buckets)}"
-            )
-        for i, c in enumerate(snap["counts"]):
-            self.counts[i] += c
-        self.sum += snap["sum"]
-        self.count += snap["count"]
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
 
 class MetricsRegistry:
-    """Named metrics with get-or-create access and snapshot merging."""
+    """Named metrics with get-or-create access."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        # reentrant: merge_snapshot holds it across get-or-create
         self._lock = threading.RLock()
 
     def _get(self, name: str, kind: type, **kwargs):
@@ -197,30 +166,10 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics)
 
-    # -- aggregation -------------------------------------------------------
-
     def snapshot(self) -> dict:
-        """JSON-able value dump, the unit of cross-process shipping."""
+        """JSON-able value dump."""
         with self._lock:
             return {name: m.snapshot() for name, m in self._metrics.items()}
-
-    def merge_snapshot(self, snap: dict | None) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Metrics unknown to this registry are created with the
-        snapshot's kind and buckets, so the driver needs no advance
-        schema of what workers measured.
-        """
-        if not snap:
-            return
-        with self._lock:
-            for name, entry in snap.items():
-                kind = _KINDS[entry["kind"]]
-                if kind is Histogram:
-                    metric = self._get(name, kind, buckets=entry["buckets"])
-                else:
-                    metric = self._get(name, kind)
-                metric.merge(entry)
 
     def describe(self) -> str:
         """Readable one-metric-per-line summary (sorted by name)."""

@@ -115,7 +115,6 @@ class ComputeRequest:
             options=opts,
             faults=self.faults,
             trace=False,
-            metrics=False,
         )
 
 

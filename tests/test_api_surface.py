@@ -326,8 +326,8 @@ def _parse_cli(*argv):
 
 
 #: every spelling removed with the shims, the tracing-backend knob, the
-#: second merge engine, the executor/transport knobs and the
-#: shared-memory transport
+#: second merge engine, the executor/transport knobs, the
+#: shared-memory transport and the metrics knob
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -385,6 +385,11 @@ REMOVED_SPELLINGS = {
     "repro.parallel.transport": lambda f: importlib.import_module(
         "repro.parallel.transport"
     ),
+    "compute(metrics=)": lambda f: repro.compute(f, metrics=True),
+    "PipelineConfig(metrics=)": lambda f: repro.PipelineConfig(
+        num_blocks=8, metrics=True
+    ),
+    "open_session(metrics=)": lambda f: repro.open_session(metrics=True),
 }
 
 

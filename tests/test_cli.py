@@ -342,7 +342,8 @@ class TestObservabilityFlags:
         ])
         assert rc == 0
         stdout = capsys.readouterr().out
-        assert "trace:" in stdout and "metrics:" in stdout
+        assert "trace:" in stdout
+        assert f"wrote metrics ({metrics.stat().st_size} bytes)" in stdout
 
         import json
 
@@ -418,6 +419,28 @@ class TestFaultToleranceFlags:
         ])
         assert rc == 2  # RetryPolicy validation, surfaced as CLI error
         assert "error:" in capsys.readouterr().err
+
+    def test_faults_line_printed_once(self, volume, capsys, monkeypatch):
+        from repro.core.pipeline import ParallelMSComplexPipeline
+
+        run = ParallelMSComplexPipeline.run
+
+        def run_with_a_retry(self, *args, **kwargs):
+            result = run(self, *args, **kwargs)
+            result.stats.faults.retries = 1
+            return result
+
+        monkeypatch.setattr(ParallelMSComplexPipeline, "run",
+                            run_with_a_retry)
+        rc = main([
+            "compute", volume.path,
+            "--dims", *map(str, volume.dims), "--blocks", "2",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.strip() for ln in lines if "faults:" in ln] == [
+            "faults: retries=1"
+        ]
 
     def test_compute_runs_with_fault_flags(self, volume, capsys):
         rc = main([

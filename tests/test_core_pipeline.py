@@ -49,6 +49,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(8, num_procs=0)
 
+    @pytest.mark.parametrize("field_name", ["num_blocks", "num_procs"])
+    @pytest.mark.parametrize("value", [True, 2.5, 0])
+    def test_block_and_proc_counts_are_ints(self, field_name, value):
+        # True would run as one block, 2.5 fail in range() mid-run
+        with pytest.raises(ValueError, match=f"{field_name} must be an int"):
+            PipelineConfig(**{"num_blocks": 8, field_name: value})
+
     def test_nan_threshold_rejected_inf_allowed(self):
         # NaN passes a `< 0` check and would cancel nothing, silently
         with pytest.raises(ValueError, match="persistence_threshold"):

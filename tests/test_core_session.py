@@ -169,24 +169,6 @@ class TestVertexBytes:
         )
 
 
-class TestSessionMetrics:
-    def test_session_gauges_present(self):
-        cfg = PipelineConfig(
-            num_blocks=8,
-            num_procs=8,
-            persistence_threshold=PERS,
-            options=ExecutionOptions(retry_backoff=0.0),
-            metrics=True,
-        )
-        with PipelineSession(cfg) as session:
-            first = session.run(fields(1)[0]).stats.metrics
-            second = session.run(fields(1)[0]).stats.metrics
-        assert first["session.runs"]["value"] == 1
-        assert second["session.runs"]["value"] == 2
-        assert second["session.pool_reuse_hits"]["value"] == 1
-        assert second["session.plan_cache_hits"]["value"] == 1
-
-
 @pytest.mark.slow
 class TestPooledSession:
     def test_pooled_steps_bit_identical(self, tmp_path):

@@ -110,24 +110,30 @@ class TestDescribe:
             "  virtual: read=2.000s compute=5.000s merge=2.000s "
             "write=0.500s total=8.500s\n"
             "  real: 1.250s wall; compute stage 0.500s wall / "
-            "1.000s cpu (process, workers=2, speedup=2.00x)\n"
+            "1.000s cpu (process, workers=2, speedup=2.00x); "
+            "merge stage 0.000s wall\n"
             "  output: 1234 bytes, messages: 567 bytes\n"
             "  compute stages: build=0.200s gradient=0.400s "
             "trace=0.200s simplify=0.100s pack=0.100s\n"
             "  transport: pickle, 0 dispatches, 0 bytes shipped"
         )
 
-    def test_trace_and_metrics_lines_appear_when_recorded(self):
+    def test_real_line_reports_merge_stage_wall(self):
+        s = self._stats()
+        s.merge_wall_seconds = 0.375
+        real = [ln for ln in s.describe().splitlines() if "real:" in ln]
+        assert real[0].endswith("; merge stage 0.375s wall")
+
+    def test_trace_line_appears_when_recorded(self):
         from repro.obs.trace import TraceRecord
 
         s = self._stats()
-        base = s.describe()
-        assert "trace:" not in base and "metrics:" not in base
+        assert "trace:" not in s.describe()
         s.trace = TraceRecord(process_names={1: "driver"})
-        s.metrics = {"compute.blocks": {"kind": "counter", "value": 2.0}}
         text = s.describe()
         assert "  trace: 0 events across 1 process(es)" in text
-        assert "  metrics: 1 series recorded" in text
+        # metrics are a view of the record, not a summary line
+        assert "metrics:" not in text
 
 
 class TestResultCombinedCounts:

@@ -95,7 +95,7 @@ def test_golden_bytes_with_observability_enabled(tmp_path):
     field = np.random.default_rng(42).random((9, 9, 9))
     result = repro.compute(field, persistence=0.1, ranks=8,
                            options=ExecutionOptions(retry_backoff=0.0),
-                           trace=True, metrics=True)
+                           trace=True)
     out = tmp_path / "traced.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
@@ -109,7 +109,7 @@ def test_golden_bytes_with_observability_enabled_pooled(tmp_path):
     result = repro.compute(field, persistence=0.1, ranks=8,
                            options=ExecutionOptions(workers=2,
                                                     retry_backoff=0.0),
-                           trace=True, metrics=True)
+                           trace=True)
     out = tmp_path / "traced_pooled.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
@@ -226,7 +226,7 @@ class TestGoldenHierarchy:
         result = repro.compute(field, persistence=0.1, ranks=8,
                                options=ExecutionOptions(retry_backoff=0.0,
                                                         hierarchy=True),
-                               trace=True, metrics=True)
+                               trace=True)
         out = tmp_path / "traced_hier.msc"
         result.write(str(out))
         assert out.read_bytes() == GOLDEN_HIER.read_bytes()

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.metrics: metric types and worker aggregation."""
+"""Tests for repro.obs.metrics and the run-metrics view of a run record."""
 
 import json
 import sys
@@ -9,13 +9,26 @@ import pytest
 
 import repro
 from repro.obs.export import metrics_to_json, write_metrics_json
-from repro.obs.metrics import (
-    BYTES_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SECONDS_BUCKETS,
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+
+#: the series a 12^3, 8-block run with a spill budget of 0 records
+RUN_SERIES = sorted(
+    [f"compute.{k}" for k in ("blocks", "cells", "cancellations",
+                              "block_seconds")]
+    + [f"compute.{k}_seconds"
+       for k in ("build", "gradient", "trace", "simplify", "pack")]
+    + [f"faults.{k}" for k in ("retries", "timeouts", "crashes",
+                               "corrupt_payloads", "pool_restarts",
+                               "merge_retries", "degraded",
+                               "backoff_seconds")]
+    + ["io.output_bytes", "pipeline.workers"]
+    + [f"merge.{k}" for k in ("glue_nodes", "glue_arcs", "seconds",
+                              "cancellations", "received_bytes")]
+    + [f"spool.{k}" for k in ("puts", "spills", "bytes_spilled",
+                              "read_backs", "bytes_read_back",
+                              "resident_blobs", "resident_peak_bytes")]
+    + [f"transport.{k}" for k in ("block_bytes_in", "dispatches",
+                                  "dispatch_bytes", "driver_staged_bytes")]
 )
 
 
@@ -30,13 +43,6 @@ class TestMetricTypes:
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
 
-    def test_gauge_merges_by_max(self):
-        g = Gauge("g")
-        g.set(3.0)
-        g.merge({"kind": "gauge", "value": 7.0})
-        g.merge({"kind": "gauge", "value": 1.0})
-        assert g.value == 7.0
-
     def test_histogram_buckets_and_mean(self):
         h = Histogram("h", buckets=(1.0, 10.0))
         for v in (0.5, 5.0, 50.0):
@@ -44,12 +50,6 @@ class TestMetricTypes:
         assert h.counts == [1, 1, 1]  # <=1, <=10, overflow
         assert h.count == 3
         assert h.mean == pytest.approx(55.5 / 3)
-
-    def test_histogram_merge_requires_same_buckets(self):
-        h = Histogram("h", buckets=(1.0, 2.0))
-        other = Histogram("h", buckets=(1.0, 3.0))
-        with pytest.raises(ValueError):
-            h.merge(other.snapshot())
 
     def test_histogram_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
@@ -67,46 +67,6 @@ class TestRegistry:
         r.counter("x")
         with pytest.raises(TypeError):
             r.gauge("x")
-
-    def test_merge_snapshot_aggregates_workers(self):
-        """The driver-side fold: sums, maxes, and element-wise adds."""
-        workers = []
-        for seconds in ((0.002, 0.3), (0.04,)):
-            w = MetricsRegistry()
-            w.counter("blocks").inc(len(seconds))
-            w.gauge("peak").set(max(seconds))
-            h = w.histogram("seconds", buckets=SECONDS_BUCKETS)
-            for s in seconds:
-                h.observe(s)
-            workers.append(w.snapshot())
-
-        driver = MetricsRegistry()
-        for snap in workers:
-            driver.merge_snapshot(snap)
-        assert driver["blocks"].value == 3
-        assert driver["peak"].value == pytest.approx(0.3)
-        assert driver["seconds"].count == 3
-        assert driver["seconds"].sum == pytest.approx(0.342)
-
-    def test_merge_order_independent(self):
-        snaps = []
-        for inc in (1, 2, 3):
-            w = MetricsRegistry()
-            w.counter("n").inc(inc)
-            w.histogram("b", buckets=BYTES_BUCKETS).observe(inc * 100)
-            snaps.append(w.snapshot())
-        fwd, rev = MetricsRegistry(), MetricsRegistry()
-        for s in snaps:
-            fwd.merge_snapshot(s)
-        for s in reversed(snaps):
-            rev.merge_snapshot(s)
-        assert fwd.snapshot() == rev.snapshot()
-
-    def test_merge_none_is_noop(self):
-        r = MetricsRegistry()
-        r.merge_snapshot(None)
-        r.merge_snapshot({})
-        assert r.names() == []
 
     def test_describe_lists_metrics(self):
         r = MetricsRegistry()
@@ -181,12 +141,20 @@ class TestPipelineMetrics:
         field = np.random.default_rng(7).random((12, 12, 12))
         opts = repro.ExecutionOptions(retry_backoff=0.0, **kw)
         return repro.compute(field, persistence=0.05, ranks=8,
-                             metrics=True, options=opts)
+                             options=opts)
 
-    def test_metrics_off_by_default(self):
-        field = np.random.default_rng(7).random((12, 12, 12))
-        result = repro.compute(field, persistence=0.05, ranks=2)
-        assert result.stats.metrics is None
+    def test_metrics_without_flag(self):
+        """Every run has its metrics: the view of the stats record."""
+        stats = self._result(merge_spill_budget_bytes=0).stats
+        snap = stats.metrics
+        assert sorted(snap) == RUN_SERIES
+        assert snap["compute.blocks"]["value"] == 8
+        assert snap["spool.spills"]["value"] == 8
+        assert snap["merge.seconds"]["count"] == len(stats.merge_events)
+        assert snap["compute.block_seconds"]["sum"] == pytest.approx(
+            stats.compute_cpu_seconds
+        )
+        assert snap["io.output_bytes"]["value"] == stats.output_bytes
 
     def test_serial_run_records_expected_series(self):
         snap = self._result().stats.metrics
