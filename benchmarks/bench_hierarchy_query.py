@@ -63,7 +63,8 @@ def build_case(dims, workdir, seed=7):
         simplify_at_zero_persistence=False,
         options=ExecutionOptions(hierarchy=True),
     )
-    result = ParallelMSComplexPipeline(cfg).run(field)
+    with ParallelMSComplexPipeline(cfg) as pipeline:
+        result = pipeline.run(field)
     path = Path(workdir) / f"case_{'x'.join(map(str, dims))}.msc"
     result.write(str(path))
     return path

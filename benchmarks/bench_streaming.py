@@ -1,23 +1,21 @@
-"""Streaming benchmark: session throughput and out-of-core transport.
+"""Streaming benchmark: open-pipeline throughput and out-of-core transport.
 
-Measures the two claims the streaming rework makes:
+Measures the two claims streaming makes:
 
 - ``steady_state``: steps/second of an 8+ step time series processed
-  through one persistent :class:`~repro.core.session.PipelineSession`
-  (pool, plan, and warmed tables reused every step) versus the prior
-  shape — a fresh per-step
-  :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run` that pays
-  pool fork + planning every time.  Both sides time
-  steps ``[1:]`` so the session's one-time warm-up and the process
-  pool's first fork are excluded symmetrically.
+  through one open :class:`~repro.core.pipeline.ParallelMSComplexPipeline`
+  (its worker pool reused every step) versus a fresh pipeline per step
+  that forks and closes a pool every time.  Both sides time
+  steps ``[1:]`` so the open pipeline's one-time warm-up and the
+  process pool's first fork are excluded symmetrically.
 - ``mmap_independence``: driver-side transport bytes of the ``mmap``
   path across growing volume files.  The driver ships only block
   *specs* and stages zero volume bytes, so its byte counts must not
   scale with the volume — that is the whole out-of-core contract.
 
-Both modes also assert bit-identity: the session steps, the ``mmap``
-volume run, and the one-shot in-memory run all write byte-identical
-``.msc`` output.
+Both modes also assert bit-identity: the open pipeline's steps, the
+``mmap`` volume run, and the one-shot in-memory run all write
+byte-identical ``.msc`` output.
 
 Run directly for the machine-readable record::
 
@@ -41,14 +39,13 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions
 from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.core.session import PipelineSession
 from repro.data.synthetic import gaussian_bumps_field
 from repro.io.volume import VolumeSpec, write_volume
 
-#: the throughput series: small enough steps that per-step setup
-#: (pool fork, planning) is a large share of a one-shot
-#: run — the regime a real in-situ monitoring coupling streams in
-#: (compute-bound steps amortize nothing; there the session simply ties)
+#: the throughput series: small enough steps that per-step setup (the
+#: pool fork) is a large share of a one-shot run — the regime a real
+#: in-situ monitoring coupling streams in (compute-bound steps amortize
+#: nothing; there the open pipeline simply ties)
 DIMS = (12, 12, 12)
 STEPS = 8
 PERS = 0.05
@@ -77,33 +74,31 @@ def stream_config(workers: int = 2) -> PipelineConfig:
 def measure_steady_state(
     fields: list[np.ndarray], workers: int = 2
 ) -> dict:
-    """Seconds/step of per-step one-shot runs vs one session.
+    """Seconds/step of per-step one-shot runs vs one open pipeline.
 
-    Steps ``[1:]`` only, on both sides: the session amortizes its setup
-    into step 0, and the baseline's first run also absorbs one-time
-    process-wide warmup (imports), so excluding the
-    first step compares steady states fairly.
+    Steps ``[1:]`` only, on both sides: the open pipeline amortizes its
+    setup into step 0, and the baseline's first run also absorbs
+    one-time process-wide warmup (imports), so excluding the first step
+    compares steady states fairly.
     """
     cfg = stream_config(workers)
 
     oneshot_secs = []
     for field in fields:
         t0 = time.perf_counter()
-        result = ParallelMSComplexPipeline(cfg).run(field)
+        with ParallelMSComplexPipeline(cfg) as pipeline:
+            result = pipeline.run(field)
         oneshot_secs.append(time.perf_counter() - t0)
         assert result.output_blocks  # keep the run honest
 
     session_secs = []
-    with PipelineSession(cfg) as session:
+    with ParallelMSComplexPipeline(cfg) as pipeline:
         for field in fields:
             t0 = time.perf_counter()
-            result = session.run(field)
+            result = pipeline.run(field)
             session_secs.append(time.perf_counter() - t0)
             assert result.output_blocks
-        reuse = {
-            "pool_reuse_hits": session.stats.pool_reuse_hits,
-            "plan_cache_hits": session.stats.plan_cache_hits,
-        }
+        reuse = {"pool_reuse_hits": pipeline.stats.pool_reuse_hits}
 
     steady_oneshot = sum(oneshot_secs[1:]) / len(oneshot_secs[1:])
     steady_session = sum(session_secs[1:]) / len(session_secs[1:])
@@ -209,23 +204,23 @@ def check_bit_identity(tmp_dir: Path, dims=(12, 12, 12)) -> dict:
     field = gaussian_bumps_field(dims, 6, seed=3, noise=0.005)
     spec = write_volume(tmp_dir / "ident.raw", field, dtype="float64")
 
-    def run_bytes(name: str, **kwargs) -> bytes:
+    def run_bytes(name: str, source) -> bytes:
         cfg = PipelineConfig(
             num_blocks=8, num_procs=8, persistence_threshold=PERS,
             options=ExecutionOptions(retry_backoff=0.0),
         )
-        result = ParallelMSComplexPipeline(cfg).run(**kwargs)
+        result = ParallelMSComplexPipeline(cfg).run(source)
         out = tmp_dir / f"{name}.msc"
         result.write(str(out))
         return out.read_bytes()
 
-    ref = run_bytes("memory", values=field)
-    checks = {"mmap_volume": run_bytes("mmap", volume=spec) == ref}
+    ref = run_bytes("memory", field)
+    checks = {"mmap_volume": run_bytes("mmap", spec) == ref}
 
     cfg = stream_config(workers=1)
-    with PipelineSession(cfg) as session:
+    with ParallelMSComplexPipeline(cfg) as pipeline:
         for step in range(2):
-            r = session.run(field)
+            r = pipeline.run(field)
             out = tmp_dir / f"session_{step}.msc"
             r.write(str(out))
             checks[f"session_step{step}"] = out.read_bytes() == ref
@@ -257,8 +252,9 @@ def collect_record(steps: int = STEPS) -> dict:
             "persistence_threshold": PERS,
             "ranks": 8,
             "metric": (
-                "mean wall seconds per step over steps [1:]; session "
-                "and per-step baselines share the identical config"
+                "mean wall seconds per step over steps [1:]; open-"
+                "pipeline and per-step baselines share the identical "
+                "config"
             ),
         },
         "host": {
@@ -282,13 +278,13 @@ def run_smoke() -> dict:
         tmp = Path(td)
         fields = series_fields(steps=3, dims=(12, 12, 12))
         cfg = stream_config(workers=1)
-        with PipelineSession(cfg) as session:
+        with ParallelMSComplexPipeline(cfg) as pipeline:
             secs = []
             for field in fields:
                 t0 = time.perf_counter()
-                session.run(field)
+                pipeline.run(field)
                 secs.append(time.perf_counter() - t0)
-            assert session.stats.plan_cache_hits == len(fields) - 1
+            assert pipeline.stats.pool_reuse_hits == len(fields) - 1
         for s in secs:
             assert np.isfinite(s) and s > 0
 

@@ -23,8 +23,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def run_pipeline(field, **config_kwargs) -> PipelineResult:
     """Run one pipeline configuration on an in-memory field."""
-    cfg = PipelineConfig(**config_kwargs)
-    return ParallelMSComplexPipeline(cfg).run(field)
+    with ParallelMSComplexPipeline(PipelineConfig(**config_kwargs)) as p:
+        return p.run(field)
 
 
 def strong_scaling_efficiency(

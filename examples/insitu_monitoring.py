@@ -4,11 +4,10 @@ The paper's future-work plan — "embed our algorithm into the S3D
 combustion code and generate parallel MS complexes in situ" — realized
 at laptop scale: a time-evolving Rayleigh-Taylor simulation proxy is
 streamed through a persistent :class:`InSituAnalyzer`.  The analyzer
-rides one :class:`~repro.core.session.PipelineSession`, so the worker
-pool and the decomposition/merge plan are built on the first step and
-*reused* by every later one — the amortization a real coupling lives
-on.  Each
-step is still bit-identical to a one-shot run of the same field.
+keeps one :class:`~repro.core.pipeline.ParallelMSComplexPipeline` open,
+so a worker pool is forked on the first step and *reused* by every later
+one — the amortization a real coupling lives on.  Each step is still
+bit-identical to a one-shot run of the same field.
 
 Usage::
 
@@ -34,8 +33,8 @@ def main() -> None:
     print(f"{'step':>5} {'time':>6} {'nodes':>6} {'minima':>7} "
           f"{'maxima':>7} {'output B':>9} {'virt s':>7}")
     with InSituAnalyzer(cfg, feature_min_value=None) as analyzer:
-        # stream() consumes (time, field) pairs lazily, one session
-        # step per simulation step, yielding records as they complete
+        # stream() consumes (time, field) pairs lazily, one pipeline
+        # run per simulation step, yielding records as they complete
         for record, _result in analyzer.stream(steps):
             print(
                 f"{record.step:>5} {record.time:>6.2f} "
@@ -50,7 +49,7 @@ def main() -> None:
         print(f"\nfeature count grew by {growth:+.0f} nodes over the run "
               "— the developing instability, observed without writing\n"
               "any raw simulation data to disk.")
-        print(analyzer.session.stats.describe())
+        print(analyzer.pipeline.stats.describe())
 
 
 if __name__ == "__main__":

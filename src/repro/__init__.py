@@ -42,11 +42,9 @@ persistence threshold as a pure lookup (no re-simplification)::
     from repro import query
     print(query("out.msc", persistence=0.1).node_counts_by_index())
 
-Streaming time series — a persistent session reuses the worker pool
-and the cached decomposition/merge plan across timesteps (bit-identical
-to per-step ``compute`` calls, several times the steady-state
-throughput; volume files stream out-of-core via the ``mmap``
-transport)::
+Streaming time series — an open pipeline reuses its worker pool across
+timesteps (bit-identical to per-step ``compute`` calls; volume files
+stream out-of-core via the ``mmap`` transport)::
 
     with repro.open_session(persistence=0.05, ranks=8,
                             options=ExecutionOptions(workers=4)) as s:
@@ -86,7 +84,6 @@ _EXPORTS = {
     "ParallelMSComplexPipeline": "repro.core.pipeline",
     "PipelineConfig": "repro.core.config",
     "PipelineResult": "repro.core.result",
-    "PipelineSession": "repro.core.session",
     "ServiceClient": "repro.service.client",
     "StructuredGrid": "repro.mesh.grid",
     "api": "repro.api",

@@ -35,16 +35,15 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import _facade_config
 from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.io.volume import VolumeSpec
 
-# open_session / open_service import their classes when called, so
-# `compute` never loads the session or the service
+# open_service imports its class when called, so `compute` never loads
+# the service
 if TYPE_CHECKING:
     import numpy as np
 
     from repro.core.options import ExecutionOptions
     from repro.core.result import PipelineResult
-    from repro.core.session import PipelineSession
+    from repro.io.volume import VolumeSpec
     from repro.mesh.grid import StructuredGrid
     from repro.service.client import ServiceClient
 
@@ -122,10 +121,8 @@ def compute(
         faults=faults,
         trace=trace,
     )
-    pipeline = ParallelMSComplexPipeline(cfg)
-    if isinstance(values, VolumeSpec):
-        return pipeline.run(volume=values)
-    return pipeline.run(values)
+    with ParallelMSComplexPipeline(cfg) as pipeline:
+        return pipeline.run(values)
 
 
 def open_session(
@@ -137,14 +134,13 @@ def open_session(
     options: ExecutionOptions | None = None,
     faults: object | None = None,
     trace: bool = False,
-) -> PipelineSession:
-    """Open a persistent :class:`~repro.core.session.PipelineSession`.
+) -> ParallelMSComplexPipeline:
+    """Open a :class:`~repro.core.pipeline.ParallelMSComplexPipeline`.
 
     Takes the same keywords as :func:`compute` (minus the input field)
-    and returns a session
-    whose :meth:`~repro.core.session.PipelineSession.run` processes one
-    timestep per call while reusing the worker pool and the cached plan
-    across steps::
+    and returns the pipeline, whose
+    :meth:`~repro.core.pipeline.ParallelMSComplexPipeline.run` processes
+    one timestep per call while reusing the worker pool across steps::
 
         with repro.open_session(persistence=0.05, ranks=8,
                                 options=ExecutionOptions(workers=4)) as s:
@@ -152,7 +148,7 @@ def open_session(
                 result = s.run(field)
 
     Each step is bit-identical to ``repro.compute(field, ...)`` with the
-    same settings.  Close the session (or use ``with``) to release the
+    same settings.  Close the pipeline (or use ``with``) to release the
     pool.
     """
     cfg = _facade_config(
@@ -164,9 +160,7 @@ def open_session(
         faults=faults,
         trace=trace,
     )
-    from repro.core.session import PipelineSession
-
-    return PipelineSession(cfg)
+    return ParallelMSComplexPipeline(cfg)
 
 
 def open_service(

@@ -15,21 +15,22 @@ Commands::
     python -m repro.cli query out.msc --persistence 0.01 0.05 0.2
     python -m repro.cli serve --cache-dir ./msc-cache --port 8643
     python -m repro.cli synth sinusoid --points 64 --features 4 out.raw
-    python -m repro.cli gen sinusoid big.raw --dims 1152 1152 1152
+    python -m repro.cli synth sinusoid big.raw --dims 1152 1152 1152
 
 ``query`` serves thresholds out of the hierarchy footer a
 ``compute --hierarchy`` run persisted — every row is a pure lookup, the
 volume is never re-simplified.  ``stream`` pushes a whole time series of
-volume files through one persistent session: the worker pool and the
-decomposition plan are reused across steps, and blocks are ``mmap``-read
-where they are computed, so the driver never materializes a volume.
+volume files through one open pipeline: the worker pool is reused across
+steps, and blocks are ``mmap``-read where they are computed, so the
+driver never materializes a volume.
 ``serve`` runs the MS-complex service daemon: concurrent submissions
 over JSON HTTP, identical in-flight requests coalesced into one
 pipeline run, repeats answered from a content-addressed result cache
-(see ``docs/SERVICE.md``).  ``gen`` streams a synthetic volume to disk
-slab-by-slab without ever materializing it, so paper-scale inputs
-(1152³ ≈ 5.7 GiB at float32) can be generated on any machine; pair
-with ``compute --merge-spill-budget`` for a fully out-of-core run.
+(see ``docs/SERVICE.md``).  ``synth sinusoid`` and ``synth bumps``
+stream the volume to disk slab-by-slab without ever materializing it,
+so paper-scale inputs (1152³ ≈ 5.7 GiB at float32) can be generated on
+any machine; pair with ``compute --merge-spill-budget`` for a fully
+out-of-core run.
 """
 
 from __future__ import annotations
@@ -249,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser(
         "stream",
-        help="stream a time series of volumes through one persistent "
-             "session (the worker pool and the plan are reused "
-             "across steps; out-of-core via the mmap transport)",
+        help="stream a time series of volumes through one open "
+             "pipeline (the worker pool is reused across steps; "
+             "out-of-core via the mmap transport)",
     )
     st.add_argument("volumes", nargs="+",
                     help="raw volume files, one per timestep "
@@ -317,44 +318,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default per-job wall-time bound applied to "
                          "requests that carry none (default: unbounded)")
 
-    s = sub.add_parser("synth", help="generate a synthetic volume")
+    s = sub.add_parser(
+        "synth",
+        help="generate a synthetic volume (sinusoid and bumps are "
+             "written slab-by-slab, in bounded memory at any size)",
+    )
     s.add_argument("kind", choices=("sinusoid", "bumps", "jet",
                                     "rayleigh-taylor", "hydrogen"))
     s.add_argument("output")
-    s.add_argument("--points", type=int, default=64,
-                   help="points per side")
+    size = s.add_mutually_exclusive_group()
+    size.add_argument("--points", type=_positive_int, default=64,
+                      help="points per side (default: 64)")
+    size.add_argument("--dims", nargs=3, type=_positive_int, default=None,
+                      metavar=("NX", "NY", "NZ"),
+                      help="volume dims, instead of --points (sinusoid "
+                           "and bumps only)")
     s.add_argument("--features", type=int, default=4,
                    help="features per side (sinusoid) or bump count")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--dtype", default="float32",
                    choices=("uint8", "float32", "float64"))
-
-    g = sub.add_parser(
-        "gen",
-        help="stream a synthetic volume to disk slab-by-slab (bounded "
-             "memory at any size; pair with compute "
-             "--merge-spill-budget for a fully out-of-core run)",
-    )
-    g.add_argument("kind", choices=("sinusoid", "bumps"),
-                   help="field family (chunked generation supports the "
-                        "elementwise families; see `synth` for the rest)")
-    g.add_argument("output")
-    g.add_argument("--dims", nargs=3, type=_positive_int, default=None,
-                   metavar=("NX", "NY", "NZ"),
-                   help="volume dims (alternative to --points)")
-    g.add_argument("--points", type=_positive_int, default=None,
-                   help="points per side of a cubic volume")
-    g.add_argument("--features", type=_positive_int, default=4,
-                   help="features per side (sinusoid) or bump count "
-                        "(default: 4)")
-    g.add_argument("--seed", type=int, default=0,
-                   help="rng seed of the bump placement (bumps only)")
-    g.add_argument("--dtype", default="float32",
-                   choices=("uint8", "float32", "float64"))
-    g.add_argument("--slab-depth", type=_positive_int, default=16,
-                   metavar="DZ",
-                   help="z-planes generated per slab; peak memory is "
-                        "one NX*NY*DZ float64 slab (default: 16)")
     return parser
 
 
@@ -371,7 +354,8 @@ def _cmd_compute(args) -> int:
     try:
         spec = _checked_volume_spec(args.volume, args)
         cfg = _config_from_args(args, trace=args.trace is not None)
-        result = ParallelMSComplexPipeline(cfg).run(volume=spec)
+        with ParallelMSComplexPipeline(cfg) as pipeline:
+            result = pipeline.run(spec)
     except (OSError, ValueError, FaultToleranceError) as exc:
         return _fail(str(exc))
     print(result.stats.describe())
@@ -444,7 +428,7 @@ def _cmd_stream(args) -> int:
                         "real_seconds": record.real_seconds,
                     }
                 )
-            stats = analyzer.session.stats
+            stats = analyzer.pipeline.stats
             if args.json:
                 print(json.dumps(
                     {
@@ -452,7 +436,6 @@ def _cmd_stream(args) -> int:
                         "session": {
                             "runs": stats.runs,
                             "pool_reuse_hits": stats.pool_reuse_hits,
-                            "plan_cache_hits": stats.plan_cache_hits,
                             "steady_state_steps_per_sec": (
                                 stats.steady_state_steps_per_sec()
                             ),
@@ -575,58 +558,46 @@ def _cmd_synth(args) -> int:
     import numpy as np
 
     from repro.data import (
-        gaussian_bumps_field,
         hydrogen_atom,
         jet_mixture_fraction_proxy,
         rayleigh_taylor_proxy,
-        sinusoidal_field,
+        write_volume_chunked,
     )
     from repro.io.volume import write_volume
 
-    n = args.points
-    if args.kind == "sinusoid":
-        field = sinusoidal_field(n, args.features)
-    elif args.kind == "bumps":
-        field = gaussian_bumps_field((n, n, n), args.features,
-                                     seed=args.seed)
-    elif args.kind == "jet":
-        field = jet_mixture_fraction_proxy((n, n + n // 6, (2 * n) // 3),
-                                           seed=args.seed)
-    elif args.kind == "rayleigh-taylor":
-        field = rayleigh_taylor_proxy((n, n, n), seed=args.seed)
+    if args.kind in ("sinusoid", "bumps"):
+        size = (
+            {"dims": tuple(args.dims)} if args.dims is not None
+            else {"points_per_side": args.points}
+        )
+        family = (
+            {"features_per_side": args.features}
+            if args.kind == "sinusoid"
+            else {"num_bumps": args.features, "seed": args.seed}
+        )
+        try:
+            # the default 16-plane slabs: peak memory is one NX*NY*16
+            # float64 slab at any volume size
+            spec = write_volume_chunked(
+                args.output, args.kind, dtype=args.dtype, **size, **family
+            )
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
     else:
-        field = hydrogen_atom(n)
-    spec = write_volume(args.output, np.asarray(field), dtype=args.dtype)
+        if args.dims is not None:
+            return _fail(f"synth {args.kind} takes --points, not --dims")
+        n = args.points
+        if args.kind == "jet":
+            field = jet_mixture_fraction_proxy(
+                (n, n + n // 6, (2 * n) // 3), seed=args.seed
+            )
+        elif args.kind == "rayleigh-taylor":
+            field = rayleigh_taylor_proxy((n, n, n), seed=args.seed)
+        else:
+            field = hydrogen_atom(n)
+        spec = write_volume(args.output, np.asarray(field), dtype=args.dtype)
     print(f"wrote {spec.path}: dims={spec.dims} dtype={spec.dtype} "
           f"({spec.nbytes} bytes)")
-    return 0
-
-
-def _cmd_gen(args) -> int:
-    from repro.data import write_volume_chunked
-
-    if (args.dims is None) == (args.points is None):
-        return _fail("gen needs exactly one of --dims and --points")
-    kwargs = dict(
-        dtype=args.dtype,
-        slab_depth=args.slab_depth,
-    )
-    if args.dims is not None:
-        kwargs["dims"] = tuple(args.dims)
-    else:
-        kwargs["points_per_side"] = args.points
-    if args.kind == "sinusoid":
-        kwargs["features_per_side"] = args.features
-    else:
-        kwargs["num_bumps"] = args.features
-        kwargs["seed"] = args.seed
-    try:
-        spec = write_volume_chunked(args.output, args.kind, **kwargs)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    print(f"wrote {spec.path}: dims={spec.dims} dtype={spec.dtype} "
-          f"({spec.nbytes} bytes, streamed in z-slabs of "
-          f"{args.slab_depth})")
     return 0
 
 
@@ -641,7 +612,6 @@ def main(argv: list[str] | None = None) -> int:
         "query": _cmd_query,
         "serve": _cmd_serve,
         "synth": _cmd_synth,
-        "gen": _cmd_gen,
     }
     return handlers[args.command](args)
 

@@ -10,18 +10,17 @@ on the current data and appends a compact record — feature counts, stage
 times, output size — to a time series the scientist can monitor while
 the simulation runs.
 
-Since the streaming rework the analyzer is backed by a persistent
-:class:`~repro.core.session.PipelineSession`: the worker pool and the
-decomposition/merge-schedule plan are created on the first step and
-*reused* by every later one — the amortization a real in-situ coupling
-lives on.
+The analyzer keeps one open
+:class:`~repro.core.pipeline.ParallelMSComplexPipeline` across steps: its
+worker pool is forked on the first step and *reused* by every later
+one — the amortization a real in-situ coupling lives on.
 Steps may also be raw volume files (:class:`~repro.io.volume.VolumeSpec`),
 in which case the ``mmap`` transport streams blocks straight from disk
 and the driver never materializes the volume.  Call :meth:`close` (or
-use the analyzer as a context manager) to release the pools; analyzers
+use the analyzer as a context manager) to release the pool; analyzers
 that are only ever constructed and stepped hold no OS resources until
-their first step, and each result is bit-identical to a one-shot
-``pipeline.run()`` of the same field.
+their first step, and each result is bit-identical to a fresh
+pipeline's ``run()`` of the same field.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ import numpy as np
 
 from repro.analysis.features import significant_extrema
 from repro.core.config import PipelineConfig
+from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.core.result import PipelineResult
-from repro.core.session import PipelineSession
 from repro.io.volume import VolumeSpec
 
 __all__ = ["InSituAnalyzer", "InSituStepRecord"]
@@ -74,12 +73,8 @@ class InSituAnalyzer:
     history: list[InSituStepRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._session = PipelineSession(self.config)
-
-    @property
-    def session(self) -> PipelineSession:
-        """The persistent session backing this analyzer."""
-        return self._session
+        #: the open pipeline every step runs through
+        self.pipeline = ParallelMSComplexPipeline(self.config)
 
     def step(
         self,
@@ -92,7 +87,7 @@ class InSituAnalyzer:
         :class:`~repro.io.volume.VolumeSpec` pointing at a raw volume
         file on disk (streamed out-of-core via the ``mmap`` transport).
         """
-        result = self._session.run(values)
+        result = self.pipeline.run(values)
         step_idx = len(self.history)
         counts = result.combined_node_counts()
         minima = maxima = 0
@@ -147,8 +142,8 @@ class InSituAnalyzer:
                 yield self.step(item)
 
     def close(self) -> None:
-        """Release the session's worker pool (idempotent)."""
-        self._session.close()
+        """Release the pipeline's worker pool (idempotent)."""
+        self.pipeline.close()
 
     def __enter__(self) -> "InSituAnalyzer":
         return self

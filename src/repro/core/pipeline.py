@@ -17,11 +17,13 @@
 The run is an explicit stage list, executed once, in the driver:
 
 1. **plan** — decomposition, radix-k merge schedule, per-round groups
-   and cut planes, cost model (:func:`build_plan`; a session caches it
-   per ``dims``);
+   and cut planes, cost model (:func:`build_plan`, rebuilt every run:
+   it costs well under a millisecond at the benchmark blockings);
 2. **compute** — the ``for all local blocks`` loop, factored into a
    pure, pickle-safe worker function (:func:`compute_block`) and fanned
-   out over the one :class:`~repro.parallel.executor.FaultTolerantExecutor`
+   out over the pipeline's one
+   :class:`~repro.parallel.executor.FaultTolerantExecutor`, created on
+   the first run and kept until :meth:`ParallelMSComplexPipeline.close`
    (``workers`` picks in-process or pooled, the input picks how block
    data travels; the boundary-restricted gradient pairing makes every
    block independent, so all four runs are bit-identical).  Each block
@@ -66,10 +68,11 @@ from repro.core.stats import (
     FaultToleranceStats,
     MergeEventStats,
     PipelineStats,
+    SessionStats,
     TransportStats,
 )
 from repro.io.spool import BlobSpool
-from repro.io.volume import VolumeSpec, read_block
+from repro.io.volume import VolumeSpec, invalidate_map_cache, read_block
 from repro.machine.costmodel import ComputeWork, CostModel
 from repro.machine.replay import MergeRecord, replay_run
 from repro.mesh.cubical import CubicalComplex
@@ -206,8 +209,6 @@ class BlockPayload:
     #: real seconds per compute phase
     #: (keys: :data:`repro.core.stats.COMPUTE_STAGES`)
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: bytes the spec of this attempt shipped to the worker
-    transport_nbytes: int = 0
     #: OS pid of the process that computed this payload
     worker_pid: int = 0
     #: the worker's span buffer (``spec.trace`` runs only)
@@ -310,7 +311,6 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
         real_seconds=real,
         checksum=zlib.crc32(blob),
         stage_seconds=stage_seconds,
-        transport_nbytes=spec.transport_nbytes,
         worker_pid=tracer.pid,
         trace_events=tracer.events if spec.trace else [],
     )
@@ -346,9 +346,7 @@ class _Plan:
 
     A pure function of ``(config, dims)``: the decomposition, the merge
     schedule with its per-round groups and cut planes, and the cost
-    model.  One-shot runs build a plan per run; a persistent
-    :class:`repro.core.session.PipelineSession` caches it per ``dims``
-    and replays it for every step of a time series.
+    model.  Every run builds its own.
     """
 
     decomp: BlockDecomposition
@@ -461,10 +459,32 @@ class ParallelMSComplexPipeline:
     With ``workers > 1`` the compute stage fans out over a pool of OS
     processes (see :mod:`repro.parallel.executor`); the merge rounds
     run in the driver either way and consume the same packed blocks.
+
+    The pipeline's :class:`~repro.parallel.executor.FaultTolerantExecutor`
+    is created on the first :meth:`run` and serves every later one, so a
+    time series of steps (the paper's §VII-B in-situ direction) forks
+    its worker pool once.  A pooled pipeline must be closed —
+    :meth:`close`, or ``with`` — to release that pool::
+
+        with ParallelMSComplexPipeline(cfg) as pipeline:
+            for field in timesteps:
+                result = pipeline.run(field)   # or run(volume_spec)
+        print(pipeline.stats.describe())
+
+    A serial pipeline holds no OS resource.  Every run is bit-identical
+    to a fresh pipeline's run of the same input: the executor is pure
+    scheduling.  A worker crash restarts the pool inside that run; an
+    executor that *degraded* to serial stays serial for the pipeline's
+    remaining runs (the pool was declared unhealthy; per-run
+    flip-flopping would thrash).
     """
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
+        #: runs, pool reuses and per-run wall seconds
+        self.stats = SessionStats()
+        self._executor: FaultTolerantExecutor | None = None
+        self._closed = False
 
     def _block_specs(
         self,
@@ -503,10 +523,22 @@ class ParallelMSComplexPipeline:
 
     def run(
         self,
-        values: np.ndarray | StructuredGrid | None = None,
+        values: np.ndarray | StructuredGrid | VolumeSpec | None = None,
         volume: VolumeSpec | None = None,
     ) -> PipelineResult:
-        """Run the full pipeline on an in-memory field or a volume file."""
+        """Run the full pipeline on an in-memory field or a volume file.
+
+        ``values`` is a vertex array / :class:`StructuredGrid`;
+        ``volume`` is a raw volume file read block-wise where each block
+        is computed.  A :class:`VolumeSpec` passed positionally is taken
+        as ``volume``.
+        """
+        if self._closed:
+            raise RuntimeError("pipeline is closed")
+        if isinstance(values, VolumeSpec):
+            if volume is not None:
+                raise ValueError("pass exactly one of `values` or `volume`")
+            values, volume = None, values
         # The run tracer is always on: it is the canonical stopwatch
         # every real wall time in PipelineStats reads from.  It becomes
         # the process-ambient tracer — lighting up kernel/io/executor
@@ -514,14 +546,42 @@ class ParallelMSComplexPipeline:
         tracer = Tracer(enabled=True)
         ambient = tracer.installed() if self.config.trace else nullcontext()
         with ambient:
-            return self._run(tracer, values, volume)
+            result = self._run(tracer, values, volume)
+        self.stats.runs += 1
+        self.stats.step_seconds.append(result.stats.real_seconds_total)
+        return result
+
+    def close(self) -> None:
+        """Release the worker pool; later runs are refused.
+
+        Idempotent.  Also drops the driver-process memmap and
+        content-hash caches: a process that overwrites a volume file
+        between runs must never read blocks from a map of the file's
+        previous contents.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
+        invalidate_map_cache()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def __enter__(self) -> "ParallelMSComplexPipeline":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     def _run(
         self,
         tracer: Tracer,
         values: np.ndarray | StructuredGrid | None,
         volume: VolumeSpec | None,
-        session: Any = None,
     ) -> PipelineResult:
         cfg = self.config
         if (values is None) == (volume is None):
@@ -546,9 +606,7 @@ class ParallelMSComplexPipeline:
             )
         with spool if spool is not None else nullcontext():
             with tracer.span("pipeline.run", cat="pipeline") as run_span:
-                result = self._run_stages(
-                    tracer, grid, volume, session, spool
-                )
+                result = self._run_stages(tracer, grid, volume, spool)
             if spool is not None:
                 result.stats.spool = spool.stats.to_dict()
         stats = result.stats
@@ -557,9 +615,7 @@ class ParallelMSComplexPipeline:
             stats.trace = self._trace_record(tracer, stats)
         return result
 
-    def _run_stages(
-        self, tracer, grid, volume, session, spool
-    ) -> PipelineResult:
+    def _run_stages(self, tracer, grid, volume, spool) -> PipelineResult:
         """plan → compute → merge rounds → write → cost replay."""
         cfg = self.config
         if grid is not None:
@@ -567,18 +623,13 @@ class ParallelMSComplexPipeline:
         else:
             dims, vertex_bytes = volume.dims, volume.np_dtype.itemsize
         transport = TransportStats(kind="mmap" if grid is None else "pickle")
-        with tracer.span("pipeline.plan", cat="pipeline") as plan_span:
-            if session is not None:
-                plan, plan_cached = session._plan_for(dims)
-            else:
-                plan, plan_cached = build_plan(cfg, dims), False
-            plan_span.annotate(cached=plan_cached)
+        with tracer.span("pipeline.plan", cat="pipeline"):
+            plan = build_plan(cfg, dims)
 
         ft = FaultToleranceStats()
         held = _HeldBlocks(spool)
         payloads, compute_span = self._compute_stage(
-            tracer, plan, grid, volume, session, plan_cached,
-            ft, transport, held,
+            tracer, plan, grid, volume, ft, transport, held,
         )
         # stitch the workers' span buffers into the driver timeline
         if cfg.trace:
@@ -636,24 +687,10 @@ class ParallelMSComplexPipeline:
             hierarchies=hierarchies,
         )
 
-    def _new_executor(self, ft, transport, tracer) -> FaultTolerantExecutor:
-        """The compute stage's executor, as the config describes it."""
-        cfg = self.config
-        return FaultTolerantExecutor(
-            workers=cfg.options.workers,
-            policy=cfg.options.retry_policy(),
-            plan=cfg.faults,
-            validator=validate_block_payload,
-            stats=ft,
-            transport=transport,
-            tracer=tracer,
-        )
-
     def _compute_stage(
-        self, tracer, plan, grid, volume, session, plan_cached,
-        ft, transport, held,
+        self, tracer, plan, grid, volume, ft, transport, held,
     ):
-        """Fan :func:`compute_block` out over the configured executor.
+        """Fan :func:`compute_block` out over the pipeline's executor.
 
         Wrapped in the fault-tolerance layer: per-block timeouts,
         bounded retries, pool restarts, degradation to serial.  Each
@@ -662,37 +699,42 @@ class ParallelMSComplexPipeline:
         and the dispatch span.
         """
         cfg = self.config
-        sinks = (ft, transport, tracer if cfg.trace else None)
-        if session is not None:
-            executor, pool_reused = session._compute_executor(*sinks)
-            tracer.event(
-                "session.reuse", cat="session",
-                step=session.stats.runs, plan_cached=plan_cached,
-                pool_reused=pool_reused,
+        sink_tracer = tracer if cfg.trace else None
+        pool_reused = self._executor is not None
+        if pool_reused:
+            self._executor.begin_run(
+                stats=ft, transport=transport, tracer=sink_tracer
             )
+            self.stats.pool_reuse_hits += 1
         else:
-            executor = self._new_executor(*sinks)
-        try:
-            # a file input is mmap-read wherever its blocks are computed
-            # (the driver never materializes the volume); an in-memory
-            # field's blocks travel in their specs, by value
-            if grid is not None:
-                transport.driver_staged_bytes += grid.values.nbytes
-            with tracer.span("pipeline.specs", cat="pipeline"):
-                specs = self._block_specs(plan.decomp, grid, volume)
-            with tracer.span(
-                "compute.dispatch", cat="compute", blocks=len(specs),
-                executor=cfg.options.resolved_executor,
+            self._executor = FaultTolerantExecutor(
                 workers=cfg.options.workers,
-            ) as dispatch_span:
-                payloads = executor.map_blocks(
-                    compute_block, specs, on_result=held.land
-                )
-        finally:
-            # a session owns its executor across runs; one-shot runs
-            # release its pool here
-            if session is None:
-                executor.close()
+                policy=cfg.options.retry_policy(),
+                plan=cfg.faults,
+                validator=validate_block_payload,
+                stats=ft,
+                transport=transport,
+                tracer=sink_tracer,
+            )
+        tracer.event(
+            "session.reuse", cat="session",
+            step=self.stats.runs, pool_reused=pool_reused,
+        )
+        # a file input is mmap-read wherever its blocks are computed
+        # (the driver never materializes the volume); an in-memory
+        # field's blocks travel in their specs, by value
+        if grid is not None:
+            transport.driver_staged_bytes += grid.values.nbytes
+        with tracer.span("pipeline.specs", cat="pipeline"):
+            specs = self._block_specs(plan.decomp, grid, volume)
+        with tracer.span(
+            "compute.dispatch", cat="compute", blocks=len(specs),
+            executor=cfg.options.resolved_executor,
+            workers=cfg.options.workers,
+        ) as dispatch_span:
+            payloads = self._executor.map_blocks(
+                compute_block, specs, on_result=held.land
+            )
         logger.info(
             "compute stage done: %d blocks in %.3fs on %s executor",
             len(payloads), dispatch_span.duration,
@@ -817,7 +859,6 @@ class ParallelMSComplexPipeline:
                     real_seconds=p.real_seconds,
                     virtual_seconds=replay.block_seconds[p.block_id],
                     stage_seconds=dict(p.stage_seconds),
-                    transport_nbytes=p.transport_nbytes,
                 )
             )
         for m in merges:

@@ -186,8 +186,8 @@ def invalidate_map_cache() -> None:
 
     The next :func:`read_block` remaps the file and the next
     :func:`content_hash` re-reads it.  Call after overwriting a volume
-    file in place from this process; long-lived service processes call
-    this on session close so no stale map outlives the job it served.
+    file in place from this process; every pipeline calls this when it
+    closes, so no stale map outlives the runs it served.
     """
     global _MAP_CACHE
     _MAP_CACHE = None

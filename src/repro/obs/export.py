@@ -127,7 +127,6 @@ def run_metrics(stats) -> dict:
         reg.counter("compute.blocks").inc()
         reg.counter("compute.cells").inc(b.cells)
         reg.counter("compute.cancellations").inc(b.cancellations)
-        reg.counter("transport.block_bytes_in").inc(b.transport_nbytes)
         reg.histogram("compute.block_seconds").observe(b.real_seconds)
         for k, v in b.stage_seconds.items():
             reg.counter(f"compute.{k}_seconds").inc(v)

@@ -174,8 +174,8 @@ class FaultTolerantExecutor:
     record backoff without waiting.
 
     ``transport`` (optional, :class:`repro.core.stats.TransportStats`)
-    accumulates per-dispatch byte counts — retries included — from the
-    specs' ``transport_nbytes``.
+    counts every dispatch and, for pooled dispatches only — retries
+    included — the bytes shipped, from the specs' ``transport_nbytes``.
 
     Observability: retries, pool restarts, and degradations log at
     WARNING on the ``repro.parallel.executor`` logger, and — when a
@@ -220,8 +220,8 @@ class FaultTolerantExecutor:
         transport: Any = None,
         tracer: Tracer | None = None,
     ) -> None:
-        """Rebind the per-run sinks so a persistent session can reuse
-        this executor for its next step.
+        """Rebind the per-run sinks so a pipeline can reuse this
+        executor for its next run.
 
         Swaps in the new run's :class:`FaultToleranceStats` /
         :class:`TransportStats` / tracer.  The worker pool and the

@@ -259,7 +259,7 @@ class ServiceClient:
 
     def close(self) -> None:
         """Shut the scheduler down (idempotent): queued jobs fail,
-        running pipelines finish, sessions and their pools close."""
+        running pipelines finish and close their pools."""
         self.scheduler.close()
 
     def __enter__(self) -> "ServiceClient":

@@ -12,11 +12,10 @@ compute request resolves — in this order — to:
    running; the submission attaches to the in-flight job, so N
    identical concurrent submissions run the pipeline exactly once;
 3. a **cold compute**: the job waits in the pool's queue for one of
-   its ``max_concurrency`` threads, which runs it through a long-lived
-   :class:`~repro.core.session.PipelineSession` (worker pool and plans
-   reused across jobs of the same configuration) — or a one-shot
-   pipeline while that session is busy — and stores the artifact
-   *before* the job leaves the in-flight table.
+   its ``max_concurrency`` threads, which opens its own
+   :class:`~repro.core.pipeline.ParallelMSComplexPipeline`, runs it,
+   closes it (so no worker process outlives the job) and stores the
+   artifact *before* the job leaves the in-flight table.
 
 Job states: ``queued → running → done | failed``, plus ``cancelled``
 for jobs withdrawn before a pool thread picked them up.  A running
@@ -27,9 +26,8 @@ failed on time and lets the pool thread run on; first finisher wins.
 
 Failure isolation: a job whose pipeline raises (e.g. a worker crash
 with degradation disabled) becomes ``failed`` with a readable error,
-its session is discarded (the next job of that configuration gets a
-fresh one), and the scheduler keeps serving subsequent jobs — the chaos
-suite pins this.
+and the scheduler keeps serving subsequent jobs, each on a fresh
+pipeline — the chaos suite pins this.
 
 Everything is observable through the shared
 :class:`~repro.obs.metrics.MetricsRegistry` (``service.cache.*``,
@@ -42,7 +40,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,7 +50,6 @@ from typing import Any, Sequence
 from repro.core.config import PipelineConfig, _facade_config
 from repro.core.options import ExecutionOptions
 from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.core.session import PipelineSession
 from repro.io.volume import VolumeSpec, content_hash
 from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
 from repro.obs.trace import Tracer, get_tracer
@@ -165,7 +162,7 @@ class JobScheduler:
     """A thread-safe job table over one bounded thread pool.
 
     Create, :meth:`submit` from any number of threads, :meth:`close`.
-    One lock guards the job, in-flight (coalescing) and session tables.
+    One lock guards the job and in-flight (coalescing) tables.
     """
 
     def __init__(
@@ -188,10 +185,6 @@ class JobScheduler:
         self._jobs: dict[str, Job] = {}
         self._finished: deque[str] = deque()
         self._inflight: dict[str, Job] = {}
-        #: config fingerprint -> persistent session, least recently used
-        #: first; ``_busy`` names those running a job
-        self._sessions: OrderedDict[str, PipelineSession] = OrderedDict()
-        self._busy: set[str] = set()
         # one admission thread, not the callers': the MiB-sized image a
         # disk hit reads then comes from one malloc arena, not from one
         # per short-lived HTTP handler thread (docs/PERFORMANCE.md)
@@ -268,9 +261,6 @@ class JobScheduler:
                          error="scheduler shut down before the job started")
         self._admission.shutdown(wait=True)
         self._pool.shutdown(wait=True)
-        for session in self._sessions.values():  # no pool thread is left
-            session.close()
-        self._sessions.clear()
         self._scratch.cleanup()
 
     # -- admission (the scheduler's own thread) ----------------------------
@@ -374,28 +364,9 @@ class JobScheduler:
         return True
 
     def _execute(self, job: Job) -> ResultRecord:
-        """Run one cold compute and store its artifact: through this
-        configuration's persistent session, or a one-shot pipeline while
-        another pool thread uses it — bit-identical either way."""
-        volume = job.request.volume
-        fp = job.config.fingerprint()
-        session = self._acquire_session(fp, job.config)
-        if session is None:
-            result = ParallelMSComplexPipeline(job.config).run(volume=volume)
-        else:
-            try:
-                result = session.run(volume)
-            except BaseException:
-                # the session may be mid-degrade or hold a poisoned
-                # pool; discard it so the next job starts fresh
-                with self._lock:
-                    del self._sessions[fp]
-                    self.metrics.counter("service.sessions.discarded").inc()
-                session.close()
-                raise
-            finally:
-                with self._lock:
-                    self._busy.discard(fp)
+        """Run one cold compute on its own pipeline; store its artifact."""
+        with ParallelMSComplexPipeline(job.config) as pipeline:
+            result = pipeline.run(job.request.volume)
 
         # write through the canonical writer, then hand the image to the
         # store — the cached artifact is bit-identical to what a cold
@@ -414,33 +385,6 @@ class JobScheduler:
             num_output_blocks=result.num_output_blocks,
             node_counts=result.combined_node_counts(),
         )
-
-    def _acquire_session(self, fp: str,
-                         config: PipelineConfig) -> PipelineSession | None:
-        """The session of ``fp`` (created on first use), marked busy —
-        or ``None`` while another job runs on it.  The table holds at
-        most ``max_concurrency`` sessions, as many as can be in use at
-        once: a new one closes the least recently used idle one."""
-        evicted = None
-        with self._lock:
-            if fp in self._busy:
-                return None
-            session = self._sessions.get(fp)
-            if session is None:
-                if len(self._sessions) >= self.max_concurrency:
-                    # the other pool threads hold at most
-                    # max_concurrency - 1 sessions: one here is idle
-                    lru = next(
-                        k for k in self._sessions if k not in self._busy
-                    )
-                    evicted = self._sessions.pop(lru)
-                session = self._sessions[fp] = PipelineSession(config)
-                self.metrics.counter("service.sessions.created").inc()
-            self._sessions.move_to_end(fp)
-            self._busy.add(fp)
-        if evicted is not None:
-            evicted.close()
-        return session
 
     # -- bookkeeping (call with the lock held) -----------------------------
 

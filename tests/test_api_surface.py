@@ -327,7 +327,8 @@ def _parse_cli(*argv):
 
 #: every spelling removed with the shims, the tracing-backend knob, the
 #: second merge engine, the executor/transport knobs, the
-#: shared-memory transport and the metrics knob
+#: shared-memory transport, the metrics knob, the second driver object
+#: and the second synthetic-volume command
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -390,6 +391,17 @@ REMOVED_SPELLINGS = {
         num_blocks=8, metrics=True
     ),
     "open_session(metrics=)": lambda f: repro.open_session(metrics=True),
+    "repro.PipelineSession": lambda f: repro.PipelineSession,
+    "repro.core.session": lambda f: importlib.import_module(
+        "repro.core.session"
+    ),
+    "InSituAnalyzer.session": lambda f: importlib.import_module(
+        "repro.core.insitu"
+    ).InSituAnalyzer(repro.PipelineConfig()).session,
+    "gen": lambda f: _parse_cli("gen", "sinusoid", "v.raw"),
+    "synth --slab-depth": lambda f: _parse_cli(
+        "synth", "sinusoid", "v.raw", "--slab-depth", "4"
+    ),
 }
 
 
@@ -592,8 +604,8 @@ class TestImportSets:
         )
         assert "repro.core.pipeline" in mods
         assert not _under(
-            mods, "repro.api", "repro.service", "repro.core.session",
-            "repro.core.insitu", "http.server", "networkx", "asyncio",
+            mods, "repro.api", "repro.service", "repro.core.insitu",
+            "http.server", "networkx", "asyncio",
         )
         assert _under(mods, "repro.analysis") == {
             "repro.analysis", "repro.analysis.hierarchy",
@@ -606,17 +618,18 @@ class TestImportSets:
             "repro.compute(np.random.default_rng(0).random((12, 12, 12)))",
         )
         assert "repro.api" in mods
-        assert not _under(mods, "repro.service", "repro.core.session")
+        assert not _under(mods, "repro.service", "repro.core.insitu")
 
     def test_lazy_names_resolve_in_a_fresh_process(self, tmp_path):
         mods = _loaded_modules(
             tmp_path,
             "import repro\n"
             "from repro.core.options import ExecutionOptions\n"
-            "from repro.core.session import PipelineSession\n"
+            "from repro.core.pipeline import ParallelMSComplexPipeline\n"
             "from repro.service.client import ServiceClient\n"
             "assert repro.ExecutionOptions is ExecutionOptions\n"
-            "assert repro.PipelineSession is PipelineSession\n"
+            "assert repro.ParallelMSComplexPipeline is "
+            "ParallelMSComplexPipeline\n"
             "assert repro.ServiceClient is ServiceClient\n"
             "assert repro.obs.MetricsRegistry\n"
             "assert repro.morse.extract_ms_complex\n"

@@ -232,6 +232,39 @@ class TestSynth:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize(
+        "size", [["--points", "13"], ["--dims", "13", "10", "21"]],
+        ids=["cube", "box"],
+    )
+    @pytest.mark.parametrize("kind", ["sinusoid", "bumps"])
+    def test_slab_written_kinds_match_the_whole_field(
+        self, kind, size, dtype, tmp_path
+    ):
+        """``synth sinusoid|bumps`` write slab by slab, to the bytes of
+        the in-memory generator plus ``write_volume``."""
+        from repro.data import gaussian_bumps_field, sinusoidal_field
+        from repro.io.volume import write_volume
+
+        out = tmp_path / "synth.raw"
+        rc = main(["synth", kind, str(out), *size, "--features", "3",
+                   "--seed", "5", "--dtype", dtype])
+        assert rc == 0
+        dims = (13, 13, 13) if size[0] == "--points" else (13, 10, 21)
+        if kind == "sinusoid":
+            field = sinusoidal_field(13, 3, dims=dims, dtype=np.float64)
+        else:
+            field = gaussian_bumps_field(dims, 3, seed=5)
+        ref = write_volume(tmp_path / "ref.raw", field, dtype=dtype)
+        assert out.read_bytes() == open(ref.path, "rb").read()
+
+    def test_dims_only_for_slab_written_kinds(self, tmp_path, capsys):
+        rc = main(["synth", "jet", str(tmp_path / "j.raw"),
+                   "--dims", "8", "8", "8"])
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+
+
 class TestWorkerCountValidation:
     """--workers/--blocks/--procs must be >= 1: exit code 2, readable."""
 
@@ -634,7 +667,8 @@ class TestStream:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["steps"]) == 2
         assert payload["session"]["runs"] == 2
-        assert payload["session"]["plan_cache_hits"] == 1
+        assert payload["session"]["pool_reuse_hits"] == 1
+        assert "plan_cache_hits" not in payload["session"]
         assert not any(k.startswith("shm_") for k in payload["session"])
 
     def test_wrong_size_volume_fails_before_first_step(

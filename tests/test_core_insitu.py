@@ -65,8 +65,7 @@ class TestInSitu:
 
 
 class TestSessionBacked:
-    """The analyzer rides a persistent PipelineSession since the
-    streaming rework."""
+    """The analyzer keeps one pipeline open across its steps."""
 
     def test_steps_reuse_the_session(self, analyzer):
         with analyzer:
@@ -74,10 +73,10 @@ class TestSessionBacked:
                 analyzer.step(
                     gaussian_bumps_field((13, 13, 13), 3, seed=i)
                 )
-            stats = analyzer.session.stats
+            stats = analyzer.pipeline.stats
             assert stats.runs == 3
-            assert stats.plan_cache_hits == 2
-        assert analyzer.session.closed
+            assert stats.pool_reuse_hits == 2
+        assert analyzer.pipeline.closed
 
     def test_volume_spec_step(self, analyzer, tmp_path):
         from repro.io.volume import write_volume
@@ -104,5 +103,5 @@ class TestSessionBacked:
         analyzer.step(gaussian_bumps_field((13, 13, 13), 3, seed=0))
         analyzer.close()
         analyzer.close()
-        with pytest.raises(RuntimeError, match="session is closed"):
+        with pytest.raises(RuntimeError, match="pipeline is closed"):
             analyzer.step(gaussian_bumps_field((13, 13, 13), 3, seed=1))

@@ -1,11 +1,13 @@
-"""Tests for repro.core.session: persistent streaming sessions.
+"""Tests for a pipeline kept open across runs: streaming time series.
 
-The contract under test is the streaming rework's central claim: a
-:class:`~repro.core.session.PipelineSession` reuses its pool, cached
-plans, and warmed tables across steps while every step's
-output stays byte-identical to a one-shot ``pipeline.run()`` of the
+The contract under test: a
+:class:`~repro.core.pipeline.ParallelMSComplexPipeline` reuses its
+executor (and its worker pool) across runs until it is closed, while
+every run's output stays byte-identical to a fresh pipeline's run of the
 same field with the same config.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import repro
 from repro import ExecutionOptions
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.core.session import PipelineSession, SessionStats
+from repro.core.stats import SessionStats
 from repro.io.volume import write_volume
 from repro.parallel.faults import FaultPlan
 
@@ -51,45 +53,38 @@ class TestSessionBasics:
             oneshot_bytes(cfg, tmp_path, f, f"ref{i}")
             for i, f in enumerate(series)
         ]
-        with PipelineSession(cfg) as session:
+        with ParallelMSComplexPipeline(cfg) as pipeline:
             for i, f in enumerate(series):
                 out = tmp_path / f"step{i}.msc"
-                session.run(f).write(str(out))
+                pipeline.run(f).write(str(out))
                 assert out.read_bytes() == refs[i]
 
     def test_reuse_counters(self):
-        with PipelineSession(config()) as session:
+        with ParallelMSComplexPipeline(config()) as pipeline:
             for f in fields(3):
-                session.run(f)
-            stats = session.stats
+                pipeline.run(f)
+            stats = pipeline.stats
         assert stats.runs == 3
-        assert stats.plan_cache_hits == 2
         assert stats.pool_reuse_hits == 2
         assert len(stats.step_seconds) == 3
         assert "3 steps" in stats.describe()
-
-    def test_dims_change_builds_second_plan(self):
-        with PipelineSession(config()) as session:
-            session.run(np.random.default_rng(0).random((9, 9, 9)))
-            session.run(np.random.default_rng(1).random((11, 9, 9)))
-            session.run(np.random.default_rng(2).random((9, 9, 9)))
-            assert session.stats.plan_cache_hits == 1
-            assert len(session._plans) == 2
+        assert "plan" not in stats.describe()
 
     def test_closed_session_refuses_runs(self):
-        session = PipelineSession(config())
-        session.run(fields(1)[0])
-        session.close()
-        session.close()  # idempotent
-        assert session.closed
-        with pytest.raises(RuntimeError, match="session is closed"):
-            session.run(fields(1)[0])
+        pipeline = ParallelMSComplexPipeline(config())
+        pipeline.run(fields(1)[0])
+        pipeline.close()
+        pipeline.close()  # idempotent
+        assert pipeline.closed
+        with pytest.raises(RuntimeError, match="pipeline is closed"):
+            pipeline.run(fields(1)[0])
 
     def test_open_session_facade(self):
-        with repro.open_session(persistence=PERS, ranks=8) as session:
-            assert isinstance(session, PipelineSession)
-            result = session.run(fields(1)[0])
+        with repro.open_session(persistence=PERS, ranks=8) as pipeline:
+            assert isinstance(pipeline, ParallelMSComplexPipeline)
+            result = pipeline.run(fields(1)[0])
             assert result.output_blocks
+        assert pipeline.closed
 
     def test_steady_state_stats_math(self):
         stats = SessionStats(step_seconds=[1.0, 0.5, 0.5])
@@ -104,8 +99,8 @@ class TestSessionVolumeInput:
         field = fields(1)[0]
         spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
         ref = oneshot_bytes(cfg, tmp_path, field)
-        with PipelineSession(cfg) as session:
-            result = session.run(spec)
+        with ParallelMSComplexPipeline(cfg) as pipeline:
+            result = pipeline.run(spec)
             out = tmp_path / "vol_step.msc"
             result.write(str(out))
             assert out.read_bytes() == ref
@@ -116,9 +111,9 @@ class TestSessionVolumeInput:
         spec = write_volume(
             tmp_path / "v.raw", fields(1)[0], dtype="float64"
         )
-        with PipelineSession(config()) as session:
+        with ParallelMSComplexPipeline(config()) as pipeline:
             with pytest.raises(ValueError, match="exactly one"):
-                session.run(spec, volume=spec)
+                pipeline.run(spec, volume=spec)
 
 
 class TestMmapDriverBytes:
@@ -178,14 +173,37 @@ class TestPooledSession:
             oneshot_bytes(config(), tmp_path, f, f"ref{i}")
             for i, f in enumerate(series)
         ]
-        with PipelineSession(cfg) as session:
+        with ParallelMSComplexPipeline(cfg) as pipeline:
             for i, f in enumerate(series):
                 out = tmp_path / f"pooled{i}.msc"
-                result = session.run(f)
+                result = pipeline.run(f)
                 result.write(str(out))
                 assert out.read_bytes() == refs[i]
                 assert result.stats.transport.kind == "pickle"
-            assert session.stats.pool_reuse_hits == 2
+            assert pipeline.stats.pool_reuse_hits == 2
+
+    def test_pool_forked_once_and_released_on_close(self):
+        """Three pooled runs fork one pool; close (and the end of a
+        pooled ``repro.compute``) leaves no worker process alive."""
+        pipeline = ParallelMSComplexPipeline(config(workers=2))
+        workers = []
+        for f in fields(3):
+            pipeline.run(f)
+            workers.append(
+                {p.pid for p in multiprocessing.active_children()}
+            )
+        assert pipeline.stats.runs == 3
+        assert pipeline.stats.pool_reuse_hits == 2
+        # the first run's two workers serve every later run
+        assert len(workers[0]) == 2
+        assert workers[1] == workers[2] == workers[0]
+        pipeline.close()
+        assert multiprocessing.active_children() == []
+        repro.compute(
+            fields(1)[0], persistence=PERS, ranks=8,
+            options=ExecutionOptions(workers=2),
+        )
+        assert multiprocessing.active_children() == []
 
     def test_grown_and_shrunk_steps_bit_identical(self, tmp_path):
         """Steps of changing size reuse the one pool; each matches its
@@ -195,14 +213,14 @@ class TestPooledSession:
             np.random.default_rng(1).random((12, 12, 12)),
             np.random.default_rng(2).random((9, 9, 9)),
         ]
-        with PipelineSession(config(workers=2)) as session:
+        with ParallelMSComplexPipeline(config(workers=2)) as pipeline:
             for i, f in enumerate(series):
                 out = tmp_path / f"sized{i}.msc"
-                session.run(f).write(str(out))
+                pipeline.run(f).write(str(out))
                 assert out.read_bytes() == oneshot_bytes(
                     config(), tmp_path, f, f"ref{i}"
                 )
-            assert session.stats.pool_reuse_hits == 2
+            assert pipeline.stats.pool_reuse_hits == 2
 
 
 @pytest.mark.slow
@@ -224,16 +242,17 @@ class TestSessionChaos:
             options=ExecutionOptions(workers=2, retry_backoff=0.0),
             faults=FaultPlan.exit_on([2]),
         )
-        with PipelineSession(cfg) as session:
+        with ParallelMSComplexPipeline(cfg) as pipeline:
             for i, f in enumerate(series):
-                result = session.run(f)
+                result = pipeline.run(f)
                 out = tmp_path / f"chaos{i}.msc"
                 result.write(str(out))
                 assert out.read_bytes() == refs[i]
                 if i == 0:
                     assert result.stats.faults.pool_restarts >= 1
-            assert session.stats.runs == 3
-        assert session._compute_exec is None
+            assert pipeline.stats.runs == 3
+        assert pipeline._executor is None
+        assert multiprocessing.active_children() == []
 
     def test_degraded_session_stays_serial(self, tmp_path):
         """Degradation is sticky by design: once the pool is declared
@@ -250,30 +269,30 @@ class TestSessionChaos:
                 [2], attempts=tuple(range(8)), contexts=("pool",)
             ),
         )
-        with PipelineSession(cfg) as session:
-            first = session.run(field)
+        with ParallelMSComplexPipeline(cfg) as pipeline:
+            first = pipeline.run(field)
             assert first.stats.faults.degraded
-            assert session._compute_exec._degraded
-            second = session.run(field)
+            assert pipeline._executor._degraded
+            second = pipeline.run(field)
             out = tmp_path / "degraded2.msc"
             second.write(str(out))
             assert out.read_bytes() == ref
             # no fresh pool, no fresh degradation on the later step
-            assert session._compute_exec._degraded
+            assert pipeline._executor._degraded
             assert not second.stats.faults.degraded
 
 
 class TestCloseInvalidatesVolumeCaches:
     def test_close_clears_map_and_hash_caches(self, tmp_path):
-        """A closed session must not pin stale volume state: closing
+        """A closed pipeline must not pin stale volume state: closing
         invalidates the process-wide memmap handle and the stat-keyed
         content-hash cache (a rewritten volume file then re-hashes)."""
         from repro.io import volume as vol
 
         field = fields(1, dims=(8, 8, 8))[0]
         spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
-        with PipelineSession(config()) as session:
-            session.run(spec)
+        with ParallelMSComplexPipeline(config()) as pipeline:
+            pipeline.run(spec)
             vol.content_hash(spec)
             assert vol._HASH_CACHE
         assert vol._MAP_CACHE is None

@@ -23,6 +23,7 @@ from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.merge import MergeStageError, pack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.data.synthetic import gaussian_bumps_field
+from repro.mesh.grid import StructuredGrid
 from repro.parallel.executor import ComputeStageError
 from repro.parallel.faults import FaultPlan, InjectedCrash
 
@@ -50,7 +51,8 @@ def run(field, plan=None, **options):
         options=ExecutionOptions(**options),
         faults=plan,
     )
-    return ParallelMSComplexPipeline(cfg).run(field)
+    with ParallelMSComplexPipeline(cfg) as pipe:
+        return pipe.run(field)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +295,10 @@ class TestPoolChaos:
         assert_identical(res, baseline)
         assert res.stats.faults.counters()["retries"] == 2
         ts = res.stats.transport
-        per_block = [b.transport_nbytes for b in res.stats.block_stats]
+        specs = ParallelMSComplexPipeline(
+            PipelineConfig(num_blocks=BLOCKS)
+        )._block_specs(res.decomposition, StructuredGrid(field), None)
+        per_block = [s.transport_nbytes for s in specs]
         assert ts.dispatches == BLOCKS + 2
         assert ts.dispatch_bytes == sum(per_block) + 2 * per_block[5]
 

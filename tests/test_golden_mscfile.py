@@ -132,8 +132,8 @@ def test_golden_bytes_mmap_volume_run(tmp_path):
 
 
 def test_golden_bytes_session_steps(tmp_path):
-    """Every step of a persistent session matches the one-shot golden
-    bytes — pools, plan cache, and warmed tables must not show."""
+    """Every step of an open pipeline matches the one-shot golden
+    bytes — a reused executor must not show."""
     field = np.random.default_rng(42).random((9, 9, 9))
     with repro.open_session(
         persistence=0.1, ranks=8,

@@ -27,8 +27,8 @@ RUN_SERIES = sorted(
     + [f"spool.{k}" for k in ("puts", "spills", "bytes_spilled",
                               "read_backs", "bytes_read_back",
                               "resident_blobs", "resident_peak_bytes")]
-    + [f"transport.{k}" for k in ("block_bytes_in", "dispatches",
-                                  "dispatch_bytes", "driver_staged_bytes")]
+    + [f"transport.{k}" for k in ("dispatches", "dispatch_bytes",
+                                  "driver_staged_bytes")]
 )
 
 

@@ -165,8 +165,8 @@ def _run(field=None, volume=None, *, workers, blocks=8):
         persistence_threshold=0.05,
         options=ExecutionOptions(workers=workers),
     )
-    pipe = ParallelMSComplexPipeline(cfg)
-    return pipe.run(field) if field is not None else pipe.run(volume=volume)
+    with ParallelMSComplexPipeline(cfg) as pipe:
+        return pipe.run(field if field is not None else volume)
 
 
 def _identity_checks(serial, pooled):
@@ -222,11 +222,12 @@ class TestSerialPoolIdentity:
         serial = ParallelMSComplexPipeline(
             PipelineConfig(num_blocks=8, **cfg)
         ).run(field)
-        pooled = ParallelMSComplexPipeline(
+        with ParallelMSComplexPipeline(
             PipelineConfig(
                 num_blocks=8, options=ExecutionOptions(workers=2), **cfg
             )
-        ).run(field)
+        ) as pipe:
+            pooled = pipe.run(field)
         _identity_checks(serial, pooled)
 
 
@@ -242,7 +243,8 @@ class TestVirtualClockWithWorkers:
                 num_blocks=8, num_procs=1, persistence_threshold=0.05,
                 options=ExecutionOptions(workers=w),
             )
-            res = ParallelMSComplexPipeline(cfg).run(field)
+            with ParallelMSComplexPipeline(cfg) as pipe:
+                res = pipe.run(field)
             times[w] = res.stats.compute_time
             # same schedule, same bits: the per-block prices agree
             per_block = [

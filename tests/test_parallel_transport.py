@@ -19,6 +19,7 @@ from repro.core.merge import pack_complex
 from repro.core.pipeline import SPEC_HEADER_BYTES, ParallelMSComplexPipeline
 from repro.data.synthetic import gaussian_bumps_field
 from repro.io.volume import write_volume
+from repro.mesh.grid import StructuredGrid
 
 
 @pytest.fixture(scope="module")
@@ -26,17 +27,18 @@ def field() -> np.ndarray:
     return gaussian_bumps_field((13, 13, 13), 3, seed=9)
 
 
-def run(source, **options):
-    """Run an ndarray or a ``VolumeSpec`` through the 8-block pipeline."""
-    cfg = PipelineConfig(
+def run_config(**options) -> PipelineConfig:
+    return PipelineConfig(
         num_blocks=8,
         persistence_threshold=0.05,
         options=ExecutionOptions(retry_backoff=0.0, **options),
     )
-    pipe = ParallelMSComplexPipeline(cfg)
-    if isinstance(source, np.ndarray):
+
+
+def run(source, **options):
+    """Run an ndarray or a ``VolumeSpec`` through the 8-block pipeline."""
+    with ParallelMSComplexPipeline(run_config(**options)) as pipe:
         return pipe.run(source)
-    return pipe.run(volume=source)
 
 
 @pytest.fixture(scope="module")
@@ -126,15 +128,19 @@ class TestPipelineTransport:
         assert blobs(pooled) == blobs(run(field))
 
     def test_serial_transport_accounting(self, field):
-        """In-process dispatches ship nothing."""
-        tp = run(field).stats.transport
+        """In-process dispatches ship nothing, and no series says they
+        did."""
+        stats = run(field).stats
+        tp = stats.transport
         assert tp.kind == "pickle"
         assert tp.dispatches == 8
         assert tp.dispatch_bytes == 0
+        assert stats.metrics["transport.dispatch_bytes"]["value"] == 0
+        assert not any("block_bytes" in name for name in stats.metrics)
         assert tp.driver_staged_bytes == field.nbytes
 
     @pytest.mark.slow
-    def test_pooled_in_memory_ships_block_subarrays(self, pooled):
+    def test_pooled_in_memory_ships_block_subarrays(self, field, pooled):
         """Each pooled dispatch ships its block's float64 samples plus
         one spec header — the ghost-padded subarray, not the volume."""
         ts = pooled.stats.transport
@@ -145,9 +151,10 @@ class TestPipelineTransport:
         )
         assert ts.dispatches == 8
         assert ts.dispatch_bytes == samples * 8 + 8 * SPEC_HEADER_BYTES
-        assert ts.dispatch_bytes == sum(
-            b.transport_nbytes for b in pooled.stats.block_stats
+        specs = ParallelMSComplexPipeline(run_config())._block_specs(
+            decomp, StructuredGrid(field), None
         )
+        assert ts.dispatch_bytes == sum(s.transport_nbytes for s in specs)
 
     @pytest.mark.slow
     def test_no_segment_leaks_across_runs(self, field):
@@ -167,7 +174,6 @@ class TestPipelineTransport:
                 "build", "gradient", "trace", "simplify", "pack"
             }
             assert all(v >= 0 for v in b.stage_seconds.values())
-            assert b.transport_nbytes > SPEC_HEADER_BYTES
         agg = pooled.stats.compute_stage_seconds()
         assert agg["build"] > 0 and agg["trace"] > 0
 

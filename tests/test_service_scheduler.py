@@ -13,6 +13,7 @@ The acceptance contracts of the service tentpole:
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -281,19 +282,27 @@ class TestChaos:
         assert snap["service.jobs.failed"]["value"] == 1
         assert snap["service.jobs.done"]["value"] == 1
 
-    def test_crash_discards_the_poisoned_session(self, client, volume):
-        client.submit(
-            volume, persistence=0.05,
-            options=ExecutionOptions(
-                degrade_on_failure=False, max_retries=0,
-                retry_backoff=0.0,
-            ),
+    @pytest.mark.slow
+    def test_next_job_after_a_crash_succeeds(self, client, volume):
+        """A crashed pooled job poisons nothing: the next job of the
+        same configuration runs on a pipeline of its own, and no worker
+        of either outlives its job."""
+        options = ExecutionOptions(
+            workers=2, degrade_on_failure=False, max_retries=0,
+            retry_backoff=0.0,
+        )
+        crashed = client.submit(
+            volume, persistence=0.05, ranks=2, options=options,
             faults=FaultPlan.crash_on([0], attempts=(0, 1)),
             wait=True,
         )
-        snap = client.metrics.snapshot()
-        assert snap.get("service.sessions.discarded", {}).get("value", 0) \
-            >= 1
+        assert crashed.state == "failed"
+        healthy = client.submit(
+            volume, persistence=0.05, ranks=2, options=options, wait=True
+        )
+        assert healthy.state == "done"
+        assert healthy.key == crashed.key
+        assert multiprocessing.active_children() == []
 
 
 class TestQueryEndpoint:

@@ -197,9 +197,7 @@ def test_job_table_keeps_a_bounded_number_of_finished_jobs(
         assert svc.wait(unfinished.job_id, timeout=JOIN).state == "done"
 
 
-def test_session_table_keeps_at_most_max_jobs_worker_pools(
-    tmp_path, volume
-):
+def test_no_worker_alive_once_pooled_jobs_finish(tmp_path, volume):
     thresholds = (0.01, 0.02, 0.03, 0.04)
     options = ExecutionOptions(workers=2)
     with ServiceClient(tmp_path / "cache", max_jobs=1) as svc:
@@ -209,10 +207,8 @@ def test_session_table_keeps_at_most_max_jobs_worker_pools(
             for p in thresholds
         ]
         assert [j.state for j in jobs] == ["done"] * 4
-        snap = svc.metrics.snapshot()
-        assert snap["service.sessions.created"]["value"] == 4
-        # one live session, so one pool of two workers — not four pools
-        assert len(multiprocessing.active_children()) <= 2
+        # each job closed its own pipeline: the open service holds no pool
+        assert multiprocessing.active_children() == []
         for p, job in zip(thresholds, jobs):
             direct = tmp_path / f"direct-{p}.msc"
             repro.compute(volume, persistence=p, ranks=2).write(direct)
