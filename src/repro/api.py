@@ -57,7 +57,6 @@ def compute(
     merge_radix: int | Sequence[int] | str = 2,
     validate: bool = False,
     options: ExecutionOptions | None = None,
-    faults: object | None = None,
     trace: bool = False,
 ) -> PipelineResult:
     """Compute the Morse-Smale complex of a scalar field.
@@ -95,9 +94,6 @@ def compute(
         queryable via :func:`repro.analysis.query.load_hierarchy` /
         :func:`repro.analysis.query.query`) without
         changing the complex by a byte.
-    faults:
-        Optional :class:`repro.parallel.faults.FaultPlan` injecting
-        deterministic failures — the chaos-testing hook.
     trace:
         Record a span timeline of the run into ``result.stats.trace``
         (driver, rank, and worker lanes), exportable as Chrome
@@ -118,7 +114,6 @@ def compute(
         merge_radix=merge_radix,
         validate=validate,
         options=options,
-        faults=faults,
         trace=trace,
     )
     with ParallelMSComplexPipeline(cfg) as pipeline:
@@ -132,7 +127,6 @@ def open_session(
     merge_radix: int | Sequence[int] | str = 2,
     validate: bool = False,
     options: ExecutionOptions | None = None,
-    faults: object | None = None,
     trace: bool = False,
 ) -> ParallelMSComplexPipeline:
     """Open a :class:`~repro.core.pipeline.ParallelMSComplexPipeline`.
@@ -157,7 +151,6 @@ def open_session(
         merge_radix=merge_radix,
         validate=validate,
         options=options,
-        faults=faults,
         trace=trace,
     )
     return ParallelMSComplexPipeline(cfg)

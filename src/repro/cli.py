@@ -145,7 +145,7 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                    help="per-block compute timeout (pooled runs); "
                         "timed-out blocks are retried")
     p.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="extra attempts a failed block or merge gets "
+                   help="extra attempts a failed block gets "
                         "(default: 2)")
     p.add_argument("--retry-backoff", type=float, default=0.05,
                    metavar="SECONDS",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -69,10 +68,6 @@ class PipelineConfig:
         budget, the additive ``hierarchy`` artifact:
         one :class:`~repro.core.options.ExecutionOptions`, validated at
         its own construction.  Read as ``cfg.options.workers``.
-    faults:
-        Optional :class:`repro.parallel.faults.FaultPlan` injecting
-        deterministic failures into the compute and merge stages — the
-        chaos-testing hook; ``None`` in production use.
     trace:
         Record a span-based timeline of the run (driver, virtual-rank
         and pool-worker lanes) into ``result.stats.trace``, exportable
@@ -90,7 +85,6 @@ class PipelineConfig:
     validate: bool = False
     simplify_at_zero_persistence: bool = True
     options: ExecutionOptions = ExecutionOptions()
-    faults: Any = None
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -190,7 +184,6 @@ def _facade_config(
     merge_radix: int | Sequence[int] | str,
     validate: bool,
     options: ExecutionOptions | None,
-    faults: object | None,
     trace: bool,
 ) -> PipelineConfig:
     """The facade's shared keyword-to-``PipelineConfig`` translation."""
@@ -221,6 +214,5 @@ def _facade_config(
         # ranks == workers == 1 is the serial path: single block, no
         # pool, no merge rounds; anything else runs the full pipeline
         options=options if options is not None else ExecutionOptions(),
-        faults=faults,
         trace=trace,
     )

@@ -14,30 +14,24 @@ The three steps of the merge stage:
    nodes, and compacts.
 
 The pipeline's merge-rounds stage (:mod:`repro.core.pipeline`) is one
-driver-side loop over the radix-k schedule that calls
-:func:`merge_with_retries` — :func:`perform_merge` plus restore-and-retry
-from the root's packed bytes — once per group root per round.
+driver-side loop over the radix-k schedule that unpacks the members and
+calls :func:`perform_merge` once per group root per round.  A merge is a
+deterministic function of the members' bytes, so it is never retried: a
+failure raises :class:`MergeStageError` naming the round and root.
 """
 
 from __future__ import annotations
 
-import logging
-
 from dataclasses import dataclass
 
 import numpy as np
-
-from typing import Callable
 
 from repro.core.glue import AddressIndex, GlueStats, glue_into
 from repro.io.mscfile import deserialize_payload, serialize_payload
 from repro.morse.msc import MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
 from repro.morse.validate import assert_ms_complex_valid
-from repro.obs.trace import get_tracer
 from repro.parallel.executor import FaultToleranceError
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "MergeOutcome",
@@ -45,12 +39,11 @@ __all__ = [
     "pack_complex",
     "unpack_complex",
     "perform_merge",
-    "merge_with_retries",
 ]
 
 
 class MergeStageError(FaultToleranceError):
-    """A root merge could not be completed within the retry budget."""
+    """A root merge failed; the run fails with it (a merge is not retried)."""
 
 
 @dataclass
@@ -124,95 +117,3 @@ def perform_merge(
         nodes_after=root.num_alive_nodes(),
         arcs_after=root.num_alive_arcs(),
     )
-
-
-def merge_with_retries(
-    root: MorseSmaleComplex,
-    incoming_blobs: list[bytes],
-    remaining_cut_planes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    persistence_threshold: float,
-    *,
-    validate: bool = False,
-    max_retries: int = 2,
-    incremental: bool = True,
-    fault_hook: Callable[[int, list[bytes]], list[bytes]] | None = None,
-    root_blob: bytes | None = None,
-) -> tuple[MorseSmaleComplex, MergeOutcome, int]:
-    """Fault-tolerant :func:`perform_merge`: retry from a pristine snapshot.
-
-    :func:`perform_merge` mutates the root in place, so a crash mid-merge
-    leaves it unusable.  The snapshot needed to recover is taken
-    *lazily*: when the caller already holds the root's packed bytes —
-    the pipeline does for every root that is still its compute blob,
-    i.e. all of round 0 — it passes them as ``root_blob`` (free),
-    otherwise a snapshot is packed up front only when a ``fault_hook``
-    is installed (chaos runs).  On the no-fault fast path nothing is
-    packed at all — member blobs are unpacked *before* the root is
-    touched, so the only failures that can occur with a pristine root (a
-    corrupted blob that will not unpack) retry without any restore.
-    When an attempt fails after mutation
-    began, the root is restored from the snapshot (cancellation
-    hierarchy included) and the merge retried with the original,
-    uncorrupted blobs, up to ``max_retries`` times.  A successful retry
-    is therefore bit-identical to a fault-free merge.
-
-    ``fault_hook`` is the chaos-testing injection point (see
-    :meth:`repro.parallel.faults.FaultPlan.merge_hook`): called with
-    ``(attempt, blobs)`` before each attempt, it may raise or return a
-    corrupted blob list.  ``incremental`` is forwarded to
-    :func:`perform_merge`.
-
-    Returns ``(root, outcome, retries)`` where ``root`` is the merged
-    complex (a restored copy if any attempt failed) and ``retries`` how
-    many attempts failed before the successful one.  Raises
-    :class:`MergeStageError` with a readable message when the budget is
-    exhausted.
-    """
-    snapshot = root_blob
-    if snapshot is None and fault_hook is not None:
-        snapshot = pack_complex(root)
-    saved_hierarchy = list(root.hierarchy)
-    attempt = 0
-    mutated = False
-    while True:
-        try:
-            blobs = list(incoming_blobs)
-            if fault_hook is not None:
-                blobs = fault_hook(attempt, blobs)
-            incoming = [unpack_complex(b) for b in blobs]
-            mutated = True
-            outcome = perform_merge(
-                root,
-                incoming,
-                remaining_cut_planes,
-                persistence_threshold,
-                validate=validate,
-                incremental=incremental,
-            )
-            return root, outcome, attempt
-        except Exception as exc:
-            unrecoverable = mutated and snapshot is None
-            if attempt >= max_retries or unrecoverable:
-                detail = (
-                    "; root mutated with no snapshot to restore"
-                    if unrecoverable and attempt < max_retries
-                    else ""
-                )
-                raise MergeStageError(
-                    f"merge failed after {attempt + 1} attempt(s){detail}; "
-                    f"last error: {type(exc).__name__}: {exc}"
-                ) from exc
-            logger.warning(
-                "merge attempt %d failed (%s: %s); restoring root "
-                "snapshot and retrying",
-                attempt + 1, type(exc).__name__, exc,
-            )
-            get_tracer().event(
-                "merge.retry", cat="merge",
-                attempt=attempt, error=type(exc).__name__,
-            )
-            if mutated:
-                root = unpack_complex(snapshot)
-                root.hierarchy.extend(saved_hierarchy)
-                mutated = False
-            attempt += 1

@@ -97,8 +97,8 @@ class ExecutionOptions:
         Per-block compute timeout in seconds (pooled runs);
         ``None`` waits forever.  Timed-out blocks are retried.
     max_retries:
-        Extra attempts a failed block (or root merge) gets before the
-        run degrades or errors out.
+        Extra attempts a failed block gets before the run degrades or
+        errors out.
     retry_backoff:
         Base of the exponential backoff between attempts; ``0`` retries
         immediately.

@@ -31,10 +31,11 @@ The run is an explicit stage list, executed once, in the driver:
 3. **merge rounds** — one loop over ``plan.groups_by_round``: each group
    root glues its members, frees the nodes that left the remaining cut
    planes, re-simplifies and compacts
-   (:func:`~repro.core.merge.merge_with_retries`).  A block is held as
-   *either* its packed compute blob (until first touched) *or* a live
-   complex (once it has been a root), so round-0 members are forwarded
-   as the bytes the compute stage produced;
+   (:func:`~repro.core.merge.perform_merge`, run once: a failure fails
+   the run with :class:`~repro.core.merge.MergeStageError`).  A block
+   is held as *either* its packed compute blob (until first touched)
+   *or* a live complex (once it has been a root), so round-0 members
+   are forwarded as the bytes the compute stage produced;
 4. **write** — every surviving block is packed once (a block that never
    merged reuses its compute blob);
 5. **cost replay** — :func:`repro.machine.replay.replay_run` prices the
@@ -57,8 +58,9 @@ from repro.analysis.hierarchy import MSComplexHierarchy
 from repro.core.config import PipelineConfig
 from repro.core.merge import (
     MergeOutcome,
-    merge_with_retries,
+    MergeStageError,
     pack_complex,
+    perform_merge,
     unpack_complex,
 )
 from repro.core.result import PipelineResult
@@ -639,7 +641,7 @@ class ParallelMSComplexPipeline:
         with tracer.span(
             "merge.stage", cat="merge", rounds=plan.schedule.num_rounds
         ) as merge_span:
-            merges = self._merge_rounds(tracer, plan, held, ft)
+            merges = self._merge_rounds(tracer, plan, held)
 
         output_blocks: dict[int, MorseSmaleComplex] = {}
         output_blobs: dict[int, bytes] = {}
@@ -710,7 +712,6 @@ class ParallelMSComplexPipeline:
             self._executor = FaultTolerantExecutor(
                 workers=cfg.options.workers,
                 policy=cfg.options.retry_policy(),
-                plan=cfg.faults,
                 validator=validate_block_payload,
                 stats=ft,
                 transport=transport,
@@ -742,16 +743,16 @@ class ParallelMSComplexPipeline:
         )
         return payloads, dispatch_span
 
-    def _merge_rounds(
-        self, tracer, plan, held, ft
-    ) -> list[_RootMerge]:
+    def _merge_rounds(self, tracer, plan, held) -> list[_RootMerge]:
         """Run the radix-k schedule: every round, every group root merges.
 
         The one merge engine.  Members are taken as packed bytes — the
         compute blob itself while a block is still packed
         (``pack_complex(unpack_complex(blob)) == blob``), a fresh pack
         once it is live — and a root that is still packed is unpacked
-        here and its bytes passed on as the free retry snapshot.
+        here.  A merge is a deterministic function of those bytes, so a
+        failure is not retried: it raises :class:`MergeStageError`
+        naming the round and root.
         """
         cfg = self.config
         # round-0 inputs were simplified at the run threshold unless the
@@ -769,36 +770,34 @@ class ParallelMSComplexPipeline:
                     m if isinstance(m, bytes) else pack_complex(m)
                     for m in (held.pop(mbid) for mbid, _ in members)
                 ]
-                root, root_blob = held.pop(root_bid), None
-                if isinstance(root, bytes):
-                    root, root_blob = unpack_complex(root), root
-                with tracer.span(
-                    "merge.round", cat="merge",
-                    lane=RANK_LANE_BASE + root_rank,
-                    round=round_idx, root=root_bid, members=len(members),
-                ) as span:
-                    root, outcome, retries = merge_with_retries(
-                        root,
-                        member_blobs,
-                        plan.cuts_by_round[round_idx],
-                        cfg.persistence_threshold,
-                        validate=cfg.validate,
-                        max_retries=cfg.options.max_retries,
-                        incremental=round_idx > 0 or presimplified,
-                        fault_hook=(
-                            cfg.faults.merge_hook(round_idx, root_bid)
-                            if cfg.faults is not None
-                            else None
-                        ),
-                        root_blob=root_blob,
-                    )
-                    span.annotate(
-                        nodes_glued=outcome.glue.nodes_added,
-                        arcs_glued=outcome.glue.arcs_added,
-                        cancellations=outcome.cancellations,
-                    )
+                root = held.pop(root_bid)
+                try:
+                    if isinstance(root, bytes):
+                        root = unpack_complex(root)
+                    with tracer.span(
+                        "merge.round", cat="merge",
+                        lane=RANK_LANE_BASE + root_rank,
+                        round=round_idx, root=root_bid, members=len(members),
+                    ) as span:
+                        outcome = perform_merge(
+                            root,
+                            [unpack_complex(b) for b in member_blobs],
+                            plan.cuts_by_round[round_idx],
+                            cfg.persistence_threshold,
+                            validate=cfg.validate,
+                            incremental=round_idx > 0 or presimplified,
+                        )
+                        span.annotate(
+                            nodes_glued=outcome.glue.nodes_added,
+                            arcs_glued=outcome.glue.arcs_added,
+                            cancellations=outcome.cancellations,
+                        )
+                except Exception as exc:
+                    raise MergeStageError(
+                        f"merge round {round_idx} root {root_bid} failed: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
                 held.keep(root_bid, root)
-                ft.merge_retries += retries
                 record = MergeRecord(
                     round_idx=round_idx,
                     root_block=root_bid,

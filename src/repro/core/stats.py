@@ -38,9 +38,8 @@ class FaultToleranceStats:
     """Observability record of the fault-tolerance layer.
 
     Filled in by :class:`repro.parallel.executor.FaultTolerantExecutor`
-    during the compute stage and by the merge-round recovery wrapper
-    (:func:`repro.core.merge.merge_with_retries`).  All zeros on a
-    healthy run.
+    during the compute stage, the only stage that retries (a failed
+    merge fails the run).  All zeros on a healthy run.
     """
 
     #: block re-dispatches (compute stage), across all failure kinds
@@ -53,8 +52,6 @@ class FaultToleranceStats:
     corrupt_payloads: int = 0
     #: worker-pool rebuilds after a worker death or a clogged pool
     pool_restarts: int = 0
-    #: merge-computation retries at group roots
-    merge_retries: int = 0
     #: True once the executor fell back to in-process serial execution
     degraded: bool = False
     #: human-readable reason of each degradation decision
@@ -70,7 +67,6 @@ class FaultToleranceStats:
             or self.crashes
             or self.corrupt_payloads
             or self.pool_restarts
-            or self.merge_retries
             or self.degraded
         )
 
@@ -82,7 +78,6 @@ class FaultToleranceStats:
             "crashes": self.crashes,
             "corrupt_payloads": self.corrupt_payloads,
             "pool_restarts": self.pool_restarts,
-            "merge_retries": self.merge_retries,
             "degraded": int(self.degraded),
         }
 

@@ -13,9 +13,7 @@ one execution needs:
 - :mod:`repro.parallel.executor` — :class:`FaultTolerantExecutor`, the
   one executor: per-block work runs in-process with ``workers=1`` and on
   a pool of OS processes otherwise, under timeouts, retries, pool
-  restarts and degradation to serial,
-- :mod:`repro.parallel.faults` — the deterministic fault plan the chaos
-  tests drive the executor with.
+  restarts and degradation to serial.
 
 The per-block work is independent (§IV-C: shared-face gradients agree),
 so where each block is computed never changes an output byte.
@@ -30,7 +28,6 @@ from repro.parallel.executor import (
     FaultToleranceError,
     RetryPolicy,
 )
-from repro.parallel.faults import FaultPlan
 from repro.parallel.radixk import MergeSchedule, MergeRound, full_merge_radices
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "BlockTimeoutError",
     "ComputeStageError",
     "CorruptPayloadError",
-    "FaultPlan",
     "FaultTolerantExecutor",
     "FaultToleranceError",
     "MergeRound",

@@ -17,14 +17,13 @@ unhealthy.
 Because the worker function is pure (no shared mutable state; picklable
 inputs and outputs), the two paths are bit-identical by construction:
 the only thing the executor chooses is *where* (and how often) each
-block is computed, never what is computed.  Tests assert this identity
-end-to-end, including under injected faults (see
-:mod:`repro.parallel.faults`).
+block is computed, never what is computed.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from concurrent.futures import (
     ProcessPoolExecutor,
@@ -78,8 +77,7 @@ class RetryPolicy:
         Per-block wall-clock budget in seconds, enforced on the process
         backend (``None`` waits forever).  The serial backend cannot
         interrupt an in-process call, so there a timeout only classifies
-        workers that raise :class:`BlockTimeoutError` themselves (e.g.
-        the fault harness's simulated hangs).
+        workers that raise :class:`BlockTimeoutError` themselves.
     max_retries:
         Additional attempts granted to a block after its first failure.
         ``0`` fails fast.
@@ -87,7 +85,7 @@ class RetryPolicy:
         Base of the exponential backoff slept between attempts of one
         block: attempt ``k`` (1-based retry) sleeps
         ``backoff * backoff_factor**(k-1)`` seconds.  ``0`` disables
-        sleeping entirely, which keeps chaos tests wall-clock free.
+        sleeping entirely.
     backoff_factor:
         Growth factor of the backoff sequence.
     degrade_on_failure:
@@ -108,12 +106,22 @@ class RetryPolicy:
     max_pool_restarts: int = 2
 
     def __post_init__(self) -> None:
-        if self.block_timeout is not None and self.block_timeout <= 0:
-            raise ValueError("block_timeout must be positive or None")
+        # written so NaN fails too (every comparison with NaN is False)
+        if self.block_timeout is not None and not (
+            0 < self.block_timeout < math.inf
+        ):
+            raise ValueError(
+                "block_timeout must be a positive finite number or None, "
+                f"got {self.block_timeout!r}"
+            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be >= 0, backoff_factor >= 1")
+        if not (0 <= self.backoff < math.inf
+                and 1 <= self.backoff_factor < math.inf):
+            raise ValueError(
+                "backoff must be finite and >= 0, backoff_factor finite and "
+                f">= 1; got {self.backoff!r}, {self.backoff_factor!r}"
+            )
         if self.max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be >= 0")
 
@@ -125,11 +133,11 @@ class RetryPolicy:
 
 
 def _invoke(fn, spec, attempt, plan, context):
-    """Run one block attempt, routing through the fault plan if any.
+    """Run one block attempt, through ``plan`` if one is set.
 
-    Module-level so the process backend can pickle it; ``plan`` is any
-    object with a ``run(fn, spec, attempt, context)`` method (see
-    :class:`repro.parallel.faults.FaultPlan`) or ``None``.
+    Module-level so the process backend can pickle it; ``plan`` is
+    ``None`` in every run, or, where a test substitutes a fake, any
+    picklable object with a ``run(fn, spec, attempt, context)`` method.
     """
     if plan is None:
         return fn(spec)
@@ -475,12 +483,6 @@ class FaultTolerantExecutor:
                     (j, a) for j, a, _ in futures[pos:]
                 )
                 break
-            except BlockTimeoutError as exc:
-                # a simulated hang raised inside the worker: same
-                # classification as a real timeout, minus the clogged slot
-                next_round.append(
-                    (idx, self._next_attempt(spec, attempt, exc, "pool"))
-                )
             except Exception as exc:
                 next_round.append(
                     (idx, self._next_attempt(spec, attempt, exc, "pool"))

@@ -32,7 +32,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class ServiceClient:
         hierarchy: bool = False,
         options: ExecutionOptions | None = None,
         timeout: float | None = None,
-        faults: Any = None,
         wait: bool = False,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
     ) -> Job:
@@ -134,7 +133,6 @@ class ServiceClient:
             hierarchy=hierarchy,
             options=options,
             timeout=timeout,
-            faults=faults,
         )
         job = self.scheduler.submit(request)
         self._observe("submit", started)

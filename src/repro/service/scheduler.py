@@ -78,9 +78,7 @@ class ComputeRequest:
     the input (the service computes over volume files — content the
     cache can address), the rest configure the run.  ``options`` is
     pure scheduling and therefore *not* part of the cache key;
-    ``timeout`` bounds the whole job in wall seconds; ``faults`` is the
-    deterministic chaos-testing hook and never reaches production
-    requests.
+    ``timeout`` bounds the whole job in wall seconds.
     """
 
     volume: VolumeSpec
@@ -90,7 +88,6 @@ class ComputeRequest:
     hierarchy: bool = False
     options: ExecutionOptions | None = None
     timeout: float | None = None
-    faults: Any = None
 
     def pipeline_config(self) -> PipelineConfig:
         """The canonical :class:`PipelineConfig` of this request.
@@ -110,7 +107,6 @@ class ComputeRequest:
             merge_radix=self.merge_radix,
             validate=False,
             options=opts,
-            faults=self.faults,
             trace=False,
         )
 

@@ -293,6 +293,16 @@ class TestExecutionOptions:
         with pytest.raises(ValueError):
             repro.ExecutionOptions(**bad)
 
+    @pytest.mark.parametrize("name", ["block_timeout", "retry_backoff"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_retry_settings_rejected(self, name, value):
+        """A NaN timeout would time every pooled block out at once, an
+        infinite one overflows the wait, an infinite backoff the sleep."""
+        with pytest.raises(ValueError, match="finite"):
+            repro.ExecutionOptions(**{name: value})
+
     def test_compute_options_spelling_does_not_warn(self, facade_field):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -327,8 +337,9 @@ def _parse_cli(*argv):
 
 #: every spelling removed with the shims, the tracing-backend knob, the
 #: second merge engine, the executor/transport knobs, the
-#: shared-memory transport, the metrics knob, the second driver object
-#: and the second synthetic-volume command
+#: shared-memory transport, the metrics knob, the second driver object,
+#: the second synthetic-volume command and the fault-injection knob with
+#: the merge retry loop it drove
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -402,6 +413,21 @@ REMOVED_SPELLINGS = {
     "synth --slab-depth": lambda f: _parse_cli(
         "synth", "sinusoid", "v.raw", "--slab-depth", "4"
     ),
+    "compute(faults=)": lambda f: repro.compute(f, faults=None),
+    "open_session(faults=)": lambda f: repro.open_session(faults=None),
+    "PipelineConfig(faults=)": lambda f: repro.PipelineConfig(
+        num_blocks=8, faults=None
+    ),
+    "ServiceClient.submit(faults=)": lambda f: inspect.signature(
+        repro.ServiceClient.submit
+    ).bind(None, f, faults=None),
+    "repro.parallel.faults": lambda f: importlib.import_module(
+        "repro.parallel.faults"
+    ),
+    "repro.parallel.FaultPlan": lambda f: repro.parallel.FaultPlan,
+    "repro.core.merge.merge_with_retries": lambda f: importlib.import_module(
+        "repro.core.merge"
+    ).merge_with_retries,
 }
 
 
@@ -583,6 +609,11 @@ def _under(modules: set[str], *prefixes: str) -> set[str]:
     }
 
 
+def _fault_harness(modules: set[str]) -> set[str]:
+    """Any loaded fault-injection module (they live under ``tests/``)."""
+    return {m for m in modules if m.rsplit(".", 1)[-1] == "faults"}
+
+
 @pytest.mark.slow
 class TestImportSets:
     def test_version_loads_no_numpy(self, tmp_path):
@@ -607,9 +638,29 @@ class TestImportSets:
             mods, "repro.api", "repro.service", "repro.core.insitu",
             "http.server", "networkx", "asyncio",
         )
+        assert not _fault_harness(mods)
         assert _under(mods, "repro.analysis") == {
             "repro.analysis", "repro.analysis.hierarchy",
         }
+
+    def test_serve_loads_no_fault_harness(self, tmp_path):
+        """``repro serve`` binds, serves once and shuts down; the
+        scheduler imports the pipeline, never a fault plan."""
+        mods = _loaded_modules(
+            tmp_path,
+            "import socketserver, threading\n"
+            "serve = socketserver.BaseServer.serve_forever\n"
+            "def serve_once(self, poll_interval=0.5):\n"
+            "    threading.Thread(target=self.shutdown).start()\n"
+            "    serve(self, poll_interval=0.01)\n"
+            "socketserver.BaseServer.serve_forever = serve_once\n"
+            + _RUN_CLI,
+            ["serve", "--cache-dir", str(tmp_path / "cache"),
+             "--port", "0"],
+        )
+        assert "repro.core.pipeline" in mods
+        assert "repro.service.server" in mods
+        assert not _fault_harness(mods)
 
     def test_facade_compute_loads_no_service(self, tmp_path):
         mods = _loaded_modules(

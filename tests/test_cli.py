@@ -453,6 +453,48 @@ class TestFaultToleranceFlags:
         assert rc == 2  # RetryPolicy validation, surfaced as CLI error
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--block-timeout", "inf"), ("--block-timeout", "nan"),
+        ("--retry-backoff", "inf"), ("--retry-backoff", "nan"),
+    ])
+    def test_non_finite_retry_settings_fail_readably(
+        self, volume, capsys, flag, value
+    ):
+        rc = main([
+            "compute", volume.path,
+            "--dims", *map(str, volume.dims), flag, value,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "finite" in err[0]
+
+    def test_failed_merge_fails_once_readably(
+        self, volume, capsys, monkeypatch
+    ):
+        """A merge is not retried: the first failure is the one error
+        line, naming the round and the root."""
+        from repro.core import pipeline
+
+        calls = []
+
+        def failing_merge(root, *args, **kwargs):
+            calls.append(root)
+            raise ValueError("glue rejected a node")
+
+        monkeypatch.setattr(pipeline, "perform_merge", failing_merge)
+        rc = main([
+            "compute", volume.path,
+            "--dims", *map(str, volume.dims), "--blocks", "4",
+        ])
+        assert rc == 2
+        assert len(calls) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: merge round 0 root 0 failed: "
+            "ValueError: glue rejected a node"
+        ]
+
     def test_faults_line_printed_once(self, volume, capsys, monkeypatch):
         from repro.core.pipeline import ParallelMSComplexPipeline
 

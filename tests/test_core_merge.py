@@ -106,39 +106,26 @@ class TestPerformMerge:
         assert_ms_complex_valid(root)
 
 
-class TestRoundZeroRetry:
-    def test_failure_after_mutation_restores_from_compute_blob(
+class TestMergeFailure:
+    def test_blob_that_will_not_unpack_is_not_retried(
         self, rng, monkeypatch
     ):
-        """A non-injected error mid-merge on a round-0 root: the loop
-        holds the root's packed compute bytes, so the root is restored
-        from them and the merge retried — not "root mutated with no
-        snapshot to restore"."""
+        """A merge is a deterministic function of its members' bytes, so
+        bytes that will not unpack fail the run at once, named."""
         import repro
-        from repro.core import merge as merge_mod
+        from repro.core import pipeline
+        from repro.core.merge import MergeStageError
 
-        field = rng.random((9, 9, 9))
-        clean = repro.compute(field, persistence=0.1, ranks=8)
+        calls = []
+        real_unpack = pipeline.unpack_complex
 
-        real = merge_mod.perform_merge
-        failures = []
+        def truncating_unpack(blob):
+            calls.append(len(blob))
+            return real_unpack(blob[: len(blob) // 2])
 
-        def flaky(root, *args, **kwargs):
-            outcome = real(root, *args, **kwargs)
-            if not failures:
-                failures.append(root)  # the root is glued and compacted
-                raise RuntimeError("disk hiccup after the glue")
-            return outcome
-
-        monkeypatch.setattr(merge_mod, "perform_merge", flaky)
-        retried = repro.compute(field, persistence=0.1, ranks=8)
-        assert len(failures) == 1
-        assert retried.stats.faults.merge_retries == 1
-        assert retried.output_blobs == clean.output_blobs
-        assert [
-            (e.round_idx, e.root_block, e.cancellations, e.nodes_glued)
-            for e in retried.stats.merge_events
-        ] == [
-            (e.round_idx, e.root_block, e.cancellations, e.nodes_glued)
-            for e in clean.stats.merge_events
-        ]
+        monkeypatch.setattr(pipeline, "unpack_complex", truncating_unpack)
+        with pytest.raises(
+            MergeStageError, match=r"^merge round 0 root 0 failed: "
+        ):
+            repro.compute(rng.random((9, 9, 9)), persistence=0.1, ranks=8)
+        assert len(calls) == 1

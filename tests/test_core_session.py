@@ -18,7 +18,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.core.stats import SessionStats
 from repro.io.volume import write_volume
-from repro.parallel.faults import FaultPlan
+from tests.faults import FaultPlan, injected
 
 PERS = 0.05
 
@@ -240,9 +240,9 @@ class TestSessionChaos:
             num_procs=8,
             persistence_threshold=PERS,
             options=ExecutionOptions(workers=2, retry_backoff=0.0),
-            faults=FaultPlan.exit_on([2]),
         )
-        with ParallelMSComplexPipeline(cfg) as pipeline:
+        with injected(FaultPlan.exit_on([2])), \
+                ParallelMSComplexPipeline(cfg) as pipeline:
             for i, f in enumerate(series):
                 result = pipeline.run(f)
                 out = tmp_path / f"chaos{i}.msc"
@@ -265,11 +265,11 @@ class TestSessionChaos:
             num_procs=8,
             persistence_threshold=PERS,
             options=ExecutionOptions(workers=2, retry_backoff=0.0),
-            faults=FaultPlan.crash_on(
-                [2], attempts=tuple(range(8)), contexts=("pool",)
-            ),
         )
-        with ParallelMSComplexPipeline(cfg) as pipeline:
+        plan = FaultPlan.crash_on(
+            [2], attempts=tuple(range(8)), contexts=("pool",)
+        )
+        with injected(plan), ParallelMSComplexPipeline(cfg) as pipeline:
             first = pipeline.run(field)
             assert first.stats.faults.degraded
             assert pipeline._executor._degraded

@@ -1,8 +1,9 @@
-"""Chaos-test suite: injected faults must never change the answer.
+"""Chaos-test suite: injected faults never change the answer.
 
-Every scenario here drives the full pipeline with a deterministic,
-seeded :class:`repro.parallel.faults.FaultPlan` and asserts one of the
-two permitted outcomes:
+Every compute-stage scenario here drives the full pipeline with a
+deterministic, seeded :class:`tests.faults.FaultPlan` (merge faults
+patch the pipeline's ``perform_merge``) and asserts one of the two
+permitted outcomes:
 
 - the fault-tolerance layer retries (or degrades) its way to a result
   *bit-identical* to the fault-free serial run, or
@@ -16,24 +17,25 @@ Tests that spawn real worker pools additionally carry the ``slow``
 marker.
 """
 
+import multiprocessing
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.config import ExecutionOptions, PipelineConfig
 from repro.core.merge import MergeStageError, pack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.data.synthetic import gaussian_bumps_field
 from repro.mesh.grid import StructuredGrid
 from repro.parallel.executor import ComputeStageError
-from repro.parallel.faults import FaultPlan, InjectedCrash
+from tests.faults import FaultPlan, InjectedCrash, injected
 
 pytestmark = pytest.mark.chaos
 
 BLOCKS = 8  # a 2x2x2 decomposition; full merge runs radices [2, 2, 2]
 ALL_BLOCKS = tuple(range(BLOCKS))
-#: every (round, root) merge event of the 2x2x2 full merge: the
-#: lexicographically-smallest block of each group roots every round
-MERGE_EVENTS = [(0, 0), (0, 2), (0, 4), (0, 6), (1, 0), (1, 4), (2, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +49,12 @@ def run(field, plan=None, **options):
     cfg = PipelineConfig(
         num_blocks=BLOCKS,
         persistence_threshold=0.05,
-        max_radix=2,  # three [2, 2, 2] rounds => the 7 MERGE_EVENTS
+        max_radix=2,  # three [2, 2, 2] rounds, 7 root merges
         options=ExecutionOptions(**options),
-        faults=plan,
     )
-    with ParallelMSComplexPipeline(cfg) as pipe:
-        return pipe.run(field)
+    with injected(plan) if plan is not None else nullcontext():
+        with ParallelMSComplexPipeline(cfg) as pipe:
+            return pipe.run(field)
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +118,12 @@ class TestCompoundChaos:
             FaultPlan.crash_on([0, 1])
             + FaultPlan.hang_on([2, 3])
             + FaultPlan.corrupt_on([4, 5], seed=3)
-            + FaultPlan.merge_crash_on([(0, 0)])
-            + FaultPlan.merge_corrupt_on([(1, 4)])
         )
         res = run(field, plan)
         assert_identical(res, baseline)
         c = res.stats.faults.counters()
         assert c["crashes"] == 2 and c["timeouts"] == 2
-        assert c["corrupt_payloads"] == 2 and c["merge_retries"] == 2
+        assert c["corrupt_payloads"] == 2
 
     def test_double_fault_same_block(self, field, baseline):
         """Two consecutive failing attempts still fit max_retries=2."""
@@ -138,65 +138,50 @@ class TestCompoundChaos:
 
 
 # ---------------------------------------------------------------------------
-# merge-round faults at every merge event
+# merge faults: a root merge is a function of its members' bytes, so a
+# retry could not succeed — the first failure fails the run, named
 # ---------------------------------------------------------------------------
+
+
+def crash_merges(monkeypatch):
+    """Make every root merge raise; returns the list of merge calls."""
+    calls = []
+
+    def crashing(root, *args, **kwargs):
+        calls.append(root)
+        raise InjectedCrash(f"injected merge crash #{len(calls)}")
+
+    monkeypatch.setattr(pipeline, "perform_merge", crashing)
+    return calls
 
 
 class TestMergeFaults:
-    @pytest.mark.parametrize("event", MERGE_EVENTS)
-    def test_merge_crash_retries_from_snapshot(self, field, baseline, event):
-        res = run(field, FaultPlan.merge_crash_on([event]))
-        assert_identical(res, baseline)
-        assert res.stats.faults.merge_retries == 1
-
-    @pytest.mark.parametrize("event", MERGE_EVENTS)
-    def test_merge_corrupt_blob_retries_pristine(self, field, baseline, event):
-        res = run(field, FaultPlan.merge_corrupt_on([event]))
-        assert_identical(res, baseline)
-        assert res.stats.faults.merge_retries == 1
-
-    def test_every_merge_event_crashes_at_once(self, field, baseline):
-        res = run(field, FaultPlan.merge_crash_on(MERGE_EVENTS))
-        assert_identical(res, baseline)
-        assert res.stats.faults.merge_retries == len(MERGE_EVENTS)
-
-    def test_persistent_merge_crash_fails_readably(self, field):
-        plan = FaultPlan.merge_crash_on([(0, 0)], attempts=(0, 1, 2, 3))
-        with pytest.raises(MergeStageError, match=r"3 attempt\(s\)"):
-            run(field, plan)
-
-
-# ---------------------------------------------------------------------------
-# the same merge faults behind a pooled compute stage (workers=2)
-# ---------------------------------------------------------------------------
+    def test_persistent_merge_crash_fails_readably(self, field, monkeypatch):
+        """The first merge's failure is the run's: attempted once, named
+        by round and root, chained to the cause."""
+        calls = crash_merges(monkeypatch)
+        with pytest.raises(MergeStageError) as exc_info:
+            run(field)
+        assert str(exc_info.value) == (
+            "merge round 0 root 0 failed: InjectedCrash: "
+            "injected merge crash #1"
+        )
+        assert isinstance(exc_info.value.__cause__, InjectedCrash)
+        assert len(calls) == 1
 
 
 @pytest.mark.slow
 class TestPooledMergeChaos:
-    """Merge faults in a run whose compute stage is pooled: there is one
-    merge engine — the driver's round loop — so the scenarios of
-    :class:`TestMergeFaults` must land identically with ``workers=2``
-    (blocks arriving from pool workers), bit-identical to the
-    fault-free serial reference."""
-
-    def test_pooled_merge_crash_retries_identical(self, field, baseline):
-        res = run(field, FaultPlan.merge_crash_on([(0, 2), (1, 4)]),
-                  workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.executor == "process"
-        assert res.stats.faults.merge_retries == 2
-
-    def test_pooled_merge_corrupt_blob_retries_identical(
-        self, field, baseline
+    def test_persistent_pooled_merge_crash_fails_readably(
+        self, field, monkeypatch
     ):
-        res = run(field, FaultPlan.merge_corrupt_on([(2, 0)]), workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.faults.merge_retries == 1
-
-    def test_persistent_pooled_merge_crash_fails_readably(self, field):
-        plan = FaultPlan.merge_crash_on([(0, 0)], attempts=(0, 1, 2, 3))
-        with pytest.raises(MergeStageError, match=r"3 attempt\(s\)"):
-            run(field, plan, workers=2, degrade_on_failure=False)
+        """Behind a pooled compute stage too, and the failed run leaves
+        no worker behind."""
+        calls = crash_merges(monkeypatch)
+        with pytest.raises(MergeStageError, match="^merge round 0 root 0 "):
+            run(field, workers=2, degrade_on_failure=False)
+        assert len(calls) == 1
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +221,6 @@ class TestDeterminism:
             FaultPlan.crash_on([1])
             + FaultPlan.hang_on([4])
             + FaultPlan.corrupt_on([6], seed=11)
-            + FaultPlan.merge_crash_on([(1, 0)])
         )
         outputs, counters = [], []
         for _ in range(5):
@@ -323,6 +307,7 @@ class TestPoolChaos:
         f = res.stats.faults
         assert f.degraded
         assert any("block 6" in e for e in f.degradation_events)
+        assert res.stats.transport.kind == "pickle"
 
     def test_degradation_disabled_fails_readably(self, field):
         plan = FaultPlan.crash_on(
@@ -348,68 +333,3 @@ class TestPoolChaos:
         res = run(field, FaultPlan.hang_on([1, 5]), workers=2)
         assert_identical(res, baseline)
         assert res.stats.faults.counters()["timeouts"] == 2
-
-
-# ---------------------------------------------------------------------------
-# pool restarts and degradation never reach for POSIX shared memory
-# ---------------------------------------------------------------------------
-
-
-def _dev_shm() -> set:
-    """Names currently present in the host's POSIX shm namespace."""
-    import os
-
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - non-Linux hosts
-        return set()
-
-
-@pytest.fixture
-def shm_denied(monkeypatch):
-    """A host that refuses POSIX shared memory: creating a segment
-    raises, in the driver and in every pool worker forked after it."""
-    import multiprocessing.shared_memory
-
-    def denied(*args, **kwargs):
-        raise PermissionError("shm_open denied")
-
-    monkeypatch.setattr(multiprocessing.shared_memory, "SharedMemory", denied)
-
-
-@pytest.mark.slow
-class TestShmTransportChaos:
-    """The fault paths that rebuild or abandon the pool must not depend
-    on a shared-memory segment: a pooled in-memory run ships its blocks
-    by value, so on a host that denies shared memory a restarted pool
-    and a degraded serial stage still land on the serial reference's
-    bytes, and nothing is left in the shm namespace."""
-
-    def test_pool_restart_keeps_segment_alive_then_unlinks(
-        self, field, baseline, shm_denied
-    ):
-        """os._exit kills the pool; the restarted pool and the serial
-        fallback re-ship the blocks by value."""
-        before = _dev_shm()
-        res = run(field, FaultPlan.exit_on([2]), workers=2)
-        assert_identical(res, baseline)
-        f = res.stats.faults
-        assert f.pool_restarts >= 1
-        assert f.degraded
-        assert res.stats.transport.kind == "pickle"
-        assert _dev_shm() <= before
-
-    def test_degrade_to_serial_reads_creator_mapping(
-        self, field, baseline, shm_denied
-    ):
-        """After degradation the driver computes each block in-process
-        from the caller's own array; the answer is unchanged."""
-        plan = FaultPlan.crash_on(
-            [6], attempts=tuple(range(8)), contexts=("pool",)
-        )
-        before = _dev_shm()
-        res = run(field, plan, workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.faults.degraded
-        assert res.stats.transport.kind == "pickle"
-        assert _dev_shm() <= before

@@ -19,7 +19,7 @@ RUN_SERIES = sorted(
        for k in ("build", "gradient", "trace", "simplify", "pack")]
     + [f"faults.{k}" for k in ("retries", "timeouts", "crashes",
                                "corrupt_payloads", "pool_restarts",
-                               "merge_retries", "degraded",
+                               "degraded",
                                "backoff_seconds")]
     + ["io.output_bytes", "pipeline.workers"]
     + [f"merge.{k}" for k in ("glue_nodes", "glue_arcs", "seconds",

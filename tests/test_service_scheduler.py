@@ -25,8 +25,8 @@ from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.io.volume import VolumeSpec, write_volume
-from repro.parallel.faults import FaultPlan
 from repro.service import ServiceClient
+from tests.faults import FaultPlan, injected
 
 
 @pytest.fixture
@@ -259,15 +259,15 @@ class TestChaos:
         self, client, volume
     ):
         """A crashed compute is one failed job, not a dead service."""
-        crashing = client.submit(
-            volume, persistence=0.05, ranks=2,
-            options=ExecutionOptions(
-                degrade_on_failure=False, max_retries=1,
-                retry_backoff=0.0,
-            ),
-            faults=FaultPlan.crash_on([0], attempts=(0, 1, 2, 3)),
-            wait=True,
-        )
+        with injected(FaultPlan.crash_on([0], attempts=(0, 1, 2, 3))):
+            crashing = client.submit(
+                volume, persistence=0.05, ranks=2,
+                options=ExecutionOptions(
+                    degrade_on_failure=False, max_retries=1,
+                    retry_backoff=0.0,
+                ),
+                wait=True,
+            )
         assert crashing.state == "failed"
         assert crashing.error  # readable, non-empty detail
         with pytest.raises(RuntimeError, match=crashing.job_id):
@@ -291,11 +291,11 @@ class TestChaos:
             workers=2, degrade_on_failure=False, max_retries=0,
             retry_backoff=0.0,
         )
-        crashed = client.submit(
-            volume, persistence=0.05, ranks=2, options=options,
-            faults=FaultPlan.crash_on([0], attempts=(0, 1)),
-            wait=True,
-        )
+        with injected(FaultPlan.crash_on([0], attempts=(0, 1))):
+            crashed = client.submit(
+                volume, persistence=0.05, ranks=2, options=options,
+                wait=True,
+            )
         assert crashed.state == "failed"
         healthy = client.submit(
             volume, persistence=0.05, ranks=2, options=options, wait=True
