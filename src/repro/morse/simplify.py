@@ -23,9 +23,9 @@ from the three deleted arcs' geometry objects.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 
-from repro.morse.msc import Cancellation, MorseSmaleComplex
+from repro.morse.msc import Cancellation, LoopLists, MorseSmaleComplex
 from repro.obs.trace import get_tracer
 
 __all__ = ["simplify_ms_complex", "Cancellation"]
@@ -95,39 +95,10 @@ def simplify_ms_complex(
     )
     span.__enter__()
 
-    heap: list[tuple[float, int, int, int]] = []
-    counter = 0
-    lists = msc.loop_lists()
-    node_arcs, pm = lists.node_arcs, lists.pair_multiplicity
-    node_value, node_index = lists.node_value, lists.node_index
-    node_alive = lists.node_alive
+    lists = LoopLists(msc, threshold, respect_boundary, seed_nodes)
+    heap, arc_alive = lists.heap, lists.arc_alive
     arc_upper, arc_lower = lists.arc_upper, lists.arc_lower
-    arc_alive, node_boundary = lists.arc_alive, lists.node_boundary
-    address = msc.node_address
-
-    def push(aid: int) -> None:
-        # an arc's persistence is fixed at creation, so only one at or
-        # below the threshold can ever pop.  Ties break by a push-time
-        # estimate of the arcs its cancellation would create, which keeps
-        # plateau sweeps from repeatedly feeding high-degree hubs
-        nonlocal counter
-        upper, lower = arc_upper[aid], arc_lower[aid]
-        pers = abs(node_value[upper] - node_value[lower])
-        if pers <= threshold:
-            cost = len(node_arcs[upper]) * len(node_arcs[lower])
-            heappush(heap, (pers, cost, counter, aid))
-            counter += 1
-
-    if seed_nodes is None:
-        for aid in msc.alive_arcs():
-            push(aid)
-    else:
-        # ascending-aid pushes keep the counter-based tie-breaking
-        # consistent with the full-heap seeding order
-        seed_arcs = {a for n in seed_nodes if node_alive[n]
-                     for a in node_arcs[n] if arc_alive[a]}
-        for aid in sorted(seed_arcs):
-            push(aid)
+    node_index, address = lists.node_index, msc.node_address
 
     performed: list[Cancellation] = []
     try:
@@ -136,29 +107,18 @@ def simplify_ms_complex(
                     and len(performed) >= max_cancellations):
                 break
             pers, _, _, aid = heappop(heap)
+            # a cancellation kills every living arc of both its nodes, so
+            # a living arc has living endpoints
             if not arc_alive[aid]:
                 continue
             upper, lower = arc_upper[aid], arc_lower[aid]
-            if not (node_alive[upper] and node_alive[lower]):
-                continue
-            if respect_boundary and (
-                node_boundary[upper] or node_boundary[lower]
-            ):
-                continue
             # unique-connection requirement; multiplicity between a living
-            # pair never decreases, so skipped arcs need not be re-queued.
-            # A skip prunes the smaller-degree endpoint's list, as the
-            # incidence scan it replaces did (a push reads list lengths)
-            key = (upper, lower) if upper < lower else (lower, upper)
-            if pm.get(key) != 1:
-                base = (upper
-                        if len(node_arcs[upper]) <= len(node_arcs[lower])
-                        else lower)
-                node_arcs[base] = [a for a in node_arcs[base] if arc_alive[a]]
+            # pair never decreases, so skipped arcs need not be re-queued
+            if lists.skipped(upper, lower):
                 continue
 
             created, killed = lists.cancel(
-                aid, upper, lower, max_arc_multiplicity, push
+                aid, upper, lower, max_arc_multiplicity
             )
             record = Cancellation(
                 persistence=pers,
@@ -175,6 +135,6 @@ def simplify_ms_complex(
             performed.append(record)
     finally:
         lists.write_back()
-    span.annotate(cancellations=len(performed), queued=counter)
+    span.annotate(cancellations=len(performed), queued=lists.queued)
     span.__exit__(None, None, None)
     return performed

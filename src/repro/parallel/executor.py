@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from concurrent.futures import (
     ProcessPoolExecutor,
@@ -36,6 +37,10 @@ from typing import Any, Callable, Sequence
 from repro.obs.trace import NULL_TRACER, Tracer
 
 logger = logging.getLogger(__name__)
+
+#: the longest timeout or backoff accepted: ``time.sleep`` adds the wait
+#: to a clock reading, which overflows (EINVAL) at ``TIMEOUT_MAX`` itself
+_MAX_WAIT = threading.TIMEOUT_MAX / 2
 
 __all__ = [
     "FaultTolerantExecutor",
@@ -108,11 +113,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         # written so NaN fails too (every comparison with NaN is False)
         if self.block_timeout is not None and not (
-            0 < self.block_timeout < math.inf
+            0 < self.block_timeout <= _MAX_WAIT
         ):
             raise ValueError(
-                "block_timeout must be a positive finite number or None, "
-                f"got {self.block_timeout!r}"
+                "block_timeout must be a positive finite number of at most "
+                f"{_MAX_WAIT:.3g} s or None, got {self.block_timeout!r}"
             )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -122,6 +127,16 @@ class RetryPolicy:
                 "backoff must be finite and >= 0, backoff_factor finite and "
                 f">= 1; got {self.backoff!r}, {self.backoff_factor!r}"
             )
+        # the longest sleep, backoff * backoff_factor ** (max_retries - 1),
+        # compared in log space so the check itself cannot overflow
+        if self.backoff > 0 and self.max_retries > 0 and (
+            math.log(self.backoff) + (self.max_retries - 1)
+            * math.log(self.backoff_factor) > math.log(_MAX_WAIT)
+        ):
+            raise ValueError(
+                f"the longest backoff must be finite, at most {_MAX_WAIT:.3g}"
+                f" s; got {self.backoff!r} * {self.backoff_factor!r} ** "
+                f"{self.max_retries - 1}")
         if self.max_pool_restarts < 0:
             raise ValueError("max_pool_restarts must be >= 0")
 

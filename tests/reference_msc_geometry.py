@@ -212,14 +212,12 @@ class ReferenceComplex(MorseSmaleComplex):
                 chunk.tolist()
                 for chunk in np.split(both[order], np.cumsum(counts)[:-1])
             ]
-            key_lo = np.minimum(new_up, new_lo)
-            key_hi = np.maximum(new_up, new_lo)
+            # keyed as production keys it: (upper << 32) | lower
             pairs, mult = np.unique(
-                key_lo * num_nodes + key_hi, return_counts=True
+                (new_up << 32) | new_lo, return_counts=True
             )
             self.pair_multiplicity = {
-                (int(p // num_nodes), int(p % num_nodes)): int(m)
-                for p, m in zip(pairs, mult)
+                int(p): int(m) for p, m in zip(pairs, mult)
             }
         else:
             self.node_arcs = [[] for _ in range(num_nodes)]

@@ -295,11 +295,13 @@ class TestExecutionOptions:
 
     @pytest.mark.parametrize("name", ["block_timeout", "retry_backoff"])
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf")], ids=["nan", "inf"]
+        "value", [float("nan"), float("inf"), 1e300],
+        ids=["nan", "inf", "huge"],
     )
     def test_non_finite_retry_settings_rejected(self, name, value):
         """A NaN timeout would time every pooled block out at once, an
-        infinite one overflows the wait, an infinite backoff the sleep."""
+        infinite one overflows the wait, an infinite backoff the sleep;
+        a finite 1e300 overflows them just the same."""
         with pytest.raises(ValueError, match="finite"):
             repro.ExecutionOptions(**{name: value})
 

@@ -456,6 +456,8 @@ class TestFaultToleranceFlags:
     @pytest.mark.parametrize("flag, value", [
         ("--block-timeout", "inf"), ("--block-timeout", "nan"),
         ("--retry-backoff", "inf"), ("--retry-backoff", "nan"),
+        # finite, but it would overflow the wait or the sleep
+        ("--block-timeout", "1e300"), ("--retry-backoff", "1e300"),
     ])
     def test_non_finite_retry_settings_fail_readably(
         self, volume, capsys, flag, value

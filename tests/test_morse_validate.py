@@ -6,6 +6,7 @@ import pytest
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.msc import MorseSmaleComplex
+from repro.morse.simplify import simplify_ms_complex
 from repro.morse.tracing import extract_ms_complex
 from repro.morse.validate import (
     assert_acyclic,
@@ -77,6 +78,24 @@ class TestMSComplexValidation:
         msc.add_arc(s, m, gid)
         msc.node_alive[m] = False
         with pytest.raises(AssertionError, match="dead endpoint"):
+            assert_ms_complex_valid(msc)
+
+    def test_living_arc_under_a_dead_node_is_named(self, small_random_field):
+        """The cancellation loop pops an arc without checking its
+        endpoints: a cancellation kills every living arc of both its
+        nodes.  A complex that breaks this fails by the arc's id."""
+        msc = extract_ms_complex(
+            compute_discrete_gradient(CubicalComplex(small_random_field))
+        )
+        simplify_ms_complex(msc, 0.3, respect_boundary=False)
+        assert msc.hierarchy  # the incidence is live, lists hold dead ids
+        assert_ms_complex_valid(msc)
+        node = msc.arc_lower[msc.alive_arcs()[-1]]
+        msc.node_alive[node] = False
+        # the first living arc (by id) the dead node still holds
+        aid = min(msc.incident_arcs(node))
+        with pytest.raises(AssertionError,
+                           match=rf"^arc {aid} has a dead endpoint$"):
             assert_ms_complex_valid(msc)
 
     def test_bad_geometry_detected(self):

@@ -8,6 +8,8 @@ choice; these tests assert that end-to-end on payload bytes, nodes,
 arcs, geometry, and persistence pairs.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -317,11 +319,37 @@ class TestRetryPolicy:
             dict(backoff=float("inf")),
             dict(backoff_factor=float("nan")),
             dict(backoff_factor=float("inf")),
+            # finite but past what a wait can take: time.sleep and
+            # Future.result would overflow
+            dict(block_timeout=1e300),
+            dict(backoff=1e300),
+            dict(backoff=1.0, backoff_factor=1e300, max_retries=3),
+            dict(backoff=1.0, backoff_factor=2.0, max_retries=40),
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # the factor is never applied with one retry
+            dict(backoff=1.0, backoff_factor=1e300, max_retries=1),
+            # no retry, no sleep
+            dict(backoff=1e300, max_retries=0),
+            # the log-space bound does not overflow on huge factors
+            dict(backoff=1e-300, backoff_factor=1e150, max_retries=3),
+            dict(block_timeout=3600.0, backoff=0.5, max_retries=20),
+        ],
+    )
+    def test_every_accepted_backoff_can_be_slept(self, kwargs):
+        p = RetryPolicy(**kwargs)
+        longest = max(
+            [p.backoff_seconds(k) for k in range(1, p.max_retries + 1)],
+            default=0.0,
+        )
+        assert longest <= threading.TIMEOUT_MAX / 2
 
 
 class TestFaultTolerantSerial:

@@ -156,7 +156,9 @@ def test_error_mapping(service):
     # json.loads takes NaN / Infinity: non-finite retry settings are
     # rejected at admission too
     for bad in ({"retry_backoff": float("nan")},
-                {"block_timeout": float("inf")}):
+                {"block_timeout": float("inf")},
+                # finite but past what a sleep or a wait can take
+                {"retry_backoff": 1e300}, {"block_timeout": 1e300}):
         status, err = _post(
             base, "/v1/submit", _submit_body(spec, options=bad)
         )

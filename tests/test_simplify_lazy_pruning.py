@@ -1,0 +1,252 @@
+"""The cancellation loop's lazy bookkeeping against the eager oracle.
+
+A skip (a pair joined by more than one living arc) used to prune the
+smaller endpoint's incidence list on the spot, and the push tie-break
+reads list lengths, so the cancellation order depends on when lists are
+pruned.  `repro.morse.msc.LoopLists` instead keeps each node's nominal
+length, stamps a skipped node with the cancellation clock, dates each
+arc's death and replays the prunes in ``write_back``; and it queues only
+arcs that can ever be cancelled (docs/ALGORITHM.md §4).  The oracle of
+`tests/reference_simplify.py` prunes at once and queues every arc.
+
+Each case below first asserts that its corner really occurs — a test
+whose corner never happens proves nothing — and then requires the
+oracle's records, incidence and payload (``assert_same_run``).
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.glue import AddressIndex, glue_into
+from repro.morse import msc as msc_module
+from repro.morse.simplify import simplify_ms_complex
+from repro.parallel.decomposition import decompose
+from repro.parallel.radixk import MergeSchedule
+from tests.test_property_simplify_boundary import block_complex
+from tests.test_property_simplify_reference import (
+    assert_same_run,
+    make_field,
+)
+
+
+class Recorder:
+    """What every `LoopLists` built while it is installed did."""
+
+    def __init__(self) -> None:
+        #: ``(lists, aid)`` of every queued arc, seeds and pushes
+        self.queued: list[tuple[object, int]] = []
+        #: pushes that read a stamped node's nominal length while its
+        #: list still held dead entries (the eager form had pruned them)
+        self.stamped_reads = 0
+        #: cancellation clock of every skip
+        self.skips: list[int] = []
+        #: ``(stamped nodes, arcs left queued)`` at each write-back
+        self.write_backs: list[tuple[int, int]] = []
+
+    def install(self, monkeypatch) -> "Recorder":
+        cls = msc_module.LoopLists
+        init, cancel = cls.__init__, cls.cancel
+        skipped, write_back = cls.skipped, cls.write_back
+        rec = self
+
+        def _init(lists, *args, **kwargs):
+            init(lists, *args, **kwargs)
+            rec.queued += [(lists, entry[3]) for entry in lists.heap]
+
+        def _cancel(lists, *args, **kwargs):
+            counter, stamped = lists.queued, set(lists.pruned_at)
+            out = cancel(lists, *args, **kwargs)
+            for entry in lists.heap:
+                if entry[2] < counter:
+                    continue
+                aid = entry[3]
+                rec.queued.append((lists, aid))
+                for n in (lists.arc_upper[aid], lists.arc_lower[aid]):
+                    if n in stamped and (
+                        lists.nominal[n] < len(lists.node_arcs[n])
+                    ):
+                        rec.stamped_reads += 1
+            return out
+
+        def _skipped(lists, upper, lower):
+            if skipped(lists, upper, lower):
+                rec.skips.append(lists.clock)
+                return True
+            return False
+
+        def _write_back(lists):
+            rec.write_backs.append((len(lists.pruned_at), len(lists.heap)))
+            write_back(lists)
+
+        monkeypatch.setattr(cls, "__init__", _init)
+        monkeypatch.setattr(cls, "cancel", _cancel)
+        monkeypatch.setattr(cls, "skipped", _skipped)
+        monkeypatch.setattr(cls, "write_back", _write_back)
+        return self
+
+
+@pytest.fixture
+def recorder(monkeypatch) -> Recorder:
+    return Recorder().install(monkeypatch)
+
+
+def glued_root(seed: int, levels: int | None, threshold: float):
+    """The first-round root of four blocks merged by radices 2, 2: two
+    simplified blocks glued, boundary flags updated, as ``perform_merge``
+    re-simplifies it; returns it with its seed nodes.  Unlike a full
+    two-block merge, the root keeps boundary nodes."""
+    field = make_field(seed, levels)
+    decomp = decompose(field.shape, 4)
+    schedule = MergeSchedule(decomp, [2, 2])
+    bid = {decomp.block_coords(b): b for b in range(4)}
+    root_coords, (member,) = schedule.groups(0)[0]
+    halves = []
+    for coords in (root_coords, member):
+        msc = block_complex(field, 4, bid[coords])
+        simplify_ms_complex(msc, threshold)
+        msc.compact()
+        halves.append(msc)
+    root, other = halves
+    touched: set[int] = set()
+    glue_into(root, other, AddressIndex.from_complex(root), touched=touched)
+    cuts = schedule.cut_planes_after(1)
+    touched.update(root.update_boundary_flags(cuts, return_ids=True))
+    return root, touched
+
+
+def boundary_candidates(msc, threshold: float, seeds=None) -> set[int]:
+    """Living arcs at or below the threshold with a boundary endpoint
+    (incident to ``seeds`` if given): what the oracle queues and the
+    production loop does not."""
+    upper, lower = msc.arc_upper, msc.arc_lower
+    pers = np.abs(msc.node_value[upper] - msc.node_value[lower])
+    mask = msc.arc_alive & (pers <= threshold) & (
+        msc.node_boundary[upper] | msc.node_boundary[lower]
+    )
+    if seeds is not None:
+        seeded = np.zeros(msc.node_alive.size, bool)
+        seeded[list(seeds)] = True
+        mask &= seeded[upper] | seeded[lower]
+    return set(np.flatnonzero(mask).tolist())
+
+
+def test_oracle_cases_reach_the_lazy_corners(recorder):
+    """Beside ``test_cases_are_not_vacuous``: the oracle inputs include a
+    skip whose node later gains arcs that a push reads, and a seeded
+    merge in which a boundary arc is never queued."""
+    msc = block_complex(make_field(5, 6), 2, 0)
+    assert assert_same_run(msc, 0.5, max_arc_multiplicity=None) > 20
+    assert recorder.skips and recorder.stamped_reads > 0
+
+    root, seeds = glued_root(5, 6, 0.3)
+    never = boundary_candidates(root, 0.3, seeds)
+    recorder.queued.clear()
+    assert assert_same_run(root, 0.3, seed_nodes=seeds) > 0
+    assert never
+    assert never.isdisjoint(aid for _, aid in recorder.queued)
+
+
+@pytest.mark.parametrize(
+    "seed, levels, cap", [(2, 12, None), (11, 6, None), (3, 4, 4)]
+)
+def test_tie_break_reads_nominal_lengths(recorder, seed, levels, cap):
+    """Plateau inputs whose cancellation order the nominal lengths
+    decide: reading a raw list length at either endpoint of a push, or
+    a skip that leaves the nominal length alone, changes the records of
+    at least one of these."""
+    msc = block_complex(make_field(seed, levels), 2, 0)
+    assert assert_same_run(msc, 0.5, max_arc_multiplicity=cap) > 100
+    assert recorder.stamped_reads > 0
+
+
+@pytest.mark.parametrize("seed, levels", [(5, 6), (1, None), (3, 12)])
+def test_no_queued_arc_has_a_boundary_endpoint(recorder, seed, levels):
+    msc = block_complex(make_field(seed, levels), 8, 0)
+    candidates = boundary_candidates(msc, 0.5)
+    assert candidates  # arcs the oracle queues and skips at pop time
+    assert assert_same_run(msc, 0.5, respect_boundary=True) > 0
+    assert recorder.queued
+    for lists, aid in recorder.queued:
+        upper, lower = lists.arc_upper[aid], lists.arc_lower[aid]
+        assert not (lists.node_boundary[upper] or lists.node_boundary[lower])
+    # without the rule nothing is held back
+    recorder.queued.clear()
+    assert_same_run(block_complex(make_field(seed, levels), 8, 0), 0.5,
+                    respect_boundary=False)
+    queued = {aid for _, aid in recorder.queued}
+    assert candidates <= queued
+
+
+class TestMultiplicity:
+    @pytest.fixture(scope="class")
+    def simplified(self):
+        msc = block_complex(make_field(5, 6), 2, 0)
+        simplify_ms_complex(msc, 0.5)
+        return msc
+
+    def test_symmetric_and_counts_living_arcs(self, simplified):
+        msc = simplified
+        pairs = {
+            (int(msc.arc_upper[a]), int(msc.arc_lower[a]))
+            for a in msc.alive_arcs()
+        }
+        assert any(msc.multiplicity(u, v) > 1 for u, v in pairs)
+        for u, v in pairs:
+            m = len(msc.arcs_between(u, v))
+            assert msc.multiplicity(u, v) == msc.multiplicity(v, u) == m
+
+    def test_non_arc_pair_reads_zero(self, simplified):
+        msc = simplified
+        alive = msc.alive_nodes()
+        index = msc.node_index
+        same = [n for n in alive if index[n] == index[alive[0]]][:2]
+        assert len(same) == 2
+        assert msc.multiplicity(*same) == msc.multiplicity(*same[::-1]) == 0
+        far = next(
+            (u, v) for u in alive for v in alive
+            if index[u] == index[v] + 2
+        )
+        assert msc.multiplicity(*far) == msc.multiplicity(*far[::-1]) == 0
+        # an index-adjacent pair with no arc between them
+        upper = next(n for n in alive if index[n] == 1)
+        joined = set(msc.arc_lower[msc.incident_arcs(upper)].tolist())
+        lone = next(n for n in alive if index[n] == 0 and n not in joined)
+        assert msc.multiplicity(upper, lone) == 0
+        assert msc.multiplicity(lone, upper) == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    levels=st.sampled_from([None, 4, 6, 12]),
+    cap=st.sampled_from([None, 2, 4]),
+    data=st.data(),
+)
+def test_write_back_mid_pass_with_stamped_nodes(seed, levels, cap, data):
+    """``max_cancellations`` stops the pass after a skip, so write-back
+    replays stamps while arcs are still queued; the incidence it leaves
+    must be the one the eager prunes left."""
+    msc = block_complex(make_field(seed, levels), 2, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        probe = Recorder().install(mp)
+        total = len(simplify_ms_complex(
+            copy.deepcopy(msc), 0.5, max_arc_multiplicity=cap
+        ))
+    assume(probe.skips and probe.skips[0] + 1 < total)
+    limit = data.draw(
+        st.integers(min_value=probe.skips[0] + 1, max_value=total - 1),
+        label="max_cancellations",
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        rec = Recorder().install(mp)
+        assert assert_same_run(
+            msc, 0.5, max_cancellations=limit, max_arc_multiplicity=cap
+        ) == limit
+    stamped, left = rec.write_backs[0]
+    assert stamped > 0 and left > 0
