@@ -11,7 +11,6 @@ The package re-exports nothing; each name lives in its defining module:
   queries over the cancellation hierarchy,
 - :mod:`repro.analysis.graphtools` — the 1-skeleton as a networkx graph
   with the statistics the paper's analysis pipeline reports,
-- :mod:`repro.analysis.compare` — stability quantification (§V-A),
 - :mod:`repro.analysis.hierarchy` — multi-resolution level queries,
 - :mod:`repro.analysis.query` — re-simplification-free persistence
   queries against hierarchies persisted in ``.msc`` files,

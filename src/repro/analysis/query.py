@@ -100,7 +100,8 @@ def load_hierarchy(
     per output block id.  Load once and pass the result to
     :func:`query` to answer many thresholds without re-reading the file.
     Raises a readable :class:`ValueError` when the file has no hierarchy
-    records (runs without the ``hierarchy`` option, v1 files).
+    records (runs without the ``hierarchy`` option) and for a file of an
+    earlier ``.msc`` version.
     """
     return {
         bid: MSComplexHierarchy.from_arrays(arrays)

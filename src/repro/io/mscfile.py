@@ -22,14 +22,11 @@ index to the MS complexes contained in the file") and detect a damaged
 record; ``footer_crc`` covers the two indexes.  All integers are
 little-endian.
 
-Files of the two earlier versions stay readable: v1 (``MSC1``: block
-index only) and v2 (``MSC2``: block + hierarchy index) have 24-byte index
-rows without checksums, no ``footer_crc``, and records that hold every
-arc's V-path flattened (``geom_data`` + CSR ``geom_offsets``) — decoded
-as the composite-free special case of the v3 payload.  Asking a file
-without hierarchy records for them raises a "no hierarchy recorded"
-error (see :func:`read_msc_hierarchies`).  The layout is documented in
-``docs/FILEFORMAT.md``.
+v3 is the only version read: a file ending in an older magic (``MSC1``,
+``MSC2``) is rejected with a :class:`ValueError` naming the version —
+recompute it.  Asking a file without hierarchy records for them raises
+a "no hierarchy recorded" error (see :func:`read_msc_hierarchies`).
+The layout is documented in ``docs/FILEFORMAT.md``.
 """
 
 from __future__ import annotations
@@ -44,11 +41,8 @@ from repro.obs.trace import get_tracer
 
 __all__ = ["write_msc_file", "read_msc_file", "read_msc_hierarchies",
            "serialize_payload", "deserialize_payload",
-           "serialize_hierarchy", "deserialize_hierarchy",
-           "MAGIC", "MAGIC_V2", "MAGIC_V3"]
+           "serialize_hierarchy", "deserialize_hierarchy", "MAGIC_V3"]
 
-MAGIC = b"MSC1"  # read only
-MAGIC_V2 = b"MSC2"  # read only
 MAGIC_V3 = b"MSC3"
 
 # block record sections in fixed order: (key, dtype); node_ghost is the
@@ -69,9 +63,6 @@ _SECTIONS = (
     ("geom_children", np.int64),
     ("geom_child", np.int64),
 )
-
-# v1/v2 block records: one flattened leaf per arc, as CSR offsets
-_LEGACY_SECTIONS = _SECTIONS[:-3] + (("geom_offsets", np.int64),)
 
 # hierarchy record sections in fixed order: (key, dtype) — the flat
 # arrays of MSComplexHierarchy.to_arrays()
@@ -167,7 +158,7 @@ def deserialize_payload(record: bytes) -> dict[str, np.ndarray]:
 
 
 def serialize_hierarchy(arrays: dict[str, np.ndarray]) -> bytes:
-    """Pack one hierarchy (``to_arrays`` form) into a v2 record."""
+    """Pack one hierarchy (``to_arrays`` form) into a hierarchy record."""
     return _serialize_sections(arrays, _HIERARCHY_SECTIONS)
 
 
@@ -231,22 +222,31 @@ def write_msc_file(
         return f.tell()
 
 
+#: one footer index row: (block_id, offset, length, crc32)
+_ROW = struct.Struct("<qQQI")
+#: the magics of the earlier versions, rejected by name
+_SUPERSEDED = {b"MSC1": 1, b"MSC2": 2}
+
+
 def _parse_footer(
     data: bytes, path: str | Path
-) -> tuple[int, list[tuple], list[tuple]]:
+) -> tuple[list[tuple], list[tuple]]:
     """Validate and parse a file's footer.
 
-    Returns ``(version, block_index, hierarchy_index)``, the index rows
-    being ``(block_id, offset, length, crc32)`` with ``crc32 = None`` for
-    a v1/v2 file; raises a readable :class:`ValueError` on a bad magic or
-    a truncated/corrupt footer.
+    Returns ``(block_index, hierarchy_index)``, the index rows being
+    ``(block_id, offset, length, crc32)``; raises a readable
+    :class:`ValueError` on a bad or superseded magic or a
+    truncated/corrupt footer.
     """
-    versions = {MAGIC: 1, MAGIC_V2: 2, MAGIC_V3: 3}
-    if len(data) < 12 or data[-4:] not in versions:
+    magic = data[-4:]
+    if magic in _SUPERSEDED:
+        raise ValueError(
+            f"{path}: an MSC version {_SUPERSEDED[magic]} file "
+            f"({magic.decode()}); only version 3 is read: recompute it"
+        )
+    if len(data) < 12 or magic != MAGIC_V3:
         raise ValueError(f"{path}: not an MSC file (bad magic)")
-    version = versions[data[-4:]]
-    row = struct.Struct("<qQQI" if version == 3 else "<qQQ")
-    tail = len(data) - (16 if version == 3 else 12)
+    tail = len(data) - 16
     (footer_offset,) = struct.unpack_from("<Q", data, len(data) - 12)
     try:
         if footer_offset > tail:
@@ -257,31 +257,27 @@ def _parse_footer(
             pos += 8
             entries = []
             for _ in range(count):
-                block_id, off, ln, *crc = row.unpack_from(data, pos)
-                pos += row.size
+                block_id, off, ln, crc = _ROW.unpack_from(data, pos)
+                pos += _ROW.size
                 if off + ln > footer_offset:
                     raise ValueError(
                         f"record for block {block_id} extends past "
                         "the footer"
                     )
-                entries.append((block_id, off, ln, crc[0] if crc else None))
+                entries.append((block_id, off, ln, crc))
             return entries, pos
 
         blocks, pos = read_index(footer_offset)
-        hiers: list[tuple] = []
-        if version >= 2:
-            hiers, pos = read_index(pos)
-        if pos > tail:
-            raise ValueError("footer index overruns the file")
-        if version == 3 and (pos != tail or zlib.crc32(
+        hiers, pos = read_index(pos)
+        if pos != tail or zlib.crc32(
             data[footer_offset:tail]
-        ) != struct.unpack_from("<I", data, tail)[0]):
+        ) != struct.unpack_from("<I", data, tail)[0]:
             raise ValueError("footer fails its CRC-32 check")
     except (struct.error, ValueError) as exc:
         raise ValueError(
             f"{path}: truncated or corrupt MSC footer ({exc})"
         ) from None
-    return version, blocks, hiers
+    return blocks, hiers
 
 
 def _source_bytes(source: str | Path | bytes) -> tuple[bytes, str]:
@@ -300,13 +296,13 @@ def _source_bytes(source: str | Path | bytes) -> tuple[bytes, str]:
 def _read_records(data: bytes, path: str, index, sections,
                   decode=lambda views: views) -> dict[int, dict]:
     """Owned, writable arrays of every indexed record: each record is
-    checked against its index row's CRC-32 (v3), parsed in place through
-    one memoryview, passed through ``decode`` and its arrays copied once."""
+    checked against its index row's CRC-32, parsed in place through one
+    memoryview, passed through ``decode`` and its arrays copied once."""
     image = memoryview(data)
     out = {}
     for block_id, off, ln, crc in index:
         record = image[off: off + ln]
-        if crc is not None and zlib.crc32(record) != crc:
+        if zlib.crc32(record) != crc:
             raise ValueError(
                 f"{path}: record of block {block_id} fails its CRC-32 "
                 "check (corrupt file)"
@@ -321,43 +317,19 @@ def _read_records(data: bytes, path: str, index, sections,
     return out
 
 
-def _legacy_payload(block: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A v1/v2 block record as a v3 payload: one leaf per ``geom_offsets``
-    interval, no composites."""
-    offsets = block.pop("geom_offsets")
-    if (
-        offsets.size == 0
-        or offsets[0] != 0
-        or offsets[-1] != len(block["geom_data"])
-        or (np.diff(offsets) < 0).any()
-    ):
-        raise ValueError(
-            "geom_offsets must start at 0, be non-decreasing and end at "
-            f"len(geom_data) = {len(block['geom_data'])}"
-        )
-    block["geom_length"] = np.diff(offsets)
-    block["geom_children"] = np.full(offsets.size - 1, -1, dtype=np.int64)
-    block["geom_child"] = np.empty(0, dtype=np.int64)
-    return block
-
-
 def read_msc_file(
     source: str | Path | bytes,
 ) -> dict[int, dict[str, np.ndarray]]:
     """Read all MS complex blocks of a file, keyed by block id.
 
-    ``source`` is a path or the whole file image as ``bytes``.  Reads v3
-    files and, as the composite-free special case of the same payload,
-    v1/v2 files; hierarchy records are skipped (see
-    :func:`read_msc_hierarchies`).  A record that fails its checksum
-    raises a :class:`ValueError` naming the file and the block.
+    ``source`` is a path or the whole file image as ``bytes``;
+    hierarchy records are skipped (see :func:`read_msc_hierarchies`).  A
+    record that fails its checksum raises a :class:`ValueError` naming
+    the file and the block.
     """
     data, path = _source_bytes(source)
-    version, blocks, _hiers = _parse_footer(data, path)
-    if version == 3:
-        return _read_records(data, path, blocks, _SECTIONS, _drop_reserved)
-    return _read_records(data, path, blocks, _LEGACY_SECTIONS,
-                         lambda views: _legacy_payload(_drop_reserved(views)))
+    blocks, _hiers = _parse_footer(data, path)
+    return _read_records(data, path, blocks, _SECTIONS, _drop_reserved)
 
 
 def read_msc_hierarchies(
@@ -368,17 +340,15 @@ def read_msc_hierarchies(
     ``source`` is a path or the whole file image as ``bytes``.  Returns
     the flat arrays per block id (feed them to
     :meth:`repro.analysis.hierarchy.MSComplexHierarchy.from_arrays`).
-    Raises a readable :class:`ValueError` for v1 files and for files
-    whose hierarchy index is empty — both mean no hierarchy was recorded
-    when the file was written (recompute with the ``hierarchy`` option
-    enabled to get one).
+    Raises a readable :class:`ValueError` for files whose hierarchy index
+    is empty: no hierarchy was recorded when the file was written
+    (recompute with the ``hierarchy`` option enabled to get one).
     """
     data, path = _source_bytes(source)
-    version, _blocks, hiers = _parse_footer(data, path)
+    _blocks, hiers = _parse_footer(data, path)
     if not hiers:
         raise ValueError(
-            f"{path}: no hierarchy recorded "
-            f"({'v1 file' if version == 1 else 'empty hierarchy index'}); "
+            f"{path}: no hierarchy recorded (empty hierarchy index); "
             "recompute with hierarchy=True "
             "(ExecutionOptions(hierarchy=True) or repro compute "
             "--hierarchy) to persist one"

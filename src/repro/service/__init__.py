@@ -6,8 +6,8 @@ many callers.  Three layers, each useful on its own:
 
 - :mod:`repro.service.store` — the content-addressed result cache:
   ``(volume content hash, config result fingerprint) → .msc artifact``
-  with an on-disk layer, a bounded in-memory LRU, and one persistence
-  provider behind every execution path;
+  with an on-disk layer and a bounded in-memory LRU, one store class
+  behind every execution path;
 - :mod:`repro.service.scheduler` — the job scheduler, a lock-guarded
   job table over one thread pool: bounded concurrency, one pipeline
   opened and closed per cold job, cache-hit admission, in-flight
@@ -42,21 +42,13 @@ from repro.service.scheduler import (
     JobScheduler,
 )
 from repro.service.server import ServiceServer, make_server
-from repro.service.store import (
-    FileSystemPersistenceProvider,
-    PersistenceProvider,
-    ResultRecord,
-    ResultStore,
-    cache_key,
-)
+from repro.service.store import ResultRecord, ResultStore, cache_key
 
 __all__ = [
     "JOB_STATES",
     "ComputeRequest",
-    "FileSystemPersistenceProvider",
     "Job",
     "JobScheduler",
-    "PersistenceProvider",
     "ResultRecord",
     "ResultStore",
     "ServiceClient",

@@ -7,7 +7,7 @@ like the HTTP endpoints: ``submit`` / ``status`` / ``result`` /
 daemon (:mod:`repro.service.server`) parses requests and delegates
 here, so a same-process caller and an HTTP caller of the same request
 produce identical job lifecycles and identical stored records (the
-INV-11 single-provider discipline).
+INV-11 single-store discipline).
 
 Every caller is a plain thread (tests, the CLI, HTTP handler threads)
 and so is the scheduler: each endpoint is a direct, thread-safe call
@@ -26,8 +26,6 @@ into :class:`~repro.service.scheduler.JobScheduler`.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -42,7 +40,7 @@ from repro.io.volume import VolumeSpec, content_hash, write_volume
 from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service.scheduler import ComputeRequest, Job, JobScheduler
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, atomic_write
 
 __all__ = ["ServiceClient"]
 
@@ -234,8 +232,9 @@ class ServiceClient:
         The file is named by the field's content hash, so staging the
         same field twice writes once and submitting it is always a
         cache-key match with its volume-file twin.  It is published
-        atomically (temp name + ``os.replace``), and one of the wrong
-        size — a writer killed mid-write — counts as absent.
+        atomically, like the store's artifacts
+        (:func:`~repro.service.store.atomic_write`), and one of the
+        wrong size — a writer killed mid-write — counts as absent.
         """
         digest = content_hash(values)
         staging = self.cache_dir / "volumes"
@@ -245,14 +244,8 @@ class ServiceClient:
             str(path), tuple(np.asarray(values).shape), "float64"
         )
         if not path.is_file() or path.stat().st_size != spec.nbytes:
-            fd, tmp = tempfile.mkstemp(dir=staging, prefix=path.name + ".")
-            os.close(fd)
-            try:
-                write_volume(tmp, values, dtype="float64")
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            atomic_write(path, lambda tmp: write_volume(
+                tmp, values, dtype="float64"))
         return spec
 
     def close(self) -> None:

@@ -43,8 +43,6 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from tempfile import TemporaryDirectory
 from typing import Any, Sequence
 
 from repro.core.config import PipelineConfig, _facade_config
@@ -189,7 +187,6 @@ class JobScheduler:
         self._pool = ThreadPoolExecutor(
             max_concurrency, thread_name_prefix="repro-service")
         self._ids = itertools.count(1)
-        self._scratch = TemporaryDirectory(prefix="repro-service-")
         self._closed = False
 
     # -- the public surface ------------------------------------------------
@@ -257,7 +254,6 @@ class JobScheduler:
                          error="scheduler shut down before the job started")
         self._admission.shutdown(wait=True)
         self._pool.shutdown(wait=True)
-        self._scratch.cleanup()
 
     # -- admission (the scheduler's own thread) ----------------------------
 
@@ -364,20 +360,13 @@ class JobScheduler:
         with ParallelMSComplexPipeline(job.config) as pipeline:
             result = pipeline.run(job.request.volume)
 
-        # write through the canonical writer, then hand the image to the
-        # store — the cached artifact is bit-identical to what a cold
-        # `result.write(path)` would have produced
-        scratch = Path(self._scratch.name) / f"{job.job_id}.msc"
-        try:
-            result.write(scratch)
-            image = scratch.read_bytes()
-        finally:
-            scratch.unlink(missing_ok=True)
+        # the store writes the artifact once, through the canonical
+        # writer: it is bit-identical to a cold `result.write(path)`
         return self.store.put(
             job.key,
             volume_hash=job.volume_hash,
             config=job.config,
-            msc_image=image,
+            write=result.write,
             num_output_blocks=result.num_output_blocks,
             node_counts=result.combined_node_counts(),
         )
@@ -399,7 +388,7 @@ class JobScheduler:
             del self._jobs[self._finished.popleft()]
 
     def _journal(self, event: str, job: Job) -> None:
-        self.store.provider.persist_job_event({
+        self.store.journal({
             "event": event, "job_id": job.job_id, "key": job.key,
             "state": job.state, "time": time.time(),
         })

@@ -3,7 +3,7 @@
 A deliberately thin layer: every route parses JSON, delegates to the
 same :class:`~repro.service.client.ServiceClient` a same-process caller
 would use, and serializes the answer — no business logic lives here, so
-the HTTP path and the in-process path cannot drift (the single-provider
+the HTTP path and the in-process path cannot drift (the single-store
 discipline of :mod:`repro.service.store`).
 
 Routes (all bodies JSON):

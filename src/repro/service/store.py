@@ -12,25 +12,29 @@ budget) are deliberately *not* part of the key — outputs are
 bit-identical across them, so a volume computed once serves every
 execution setting of the same request.
 
-Two layers:
+One class, :class:`ResultStore`, owns the layout under its root::
 
-- **disk** — ``<root>/<key>.msc`` (written atomically via a same-dir
-  temp file + rename) and ``<root>/<key>.json`` (the record sidecar).
-  Survives process restarts; a daemon restarted over a warm directory
-  starts at full hit rate.
-- **memory** — a bounded LRU of hot entries holding the record and the
-  ``.msc`` image, so repeat hits of popular artifacts serve without
-  touching disk (query answers read the hierarchy footer straight from
-  the cached bytes, see :func:`repro.analysis.query.load_hierarchy`).
+    <key>.msc    the artifact, bit-identical to the cold compute's
+                 ``result.write(path)``
+    <key>.json   the ResultRecord sidecar
+    jobs.jsonl   append-only job lifecycle journal
 
-Persistence provider (SNIPPETS Pattern 7 / INV-11): every execution
-path — cold compute, disk hit, memory hit, coalesced join — produces
-and returns *identical* :class:`ResultRecord` values because exactly
-one code path builds and persists records: :meth:`ResultStore.put`
-builds the canonical record and hands it to the single configured
-:class:`PersistenceProvider`; reads reconstruct the same record from
-the provider's sidecar.  Swapping the provider (e.g. for a database in
-a real deployment) cannot fork record semantics per path.
+and keeps a bounded memory LRU of hot ``(record, image)`` entries over
+it, so repeat hits of popular artifacts serve without touching disk
+(query answers read the hierarchy footer straight from the cached
+bytes, see :func:`repro.analysis.query.load_hierarchy`).  A daemon
+restarted over a warm directory starts at full hit rate.
+
+Every execution path — cold compute, disk hit, memory hit, coalesced
+join — returns *identical* :class:`ResultRecord` values (INV-11)
+because :meth:`ResultStore.put` is the one place records are built;
+reads reconstruct the same record from its sidecar.  ``put`` writes the
+artifact once, through the run's own writer, into a temp file beside
+its final name, renames it into place and writes the sidecar last: a
+crash in between leaves an orphan artifact, never a record pointing at
+missing bytes.  A disk entry whose sidecar does not parse, names
+another key, or disagrees with its artifact's length or ``MSC3`` magic
+is a miss, which the cold compute then overwrites.
 """
 
 from __future__ import annotations
@@ -42,20 +46,17 @@ import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Callable, TypeVar
 
 from repro.core.config import PipelineConfig
 from repro.core.options import canonical_fingerprint
+from repro.io.mscfile import MAGIC_V3
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 
-__all__ = [
-    "PersistenceProvider",
-    "FileSystemPersistenceProvider",
-    "ResultRecord",
-    "ResultStore",
-    "cache_key",
-]
+__all__ = ["ResultRecord", "ResultStore", "atomic_write", "cache_key"]
+
+_T = TypeVar("_T")
 
 
 def cache_key(volume_hash: str, config: PipelineConfig) -> str:
@@ -110,105 +111,26 @@ class ResultRecord:
         )
 
 
-@runtime_checkable
-class PersistenceProvider(Protocol):
-    """Protocol for persisting service results and job lifecycle events.
-
-    One provider instance backs the whole service; every execution path
-    persists through it, so records are identical no matter which path
-    produced them.  Implementations must make :meth:`persist_result`
-    atomic — a reader never observes a sidecar without its artifact.
-    """
-
-    def persist_result(self, record: ResultRecord, msc_image: bytes) -> None:
-        """Durably store one finished artifact and its record."""
-        ...
-
-    def load_result(self, key: str) -> tuple[ResultRecord, bytes] | None:
-        """Load a stored record + artifact image, or ``None``."""
-        ...
-
-    def artifact_path(self, key: str) -> Path | None:
-        """Filesystem path of a stored artifact, if it has one."""
-        ...
-
-    def persist_job_event(self, event: dict) -> None:
-        """Append one job lifecycle event to the service journal."""
-        ...
-
-
-class FileSystemPersistenceProvider:
-    """The standard provider: artifacts + sidecars + a JSONL journal.
-
-    Layout under ``root``::
-
-        <key>.msc    the artifact (atomic rename; bit-identical to the
-                     cold compute's written output)
-        <key>.json   the ResultRecord sidecar
-        jobs.jsonl   append-only job lifecycle journal
-
-    Used by **all** execution contexts — the HTTP daemon, the
-    same-process :class:`~repro.service.client.ServiceClient`, and the
-    benchmarks — which is precisely what keeps their records identical.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._journal_lock = threading.Lock()
-
-    def _msc_path(self, key: str) -> Path:
-        return self.root / f"{key}.msc"
-
-    def _sidecar_path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def persist_result(self, record: ResultRecord, msc_image: bytes) -> None:
-        # artifact first, sidecar last, both via same-dir temp + rename:
-        # a crash between the two leaves an orphan artifact (harmless,
-        # unreferenced), never a record pointing at missing bytes
-        self._atomic_write(self._msc_path(record.key), msc_image)
-        body = json.dumps(record.to_dict(), indent=2, sort_keys=True)
-        self._atomic_write(self._sidecar_path(record.key),
-                           (body + "\n").encode())
-
-    def load_result(self, key: str) -> tuple[ResultRecord, bytes] | None:
-        sidecar = self._sidecar_path(key)
+def atomic_write(path: Path, write: Callable[[str], _T]) -> _T:
+    """Publish ``path`` whole or not at all: ``write`` fills a temp file
+    beside it, which then replaces ``path``.  Returns what ``write``
+    returned; on any failure the temp file is removed."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
+    try:
+        out = write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            record = ResultRecord.from_dict(
-                json.loads(sidecar.read_text())
-            )
-            image = self._msc_path(key).read_bytes()
-        except FileNotFoundError:
-            return None
-        return record, image
-
-    def artifact_path(self, key: str) -> Path | None:
-        path = self._msc_path(key)
-        return path if path.exists() else None
-
-    def persist_job_event(self, event: dict) -> None:
-        line = json.dumps(event, sort_keys=True)
-        with self._journal_lock, open(self.root / "jobs.jsonl", "a") as f:
-            f.write(line + "\n")
-
-    def _atomic_write(self, path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.root),
-                                   prefix=path.name + ".")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return out
 
 
 class ResultStore:
-    """The two-layer content-addressed cache the scheduler serves from.
+    """The content-addressed cache the scheduler serves from.
 
     Thread-safe: the HTTP server's handler threads and the scheduler's
     executor threads share one store.  ``max_memory_entries`` bounds
@@ -220,18 +142,15 @@ class ResultStore:
         self,
         root: str | Path,
         *,
-        provider: PersistenceProvider | None = None,
         max_memory_entries: int = 64,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.provider: PersistenceProvider = (
-            provider
-            if provider is not None
-            else FileSystemPersistenceProvider(root)
-        )
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
         self.max_memory_entries = max_memory_entries
         self.metrics = metrics
         self._lock = threading.Lock()
+        self._journal_lock = threading.Lock()
         self._hot: OrderedDict[str, tuple[ResultRecord, bytes]] = (
             OrderedDict()
         )
@@ -242,6 +161,7 @@ class ResultStore:
         """The cached (record, ``.msc`` image) of ``key``, or ``None``.
 
         Memory first, disk second; a disk hit is promoted into the LRU.
+        A damaged disk entry counts as a miss.
         """
         with self._lock:
             hot = self._hot.get(key)
@@ -249,7 +169,7 @@ class ResultStore:
                 self._hot.move_to_end(key)
                 self._count("service.store.memory_hits")
                 return hot
-        loaded = self.provider.load_result(key)
+        loaded = self._load(key)
         if loaded is None:
             self._count("service.store.misses")
             return None
@@ -257,15 +177,10 @@ class ResultStore:
         self._remember(key, loaded)
         return loaded
 
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            if key in self._hot:
-                return True
-        return self.provider.artifact_path(key) is not None
-
     def artifact_path(self, key: str) -> Path | None:
         """Path of the stored artifact (for responses that hand a file)."""
-        return self.provider.artifact_path(key)
+        path = self._msc_path(key)
+        return path if path.exists() else None
 
     # -- writes ------------------------------------------------------------
 
@@ -275,34 +190,77 @@ class ResultStore:
         *,
         volume_hash: str,
         config: PipelineConfig,
-        msc_image: bytes,
+        write: Callable[[str], object],
         num_output_blocks: int,
         node_counts: tuple[int, int, int, int],
     ) -> ResultRecord:
-        """Build the canonical record, persist both layers, return it.
+        """Write the artifact once, build the canonical record, persist
+        both layers and return the record.
 
-        The single record-construction site of the whole service: cold
-        computes call this; every other path re-reads what this wrote.
+        ``write(path)`` produces the ``.msc`` file (a run's
+        ``result.write``); its temp file is read back once, for the
+        memory layer and ``msc_bytes``.  The single record-construction
+        site of the whole service: cold computes call this; every other
+        path re-reads what this wrote.
         """
-        record = ResultRecord(
-            key=key,
-            volume_hash=volume_hash,
-            config_fingerprint=config.result_fingerprint(),
-            num_output_blocks=int(num_output_blocks),
-            node_counts=tuple(int(c) for c in node_counts),
-            msc_bytes=len(msc_image),
-            hierarchy=config.options.hierarchy,
-        )
+
+        def write_and_read(tmp: str) -> bytes:
+            write(tmp)
+            return Path(tmp).read_bytes()
+
         with get_tracer().span(
             "service.store.put", cat="service", key=key,
-            bytes=len(msc_image),
-        ):
-            self.provider.persist_result(record, msc_image)
-        self._remember(key, (record, msc_image))
+        ) as span:
+            image = atomic_write(self._msc_path(key), write_and_read)
+            span.annotate(bytes=len(image))
+            record = ResultRecord(
+                key=key,
+                volume_hash=volume_hash,
+                config_fingerprint=config.result_fingerprint(),
+                num_output_blocks=int(num_output_blocks),
+                node_counts=tuple(int(c) for c in node_counts),
+                msc_bytes=len(image),
+                hierarchy=config.options.hierarchy,
+            )
+            body = json.dumps(record.to_dict(), indent=2, sort_keys=True)
+            sidecar = (body + "\n").encode()
+            atomic_write(self._sidecar_path(key),
+                         lambda tmp: Path(tmp).write_bytes(sidecar))
+        self._remember(key, (record, image))
         self._count("service.store.puts")
         return record
 
+    def journal(self, event: dict) -> None:
+        """Append one job lifecycle event to ``jobs.jsonl``."""
+        line = json.dumps(event, sort_keys=True)
+        with self._journal_lock, open(self.root / "jobs.jsonl", "a") as f:
+            f.write(line + "\n")
+
     # -- internals ---------------------------------------------------------
+
+    def _msc_path(self, key: str) -> Path:
+        return self.root / f"{key}.msc"
+
+    def _sidecar_path(self, key: str) -> Path:
+        return self.root / f"{key}.json"
+
+    def _load(self, key: str) -> tuple[ResultRecord, bytes] | None:
+        """The disk entry of ``key``, or ``None`` when it is absent or
+        damaged: a sidecar that does not parse or names another key, an
+        artifact of another length than recorded or without the magic."""
+        try:
+            sidecar = self._sidecar_path(key).read_bytes()
+            image = self._msc_path(key).read_bytes()
+        except FileNotFoundError:
+            return None
+        try:
+            record = ResultRecord.from_dict(json.loads(sidecar))
+        except (ValueError, KeyError, TypeError):
+            return None
+        if (record.key != key or len(image) != record.msc_bytes
+                or image[-4:] != MAGIC_V3):
+            return None
+        return record, image
 
     def _remember(self, key: str,
                   entry: tuple[ResultRecord, bytes]) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.io.mscfile import _LEGACY_SECTIONS, _deserialize_sections
+from repro.io.mscfile import _SECTIONS, _deserialize_sections
 from repro.morse.msc import MorseSmaleComplex
 
 __all__ = ["ArcGeometry", "ReferenceComplex", "reference_pack",
@@ -284,6 +284,10 @@ class ReferenceComplex(MorseSmaleComplex):
 
 
 # -- verbatim from repro/io/mscfile.py at the parent commit ----------------
+
+#: the oracle's record: one flattened leaf per arc, as CSR offsets (the
+#: v1/v2 block-record layout, which the file reader no longer reads)
+_LEGACY_SECTIONS = _SECTIONS[:-3] + (("geom_offsets", np.int64),)
 
 
 def _serialize_sections(payload, sections) -> bytes:

@@ -340,8 +340,9 @@ def _parse_cli(*argv):
 #: every spelling removed with the shims, the tracing-backend knob, the
 #: second merge engine, the executor/transport knobs, the
 #: shared-memory transport, the metrics knob, the second driver object,
-#: the second synthetic-volume command and the fault-injection knob with
-#: the merge retry loop it drove
+#: the second synthetic-volume command, the fault-injection knob with
+#: the merge retry loop it drove, the v1/v2 ``.msc`` readers, the
+#: stability-comparison module and the store's persistence-provider split
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -430,6 +431,25 @@ REMOVED_SPELLINGS = {
     "repro.core.merge.merge_with_retries": lambda f: importlib.import_module(
         "repro.core.merge"
     ).merge_with_retries,
+    "repro.io.mscfile.MAGIC": lambda f: importlib.import_module(
+        "repro.io.mscfile"
+    ).MAGIC,
+    "repro.io.mscfile.MAGIC_V2": lambda f: importlib.import_module(
+        "repro.io.mscfile"
+    ).MAGIC_V2,
+    "repro.analysis.compare": lambda f: importlib.import_module(
+        "repro.analysis.compare"
+    ),
+    "repro.service.PersistenceProvider": lambda f: (
+        repro.service.PersistenceProvider
+    ),
+    "repro.service.FileSystemPersistenceProvider": lambda f: (
+        repro.service.FileSystemPersistenceProvider
+    ),
+    "ResultStore(provider=)": lambda f: inspect.signature(
+        repro.service.ResultStore
+    ).bind("cache", provider=None),
+    "ResultStore.contains": lambda f: repro.service.ResultStore.contains,
 }
 
 
@@ -469,6 +489,43 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             repro.PipelineConfig(num_blocks=8, persistence_threshold=0.1)
+
+
+class TestSupersededMscVersions:
+    """v3 is the only ``.msc`` version read: a file ending in ``MSC1`` or
+    ``MSC2`` fails readably, naming the file and its version."""
+
+    @pytest.fixture(params=[1, 2], ids=["MSC1", "MSC2"])
+    def old_file(self, request, tmp_path):
+        golden = Path(__file__).parent / "data" / "golden_bumps8_hier.msc"
+        path = tmp_path / f"old_v{request.param}.msc"
+        path.write_bytes(
+            golden.read_bytes()[:-4] + f"MSC{request.param}".encode()
+        )
+        return path, request.param
+
+    def test_readers_name_the_version(self, old_file):
+        from repro.io.mscfile import read_msc_file, read_msc_hierarchies
+
+        path, version = old_file
+        for read in (read_msc_file, read_msc_hierarchies):
+            with pytest.raises(
+                ValueError, match=f"old_v{version}.msc.*version {version}"
+            ):
+                read(path)
+
+    @pytest.mark.parametrize("argv", [["info"], ["query", "--top-k", "3"]],
+                             ids=["info", "query"])
+    def test_cli_exits_2_with_one_error_line(self, old_file, argv, capsys):
+        from repro.cli import main
+
+        path, version = old_file
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"version {version}" in err[0] and "recompute" in err[0]
+        assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,16 @@ fix the regression, or regenerate the golden file::
 and justify the format change in the commit.
 
 The goldens were re-recorded once, for ``.msc`` v3 (the geometry DAG
-instead of its expansion).  The files of the commit before stay in the
-tree as read-only fixtures — ``golden_bumps8_v2.msc`` (a v1 file: no
-hierarchy) and ``golden_bumps8_hier_v2.msc`` (v2) — and are the oracle
-for that bump: the v3 goldens must decode to the same nodes, the same
-arcs and the same expanded address list per arc.
+instead of its expansion).  The v1 and v2 files of the commit before
+were the oracle for that bump: the v3 goldens must decode to the same
+nodes, the same arcs and the same expanded address list per arc, and
+carry the same hierarchy.  What those files decoded to is frozen here as
+two digests, :data:`DECODED_SHA256` and :data:`HIERARCHY_SHA256`,
+computed with the last reader that read both versions.
 """
 
+import hashlib
+import json
 import struct
 import zlib
 from pathlib import Path
@@ -32,8 +35,6 @@ import repro
 from repro import ExecutionOptions
 from repro.analysis.query import load_hierarchy
 from repro.io.mscfile import (
-    MAGIC,
-    MAGIC_V2,
     MAGIC_V3,
     read_msc_file,
     read_msc_hierarchies,
@@ -43,8 +44,20 @@ from repro.morse.msc import MorseSmaleComplex
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bumps8.msc"
 GOLDEN_HIER = Path(__file__).parent / "data" / "golden_bumps8_hier.msc"
-LEGACY_V1 = Path(__file__).parent / "data" / "golden_bumps8_v2.msc"
-LEGACY_V2 = Path(__file__).parent / "data" / "golden_bumps8_hier_v2.msc"
+
+#: sha256 of ``json.dumps(decoded(path), sort_keys=True)`` for the v1
+#: fixture ``golden_bumps8_v2.msc``, the v2 fixture
+#: ``golden_bumps8_hier_v2.msc`` and both v3 goldens alike
+DECODED_SHA256 = (
+    "361451e2a44fce8b3d64db774e1896680e0723a4d0244586475f0d672f7230fd"
+)
+#: sha256 of :func:`hierarchy_json` for the v2 fixture and the v3
+#: hierarchy golden alike
+HIERARCHY_SHA256 = (
+    "ddb6e343b2f8eb353142aad308aa62c727590ef1a1842f9f303b108348b87ed9"
+)
+#: size of the v1 fixture: the flattened geometry the DAG replaced
+V1_FIXTURE_BYTES = 162_849
 
 
 def decoded(path):
@@ -60,6 +73,18 @@ def decoded(path):
     }
     data, lengths = msc.expand_arcs(range(len(block["arc_upper"])))
     return {**columns, "data": data.tolist(), "lengths": lengths.tolist()}
+
+
+def sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def hierarchy_json(path) -> dict:
+    """Every hierarchy record of a file as sorted-key JSON lists."""
+    return {
+        str(block_id): {key: arr.tolist() for key, arr in arrays.items()}
+        for block_id, arrays in read_msc_hierarchies(path).items()
+    }
 
 
 def golden_result():
@@ -192,25 +217,12 @@ def test_golden_footer_index_is_consistent():
 
 def test_v3_golden_decodes_to_the_v1_fixture():
     """The format bump's oracle: same nodes, arcs, expanded addresses."""
-    assert LEGACY_V1.read_bytes()[-4:] == MAGIC
-    assert decoded(GOLDEN) == decoded(LEGACY_V1)
+    assert sha256_json(decoded(GOLDEN)) == DECODED_SHA256
     # ... held as a DAG: a fraction of the expanded cells is stored
     block = read_msc_file(GOLDEN)[0]
     assert (block["geom_children"] >= 0).any()
     assert 4 * len(block["geom_data"]) < len(decoded(GOLDEN)["data"])
-    assert GOLDEN.stat().st_size < 0.6 * LEGACY_V1.stat().st_size
-
-
-def test_legacy_fixtures_rewrite_as_v3(tmp_path):
-    """A v1/v2 file read and written back is a valid v3 file of the same
-    decoded content (one flattened leaf per arc, no composites)."""
-    out = tmp_path / "rewritten.msc"
-    write_msc_file(out, sorted(read_msc_file(LEGACY_V2).items()),
-                   hierarchies=read_msc_hierarchies(LEGACY_V2))
-    assert out.read_bytes()[-4:] == MAGIC_V3
-    assert decoded(out) == decoded(LEGACY_V2) == decoded(GOLDEN_HIER)
-    for key, arr in read_msc_hierarchies(GOLDEN_HIER)[0].items():
-        np.testing.assert_array_equal(read_msc_hierarchies(out)[0][key], arr)
+    assert GOLDEN.stat().st_size < 0.6 * V1_FIXTURE_BYTES
 
 
 class TestGoldenHierarchy:
@@ -240,14 +252,14 @@ class TestGoldenHierarchy:
         result.write(str(out))
         assert out.read_bytes() == GOLDEN_HIER.read_bytes()
 
-    def test_v2_magic_and_block_region_extends_v1(self):
-        """The legacy fixtures: v2 appended the hierarchy after the v1
-        block-record region.  v3 keeps that property with one magic."""
-        data = LEGACY_V2.read_bytes()
-        assert data[-4:] == MAGIC_V2
-        v1 = LEGACY_V1.read_bytes()
-        (v1_footer,) = struct.unpack_from("<Q", v1, len(v1) - 12)
-        assert data[:v1_footer] == v1[:v1_footer]
+    def test_v2_magic_and_block_region_extends_v1(self, tmp_path):
+        """v2 appended the hierarchy after the v1 block-record region;
+        v3 keeps that property with one magic, and the v2 magic itself
+        is refused, naming the version."""
+        stale = tmp_path / "stale_v2.msc"
+        stale.write_bytes(GOLDEN_HIER.read_bytes()[:-4] + b"MSC2")
+        with pytest.raises(ValueError, match="MSC version 2 file"):
+            read_msc_file(stale)
         plain, hier = GOLDEN.read_bytes(), GOLDEN_HIER.read_bytes()
         assert plain[-4:] == hier[-4:] == MAGIC_V3
         (footer,) = struct.unpack_from("<Q", plain, len(plain) - 12)
@@ -259,7 +271,7 @@ class TestGoldenHierarchy:
         assert set(hier_blocks) == set(plain_blocks) == {0}
         for key, arr in plain_blocks[0].items():
             np.testing.assert_array_equal(hier_blocks[0][key], arr)
-        assert decoded(GOLDEN_HIER) == decoded(LEGACY_V2) == decoded(LEGACY_V1)
+        assert sha256_json(decoded(GOLDEN_HIER)) == DECODED_SHA256
 
     def test_hierarchy_reads_back(self):
         arrays = read_msc_hierarchies(GOLDEN_HIER)
@@ -274,14 +286,8 @@ class TestGoldenHierarchy:
             np.testing.assert_array_equal(arrays[0][key], arr)
 
     def test_v1_golden_has_no_hierarchy(self):
-        with pytest.raises(ValueError, match="no hierarchy recorded.*v1 file"):
-            read_msc_hierarchies(LEGACY_V1)
         with pytest.raises(ValueError, match="no hierarchy recorded.*empty"):
             read_msc_hierarchies(GOLDEN)
 
     def test_legacy_hierarchy_reads_back_identical(self):
-        new, old = (read_msc_hierarchies(p)[0]
-                    for p in (GOLDEN_HIER, LEGACY_V2))
-        assert set(new) == set(old)
-        for key, arr in old.items():
-            np.testing.assert_array_equal(new[key], arr)
+        assert sha256_json(hierarchy_json(GOLDEN_HIER)) == HIERARCHY_SHA256

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.io.mscfile import (
-    _LEGACY_SECTIONS,
+    _SECTIONS,
     MAGIC_V3,
     deserialize_hierarchy,
     deserialize_payload,
@@ -133,7 +133,7 @@ def _toy_hierarchy(levels=4, nodes=6, arcs=9, seed=0):
 
 
 class TestHierarchyFooter:
-    """The v2 hierarchy footer: round-trip, compat, corruption."""
+    """The hierarchy footer: round-trip, absence, corruption."""
 
     def test_record_roundtrip_bit_exact(self):
         arrays = _toy_hierarchy()
@@ -162,7 +162,7 @@ class TestHierarchyFooter:
                 np.testing.assert_array_equal(back[bid][key], arr)
 
     def test_write_read_write_identity(self, tmp_path, payload):
-        """A re-serialized v2 file is byte-identical."""
+        """A re-serialized file is byte-identical."""
         a, b = tmp_path / "a.msc", tmp_path / "b.msc"
         hier = {4: _toy_hierarchy(seed=3)}
         write_msc_file(a, [(4, payload)], hierarchies=hier)
@@ -220,17 +220,6 @@ class TestHierarchyFooter:
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="truncated or corrupt"):
             read_msc_hierarchies(path)
-
-    def test_v2_prefix_is_v1_block_region(self, tmp_path, payload):
-        """v2 appends after the block records: the block-record region
-        of a v2 file is byte-identical to the v1 file's."""
-        v1, v2 = tmp_path / "v1.msc", tmp_path / "v2.msc"
-        write_msc_file(v1, [(0, payload), (1, payload)])
-        write_msc_file(v2, [(0, payload), (1, payload)],
-                       hierarchies={0: _toy_hierarchy()})
-        footer_offset = int.from_bytes(v1.read_bytes()[-12:-4], "little")
-        assert (v2.read_bytes()[:footer_offset]
-                == v1.read_bytes()[:footer_offset])
 
 
 class TestChecksums:
@@ -295,33 +284,34 @@ class TestChecksums:
 
 
 class TestShortRecords:
-    """A v2 record (no CRC) shorter than its header, whose section lengths
-    overrun it, or whose reserved ``node_ghost`` section does not match
-    its nodes, fails with a ValueError naming file and block."""
+    """A record (with a valid CRC-32) shorter than its header, whose
+    section lengths overrun it, or whose reserved ``node_ghost`` section
+    does not match its nodes, fails with a ValueError naming file and
+    block."""
 
     @staticmethod
-    def _v2_image(record: bytes) -> bytes:
-        index = struct.pack("<Q", 1) + struct.pack("<qQQ", 5, 0, len(record))
-        footer = index + struct.pack("<Q", 0)
-        return record + footer + struct.pack("<Q", len(record)) + b"MSC2"
+    def _image(tmp_path, record: bytes) -> bytes:
+        """A v3 file holding ``record`` verbatim as block 5."""
+        path = tmp_path / "short.msc"
+        write_msc_file(path, [(5, record)])
+        return path.read_bytes()
 
-    def test_record_shorter_than_its_header(self):
+    def test_record_shorter_than_its_header(self, tmp_path):
         with pytest.raises(ValueError, match="block 5.*3 bytes.*header"):
-            read_msc_file(self._v2_image(b"abc"))
+            read_msc_file(self._image(tmp_path, b"abc"))
 
-    def test_sections_overrunning_the_record(self):
-        n = len(_LEGACY_SECTIONS)  # one int64 each, the last one missing
+    def test_sections_overrunning_the_record(self, tmp_path):
+        n = len(_SECTIONS)  # one int64 each, the last one missing
         record = struct.pack(f"<I{n}Q", n, *[8] * n) + bytes(8 * (n - 1))
         with pytest.raises(ValueError, match="block 5.*section .*overrun"):
-            read_msc_file(self._v2_image(record))
+            read_msc_file(self._image(tmp_path, record))
 
-    def test_reserved_section_longer_than_the_nodes(self):
-        n = len(_LEGACY_SECTIONS)  # every section empty but node_ghost
-        lengths = [1 if key == "node_ghost" else 0
-                   for key, _ in _LEGACY_SECTIONS]
+    def test_reserved_section_longer_than_the_nodes(self, tmp_path):
+        n = len(_SECTIONS)  # every section empty but node_ghost
+        lengths = [1 if key == "node_ghost" else 0 for key, _ in _SECTIONS]
         record = struct.pack(f"<I{n}Q", n, *lengths) + b"\0"
         with pytest.raises(ValueError, match="block 5: node_ghost.* not 1 "):
-            read_msc_file(self._v2_image(record))
+            read_msc_file(self._image(tmp_path, record))
 
 
 class TestBytesSources:

@@ -8,14 +8,13 @@ import pytest
 from repro.core.merge import pack_complex, unpack_complex
 from repro.io.mscfile import (
     _SECTIONS,
-    _legacy_payload,
     _serialize_sections,
     deserialize_payload,
     read_msc_file,
     serialize_payload,
     write_msc_file,
 )
-from repro.morse.msc import _GEOM_COLUMNS, MorseSmaleComplex
+from repro.morse.msc import MorseSmaleComplex
 
 
 def assert_tight_store(msc):
@@ -247,13 +246,6 @@ def _record(payload, **sections):
     )
 
 
-def _legacy(payload, offsets):
-    """The payload's leaves as a v1/v2 record, decoded the reader's way."""
-    record = {k: v for k, v in payload.items() if k not in _GEOM_COLUMNS}
-    record["geom_offsets"] = np.asarray(offsets, dtype=np.int64)
-    return _legacy_payload(record)
-
-
 #: one hostile payload per validation rule of ``from_payload`` and of the
 #: block-record decoder: (section the error must name, corruption of
 #: tiny_msc's payload)
@@ -276,18 +268,6 @@ HOSTILE_PAYLOADS = {
         "arc_geom", lambda p: _corrupt(p, "arc_geom", [0, 1, 3])),
     "endpoint indices two apart": (
         "arc_upper", lambda p: _corrupt(p, "arc_upper", [1, 1, 0])),
-    # a v1/v2 block record holds one flattened leaf per CSR interval; the
-    # reader checks the offsets while decoding it into the payload
-    "offsets not from zero": (
-        "geom_offsets", lambda p: _legacy(p, [1, 3, 6, 9])),
-    "offsets decreasing": (
-        "geom_offsets", lambda p: _legacy(p, [0, 5, 3, 9])),
-    "offsets empty": (
-        "geom_offsets", lambda p: _legacy(p, [])),
-    "offsets end short of the data": (
-        "geom_offsets", lambda p: _legacy(p, [0, 3, 6, 8])),
-    "offsets end past the data": (
-        "geom_offsets", lambda p: _legacy(p, [0, 3, 6, 12])),
 }
 
 #: the same for the geometry DAG columns, corrupting ``dag_msc``'s payload:

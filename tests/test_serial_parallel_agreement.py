@@ -83,7 +83,19 @@ class TestMorseInputs:
         assert p[0] == s[0] and p[3] == s[3]
         assert parallel.euler_characteristic() == 1
 
-    def test_node_signatures_match_serial(self):
+    @pytest.mark.parametrize(
+        "make_field, blocks, threshold, floor, count",
+        [
+            # the eight lattice maxima
+            (lambda: separated_bumps((15, 15, 15), seed=3), 8, 0.3, 0.1, 8),
+            # overlapping bumps: four maxima, five 2-saddles above the floor
+            (lambda: gaussian_bumps_field((15,) * 3, 5, seed=11),
+             8, 0.05, 0.05, 9),
+        ],
+        ids=["separated", "gaussian"],
+    )
+    def test_node_signatures_match_serial(self, make_field, blocks,
+                                          threshold, floor, count):
         """Stable critical points agree in (index, value).
 
         Addresses may shift: "the locations of nodes can shift by 1/2
@@ -93,11 +105,13 @@ class TestMorseInputs:
         are preserved under such shifts, so the (index, value) multiset
         of significant nodes is the stable signature.
         """
-        field = separated_bumps((15, 15, 15), seed=3)
-        serial = compute_morse_smale_complex(field, persistence_threshold=0.3)
-        parallel = _run_parallel(field, 8, 0.3).merged_complexes[0]
+        field = make_field()
+        serial = compute_morse_smale_complex(
+            field, persistence_threshold=threshold
+        )
+        parallel = _run_parallel(field, blocks, threshold).merged_complexes[0]
 
-        def signature(msc, floor=0.1):
+        def signature(msc):
             return sorted(
                 (msc.node_index[n], round(msc.node_value[n], 9))
                 for n in msc.alive_nodes()
@@ -105,7 +119,7 @@ class TestMorseInputs:
             )
 
         assert signature(serial) == signature(parallel)
-        assert len(signature(serial)) == 8  # the eight lattice maxima
+        assert len(signature(serial)) == count
 
     def test_significant_maxima_degrees_match_serial(self):
         """Each feature maximum keeps its arc degree under blocking."""

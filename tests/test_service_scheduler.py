@@ -305,6 +305,49 @@ class TestChaos:
         assert multiprocessing.active_children() == []
 
 
+def _cut_sidecar(path):
+    sidecar = path.with_suffix(".json")
+    sidecar.write_bytes(sidecar.read_bytes()[:40])
+
+
+#: damage to a stored entry, done between two daemon lifetimes
+DAMAGE = {
+    "truncated sidecar": _cut_sidecar,
+    "truncated artifact": lambda path: path.write_bytes(
+        path.read_bytes()[:100]),
+    "MSC2 trailer": lambda path: path.write_bytes(
+        path.read_bytes()[:-4] + b"MSC2"),
+}
+
+
+class TestDamagedCache:
+    """A damaged cache entry is a miss the next cold job overwrites, not
+    a key that fails every later submit or query."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_recomputes_then_serves(self, tmp_path, volume,
+                                                  damage):
+        request = dict(persistence=0.05, ranks=2, hierarchy=True)
+        with ServiceClient(tmp_path / "cache", max_jobs=1) as svc:
+            first = svc.submit(volume, wait=True, **request)
+            artifact = svc.artifact_path(first.key)
+            intact = artifact.read_bytes()
+            answer = svc.query(key=first.key, persistence=0.1)
+        DAMAGE[damage](artifact)
+        with ServiceClient(tmp_path / "cache", max_jobs=1) as svc:
+            again = svc.submit(volume, wait=True, **request)
+            assert (again.source, again.state) == ("cold", "done")
+            assert again.record == first.record
+            assert artifact.read_bytes() == intact
+            warm = svc.submit(volume, wait=True, **request)
+            assert warm.source == "cache"
+            assert svc.query(key=warm.key, persistence=0.1) == answer
+        with ServiceClient(tmp_path / "cache", max_jobs=1) as svc:
+            # a restarted daemon serves the repaired entry from disk
+            assert svc.submit(volume, **request).source == "cache"
+            assert svc.query(key=first.key, persistence=0.1) == answer
+
+
 class TestQueryEndpoint:
     def test_query_answers_from_cached_hierarchy(self, client, volume):
         job = client.submit(
