@@ -30,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.config import ExecutionOptions, PipelineConfig
+from repro.core.config import PipelineConfig
 from repro.core.glue import AddressIndex, glue_into
 from repro.core.merge import pack_complex, unpack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
@@ -156,7 +156,6 @@ def measure_merge_stage(
                 num_blocks=blocks,
                 persistence_threshold=PERS,
                 merge_radices=radices,
-                options=ExecutionOptions(retry_backoff=0.0),
             )
             r = ParallelMSComplexPipeline(cfg).run(field)
             best = min(

@@ -67,7 +67,7 @@ def stream_config(workers: int = 2) -> PipelineConfig:
         num_blocks=8,
         num_procs=8,
         persistence_threshold=PERS,
-        options=ExecutionOptions(workers=workers, retry_backoff=0.0),
+        options=ExecutionOptions(workers=workers),
     )
 
 
@@ -122,7 +122,6 @@ def measure_mmap_independence(
         num_blocks=8,
         num_procs=8,
         persistence_threshold=PERS,
-        options=ExecutionOptions(retry_backoff=0.0),
     )
     rows = []
     for dims in dims_list:
@@ -207,7 +206,6 @@ def check_bit_identity(tmp_dir: Path, dims=(12, 12, 12)) -> dict:
     def run_bytes(name: str, source) -> bytes:
         cfg = PipelineConfig(
             num_blocks=8, num_procs=8, persistence_threshold=PERS,
-            options=ExecutionOptions(retry_backoff=0.0),
         )
         result = ParallelMSComplexPipeline(cfg).run(source)
         out = tmp_dir / f"{name}.msc"

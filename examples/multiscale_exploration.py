@@ -39,7 +39,7 @@ def main() -> None:
     # one full parallel computation, hierarchy captured and persisted
     result = repro.compute(
         field, persistence=0.0, ranks=8,
-        options=repro.ExecutionOptions(retry_backoff=0.0, hierarchy=True),
+        options=repro.ExecutionOptions(hierarchy=True),
     )
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "rt_proxy.msc"

@@ -86,9 +86,8 @@ def compute(
     options:
         The run's execution knobs, grouped: an
         :class:`~repro.core.options.ExecutionOptions` bundling
-        ``workers`` and the fault-handling settings
-        (timeout/retry/degrade).  Every scheduling field is pure
-        scheduling — results are bit-identical across all settings; the
+        ``workers`` and the spill budget, both pure scheduling —
+        results are bit-identical across all settings; the
         additive ``hierarchy`` flag captures the multiscale cancellation
         hierarchy into ``result.hierarchies`` (persisted on ``write()``,
         queryable via :func:`repro.analysis.query.load_hierarchy` /

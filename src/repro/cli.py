@@ -50,7 +50,7 @@ def _configure_logging(verbosity: int) -> None:
     """Wire the ``repro.*`` logger hierarchy to stderr.
 
     ``-v`` shows INFO (stage progress), ``-vv`` DEBUG; the default
-    surfaces only WARNING and above (retries, pool restarts, degrades).
+    surfaces only WARNING and above (worker-pool restarts).
     """
     level = (logging.WARNING, logging.INFO, logging.DEBUG)[
         min(verbosity, 2)
@@ -140,20 +140,6 @@ def _add_run_arguments(p: argparse.ArgumentParser) -> None:
                         "no spool)")
     p.add_argument("--persistence", type=float, default=0.0,
                    help="simplification threshold")
-    p.add_argument("--block-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="per-block compute timeout (pooled runs); "
-                        "timed-out blocks are retried")
-    p.add_argument("--max-retries", type=int, default=2, metavar="N",
-                   help="extra attempts a failed block gets "
-                        "(default: 2)")
-    p.add_argument("--retry-backoff", type=float, default=0.05,
-                   metavar="SECONDS",
-                   help="base of the exponential backoff between "
-                        "attempts (default: 0.05)")
-    p.add_argument("--no-degrade", action="store_true",
-                   help="fail instead of degrading to the serial "
-                        "executor when the worker pool is unhealthy")
     p.add_argument("--hierarchy", action="store_true",
                    help="capture the cancellation hierarchy of every "
                         "output block and persist it in the .msc "
@@ -183,10 +169,6 @@ def _config_from_args(args, *, trace: bool = False):
         merge_radices=radices,
         options=ExecutionOptions(
             workers=args.workers,
-            block_timeout=args.block_timeout,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            degrade_on_failure=not args.no_degrade,
             hierarchy=args.hierarchy,
             merge_spill_budget_bytes=args.merge_spill_budget,
         ),

@@ -64,8 +64,8 @@ class PipelineConfig:
         cancellation "directly connects important critical points in the
         interiors of neighboring blocks".
     options:
-        How the run executes — worker pool, fault handling, spill
-        budget, the additive ``hierarchy`` artifact:
+        How the run executes — worker pool, spill budget, the additive
+        ``hierarchy`` artifact:
         one :class:`~repro.core.options.ExecutionOptions`, validated at
         its own construction.  Read as ``cfg.options.workers``.
     trace:
@@ -143,26 +143,6 @@ class PipelineConfig:
                     self.simplify_at_zero_persistence
                 ),
                 "hierarchy": self.options.hierarchy,
-            },
-        )
-
-    def fingerprint(self) -> str:
-        """Content hash over the full configuration, execution included.
-
-        Combines :meth:`result_fingerprint` with the
-        :meth:`~repro.core.options.ExecutionOptions.fingerprint` of
-        ``options``: equal configs built any way (in code, from CLI
-        flags, from a service request) hash identically, and any
-        knob change — scheduling or not — changes the digest.  Use
-        :meth:`result_fingerprint` for cache keying and this for exact
-        run-configuration identity (journals, provenance records).
-        """
-        return canonical_fingerprint(
-            "pipeline-config",
-            {
-                "result": self.result_fingerprint(),
-                "options": self.options.fingerprint(),
-                "validate": self.validate,
             },
         )
 

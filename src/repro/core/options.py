@@ -1,10 +1,10 @@
 """The grouped execution-options surface of the public API.
 
-The pipeline has a family of *execution* knobs — how wide the compute
-stage's worker pool is and how failures are handled (timeouts, retries,
-degradation) — that are pure scheduling: none of them changes the
-computed complex by a single byte.  They are grouped here into one
-frozen dataclass, :class:`ExecutionOptions`, so the public entry points
+The pipeline has a few *execution* knobs — how wide the compute
+stage's worker pool is, how many packed blocks the driver keeps
+resident, whether the cancellation hierarchy is captured — none of
+which changes the computed complex by a single byte.  They are grouped
+here into one frozen dataclass, :class:`ExecutionOptions`, so the public entry points
 take a single ``options=`` argument instead of a dozen flat keywords,
 and so every knob is validated in one place — ``__post_init__`` below —
 at configuration time rather than deep inside the pipeline.
@@ -14,7 +14,7 @@ at configuration time rather than deep inside the pipeline.
     import repro
     from repro.core.options import ExecutionOptions
 
-    opts = ExecutionOptions(workers=4, max_retries=1)
+    opts = ExecutionOptions(workers=4, hierarchy=True)
     result = repro.compute(field, persistence=0.05, ranks=8,
                            options=opts)
 
@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-
-from repro.parallel.executor import RetryPolicy
+from dataclasses import dataclass
 
 __all__ = [
     "ExecutionOptions",
@@ -47,11 +45,11 @@ def canonical_fingerprint(kind: str, payload: dict) -> str:
     The canonical encoding — sorted-key JSON over plain
     str/int/float/bool/None/list values — is what makes every
     fingerprint in the package *spelling-independent*: any two code
-    paths (flat keywords, ``options=``, CLI flags, a parsed HTTP
-    request) that arrive at equal field values produce the same digest,
-    and any field change produces a different one.  ``kind`` namespaces
-    the digest so an options fingerprint can never collide with a
-    config fingerprint built from coincidentally equal payloads.
+    paths (``options=``, CLI flags, a parsed HTTP request) that arrive
+    at equal field values produce the same digest, and any field change
+    produces a different one.  ``kind`` namespaces the digest so a
+    config fingerprint can never collide with a cache key built from
+    coincidentally equal payloads.
     """
     try:
         body = json.dumps(payload, sort_keys=True, allow_nan=False)
@@ -78,13 +76,15 @@ def _require_int(name: str, value: object, minimum: int) -> None:
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """How one pipeline run executes — scheduling and fault handling.
+    """How one pipeline run executes.
 
-    Every scheduling field is a pure scheduling choice: the computed
-    complex is bit-identical across all settings.  The one additive
-    knob, ``hierarchy``, never changes the complex either — it only
-    captures an extra artifact (the cancellation hierarchy) alongside
-    it.  Accepted by :func:`repro.api.compute` and
+    ``workers`` and ``merge_spill_budget_bytes`` are pure scheduling
+    choices: the computed complex is bit-identical across all settings.
+    The one additive knob, ``hierarchy``, never changes the complex
+    either — it only captures an extra artifact (the cancellation
+    hierarchy) alongside it.  How a failure is handled is not an
+    option: a failing block fails the run, and a dead worker is
+    recovered (see :mod:`repro.parallel.executor`).  Accepted by :func:`repro.api.compute` and
     :class:`repro.core.config.PipelineConfig` as ``options=``.
 
     Parameters
@@ -93,21 +93,6 @@ class ExecutionOptions:
         Width of the worker pool the compute stage runs on; ``1``
         (default) computes blocks serially in-process, anything wider
         runs a pool of that many OS processes.
-    block_timeout:
-        Per-block compute timeout in seconds (pooled runs);
-        ``None`` waits forever.  Timed-out blocks are retried.
-    max_retries:
-        Extra attempts a failed block gets before the run degrades or
-        errors out.
-    retry_backoff:
-        Base of the exponential backoff between attempts; ``0`` retries
-        immediately.
-    degrade_on_failure:
-        Fall back to in-process serial execution when the worker pool
-        is unhealthy, instead of failing the run.
-    max_pool_restarts:
-        Worker-pool rebuilds tolerated before declaring the pool
-        unhealthy.
     hierarchy:
         Capture the cancellation hierarchy of every output block after
         the merge stage and persist it in the ``.msc`` hierarchy
@@ -127,49 +112,18 @@ class ExecutionOptions:
     """
 
     workers: int = 1
-    block_timeout: float | None = None
-    max_retries: int = 2
-    retry_backoff: float = 0.05
-    degrade_on_failure: bool = True
-    max_pool_restarts: int = 2
     hierarchy: bool = False
     merge_spill_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
         _require_int("workers", self.workers, 1)
-        _require_int("max_retries", self.max_retries, 0)
-        _require_int("max_pool_restarts", self.max_pool_restarts, 0)
         if self.merge_spill_budget_bytes is not None:
             _require_int(
                 "merge_spill_budget_bytes", self.merge_spill_budget_bytes, 0
             )
-        # RetryPolicy validates the timeout/backoff ranges
-        self.retry_policy()
-
-    def retry_policy(self) -> RetryPolicy:
-        """The compute-stage retry policy these settings describe."""
-        return RetryPolicy(
-            block_timeout=self.block_timeout,
-            max_retries=self.max_retries,
-            backoff=self.retry_backoff,
-            degrade_on_failure=self.degrade_on_failure,
-            max_pool_restarts=self.max_pool_restarts,
-        )
 
     @property
     def resolved_executor(self) -> str:
         """``"process"`` exactly when a worker pool runs, else ``"serial"``."""
         return "process" if self.workers > 1 else "serial"
 
-    def fingerprint(self) -> str:
-        """Stable content hash over every execution knob.
-
-        Spelling-independent: equal option values — whether built in
-        code, from CLI flags, or from a service request — always
-        produce the same digest, and changing any knob produces a
-        different one (the property suite pins both directions).
-        Note this fingerprints *how* a run executes; the result cache
-        keys on :meth:`repro.core.config.PipelineConfig.result_fingerprint`
-        instead, which deliberately excludes the pure-scheduling knobs.
-        """
-        return canonical_fingerprint("execution-options", asdict(self))

@@ -321,9 +321,9 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
 def validate_block_payload(spec: BlockSpec, payload: Any) -> None:
     """Reject payloads that are not the intact result of ``spec``.
 
-    The fault-tolerance layer calls this after every compute attempt;
-    raising :class:`~repro.parallel.executor.CorruptPayloadError`
-    triggers a retry of the block.
+    The executor calls this on every payload; the
+    :class:`~repro.parallel.executor.CorruptPayloadError` it raises
+    fails the run, naming the block.
     """
     if not isinstance(payload, BlockPayload):
         raise CorruptPayloadError(
@@ -475,10 +475,8 @@ class ParallelMSComplexPipeline:
 
     A serial pipeline holds no OS resource.  Every run is bit-identical
     to a fresh pipeline's run of the same input: the executor is pure
-    scheduling.  A worker crash restarts the pool inside that run; an
-    executor that *degraded* to serial stays serial for the pipeline's
-    remaining runs (the pool was declared unhealthy; per-run
-    flip-flopping would thrash).
+    scheduling.  A worker death restarts the pool inside that run, and
+    the next run starts with a fresh restart budget.
     """
 
     def __init__(self, config: PipelineConfig) -> None:
@@ -694,8 +692,8 @@ class ParallelMSComplexPipeline:
     ):
         """Fan :func:`compute_block` out over the pipeline's executor.
 
-        Wrapped in the fault-tolerance layer: per-block timeouts,
-        bounded retries, pool restarts, degradation to serial.  Each
+        A failing block fails the run; a worker death restarts the
+        pool (see :mod:`repro.parallel.executor`).  Each
         validated payload's packed blob is handed to ``held`` the moment
         it lands.  Returns the payloads (block-id order, blobs stripped)
         and the dispatch span.
@@ -711,7 +709,6 @@ class ParallelMSComplexPipeline:
         else:
             self._executor = FaultTolerantExecutor(
                 workers=cfg.options.workers,
-                policy=cfg.options.retry_policy(),
                 validator=validate_block_payload,
                 stats=ft,
                 transport=transport,

@@ -35,60 +35,20 @@ COMPUTE_STAGES = ("build", "gradient", "trace", "simplify", "pack")
 
 @dataclass
 class FaultToleranceStats:
-    """Observability record of the fault-tolerance layer.
+    """Observability record of the compute stage's one recovery.
 
-    Filled in by :class:`repro.parallel.executor.FaultTolerantExecutor`
-    during the compute stage, the only stage that retries (a failed
-    merge fails the run).  All zeros on a healthy run.
+    Filled in by :class:`repro.parallel.executor.FaultTolerantExecutor`:
+    a failing block fails the run, so the only count a finished run can
+    carry is the worker-pool rebuilds after a worker death.  Zero on a
+    healthy run.
     """
 
-    #: block re-dispatches (compute stage), across all failure kinds
-    retries: int = 0
-    #: failed attempts classified as per-block timeouts / hangs
-    timeouts: int = 0
-    #: failed attempts classified as worker crashes (any other error)
-    crashes: int = 0
-    #: payloads rejected by validation (checksum / identity mismatch)
-    corrupt_payloads: int = 0
-    #: worker-pool rebuilds after a worker death or a clogged pool
+    #: worker-pool rebuilds after a worker death
     pool_restarts: int = 0
-    #: True once the executor fell back to in-process serial execution
-    degraded: bool = False
-    #: human-readable reason of each degradation decision
-    degradation_events: list[str] = field(default_factory=list)
-    #: total exponential-backoff sleep requested between attempts
-    backoff_seconds: float = 0.0
-
-    def any_faults(self) -> bool:
-        """Whether any failure-path machinery fired during the run."""
-        return bool(
-            self.retries
-            or self.timeouts
-            or self.crashes
-            or self.corrupt_payloads
-            or self.pool_restarts
-            or self.degraded
-        )
-
-    def counters(self) -> dict[str, int]:
-        """Scalar counters as a dict (stable keys, for tests/telemetry)."""
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "crashes": self.crashes,
-            "corrupt_payloads": self.corrupt_payloads,
-            "pool_restarts": self.pool_restarts,
-            "degraded": int(self.degraded),
-        }
 
     def describe(self) -> str:
         """One-line summary, e.g. for the CLI timing report."""
-        parts = [
-            f"{k}={v}" for k, v in self.counters().items() if v
-        ]
-        if self.backoff_seconds:
-            parts.append(f"backoff={self.backoff_seconds:.3f}s")
-        return "faults: " + (" ".join(parts) if parts else "none")
+        return f"faults: pool_restarts={self.pool_restarts}"
 
 
 @dataclass
@@ -98,9 +58,10 @@ class TransportStats:
     #: concrete transport the run used: "pickle" (an in-memory field,
     #: blocks by value) or "mmap" (a volume file)
     kind: str = "pickle"
-    #: bytes shipped to workers across every dispatch, retries included
+    #: bytes shipped to workers across every dispatch, re-dispatches
+    #: after a worker death included
     dispatch_bytes: int = 0
-    #: compute dispatches performed (first attempts + retries)
+    #: compute dispatches performed (first dispatches + re-dispatches)
     dispatches: int = 0
     #: full-volume vertex bytes the *driver* staged for transport —
     #: the in-memory grid for pickle, 0 for mmap (workers subarray-
@@ -213,7 +174,7 @@ class PipelineStats:
     #: real wall-clock seconds of the merge-rounds stage (the driver's
     #: ``merge.stage`` span), comparable with ``compute_wall_seconds``
     merge_wall_seconds: float = 0.0
-    #: fault-tolerance observability (retries, timeouts, degradations)
+    #: worker-pool rebuilds after worker deaths
     faults: FaultToleranceStats = field(default_factory=FaultToleranceStats)
     #: block-transport observability (kind, bytes shipped per dispatch)
     transport: TransportStats = field(default_factory=TransportStats)

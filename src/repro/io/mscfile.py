@@ -41,7 +41,8 @@ from repro.obs.trace import get_tracer
 
 __all__ = ["write_msc_file", "read_msc_file", "read_msc_hierarchies",
            "serialize_payload", "deserialize_payload",
-           "serialize_hierarchy", "deserialize_hierarchy", "MAGIC_V3"]
+           "serialize_hierarchy", "deserialize_hierarchy",
+           "check_msc_image", "MAGIC_V3"]
 
 MAGIC_V3 = b"MSC3"
 
@@ -293,13 +294,10 @@ def _source_bytes(source: str | Path | bytes) -> tuple[bytes, str]:
     return Path(source).read_bytes(), str(source)
 
 
-def _read_records(data: bytes, path: str, index, sections,
-                  decode=lambda views: views) -> dict[int, dict]:
-    """Owned, writable arrays of every indexed record: each record is
-    checked against its index row's CRC-32, parsed in place through one
-    memoryview, passed through ``decode`` and its arrays copied once."""
+def _checked_records(data: bytes, path: str, index):
+    """``(block_id, record)`` of every indexed record, each a memoryview
+    into ``data`` checked against its index row's CRC-32."""
     image = memoryview(data)
-    out = {}
     for block_id, off, ln, crc in index:
         record = image[off: off + ln]
         if zlib.crc32(record) != crc:
@@ -307,6 +305,24 @@ def _read_records(data: bytes, path: str, index, sections,
                 f"{path}: record of block {block_id} fails its CRC-32 "
                 "check (corrupt file)"
             )
+        yield block_id, record
+
+
+def check_msc_image(data: bytes, path: str = "<memory>") -> None:
+    """Raise a readable :class:`ValueError` unless ``data`` is a whole
+    v3 file image whose footer and every record pass their CRC-32."""
+    blocks, hiers = _parse_footer(data, path)
+    for _ in _checked_records(data, path, blocks + hiers):
+        pass
+
+
+def _read_records(data: bytes, path: str, index, sections,
+                  decode=lambda views: views) -> dict[int, dict]:
+    """Owned, writable arrays of every indexed record: each record is
+    checked against its index row's CRC-32, parsed in place through one
+    memoryview, passed through ``decode`` and its arrays copied once."""
+    out = {}
+    for block_id, record in _checked_records(data, path, index):
         try:
             views = decode(_deserialize_sections(record, sections))
         except ValueError as exc:

@@ -130,9 +130,7 @@ def run_metrics(stats) -> dict:
         reg.histogram("compute.block_seconds").observe(b.real_seconds)
         for k, v in b.stage_seconds.items():
             reg.counter(f"compute.{k}_seconds").inc(v)
-    for name, value in stats.faults.counters().items():
-        reg.counter(f"faults.{name}").inc(value)
-    reg.counter("faults.backoff_seconds").inc(stats.faults.backoff_seconds)
+    reg.counter("faults.pool_restarts").inc(stats.faults.pool_restarts)
     reg.counter("transport.dispatches").inc(stats.transport.dispatches)
     reg.counter("transport.dispatch_bytes").inc(
         stats.transport.dispatch_bytes
@@ -190,7 +188,7 @@ def format_run_summary(stats) -> str:
             + " ".join(f"{k}={v:.3f}s" for k, v in stages.items())
         )
     lines.append("  " + stats.transport.describe())
-    if stats.faults.any_faults():
+    if stats.faults.pool_restarts:
         lines.append("  " + stats.faults.describe())
     if stats.trace is not None:
         lines.append(

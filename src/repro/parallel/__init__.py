@@ -12,8 +12,8 @@ one execution needs:
   (rounds × radix, §IV-F2), modeled on the Radix-k compositing algorithm,
 - :mod:`repro.parallel.executor` — :class:`FaultTolerantExecutor`, the
   one executor: per-block work runs in-process with ``workers=1`` and on
-  a pool of OS processes otherwise, under timeouts, retries, pool
-  restarts and degradation to serial.
+  a pool of OS processes otherwise; a failing block fails the run, a
+  dead worker's pool is rebuilt.
 
 The per-block work is independent (§IV-C: shared-face gradients agree),
 so where each block is computed never changes an output byte.
@@ -21,25 +21,21 @@ so where each block is computed never changes an output byte.
 
 from repro.parallel.decomposition import BlockDecomposition, decompose
 from repro.parallel.executor import (
-    BlockTimeoutError,
     ComputeStageError,
     CorruptPayloadError,
     FaultTolerantExecutor,
     FaultToleranceError,
-    RetryPolicy,
 )
 from repro.parallel.radixk import MergeSchedule, MergeRound, full_merge_radices
 
 __all__ = [
     "BlockDecomposition",
-    "BlockTimeoutError",
     "ComputeStageError",
     "CorruptPayloadError",
     "FaultTolerantExecutor",
     "FaultToleranceError",
     "MergeRound",
     "MergeSchedule",
-    "RetryPolicy",
     "decompose",
     "full_merge_radices",
 ]

@@ -19,13 +19,11 @@ compute request resolves — in this order — to:
 
 Job states: ``queued → running → done | failed``, plus ``cancelled``
 for jobs withdrawn before a pool thread picked them up.  A running
-pipeline is never preempted — per-*block* timeouts/retries (the
-request's :class:`~repro.core.options.ExecutionOptions`) bound the
-compute from the inside, while the per-*job* timeout declares the job
+pipeline is never preempted: the per-*job* timeout declares the job
 failed on time and lets the pool thread run on; first finisher wins.
 
-Failure isolation: a job whose pipeline raises (e.g. a worker crash
-with degradation disabled) becomes ``failed`` with a readable error,
+Failure isolation: a job whose pipeline raises (e.g. a block that
+fails to compute) becomes ``failed`` with a readable error,
 and the scheduler keeps serving subsequent jobs, each on a fresh
 pipeline — the chaos suite pins this.
 
@@ -230,8 +228,8 @@ class JobScheduler:
         """Withdraw a queued job.  Running jobs are never preempted.
 
         Returns ``True`` when the job moved to ``cancelled``; ``False``
-        when it was already running or finished (per-block timeouts
-        inside the run are the tool for bounding started work).
+        when it was already running or finished (the per-job timeout
+        is the tool for bounding started work).
         """
         job = self.job(job_id)
         if job.future is None or not job.future.cancel():
@@ -308,9 +306,8 @@ class JobScheduler:
         timer = None
         if timeout is not None:
             timer = threading.Timer(timeout, self._finish, (job, "failed"), {
-                "error": f"job timed out after {timeout:g}s (per-job limit; "
-                         "tune the request timeout or the per-block "
-                         "fault-tolerance knobs)",
+                "error": f"job timed out after {timeout:g}s (per-job "
+                         "limit; tune the request timeout)",
             })
             timer.name = f"repro-service-timeout-{job.job_id}"
             timer.daemon = True

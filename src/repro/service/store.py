@@ -7,8 +7,8 @@ pipeline run: the ``.msc`` file image plus a small canonical
 (:func:`repro.io.volume.content_hash`,
 :meth:`repro.core.config.PipelineConfig.result_fingerprint`), the key
 is valid forever: the same bytes in, the same bytes out, no
-invalidation protocol.  Pure-scheduling knobs (workers, retries, spill
-budget) are deliberately *not* part of the key — outputs are
+invalidation protocol.  Pure-scheduling knobs (workers, spill budget)
+are deliberately *not* part of the key — outputs are
 bit-identical across them, so a volume computed once serves every
 execution setting of the same request.
 
@@ -33,8 +33,10 @@ artifact once, through the run's own writer, into a temp file beside
 its final name, renames it into place and writes the sidecar last: a
 crash in between leaves an orphan artifact, never a record pointing at
 missing bytes.  A disk entry whose sidecar does not parse, names
-another key, or disagrees with its artifact's length or ``MSC3`` magic
-is a miss, which the cold compute then overwrites.
+another key, or disagrees with its artifact's length, or whose
+artifact fails :func:`repro.io.mscfile.check_msc_image` (magic, footer
+and every record CRC-32) is a miss, which the cold compute then
+overwrites.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Callable, TypeVar
 
 from repro.core.config import PipelineConfig
 from repro.core.options import canonical_fingerprint
-from repro.io.mscfile import MAGIC_V3
+from repro.io.mscfile import check_msc_image
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
 
@@ -247,7 +249,8 @@ class ResultStore:
     def _load(self, key: str) -> tuple[ResultRecord, bytes] | None:
         """The disk entry of ``key``, or ``None`` when it is absent or
         damaged: a sidecar that does not parse or names another key, an
-        artifact of another length than recorded or without the magic."""
+        artifact of another length than recorded, or one whose magic,
+        footer or any record fails its check (a flipped bit)."""
         try:
             sidecar = self._sidecar_path(key).read_bytes()
             image = self._msc_path(key).read_bytes()
@@ -257,8 +260,11 @@ class ResultStore:
             record = ResultRecord.from_dict(json.loads(sidecar))
         except (ValueError, KeyError, TypeError):
             return None
-        if (record.key != key or len(image) != record.msc_bytes
-                or image[-4:] != MAGIC_V3):
+        if record.key != key or len(image) != record.msc_bytes:
+            return None
+        try:
+            check_msc_image(image)
+        except ValueError:
             return None
         return record, image
 

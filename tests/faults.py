@@ -1,45 +1,39 @@
 """Deterministic, seedable compute-stage fault injection for chaos tests.
 
-The fault-tolerance layer of
-:class:`repro.parallel.executor.FaultTolerantExecutor` handles failures
-that are rare and racy by nature.  A :class:`FaultPlan` says *exactly*
-which (block, attempt) pairs fail and how, so every chaos scenario is
-reproducible bit-for-bit; :func:`injected` installs one for the
-pipelines built inside a ``with`` block (``repro.compute``, an open
-pipeline, a service job — all run their executor in-process).
+:class:`repro.parallel.executor.FaultTolerantExecutor` has two failure
+rules: a failing block fails the run, a dead worker is recovered.  A
+:class:`FaultPlan` says *exactly* which (block, dispatch) pairs fail and
+how, so every chaos scenario is reproducible bit-for-bit;
+:func:`injected` installs one for the pipelines built inside a ``with``
+block (``repro.compute``, an open pipeline, a service job — all run
+their executor in-process).
 
 Fault kinds:
 
 ``crash``
-    Raise :class:`InjectedCrash` inside the worker — models a worker
-    hitting an unhandled exception (OOM, cosmic-ray assertion).
-``hang``
-    By default *simulated*: raise :class:`InjectedHang`, a subclass of
-    :class:`~repro.parallel.executor.BlockTimeoutError`, which the
-    executor classifies exactly like a real per-block timeout — minus
-    the waiting.  With ``simulate=False`` the worker really sleeps
-    ``hang_seconds``, for end-to-end tests of the timeout machinery.
+    Raise :class:`InjectedCrash` inside the worker — models a block
+    whose compute raises; the run fails naming the block.
 ``exit``
     Kill the worker process with ``os._exit`` — models a segfault /
     OOM-killer death and exercises the broken-pool restart path.
     Pool-only (in-process it would kill the driver).
 ``corrupt``
     Let the block compute normally, then flip bytes of the payload's
-    serialized complex — models transport/storage corruption; caught by
-    the pipeline's payload checksum validation.
+    serialized complex — models transport corruption; caught by the
+    pipeline's payload checksum validation, which fails the run.
 
 A plan is picklable (plain frozen dataclasses and ints), so it rides
-into (forked) pool workers unchanged.  Faults are keyed by attempt number —
-``attempts=(0,)`` (the default) makes a fault *transient*: the first
-try fails, the retry succeeds, and the run must end bit-identical to a
-fault-free run.
+into (forked) pool workers unchanged.  Faults are keyed by the block's
+dispatch count in the run (``attempt``: 0 on the first dispatch, one
+more after each worker death re-dispatches it) — ``exit_on(..,
+attempts=(0,))`` (the default) is a *transient* death: the re-dispatch
+succeeds, and the run must end bit-identical to a fault-free run.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -48,14 +42,13 @@ from typing import Any, Callable, Iterable, Iterator
 import pytest
 
 from repro.core import pipeline
-from repro.parallel.executor import BlockTimeoutError, FaultTolerantExecutor
+from repro.parallel.executor import FaultTolerantExecutor
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "InjectedCrash",
-    "InjectedHang",
     "injected",
 ]
 
@@ -70,16 +63,12 @@ class InjectedCrash(InjectedFault):
     """A deterministic, injected worker crash."""
 
 
-class InjectedHang(BlockTimeoutError, InjectedFault):
-    """A simulated hang: classified by the executor as a timeout."""
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One compute-stage fault: what goes wrong, where, and when.
 
-    ``kind`` is ``"crash"``, ``"hang"``, ``"exit"`` or ``"corrupt"``;
-    ``attempts`` lists the attempt numbers (0-based) on which the fault
+    ``kind`` is ``"crash"``, ``"exit"`` or ``"corrupt"``; ``attempts``
+    lists the block's dispatch counts (0-based) on which the fault
     fires; ``contexts`` restricts it to the pooled and/or serial
     execution path.
     """
@@ -88,8 +77,6 @@ class FaultSpec:
     block_id: int
     attempts: tuple[int, ...] = (0,)
     contexts: tuple[str, ...] = _CONTEXTS
-    hang_seconds: float = 0.0
-    simulate: bool = True
 
     def matches(self, block_id: Any, attempt: int, context: str) -> bool:
         return (
@@ -105,8 +92,8 @@ class FaultPlan:
 
     Implements the injection protocol the executor dispatches through
     (:meth:`run`).  Compose plans with ``+``; build common single-fault
-    plans with the ``crash_on`` / ``hang_on`` / ``corrupt_on`` /
-    ``exit_on`` constructors.
+    plans with the ``crash_on`` / ``corrupt_on`` / ``exit_on``
+    constructors.
     """
 
     faults: tuple[FaultSpec, ...] = ()
@@ -123,22 +110,6 @@ class FaultPlan:
     ) -> "FaultPlan":
         return cls(faults=tuple(
             FaultSpec("crash", b, attempts, contexts) for b in block_ids
-        ))
-
-    @classmethod
-    def hang_on(
-        cls,
-        block_ids: Iterable[int],
-        attempts: tuple[int, ...] = (0,),
-        *,
-        simulate: bool = True,
-        hang_seconds: float = 0.0,
-        contexts: tuple[str, ...] = _CONTEXTS,
-    ) -> "FaultPlan":
-        return cls(faults=tuple(
-            FaultSpec("hang", b, attempts, contexts,
-                      hang_seconds=hang_seconds, simulate=simulate)
-            for b in block_ids
         ))
 
     @classmethod
@@ -178,7 +149,7 @@ class FaultPlan:
     def run(
         self, fn: Callable[[Any], Any], spec: Any, attempt: int, context: str
     ) -> Any:
-        """Run one block attempt, injecting any scheduled faults."""
+        """Run one block dispatch, injecting any scheduled faults."""
         block_id = getattr(spec, "block_id", None)
         matching = [
             f for f in self.faults if f.matches(block_id, attempt, context)
@@ -188,12 +159,6 @@ class FaultPlan:
                 raise InjectedCrash(
                     f"injected crash: block {block_id} attempt {attempt}"
                 )
-            if f.kind == "hang":
-                if f.simulate:
-                    raise InjectedHang(
-                        f"injected hang: block {block_id} attempt {attempt}"
-                    )
-                time.sleep(f.hang_seconds)
             if f.kind == "exit" and context == "pool":
                 os._exit(1)
         payload = fn(spec)

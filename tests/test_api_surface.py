@@ -258,7 +258,7 @@ class TestExecutionOptions:
             opts.workers = 4
 
     def test_config_accepts_options_bundle(self):
-        opts = repro.ExecutionOptions(workers=2, retry_backoff=0.0)
+        opts = repro.ExecutionOptions(workers=2, hierarchy=True)
         cfg = repro.PipelineConfig(num_blocks=8, options=opts)
         assert cfg.options is opts
         assert cfg.options.workers == 2
@@ -278,12 +278,8 @@ class TestExecutionOptions:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"max_retries": -1},
-            {"retry_backoff": -1.0},
-            {"block_timeout": -5},
             {"workers": True},
             {"workers": 1.5},
-            {"max_pool_restarts": 1.0},
             {"merge_spill_budget_bytes": -1},
         ],
         ids=lambda bad: "-".join(bad),
@@ -299,11 +295,14 @@ class TestExecutionOptions:
         ids=["nan", "inf", "huge"],
     )
     def test_non_finite_retry_settings_rejected(self, name, value):
-        """A NaN timeout would time every pooled block out at once, an
-        infinite one overflows the wait, an infinite backoff the sleep;
-        a finite 1e300 overflows them just the same."""
-        with pytest.raises(ValueError, match="finite"):
+        """The retry settings are gone: no value is accepted, finite or
+        not, and the options hold exactly the three remaining fields."""
+        import dataclasses
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
             repro.ExecutionOptions(**{name: value})
+        assert [f.name for f in dataclasses.fields(repro.ExecutionOptions)
+                ] == ["workers", "hierarchy", "merge_spill_budget_bytes"]
 
     def test_compute_options_spelling_does_not_warn(self, facade_field):
         with warnings.catch_warnings():
@@ -342,7 +341,9 @@ def _parse_cli(*argv):
 #: shared-memory transport, the metrics knob, the second driver object,
 #: the second synthetic-volume command, the fault-injection knob with
 #: the merge retry loop it drove, the v1/v2 ``.msc`` readers, the
-#: stability-comparison module and the store's persistence-provider split
+#: stability-comparison module, the store's persistence-provider split,
+#: the compute-stage retry policy with its five knobs, and the two
+#: fingerprints nothing keyed on
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
         num_blocks=8, workers=2
@@ -450,6 +451,23 @@ REMOVED_SPELLINGS = {
         repro.service.ResultStore
     ).bind("cache", provider=None),
     "ResultStore.contains": lambda f: repro.service.ResultStore.contains,
+    "ExecutionOptions.fingerprint": lambda f: (
+        repro.ExecutionOptions().fingerprint
+    ),
+    "PipelineConfig.fingerprint": lambda f: repro.PipelineConfig(
+        num_blocks=8
+    ).fingerprint,
+    **{
+        f"ExecutionOptions({name}=)": (
+            lambda f, name=name: repro.ExecutionOptions(**{name: 1})
+        )
+        for name in ("block_timeout", "max_retries", "retry_backoff",
+                     "degrade_on_failure", "max_pool_restarts")
+    },
+    "repro.parallel.RetryPolicy": lambda f: repro.parallel.RetryPolicy,
+    "repro.parallel.executor.BlockTimeoutError": lambda f: (
+        importlib.import_module("repro.parallel.executor").BlockTimeoutError
+    ),
 }
 
 
@@ -572,12 +590,10 @@ class TestHierarchyKnob:
 
         plain = repro.compute(
             facade_field, persistence=0.05, ranks=4,
-            options=repro.ExecutionOptions(retry_backoff=0.0),
         )
         with_h = repro.compute(
             facade_field, persistence=0.05, ranks=4,
-            options=repro.ExecutionOptions(retry_backoff=0.0,
-                                           hierarchy=True),
+            options=repro.ExecutionOptions(hierarchy=True),
         )
         assert pack_complex(plain.merged_complexes[0]) == pack_complex(
             with_h.merged_complexes[0]

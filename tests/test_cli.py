@@ -21,9 +21,7 @@ RUN_FLAGS = [
     "--dims", "9", "8", "7", "--dtype", "float64", "--blocks", "4",
     "--procs", "2", "--workers", "2",
     "--merge-spill-budget", "64K", "--persistence", "0.25",
-    "--block-timeout", "30", "--max-retries", "1",
-    "--retry-backoff", "0", "--no-degrade", "--hierarchy",
-    "--radices", "2", "2",
+    "--hierarchy", "--radices", "2", "2",
 ]
 
 
@@ -38,7 +36,6 @@ class TestParser:
         compute = _config_from_args(parse(["compute", "v.raw", *flags]))
         stream = _config_from_args(parse(["stream", "a.raw", *flags]))
         assert compute == stream
-        assert compute.fingerprint() == stream.fingerprint()
 
     def test_every_run_flag_reaches_the_config(self):
         args = build_parser().parse_args(["stream", "a.raw", *RUN_FLAGS])
@@ -46,10 +43,8 @@ class TestParser:
             num_blocks=4, num_procs=2, persistence_threshold=0.25,
             merge_radices=[2, 2],
             options=ExecutionOptions(
-                workers=2,
-                merge_spill_budget_bytes=64 << 10, block_timeout=30.0,
-                max_retries=1, retry_backoff=0.0,
-                degrade_on_failure=False, hierarchy=True,
+                workers=2, merge_spill_budget_bytes=64 << 10,
+                hierarchy=True,
             ),
         )
 
@@ -423,53 +418,84 @@ class TestObservabilityFlags:
         assert "metrics:" not in stdout
 
 
+#: the retry / timeout / degrade flags, gone with the knobs they set
+REMOVED_FAULT_FLAGS = ["--block-timeout", "--max-retries",
+                       "--retry-backoff", "--no-degrade"]
+
+
+def _usage_error(capsys, *argv):
+    """Run ``repro`` on ``argv``; expect argparse's exit 2 with one
+    ``error:`` line, and return that line."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    assert exc_info.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines()
+              if "error:" in ln]
+    assert len(errors) == 1
+    return errors[0]
+
+
 class TestFaultToleranceFlags:
+    """The failure rules take no flag: a failing block fails the run
+    (exit 2, one ``error:`` line), a dead worker is recovered."""
+
     def test_defaults(self):
         args = build_parser().parse_args(
             ["compute", "v.raw", "--dims", "8", "8", "8"]
         )
-        assert args.block_timeout is None
-        assert args.max_retries == 2
-        assert args.retry_backoff == pytest.approx(0.05)
-        assert args.no_degrade is False
-
-    def test_flags_parse(self):
-        args = build_parser().parse_args(
-            ["compute", "v.raw", "--dims", "8", "8", "8",
-             "--block-timeout", "1.5", "--max-retries", "4",
-             "--retry-backoff", "0", "--no-degrade"]
-        )
-        assert args.block_timeout == pytest.approx(1.5)
-        assert args.max_retries == 4
-        assert args.retry_backoff == 0.0
-        assert args.no_degrade is True
+        for flag in REMOVED_FAULT_FLAGS:
+            assert not hasattr(args, flag[2:].replace("-", "_"))
 
     def test_negative_max_retries_fails_readably(self, volume, capsys):
-        rc = main([
-            "compute", volume.path,
-            "--dims", *map(str, volume.dims),
-            "--max-retries", "-1",
-        ])
-        assert rc == 2  # RetryPolicy validation, surfaced as CLI error
-        assert "error:" in capsys.readouterr().err
+        """``--max-retries`` at any value, negative or not."""
+        for value in ("-1", "1"):
+            line = _usage_error(
+                capsys, "compute", volume.path,
+                "--dims", *map(str, volume.dims), "--max-retries", value,
+            )
+            assert "unrecognized arguments: --max-retries" in line
 
     @pytest.mark.parametrize("flag, value", [
         ("--block-timeout", "inf"), ("--block-timeout", "nan"),
         ("--retry-backoff", "inf"), ("--retry-backoff", "nan"),
-        # finite, but it would overflow the wait or the sleep
         ("--block-timeout", "1e300"), ("--retry-backoff", "1e300"),
     ])
     def test_non_finite_retry_settings_fail_readably(
         self, volume, capsys, flag, value
     ):
+        """No value of a removed flag is accepted, finite or not."""
+        line = _usage_error(
+            capsys, "compute", volume.path,
+            "--dims", *map(str, volume.dims), flag, value,
+        )
+        assert f"unrecognized arguments: {flag}" in line
+
+    def test_failing_block_fails_once_readably(
+        self, volume, capsys, monkeypatch
+    ):
+        """A block is not retried: its first failure is the one error
+        line, naming the block."""
+        from repro.core import pipeline
+
+        calls = []
+        compute = pipeline.compute_block
+
+        def failing_block(spec):
+            calls.append(spec.block_id)
+            if spec.block_id == 1:
+                raise RuntimeError("out of memory")
+            return compute(spec)
+
+        monkeypatch.setattr(pipeline, "compute_block", failing_block)
         rc = main([
             "compute", volume.path,
-            "--dims", *map(str, volume.dims), flag, value,
+            "--dims", *map(str, volume.dims), "--blocks", "4",
         ])
         assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "finite" in err[0]
+        assert calls == [0, 1]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: compute block 1 failed: RuntimeError: out of memory"
+        ]
 
     def test_failed_merge_fails_once_readably(
         self, volume, capsys, monkeypatch
@@ -502,13 +528,13 @@ class TestFaultToleranceFlags:
 
         run = ParallelMSComplexPipeline.run
 
-        def run_with_a_retry(self, *args, **kwargs):
+        def run_with_a_restart(self, *args, **kwargs):
             result = run(self, *args, **kwargs)
-            result.stats.faults.retries = 1
+            result.stats.faults.pool_restarts = 1
             return result
 
         monkeypatch.setattr(ParallelMSComplexPipeline, "run",
-                            run_with_a_retry)
+                            run_with_a_restart)
         rc = main([
             "compute", volume.path,
             "--dims", *map(str, volume.dims), "--blocks", "2",
@@ -516,19 +542,8 @@ class TestFaultToleranceFlags:
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert [ln.strip() for ln in lines if "faults:" in ln] == [
-            "faults: retries=1"
+            "faults: pool_restarts=1"
         ]
-
-    def test_compute_runs_with_fault_flags(self, volume, capsys):
-        rc = main([
-            "compute", volume.path,
-            "--dims", *map(str, volume.dims),
-            "--blocks", "4",
-            "--max-retries", "3",
-            "--retry-backoff", "0",
-        ])
-        assert rc == 0
-        assert "critical points" in capsys.readouterr().out
 
 
 class TestQuery:
@@ -539,8 +554,7 @@ class TestQuery:
         rc = main([
             "compute", volume.path,
             "--dims", *map(str, volume.dims),
-            "--blocks", "2", "--retry-backoff", "0",
-            "--hierarchy", "--output", str(path),
+            "--blocks", "2", "--hierarchy", "--output", str(path),
         ])
         assert rc == 0
         capsys.readouterr()
@@ -603,7 +617,7 @@ class TestQuery:
         rc = main([
             "compute", volume.path,
             "--dims", *map(str, volume.dims),
-            "--retry-backoff", "0", "--output", str(path),
+            "--output", str(path),
         ])
         assert rc == 0
         capsys.readouterr()
@@ -664,7 +678,6 @@ class TestStream:
             "stream", *[s.path for s in series],
             "--dims", "9", "9", "9", "--dtype", "float64",
             "--blocks", "8", "--persistence", "0.05",
-            "--retry-backoff", "0.0",
             "--output-dir", str(out_dir),
         ])
         assert rc == 0
@@ -682,7 +695,6 @@ class TestStream:
             "stream", *[s.path for s in series],
             "--dims", "9", "9", "9", "--dtype", "float64",
             "--blocks", "8", "--persistence", "0.05",
-            "--retry-backoff", "0.0",
             "--output-dir", str(out_dir),
         ])
         assert rc == 0
@@ -691,7 +703,6 @@ class TestStream:
             num_blocks=8,
             persistence_threshold=0.05,
             merge_radices="full",
-            options=ExecutionOptions(retry_backoff=0.0),
         )
         for step, spec in enumerate(series):
             ref = tmp_path / f"ref{step}.msc"
@@ -705,7 +716,7 @@ class TestStream:
         rc = main([
             "stream", *[s.path for s in series],
             "--dims", "9", "9", "9", "--dtype", "float64",
-            "--blocks", "8", "--retry-backoff", "0.0", "--json",
+            "--blocks", "8", "--json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)

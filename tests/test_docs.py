@@ -11,6 +11,12 @@ a definition).
 Every backticked repo-relative path in README.md and DESIGN.md (one
 beginning ``examples/``, ``tests/``, ``benchmarks/`` or ``src/``) exists;
 a ``::`` test id after it is ignored and a glob must match a file.
+
+Outside that table, every ``--flag`` in an inline code span is accepted
+by the ``repro`` parser or one of its subcommands (a span that names
+another program — a ``.py`` script, ``pytest`` — is that program's),
+and docs/API.md's ``ExecutionOptions`` table names exactly the fields of
+the dataclass.
 """
 
 import importlib
@@ -24,6 +30,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md", ROOT / "DESIGN.md",
         *sorted((ROOT / "docs").glob("*.md"))]
 NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+REMOVED_TABLE = "## Removed / changed in this release"
+FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+SPAN = re.compile(r"`([^`]+)`")
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+OTHER_PROGRAM = re.compile(r"\.py\b|\bpytest\b")
 PATH = re.compile(r"`((?:examples|tests|benchmarks|src)/[^`:\s]*)")
 
 
@@ -59,7 +70,7 @@ def _defined_at(dotted: str) -> bool:
 def _removed_names() -> set[str]:
     """Whole backticked dotted names in the removed table's first column."""
     text = (ROOT / "docs" / "API.md").read_text()
-    start = text.index("## Removed / changed in this release")
+    start = text.index(REMOVED_TABLE)
     section = text[start:text.index("\n## ", start)]
     names = set()
     for line in section.splitlines():
@@ -99,3 +110,51 @@ def test_named_paths_exist(doc):
         if not any(ROOT.glob(path))
     )
     assert not missing, f"{doc.name} names files that are gone: {missing}"
+
+
+def _repro_flags() -> set[str]:
+    """Every option string of ``repro`` and of each subcommand."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    flags = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags.update(sub._option_string_actions)
+    return flags
+
+
+def _outside_removed_table(doc: Path) -> str:
+    text = doc.read_text()
+    if REMOVED_TABLE in text:
+        start = text.index(REMOVED_TABLE)
+        text = text[:start] + text[text.index("\n## ", start):]
+    return text
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.name)
+def test_named_flags_are_accepted(doc):
+    known = _repro_flags()
+    text = FENCE.sub("", _outside_removed_table(doc))
+    unknown = sorted({
+        flag
+        for span in SPAN.findall(text) if not OTHER_PROGRAM.search(span)
+        for flag in FLAG.findall(span) if flag not in known
+    })
+    assert not unknown, f"{doc.name} names flags repro rejects: {unknown}"
+
+
+def test_options_table_names_the_fields():
+    import dataclasses
+
+    from repro.core.options import ExecutionOptions
+
+    text = (ROOT / "docs" / "API.md").read_text()
+    start = text.index("| field | default | meaning |")
+    rows = text[start:text.index("\n\n", start)].splitlines()[2:]
+    named = [re.match(r"\| `(\w+)` \|", row).group(1) for row in rows]
+    fields = [f.name for f in dataclasses.fields(ExecutionOptions)]
+    assert named == fields

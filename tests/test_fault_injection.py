@@ -1,24 +1,27 @@
-"""Chaos-test suite: injected faults never change the answer.
+"""Chaos-test suite: the compute stage's two failure rules.
 
 Every compute-stage scenario here drives the full pipeline with a
 deterministic, seeded :class:`tests.faults.FaultPlan` (merge faults
 patch the pipeline's ``perform_merge``) and asserts one of the two
 permitted outcomes:
 
-- the fault-tolerance layer retries (or degrades) its way to a result
-  *bit-identical* to the fault-free serial run, or
-- the run fails with a readable :class:`FaultToleranceError` — never a
-  hang, never a raw traceback surfaced to CLI users.
+- a worker process died: the pool is rebuilt and the unfinished blocks
+  re-dispatched, and the run ends *bit-identical* to the fault-free
+  serial run;
+- anything else — a block that raises, a payload that fails its
+  checksum, a merge that fails, one worker death too many — fails the
+  run on its first attempt with a readable :class:`FaultToleranceError`
+  chained to its cause: never a hang, never a raw traceback surfaced to
+  CLI users.
 
-Scenarios avoid wall-clock dependence: hangs are simulated (classified
-as timeouts without sleeping), backoff is zeroed, and outcomes depend
-only on the plan — so results are stable across any number of runs.
-Tests that spawn real worker pools additionally carry the ``slow``
-marker.
+Outcomes depend only on the plan, so they are stable across any number
+of runs.  Tests that spawn real worker pools additionally carry the
+``slow`` marker.
 """
 
 import multiprocessing
 from contextlib import nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from repro.core.merge import MergeStageError, pack_complex
 from repro.core.pipeline import ParallelMSComplexPipeline
 from repro.data.synthetic import gaussian_bumps_field
 from repro.mesh.grid import StructuredGrid
-from repro.parallel.executor import ComputeStageError
+from repro.parallel.executor import ComputeStageError, CorruptPayloadError
 from tests.faults import FaultPlan, InjectedCrash, injected
 
 pytestmark = pytest.mark.chaos
@@ -44,8 +47,6 @@ def field() -> np.ndarray:
 
 
 def run(field, plan=None, **options):
-    # no wall-clock dependence in chaos tests
-    options.setdefault("retry_backoff", 0.0)
     cfg = PipelineConfig(
         num_blocks=BLOCKS,
         persistence_threshold=0.05,
@@ -55,6 +56,28 @@ def run(field, plan=None, **options):
     with injected(plan) if plan is not None else nullcontext():
         with ParallelMSComplexPipeline(cfg) as pipe:
             return pipe.run(field)
+
+
+def run_error(field, plan, **options) -> ComputeStageError:
+    """The error a faulted run fails with (and no worker outlives it)."""
+    with pytest.raises(ComputeStageError) as exc_info:
+        run(field, plan, **options)
+    assert multiprocessing.active_children() == []
+    return exc_info.value
+
+
+def crash_text(block: int) -> str:
+    return (
+        f"compute block {block} failed: InjectedCrash: "
+        f"injected crash: block {block} attempt 0"
+    )
+
+
+def checksum_text(block: int) -> str:
+    return (
+        f"compute block {block} failed: CorruptPayloadError: block "
+        f"{block}: payload checksum mismatch (corrupted in transit?)"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -76,65 +99,68 @@ def assert_identical(result, baseline):
 
 
 # ---------------------------------------------------------------------------
-# faults at EVERY compute-stage block index (acceptance criterion)
+# faults at EVERY compute-stage block index
 # ---------------------------------------------------------------------------
 
 
 class TestEveryBlockIndex:
+    @pytest.mark.slow
     @pytest.mark.parametrize("block", ALL_BLOCKS)
     def test_crash_is_retried_to_identical(self, field, baseline, block):
-        res = run(field, FaultPlan.crash_on([block]))
+        """A worker process that crashes (``os._exit``) on any block is
+        the one failure that is retried: the pool restarts once, the
+        block is dispatched again, and the run is bit-identical."""
+        res = run(field, FaultPlan.exit_on([block]), workers=2)
         assert_identical(res, baseline)
-        c = res.stats.faults.counters()
-        assert c["crashes"] == 1 and c["retries"] == 1
-        assert c["timeouts"] == c["corrupt_payloads"] == 0
+        assert res.stats.faults.pool_restarts == 1
 
     @pytest.mark.parametrize("block", ALL_BLOCKS)
-    def test_hang_is_timed_out_and_retried(self, field, baseline, block):
-        res = run(field, FaultPlan.hang_on([block]))
-        assert_identical(res, baseline)
-        c = res.stats.faults.counters()
-        assert c["timeouts"] == 1 and c["retries"] == 1
-
-    @pytest.mark.parametrize("block", ALL_BLOCKS)
-    def test_corrupt_payload_is_caught_by_checksum(
-        self, field, baseline, block
-    ):
-        res = run(field, FaultPlan.corrupt_on([block], seed=17))
-        assert_identical(res, baseline)
-        c = res.stats.faults.counters()
-        assert c["corrupt_payloads"] == 1 and c["retries"] == 1
-        assert c["crashes"] == 0  # classified as corruption, not crash
+    def test_corrupt_payload_is_caught_by_checksum(self, field, block):
+        """A payload that fails its checksum fails the run, naming the
+        block and the checksum."""
+        err = run_error(field, FaultPlan.corrupt_on([block], seed=17))
+        assert str(err) == checksum_text(block)
+        assert isinstance(err.__cause__, CorruptPayloadError)
 
 
 class TestCompoundChaos:
-    def test_all_blocks_crash_at_once(self, field, baseline):
-        res = run(field, FaultPlan.crash_on(ALL_BLOCKS))
-        assert_identical(res, baseline)
-        assert res.stats.faults.counters()["crashes"] == BLOCKS
+    def test_all_blocks_crash_at_once(self, field, monkeypatch):
+        """The first failing block is the run's failure: compute_block
+        runs once, for block 0, and nothing after it is attempted."""
+        calls = []
+        compute = pipeline.compute_block
 
-    def test_mixed_fault_kinds_everywhere(self, field, baseline):
-        plan = (
-            FaultPlan.crash_on([0, 1])
-            + FaultPlan.hang_on([2, 3])
-            + FaultPlan.corrupt_on([4, 5], seed=3)
-        )
-        res = run(field, plan)
-        assert_identical(res, baseline)
-        c = res.stats.faults.counters()
-        assert c["crashes"] == 2 and c["timeouts"] == 2
-        assert c["corrupt_payloads"] == 2
+        def counting(spec):
+            calls.append(spec.block_id)
+            return compute(spec)
 
+        monkeypatch.setattr(pipeline, "compute_block", counting)
+        plan = FaultPlan.corrupt_on(ALL_BLOCKS, seed=3)
+        assert str(run_error(field, plan)) == checksum_text(0)
+        assert calls == [0]
+
+    @pytest.mark.slow
     def test_double_fault_same_block(self, field, baseline):
-        """Two consecutive failing attempts still fit max_retries=2."""
-        res = run(field, FaultPlan.crash_on([5], attempts=(0, 1)))
+        """Two deaths on one block fit the restart budget (2 per run)."""
+        res = run(field, FaultPlan.exit_on([5], attempts=(0, 1)), workers=2)
         assert_identical(res, baseline)
-        assert res.stats.faults.counters()["retries"] == 2
+        assert res.stats.faults.pool_restarts == 2
 
+    def test_mixed_fault_kinds_everywhere(self, field):
+        """Blocks fail in spec order: the lowest failing block names the
+        run's error, whatever its kind."""
+        crashes = FaultPlan.crash_on([1, 4])
+        corrupt = FaultPlan.corrupt_on([2, 5], seed=3)
+        assert str(run_error(field, crashes + corrupt)) == crash_text(1)
+        corrupt_first = FaultPlan.corrupt_on([0], seed=3) + crashes
+        assert str(run_error(field, corrupt_first)) == checksum_text(0)
+
+    @pytest.mark.slow
     def test_fault_stats_surface_in_describe(self, field):
-        res = run(field, FaultPlan.crash_on([2]))
-        assert "faults:" in res.stats.describe()
-        assert "crashes=1" in res.stats.faults.describe()
+        res = run(field, FaultPlan.exit_on([2]), workers=2)
+        assert "faults: pool_restarts=1" in res.stats.describe()
+        assert res.stats.metrics["faults.pool_restarts"]["value"] == 1
+        assert "faults:" not in run(field).stats.describe()
 
 
 # ---------------------------------------------------------------------------
@@ -179,157 +205,104 @@ class TestPooledMergeChaos:
         no worker behind."""
         calls = crash_merges(monkeypatch)
         with pytest.raises(MergeStageError, match="^merge round 0 root 0 "):
-            run(field, workers=2, degrade_on_failure=False)
+            run(field, workers=2)
         assert len(calls) == 1
         assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
-# retry exhaustion: a readable failure, not a traceback or a hang
+# readable failures: a block fails once; the pool dies three times
 # ---------------------------------------------------------------------------
 
 
 class TestExhaustion:
     def test_persistent_crash_raises_compute_stage_error(self, field):
-        plan = FaultPlan.crash_on([3], attempts=(0, 1, 2, 3, 4))
-        with pytest.raises(ComputeStageError) as exc_info:
-            run(field, plan)
-        msg = str(exc_info.value)
-        assert "block 3" in msg and "attempt" in msg
-        assert "InjectedCrash" in msg  # names the last underlying error
-        assert isinstance(exc_info.value.__cause__, InjectedCrash)
+        err = run_error(field, FaultPlan.crash_on([3]))
+        assert str(err) == crash_text(3)
+        assert isinstance(err.__cause__, InjectedCrash)
 
-    def test_max_retries_zero_fails_fast(self, field):
-        with pytest.raises(ComputeStageError, match="1 attempt"):
-            run(field, FaultPlan.crash_on([0]), max_retries=0)
-
-    def test_larger_retry_budget_survives_deeper_faults(self, field, baseline):
-        plan = FaultPlan.crash_on([7], attempts=(0, 1, 2, 3))
-        res = run(field, plan, max_retries=4)
-        assert_identical(res, baseline)
-        assert res.stats.faults.counters()["retries"] == 4
+    @pytest.mark.slow
+    def test_third_worker_death_fails_readably(self, field):
+        """One death past the restart budget fails the run, naming the
+        last cause, and leaves no worker process behind."""
+        plan = FaultPlan.exit_on([3], attempts=(0, 1, 2))
+        err = run_error(field, plan, workers=2)
+        assert str(err).startswith(
+            "worker pool died 3 times (at most 2 restarts per run); "
+            "last cause: BrokenProcessPool: "
+        )
 
 
 # ---------------------------------------------------------------------------
-# determinism: same plan, same seeds => same everything, run after run
+# determinism: same plan, same seeds => same outcome, run after run
 # ---------------------------------------------------------------------------
 
 
 class TestDeterminism:
     def test_five_consecutive_runs_are_identical(self, field):
-        plan = (
-            FaultPlan.crash_on([1])
-            + FaultPlan.hang_on([4])
-            + FaultPlan.corrupt_on([6], seed=11)
-        )
-        outputs, counters = [], []
-        for _ in range(5):
-            res = run(field, plan)
-            outputs.append(
-                {b: pack_complex(m) for b, m in res.output_blocks.items()}
-            )
-            counters.append(res.stats.faults.counters())
-        assert all(o == outputs[0] for o in outputs[1:])
-        assert all(c == counters[0] for c in counters[1:])
+        plan = FaultPlan.crash_on([4]) + FaultPlan.corrupt_on([6], seed=11)
+        errors = {str(run_error(field, plan)) for _ in range(5)}
+        assert errors == {crash_text(4)}
 
     def test_corruption_is_seed_deterministic(self, field):
-        """Same seed corrupts the same bytes; runs agree bit-for-bit."""
-        a = run(field, FaultPlan.corrupt_on([2], seed=5))
-        b = run(field, FaultPlan.corrupt_on([2], seed=5))
-        assert a.stats.faults.counters() == b.stats.faults.counters()
-        for bid in a.output_blocks:
-            assert pack_complex(a.output_blocks[bid]) == pack_complex(
-                b.output_blocks[bid]
-            )
+        """Same seed flips the same bytes; runs fail the same way."""
+        blob = bytes(range(256)) * 4
+
+        def corrupted(seed):
+            plan = FaultPlan.corrupt_on([2], seed=seed)
+            payload = SimpleNamespace(blob=blob)
+            return plan._corrupt_payload(payload, 2, 0).blob
+
+        assert corrupted(5) == corrupted(5) != blob
+        assert corrupted(5) != corrupted(6)
+        a = run_error(field, FaultPlan.corrupt_on([2], seed=5))
+        b = run_error(field, FaultPlan.corrupt_on([2], seed=5))
+        assert str(a) == str(b) == checksum_text(2)
 
 
 # ---------------------------------------------------------------------------
-# real worker pools: crashes, timeouts, restarts, degradation
+# real worker pools: deaths restart the pool, other faults fail the run
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
 class TestPoolChaos:
     """Faults behind a pooled compute stage fed an in-memory field: the
-    blocks travel to the workers by value, and every fault path lands
-    on the serial reference's bytes."""
-
-    @pytest.mark.parametrize("kind", ["crash", "hang", "corrupt"])
-    def test_injected_faults_converge_bit_identical(
-        self, field, baseline, kind
-    ):
-        plans = {
-            "crash": FaultPlan.crash_on([3]),
-            "hang": FaultPlan.hang_on([3]),
-            "corrupt": FaultPlan.corrupt_on([3], seed=17),
-        }
-        res = run(field, plans[kind], workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.faults.counters()["retries"] == 1
-        assert res.stats.transport.kind == "pickle"
+    blocks travel to the workers by value."""
 
     def test_retried_block_is_shipped_again(self, field, baseline):
-        """Each retry re-sends the block's spec, samples included, and
-        the transport accounting counts every attempt."""
-        res = run(
-            field,
-            FaultPlan.crash_on([5], attempts=(0, 1)),
-            workers=2,
-        )
+        """A worker death re-sends every unfinished block's spec,
+        samples included, and the transport accounting counts each
+        dispatch."""
+        res = run(field, FaultPlan.exit_on([5]), workers=2)
         assert_identical(res, baseline)
-        assert res.stats.faults.counters()["retries"] == 2
+        assert res.stats.faults.pool_restarts == 1
         ts = res.stats.transport
         specs = ParallelMSComplexPipeline(
             PipelineConfig(num_blocks=BLOCKS)
         )._block_specs(res.decomposition, StructuredGrid(field), None)
-        per_block = [s.transport_nbytes for s in specs]
-        assert ts.dispatches == BLOCKS + 2
-        assert ts.dispatch_bytes == sum(per_block) + 2 * per_block[5]
+        per_block = {s.transport_nbytes for s in specs}
+        assert len(per_block) == 1  # 13^3 splits into equal 7^3 blocks
+        # block 5 and whatever else was unfinished went out again
+        assert BLOCKS + 1 <= ts.dispatches <= 2 * BLOCKS
+        assert ts.dispatch_bytes == ts.dispatches * per_block.pop()
 
-    def test_worker_death_restarts_pool_then_degrades(self, field, baseline):
-        """os._exit in a worker breaks the pool; restarts are bounded and
-        the run degrades to serial, still bit-identical."""
+    def test_worker_death_restarts_pool(self, field, baseline):
+        """os._exit in a worker breaks the pool; it is rebuilt once and
+        the run is bit-identical to the serial reference."""
         res = run(field, FaultPlan.exit_on([2]), workers=2)
         assert_identical(res, baseline)
-        f = res.stats.faults
-        assert f.pool_restarts >= 1
-        assert f.degraded and f.degradation_events
+        assert res.stats.faults.pool_restarts == 1
         assert res.stats.transport.kind == "pickle"
+        assert res.stats.executor == "process"
 
-    def test_pool_only_persistent_crash_degrades_to_serial(
-        self, field, baseline
-    ):
-        plan = FaultPlan.crash_on(
-            [6], attempts=tuple(range(8)), contexts=("pool",)
+    def test_pooled_crash_fails_on_first_attempt(self, field):
+        err = run_error(field, FaultPlan.crash_on([6]), workers=2)
+        assert str(err) == crash_text(6)
+        assert type(err.__cause__).__name__ == "InjectedCrash"
+
+    def test_pooled_corrupt_payload_fails_naming_its_checksum(self, field):
+        err = run_error(
+            field, FaultPlan.corrupt_on([3], seed=17), workers=2
         )
-        res = run(field, plan, workers=2)
-        assert_identical(res, baseline)
-        f = res.stats.faults
-        assert f.degraded
-        assert any("block 6" in e for e in f.degradation_events)
-        assert res.stats.transport.kind == "pickle"
-
-    def test_degradation_disabled_fails_readably(self, field):
-        plan = FaultPlan.crash_on(
-            [6], attempts=tuple(range(8)), contexts=("pool",)
-        )
-        with pytest.raises(ComputeStageError, match="block 6"):
-            run(field, plan, workers=2, degrade_on_failure=False)
-
-    def test_real_hang_hits_block_timeout_and_retries(self, field, baseline):
-        """An actually-sleeping worker is cut off by the per-block
-        timeout and the block re-dispatched (generous margins)."""
-        plan = FaultPlan.hang_on(
-            [4], simulate=False, hang_seconds=3.0, contexts=("pool",)
-        )
-        res = run(field, plan, workers=2, block_timeout=0.5)
-        assert_identical(res, baseline)
-        c = res.stats.faults.counters()
-        assert c["timeouts"] >= 1 and c["retries"] >= 1
-
-    def test_simulated_hang_on_pool_needs_no_timeout(self, field, baseline):
-        """Simulated hangs exercise the timeout path without wall clock
-        even on the pooled backend."""
-        res = run(field, FaultPlan.hang_on([1, 5]), workers=2)
-        assert_identical(res, baseline)
-        assert res.stats.faults.counters()["timeouts"] == 2
+        assert str(err) == checksum_text(3)

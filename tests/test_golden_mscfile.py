@@ -91,8 +91,7 @@ def golden_result():
     """The exact pipeline run the committed golden file captures."""
     # default_rng avoids libm transcendentals => bit-stable across hosts
     field = np.random.default_rng(42).random((9, 9, 9))
-    return repro.compute(field, persistence=0.1, ranks=8,
-                         options=ExecutionOptions(retry_backoff=0.0))
+    return repro.compute(field, persistence=0.1, ranks=8)
 
 
 def golden_hier_result(**extra):
@@ -104,8 +103,7 @@ def golden_hier_result(**extra):
     """
     field = np.random.default_rng(42).random((9, 9, 9))
     return repro.compute(field, persistence=0.1, ranks=8,
-                         options=ExecutionOptions(retry_backoff=0.0,
-                                                  hierarchy=True,
+                         options=ExecutionOptions(hierarchy=True,
                                                   **extra))
 
 
@@ -118,9 +116,7 @@ def test_pipeline_output_matches_golden_bytes(tmp_path):
 def test_golden_bytes_with_observability_enabled(tmp_path):
     """Tracing and metrics must never perturb the output bytes."""
     field = np.random.default_rng(42).random((9, 9, 9))
-    result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(retry_backoff=0.0),
-                           trace=True)
+    result = repro.compute(field, persistence=0.1, ranks=8, trace=True)
     out = tmp_path / "traced.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
@@ -132,8 +128,7 @@ def test_golden_bytes_with_observability_enabled(tmp_path):
 def test_golden_bytes_with_observability_enabled_pooled(tmp_path):
     field = np.random.default_rng(42).random((9, 9, 9))
     result = repro.compute(field, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(workers=2,
-                                                    retry_backoff=0.0),
+                           options=ExecutionOptions(workers=2),
                            trace=True)
     out = tmp_path / "traced_pooled.msc"
     result.write(str(out))
@@ -148,8 +143,7 @@ def test_golden_bytes_mmap_volume_run(tmp_path):
 
     field = np.random.default_rng(42).random((9, 9, 9))
     spec = write_volume(tmp_path / "golden.raw", field, dtype="float64")
-    result = repro.compute(spec, persistence=0.1, ranks=8,
-                           options=ExecutionOptions(retry_backoff=0.0))
+    result = repro.compute(spec, persistence=0.1, ranks=8)
     out = tmp_path / "mmap.msc"
     result.write(str(out))
     assert out.read_bytes() == GOLDEN.read_bytes()
@@ -160,10 +154,7 @@ def test_golden_bytes_session_steps(tmp_path):
     """Every step of an open pipeline matches the one-shot golden
     bytes — a reused executor must not show."""
     field = np.random.default_rng(42).random((9, 9, 9))
-    with repro.open_session(
-        persistence=0.1, ranks=8,
-        options=ExecutionOptions(retry_backoff=0.0),
-    ) as session:
+    with repro.open_session(persistence=0.1, ranks=8) as session:
         for step in range(2):
             out = tmp_path / f"session{step}.msc"
             session.run(field).write(str(out))
@@ -236,8 +227,7 @@ class TestGoldenHierarchy:
     def test_traced_run_matches_golden_bytes(self, tmp_path):
         field = np.random.default_rng(42).random((9, 9, 9))
         result = repro.compute(field, persistence=0.1, ranks=8,
-                               options=ExecutionOptions(retry_backoff=0.0,
-                                                        hierarchy=True),
+                               options=ExecutionOptions(hierarchy=True),
                                trace=True)
         out = tmp_path / "traced_hier.msc"
         result.write(str(out))

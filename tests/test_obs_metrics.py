@@ -17,10 +17,7 @@ RUN_SERIES = sorted(
                               "block_seconds")]
     + [f"compute.{k}_seconds"
        for k in ("build", "gradient", "trace", "simplify", "pack")]
-    + [f"faults.{k}" for k in ("retries", "timeouts", "crashes",
-                               "corrupt_payloads", "pool_restarts",
-                               "degraded",
-                               "backoff_seconds")]
+    + ["faults.pool_restarts"]
     + ["io.output_bytes", "pipeline.workers"]
     + [f"merge.{k}" for k in ("glue_nodes", "glue_arcs", "seconds",
                               "cancellations", "received_bytes")]
@@ -139,7 +136,7 @@ class TestThreadSafety:
 class TestPipelineMetrics:
     def _result(self, **kw):
         field = np.random.default_rng(7).random((12, 12, 12))
-        opts = repro.ExecutionOptions(retry_backoff=0.0, **kw)
+        opts = repro.ExecutionOptions(**kw)
         return repro.compute(field, persistence=0.05, ranks=8,
                              options=opts)
 

@@ -18,7 +18,7 @@ from repro.obs.trace import (
 
 def _traced_result(**kw):
     field = np.random.default_rng(7).random((12, 12, 12))
-    opts = repro.ExecutionOptions(retry_backoff=0.0, **kw)
+    opts = repro.ExecutionOptions(**kw)
     return repro.compute(field, persistence=0.05, ranks=8, trace=True,
                          options=opts)
 

@@ -194,12 +194,12 @@ def test_sigkill_leaves_base_dir_empty(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _budgeted_run(budget, workers=2, **options):
+def _budgeted_run(budget, workers=2):
     field = np.random.default_rng(42).random((9, 9, 9))
     return repro.compute(
         field, persistence=0.1, ranks=8,
-        options=ExecutionOptions(workers=workers, retry_backoff=0.0,
-                                 merge_spill_budget_bytes=budget, **options),
+        options=ExecutionOptions(workers=workers,
+                                 merge_spill_budget_bytes=budget),
     )
 
 
@@ -260,18 +260,17 @@ class TestSpilledPipelineGolden:
     def test_spool_dir_removed_after_failed_run(self, spool_base):
         from repro.parallel.executor import ComputeStageError
 
-        plan = FaultPlan.crash_on([5], attempts=(0, 1))
-        with pytest.raises(ComputeStageError), injected(plan):
-            _budgeted_run(0, max_retries=1, degrade_on_failure=False)
+        with pytest.raises(ComputeStageError), \
+                injected(FaultPlan.crash_on([5])):
+            _budgeted_run(0)
         assert _spool_dirs(spool_base) == []
 
     @pytest.mark.chaos
     def test_spilled_run_with_faults_recovers_bit_identical(self, tmp_path):
-        """An injected compute fault must not perturb spilled-mode
-        bytes: the retried block's blob lands in the spool like any
-        other."""
-        with injected(FaultPlan.corrupt_on([1], seed=7)):
-            result = _budgeted_run(0, max_retries=3)
+        """A worker death must not perturb spilled-mode bytes: the
+        re-dispatched blocks' blobs land in the spool like any other."""
+        with injected(FaultPlan.exit_on([1])):
+            result = _budgeted_run(0)
         out = tmp_path / "faulted_spill.msc"
         result.write(str(out))
         assert out.read_bytes() == GOLDEN.read_bytes()

@@ -8,8 +8,6 @@ choice; these tests assert that end-to-end on payload bytes, nodes,
 arcs, geometry, and persistence pairs.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -24,11 +22,12 @@ from repro.data.synthetic import gaussian_bumps_field, sinusoidal_field
 from repro.io.volume import write_volume
 from repro.machine.replay import pool_makespan
 from repro.parallel.decomposition import decompose
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
+    MAX_POOL_RESTARTS,
     ComputeStageError,
     CorruptPayloadError,
     FaultTolerantExecutor,
-    RetryPolicy,
 )
 
 
@@ -91,7 +90,7 @@ class TestExecutors:
             # the pool is reusable across calls and tolerates empty input
             assert ex.map_blocks(_square, []) == []
             assert ex.map_blocks(_square, [5]) == [25]
-        assert not ex.stats.any_faults()
+        assert ex.stats.pool_restarts == 0
 
     @pytest.mark.slow
     def test_close_is_idempotent(self):
@@ -266,11 +265,15 @@ class TestVirtualClockWithWorkers:
 
 
 # ---------------------------------------------------------------------------
-# fault-tolerance layer: RetryPolicy and FaultTolerantExecutor
+# the two failure rules: a failing block fails the run, a dead worker
+# is recovered
 # ---------------------------------------------------------------------------
 
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from repro.core.stats import FaultToleranceStats
 
@@ -281,134 +284,62 @@ class _Spec:
 
 
 @dataclass
-class _Flaky:
-    """In-process stand-in for compute_block failing N times per block."""
+class _Failing:
+    """In-process stand-in for compute_block that raises on some blocks."""
 
-    failures: dict  # block_id -> number of leading attempts that raise
+    failing: tuple = ()
     calls: list = dc_field(default_factory=list)
 
     def __call__(self, spec):
         self.calls.append(spec.block_id)
-        seen = self.calls.count(spec.block_id) - 1
-        if seen < self.failures.get(spec.block_id, 0):
-            raise RuntimeError(f"flaky block {spec.block_id} try {seen}")
+        if spec.block_id in self.failing:
+            raise RuntimeError(f"block {spec.block_id} is broken")
         return spec.block_id * 10
-
-
-class TestRetryPolicy:
-    def test_backoff_sequence_is_exponential(self):
-        p = RetryPolicy(backoff=0.5, backoff_factor=3.0)
-        assert [p.backoff_seconds(k) for k in (1, 2, 3)] == [0.5, 1.5, 4.5]
-
-    def test_zero_backoff_never_sleeps(self):
-        p = RetryPolicy(backoff=0.0)
-        assert p.backoff_seconds(1) == p.backoff_seconds(5) == 0.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(block_timeout=0.0),
-            dict(block_timeout=-1.0),
-            dict(max_retries=-1),
-            dict(backoff=-0.1),
-            dict(backoff_factor=0.5),
-            dict(max_pool_restarts=-1),
-            dict(block_timeout=float("nan")),
-            dict(block_timeout=float("inf")),
-            dict(backoff=float("nan")),
-            dict(backoff=float("inf")),
-            dict(backoff_factor=float("nan")),
-            dict(backoff_factor=float("inf")),
-            # finite but past what a wait can take: time.sleep and
-            # Future.result would overflow
-            dict(block_timeout=1e300),
-            dict(backoff=1e300),
-            dict(backoff=1.0, backoff_factor=1e300, max_retries=3),
-            dict(backoff=1.0, backoff_factor=2.0, max_retries=40),
-        ],
-    )
-    def test_invalid_settings_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            # the factor is never applied with one retry
-            dict(backoff=1.0, backoff_factor=1e300, max_retries=1),
-            # no retry, no sleep
-            dict(backoff=1e300, max_retries=0),
-            # the log-space bound does not overflow on huge factors
-            dict(backoff=1e-300, backoff_factor=1e150, max_retries=3),
-            dict(block_timeout=3600.0, backoff=0.5, max_retries=20),
-        ],
-    )
-    def test_every_accepted_backoff_can_be_slept(self, kwargs):
-        p = RetryPolicy(**kwargs)
-        longest = max(
-            [p.backoff_seconds(k) for k in range(1, p.max_retries + 1)],
-            default=0.0,
-        )
-        assert longest <= threading.TIMEOUT_MAX / 2
 
 
 class TestFaultTolerantSerial:
     def _executor(self, **kw):
-        kw.setdefault("policy", RetryPolicy(backoff=0.0))
         kw.setdefault("stats", FaultToleranceStats())
         return FaultTolerantExecutor(workers=1, **kw)
 
     def test_no_faults_is_plain_map(self):
-        fn = _Flaky(failures={})
+        fn = _Failing()
         ex = self._executor()
         assert ex.map_blocks(fn, [_Spec(i) for i in range(4)]) == [
             0, 10, 20, 30,
         ]
-        assert not ex.stats.any_faults()
-
-    def test_transient_failures_are_retried_in_place(self):
-        fn = _Flaky(failures={1: 1, 3: 2})
-        ex = self._executor()
-        assert ex.map_blocks(fn, [_Spec(i) for i in range(4)]) == [
-            0, 10, 20, 30,
-        ]
-        assert ex.stats.retries == 3 and ex.stats.crashes == 3
+        assert fn.calls == [0, 1, 2, 3]
+        assert ex.stats.pool_restarts == 0
 
     def test_exhaustion_raises_readable_compute_stage_error(self):
-        fn = _Flaky(failures={2: 99})
-        ex = self._executor(policy=RetryPolicy(max_retries=1, backoff=0.0))
-        with pytest.raises(ComputeStageError, match=r"block 2.*2 attempt"):
-            ex.map_blocks(fn, [_Spec(i) for i in range(3)])
-
-    def test_backoff_uses_injected_sleep(self):
-        naps = []
-        fn = _Flaky(failures={0: 2})
-        ex = self._executor(
-            policy=RetryPolicy(backoff=0.25, backoff_factor=2.0),
-            sleep=naps.append,
-        )
-        ex.map_blocks(fn, [_Spec(0)])
-        assert naps == [0.25, 0.5]
-        assert ex.stats.backoff_seconds == pytest.approx(0.75)
-
-    def test_validator_failure_counts_as_corruption_and_retries(self):
-        rejections = []
-
-        def validator(spec, payload):
-            if spec.block_id == 1 and not rejections:
-                rejections.append(payload)
-                raise CorruptPayloadError("checksum mismatch (test)")
-
-        ex = self._executor(validator=validator)
-        out = ex.map_blocks(_Flaky(failures={}), [_Spec(0), _Spec(1)])
-        assert out == [0, 10]
-        assert ex.stats.corrupt_payloads == 1 and ex.stats.crashes == 0
-
-    def test_results_keep_spec_order_despite_retries(self):
-        fn = _Flaky(failures={0: 2, 4: 1})
+        """A raising block is called once and fails the run at once."""
+        fn = _Failing(failing=(2,))
+        landed = []
         ex = self._executor()
-        specs = [_Spec(i) for i in range(5)]
-        assert ex.map_blocks(fn, specs) == [0, 10, 20, 30, 40]
+        with pytest.raises(ComputeStageError) as exc_info:
+            ex.map_blocks(fn, [_Spec(i) for i in range(4)],
+                          on_result=lambda spec, _: landed.append(spec))
+        assert str(exc_info.value) == (
+            "compute block 2 failed: RuntimeError: block 2 is broken"
+        )
+        assert isinstance(exc_info.value.__cause__, RuntimeError)
+        assert fn.calls == [0, 1, 2]
+        assert [s.block_id for s in landed] == [0, 1]
+
+    def test_validator_failure_fails_the_run(self):
+        def validator(spec, payload):
+            if spec.block_id == 1:
+                raise CorruptPayloadError("block 1: checksum (test)")
+
+        fn = _Failing()
+        ex = self._executor(validator=validator)
+        with pytest.raises(ComputeStageError) as exc_info:
+            ex.map_blocks(fn, [_Spec(0), _Spec(1), _Spec(2)])
+        assert str(exc_info.value) == (
+            "compute block 1 failed: CorruptPayloadError: "
+            "block 1: checksum (test)"
+        )
+        assert fn.calls == [0, 1]
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -420,36 +351,81 @@ class TestFaultTolerantSerial:
         ex.close()
 
 
-def _reject_block_one(spec):
-    """Module-level (picklable) worker that rejects block 1's spec."""
+def _reject_block_one(marks, spec):
+    """Module-level (picklable) worker that rejects block 1's spec and
+    leaves one marker file per call, so calls count across processes."""
+    (marks / f"{spec.block_id}-{len(list(marks.iterdir()))}").touch()
     if spec.block_id == 1:
         raise ValueError(f"block {spec.block_id} rejected")
     return spec.block_id * 10
 
 
 class TestValueErrorIsNotRetried:
-    """A ``ValueError`` is the worker rejecting its input: it would recur,
-    so it propagates at once — no retry, no degradation — on both
-    backends, the pooled one while other futures are still in flight."""
+    """A raising block fails the run on its one attempt, on both
+    backends — the pooled one while other futures are still in flight —
+    with the exact error text, chained to the cause."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_value_error_propagates_unretried(self, workers):
+    def test_value_error_propagates_unretried(self, workers, tmp_path):
         stats = FaultToleranceStats()
-        with FaultTolerantExecutor(
-            workers=workers, policy=RetryPolicy(backoff=0.0), stats=stats
-        ) as ex:
-            with pytest.raises(ValueError, match="block 1 rejected"):
-                ex.map_blocks(_reject_block_one, [_Spec(i) for i in range(4)])
-        assert stats.retries == 0 and stats.crashes == 0
-        assert not stats.degraded and stats.pool_restarts == 0
+        fn = partial(_reject_block_one, tmp_path)
+        with FaultTolerantExecutor(workers=workers, stats=stats) as ex:
+            with pytest.raises(ComputeStageError) as exc_info:
+                ex.map_blocks(fn, [_Spec(i) for i in range(4)])
+        assert str(exc_info.value) == (
+            "compute block 1 failed: ValueError: block 1 rejected"
+        )
+        assert isinstance(exc_info.value.__cause__, ValueError)
+        calls = [p.name.split("-")[0] for p in tmp_path.iterdir()]
+        assert calls.count("1") == 1
+        assert stats.pool_restarts == 0
+
+
+class _FakePool:
+    """In-process stand-in for ``ProcessPoolExecutor``: each submit runs
+    at once, except that from block ``dies_at`` on every future of the
+    pool is lost, as if its worker had died."""
+
+    def __init__(self, dies_at=None):
+        self.dies_at = dies_at
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        spec = args[1]
+        self.submitted.append((spec.block_id, args[2]))
+        fut = Future()
+        if self.dies_at is not None and spec.block_id >= self.dies_at:
+            fut.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+def _fake_pools(monkeypatch, *dies_at):
+    """Make the executor build ``_FakePool`` s, dying as listed, then
+    healthy; returns the list of pools built."""
+    pools = []
+
+    def build(max_workers):
+        k = len(pools)
+        pools.append(_FakePool(dies_at[k] if k < len(dies_at) else None))
+        return pools[-1]
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", build)
+    return pools
 
 
 class TestPoolBreaksDuringSubmit:
-    def test_submit_raising_broken_pool_restarts_then_degrades(self):
+    def test_submit_raising_broken_pool_restarts_then_fails(
+        self, monkeypatch
+    ):
         """A worker that dies while a wave is still being submitted
-        makes ``submit`` itself raise; that must take the same
-        restart-then-degrade path as a future that raises."""
-        from concurrent.futures.process import BrokenProcessPool
+        makes ``submit`` itself raise; that takes the same restart path
+        as a future that raises, and the death past the budget fails
+        the run naming the cause."""
 
         class _DeadPool:
             def submit(self, *args, **kwargs):
@@ -458,12 +434,43 @@ class TestPoolBreaksDuringSubmit:
             def shutdown(self, **kwargs):
                 pass
 
-        ex = FaultTolerantExecutor(
-            workers=2,
-            policy=RetryPolicy(backoff=0.0, max_pool_restarts=0),
-            stats=FaultToleranceStats(),
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            lambda max_workers: _DeadPool())
+        ex = FaultTolerantExecutor(workers=2, stats=FaultToleranceStats())
+        with pytest.raises(ComputeStageError) as exc_info:
+            ex.map_blocks(_Failing(), [_Spec(i) for i in range(3)])
+        assert str(exc_info.value) == (
+            f"worker pool died {MAX_POOL_RESTARTS + 1} times (at most "
+            f"{MAX_POOL_RESTARTS} restarts per run); last cause: "
+            "BrokenProcessPool: worker died mid-submission"
         )
-        ex._pool = _DeadPool()
-        out = ex.map_blocks(_Flaky(failures={}), [_Spec(i) for i in range(3)])
-        assert out == [0, 10, 20]
-        assert ex.stats.pool_restarts == 1 and ex.stats.degraded
+        assert ex.stats.pool_restarts == MAX_POOL_RESTARTS + 1
+        assert ex._pool is None
+
+    def test_death_redispatches_the_unfinished_blocks(self, monkeypatch):
+        """Blocks landed before the death are kept; the rest go to a
+        rebuilt pool with their dispatch count, in spec order."""
+        pools = _fake_pools(monkeypatch, 2)
+        landed = []
+        ex = FaultTolerantExecutor(workers=2, stats=FaultToleranceStats())
+        out = ex.map_blocks(_Failing(), [_Spec(i) for i in range(5)],
+                            on_result=lambda s, _: landed.append(s.block_id))
+        assert out == [0, 10, 20, 30, 40]
+        assert landed == [0, 1, 2, 3, 4]
+        assert ex.stats.pool_restarts == 1
+        assert [p.submitted for p in pools] == [
+            [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)],
+            [(2, 1), (3, 1), (4, 1)],
+        ]
+
+    def test_restart_budget_is_per_run(self, monkeypatch):
+        """Two deaths in each of two runs: the budget restarts with the
+        run's stats."""
+        _fake_pools(monkeypatch, 0, 1, None, 0, 1)
+        ex = FaultTolerantExecutor(workers=2, stats=FaultToleranceStats())
+        specs = [_Spec(i) for i in range(3)]
+        for _ in range(2):
+            ex.begin_run(stats=FaultToleranceStats())
+            assert ex.map_blocks(_Failing(), specs) == [0, 10, 20]
+            assert ex.stats.pool_restarts == 2
+            ex.close()

@@ -31,7 +31,7 @@ def run_config(**options) -> PipelineConfig:
     return PipelineConfig(
         num_blocks=8,
         persistence_threshold=0.05,
-        options=ExecutionOptions(retry_backoff=0.0, **options),
+        options=ExecutionOptions(**options),
     )
 
 

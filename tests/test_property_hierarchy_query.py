@@ -121,8 +121,7 @@ class TestQueryEquivalence:
         field = np.random.default_rng(5).random((9, 9, 9))
         res = repro.compute(
             field, persistence=0.1, ranks=8,
-            options=repro.ExecutionOptions(retry_backoff=0.0,
-                                           hierarchy=True),
+            options=repro.ExecutionOptions(hierarchy=True),
         )
         path = tmp_path / "merged.msc"
         res.write(path)

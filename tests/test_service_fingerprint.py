@@ -1,15 +1,14 @@
 """Config-fingerprint stability (the service cache-key foundation).
 
-Two digests with two jobs:
-
-- :meth:`ExecutionOptions.fingerprint` / :meth:`PipelineConfig.fingerprint`
-  cover *every* knob — equal settings hash equal no matter where they
-  were built (library, CLI flags, service requests), and any knob
-  change changes the hash;
-- :meth:`PipelineConfig.result_fingerprint` covers only what determines
-  the output bytes — pure-scheduling knobs are deliberately excluded,
-  so one cached artifact serves every execution setting, and its value
-  is pinned: cache directories written by earlier releases stay warm.
+- equal settings build equal :class:`ExecutionOptions` /
+  :class:`PipelineConfig` objects no matter where they were built
+  (library, CLI flags, service requests), and any knob change makes
+  them differ;
+- :meth:`PipelineConfig.result_fingerprint`, the one digest, covers
+  only what determines the output bytes — pure-scheduling knobs are
+  deliberately excluded, so one cached artifact serves every execution
+  setting, and its value is pinned: cache directories written by
+  earlier releases stay warm.
 """
 
 from __future__ import annotations
@@ -54,18 +53,17 @@ class TestCanonicalFingerprint:
 
 
 class TestSpellingIndependence:
-    """Identical settings from every front end, one fingerprint."""
+    """Identical settings from every front end, one configuration."""
 
     def test_cli_flags_hash_like_the_options_object(self):
         args = build_parser().parse_args(
             ["compute", "vol.raw", "--dims", "16", "16", "16",
-             "--workers", "2", "--max-retries", "1", "--hierarchy"]
+             "--workers", "2", "--merge-spill-budget", "1M", "--hierarchy"]
         )
         from_lib = ExecutionOptions(
-            workers=2, max_retries=1, hierarchy=True
+            workers=2, merge_spill_budget_bytes=1 << 20, hierarchy=True
         )
-        assert _config_from_args(args).options.fingerprint() == \
-            from_lib.fingerprint()
+        assert _config_from_args(args).options == from_lib
 
     def test_service_request_hashes_like_the_facade(self, tmp_path):
         from repro.io.volume import VolumeSpec
@@ -76,8 +74,7 @@ class TestSpellingIndependence:
             hierarchy=True,
         )
         direct = _facade(options=ExecutionOptions(hierarchy=True))
-        assert request.pipeline_config().fingerprint() == \
-            direct.fingerprint()
+        assert request.pipeline_config() == direct
 
 
 class TestResultFingerprintScope:
@@ -99,15 +96,12 @@ class TestResultFingerprintScope:
         wide = _facade(
             options=ExecutionOptions(
                 workers=4, merge_spill_budget_bytes=0,
-                block_timeout=5.0, max_retries=5, retry_backoff=0.2,
-                degrade_on_failure=False, max_pool_restarts=1,
             )
         )
         # same answer bytes -> same cache-key half ...
         assert lean.result_fingerprint() == wide.result_fingerprint()
-        # ... but a different run identity (sessions must not be shared
-        # across scheduling settings)
-        assert lean.fingerprint() != wide.fingerprint()
+        # ... of two different configurations
+        assert lean != wide
 
     @pytest.mark.parametrize(
         "change",
@@ -136,11 +130,6 @@ class TestResultFingerprintScope:
 #: purpose so hypothesis explores combinations, not invalid inputs
 _KNOBS = {
     "workers": st.integers(1, 4),
-    "block_timeout": st.sampled_from([None, 1.0, 30.0]),
-    "max_retries": st.integers(0, 3),
-    "retry_backoff": st.sampled_from([0.0, 0.05, 0.5]),
-    "degrade_on_failure": st.booleans(),
-    "max_pool_restarts": st.integers(0, 2),
     "hierarchy": st.booleans(),
     "merge_spill_budget_bytes": st.sampled_from([None, 0, 1 << 20]),
 }
@@ -155,8 +144,8 @@ class TestFingerprintProperties:
     @given(kwargs=st.fixed_dictionaries(_KNOBS))
     @settings(max_examples=50, deadline=None)
     def test_equal_options_equal_fingerprint(self, kwargs):
-        assert ExecutionOptions(**kwargs).fingerprint() == \
-            ExecutionOptions(**kwargs).fingerprint()
+        a, b = ExecutionOptions(**kwargs), ExecutionOptions(**kwargs)
+        assert a == b and hash(a) == hash(b)
 
     @given(
         kwargs=st.fixed_dictionaries(_KNOBS),
@@ -170,8 +159,7 @@ class TestFingerprintProperties:
             _KNOBS[knob].filter(lambda v: v != kwargs[knob]),
             label=f"new {knob}",
         )
-        assert ExecutionOptions(**kwargs).fingerprint() != \
-            ExecutionOptions(**changed).fingerprint()
+        assert ExecutionOptions(**kwargs) != ExecutionOptions(**changed)
 
     @given(
         kwargs=st.fixed_dictionaries(_KNOBS),

@@ -145,26 +145,26 @@ def test_error_mapping(service):
     assert status == 400 and "options" in err["error"]
     # out-of-range and removed knobs fail at the same place, at
     # admission — not later inside the job
-    for bad in ({"max_retries": -1}, {"kernel_backend": "dfs"},
-                {"transport": "shm"}, {"executor": "process"}):
+    for bad in ({"max_retries": 1}, {"kernel_backend": "dfs"},
+                {"transport": "shm"}, {"executor": "process"},
+                {"workers": 0}):
         status, err = _post(
             base, "/v1/submit", _submit_body(spec, options=bad)
         )
         assert status == 400
         assert err["error"].startswith("invalid options:")
         assert next(iter(bad)) in err["error"]  # names the field
-    # json.loads takes NaN / Infinity: non-finite retry settings are
-    # rejected at admission too
+    # json.loads takes NaN / Infinity: the removed retry settings are
+    # refused at admission whatever their value
     for bad in ({"retry_backoff": float("nan")},
                 {"block_timeout": float("inf")},
-                # finite but past what a sleep or a wait can take
-                {"retry_backoff": 1e300}, {"block_timeout": 1e300}):
+                {"degrade_on_failure": False}, {"max_pool_restarts": 1}):
         status, err = _post(
             base, "/v1/submit", _submit_body(spec, options=bad)
         )
         assert status == 400
         assert err["error"].startswith("invalid options:")
-        assert "finite" in err["error"]
+        assert next(iter(bad)) in err["error"]
     # a JSON value of the wrong type is a 400 naming the field, not a
     # dropped connection
     null_dims = _submit_body(spec)

@@ -11,6 +11,8 @@ identity); the memory layer is a bounded LRU over a durable disk layer;
 from __future__ import annotations
 
 import json
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.options import ExecutionOptions
-from repro.io.mscfile import MAGIC_V3
+from repro.io.mscfile import write_msc_file
 from repro.obs.metrics import MetricsRegistry
 from repro.service.store import ResultRecord, ResultStore, cache_key
 
@@ -29,10 +31,14 @@ def _config(**overrides) -> PipelineConfig:
     return PipelineConfig(**base)
 
 
+@lru_cache(maxsize=None)
 def _image(body: bytes) -> bytes:
-    """A stand-in artifact: ``body`` plus the trailing magic a disk read
-    checks for."""
-    return body + MAGIC_V3
+    """A stand-in artifact: a v3 file image whose one block record is
+    ``body``, with the footer and CRC-32s a disk read checks."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "stand-in.msc"
+        write_msc_file(path, [(0, body)])
+        return path.read_bytes()
 
 
 def _put(store: ResultStore, key: str, image: bytes,
@@ -59,7 +65,7 @@ class TestCacheKey:
     def test_scheduling_knobs_do_not_change_the_key(self):
         lean = _config(options=ExecutionOptions(workers=1))
         wide = _config(
-            options=ExecutionOptions(workers=4, max_retries=0)
+            options=ExecutionOptions(workers=4, merge_spill_budget_bytes=0)
         )
         assert cache_key("a" * 64, lean) == cache_key("a" * 64, wide)
 
@@ -114,7 +120,7 @@ class TestResultStore:
         assert built == from_memory == from_disk
         assert built.hierarchy is True
         assert built.config_fingerprint == cfg.result_fingerprint()
-        assert built.msc_bytes == 7
+        assert built.msc_bytes == len(_image(b"img"))
 
     def test_lru_bounds_memory_and_promotes_disk_hits(self, tmp_path):
         metrics = MetricsRegistry()
@@ -212,6 +218,13 @@ def _msc2_trailer(root, key):
     path.write_bytes(path.read_bytes()[:-4] + b"MSC2")
 
 
+def _flipped_bit(root, key):
+    path = root / f"{key}.msc"
+    image = bytearray(path.read_bytes())
+    image[2] ^= 0x10  # inside the block record: only its CRC-32 tells
+    path.write_bytes(bytes(image))
+
+
 def _foreign_sidecar(root, key):
     path = root / f"{key}.json"
     body = json.loads(path.read_text())
@@ -223,6 +236,7 @@ DAMAGE = {
     "truncated sidecar": _truncate_sidecar,
     "truncated artifact": _truncate_artifact,
     "MSC2 trailer": _msc2_trailer,
+    "flipped bit": _flipped_bit,
     "sidecar of another key": _foreign_sidecar,
 }
 

@@ -225,8 +225,8 @@ def test_service_key_survives_the_upgrade(tmp_path):
     spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
     request = ComputeRequest(spec, persistence=0.05, ranks=2, hierarchy=True)
     config = request.pipeline_config()
-    assert config.fingerprint() == (
-        "a14071595b7afd8e9b4ecccc23a603ca8f8f1f069d673dfce16807e4239aa46e"
+    assert config.result_fingerprint() == (
+        "516ca6fa17b87aa2c446b90933e32d1f048e54c2f750bcd062c9a96240ff08ef"
     )
     assert cache_key(content_hash(spec), config) == (
         "48a3d0ec3fe964273f86c1b8ab5430184af7b4d7c27feb979665e92522c2ffcd"
