@@ -53,8 +53,6 @@ class MergeOutcome:
     glue: GlueStats
     boundary_nodes_freed: int
     cancellations: int
-    nodes_after: int
-    arcs_after: int
 
 
 def pack_complex(msc: MorseSmaleComplex) -> bytes:
@@ -114,6 +112,4 @@ def perform_merge(
         glue=glue_total,
         boundary_nodes_freed=len(freed),
         cancellations=len(cancels),
-        nodes_after=root.num_alive_nodes(),
-        arcs_after=root.num_alive_arcs(),
     )

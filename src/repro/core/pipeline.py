@@ -39,9 +39,11 @@ The run is an explicit stage list, executed once, in the driver:
 4. **write** — every surviving block is packed once (a block that never
    merged reuses its compute blob);
 5. **cost replay** — :func:`repro.machine.replay.replay_run` prices the
-   recorded work counts on the modeled Blue Gene/P and returns the
-   per-rank virtual clocks the benchmark harness reads paper-style
-   stage timings from.  The virtual machine executes nothing.
+   work counts of the run's stats records (one per block, one per root
+   merge) on the modeled Blue Gene/P, writes their virtual fields and
+   returns the per-rank virtual clocks the benchmark harness reads
+   paper-style stage timings from.  The virtual machine executes
+   nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ import numpy as np
 from repro.analysis.hierarchy import MSComplexHierarchy
 from repro.core.config import PipelineConfig
 from repro.core.merge import (
-    MergeOutcome,
     MergeStageError,
     pack_complex,
     perform_merge,
@@ -75,8 +76,8 @@ from repro.core.stats import (
 )
 from repro.io.spool import BlobSpool
 from repro.io.volume import VolumeSpec, invalidate_map_cache, read_block
-from repro.machine.costmodel import ComputeWork, CostModel
-from repro.machine.replay import MergeRecord, replay_run
+from repro.machine.costmodel import CostModel
+from repro.machine.replay import replay_run
 from repro.mesh.cubical import CubicalComplex
 from repro.mesh.grid import Box, StructuredGrid
 from repro.obs.trace import (
@@ -192,25 +193,15 @@ class BlockPayload:
 
     Carries the serialized complex (the same
     :func:`~repro.core.merge.pack_complex` bytes the merge rounds
-    exchange) plus the exact work counters the cost model and the stats
-    records need.
+    exchange) plus the block's stats record, whose exact work counters
+    the cost replay prices.
     """
 
-    block_id: int
     blob: bytes
-    cells: int
-    critical_counts: tuple[int, int, int, int]
-    nodes_after_simplify: int
-    arcs_after_simplify: int
-    geometry_cells_traced: int
-    cancellations: int
-    real_seconds: float
+    stats: BlockComputeStats
     #: CRC-32 of ``blob`` at pack time; the driver re-checks it so a
-    #: payload corrupted in transit is detected and the block retried
+    #: payload corrupted in transit fails the run, naming the block
     checksum: int = 0
-    #: real seconds per compute phase
-    #: (keys: :data:`repro.core.stats.COMPUTE_STAGES`)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
     #: OS pid of the process that computed this payload
     worker_pid: int = 0
     #: the worker's span buffer (``spec.trace`` runs only)
@@ -302,17 +293,19 @@ def compute_block(spec: BlockSpec) -> BlockPayload:
         stage_seconds[k] for k in ("build", "gradient", "trace", "simplify")
     )
     return BlockPayload(
-        block_id=spec.block_id,
         blob=blob,
-        cells=num_cells,
-        critical_counts=crit_counts,
-        nodes_after_simplify=msc.num_alive_nodes(),
-        arcs_after_simplify=msc.num_alive_arcs(),
-        geometry_cells_traced=geometry_traced,
-        cancellations=len(cancels),
-        real_seconds=real,
+        stats=BlockComputeStats(
+            block_id=spec.block_id,
+            cells=num_cells,
+            critical_counts=crit_counts,
+            nodes_after_simplify=msc.num_alive_nodes(),
+            arcs_after_simplify=msc.num_alive_arcs(),
+            geometry_cells_traced=geometry_traced,
+            cancellations=len(cancels),
+            real_seconds=real,
+            stage_seconds=stage_seconds,
+        ),
         checksum=zlib.crc32(blob),
-        stage_seconds=stage_seconds,
         worker_pid=tracer.pid,
         trace_events=tracer.events if spec.trace else [],
     )
@@ -330,10 +323,10 @@ def validate_block_payload(spec: BlockSpec, payload: Any) -> None:
             f"block {spec.block_id}: worker returned "
             f"{type(payload).__name__}, not a BlockPayload"
         )
-    if payload.block_id != spec.block_id:
+    if payload.stats.block_id != spec.block_id:
         raise CorruptPayloadError(
             f"block {spec.block_id}: payload claims block "
-            f"{payload.block_id}"
+            f"{payload.stats.block_id}"
         )
     if zlib.crc32(payload.blob) != payload.checksum:
         raise CorruptPayloadError(
@@ -417,10 +410,10 @@ class _HeldBlocks:
     def land(self, spec: BlockSpec, payload: BlockPayload) -> None:
         """``map_blocks(on_result=)`` hook: take a landing block's blob."""
         if self._spool is not None:
-            self._spool.put(payload.block_id, payload.blob)
-            self._blocks[payload.block_id] = None
+            self._spool.put(spec.block_id, payload.blob)
+            self._blocks[spec.block_id] = None
         else:
-            self._blocks[payload.block_id] = payload.blob
+            self._blocks[spec.block_id] = payload.blob
         payload.blob = b""
 
     def ids(self) -> list[int]:
@@ -435,18 +428,6 @@ class _HeldBlocks:
 
     def keep(self, block_id: int, msc: MorseSmaleComplex) -> None:
         self._blocks[block_id] = msc
-
-
-@dataclass(frozen=True)
-class _RootMerge:
-    """One root merge as the merge loop recorded it."""
-
-    #: the work counts the cost replay prices
-    record: MergeRecord
-    root_rank: int
-    outcome: MergeOutcome
-    #: wall seconds of the ``merge.round`` span
-    real_seconds: float
 
 
 class ParallelMSComplexPipeline:
@@ -631,9 +612,13 @@ class ParallelMSComplexPipeline:
         payloads, compute_span = self._compute_stage(
             tracer, plan, grid, volume, ft, transport, held,
         )
-        # stitch the workers' span buffers into the driver timeline
-        if cfg.trace:
-            for p in payloads:
+        blocks = [p.stats for p in payloads]
+        for p in payloads:
+            p.stats.rank = plan.decomp.rank_of_block(
+                p.stats.block_id, plan.num_procs
+            )
+            # stitch the workers' span buffers into the driver timeline
+            if cfg.trace:
                 tracer.absorb(p.trace_events)
 
         with tracer.span(
@@ -657,13 +642,33 @@ class ParallelMSComplexPipeline:
                     output_blocks[bid] = block
                     output_blobs[bid] = pack_complex(block)
 
-        stats = self._replayed_stats(
-            plan, vertex_bytes, payloads, merges, output_blobs
+        # the cost replay writes the records' virtual fields
+        timelines, message_bytes = replay_run(
+            plan,
+            vertex_bytes=vertex_bytes,
+            workers=cfg.options.workers,
+            blocks=blocks,
+            merges=merges,
+            output_nbytes={b: len(blob) for b, blob in output_blobs.items()},
         )
-        stats.compute_wall_seconds = compute_span.duration
-        stats.merge_wall_seconds = merge_span.duration
-        stats.faults = ft
-        stats.transport = transport
+        stats = PipelineStats(
+            num_procs=plan.num_procs,
+            num_blocks=cfg.num_blocks,
+            radices=[r.radix for r in plan.schedule.rounds],
+            block_stats=blocks,
+            # rank-major like the per-rank logs an SPMD run would gather
+            # (stable: round order, then group order, within a rank)
+            merge_events=sorted(merges, key=lambda ev: ev.root_rank),
+            timelines=timelines,
+            output_bytes=sum(len(b) for b in output_blobs.values()),
+            message_bytes=message_bytes,
+            workers=cfg.options.workers,
+            executor=cfg.options.resolved_executor,
+            compute_wall_seconds=compute_span.duration,
+            merge_wall_seconds=merge_span.duration,
+            faults=ft,
+            transport=transport,
+        )
         # multiscale capture: one infinite-persistence sweep per output
         # block over a throwaway copy records the full cancellation
         # sequence; level 0 of each hierarchy is the block exactly as
@@ -740,7 +745,7 @@ class ParallelMSComplexPipeline:
         )
         return payloads, dispatch_span
 
-    def _merge_rounds(self, tracer, plan, held) -> list[_RootMerge]:
+    def _merge_rounds(self, tracer, plan, held) -> list[MergeEventStats]:
         """Run the radix-k schedule: every round, every group root merges.
 
         The one merge engine.  Members are taken as packed bytes — the
@@ -759,7 +764,7 @@ class ParallelMSComplexPipeline:
             cfg.persistence_threshold > 0 or cfg.simplify_at_zero_persistence
         )
 
-        merges: list[_RootMerge] = []
+        merges: list[MergeEventStats] = []
         for round_idx, groups in enumerate(plan.groups_by_round):
             for root_bid, root_rank, members in groups:
                 # (a comprehension, so no live member outlasts its pack)
@@ -795,91 +800,20 @@ class ParallelMSComplexPipeline:
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
                 held.keep(root_bid, root)
-                record = MergeRecord(
-                    round_idx=round_idx,
-                    root_block=root_bid,
-                    member_nbytes=tuple(len(b) for b in member_blobs),
-                    glued_elements=(
-                        outcome.glue.nodes_added + outcome.glue.arcs_added
-                    ),
-                    cancellations=outcome.cancellations,
-                )
                 merges.append(
-                    _RootMerge(record, root_rank, outcome, span.duration)
+                    MergeEventStats(
+                        round_idx=round_idx,
+                        root_block=root_bid,
+                        root_rank=root_rank,
+                        member_nbytes=tuple(len(b) for b in member_blobs),
+                        nodes_glued=outcome.glue.nodes_added,
+                        arcs_glued=outcome.glue.arcs_added,
+                        boundary_nodes_freed=outcome.boundary_nodes_freed,
+                        cancellations=outcome.cancellations,
+                        real_seconds=span.duration,
+                    )
                 )
         return merges
-
-    def _replayed_stats(
-        self, plan, vertex_bytes, payloads, merges, output_blobs
-    ) -> PipelineStats:
-        """Price the recorded work on the virtual machine; build the stats."""
-        cfg = self.config
-        replay = replay_run(
-            plan,
-            vertex_bytes=vertex_bytes,
-            workers=cfg.options.workers,
-            compute_work={
-                p.block_id: ComputeWork(
-                    cells=p.cells,
-                    geometry_cells=p.geometry_cells_traced,
-                    cancellations=p.cancellations,
-                )
-                for p in payloads
-            },
-            merges=[m.record for m in merges],
-            output_nbytes={b: len(blob) for b, blob in output_blobs.items()},
-        )
-        stats = PipelineStats(
-            num_procs=plan.num_procs,
-            num_blocks=cfg.num_blocks,
-            radices=[r.radix for r in plan.schedule.rounds],
-            timelines=replay.timelines,
-            output_bytes=sum(len(b) for b in output_blobs.values()),
-            message_bytes=replay.message_bytes,
-            workers=cfg.options.workers,
-            executor=cfg.options.resolved_executor,
-        )
-        for p in payloads:
-            stats.block_stats.append(
-                BlockComputeStats(
-                    block_id=p.block_id,
-                    rank=plan.decomp.rank_of_block(
-                        p.block_id, plan.num_procs
-                    ),
-                    cells=p.cells,
-                    critical_counts=p.critical_counts,
-                    nodes_after_simplify=p.nodes_after_simplify,
-                    arcs_after_simplify=p.arcs_after_simplify,
-                    geometry_cells_traced=p.geometry_cells_traced,
-                    cancellations=p.cancellations,
-                    real_seconds=p.real_seconds,
-                    virtual_seconds=replay.block_seconds[p.block_id],
-                    stage_seconds=dict(p.stage_seconds),
-                )
-            )
-        for m in merges:
-            rec = m.record
-            cost = replay.merge_costs[(rec.round_idx, rec.root_block)]
-            stats.merge_events.append(
-                MergeEventStats(
-                    round_idx=rec.round_idx,
-                    root_block=rec.root_block,
-                    root_rank=m.root_rank,
-                    members=len(rec.member_nbytes),
-                    received_bytes=cost.received_bytes,
-                    nodes_glued=m.outcome.glue.nodes_added,
-                    arcs_glued=m.outcome.glue.arcs_added,
-                    boundary_nodes_freed=m.outcome.boundary_nodes_freed,
-                    cancellations=m.outcome.cancellations,
-                    wait_seconds=cost.wait_seconds,
-                    merge_seconds=cost.merge_seconds,
-                    real_seconds=m.real_seconds,
-                )
-            )
-        # rank-major like the per-rank logs an SPMD run would gather
-        # (stable: round order, then group order, within a rank)
-        stats.merge_events.sort(key=lambda ev: ev.root_rank)
-        return stats
 
     def _trace_record(
         self, tracer: Tracer, stats: PipelineStats

@@ -33,9 +33,8 @@ class PipelineResult:
     schedule: MergeSchedule
     stats: PipelineStats
     #: serialized record bytes per output block (the ``pack_complex``
-    #: format, identical to ``to_payload`` serialization), cached by the
-    #: pipeline's write stage so :meth:`write` does not re-pack
-    output_blobs: dict[int, bytes] | None = None
+    #: format), packed once by the pipeline's write stage
+    output_blobs: dict[int, bytes]
     #: cancellation hierarchy captured per output block when the
     #: ``hierarchy`` execution option is on (``None`` otherwise);
     #: persisted by :meth:`write` into the ``.msc`` hierarchy footer
@@ -69,24 +68,17 @@ class PipelineResult:
     def write(self, path: str | Path) -> int:
         """Write the output blocks as an MSC file; returns bytes written.
 
-        Uses the pipeline's cached serialized records when available
-        (byte-identical to serializing ``to_payload()`` afresh), so the
+        Writes the run's packed records (``output_blobs``), so the
         complexes are packed exactly once per run.  When the run
         captured cancellation hierarchies (the ``hierarchy`` execution
         option), they are persisted alongside the blocks in the ``.msc``
         hierarchy footer; otherwise the hierarchy index is written empty.
         """
-        blobs = self.output_blobs
-        if blobs is not None and set(blobs) == set(self.output_blocks):
-            blocks = [(bid, blobs[bid]) for bid in sorted(blobs)]
-        else:
-            blocks = [
-                (bid, self.output_blocks[bid].to_payload())
-                for bid in sorted(self.output_blocks)
-            ]
         hier_arrays = None
         if self.hierarchies:
             hier_arrays = {
                 bid: h.to_arrays() for bid, h in self.hierarchies.items()
             }
-        return write_msc_file(path, blocks, hierarchies=hier_arrays)
+        return write_msc_file(
+            path, sorted(self.output_blobs.items()), hierarchies=hier_arrays
+        )

@@ -81,10 +81,15 @@ class TransportStats:
 
 @dataclass
 class BlockComputeStats:
-    """Compute-stage record of one block."""
+    """Compute-stage record of one block.
+
+    The worker builds it (:func:`repro.core.pipeline.compute_block`)
+    and ships it inside the block's payload; the driver sets ``rank``
+    and the cost replay (:func:`repro.machine.replay.replay_run`)
+    writes ``virtual_seconds``.
+    """
 
     block_id: int
-    rank: int
     cells: int
     critical_counts: tuple[int, int, int, int]
     nodes_after_simplify: int
@@ -92,9 +97,12 @@ class BlockComputeStats:
     geometry_cells_traced: int
     cancellations: int
     real_seconds: float
-    virtual_seconds: float
     #: real seconds per compute phase (keys: COMPUTE_STAGES)
     stage_seconds: dict[str, float] = field(default_factory=dict)
+    #: virtual rank that owns the block
+    rank: int = 0
+    #: virtual compute seconds
+    virtual_seconds: float = 0.0
 
 
 @dataclass
@@ -136,20 +144,34 @@ class SessionStats:
 
 @dataclass
 class MergeEventStats:
-    """One merge performed at a group root."""
+    """One merge performed at a group root.
+
+    The merge rounds record the work; the cost replay
+    (:func:`repro.machine.replay.replay_run`) writes the three modeled
+    fields ``received_bytes``, ``wait_seconds`` and ``merge_seconds``.
+    """
 
     round_idx: int
     root_block: int
     root_rank: int
-    members: int
-    received_bytes: int
+    #: packed bytes of each member complex, in group order
+    member_nbytes: tuple[int, ...]
     nodes_glued: int
     arcs_glued: int
     boundary_nodes_freed: int
     cancellations: int
-    wait_seconds: float  # virtual idle time until the last member arrived
-    merge_seconds: float  # virtual glue + re-simplify + pack time
     real_seconds: float
+    #: bytes that crossed ranks to reach the root (same-rank members: 0)
+    received_bytes: int = 0
+    #: virtual idle time until the last member arrived
+    wait_seconds: float = 0.0
+    #: virtual glue + re-simplify + pack time
+    merge_seconds: float = 0.0
+
+    @property
+    def members(self) -> int:
+        """Members glued into the root."""
+        return len(self.member_nbytes)
 
 
 @dataclass

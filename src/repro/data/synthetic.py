@@ -66,20 +66,8 @@ def sinusoidal_field(
     shape = dims if dims is not None else (points_per_side,) * 3
     if any(n < 2 for n in shape):
         raise ValueError(f"volume dims too small: {shape}")
-    axes = []
-    for n in shape:
-        t = np.linspace(0.0, 1.0, n)
-        # sin(pi*k*t + pi/2k) hits +-1 exactly k times on t in [0, 1]
-        k = features_per_side
-        axes.append(np.sin(np.pi * k * t + np.pi / (2 * k) + phase))
-    # one full-size array, updated in place: the same operations in the
-    # same order as ``a0 * a1 * a2 + r0 + r1 + r2``, so the same bytes
-    f = axes[0][:, None, None] * axes[1][None, :, None]
-    f = f * axes[2][None, None, :]
-    if tilt:
-        for a, n in enumerate(shape):
-            ramp = np.linspace(0.0, (a + 1) * tilt, n)
-            f += ramp.reshape([n if b == a else 1 for b in range(3)])
+    # the whole field is the one slab spanning every z plane
+    f = next(_sinusoid_slabs(shape, features_per_side, phase, tilt, shape[2]))
     return f.astype(dtype, copy=False)
 
 
@@ -107,15 +95,9 @@ def gaussian_bumps_field(
     of amplitude ``noise`` exercises simplification.
     """
     rng = np.random.default_rng(seed)
-    grids = [np.linspace(0.0, 1.0, n) for n in dims]
-    X, Y, Z = np.meshgrid(*grids, indexing="ij")
-    f = np.zeros(dims)
-    centers = rng.uniform(0.15, 0.85, size=(num_bumps, 3))
-    amps = rng.uniform(0.5, 1.0, size=num_bumps)
-    for (cx, cy, cz), a in zip(centers, amps):
-        f += a * np.exp(
-            -((X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2) / width**2
-        )
+    # the whole field is the one slab spanning every z plane; the noise
+    # is drawn after the bumps, from the same generator
+    f = next(_bumps_slabs(dims, rng, num_bumps, width, dims[2]))
     if noise > 0:
         f = f + rng.normal(0.0, noise, size=dims)
     return f
@@ -127,44 +109,34 @@ def gaussian_bumps_field(
 
 
 def _sinusoid_slabs(shape, features_per_side, phase, tilt, slab_depth):
-    """Z-slabs of :func:`sinusoidal_field`, bit-identical to slices of
-    the whole field (every term is separable per axis, so a slab is the
-    full outer product restricted to its z range)."""
+    """Z-slabs of :func:`sinusoidal_field` as float64, bit-identical to
+    slices of the whole field (every term is separable per axis, so a
+    slab is the full outer product restricted to its z range)."""
     k = features_per_side
+    # sin(pi*k*t + pi/2k) hits +-1 exactly k times on t in [0, 1]
     axes = [
         np.sin(np.pi * k * np.linspace(0.0, 1.0, n) + np.pi / (2 * k) + phase)
         for n in shape
     ]
-    ramps = (
-        [
-            np.linspace(0.0, (a + 1) * tilt, n)
-            for a, n in enumerate(shape)
-        ]
-        if tilt
-        else None
-    )
+    ramps = [np.linspace(0.0, (a + 1) * tilt, n) for a, n in enumerate(shape)]
     for z0 in range(0, shape[2], slab_depth):
         z1 = min(z0 + slab_depth, shape[2])
-        f = (
-            axes[0][:, None, None]
-            * axes[1][None, :, None]
-            * axes[2][z0:z1][None, None, :]
-        )
-        if ramps is not None:
-            f = (
-                f
-                + ramps[0][:, None, None]
-                + ramps[1][None, :, None]
-                + ramps[2][z0:z1][None, None, :]
-            )
+        # one array, updated in place: the same operations in the same
+        # order as ``a0 * a1 * a2 + r0 + r1 + r2``, so the same bytes
+        f = axes[0][:, None, None] * axes[1][None, :, None]
+        f = f * axes[2][None, None, z0:z1]
+        if tilt:
+            f += ramps[0][:, None, None]
+            f += ramps[1][None, :, None]
+            f += ramps[2][None, None, z0:z1]
         yield f
 
 
-def _bumps_slabs(dims, num_bumps, seed, width, slab_depth):
-    """Z-slabs of :func:`gaussian_bumps_field`, bit-identical to slices
-    of the whole field (centers and amplitudes are drawn once up front,
-    and each sample is an elementwise function of its own coordinates)."""
-    rng = np.random.default_rng(seed)
+def _bumps_slabs(dims, rng, num_bumps, width, slab_depth):
+    """Z-slabs of :func:`gaussian_bumps_field` without its noise,
+    bit-identical to slices of the whole field (centers and amplitudes
+    are drawn from ``rng`` once, before the first slab, and each sample
+    is an elementwise function of its own coordinates)."""
     grids = [np.linspace(0.0, 1.0, n) for n in dims]
     centers = rng.uniform(0.15, 0.85, size=(num_bumps, 3))
     amps = rng.uniform(0.5, 1.0, size=num_bumps)
@@ -246,7 +218,9 @@ def write_volume_chunked(
                 "volume rng draw order is not reproducible per slab; "
                 "use gaussian_bumps_field + write_volume instead"
             )
-        slabs = _bumps_slabs(shape, num_bumps, seed, width, slab_depth)
+        slabs = _bumps_slabs(
+            shape, np.random.default_rng(seed), num_bumps, width, slab_depth
+        )
     else:
         raise ValueError(
             f"unknown field kind {kind!r}: choose one of "

@@ -14,36 +14,10 @@ seconds per rank:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.machine.bgp import BlueGenePParams
 from repro.machine.topology import TorusTopology
 
-__all__ = ["ComputeWork", "MergeWork", "CostModel"]
-
-
-@dataclass
-class ComputeWork:
-    """Work counters of one block's compute stage (§IV-C/D/E)."""
-
-    cells: int = 0  # refined cells swept by the gradient algorithm
-    geometry_cells: int = 0  # V-path cells traced
-    cancellations: int = 0  # per-block simplification cancellations
-
-    def __iadd__(self, other: "ComputeWork") -> "ComputeWork":
-        self.cells += other.cells
-        self.geometry_cells += other.geometry_cells
-        self.cancellations += other.cancellations
-        return self
-
-
-@dataclass
-class MergeWork:
-    """Work counters of one merge performed at a group root (§IV-F3)."""
-
-    glued_elements: int = 0  # nodes + arcs inserted during gluing
-    cancellations: int = 0  # re-simplification after the glue
-    packed_bytes: int = 0  # pack/unpack volume at the root
+__all__ = ["CostModel"]
 
 
 class CostModel:
@@ -78,13 +52,17 @@ class CostModel:
             + bytes_this_rank / bw
         )
 
-    def compute_time(self, work: ComputeWork) -> float:
-        """Local gradient + MS complex + simplification cost."""
+    def compute_time(
+        self, cells: int, geometry_cells: int, cancellations: int
+    ) -> float:
+        """Local gradient + MS complex + simplification cost of a block
+        (§IV-C/D/E): refined cells swept, V-path cells traced and
+        cancellations."""
         p = self.params
         return (
-            work.cells / p.gradient_cells_per_second
-            + work.geometry_cells / p.trace_cells_per_second
-            + work.cancellations / p.cancellations_per_second
+            cells / p.gradient_cells_per_second
+            + geometry_cells / p.trace_cells_per_second
+            + cancellations / p.cancellations_per_second
         )
 
     def message_time(self, nbytes: int, src: int, dest: int) -> float:
@@ -95,11 +73,15 @@ class CostModel:
         hops = self.topology.hops(src, dest)
         return p.latency + hops * p.hop_latency + nbytes / p.link_bandwidth
 
-    def merge_time(self, work: MergeWork) -> float:
-        """Glue + re-simplify + pack cost at a merge-group root."""
+    def merge_time(
+        self, glued_elements: int, cancellations: int, packed_bytes: int
+    ) -> float:
+        """Glue + re-simplify + pack cost at a merge-group root (§IV-F3):
+        nodes + arcs glued, re-simplification cancellations and the
+        packed bytes received."""
         p = self.params
         return (
-            work.glued_elements / p.glue_elements_per_second
-            + work.cancellations / p.cancellations_per_second
-            + work.packed_bytes / p.pack_bandwidth
+            glued_elements / p.glue_elements_per_second
+            + cancellations / p.cancellations_per_second
+            + packed_bytes / p.pack_bandwidth
         )

@@ -8,17 +8,17 @@ advanced a virtual clock from sends, receives and the cost model.
 pure function of recorded work counts.  This module keeps the
 *clock-only skeleton* of that rank program — the sends, the same-rank
 inbox, the receives and arrivals, ``after_round``, the write — with the
-work replaced by the synthetic records it is handed, so a property test
-can require the replay to equal a real message-passing execution of the
-same schedule, message log included.
+work replaced by the stats records it is handed (synthetic ones, or a
+real run's ``block_stats`` / ``merge_events``), so a test can require
+the replay to equal a real message-passing execution of the same
+schedule, message log included.  It only reads the records' counts.
 
 Tests only; nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
-from repro.machine.costmodel import MergeWork
-from repro.machine.replay import MergeCost, RankTimeline, pool_makespan
+from repro.machine.replay import RankTimeline, pool_makespan
 from tests.reference_virtual_mpi import VirtualMPI
 
 __all__ = ["reference_run"]
@@ -29,12 +29,13 @@ def _message_tag(round_idx: int, member_block: int, num_blocks: int) -> int:
     return round_idx * num_blocks + member_block
 
 
-def _rank_main(comm, plan, vertex_bytes, workers, compute_work, by_event,
+def _rank_main(comm, plan, vertex_bytes, workers, by_block, by_event,
                output_nbytes, local_inbox):
     """The per-rank program (a generator yielding comm requests)."""
     decomp, model = plan.decomp, plan.model
     my_blocks = decomp.blocks_of_rank(comm.rank, comm.size)
     timeline = RankTimeline(rank=comm.rank)
+    block_seconds = {}
     merge_costs = {}
     clock = 0.0
 
@@ -46,7 +47,14 @@ def _rank_main(comm, plan, vertex_bytes, workers, compute_work, by_event,
     clock += timeline.read
 
     owned = set(my_blocks)
-    block_virtual = [model.compute_time(compute_work[b]) for b in my_blocks]
+    block_virtual = [
+        model.compute_time(
+            by_block[b].cells, by_block[b].geometry_cells_traced,
+            by_block[b].cancellations,
+        )
+        for b in my_blocks
+    ]
+    block_seconds.update(zip(my_blocks, block_virtual))
     timeline.compute = pool_makespan(block_virtual, workers)
     clock += timeline.compute
 
@@ -92,46 +100,46 @@ def _rank_main(comm, plan, vertex_bytes, workers, compute_work, by_event,
             clock = max(arrivals)
             record = by_event[(round_idx, root_bid)]
             mtime = model.merge_time(
-                MergeWork(
-                    glued_elements=record.glued_elements,
-                    cancellations=record.cancellations,
-                    packed_bytes=recv_bytes,
-                )
+                record.nodes_glued + record.arcs_glued,
+                record.cancellations,
+                recv_bytes,
             )
             clock += mtime
-            merge_costs[(round_idx, root_bid)] = MergeCost(
-                received_bytes=recv_bytes,
-                wait_seconds=wait,
-                merge_seconds=mtime,
-            )
+            merge_costs[(round_idx, root_bid)] = (recv_bytes, wait, mtime)
         timeline.after_round.append(clock)
 
     write_bytes = sum(output_nbytes[bid] for bid in owned)
     timeline.write = model.write_time(write_bytes)
     clock += timeline.write
     timeline.final_clock = clock
-    return timeline, merge_costs
+    return timeline, block_seconds, merge_costs
 
 
-def reference_run(plan, *, vertex_bytes, workers, compute_work, merges,
+def reference_run(plan, *, vertex_bytes, workers, blocks, merges,
                   output_nbytes):
     """Execute the rank program on every rank of ``plan.num_procs``.
 
-    Same arguments as :func:`repro.machine.replay.replay_run`; returns
-    ``(timelines, merge_costs, message_bytes)`` with ``message_bytes``
+    Same arguments as :func:`repro.machine.replay.replay_run`, whose
+    records it reads but does not write; returns ``(timelines,
+    block_seconds, merge_costs, message_bytes)``: virtual compute
+    seconds by block id, ``(received_bytes, wait_seconds,
+    merge_seconds)`` by ``(round_idx, root_block)``, and the bytes
     summed from the scheduler's message log.
     """
+    by_block = {b.block_id: b for b in blocks}
     by_event = {(m.round_idx, m.root_block): m for m in merges}
     mpi = VirtualMPI(plan.num_procs)
     returns = mpi.run(
-        _rank_main, plan, vertex_bytes, workers, compute_work, by_event,
+        _rank_main, plan, vertex_bytes, workers, by_block, by_event,
         output_nbytes, {},
     )
-    merge_costs = {}
-    for _, costs in returns:
+    block_seconds, merge_costs = {}, {}
+    for _, seconds, costs in returns:
+        block_seconds.update(seconds)
         merge_costs.update(costs)
     return (
-        [timeline for timeline, _ in returns],
+        [timeline for timeline, _, _ in returns],
+        block_seconds,
         merge_costs,
         sum(m.nbytes for m in mpi.message_log),
     )

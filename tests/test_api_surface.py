@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -468,6 +469,40 @@ REMOVED_SPELLINGS = {
     "repro.parallel.executor.BlockTimeoutError": lambda f: (
         importlib.import_module("repro.parallel.executor").BlockTimeoutError
     ),
+    **{
+        f"repro.machine.{name}": (
+            lambda f, name=name: getattr(
+                importlib.import_module("repro.machine"), name
+            )
+        )
+        for name in ("ComputeWork", "MergeWork", "MergeRecord")
+    },
+    **{
+        f"repro.machine.replay.{name}": (
+            lambda f, name=name: getattr(
+                importlib.import_module("repro.machine.replay"), name
+            )
+        )
+        for name in ("MergeCost", "MachineReplay")
+    },
+    "CostModel.compute_time(work)": lambda f: importlib.import_module(
+        "repro.machine.costmodel"
+    ).CostModel().compute_time(
+        types.SimpleNamespace(cells=1, geometry_cells=0, cancellations=0)
+    ),
+    "replay_run(compute_work=)": lambda f: inspect.signature(
+        importlib.import_module("repro.machine.replay").replay_run
+    ).bind(None, vertex_bytes=8, workers=1, compute_work={}, merges=[],
+           output_nbytes={}),
+    "BlockPayload(cells=)": lambda f: inspect.signature(
+        importlib.import_module("repro.core.pipeline").BlockPayload
+    ).bind_partial(cells=1),
+    "MergeOutcome(nodes_after=)": lambda f: inspect.signature(
+        importlib.import_module("repro.core.merge").MergeOutcome
+    ).bind_partial(nodes_after=1),
+    "PipelineResult(output_blobs=None)": lambda f: inspect.signature(
+        importlib.import_module("repro.core.result").PipelineResult
+    ).bind({}, None, None, None),
 }
 
 

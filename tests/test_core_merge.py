@@ -82,14 +82,12 @@ class TestPerformMerge:
         other_nodes = complexes[1].num_alive_nodes()
         no_cuts = tuple(np.array([], dtype=np.int64) for _ in range(3))
         outcome = perform_merge(root, [complexes[1]], no_cuts, 0.0)
-        assert outcome.nodes_after == root.num_alive_nodes()
-        assert outcome.arcs_after == root.num_alive_arcs()
         assert (
             outcome.glue.nodes_added + outcome.glue.shared_nodes
             == other_nodes
         )
         assert (
-            outcome.nodes_after
+            root.num_alive_nodes()
             == n0 + outcome.glue.nodes_added - 2 * outcome.cancellations
         )
 

@@ -8,6 +8,7 @@ from repro.core.stats import (
     PipelineStats,
     RankTimeline,
 )
+from repro.core.merge import pack_complex
 from repro.morse.msc import MorseSmaleComplex
 from repro.core.result import PipelineResult
 
@@ -153,6 +154,7 @@ class TestResultCombinedCounts:
             decomposition=d,
             schedule=MergeSchedule(d, []),
             stats=PipelineStats(num_procs=2, num_blocks=2, radices=[]),
+            output_blobs={0: pack_complex(a), 1: pack_complex(b)},
         )
         assert res.combined_node_counts() == (1, 2, 0, 0)
         assert res.num_output_blocks == 2

@@ -17,6 +17,10 @@ by the ``repro`` parser or one of its subcommands (a span that names
 another program — a ``.py`` script, ``pytest`` — is that program's),
 and docs/API.md's ``ExecutionOptions`` table names exactly the fields of
 the dataclass.
+
+docs/OBSERVABILITY.md's metrics table, its ``{a,b}`` brace groups
+expanded, names exactly the series ``run_metrics`` emits for a pooled
+run with a spill budget.
 """
 
 import importlib
@@ -158,3 +162,41 @@ def test_options_table_names_the_fields():
     named = [re.match(r"\| `(\w+)` \|", row).group(1) for row in rows]
     fields = [f.name for f in dataclasses.fields(ExecutionOptions)]
     assert named == fields
+
+
+def _expand_braces(name: str) -> list[str]:
+    """``compute.{build,pack}_seconds`` -> one name per alternative."""
+    group = re.search(r"\{([^{}]*)\}", name)
+    if group is None:
+        return [name]
+    return [
+        expanded
+        for alternative in group.group(1).split(",")
+        for expanded in _expand_braces(
+            name[:group.start()] + alternative + name[group.end():]
+        )
+    ]
+
+
+@pytest.mark.slow
+def test_metrics_table_names_the_series():
+    from repro import ExecutionOptions, compute
+    from repro.data import gaussian_bumps_field
+
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    start = text.index("| metric | kind | meaning |")
+    rows = text[start:text.index("\n\n", start)].splitlines()[2:]
+    documented = {
+        name
+        for row in rows
+        for span in SPAN.findall(row.split("|")[1])
+        for name in _expand_braces(span)
+    }
+    result = compute(
+        gaussian_bumps_field((9, 9, 9), 2, seed=1), persistence=0.05,
+        ranks=2,
+        options=ExecutionOptions(workers=2, merge_spill_budget_bytes=0),
+    )
+    emitted = set(result.stats.metrics)
+    assert sorted(documented - emitted) == [], "documented, not emitted"
+    assert sorted(emitted - documented) == [], "emitted, not documented"

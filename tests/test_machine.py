@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine.bgp import BlueGenePParams
-from repro.machine.costmodel import ComputeWork, CostModel, MergeWork
+from repro.machine.costmodel import CostModel
 from repro.machine.topology import TorusTopology, balanced_torus_dims
 
 
@@ -39,16 +39,9 @@ class TestCostModel:
         self.model = CostModel(BlueGenePParams(), num_procs=64)
 
     def test_compute_time_monotone_in_work(self):
-        small = ComputeWork(cells=1000, geometry_cells=10, cancellations=1)
-        large = ComputeWork(cells=9000, geometry_cells=90, cancellations=9)
-        assert self.model.compute_time(large) > self.model.compute_time(
-            small
-        )
-
-    def test_compute_work_accumulates(self):
-        w = ComputeWork(cells=5, geometry_cells=2, cancellations=1)
-        w += ComputeWork(cells=5, geometry_cells=3, cancellations=0)
-        assert (w.cells, w.geometry_cells, w.cancellations) == (10, 5, 1)
+        small = self.model.compute_time(1000, 10, 1)
+        large = self.model.compute_time(9000, 90, 9)
+        assert large > small
 
     def test_message_time_zero_for_self(self):
         assert self.model.message_time(1000, 3, 3) == 0.0
@@ -89,10 +82,7 @@ class TestCostModel:
         assert t_large > t_small
 
     def test_merge_time_components(self):
-        zero = self.model.merge_time(MergeWork())
-        some = self.model.merge_time(
-            MergeWork(glued_elements=1000, cancellations=10,
-                      packed_bytes=10_000)
-        )
+        zero = self.model.merge_time(0, 0, 0)
+        some = self.model.merge_time(1000, 10, 10_000)
         assert zero == 0.0
         assert some > 0.0

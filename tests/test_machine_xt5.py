@@ -1,7 +1,7 @@
 """Tests for repro.machine.xt5: the Jaguar parameter set."""
 
 from repro.machine.bgp import BlueGenePParams
-from repro.machine.costmodel import ComputeWork, CostModel
+from repro.machine.costmodel import CostModel
 from repro.machine.xt5 import jaguar_xt5
 
 
@@ -13,9 +13,8 @@ def test_same_schema_as_bgp():
 def test_xt5_computes_faster():
     bgp = CostModel(BlueGenePParams(), num_procs=64)
     xt5 = CostModel(jaguar_xt5(), num_procs=64)
-    work = ComputeWork(cells=1_000_000, geometry_cells=100_000,
-                       cancellations=1_000)
-    assert xt5.compute_time(work) < bgp.compute_time(work) / 5
+    work = (1_000_000, 100_000, 1_000)  # cells, V-path cells, cancellations
+    assert xt5.compute_time(*work) < bgp.compute_time(*work) / 5
 
 
 def test_xt5_network_faster_but_not_as_much():
@@ -24,8 +23,8 @@ def test_xt5_network_faster_but_not_as_much():
     on XT5, which is what moves the merge/compute crossover."""
     bgp = CostModel(BlueGenePParams(), num_procs=64)
     xt5 = CostModel(jaguar_xt5(), num_procs=64)
-    work = ComputeWork(cells=1_000_000)
-    compute_speedup = bgp.compute_time(work) / xt5.compute_time(work)
+    work = (1_000_000, 0, 0)
+    compute_speedup = bgp.compute_time(*work) / xt5.compute_time(*work)
     small_message = 10_000  # bytes
     msg_speedup = bgp.message_time(small_message, 0, 1) / xt5.message_time(
         small_message, 0, 1

@@ -129,10 +129,12 @@ class TestComputeBlock:
         spec = _single_block_spec(field)
         a, b = compute_block(spec), compute_block(spec)
         assert a.blob == b.blob
-        assert a.cells == b.cells
-        assert a.critical_counts == b.critical_counts
-        assert a.geometry_cells_traced == b.geometry_cells_traced
-        assert a.cancellations == b.cancellations
+        assert a.stats.cells == b.stats.cells
+        assert a.stats.critical_counts == b.stats.critical_counts
+        assert (
+            a.stats.geometry_cells_traced == b.stats.geometry_cells_traced
+        )
+        assert a.stats.cancellations == b.stats.cancellations
 
     def test_requires_exactly_one_input(self):
         field = gaussian_bumps_field((9, 9, 9), 2, seed=2)
