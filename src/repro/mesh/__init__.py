@@ -9,24 +9,19 @@ original grid with ``d = i%2 + j%2 + k%2``.  This subpackage provides
 - :mod:`repro.mesh.grid` — scalar fields on structured grids and integer
   block extents with the paper's one-shared-vertex-layer convention,
 - :mod:`repro.mesh.addressing` — local/global refined-address translation
-  (section IV-F1) and boundary-signature computation (section IV-C),
+  (section IV-F1) and the refined cut planes of a decomposition,
 - :mod:`repro.mesh.cubical` — the flat-array cubical complex used by the
   discrete-gradient and tracing algorithms.
 """
 
 from repro.mesh.grid import Box, StructuredGrid
 from repro.mesh.cubical import CubicalComplex
-from repro.mesh.addressing import (
-    boundary_signature,
-    global_refined_address,
-    refined_dims,
-)
+from repro.mesh.addressing import global_refined_address, refined_dims
 
 __all__ = [
     "Box",
     "CubicalComplex",
     "StructuredGrid",
-    "boundary_signature",
     "global_refined_address",
     "refined_dims",
 ]

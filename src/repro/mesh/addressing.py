@@ -12,17 +12,11 @@ complexes are detected during gluing by comparing addresses.
 
 Boundary signatures (section IV-C)
 ----------------------------------
-To make the discrete gradient identical on the shared face between two
-blocks, the pairing of a cell lying on one or more internal block-cut
-planes is restricted to cells lying on exactly the same set of planes.
-Since the bisection decomposition produces a regular grid of blocks, "the
-set of cut planes containing a cell" is a *global* property: bit ``a`` of
-the signature is set iff the cell's refined coordinate along axis ``a``
-lies on an internal cut plane of the decomposition.  Processing signature
-classes from most-constrained (block corners) to least (block interiors)
-reproduces, on every shared face, the gradient of the 2D restriction of
-the function — independently of block interiors, hence identically in
-both adjacent blocks.
+The cut planes of the decomposition are refined coordinates (see
+:func:`cut_planes_from_splits`).  Blocks share exactly one vertex layer,
+so every cut plane a block touches is one of its faces; the block's
+complex records which faces are cut (``CubicalComplex.cut_faces``) and
+derives each cell's signature from its coordinates.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ import numpy as np
 __all__ = [
     "refined_dims",
     "global_refined_address",
-    "boundary_signature",
     "cut_planes_from_splits",
 ]
 
@@ -78,40 +71,3 @@ def cut_planes_from_splits(cut_vertices: Sequence[int]) -> np.ndarray:
     """
     return np.asarray([2 * int(c) for c in cut_vertices], dtype=np.int64)
 
-
-def boundary_signature(
-    gi: np.ndarray,
-    gj: np.ndarray,
-    gk: np.ndarray,
-    cut_planes: Sequence[np.ndarray],
-    global_refined_dims: Sequence[int],
-) -> np.ndarray:
-    """Signature bitmask (bit ``a`` = on an internal cut plane of axis ``a``).
-
-    Parameters
-    ----------
-    gi, gj, gk:
-        Global refined coordinates of the cells (arrays of equal shape).
-    cut_planes:
-        Per-axis arrays of refined cut-plane coordinates
-        (see :func:`cut_planes_from_splits`).
-    global_refined_dims:
-        Global refined extents, used to size the per-axis lookup tables.
-
-    Returns
-    -------
-    ``uint8`` array of the same shape as the coordinate arrays.
-    """
-    coords = (gi, gj, gk)
-    sig = np.zeros(np.shape(gi), dtype=np.uint8)
-    for axis in range(3):
-        table = np.zeros(int(global_refined_dims[axis]), dtype=bool)
-        planes = np.asarray(cut_planes[axis], dtype=np.int64)
-        if planes.size:
-            if planes.min() < 0 or planes.max() >= table.size:
-                raise ValueError(
-                    f"cut plane out of range on axis {axis}: {planes}"
-                )
-            table[planes] = True
-        sig |= table[coords[axis]].astype(np.uint8) << axis
-    return sig

@@ -3,34 +3,27 @@
 The complex follows the paper's storage scheme (section IV-C): "we use a
 refined grid to store the result of the gradient computation, where vertex
 ``(i, j, k)`` of the refined grid represents a d-cell of the implicit
-original grid, where ``d = i%2 + j%2 + k%2``".  All per-cell attributes
-(cell value, dimension, boundary signature, global address, simulation-of-
-simplicity rank) live in flat numpy arrays indexed by *padded* refined
-address, so that the ±1 neighbor arithmetic used for facet/cofacet
-traversal never needs bounds checks: the refined grid is surrounded by a
-one-element layer of sentinel cells that are never valid pairing partners.
+original grid, where ``d = i%2 + j%2 + k%2``".  A block keeps two per-cell
+arrays, indexed by *padded* refined address so that the ±1 neighbor
+arithmetic of facet/cofacet traversal needs no bounds checks (a layer of
+sentinel cells surrounds the grid): the celltype byte and word 0 of each
+cell's order key.  Dimension, global address, value and boundary flag
+are derived where they are read, from the padded index, the vertex
+samples and the six flags that say which block faces are cut (blocks
+share one vertex layer, so every cut plane a block touches is a face).
 
-Cell values are assigned "as the maximum of the values at the vertices"
-(section IV-C), and ties are resolved with the improved simulation of
-simplicity of Gyulassy et al. [11]: cells are totally ordered by the
-lexicographic comparison of their descending-sorted vertex-value lists,
-with the global cell address as the final tie-break.  The order is exposed
-as a dense integer rank so the gradient sweep can compare cells with one
-integer comparison.
+Cell values are "the maximum of the values at the vertices" (section
+IV-C), and ties are resolved with the improved simulation of simplicity
+of Gyulassy et al. [11]: cells of one dimension are totally ordered by
+their descending-sorted vertex-value lists, then by global address.  No
+rank is built: the gradient compares key words and reads the rest of a
+key only where word 0 ties (docs/ALGORITHM.md §1).
 
-Per-shape tables, per-block arrays
-----------------------------------
 What depends only on the block's *shape* and is O(1) in its size —
 extents, axis steps, cell counts, and the facet / cofacet / direction /
 continuation-facet offset tuples the kernels walk — is factored into
-:class:`MeshStructureTables` and memoized per ``padded_shape``.  Every
-per-*cell* array belongs to its :class:`CubicalComplex` and is freed
-with it: celltype, dimension and the valid mask are strided writes into
-the padded array's interior (cheaper to write than to keep: a cut at a
-shared vertex layer gives a 2x2x2 split 2**3 distinct block shapes, so
-a memo of per-cell arrays built each shape once and then held it), and
-the rank build names each celltype's cells by a broadcast sum of three
-``arange`` vectors instead of a stored padded index per cell.
+:class:`MeshStructureTables` and memoized per ``padded_shape``; every
+per-*cell* array belongs to its :class:`CubicalComplex` and dies with it.
 """
 
 from __future__ import annotations
@@ -40,13 +33,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.mesh.addressing import boundary_signature, global_refined_address
+from repro.mesh.addressing import global_refined_address
 from repro.obs.trace import get_tracer
 
 __all__ = [
     "CubicalComplex",
     "CELL_DIM_NAMES",
     "CELLTYPES_OF_DIM",
+    "DIM_OF_CELLTYPE",
     "MeshStructureTables",
     "build_structure_tables",
     "structure_tables",
@@ -59,11 +53,17 @@ CELL_DIM_NAMES = ("minimum", "1-saddle", "2-saddle", "maximum")
 #: celltypes (x, y, z parity bits) of each cell dimension
 CELLTYPES_OF_DIM = ((0,), (1, 2, 4), (3, 5, 6), (7,))
 
+#: cell dimension of each celltype (the popcount of its parity bits)
+DIM_OF_CELLTYPE = np.array([0, 1, 1, 2, 1, 2, 2, 3], dtype=np.uint8)
+
 
 def _axis_bits(t: int) -> tuple[int, int, int]:
     """Parity bits (x, y, z) of celltype ``t``."""
     return (t & 1, (t >> 1) & 1, (t >> 2) & 1)
 
+
+#: key bits per word; bit 62 marks a valid cell (see ``_build_keys``)
+_WORD_BITS = 62
 
 #: optimal sorting networks of 1, 2, 4 and 8 rows (0/1/5/19 comparators)
 _NETWORKS = {1: (), 2: ((0, 1),), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
@@ -177,9 +177,10 @@ class CubicalComplex:
         own extents (serial case).  Used for global addresses.
     cut_planes:
         Per-axis arrays of global refined cut-plane coordinates of the
-        domain decomposition; cells on a cut plane receive a non-zero
-        boundary signature that restricts gradient pairing.  ``None``
-        (serial) means every cell has signature 0.
+        domain decomposition.  A plane may lie on one of the block's
+        faces or outside the block, never strictly inside it; cells on a
+        cut face pair only with cells on the same faces.  ``None``
+        (serial) cuts no face.
     """
 
     def __init__(
@@ -189,8 +190,6 @@ class CubicalComplex:
         global_refined_dims: tuple[int, int, int] | None = None,
         cut_planes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        if np.prod([2 * n - 1 for n in np.shape(block_values)]) >= 2**31:
-            raise ValueError("block has over 2**31 - 1 cells")  # int32 rank
         # the single normalization point for block values: at most one
         # copy, and none when the caller already holds a contiguous
         # float64 array
@@ -227,162 +226,181 @@ class CubicalComplex:
         self.facet_offsets = tables.facet_offsets
         self.cofacet_offsets = tables.cofacet_offsets
 
-        self._build_flat_arrays(cut_planes)
+        #: ``cut_faces[a]`` = (low face cut, high face cut) along axis a
+        self.cut_faces = self._cut_faces(cut_planes)
+
+        # celltype (parity bits); sentinels hold 0
+        self.celltype = np.zeros(self.num_padded, dtype=np.uint8)
+        ctype = self.interior(self.celltype)
+        for a, odd in enumerate((np.s_[1::2], np.s_[:, 1::2],
+                                 np.s_[..., 1::2])):
+            ctype[odd] |= 1 << a
+
+        with get_tracer().span("mesh.key", cat="kernel") as span:
+            span.annotate(words=self._build_keys())
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
 
-    def _interior(self, flat: np.ndarray) -> np.ndarray:
+    def interior(self, flat: np.ndarray) -> np.ndarray:
         """The refined interior of a padded flat array, as an
         ``(x, y, z)``-indexed view."""
         px, py, pz = self.padded_shape
         return flat.reshape(pz, py, px)[1:-1, 1:-1, 1:-1].T
 
-    def _build_flat_arrays(self, cut_planes) -> None:
-        rx, ry, rz = self.refined_shape
+    def _cut_faces(self, cut_planes) -> tuple[tuple[bool, bool], ...]:
+        faces = []
+        for a, (lo, r) in enumerate(zip(self.refined_origin,
+                                        self.refined_shape)):
+            planes = () if cut_planes is None else np.ravel(cut_planes[a])
+            planes = {int(c) for c in planes}
+            if any(lo < c < lo + r - 1 for c in planes):
+                raise ValueError(
+                    f"cut plane inside the block on axis {a}: blocks "
+                    "meet on shared vertex layers"
+                )
+            faces.append((lo in planes, lo + r - 1 in planes))
+        return tuple(faces)
 
-        # celltype (parity bits), dimension (their popcount) and the
-        # valid mask; sentinels hold 0 / 0 / False
-        self.celltype = np.zeros(self.num_padded, dtype=np.uint8)
-        self.cell_dim = np.zeros(self.num_padded, dtype=np.uint8)
-        self.valid = np.zeros(self.num_padded, dtype=bool)
-        ctype = self._interior(self.celltype)
-        dim = self._interior(self.cell_dim)
-        odd_layers = (np.s_[1::2], np.s_[:, 1::2], np.s_[..., 1::2])
-        for a, odd in enumerate(odd_layers):
-            ctype[odd] |= 1 << a
-            dim[odd] += 1
-        self._interior(self.valid)[...] = True
-
-        # refined coordinates (3D, broadcastable)
-        ri = np.arange(rx, dtype=np.int64)[:, None, None]
-        rj = np.arange(ry, dtype=np.int64)[None, :, None]
-        rk = np.arange(rz, dtype=np.int64)[None, None, :]
-
-        # cell values: separable max over the vertices of each cell,
-        # computed in place in the padded array's interior
-        self.cell_value = np.full(self.num_padded, -np.inf)
-        ref = self._interior(self.cell_value)
-        ref[::2, ::2, ::2] = self.vertex_values
-        np.maximum(ref[0:-1:2], ref[2::2], out=ref[1::2])
-        np.maximum(ref[:, 0:-1:2], ref[:, 2::2], out=ref[:, 1::2])
-        np.maximum(ref[:, :, 0:-1:2], ref[:, :, 2::2], out=ref[:, :, 1::2])
-
-        # global addresses
-        gi = ri + self.refined_origin[0]
-        gj = rj + self.refined_origin[1]
-        gk = rk + self.refined_origin[2]
-        addr = global_refined_address(gi, gj, gk, self.global_refined_dims)
-        self.global_address = np.full(self.num_padded, -1)
-        self._interior(self.global_address)[...] = addr
-
-        # boundary signatures; sentinel cells get an impossible
-        # signature so they are never candidates for pairing
-        sig = 0
-        if cut_planes is not None:
-            sig = boundary_signature(
-                np.broadcast_to(gi, self.refined_shape),
-                np.broadcast_to(gj, self.refined_shape),
-                np.broadcast_to(gk, self.refined_shape),
-                cut_planes,
-                self.global_refined_dims,
-            )
-        self.boundary_sig = np.full(self.num_padded, 255, dtype=np.uint8)
-        self._interior(self.boundary_sig)[...] = sig
-
-        with get_tracer().span("mesh.rank", cat="kernel") as span:
-            words, tied = self._build_order_rank()
-            span.annotate(words=words, tied=tied)
-
-    def _build_order_rank(self) -> tuple[list[int], int]:
-        """Dense simulation-of-simplicity rank over all valid cells.
+    def _build_keys(self) -> list[int]:
+        """Write word 0 of every valid cell's key into :attr:`key`.
 
         Key = (descending-sorted vertex values, global address), compared
-        lexicographically.  Only cells of equal dimension are ever
-        compared (by the gradient kernel and :attr:`cells_by_dim`), so
-        each dimension d is sorted on its own with its ``2**d`` real
-        keys, and its ranks follow those of the lower dimensions.
-
-        The vertices are sorted once: dense ranks stand in for the exact
-        samples (equal samples, ``-0.0`` and ``+0.0`` too, rank equal).
-        Inside a block, global-address order is padded-index order (both
-        x-fastest over a sub-box), so the padded index as the last field
-        breaks ties, keeps every key unique and names the sorted cells.
-        A one-word key is sorted; a longer one argsorts word 0 and orders
-        only its runs of equal words by the rest (docs/ALGORITHM.md §1).
-        Returns the word count per dimension and the cells in those runs.
+        lexicographically between cells of equal dimension.  Dense vertex
+        ranks (``np.unique``: equal samples, ``-0.0`` and ``+0.0`` too,
+        rank equal), largest first, then the padded index (inside a
+        block, global-address order is padded-index order) are packed
+        big-end-first into the low 62 bits of ``uint64`` words, no field
+        split; bit 62 marks a valid cell, so its word 0 is neither 0 nor
+        ``2**64 - 1``.  Returns the word count per dimension.
         """
         _, vrank = np.unique(self.vertex_values, return_inverse=True)
         vbits = max(int(vrank.max()).bit_length(), 1)
         vrank = vrank.astype(np.uint32).reshape(self.vertex_shape)
         ibits = (self.num_padded - 1).bit_length()
-        self.order_rank = np.full(self.num_padded, 2**31 - 1, dtype=np.int32)
-        cells_by_dim, words, tied = [], [], 0
+        #: word 0 of each cell's key (sentinels 0, never compared)
+        self.key = np.zeros(self.num_padded, dtype=np.uint64)
+        key = self.interior(self.key)
+        words = []
         for d, types in enumerate(CELLTYPES_OF_DIM):
-            # the t-cells form a (vertex_shape - bits) grid; corner m
-            # (a subset of t's axes) is the vertex block shifted by m
-            grids = [[n - b for n, b in zip(self.vertex_shape, _axis_bits(t))]
-                     for t in types]
-            ends = np.cumsum([0] + [np.prod(g) for g in grids])
-            rows = list(np.empty((2**d, ends[-1]), dtype=np.uint32))
-            index = np.empty(ends[-1], dtype=np.int64)
-            for t, g, lo, hi in zip(types, grids, ends, ends[1:]):
-                corners = [m for m in range(8) if m & ~t == 0]
-                for row, m in zip(rows, corners):
-                    row[lo:hi].reshape(g)[...] = vrank[tuple(
-                        slice(c, c + n) for c, n in zip(_axis_bits(m), g)
-                    )]
-                # padded index: sum over axes of (refined coord + 1) * step
-                ax, ay, az = (
-                    (np.arange(b, r, 2, dtype=np.int64) + 1) * s
-                    for b, r, s in zip(
-                        _axis_bits(t), self.refined_shape, self.steps
-                    )
-                )
-                index[lo:hi].reshape(g)[...] = (
-                    ax[:, None, None] + ay[None, :, None] + az[None, None, :]
-                )
-            spare = np.empty_like(rows[0])  # sort each column, largest first
-            for i, j in _NETWORKS[2**d]:
-                np.maximum(rows[i], rows[j], out=spare)
-                np.minimum(rows[i], rows[j], out=rows[j])
-                rows[i], spare = spare, rows[i]
             # words of whole ranks, plus one if the index does not fit
             # beside the last word's ranks
-            per = 64 // vbits
+            per = _WORD_BITS // vbits
             lead, nwords = min(2**d, per), -(-(2**d) // per)
             last = 2**d - per * (nwords - 1)
-            words.append(nwords + (last * vbits + ibits > 64))
-            word = rows[0].astype(np.uint64)
-            for row in rows[1:lead]:
-                word <<= np.uint64(vbits)
-                word |= row
-            if words[-1] == 1:
-                word <<= np.uint64(ibits)
-                word |= index.view(np.uint64)
-                word.sort()
-                cells = (word & np.uint64((1 << ibits) - 1)).view(np.int64)
-            else:
-                order = np.argsort(word)
-                word = word[order]
-                tie = word[1:] == word[:-1]
-                pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
-                # np.lexsort, last key primary: word 0 keeps each run in
-                # place, the remaining fields order it
-                sub = order[pos]
-                keys = [index[sub], *[row[sub] for row in rows[lead:][::-1]]]
-                order[pos] = sub[np.lexsort([*keys, word[pos]])]
-                tied += pos.size
-                cells = index[order]
-            base = sum(c.size for c in cells_by_dim)
-            self.order_rank[cells] = np.arange(
-                base, base + cells.size, dtype=np.int32
-            )
-            cells_by_dim.append(cells)
-        #: padded indices of the valid cells per dimension, in SoS order
-        self.cells_by_dim = tuple(cells_by_dim)
-        return words, tied
+            words.append(nwords + (last * vbits + ibits > _WORD_BITS))
+            for t in types:
+                # the t-cells form a (vertex_shape - bits) grid; corner m
+                # (a subset of t's axes) is the vertex block shifted by m
+                bits = _axis_bits(t)
+                g = [n - b for n, b in zip(self.vertex_shape, bits)]
+                rows = [
+                    vrank[tuple(slice(c, c + n)
+                                for c, n in zip(_axis_bits(m), g))].copy()
+                    for m in range(8) if m & ~t == 0
+                ]
+                spare = np.empty_like(rows[0])  # sort, largest first
+                for i, j in _NETWORKS[2**d]:
+                    np.maximum(rows[i], rows[j], out=spare)
+                    np.minimum(rows[i], rows[j], out=rows[j])
+                    rows[i], spare = spare, rows[i]
+                word = rows[0].astype(np.uint64)
+                for row in rows[1:lead]:
+                    word <<= np.uint64(vbits)
+                    word |= row
+                if words[-1] == 1:
+                    # padded index: sum over axes of (coord + 1) * step
+                    word <<= np.uint64(ibits)
+                    for a, (b, r, s) in enumerate(
+                        zip(bits, self.refined_shape, self.steps)
+                    ):
+                        axis = np.arange(b + 1, r + 1, 2, dtype=np.uint64)
+                        axis *= np.uint64(s)
+                        word += axis.reshape([-1 if i == a else 1
+                                              for i in range(3)])
+                word |= np.uint64(1 << _WORD_BITS)
+                key[bits[0]::2, bits[1]::2, bits[2]::2] = word
+        self.key_words = tuple(words)
+        return words
+
+    # ------------------------------------------------------------------
+    # derived per-cell quantities (vectorized over padded indices)
+    # ------------------------------------------------------------------
+
+    def global_addresses(self, cells: np.ndarray) -> np.ndarray:
+        """Global refined addresses (int64) of padded indices ``p``: affine
+        in ``(p, p // px, p // (px * py))``, two temporaries per call."""
+        px, py, _ = self.padded_shape
+        gx, gy, _ = self.global_refined_dims
+        p = np.asarray(cells, dtype=np.int64)
+        q = p // px
+        k = q // py
+        q *= gx - px
+        k *= gx * (gy - py)
+        q += k
+        q += p
+        # the address of padded index 0: refined (-1, -1, -1) + origin
+        q += global_refined_address(
+            *(o - 1 for o in self.refined_origin), self.global_refined_dims
+        )
+        return q
+
+    def on_cut(self, cells: np.ndarray) -> np.ndarray:
+        """Whether each cell lies on a cut plane (its signature is set)."""
+        out = np.zeros(np.shape(cells), dtype=bool)
+        for c, r, (lo, hi) in zip(
+            self.refined_coords(cells), self.refined_shape, self.cut_faces
+        ):
+            out |= (lo & (c == 0)) | (hi & (c == r - 1))
+        return out
+
+    def _corner_values(self, cells: np.ndarray) -> list[np.ndarray]:
+        """Vertex values of each cell's eight corners, corner ``m`` =
+        bits (x, y, z) of the shift; a corner off the cell's axes
+        repeats the vertex below it."""
+        i, j, k = self.refined_coords(cells)
+        _, ny, nz = self.vertex_shape
+        corners = [(i >> 1) * (ny * nz) + (j >> 1) * nz + (k >> 1)]
+        for step in ((i & 1) * (ny * nz), (j & 1) * nz, k & 1):
+            corners += [c + step for c in corners]
+        flat = self.vertex_values.ravel()
+        return [flat.take(c) for c in corners]
+
+    def cell_values(self, cells: np.ndarray) -> np.ndarray:
+        """Cell values: the max over each cell's vertices.
+
+        Reduced along x, then y, then z, each ``np.maximum(lower,
+        upper)``, so a cell holding ``-0.0`` and ``+0.0`` gets the same
+        zero as a separable max over the whole grid.
+        """
+        c = self._corner_values(cells)
+        while len(c) > 1:  # along x, then y, then z
+            c = [np.maximum(lo, hi) for lo, hi in zip(c[0::2], c[1::2])]
+        return c[0]
+
+    def _key_columns(self, cells: np.ndarray, dim: int) -> list[np.ndarray]:
+        """The full keys of ``dim``-cells as columns, most significant
+        first: the 2**dim vertex values largest first, then the padded
+        index."""
+        rows = np.sort(np.stack(self._corner_values(cells)), axis=0)
+        # each of the 2**dim corners appears 2**(3 - dim) times
+        return [*rows[::-(2 ** (3 - dim))], np.asarray(cells)]
+
+    def sos_sorted(self, cells: np.ndarray, dim: int) -> np.ndarray:
+        """``dim``-cells sorted by their full simulation-of-simplicity key."""
+        cells = np.asarray(cells, dtype=np.int64)
+        # np.lexsort: last key primary
+        return cells[np.lexsort(self._key_columns(cells, dim)[::-1])]
+
+    def precedes(self, a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+        """Whether ``dim``-cell ``a[n]`` comes before ``b[n]`` in the
+        simulation-of-simplicity order (elementwise; distinct cells)."""
+        ka = np.stack(self._key_columns(a, dim))
+        kb = np.stack(self._key_columns(b, dim))
+        first = np.argmax(ka != kb, axis=0)
+        n = np.arange(first.size)
+        return ka[first, n] < kb[first, n]
 
     # ------------------------------------------------------------------
     # coordinate / identity helpers
@@ -393,10 +411,13 @@ class CubicalComplex:
         sx, sy, sz = self.steps
         return (ri + 1) * sx + (rj + 1) * sy + (rk + 1) * sz
 
-    def refined_coords(self, p: int) -> tuple[int, int, int]:
-        """Refined coordinates of flat padded index ``p``."""
-        px, py, _pz = self.padded_shape
-        return (p % px - 1, (p // px) % py - 1, p // (px * py) - 1)
+    def refined_coords(self, p):
+        """Refined coordinates of padded index ``p`` (an int, or an int64
+        array: then three arrays)."""
+        px, py, _ = self.padded_shape
+        q = p // px
+        k = q // py
+        return p - q * px - 1, q - k * py - 1, k - 1
 
     def global_coords(self, p: int) -> tuple[int, int, int]:
         """Global refined coordinates of flat padded index ``p``."""
@@ -422,14 +443,8 @@ class CubicalComplex:
     def cofacets(self, p: int) -> list[int]:
         """Padded flat indices of the *in-bounds* cofacets of cell ``p``."""
         t = int(self.celltype[p])
-        return [
-            p + off for off in self.cofacet_offsets[t] if self.valid[p + off]
-        ]
-
-    def euler_characteristic(self) -> int:
-        """Alternating sum of cell counts (1 for any full block: a box)."""
-        counts = [int(len(self.cells_by_dim[d])) for d in range(4)]
-        return counts[0] - counts[1] + counts[2] - counts[3]
+        # a sentinel's key word is 0
+        return [p + o for o in self.cofacet_offsets[t] if self.key[p + o]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

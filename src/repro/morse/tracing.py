@@ -288,38 +288,38 @@ def extract_ms_complex(
     nodes_span = tracer.span("trace.nodes", cat="kernel")
     nodes_span.__enter__()
     crit_by_dim = field.critical_cells_by_dim()
-    # cell -> node id as a flat array (node ids are assigned densely in
-    # (dim, SoS) order, matching repeated add_node calls)
-    node_of_cell = np.full(cx.num_padded, -1, dtype=np.int64)
-    nid = 0
-    for d in range(4):
-        cells = crit_by_dim[d]
+    # node ids are assigned densely in (dim, SoS) order, matching
+    # repeated add_node calls
+    for d, cells in enumerate(crit_by_dim):
         msc.add_nodes(
-            cx.global_address[cells],
+            cx.global_addresses(cells),
             d,
-            cx.cell_value[cells],
-            cx.boundary_sig[cells] != 0,
+            cx.cell_values(cells),
+            cx.on_cut(cells),
         )
-        node_of_cell[cells] = np.arange(nid, nid + cells.size)
-        nid += cells.size
-    nodes_span.annotate(nodes=nid)
+    crit = np.concatenate(crit_by_dim)
+    nodes_span.annotate(nodes=int(crit.size))
     nodes_span.__exit__(None, None, None)
 
     arcs_span = tracer.span("trace.arcs", cat="kernel")
     arcs_span.__enter__()
     # one kernel call for every saddle and maximum: sources in (dim,
     # SoS) order give the arcs in the order of one call per dimension
-    sources = np.concatenate(crit_by_dim[1:])
+    sources = crit[crit_by_dim[0].size:]
     if sources.size:
         flat, lens, terminals, counts = _trace_down_many(
             field, sources, max_paths_per_node
         )
-        # one address gather for every path, handed over as CSR
+        # cell -> node id: a search over the critical cells sorted by
+        # padded index
+        by_cell = np.argsort(crit)
+        crit_sorted = crit[by_cell]
+        # one address derivation for every path, handed over as CSR
         # (data, lengths)
         msc.add_leaf_arcs_flat(
-            np.repeat(node_of_cell[sources], counts),
-            node_of_cell[terminals],
-            cx.global_address[flat],
+            np.repeat(np.arange(crit_by_dim[0].size, crit.size), counts),
+            by_cell[np.searchsorted(crit_sorted, terminals)],
+            cx.global_addresses(flat),
             lens,
         )
     arcs_span.annotate(arcs=msc.num_alive_arcs())

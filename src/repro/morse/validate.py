@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh.cubical import DIM_OF_CELLTYPE
 from repro.morse.msc import MorseSmaleComplex
-from repro.morse.vectorfield import CRITICAL, GradientField
+from repro.morse.vectorfield import CRITICAL, SENTINEL, GradientField
 
 __all__ = [
     "assert_gradient_field_valid",
@@ -42,7 +43,7 @@ def assert_acyclic(field: GradientField) -> None:
     cx = field.complex
     pairing = field.pairing
     offs = field.dir_offsets
-    dim = cx.cell_dim
+    dim = DIM_OF_CELLTYPE[cx.celltype]
 
     def successors(alpha: int) -> list[int]:
         code = pairing[alpha]
@@ -56,27 +57,26 @@ def assert_acyclic(field: GradientField) -> None:
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[int, int] = {}
-    for d in range(3):
-        for start in cx.cells_by_dim[d].tolist():
-            if color.get(start, WHITE) != WHITE:
+    for start in np.flatnonzero((pairing != SENTINEL) & (dim < 3)).tolist():
+        if color.get(start, WHITE) != WHITE:
+            continue
+        stack = [(start, iter(successors(start)))]
+        color[start] = GRAY
+        while stack:
+            node, it = stack[-1]
+            nxt = next(it, None)
+            if nxt is None:
+                color[node] = BLACK
+                stack.pop()
                 continue
-            stack = [(start, iter(successors(start)))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    color[node] = BLACK
-                    stack.pop()
-                    continue
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    raise AssertionError(
-                        f"V-path cycle through cell {nxt} (dim {dim[nxt]})"
-                    )
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(successors(nxt))))
+            c = color.get(nxt, WHITE)
+            if c == GRAY:
+                raise AssertionError(
+                    f"V-path cycle through cell {nxt} (dim {dim[nxt]})"
+                )
+            if c == WHITE:
+                color[nxt] = GRAY
+                stack.append((nxt, iter(successors(nxt))))
 
 
 def assert_ms_complex_valid(

@@ -17,24 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mesh.cubical import CubicalComplex
+from repro.mesh.cubical import DIM_OF_CELLTYPE, CubicalComplex
 
 __all__ = [
     "GradientField",
     "CRITICAL",
     "UNASSIGNED",
     "SENTINEL",
-    "CONT_CRITICAL",
-    "CONT_DEAD",
 ]
 
 CRITICAL = 6
 UNASSIGNED = 7
 SENTINEL = 255
-
-#: continuation-table markers (must be negative: real cells are >= 0)
-CONT_CRITICAL = -2
-CONT_DEAD = -1
 
 #: axis bit of each pairing code's direction; 0 for the other codes
 _AXIS_BIT = np.zeros(256, dtype=np.uint8)
@@ -56,8 +50,7 @@ class GradientField:
         #: uint8 per padded cell; see module docstring for the encoding
         self.pairing = pairing
         #: flat-offset per direction code (x fastest, matching the mesh)
-        sx, sy, sz = complex_.steps
-        self.dir_offsets = (sx, -sx, sy, -sy, sz, -sz)
+        self.dir_offsets = complex_.tables.dir_offsets
         #: flat offset per pairing byte (0 for the non-direction codes)
         self._code_offset = np.zeros(256, dtype=np.int64)
         self._code_offset[:6] = self.dir_offsets
@@ -77,19 +70,15 @@ class GradientField:
 
     def critical_cells(self) -> np.ndarray:
         """Padded indices of all critical cells, in SoS order per dimension."""
-        crit = self.pairing == CRITICAL
-        out = []
-        for d in range(4):
-            cells = self.complex.cells_by_dim[d]
-            out.append(cells[crit[cells]])
-        return np.concatenate(out)
+        return np.concatenate(self.critical_cells_by_dim())
 
     def critical_cells_by_dim(self) -> tuple[np.ndarray, ...]:
-        """Critical padded indices split by cell dimension (index)."""
-        crit = self.pairing == CRITICAL
-        return tuple(
-            cells[crit[cells]] for cells in self.complex.cells_by_dim
-        )
+        """Critical padded indices split by cell dimension (index), each
+        in SoS order."""
+        cx = self.complex
+        cells = np.flatnonzero(self.pairing == CRITICAL)
+        dims = DIM_OF_CELLTYPE[cx.celltype[cells]]
+        return tuple(cx.sos_sorted(cells[dims == d], d) for d in range(4))
 
     def critical_counts(self) -> tuple[int, int, int, int]:
         """Counts of (minima, 1-saddles, 2-saddles, maxima)."""
@@ -107,7 +96,9 @@ class GradientField:
 
     def assert_complete(self) -> None:
         """Raise if any valid cell is still unassigned or inconsistently paired."""
-        valid = self.complex.valid
+        cx = self.complex
+        valid = np.zeros(cx.num_padded, dtype=bool)
+        cx.interior(valid)[...] = True
         codes = self.pairing[valid]
         if np.any(codes == UNASSIGNED):
             raise AssertionError("gradient field has unassigned cells")
@@ -122,8 +113,8 @@ class GradientField:
         back = partner + offs[self.pairing[partner]]
         if not np.array_equal(back, paired):
             raise AssertionError("gradient pairing is not mutual")
-        dims = self.complex.cell_dim
-        if np.any(np.abs(dims[paired].astype(int) - dims[partner].astype(int)) != 1):
+        dims = DIM_OF_CELLTYPE.astype(int)[cx.celltype]
+        if np.any(np.abs(dims[paired] - dims[partner]) != 1):
             raise AssertionError("paired cells must differ in dimension by 1")
 
     def continuation(self, cells: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -161,33 +152,6 @@ class GradientField:
         keys *= 6
         keys += code
         return arcs, tails, heads, keys
-
-    def continuation_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`continuation` of every padded cell as flat arrays
-        ``(cont, ckey)``, built once and cached (read-only).
-
-        ``cont[alpha]`` is the head a descending V-path through
-        ``alpha`` continues into, or :data:`CONT_CRITICAL` /
-        :data:`CONT_DEAD`; ``ckey[alpha]`` is the head's ``trace_facets``
-        key (0 off tails).  Only the per-path DFS oracle in the tests
-        reads them; the kernel classifies its frontiers directly.
-        """
-        tables = getattr(self, "_continuation_tables", None)
-        if tables is None:
-            n = self.complex.num_padded
-            arcs, tails, heads, keys = self.continuation(
-                np.arange(n, dtype=np.int64)
-            )
-            cont = np.full(n, CONT_DEAD, dtype=np.int64)
-            cont[tails] = heads
-            cont[arcs] = CONT_CRITICAL
-            ckey = np.zeros(n, dtype=np.uint8)
-            ckey[tails] = keys
-            cont.setflags(write=False)
-            ckey.setflags(write=False)
-            tables = (cont, ckey)
-            self._continuation_tables = tables
-        return tables
 
     def nbytes(self) -> int:
         """Storage footprint of the packed field (1 byte per element)."""

@@ -17,12 +17,17 @@ retry, so it fails the run at once with :class:`ComputeStageError` —
 the rule the merge stage follows.  The one failure that does not depend
 on a block's bytes is a dead worker process: a broken pool is rebuilt
 and its unfinished blocks re-dispatched, at most
-:data:`MAX_POOL_RESTARTS` times per run.
+:data:`MAX_POOL_RESTARTS` times per run.  The reverse death is covered
+too: a worker whose driver died (say, to the OOM killer's ``SIGKILL``)
+exits on its own instead of blocking on its call pipe forever.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
@@ -41,6 +46,19 @@ __all__ = [
     "ComputeStageError",
     "MAX_POOL_RESTARTS",
 ]
+
+
+def _exit_with_driver() -> None:
+    """Pool-worker initializer: a daemon thread ends the worker once it
+    is re-parented, i.e. once its driver died without closing the pool."""
+    driver = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == driver:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 class FaultToleranceError(RuntimeError):
@@ -247,7 +265,9 @@ class FaultTolerantExecutor:
         """Dispatch ``pending`` to the pool; return what a worker death
         left unfinished (nothing on a healthy wave)."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_exit_with_driver
+            )
         futures = []
         try:
             for idx in pending:

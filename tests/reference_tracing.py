@@ -11,22 +11,47 @@ descending path, visited depth-first in candidate-table order.
 
 from __future__ import annotations
 
-from repro.morse.vectorfield import CONT_CRITICAL, GradientField
+import numpy as np
+
+from repro.morse.vectorfield import GradientField
+
+#: continuation-table markers (must be negative: real cells are >= 0)
+CONT_CRITICAL = -2
+CONT_DEAD = -1
+
+
+def continuation_tables(field: GradientField) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`~repro.morse.vectorfield.GradientField.continuation` of
+    every padded cell as flat arrays ``(cont, ckey)``.
+
+    ``cont[alpha]`` is the head a descending V-path through ``alpha``
+    continues into, or :data:`CONT_CRITICAL` / :data:`CONT_DEAD`;
+    ``ckey[alpha]`` is the head's ``trace_facets`` key (0 off tails).
+    The production kernel classifies its frontiers directly and builds
+    no such per-cell table.
+    """
+    n = field.complex.num_padded
+    arcs, tails, heads, keys = field.continuation(np.arange(n, dtype=np.int64))
+    cont = np.full(n, CONT_DEAD, dtype=np.int64)
+    cont[tails] = heads
+    cont[arcs] = CONT_CRITICAL
+    ckey = np.zeros(n, dtype=np.uint8)
+    ckey[tails] = keys
+    return cont, ckey
 
 
 def _trace_state(field: GradientField):
     """Per-field DFS hot-loop state, built once and cached on the field.
 
     Returns ``(cont, ckey, ctab, facet_offsets, celltype)``: the
-    continuation tables of
-    :meth:`~repro.morse.vectorfield.GradientField.continuation_tables`
-    as plain lists (one list access per DFS step), the flattened
-    memoized ``trace_facets`` table, and the per-cell type table.
+    :func:`continuation_tables` as plain lists (one list access per DFS
+    step), the flattened memoized ``trace_facets`` table, and the
+    per-cell type table.
     """
     state = getattr(field, "_trace_state", None)
     if state is None:
         cx = field.complex
-        cont, ckey = field.continuation_tables()
+        cont, ckey = continuation_tables(field)
         ctab = tuple(
             cands
             for per_type in cx.tables.trace_facets

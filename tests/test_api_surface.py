@@ -324,11 +324,16 @@ class TestExecutionOptions:
 # ---------------------------------------------------------------------------
 
 
-def _gradient(values):
+def _complex(values):
     from repro.mesh.cubical import CubicalComplex
+
+    return CubicalComplex(values)
+
+
+def _gradient(values):
     from repro.morse.gradient import compute_discrete_gradient
 
-    return compute_discrete_gradient(CubicalComplex(values))
+    return compute_discrete_gradient(_complex(values))
 
 
 def _parse_cli(*argv):
@@ -343,137 +348,227 @@ def _parse_cli(*argv):
 #: the second synthetic-volume command, the fault-injection knob with
 #: the merge retry loop it drove, the v1/v2 ``.msc`` readers, the
 #: stability-comparison module, the store's persistence-provider split,
-#: the compute-stage retry policy with its five knobs, and the two
-#: fingerprints nothing keyed on
+#: the compute-stage retry policy with its five knobs, the two
+#: fingerprints nothing keyed on, and the per-cell arrays of the block
+#: mesh; each row is ``(call, text its error must contain)``
 REMOVED_SPELLINGS = {
-    "PipelineConfig(workers=)": lambda f: repro.PipelineConfig(
-        num_blocks=8, workers=2
+    "PipelineConfig(workers=)": (
+        lambda f: repro.PipelineConfig(num_blocks=8, workers=2),
+        "unexpected keyword argument 'workers'",
     ),
-    "PipelineConfig(persistence=)": lambda f: repro.PipelineConfig(
-        num_blocks=8, persistence=0.25
+    "PipelineConfig(persistence=)": (
+        lambda f: repro.PipelineConfig(num_blocks=8, persistence=0.25),
+        "unexpected keyword argument 'persistence'",
     ),
-    "compute(workers=)": lambda f: repro.compute(
-        f, persistence=0.05, workers=1
+    "compute(workers=)": (
+        lambda f: repro.compute(f, persistence=0.05, workers=1),
+        "unexpected keyword argument 'workers'",
     ),
-    "compute_morse_smale_complex(f, 0.05)": lambda f: (
-        repro.compute_morse_smale_complex(f, 0.05)
+    "compute_morse_smale_complex(f, 0.05)": (
+        lambda f: repro.compute_morse_smale_complex(f, 0.05),
+        "takes 1 positional argument but 2 were given",
     ),
-    "extract_ms_complex(kernel_backend=)": lambda f: (
-        repro.morse.extract_ms_complex(_gradient(f), kernel_backend="dfs")
+    "extract_ms_complex(kernel_backend=)": (
+        lambda f: (
+            repro.morse.extract_ms_complex(_gradient(f), kernel_backend="dfs")
+        ),
+        "unexpected keyword argument 'kernel_backend'",
     ),
-    "ExecutionOptions(kernel_backend=)": lambda f: repro.ExecutionOptions(
-        kernel_backend="pointer"
+    "ExecutionOptions(kernel_backend=)": (
+        lambda f: repro.ExecutionOptions(kernel_backend="pointer"),
+        "unexpected keyword argument 'kernel_backend'",
     ),
-    "compute --kernel-backend": lambda f: _parse_cli(
-        "compute", "v.raw", "--dims", "4", "4", "4",
-        "--kernel-backend", "pointer",
+    "compute --kernel-backend": (
+        lambda f: _parse_cli(
+            "compute", "v.raw", "--dims", "4", "4", "4",
+            "--kernel-backend", "pointer",
+        ),
+        "unrecognized arguments: --kernel-backend",
     ),
-    "stream --kernel-backend": lambda f: _parse_cli(
-        "stream", "v.raw", "--dims", "4", "4", "4",
-        "--kernel-backend", "pointer",
+    "stream --kernel-backend": (
+        lambda f: _parse_cli(
+            "stream", "v.raw", "--dims", "4", "4", "4",
+            "--kernel-backend", "pointer",
+        ),
+        "unrecognized arguments: --kernel-backend",
     ),
-    "ExecutionOptions(merge_executor=)": lambda f: repro.ExecutionOptions(
-        merge_executor="serial"
+    "ExecutionOptions(merge_executor=)": (
+        lambda f: repro.ExecutionOptions(merge_executor="serial"),
+        "unexpected keyword argument 'merge_executor'",
     ),
-    "compute --merge-executor": lambda f: _parse_cli(
-        "compute", "v.raw", "--dims", "4", "4", "4",
-        "--merge-executor", "serial",
+    "compute --merge-executor": (
+        lambda f: _parse_cli(
+            "compute", "v.raw", "--dims", "4", "4", "4",
+            "--merge-executor", "serial",
+        ),
+        "unrecognized arguments: --merge-executor",
     ),
-    "ExecutionOptions(executor=)": lambda f: repro.ExecutionOptions(
-        executor="auto"
+    "ExecutionOptions(executor=)": (
+        lambda f: repro.ExecutionOptions(executor="auto"),
+        "unexpected keyword argument 'executor'",
     ),
-    "ExecutionOptions(transport=)": lambda f: repro.ExecutionOptions(
-        transport="auto"
+    "ExecutionOptions(transport=)": (
+        lambda f: repro.ExecutionOptions(transport="auto"),
+        "unexpected keyword argument 'transport'",
     ),
-    "compute --executor": lambda f: _parse_cli(
-        "compute", "v.raw", "--dims", "4", "4", "4",
-        "--executor", "auto",
+    "compute --executor": (
+        lambda f: _parse_cli(
+            "compute", "v.raw", "--dims", "4", "4", "4",
+            "--executor", "auto",
+        ),
+        "unrecognized arguments: --executor",
     ),
-    "stream --transport": lambda f: _parse_cli(
-        "stream", "v.raw", "--dims", "4", "4", "4",
-        "--transport", "auto",
+    "stream --transport": (
+        lambda f: _parse_cli(
+            "stream", "v.raw", "--dims", "4", "4", "4",
+            "--transport", "auto",
+        ),
+        "unrecognized arguments: --transport",
     ),
-    "FaultTolerantExecutor(kind=)": lambda f: (
-        repro.parallel.FaultTolerantExecutor(kind="serial")
+    "FaultTolerantExecutor(kind=)": (
+        lambda f: repro.parallel.FaultTolerantExecutor(kind="serial"),
+        "unexpected keyword argument 'kind'",
     ),
-    "ExecutionOptions.resolve_transport": lambda f: (
-        repro.ExecutionOptions(workers=2).resolve_transport("memory")
+    "ExecutionOptions.resolve_transport": (
+        lambda f: (
+            repro.ExecutionOptions(workers=2).resolve_transport("memory")
+        ),
+        "has no attribute 'resolve_transport'",
     ),
-    "repro.parallel.transport": lambda f: importlib.import_module(
-        "repro.parallel.transport"
+    "repro.parallel.transport": (
+        lambda f: importlib.import_module("repro.parallel.transport"),
+        "No module named 'repro.parallel.transport'",
     ),
-    "compute(metrics=)": lambda f: repro.compute(f, metrics=True),
-    "PipelineConfig(metrics=)": lambda f: repro.PipelineConfig(
-        num_blocks=8, metrics=True
+    "compute(metrics=)": (
+        lambda f: repro.compute(f, metrics=True),
+        "unexpected keyword argument 'metrics'",
     ),
-    "open_session(metrics=)": lambda f: repro.open_session(metrics=True),
-    "repro.PipelineSession": lambda f: repro.PipelineSession,
-    "repro.core.session": lambda f: importlib.import_module(
-        "repro.core.session"
+    "PipelineConfig(metrics=)": (
+        lambda f: repro.PipelineConfig(num_blocks=8, metrics=True),
+        "unexpected keyword argument 'metrics'",
     ),
-    "InSituAnalyzer.session": lambda f: importlib.import_module(
-        "repro.core.insitu"
-    ).InSituAnalyzer(repro.PipelineConfig()).session,
-    "gen": lambda f: _parse_cli("gen", "sinusoid", "v.raw"),
-    "synth --slab-depth": lambda f: _parse_cli(
-        "synth", "sinusoid", "v.raw", "--slab-depth", "4"
+    "open_session(metrics=)": (
+        lambda f: repro.open_session(metrics=True),
+        "unexpected keyword argument 'metrics'",
     ),
-    "compute(faults=)": lambda f: repro.compute(f, faults=None),
-    "open_session(faults=)": lambda f: repro.open_session(faults=None),
-    "PipelineConfig(faults=)": lambda f: repro.PipelineConfig(
-        num_blocks=8, faults=None
+    "repro.PipelineSession": (
+        lambda f: repro.PipelineSession,
+        "has no attribute 'PipelineSession'",
     ),
-    "ServiceClient.submit(faults=)": lambda f: inspect.signature(
-        repro.ServiceClient.submit
-    ).bind(None, f, faults=None),
-    "repro.parallel.faults": lambda f: importlib.import_module(
-        "repro.parallel.faults"
+    "repro.core.session": (
+        lambda f: importlib.import_module("repro.core.session"),
+        "No module named 'repro.core.session'",
     ),
-    "repro.parallel.FaultPlan": lambda f: repro.parallel.FaultPlan,
-    "repro.core.merge.merge_with_retries": lambda f: importlib.import_module(
-        "repro.core.merge"
-    ).merge_with_retries,
-    "repro.io.mscfile.MAGIC": lambda f: importlib.import_module(
-        "repro.io.mscfile"
-    ).MAGIC,
-    "repro.io.mscfile.MAGIC_V2": lambda f: importlib.import_module(
-        "repro.io.mscfile"
-    ).MAGIC_V2,
-    "repro.analysis.compare": lambda f: importlib.import_module(
-        "repro.analysis.compare"
+    "InSituAnalyzer.session": (
+        lambda f: importlib.import_module(
+            "repro.core.insitu"
+        ).InSituAnalyzer(repro.PipelineConfig(num_blocks=8)).session,
+        "has no attribute 'session'",
     ),
-    "repro.service.PersistenceProvider": lambda f: (
-        repro.service.PersistenceProvider
+    "gen": (
+        lambda f: _parse_cli("gen", "sinusoid", "v.raw"),
+        "invalid choice: 'gen'",
     ),
-    "repro.service.FileSystemPersistenceProvider": lambda f: (
-        repro.service.FileSystemPersistenceProvider
+    "synth --slab-depth": (
+        lambda f: _parse_cli(
+            "synth", "sinusoid", "v.raw", "--slab-depth", "4"
+        ),
+        "unrecognized arguments: --slab-depth",
     ),
-    "ResultStore(provider=)": lambda f: inspect.signature(
-        repro.service.ResultStore
-    ).bind("cache", provider=None),
-    "ResultStore.contains": lambda f: repro.service.ResultStore.contains,
-    "ExecutionOptions.fingerprint": lambda f: (
-        repro.ExecutionOptions().fingerprint
+    "compute(faults=)": (
+        lambda f: repro.compute(f, faults=None),
+        "unexpected keyword argument 'faults'",
     ),
-    "PipelineConfig.fingerprint": lambda f: repro.PipelineConfig(
-        num_blocks=8
-    ).fingerprint,
+    "open_session(faults=)": (
+        lambda f: repro.open_session(faults=None),
+        "unexpected keyword argument 'faults'",
+    ),
+    "PipelineConfig(faults=)": (
+        lambda f: repro.PipelineConfig(num_blocks=8, faults=None),
+        "unexpected keyword argument 'faults'",
+    ),
+    "ServiceClient.submit(faults=)": (
+        lambda f: inspect.signature(
+            repro.ServiceClient.submit
+        ).bind(None, f, faults=None),
+        "unexpected keyword argument 'faults'",
+    ),
+    "repro.parallel.faults": (
+        lambda f: importlib.import_module("repro.parallel.faults"),
+        "No module named 'repro.parallel.faults'",
+    ),
+    "repro.parallel.FaultPlan": (
+        lambda f: repro.parallel.FaultPlan,
+        "has no attribute 'FaultPlan'",
+    ),
+    "repro.core.merge.merge_with_retries": (
+        lambda f: importlib.import_module(
+            "repro.core.merge"
+        ).merge_with_retries,
+        "has no attribute 'merge_with_retries'",
+    ),
+    "repro.io.mscfile.MAGIC": (
+        lambda f: importlib.import_module("repro.io.mscfile").MAGIC,
+        "has no attribute 'MAGIC'",
+    ),
+    "repro.io.mscfile.MAGIC_V2": (
+        lambda f: importlib.import_module("repro.io.mscfile").MAGIC_V2,
+        "has no attribute 'MAGIC_V2'",
+    ),
+    "repro.analysis.compare": (
+        lambda f: importlib.import_module("repro.analysis.compare"),
+        "No module named 'repro.analysis.compare'",
+    ),
+    "repro.service.PersistenceProvider": (
+        lambda f: (repro.service.PersistenceProvider),
+        "has no attribute 'PersistenceProvider'",
+    ),
+    "repro.service.FileSystemPersistenceProvider": (
+        lambda f: (repro.service.FileSystemPersistenceProvider),
+        "has no attribute 'FileSystemPersistenceProvider'",
+    ),
+    "ResultStore(provider=)": (
+        lambda f: inspect.signature(
+            repro.service.ResultStore
+        ).bind("cache", provider=None),
+        "unexpected keyword argument 'provider'",
+    ),
+    "ResultStore.contains": (
+        lambda f: repro.service.ResultStore.contains,
+        "has no attribute 'contains'",
+    ),
+    "ExecutionOptions.fingerprint": (
+        lambda f: (repro.ExecutionOptions().fingerprint),
+        "has no attribute 'fingerprint'",
+    ),
+    "PipelineConfig.fingerprint": (
+        lambda f: repro.PipelineConfig(num_blocks=8).fingerprint,
+        "has no attribute 'fingerprint'",
+    ),
     **{
         f"ExecutionOptions({name}=)": (
-            lambda f, name=name: repro.ExecutionOptions(**{name: 1})
+            lambda f, name=name: repro.ExecutionOptions(**{name: 1}),
+            f"unexpected keyword argument '{name}'",
         )
         for name in ("block_timeout", "max_retries", "retry_backoff",
                      "degrade_on_failure", "max_pool_restarts")
     },
-    "repro.parallel.RetryPolicy": lambda f: repro.parallel.RetryPolicy,
-    "repro.parallel.executor.BlockTimeoutError": lambda f: (
-        importlib.import_module("repro.parallel.executor").BlockTimeoutError
+    "repro.parallel.RetryPolicy": (
+        lambda f: repro.parallel.RetryPolicy,
+        "has no attribute 'RetryPolicy'",
+    ),
+    "repro.parallel.executor.BlockTimeoutError": (
+        lambda f: (
+            importlib.import_module("repro.parallel.executor").BlockTimeoutError
+        ),
+        "has no attribute 'BlockTimeoutError'",
     ),
     **{
         f"repro.machine.{name}": (
             lambda f, name=name: getattr(
                 importlib.import_module("repro.machine"), name
-            )
+            ),
+            f"has no attribute '{name}'",
         )
         for name in ("ComputeWork", "MergeWork", "MergeRecord")
     },
@@ -481,40 +576,97 @@ REMOVED_SPELLINGS = {
         f"repro.machine.replay.{name}": (
             lambda f, name=name: getattr(
                 importlib.import_module("repro.machine.replay"), name
-            )
+            ),
+            f"has no attribute '{name}'",
         )
         for name in ("MergeCost", "MachineReplay")
     },
-    "CostModel.compute_time(work)": lambda f: importlib.import_module(
-        "repro.machine.costmodel"
-    ).CostModel().compute_time(
-        types.SimpleNamespace(cells=1, geometry_cells=0, cancellations=0)
+    "CostModel.compute_time(work)": (
+        lambda f: importlib.import_module(
+            "repro.machine.costmodel"
+        ).CostModel().compute_time(
+            types.SimpleNamespace(cells=1, geometry_cells=0, cancellations=0)
+        ),
+        "missing 2 required positional arguments",
     ),
-    "replay_run(compute_work=)": lambda f: inspect.signature(
-        importlib.import_module("repro.machine.replay").replay_run
-    ).bind(None, vertex_bytes=8, workers=1, compute_work={}, merges=[],
-           output_nbytes={}),
-    "BlockPayload(cells=)": lambda f: inspect.signature(
-        importlib.import_module("repro.core.pipeline").BlockPayload
-    ).bind_partial(cells=1),
-    "MergeOutcome(nodes_after=)": lambda f: inspect.signature(
-        importlib.import_module("repro.core.merge").MergeOutcome
-    ).bind_partial(nodes_after=1),
-    "PipelineResult(output_blobs=None)": lambda f: inspect.signature(
-        importlib.import_module("repro.core.result").PipelineResult
-    ).bind({}, None, None, None),
+    "replay_run(compute_work=)": (
+        lambda f: inspect.signature(
+            importlib.import_module("repro.machine.replay").replay_run
+        ).bind(None, vertex_bytes=8, workers=1, blocks=[], compute_work={},
+               merges=[], output_nbytes={}),
+        "unexpected keyword argument 'compute_work'",
+    ),
+    "BlockPayload(cells=)": (
+        lambda f: inspect.signature(
+            importlib.import_module("repro.core.pipeline").BlockPayload
+        ).bind_partial(cells=1),
+        "unexpected keyword argument 'cells'",
+    ),
+    "MergeOutcome(nodes_after=)": (
+        lambda f: inspect.signature(
+            importlib.import_module("repro.core.merge").MergeOutcome
+        ).bind_partial(nodes_after=1),
+        "unexpected keyword argument 'nodes_after'",
+    ),
+    "PipelineResult(output_blobs=None)": (
+        lambda f: inspect.signature(
+            importlib.import_module("repro.core.result").PipelineResult
+        ).bind({}, None, None, None),
+        "missing a required argument: 'output_blobs'",
+    ),
+    **{
+        f"CubicalComplex.{name}": (
+            lambda f, name=name: getattr(_complex(f), name),
+            f"'CubicalComplex' object has no attribute '{name}'",
+        )
+        for name in ("order_rank", "cells_by_dim", "boundary_sig",
+                     "cell_value", "global_address", "cell_dim", "valid",
+                     "euler_characteristic")
+    },
+    "GradientField.continuation_tables": (
+        lambda f: _gradient(f).continuation_tables,
+        "'GradientField' object has no attribute 'continuation_tables'",
+    ),
+    "repro.mesh.boundary_signature": (
+        lambda f: repro.mesh.boundary_signature,
+        "has no attribute 'boundary_signature'",
+    ),
+    "repro.mesh.addressing.boundary_signature": (
+        lambda f: importlib.import_module(
+            "repro.mesh.addressing"
+        ).boundary_signature,
+        "has no attribute 'boundary_signature'",
+    ),
+    **{
+        f"repro.morse.vectorfield.{name}": (
+            lambda f, name=name: getattr(
+                importlib.import_module("repro.morse.vectorfield"), name
+            ),
+            f"has no attribute '{name}'",
+        )
+        for name in ("CONT_CRITICAL", "CONT_DEAD")
+    },
 }
 
 
 class TestDeprecationShims:
     @pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
-    def test_removed_spelling_fails_loudly(self, spelling, facade_field):
+    def test_removed_spelling_fails_loudly(self, spelling, facade_field,
+                                           capsys):
+        """Each row fails for the reason it names: its error (or, for an
+        argparse exit, stderr) contains the row's text, so a call that
+        fails for another reason, such as a missing required field,
+        proves nothing and fails here."""
+        call, text = REMOVED_SPELLINGS[spelling]
         with pytest.raises(
             (TypeError, AttributeError, ImportError, SystemExit)
         ) as err:
-            REMOVED_SPELLINGS[spelling](facade_field)
+            call(facade_field)
         if err.type is SystemExit:
             assert err.value.code == 2  # argparse usage error
+            assert text in capsys.readouterr().err
+        else:
+            assert text in str(err.value)
 
     @pytest.mark.parametrize("name", ["runtime", "comm", "mpibackend"])
     def test_virtual_mpi_modules_are_gone(self, name):

@@ -20,7 +20,8 @@ the dataclass.
 
 docs/OBSERVABILITY.md's metrics table, its ``{a,b}`` brace groups
 expanded, names exactly the series ``run_metrics`` emits for a pooled
-run with a spill budget.
+run with a spill budget, and its span table names exactly the spans
+whose ``span("…")`` literals appear under ``src/``.
 """
 
 import importlib
@@ -198,5 +199,23 @@ def test_metrics_table_names_the_series():
         options=ExecutionOptions(workers=2, merge_spill_budget_bytes=0),
     )
     emitted = set(result.stats.metrics)
+    assert sorted(documented - emitted) == [], "documented, not emitted"
+    assert sorted(emitted - documented) == [], "emitted, not documented"
+
+
+#: the first argument of a ``span(...)`` call, a plain string literal
+SPAN_CALL = re.compile(r"\.span\(\s*\"([^\"]+)\"")
+
+
+def test_span_names_are_emitted():
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    start = text.index("| span | emitted by | arguments |")
+    rows = text[start:text.index("\n\n", start)].splitlines()[2:]
+    documented = {SPAN.search(row.split("|")[1]).group(1) for row in rows}
+    emitted = {
+        name
+        for path in (ROOT / "src").rglob("*.py")
+        for name in SPAN_CALL.findall(path.read_text())
+    }
     assert sorted(documented - emitted) == [], "documented, not emitted"
     assert sorted(emitted - documented) == [], "emitted, not documented"

@@ -1,15 +1,16 @@
-"""Tests for repro.mesh.addressing: global addresses and signatures."""
+"""Tests for repro.mesh.addressing (global addresses, cut planes) and the
+full boundary signature the gradient oracle reads."""
 
 import numpy as np
 import pytest
 
 from repro.mesh.addressing import (
     address_to_coords,
-    boundary_signature,
     cut_planes_from_splits,
     global_refined_address,
     refined_dims,
 )
+from tests.reference_gradient import boundary_signature
 
 
 def test_refined_dims():

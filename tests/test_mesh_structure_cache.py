@@ -12,8 +12,8 @@ tests pin what makes that safe and small:
   their boundary signatures bleeding into each other;
 - transparency: computing through a warm memo is bit-identical to
   computing right after :func:`clear_structure_cache`;
-- ownership: celltype, dimension and the valid mask are built per block,
-  match their definitions, and die with the complex.
+- ownership: the two per-cell arrays (celltype, key word 0) are built
+  per block, match their definitions, and die with the complex.
 """
 
 import dataclasses
@@ -35,6 +35,10 @@ from repro.mesh.cubical import (
 )
 from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.tracing import extract_ms_complex
+from tests.reference_gradient import full_signature
+
+#: blocks placed so that their low x face lies on refined plane 4
+_PLACED = dict(refined_origin=(4, 0, 0), global_refined_dims=(13, 13, 13))
 
 
 def _field(shape, seed=0):
@@ -43,7 +47,7 @@ def _field(shape, seed=0):
 
 
 def _msc_blob(values, cut_planes=None):
-    cx = CubicalComplex(values, cut_planes=cut_planes)
+    cx = CubicalComplex(values, cut_planes=cut_planes, **_PLACED)
     msc = extract_ms_complex(compute_discrete_gradient(cx))
     msc.compact()
     return pack_complex(msc)
@@ -77,11 +81,11 @@ class TestCacheKeying:
         values = _field((5, 5, 5), seed=3)
         empty = (np.array([]), np.array([]), np.array([]))
         cut = (np.array([4]), np.array([]), np.array([]))
-        a = CubicalComplex(values, cut_planes=empty)
-        b = CubicalComplex(values, cut_planes=cut)
+        a = CubicalComplex(values, cut_planes=empty, **_PLACED)
+        b = CubicalComplex(values, cut_planes=cut, **_PLACED)
         assert a.tables is b.tables
-        assert not (a.boundary_sig[a.valid] != 0).any()
-        assert (b.boundary_sig[b.valid] != 0).any()
+        assert a.cut_faces == ((False, False),) * 3
+        assert b.cut_faces == ((True, False),) + ((False, False),) * 2
 
     def test_cache_hits_and_misses_are_observable(self):
         clear_structure_cache()
@@ -116,7 +120,7 @@ class TestCacheTransparency:
 
 
 class TestPerBlockArrays:
-    """celltype / cell_dim / valid are the block's own, by definition."""
+    """celltype / key are the block's own, by definition."""
 
     @pytest.mark.parametrize(
         "shape, origin, gdims, cuts",
@@ -136,20 +140,22 @@ class TestPerBlockArrays:
             global_refined_dims=gdims, cut_planes=cuts,
         )
         px, py, pz = cx.padded_shape
+        sig = full_signature(cx, cuts)
+        on_cut = cx.on_cut(np.arange(cx.num_padded))
         for p, (k, j, i) in enumerate(
             itertools.product(range(pz), range(py), range(px))
         ):
             interior = 0 < i < px - 1 and 0 < j < py - 1 and 0 < k < pz - 1
-            assert bool(cx.valid[p]) == interior
+            assert bool(cx.key[p]) == interior
             if not interior:
-                assert (cx.celltype[p], cx.cell_dim[p]) == (0, 0)
+                assert cx.celltype[p] == 0
                 continue
             ri, rj, rk = cx.refined_coords(p)
             t = (ri & 1) | (rj & 1) << 1 | (rk & 1) << 2
             assert cx.celltype[p] == t
-            assert cx.cell_dim[p] == bin(t).count("1")
-        assert cx.celltype.dtype == cx.cell_dim.dtype == np.uint8
-        assert cx.valid.dtype == bool
+            assert on_cut[p] == (sig[p] != 0)
+        assert cx.celltype.dtype == np.uint8
+        assert cx.key.dtype == np.uint64
 
 
 class TestPerCellMemoryLifetime:
@@ -163,9 +169,9 @@ class TestPerCellMemoryLifetime:
     def test_per_cell_arrays_die_with_their_complex(self):
         cx = CubicalComplex(_field((6, 5, 4), seed=2))
         refs = [weakref.ref(getattr(cx, name))
-                for name in ("celltype", "valid", "cell_dim")]
+                for name in ("celltype", "key")]
         del cx
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None, None]
 
     def test_no_complex_alive_while_compute_block_simplifies(
         self, monkeypatch

@@ -7,6 +7,7 @@ from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.validate import assert_acyclic
 from repro.parallel.decomposition import decompose
+from tests.reference_gradient import full_signature, valid_mask
 
 
 class TestSerialGradient:
@@ -66,8 +67,7 @@ class TestSerialGradient:
         cx = CubicalComplex(small_random_field)
         g = compute_discrete_gradient(cx)
         crit_max = g.critical_cells_by_dim()[3]
-        top = max(crit_max.tolist(), key=lambda p: cx.cell_value[p])
-        assert cx.cell_value[top] == small_random_field.max()
+        assert cx.cell_values(crit_max).max() == small_random_field.max()
 
 
 class TestBoundaryConsistency:
@@ -119,20 +119,21 @@ class TestBoundaryConsistency:
         g = compute_discrete_gradient(cx)
         from repro.morse.vectorfield import CRITICAL
 
-        for p in np.flatnonzero(cx.valid).tolist():
-            if cx.boundary_sig[p] and g.pairing[p] < CRITICAL:
+        sig = full_signature(cx, decomp.cut_planes)
+        on_cut = np.flatnonzero(valid_mask(cx) & (sig > 0))
+        assert cx.on_cut(on_cut).all()
+        for p in on_cut.tolist():
+            if g.pairing[p] < CRITICAL:
                 q = g.pair_of(p)
-                assert cx.boundary_sig[q] == cx.boundary_sig[p]
+                assert sig[q] == sig[p]
 
 
 def _shared_cells(cxa, cxb):
     """Pairs of padded indices referring to the same global cell."""
     out = []
-    amap = {}
-    for p in np.flatnonzero(cxa.valid).tolist():
-        amap[int(cxa.global_address[p])] = p
-    for p in np.flatnonzero(cxb.valid).tolist():
-        addr = int(cxb.global_address[p])
+    a, b = (np.flatnonzero(valid_mask(cx)) for cx in (cxa, cxb))
+    amap = dict(zip(cxa.global_addresses(a).tolist(), a.tolist()))
+    for p, addr in zip(b.tolist(), cxb.global_addresses(b).tolist()):
         if addr in amap:
             out.append((amap[addr], p))
     return out

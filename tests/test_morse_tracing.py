@@ -11,6 +11,7 @@ from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.tracing import _trace_down_many, extract_ms_complex, trace_down
 from repro.morse.vectorfield import CRITICAL, SENTINEL, GradientField
 from repro.morse.validate import assert_ms_complex_valid
+from tests.reference_gradient import cell_dims, valid_mask
 
 
 @pytest.fixture
@@ -26,14 +27,14 @@ class TestTraceDown:
                 for path in trace_down(field, c):
                     assert path[0] == c
                     assert field.is_critical(path[-1])
-                    assert field.complex.cell_dim[path[-1]] == d - 1
+                    assert cell_dims(field.complex)[path[-1]] == d - 1
 
     def test_paths_alternate_dimensions(self, field):
         crit_by_dim = field.critical_cells_by_dim()
         cx = field.complex
         for c in crit_by_dim[2][:5].tolist():
             for path in trace_down(field, c):
-                dims = [int(cx.cell_dim[p]) for p in path]
+                dims = cell_dims(cx)[path].tolist()
                 assert dims[0] == 2 and dims[-1] == 1
                 for a, b in zip(dims, dims[1:]):
                     assert abs(a - b) == 1
@@ -43,7 +44,7 @@ class TestTraceDown:
         cx = field.complex
         for c in field.critical_cells_by_dim()[1][:10].tolist():
             for path in trace_down(field, c):
-                vals = cx.cell_value[path]
+                vals = cx.cell_values(np.array(path))
                 assert np.all(np.diff(vals) <= 1e-12)
 
     def test_monotone_field_no_arcs(self, monotone_field):
@@ -101,7 +102,7 @@ class TestExtractMSComplex:
     def test_no_arc_runs_uphill_on_float64_input(self):
         """Samples 1e-6 apart collapse to a handful of float32 values;
         the SoS order must still follow the exact float64 samples that
-        ``cell_value`` (and persistence) read."""
+        ``cell_values`` (and persistence) read."""
         v = 1.0 + np.random.default_rng(0).random((12, 12, 12)) * 1e-6
         assert np.unique(v.astype(np.float32)).size < 16
         msc = extract_ms_complex(compute_discrete_gradient(CubicalComplex(v)))
@@ -127,7 +128,7 @@ class TestTracerFootprint:
         edge around it, and a critical z-edge descends into the loop."""
         cx = CubicalComplex(np.arange(8.0).reshape(2, 2, 2))
         pairing = np.full(cx.num_padded, SENTINEL, dtype=np.uint8)
-        pairing[cx.valid] = CRITICAL
+        pairing[valid_mask(cx)] = CRITICAL
         # (vertex, code toward its edge), then (edge, code back)
         loop = [((0, 0, 0), 0), ((2, 0, 0), 2), ((2, 2, 0), 1),
                 ((0, 2, 0), 3)]

@@ -5,12 +5,12 @@ import pytest
 
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
-from repro.morse.vectorfield import (
+from repro.morse.vectorfield import CRITICAL, UNASSIGNED, GradientField
+from tests.reference_gradient import cell_dims, cells_by_dim, valid_mask
+from tests.reference_tracing import (
     CONT_CRITICAL,
     CONT_DEAD,
-    CRITICAL,
-    UNASSIGNED,
-    GradientField,
+    continuation_tables,
 )
 
 
@@ -27,12 +27,13 @@ def test_one_byte_per_element(field):
 
 def test_pair_of_roundtrip(field):
     cx = field.complex
+    dims = cell_dims(cx).astype(int)
     for p in np.flatnonzero(
-        cx.valid & (field.pairing < CRITICAL)
+        valid_mask(cx) & (field.pairing < CRITICAL)
     )[:200].tolist():
         q = field.pair_of(p)
         assert field.pair_of(q) == p
-        assert abs(int(cx.cell_dim[p]) - int(cx.cell_dim[q])) == 1
+        assert abs(dims[p] - dims[q]) == 1
 
 
 def test_pair_of_critical_raises(field):
@@ -46,7 +47,17 @@ def test_critical_cells_by_dim_partition(field):
     allc = field.critical_cells()
     assert sum(len(c) for c in by_dim) == len(allc)
     for d, cells in enumerate(by_dim):
-        assert np.all(field.complex.cell_dim[cells] == d)
+        assert np.all(cell_dims(field.complex)[cells] == d)
+
+
+def test_critical_cells_are_in_sos_order(field):
+    """Node ids follow the critical cells' order: by dimension, then by
+    the full SoS key (the brute-force order, filtered)."""
+    crit = field.pairing == CRITICAL
+    want = [cells[crit[cells]] for cells in cells_by_dim(field.complex)]
+    got = field.critical_cells_by_dim()
+    for w, g in zip(want, got):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_counts_match_cells(field):
@@ -56,7 +67,7 @@ def test_counts_match_cells(field):
 
 def test_assert_complete_detects_unassigned(field):
     bad = field.pairing.copy()
-    valid_cells = np.flatnonzero(field.complex.valid)
+    valid_cells = np.flatnonzero(valid_mask(field.complex))
     bad[valid_cells[0]] = UNASSIGNED
     broken = GradientField(field.complex, bad)
     with pytest.raises(AssertionError):
@@ -66,7 +77,7 @@ def test_assert_complete_detects_unassigned(field):
 def test_assert_complete_detects_non_mutual_pairing(field):
     bad = field.pairing.copy()
     cx = field.complex
-    paired = np.flatnonzero(cx.valid & (bad < CRITICAL))
+    paired = np.flatnonzero(valid_mask(cx) & (bad < CRITICAL))
     p = int(paired[0])
     # flip the direction so the partner no longer points back
     bad[p] = bad[p] ^ 1 if bad[p] % 2 == 0 else bad[p] - 1
@@ -85,13 +96,14 @@ def test_continuation_tables_follow_their_definition(field):
     up) continues into its head, with the head's celltype and the
     pairing code as key; a critical cell ends the path; the rest die."""
     cx = field.complex
-    cont, ckey = field.continuation_tables()
+    cont, ckey = continuation_tables(field)
+    dims = cell_dims(cx)
     for p in range(cx.num_padded):
         code = int(field.pairing[p])
         head = field.pair_of(p) if code < CRITICAL else p
         if code == CRITICAL:
             assert (cont[p], ckey[p]) == (CONT_CRITICAL, 0)
-        elif cx.cell_dim[head] > cx.cell_dim[p]:
+        elif dims[head] > dims[p]:
             assert (cont[p], ckey[p]) == (head, cx.celltype[head] * 6 + code)
         else:
             assert (cont[p], ckey[p]) == (CONT_DEAD, 0)

@@ -150,21 +150,23 @@ class TestPipelineTrace:
         assert sweep.args == {
             "cells": cx.num_cells,
             "critical": sum(field.critical_counts()),
+            "tied": 0,
         }
 
-    def test_each_block_ranks_once_and_traces_in_one_kernel_call(self):
-        """`mesh.rank` splits `compute.build`; `trace.arcs` wraps one
+    def test_each_block_keys_once_and_traces_in_one_kernel_call(self):
+        """`mesh.key` splits `compute.build`; `trace.arcs` wraps one
         kernel call over the saddles and maxima of its block."""
         events = _traced_result().stats.trace.events
         per_name = {}
         for e in events:
             per_name.setdefault(e.name, []).append(e)
         assert len(per_name["compute.block"]) == 8
-        for name in ("mesh.rank", "trace.arcs", "trace.pointer.expand",
+        for name in ("mesh.key", "trace.arcs", "trace.pointer.expand",
                      "trace.pointer.order", "trace.pointer.geometry"):
             assert len(per_name[name]) == 8, name
-        for e in per_name["mesh.rank"]:
+        for e in per_name["mesh.key"]:
             assert e.args["words"] == [1, 1, 1, 2]
+        for e in per_name["gradient.sweep"]:
             assert e.args["tied"] == 0
 
     def test_every_block_has_a_compute_span(self):

@@ -8,6 +8,13 @@ choice; these tests assert that end-to-end on payload bytes, nodes,
 arcs, geometry, and persistence pairs.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -411,7 +418,7 @@ def _fake_pools(monkeypatch, *dies_at):
     healthy; returns the list of pools built."""
     pools = []
 
-    def build(max_workers):
+    def build(max_workers, initializer=None):
         k = len(pools)
         pools.append(_FakePool(dies_at[k] if k < len(dies_at) else None))
         return pools[-1]
@@ -437,7 +444,7 @@ class TestPoolBreaksDuringSubmit:
                 pass
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
-                            lambda max_workers: _DeadPool())
+                            lambda max_workers, initializer=None: _DeadPool())
         ex = FaultTolerantExecutor(workers=2, stats=FaultToleranceStats())
         with pytest.raises(ComputeStageError) as exc_info:
             ex.map_blocks(_Failing(), [_Spec(i) for i in range(3)])
@@ -476,3 +483,76 @@ class TestPoolBreaksDuringSubmit:
             assert ex.map_blocks(_Failing(), specs) == [0, 10, 20]
             assert ex.stats.pool_restarts == 2
             ex.close()
+
+
+# ---------------------------------------------------------------------------
+# the reverse death: a driver killed without closing its pool
+# ---------------------------------------------------------------------------
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of /proc/PID/stat after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return None
+
+
+def _children(pid: int) -> list[int]:
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == str(pid):
+                out.append(int(entry))
+    return out
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (the new parent need not reap it)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_driver_is_killed(self, tmp_path):
+        """A `repro compute` driver killed by SIGKILL (the OOM killer's
+        signal) never closes its pool; its two workers must notice the
+        lost parent and exit within a few seconds, not block on their
+        call pipe."""
+        import repro
+
+        spec = write_volume(tmp_path / "v.raw", sinusoidal_field(64, 4),
+                            dtype="float32")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        driver = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "compute", spec.path,
+             "--dims", "64", "64", "64", "--dtype", "float32",
+             "--blocks", "8", "--workers", "2", "--persistence", "0.05",
+             "--output", str(tmp_path / "out.msc")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and driver.poll() is None:
+                assert time.monotonic() < deadline, "no pool appeared"
+                workers = _children(driver.pid)
+                time.sleep(0.01)
+            assert len(workers) == 2, "the run ended before its pool was seen"
+            os.kill(driver.pid, signal.SIGKILL)
+            driver.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            driver.kill()
+            driver.wait(timeout=30)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -5,9 +5,10 @@ instead of visiting cells one by one.  The shared-face guarantee of
 §IV-C needs the *same* field, not merely a valid one, so every case
 here compares the production ``pairing`` bytes with the oracle loop of
 `tests/reference_gradient.py`: random fields, plateaus and constant
-fields (where only the SoS rank decides), blocks one cell thick, and
+fields (where only the SoS order decides), blocks one cell thick,
 multi-block decompositions whose cut planes produce every boundary
-signature 0-7.
+signature 0-7, and blocks whose compared neighbours tie in word 0 of
+their keys.
 """
 
 from __future__ import annotations
@@ -20,14 +21,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data import sinusoidal_field
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
+from repro.obs.trace import Tracer
 from repro.parallel.decomposition import decompose
-from tests.reference_gradient import reference_pairing
+from tests.reference_gradient import (
+    full_signature,
+    reference_pairing,
+    valid_mask,
+)
 
 
 def block_complexes(values: np.ndarray, blocks: int, splits=None):
     """One `CubicalComplex` per block of the decomposition of ``values``."""
+    for cx, _ in cut_blocks(values, blocks, splits):
+        yield cx
+
+
+def cut_blocks(values: np.ndarray, blocks: int, splits=None):
+    """`block_complexes` with the decomposition's cut planes, which the
+    oracle needs for the full signature."""
     decomp = decompose(values.shape, blocks, splits=splits)
     for b in range(decomp.num_blocks):
         box = decomp.block_box(decomp.block_coords(b))
@@ -36,12 +50,12 @@ def block_complexes(values: np.ndarray, blocks: int, splits=None):
             refined_origin=box.refined_origin,
             global_refined_dims=decomp.global_refined_dims,
             cut_planes=decomp.cut_planes,
-        )
+        ), decomp.cut_planes
 
 
-def assert_equals_oracle(cx: CubicalComplex) -> None:
+def assert_equals_oracle(cx: CubicalComplex, cut_planes=None) -> None:
     got = compute_discrete_gradient(cx).pairing
-    want = reference_pairing(cx)
+    want = reference_pairing(cx, cut_planes)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
@@ -78,16 +92,17 @@ def test_two_vertex_axis_equals_oracle(values, axis):
                      (2, 1, 2), (1, 2, 2), (2, 2, 2)]),
 )
 def test_multi_block_equals_oracle(values, splits):
-    for cx in block_complexes(values, int(np.prod(splits)), splits):
-        assert_equals_oracle(cx)
+    for cx, cuts in cut_blocks(values, int(np.prod(splits)), splits):
+        assert_equals_oracle(cx, cuts)
 
 
 def test_every_signature_class_is_exercised():
     """A 2x2x2 blocking puts all eight signatures 0-7 in every block."""
     values = np.random.default_rng(5).integers(0, 3, (5, 5, 5)).astype(float)
-    for cx in block_complexes(values, 8):
-        assert set(np.unique(cx.boundary_sig[cx.valid])) == set(range(8))
-        assert_equals_oracle(cx)
+    for cx, cuts in cut_blocks(values, 8):
+        sig = full_signature(cx, cuts)[valid_mask(cx)]
+        assert set(np.unique(sig)) == set(range(8))
+        assert_equals_oracle(cx, cuts)
 
 
 def _benchmark_workloads():
@@ -110,5 +125,27 @@ def _benchmark_workloads():
 )
 def test_benchmark_base_fields_equal_oracle(workload):
     values = workload.base_field(workload.smoke_dims)
-    for cx in block_complexes(values, workload.blocks):
+    for cx, cuts in cut_blocks(values, workload.blocks):
+        assert_equals_oracle(cx, cuts)
+
+
+@pytest.mark.parametrize("shape, levels", [((24, 24, 24), 2**12),
+                                           ((17, 17, 17), 0)])
+def test_word_zero_ties_equal_oracle(shape, levels):
+    """Blocks whose multi-word keys tie in word 0 between compared
+    neighbours, so the full keys decide: a smooth field quantized to
+    2**12 levels (12-bit ranks, plateaus), and distinct random samples
+    whose 13-bit ranks leave four corners in a 3-cell's word 0 (two
+    cubes tie where their four largest corners are their shared
+    face)."""
+    if levels:
+        f = sinusoidal_field(shape[0], 3, dtype=np.float64, tilt=1e-2)
+        values = np.floor((f - f.min()) / np.ptp(f) * (levels - 1))
+    else:
+        values = np.random.default_rng(11).random(shape)
+    cx = CubicalComplex(values)
+    tracer = Tracer(enabled=True)
+    with tracer.installed():
         assert_equals_oracle(cx)
+    (sweep,) = tracer.spans("gradient.sweep")
+    assert sweep.args["tied"] > 0

@@ -26,6 +26,7 @@ from repro.morse.tracing import extract_ms_complex
 from repro.morse.validate import assert_acyclic, assert_ms_complex_valid
 from repro.parallel.decomposition import decompose
 from repro.parallel.radixk import MergeSchedule, full_merge_radices
+from tests.reference_gradient import full_signature, valid_mask
 
 
 @st.composite
@@ -115,8 +116,10 @@ def test_shared_boundary_gradients_agree(data):
             cut_planes=decomp.cut_planes,
         )
         g = compute_discrete_gradient(cx)
-        for p in np.flatnonzero(cx.valid & (cx.boundary_sig > 0)).tolist():
-            addr = int(cx.global_address[p])
+        sig = full_signature(cx, decomp.cut_planes)
+        on_cut = np.flatnonzero(valid_mask(cx) & (sig > 0))
+        for p, addr in zip(on_cut.tolist(),
+                           cx.global_addresses(on_cut).tolist()):
             code = int(g.pairing[p])
             if addr in pair_by_addr:
                 assert pair_by_addr[addr] == code

@@ -1,15 +1,27 @@
-"""The packed-key SoS rank must equal a plain ``sorted`` over its definition.
+"""The SoS comparator must agree with a plain ``sorted`` over its definition.
 
-`CubicalComplex` ranks the cells of each dimension by (descending exact
-vertex values, global address) from dense vertex ranks packed with the
-padded index into ``uint64`` words.  The brute force here builds the
-definition's keys from float64 samples and global addresses and sorts
-them with Python's ``sorted``; ``order_rank`` and ``cells_by_dim`` must
-match it on the inputs where a packing or ranking shortcut would break:
-two-vertex axes, plateaus, samples that collide in float32, signed
-zeros, integers above 2**24, blocks with an origin and cut planes, a
-block whose vertex ranks need 17 bits, and quantized blocks whose
-multi-word keys tie in their leading word.
+`CubicalComplex` keeps no rank.  The gradient compares word 0 of two
+cells' keys (``cx.key``: dense vertex ranks packed with the padded index
+into ``uint64``) and, only where word 0 ties, asks ``cx.precedes``, which
+reads the rest of the key from the vertex values; the critical cells are
+put in order by ``cx.sos_sorted``.  The brute force
+(``tests/reference_gradient.cells_by_dim``) builds the definition's keys
+(descending float64 samples, global address) and sorts them with Python's
+``sorted``.  Per dimension, with ``order`` the brute-force order:
+
+- ``cx.sos_sorted`` of all the cells equals ``order``;
+- word 0 is non-decreasing along ``order``, strictly where the key is
+  one word: for *every* pair, ``key[a] < key[b]`` implies ``a`` before
+  ``b``, and so the cells of equal word 0 are runs of ``order``;
+- ``cx.precedes`` orders every pair inside each run, both ways round,
+  and every pair of neighbours in ``order``.
+
+That covers every comparison the gradient can make, on the inputs where
+a packing or ranking shortcut would break: two-vertex axes, plateaus,
+samples that collide in float32, signed zeros, integers above 2**24,
+blocks with an origin and cut faces, a block whose vertex ranks need 17
+bits, and quantized blocks whose multi-word keys tie in their leading
+word.
 """
 
 from __future__ import annotations
@@ -22,49 +34,35 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data import sinusoidal_field
 from repro.mesh.cubical import CubicalComplex
+from repro.morse.gradient import compute_discrete_gradient
 from repro.obs.trace import Tracer
+from tests.reference_gradient import cells_by_dim
 
 
-def sos_brute_force(cx: CubicalComplex) -> list[list[int]]:
-    """Padded indices of each dimension's cells in SoS order."""
-    v = cx.vertex_values
-    px, py, _ = cx.padded_shape
-    out = []
-    for d in range(4):
-        cells = np.flatnonzero(cx.valid & (cx.cell_dim == d))
-        i, j, k = cells % px - 1, cells // px % py - 1, cells // (px * py) - 1
-        # one column per corner m; a corner off the cell's axes repeats
-        # the base vertex and is masked to -inf, which sorts it last
-        corners = np.stack([
-            np.where(
-                (mx <= i % 2) & (my <= j % 2) & (mz <= k % 2),
-                v[i // 2 + mx * (i % 2), j // 2 + my * (j % 2),
-                  k // 2 + mz * (k % 2)],
-                -np.inf,
-            )
-            for mx in (0, 1) for my in (0, 1) for mz in (0, 1)
-        ], axis=1)
-        corners = -np.sort(-corners, axis=1)[:, : 2 ** d]
-        keys = sorted(zip(
-            *corners.T.tolist(),
-            cx.global_address[cells].tolist(),
-            cells.tolist(),
-        ))
-        out.append([key[-1] for key in keys])
-    return out
-
-
-def assert_rank_is_sos_order(cx: CubicalComplex) -> None:
-    want = sos_brute_force(cx)
-    base = 0
-    for d in range(4):
-        assert cx.cells_by_dim[d].tolist() == want[d]
-        ranks = cx.order_rank[want[d]]
-        np.testing.assert_array_equal(
-            ranks, np.arange(base, base + len(want[d]))
-        )
-        base += len(want[d])
-    assert base == cx.num_cells
+def assert_comparator_is_sos_order(cx: CubicalComplex) -> int:
+    """Check ``cx``'s key words, ``precedes`` and ``sos_sorted`` against
+    the brute force; returns the number of cells in runs of tied word 0."""
+    tied = 0
+    for d, order in enumerate(cells_by_dim(cx)):
+        np.testing.assert_array_equal(cx.sos_sorted(order[::-1], d), order)
+        key = cx.key[order]
+        step = np.diff(key.astype(object))  # exact, no uint64 wrap
+        assert all(s >= 0 for s in step)
+        if cx.key_words[d] == 1:
+            assert all(s > 0 for s in step)
+        # runs of equal word 0: every pair both ways round
+        bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo > 1:
+                tied += hi - lo
+                a, b = map(np.array, zip(*itertools.combinations(
+                    order[lo:hi].tolist(), 2)))
+                assert cx.precedes(a, b, d).all()
+                assert not cx.precedes(b, a, d).any()
+        if order.size > 1:
+            assert cx.precedes(order[:-1], order[1:], d).all()
+            assert not cx.precedes(order[1:], order[:-1], d).any()
+    return tied
 
 
 @st.composite
@@ -92,11 +90,13 @@ def blocks(draw):
     )
     cut_planes = None
     if draw(st.booleans()):
+        # a decomposition cuts a block on its faces; planes of other
+        # blocks lie outside it
         cut_planes = tuple(
-            np.array(sorted(set(
-                draw(st.lists(st.integers(0, g // 2 - 1), max_size=2))
-            ))) * 2
-            for g in global_dims
+            np.array(sorted(set(draw(st.lists(st.sampled_from(
+                [c for c in range(0, g, 2) if not o < c < o + r - 1]
+            ), max_size=3)))), dtype=np.int64)
+            for o, r, g in zip(origin, refined, global_dims)
         )
     return v, origin, global_dims, cut_planes
 
@@ -109,7 +109,7 @@ def test_rank_equals_brute_force(block):
         v, refined_origin=origin, global_refined_dims=global_dims,
         cut_planes=cut_planes,
     )
-    assert_rank_is_sos_order(cx)
+    assert_comparator_is_sos_order(cx)
 
 
 def test_rank_equals_brute_force_with_17_bit_vertex_ranks():
@@ -118,7 +118,7 @@ def test_rank_equals_brute_force_with_17_bit_vertex_ranks():
     instead of four)."""
     v = np.random.default_rng(5).random((41, 41, 41))
     assert np.unique(v).size > 2**16
-    assert_rank_is_sos_order(CubicalComplex(v))
+    assert_comparator_is_sos_order(CubicalComplex(v))
 
 
 def _has_equal_vertex_keys(v: np.ndarray, d: int) -> bool:
@@ -143,7 +143,8 @@ def test_rank_resolves_tied_leading_words(placed):
     """A smooth 24**3 field quantized to 2**12 levels: 12-bit vertex
     ranks make the 2-cell key span two words, and plateaus give distinct
     2-cells equal vertex keys, so equal leading words must be ordered by
-    the rest of the key and the address tie-break."""
+    the rest of the key and the address tie-break — in the comparator,
+    and in the gradient, which meets such ties between neighbours."""
     f = sinusoidal_field(24, 3, dtype=np.float64, tilt=1e-2)
     v = np.floor((f - f.min()) / np.ptp(f) * (2**12 - 1))
     vbits = (np.unique(v).size - 1).bit_length()
@@ -156,12 +157,14 @@ def test_rank_resolves_tied_leading_words(placed):
         kwargs = dict(
             refined_origin=(6, 0, 10),
             global_refined_dims=(61, 47, 65),
-            cut_planes=(np.array([6, 30]), np.array([24]), np.array([40])),
+            cut_planes=(np.array([6, 52]), np.array([]), np.array([10])),
         )
     tracer = Tracer(enabled=True)
     with tracer.installed():
         cx = CubicalComplex(v, **kwargs)
-    (span,) = tracer.spans("mesh.rank")
+        compute_discrete_gradient(cx)
+    (span,) = tracer.spans("mesh.key")
     assert span.args["words"][2:] == [2, 2]
-    assert span.args["tied"] > 0
-    assert_rank_is_sos_order(cx)
+    (sweep,) = tracer.spans("gradient.sweep")
+    assert sweep.args["tied"] > 0
+    assert assert_comparator_is_sos_order(cx) > 0
