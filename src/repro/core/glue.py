@@ -62,11 +62,9 @@ class GlueStats:
 class AddressIndex:
     """Sorted address -> node-id index over a complex's living nodes.
 
-    The vectorized counterpart of
-    :meth:`MorseSmaleComplex.address_index`: a whole address array is
-    resolved with one ``searchsorted`` join instead of per-node dict
-    probes.  Supports in-place extension as gluing adds nodes, so
-    merging several members into one root reuses a single index.
+    A whole address array is resolved with one ``searchsorted`` join.
+    Supports in-place extension as gluing adds nodes, so merging several
+    members into one root reuses a single index.
     """
 
     __slots__ = ("_addrs", "_ids")
@@ -120,7 +118,7 @@ class AddressIndex:
 def glue_into(
     root: MorseSmaleComplex,
     other: MorseSmaleComplex,
-    addr_index,
+    addr_index: AddressIndex,
     touched: set[int] | None = None,
 ) -> GlueStats:
     """Glue ``other`` into ``root`` in place.
@@ -133,11 +131,9 @@ def glue_into(
         A compacted complex received from a group member.  Must share
         ``global_refined_dims`` with the root.
     addr_index:
-        Address -> node-id map over the root's living nodes: either an
-        :class:`AddressIndex` (the fast path) or a plain dict (as
-        returned by :meth:`MorseSmaleComplex.address_index`).  Updated
-        in place so that gluing several members at the same root stays
-        linear-time.
+        The :class:`AddressIndex` over the root's living nodes
+        (``AddressIndex.from_complex(root)``), extended in place so that
+        gluing several members at the same root reuses one index.
     touched:
         Optional set collecting the root-side ids of every node the glue
         referenced (matched or newly added) — the seed set for
@@ -153,15 +149,7 @@ def glue_into(
 
     if nids.size:
         addrs = other.node_address[nids]
-        if isinstance(addr_index, dict):
-            get = addr_index.get
-            existing = np.fromiter(
-                (get(a, -1) for a in addrs.tolist()),
-                dtype=np.int64,
-                count=int(addrs.size),
-            )
-        else:
-            existing = addr_index.lookup(addrs)
+        existing = addr_index.lookup(addrs)
         hit = existing >= 0
         hit_nids = nids[hit]
         hit_ids = existing[hit]
@@ -191,12 +179,7 @@ def glue_into(
             )
             new_ids = first + np.arange(miss_nids.size, dtype=np.int64)
             node_map[miss_nids] = new_ids
-            if isinstance(addr_index, dict):
-                addr_index.update(
-                    zip(new_addrs.tolist(), new_ids.tolist())
-                )
-            else:
-                addr_index.extend(new_addrs, new_ids)
+            addr_index.extend(new_addrs, new_ids)
             stats.nodes_added = int(miss_nids.size)
 
         if touched is not None:

@@ -53,6 +53,10 @@ class MergeOutcome:
     glue: GlueStats
     boundary_nodes_freed: int
     cancellations: int
+    #: arcs the re-simplification created (``arcs_created`` summed)
+    created_arcs: int
+    #: ``root.nbytes()`` after compaction
+    root_nbytes: int
 
 
 def pack_complex(msc: MorseSmaleComplex) -> bytes:
@@ -112,4 +116,6 @@ def perform_merge(
         glue=glue_total,
         boundary_nodes_freed=len(freed),
         cancellations=len(cancels),
+        created_arcs=sum(c.arcs_created for c in cancels),
+        root_nbytes=root.nbytes(),
     )

@@ -793,6 +793,8 @@ class ParallelMSComplexPipeline:
                             nodes_glued=outcome.glue.nodes_added,
                             arcs_glued=outcome.glue.arcs_added,
                             cancellations=outcome.cancellations,
+                            created_arcs=outcome.created_arcs,
+                            root_nbytes=outcome.root_nbytes,
                         )
                 except Exception as exc:
                     raise MergeStageError(
@@ -810,6 +812,8 @@ class ParallelMSComplexPipeline:
                         arcs_glued=outcome.glue.arcs_added,
                         boundary_nodes_freed=outcome.boundary_nodes_freed,
                         cancellations=outcome.cancellations,
+                        created_arcs=outcome.created_arcs,
+                        root_nbytes=outcome.root_nbytes,
                         real_seconds=span.duration,
                     )
                 )

@@ -160,6 +160,10 @@ class MergeEventStats:
     arcs_glued: int
     boundary_nodes_freed: int
     cancellations: int
+    #: arcs the root's re-simplification created
+    created_arcs: int
+    #: the root's ``nbytes()`` after compaction
+    root_nbytes: int
     real_seconds: float
     #: bytes that crossed ranks to reach the root (same-rank members: 0)
     received_bytes: int = 0

@@ -30,10 +30,9 @@ copies.  The one per-scalar consumer is the cancellation loop of
 copies of the columns it reads (:class:`LoopLists`),
 where a list beats an ``ndarray`` one scalar at a time, and writes the
 appended records and killed flags back as arrays when it ends.  The
-incidence it needs — ``node_arcs`` and ``pair_multiplicity`` — is built
-from the living arcs in arc-id order on first use
-(:meth:`~MorseSmaleComplex.incidence`), kept (lazily pruned) across
-further simplifications, and dropped by ``compact``.
+incidence it needs — the arcs of each node and the living arcs per node
+pair — is built from the living arcs when a pass starts and dies with
+the pass: at rest a complex is only its records.
 
 The geometry store
 ------------------
@@ -156,14 +155,6 @@ class MorseSmaleComplex:
         for key, dtype in _NODE_COLUMNS:
             setattr(self, key, np.empty(0, dtype))
         self.node_alive = np.empty(0, bool)
-
-        #: incident arc ids per node (lazily pruned) and living-arc
-        #: multiplicity per node pair, keyed ``(upper << 32) | lower``
-        #: (``upper`` the endpoint of higher Morse index); ``None`` until
-        #: :meth:`incidence` builds them
-        self.node_arcs: list[list[int]] | None = None
-        self.pair_multiplicity: dict[int, int] | None = None
-
         self._clear_arcs()
 
         #: cancellations applied so far (coarsest-last); compact() keeps it
@@ -303,33 +294,21 @@ class MorseSmaleComplex:
             node_address=addresses, node_index=indexes, node_value=values,
             node_boundary=boundaries, node_alive=np.ones(k, bool),
         )
-        if self.node_arcs is not None:
-            self.node_arcs.extend([] for _ in range(k))
         return first
 
     def add_arcs(self, uppers, lowers, geoms) -> None:
         """Bulk-append living arcs: endpoint node ids and each arc's
-        geometry id.  The incidence, if built, is extended in arc-id
-        order."""
+        geometry id."""
         uppers, lowers, geoms = (
             np.asarray(c, np.int64) for c in (uppers, lowers, geoms)
         )
         if uppers.size == 0:
             return
         self._check_arc_indexes(uppers, lowers)
-        aid0 = self.arc_upper.size
         self._append(
             arc_upper=uppers, arc_lower=lowers, arc_geom=geoms,
             arc_alive=np.ones(uppers.size, bool),
         )
-        if self.node_arcs is not None:
-            node_arcs, pm = self.node_arcs, self.pair_multiplicity
-            pairs = zip(uppers.tolist(), lowers.tolist())
-            for aid, (u, v) in enumerate(pairs, aid0):
-                node_arcs[u].append(aid)
-                node_arcs[v].append(aid)
-                key = (u << 32) | v
-                pm[key] = pm.get(key, 0) + 1
 
     def _check_arc_indexes(self, uppers, lowers) -> None:
         index = self.node_index
@@ -340,37 +319,6 @@ class MorseSmaleComplex:
                 "arc_upper/arc_lower: endpoints must differ in Morse index "
                 f"by 1 (got {index[uppers[i]]}, {index[lowers[i]]})"
             )
-
-    def incidence(self) -> tuple[list[list[int]], dict[int, int]]:
-        """``(node_arcs, pair_multiplicity)``, built from the living arcs
-        in arc-id order on first use and kept until :meth:`compact`.
-
-        ``pair_multiplicity`` is maintained on arc insertion only: arcs die
-        only when an endpoint dies, so for a *living* pair the count equals
-        the alive-arc multiplicity, which is all the simplifier consults.
-        """
-        if self.node_arcs is None:
-            live = np.flatnonzero(self.arc_alive)
-            uppers, lowers = self.arc_upper[live], self.arc_lower[live]
-            # (upper, lower) interleaved per arc: sorting by (node,
-            # position) lists each node's arcs in ascending arc-id order
-            # (one int64 key sorts about 3x faster than a stable argsort)
-            ends = np.stack([uppers, lowers], axis=1).ravel()
-            order = np.sort((ends << 32) | np.arange(ends.size)) & 0xFFFFFFFF
-            aids = live[order >> 1].tolist()
-            n = self.node_address.size
-            bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
-            self.node_arcs = [aids[s:e] for s, e in zip([0] + bounds, bounds)]
-            pairs, mult = np.unique((uppers << 32) | lowers,
-                                    return_counts=True)
-            self.pair_multiplicity = dict(zip(pairs.tolist(), mult.tolist()))
-        return self.node_arcs, self.pair_multiplicity
-
-    def multiplicity(self, u: int, v: int) -> int:
-        """Number of living arcs between two living nodes, either order."""
-        if self.node_index[u] < self.node_index[v]:
-            u, v = v, u
-        return self.incidence()[1].get((int(u) << 32) | int(v), 0)
 
     # ------------------------------------------------------------------
     # queries
@@ -390,26 +338,6 @@ class MorseSmaleComplex:
     def num_alive_arcs(self) -> int:
         return int(np.count_nonzero(self.arc_alive))
 
-    def incident_arcs(self, nid: int) -> list[int]:
-        """Living arcs incident to node ``nid`` (prunes dead entries in place)."""
-        node_arcs = self.incidence()[0]
-        arcs = [a for a in node_arcs[nid] if self.arc_alive[a]]
-        node_arcs[nid] = arcs
-        return list(arcs)
-
-    def arcs_between(self, u: int, v: int) -> list[int]:
-        """Living arcs connecting nodes ``u`` and ``v``."""
-        node_arcs = self.incidence()[0]
-        base = u if len(node_arcs[u]) <= len(node_arcs[v]) else v
-        other = v if base == u else u
-        # every arc incident to ``base`` has it as one endpoint
-        upper, lower = self.arc_upper, self.arc_lower
-        return [
-            a
-            for a in self.incident_arcs(base)
-            if upper[a] == other or lower[a] == other
-        ]
-
     def persistence(self, aid: int) -> float:
         """Absolute function-value difference of the arc's endpoints."""
         return float(abs(
@@ -426,11 +354,6 @@ class MorseSmaleComplex:
         """Alternating sum of living node counts (= region Euler number)."""
         c0, c1, c2, c3 = self.node_counts_by_index()
         return c0 - c1 + c2 - c3
-
-    def address_index(self) -> dict[int, int]:
-        """Map global address -> node id over living nodes."""
-        live = np.flatnonzero(self.node_alive)
-        return dict(zip(self.node_address[live].tolist(), live.tolist()))
 
     @property
     def geom_start(self) -> np.ndarray:
@@ -670,8 +593,8 @@ class MorseSmaleComplex:
         not depend on how the store was built up, so compacting an
         unpacked compacted complex changes nothing).  Masks and
         renumbering over the columns, cost proportional to the store, not
-        to the arcs' expansion; the incidence is dropped, not rebuilt.
-        The cancellation hierarchy is preserved for analysis queries.
+        to the arcs' expansion.  The cancellation hierarchy is preserved
+        for analysis queries.
         """
         with get_tracer().span("msc.compact", cat="kernel",
                                arcs_in=self.arc_alive.size) as span:
@@ -680,7 +603,6 @@ class MorseSmaleComplex:
                           geoms_out=self.geom_length.size)
 
     def _compact(self) -> None:
-        self.node_arcs = self.pair_multiplicity = None
         start, length = self.geom_start, self.geom_length
         children, child = self.geom_children, self.geom_child
         arc_keep = self.arc_alive
@@ -872,38 +794,51 @@ class MorseSmaleComplex:
 
 
 class LoopLists:
-    """The cancellation loop's state: Python-list copies of
-    :data:`_LOOP_COLUMNS`, the complex's incidence and the heap.
+    """The state of one cancellation pass: Python-list copies of
+    :data:`_LOOP_COLUMNS`, the incidence and the heap.
 
-    The heap is seeded, in ascending arc id, with the living arcs at
-    ``seed_nodes`` (``None``: all) that can ever be cancelled — at or
-    below ``threshold`` and, under ``respect_boundary``, with no boundary
-    endpoint — as ``(persistence, cost, counter, aid)``, ``cost`` the
-    product of the endpoints' nominal list lengths.  :meth:`skipped` stamps
-    a node in place of pruning its list; :meth:`write_back` replays those
-    prunes (docs/ALGORITHM.md §4).
+    The incidence is built from the living arcs when the pass starts and
+    dies with it: ``node_arcs``, each node's arc ids in ascending order
+    (a cancelled node's list is pruned, other lists keep dead arcs), and
+    ``pair_multiplicity``, the living arcs per node pair keyed
+    ``(upper << 32) | lower`` (``upper`` the endpoint of higher Morse
+    index).  The heap is seeded, in ascending arc id, with the living
+    arcs at ``seed_nodes`` (``None``: all) that can ever be cancelled —
+    at or below ``threshold`` and, under ``respect_boundary``, with no
+    boundary endpoint — as ``(persistence, cost, counter, aid)``,
+    ``cost`` the product of the endpoints' nominal list lengths, which
+    :meth:`skipped` cuts to the living degree in place of pruning a list
+    (docs/ALGORITHM.md §4).
     """
 
     def __init__(self, msc: MorseSmaleComplex, threshold: float,
                  respect_boundary: bool, seed_nodes) -> None:
         self.msc = msc
-        self.node_arcs, self.pair_multiplicity = msc.incidence()
         for key in _LOOP_COLUMNS:
             setattr(self, key, getattr(msc, key).tolist())
         self._arcs0, self._geoms0 = len(self.arc_upper), len(self.geom_length)
         self.geom_child: list[int] = []  # the rows of new composites
         self.killed_nodes: list[int] = []
         self.killed_arcs: list[int] = []
-        # nominal list length and living degree per node; the clock counts
-        # cancellations, stamps a skipped node and dates each arc's death
-        n, live = len(self.node_arcs), msc.arc_alive
+        n, live = msc.node_address.size, msc.arc_alive
         upper, lower = msc.arc_upper, msc.arc_lower
-        self.nominal = [len(arcs) for arcs in self.node_arcs]
-        self.adeg = np.bincount(np.concatenate([upper[live], lower[live]]),
-                                minlength=n).tolist()
-        self.death = [0] * len(self.arc_upper)
-        self.pruned_at: dict[int, int] = {}
-        self.clock = 0
+        living = np.flatnonzero(live)
+        ups, lows = upper[living], lower[living]
+        # (upper, lower) interleaved per arc: sorting by (node, position)
+        # lists each node's arcs in ascending arc-id order (one int64 key
+        # sorts about 3x faster than a stable argsort)
+        ends = np.stack([ups, lows], axis=1).ravel()
+        order = np.sort((ends << 32) | np.arange(ends.size)) & 0xFFFFFFFF
+        incident = living[order >> 1].tolist()
+        degree = np.bincount(ends, minlength=n)
+        bounds = np.cumsum(degree).tolist()
+        self.node_arcs = [incident[s:e] for s, e in zip([0] + bounds, bounds)]
+        pairs, mult = np.unique((ups << 32) | lows, return_counts=True)
+        self.pair_multiplicity = dict(zip(pairs.tolist(), mult.tolist()))
+        # nominal list length and living degree per node: a cancellation
+        # lowers only its neighbours' degrees, a skip cuts one nominal
+        # length back to the degree
+        self.nominal, self.adeg = degree.tolist(), degree.tolist()
         self.threshold = threshold
         self.blocked = self.node_boundary if respect_boundary else [False] * n
         pers = np.abs(msc.node_value[upper] - msc.node_value[lower])
@@ -915,8 +850,7 @@ class LoopLists:
             seeds[np.fromiter(seed_nodes, np.int64)] = True
             keep &= seeds[upper] | seeds[lower]
         aids = np.flatnonzero(keep)
-        nominal = np.array(self.nominal, np.int64)
-        cost = nominal[upper[aids]] * nominal[lower[aids]]
+        cost = degree[upper[aids]] * degree[lower[aids]]
         self.heap = list(zip(pers[aids].tolist(), cost.tolist(),
                              range(aids.size), aids.tolist()))
         heapify(self.heap)
@@ -924,14 +858,13 @@ class LoopLists:
 
     def skipped(self, upper: int, lower: int) -> bool:
         """Whether more than one living arc joins the pair; if so, the
-        endpoint with the shorter nominal list is stamped and its nominal
-        length cut to its living degree."""
+        endpoint with the shorter nominal list has its nominal length cut
+        to its living degree, the length pruning its list would leave."""
         if self.pair_multiplicity[(upper << 32) | lower] == 1:
             return False
         nominal = self.nominal
         base = upper if nominal[upper] <= nominal[lower] else lower
         nominal[base] = self.adeg[base]
-        self.pruned_at[base] = self.clock
         return True
 
     def cancel(self, aid: int, upper: int, lower: int, cap):
@@ -953,7 +886,6 @@ class LoopLists:
         heap, threshold, blocked = self.heap, self.threshold, self.blocked
         counter, cap = self.queued, sys.maxsize if cap is None else cap
         get = pm.get
-        self.clock += 1
         # the living incident arcs, pruned in place, all die with the pair
         for n in (upper, lower):
             node_arcs[n] = [a for a in node_arcs[n] if arc_alive[a]]
@@ -1006,21 +938,17 @@ class LoopLists:
         k = new_aid - aid0  # the columns the pass does not read
         arc_geom.extend(range(gid0, gid0 + k))
         arc_alive.extend([True] * k)
-        death, clock = self.death, self.clock
-        death.extend([0] * k)
         killed = [aid] + upper_arcs + lower_arcs
         for a in killed:
             arc_alive[a] = False
-            death[a] = clock
         self.killed_arcs += killed
         self.killed_nodes += (upper, lower)
         self.queued = counter
         return list(range(aid0, new_aid)), killed
 
     def write_back(self) -> None:
-        """Append the new arcs and composites to the complex's columns,
-        clear the killed flags there and prune each stamped list of the
-        arcs dead at its stamp."""
+        """Append the new arcs and composites to the complex's columns
+        and clear the killed flags there."""
         msc, a0, g0 = self.msc, self._arcs0, self._geoms0
         msc._append(
             arc_upper=self.arc_upper[a0:], arc_lower=self.arc_lower[a0:],
@@ -1031,7 +959,3 @@ class LoopLists:
         )
         msc.arc_alive[self.killed_arcs] = False
         msc.node_alive[self.killed_nodes] = False
-        node_arcs, alive, death = self.node_arcs, self.arc_alive, self.death
-        for n, stamp in self.pruned_at.items():
-            node_arcs[n] = [a for a in node_arcs[n]
-                            if alive[a] or death[a] > stamp]

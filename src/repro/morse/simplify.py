@@ -35,7 +35,6 @@ def simplify_ms_complex(
     msc: MorseSmaleComplex,
     threshold: float,
     respect_boundary: bool = True,
-    max_cancellations: int | None = None,
     max_arc_multiplicity: int | None = 4,
     seed_nodes=None,
 ) -> list[Cancellation]:
@@ -53,8 +52,6 @@ def simplify_ms_complex(
         When True (the parallel per-block setting), arcs with a boundary
         endpoint are not cancellation candidates.  Serial simplification
         passes False.
-    max_cancellations:
-        Optional cap, mainly for tests and incremental hierarchies.
     max_arc_multiplicity:
         Cap on parallel arcs kept between one node pair; a cancellation
         does not materialize copies beyond it.  Validity only tells
@@ -103,9 +100,6 @@ def simplify_ms_complex(
     performed: list[Cancellation] = []
     try:
         while heap:
-            if (max_cancellations is not None
-                    and len(performed) >= max_cancellations):
-                break
             pers, _, _, aid = heappop(heap)
             # a cancellation kills every living arc of both its nodes, so
             # a living arc has living endpoints

@@ -13,8 +13,7 @@ this geometry representation swapped in, so the tracer and
 ``glue_into`` can drive both with the same operation sequence (the
 oracle is simplified by the oracle loop of `tests/reference_simplify.py`).
 The columns are the production arrays, so ``compact`` writes arrays
-where it used to write lists; it still rebuilds the incidence eagerly,
-the check on the production complex's lazy build.  Production now ships
+where it used to write lists.  Production now ships
 the geometry DAG itself, so the two are compared after expansion: the
 oracle's flattened record *is* the per-arc expanded address lists.
 """
@@ -162,8 +161,7 @@ class ReferenceComplex(MorseSmaleComplex):
         """
         # Fast path: nothing was cancelled and every geometry is already
         # a concrete leaf — the rebuild below would reproduce the current
-        # records exactly (node_arcs and pair_multiplicity are maintained
-        # in arc-id order by construction), so skip it.
+        # records exactly, so skip it.
         if (
             len(self.geoms) == len(self.arc_geom)
             and all(self.node_alive)
@@ -199,29 +197,6 @@ class ReferenceComplex(MorseSmaleComplex):
         self.arc_geom = np.arange(num_arcs)
         self.arc_alive = np.ones(num_arcs, bool)
         self.geoms = new_geoms
-
-        if num_arcs:
-            # each arc appears in both endpoints' incidence lists, in
-            # ascending arc-id order (the order sequential add_arc built)
-            aids = np.arange(num_arcs, dtype=np.int64)
-            nodes = np.concatenate([new_up, new_lo])
-            both = np.concatenate([aids, aids])
-            order = np.lexsort((both, nodes))
-            counts = np.bincount(nodes, minlength=num_nodes)
-            self.node_arcs = [
-                chunk.tolist()
-                for chunk in np.split(both[order], np.cumsum(counts)[:-1])
-            ]
-            # keyed as production keys it: (upper << 32) | lower
-            pairs, mult = np.unique(
-                (new_up << 32) | new_lo, return_counts=True
-            )
-            self.pair_multiplicity = {
-                int(p): int(m) for p, m in zip(pairs, mult)
-            }
-        else:
-            self.node_arcs = [[] for _ in range(num_nodes)]
-            self.pair_multiplicity = {}
 
     def to_payload(self) -> dict[str, np.ndarray]:
         """Pack the living complex into flat numpy arrays.

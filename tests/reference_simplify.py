@@ -2,19 +2,22 @@
 
 Until the cancellation loop of :mod:`repro.morse.simplify` queued only
 arcs at or below the threshold and handed each cancellation to
-:meth:`~repro.morse.msc.MorseSmaleComplex.cancel` (one pass over the
-record columns), it was the code below: every arc went through
+:meth:`~repro.morse.msc.LoopLists.cancel` (one pass over the record
+columns), it was the code below: every arc went through
 :meth:`~repro.morse.msc.MorseSmaleComplex.persistence` and ``heappush``
 (the pop loop broke at the first arc above the threshold), and every
-new arc through ``multiplicity``, ``new_composite_geometry`` and
+new arc through a multiplicity lookup, ``new_composite_geometry`` and
 ``add_arc`` — the single-record API.  ``simplify_ms_complex`` and
 ``_cancel`` are that loop verbatim, minus the ``max_new_arcs`` guard the
 production function no longer has and with the deleted one-line
-``kill_arc`` / ``kill_node`` written out and the incidence built on
-entry (the complex no longer keeps it at rest), so a test can require
-the rewrite to perform the same cancellations in the same order and
-leave the same complex behind.  It runs on the production columns
-through the one-row ``add_arc`` / ``new_composite_geometry``.
+``kill_arc`` / ``kill_node`` written out.  The incidence the complex
+once kept — each node's arc list and the arcs per node pair — is built
+here on entry, one arc at a time in arc-id order, pruned eagerly (a
+node's list on every read of its living arcs) and dropped on return,
+so a test can require the rewrite to perform the same cancellations in
+the same order and leave the same complex behind.  It runs on the
+production columns through the one-row ``add_arc`` /
+``new_composite_geometry``.
 
 Tests only; nothing under ``src/`` imports it.
 """
@@ -28,11 +31,52 @@ from repro.morse.msc import Cancellation, MorseSmaleComplex
 __all__ = ["simplify_ms_complex"]
 
 
+class _Incidence:
+    """Per-node arc lists (eagerly pruned) and the living-arc count per
+    ``(upper << 32) | lower`` node pair, kept on insertion only."""
+
+    def __init__(self, msc: MorseSmaleComplex) -> None:
+        self.msc = msc
+        self.node_arcs: list[list[int]] = [
+            [] for _ in range(msc.node_address.size)
+        ]
+        self.pair_multiplicity: dict[int, int] = {}
+        for aid in msc.alive_arcs():
+            self.add(aid)
+
+    def add(self, aid: int) -> None:
+        u, v = int(self.msc.arc_upper[aid]), int(self.msc.arc_lower[aid])
+        self.node_arcs[u].append(aid)
+        self.node_arcs[v].append(aid)
+        key = (u << 32) | v
+        self.pair_multiplicity[key] = self.pair_multiplicity.get(key, 0) + 1
+
+    def multiplicity(self, upper: int, lower: int) -> int:
+        return self.pair_multiplicity.get((int(upper) << 32) | int(lower), 0)
+
+    def incident_arcs(self, nid: int) -> list[int]:
+        """Living arcs incident to ``nid`` (prunes dead entries in place)."""
+        arcs = [a for a in self.node_arcs[nid] if self.msc.arc_alive[a]]
+        self.node_arcs[nid] = arcs
+        return list(arcs)
+
+    def arcs_between(self, u: int, v: int) -> list[int]:
+        """Living arcs connecting nodes ``u`` and ``v``."""
+        node_arcs, msc = self.node_arcs, self.msc
+        base = u if len(node_arcs[u]) <= len(node_arcs[v]) else v
+        other = v if base == u else u
+        # every arc incident to ``base`` has it as one endpoint
+        return [
+            a
+            for a in self.incident_arcs(base)
+            if msc.arc_upper[a] == other or msc.arc_lower[a] == other
+        ]
+
+
 def simplify_ms_complex(
     msc: MorseSmaleComplex,
     threshold: float,
     respect_boundary: bool = True,
-    max_cancellations: int | None = None,
     max_arc_multiplicity: int | None = 4,
     seed_nodes=None,
 ) -> list[Cancellation]:
@@ -48,15 +92,15 @@ def simplify_ms_complex(
 
     heap: list[tuple[float, int, int, int]] = []
     counter = 0
-    msc.incidence()  # node_arcs / pair_multiplicity, built on first use
+    inc = _Incidence(msc)
 
     def push(aid: int) -> None:
         # tie-break equal persistences by an (inexpensive, push-time)
         # estimate of how many arcs the cancellation would create; this
         # keeps plateau sweeps from repeatedly feeding high-degree hubs
         nonlocal counter
-        cost = len(msc.node_arcs[msc.arc_upper[aid]]) * len(
-            msc.node_arcs[msc.arc_lower[aid]]
+        cost = len(inc.node_arcs[msc.arc_upper[aid]]) * len(
+            inc.node_arcs[msc.arc_lower[aid]]
         )
         heapq.heappush(
             heap, (msc.persistence(aid), cost, counter, aid)
@@ -73,7 +117,7 @@ def simplify_ms_complex(
             a
             for n in seed_nodes
             if msc.node_alive[n]
-            for a in msc.node_arcs[n]
+            for a in inc.node_arcs[n]
             if msc.arc_alive[a]
         }
         for aid in sorted(seed_arcs):
@@ -81,8 +125,6 @@ def simplify_ms_complex(
 
     performed: list[Cancellation] = []
     while heap:
-        if max_cancellations is not None and len(performed) >= max_cancellations:
-            break
         pers, _, _, aid = heapq.heappop(heap)
         if pers > threshold:
             break
@@ -97,11 +139,11 @@ def simplify_ms_complex(
             continue
         # unique-connection requirement; multiplicity between a living
         # pair never decreases, so skipped arcs need not be re-queued
-        if len(msc.arcs_between(upper, lower)) != 1:
+        if len(inc.arcs_between(upper, lower)) != 1:
             continue
 
         created_ids, killed_ids = _cancel(
-            msc, aid, upper, lower, push, max_arc_multiplicity
+            msc, inc, aid, upper, lower, push, max_arc_multiplicity
         )
         record = Cancellation(
             persistence=pers,
@@ -120,11 +162,12 @@ def simplify_ms_complex(
 
 
 def _cancel(
-    msc: MorseSmaleComplex, aid, upper, lower, push, max_multiplicity
+    msc: MorseSmaleComplex, inc: _Incidence, aid, upper, lower, push,
+    max_multiplicity,
 ) -> tuple[list[int], list[int]]:
     """Apply one cancellation; returns (created arc ids, killed arc ids)."""
-    upper_arcs = [a for a in msc.incident_arcs(upper) if a != aid]
-    lower_arcs = [a for a in msc.incident_arcs(lower) if a != aid]
+    upper_arcs = [a for a in inc.incident_arcs(upper) if a != aid]
+    lower_arcs = [a for a in inc.incident_arcs(lower) if a != aid]
 
     # arcs U -> x (x of index d-1, x != L) and y -> L (y of index d)
     down_from_upper = [a for a in upper_arcs if msc.arc_upper[a] == upper]
@@ -137,7 +180,7 @@ def _cancel(
             x = msc.arc_lower[q]
             if (
                 max_multiplicity is not None
-                and msc.multiplicity(y, x) >= max_multiplicity
+                and inc.multiplicity(y, x) >= max_multiplicity
             ):
                 continue  # redundant parallel copy; see docstring
             gid = msc.new_composite_geometry(
@@ -148,6 +191,7 @@ def _cancel(
                 ]
             )
             new_aid = msc.add_arc(y, x, gid)
+            inc.add(new_aid)
             push(new_aid)
             created.append(new_aid)
 

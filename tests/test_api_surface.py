@@ -342,6 +342,21 @@ def _parse_cli(*argv):
     return build_parser().parse_args(list(argv))
 
 
+def _ms_complex():
+    """A one-node complex (glue reaches its address lookup)."""
+    from repro.morse.msc import MorseSmaleComplex
+
+    msc = MorseSmaleComplex((3, 3, 3))
+    msc.add_node(0, 0, 0.0)
+    return msc
+
+
+def _loop_lists():
+    from repro.morse.msc import LoopLists
+
+    return LoopLists(_ms_complex(), 0.0, True, None)
+
+
 #: every spelling removed with the shims, the tracing-backend knob, the
 #: second merge engine, the executor/transport knobs, the
 #: shared-memory transport, the metrics knob, the second driver object,
@@ -349,8 +364,9 @@ def _parse_cli(*argv):
 #: the merge retry loop it drove, the v1/v2 ``.msc`` readers, the
 #: stability-comparison module, the store's persistence-provider split,
 #: the compute-stage retry policy with its five knobs, the two
-#: fingerprints nothing keyed on, and the per-cell arrays of the block
-#: mesh; each row is ``(call, text its error must contain)``
+#: fingerprints nothing keyed on, the per-cell arrays of the block
+#: mesh, and the incidence a complex kept between cancellation passes;
+#: each row is ``(call, text its error must contain)``
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": (
         lambda f: repro.PipelineConfig(num_blocks=8, workers=2),
@@ -646,6 +662,34 @@ REMOVED_SPELLINGS = {
         )
         for name in ("CONT_CRITICAL", "CONT_DEAD")
     },
+    **{
+        f"MorseSmaleComplex.{name}": (
+            lambda f, name=name: getattr(_ms_complex(), name),
+            f"'MorseSmaleComplex' object has no attribute '{name}'",
+        )
+        for name in ("node_arcs", "pair_multiplicity", "incidence",
+                     "multiplicity", "incident_arcs", "arcs_between",
+                     "address_index")
+    },
+    **{
+        f"LoopLists.{name}": (
+            lambda f, name=name: getattr(_loop_lists(), name),
+            f"'LoopLists' object has no attribute '{name}'",
+        )
+        for name in ("death", "pruned_at", "clock")
+    },
+    "simplify_ms_complex(max_cancellations=)": (
+        lambda f: repro.morse.simplify_ms_complex(
+            _ms_complex(), 0.0, max_cancellations=1
+        ),
+        "unexpected keyword argument 'max_cancellations'",
+    ),
+    "glue_into(root, other, dict)": (
+        lambda f: importlib.import_module("repro.core.glue").glue_into(
+            _ms_complex(), _ms_complex(), {}
+        ),
+        "'dict' object has no attribute 'lookup'",
+    ),
 }
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.glue import GlueStats, glue_into
+from repro.core.glue import AddressIndex, GlueStats, glue_into
 from repro.core.merge import perform_merge
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
@@ -44,7 +44,7 @@ class TestGlueTwoBlocks:
 
     def test_shared_nodes_anchor(self):
         root, other = self.complexes
-        idx = root.address_index()
+        idx = AddressIndex.from_complex(root)
         stats = glue_into(root, other, idx)
         # the shared face has boundary critical cells in both complexes
         assert stats.shared_nodes > 0
@@ -53,14 +53,14 @@ class TestGlueTwoBlocks:
 
     def test_shared_arcs_skipped(self):
         root, other = self.complexes
-        stats = glue_into(root, other, root.address_index())
+        stats = glue_into(root, other, AddressIndex.from_complex(root))
         # any arc between two shared nodes must be skipped, not duplicated
         assert stats.arcs_skipped >= 0
         assert_ms_complex_valid(root)
 
     def test_union_covers_domain(self):
         root, other = self.complexes
-        glue_into(root, other, root.address_index())
+        glue_into(root, other, AddressIndex.from_complex(root))
         assert root.region_lo == (0, 0, 0)
         assert root.region_hi == (9, 6, 5)
 
@@ -68,7 +68,7 @@ class TestGlueTwoBlocks:
         root, other = self.complexes
         n_root = root.num_alive_nodes()
         n_other = other.num_alive_nodes()
-        stats = glue_into(root, other, root.address_index())
+        stats = glue_into(root, other, AddressIndex.from_complex(root))
         assert (
             root.num_alive_nodes()
             == n_root + n_other - stats.shared_nodes
@@ -87,7 +87,7 @@ class TestGlueTwoBlocks:
             assert member.hierarchy, "nothing cancelled: no composites"
             if compacted:
                 member.compact()
-            stats = glue_into(root, member, root.address_index())
+            stats = glue_into(root, member, AddressIndex.from_complex(root))
             assert stats.arcs_skipped > 0  # so the kept ranges have gaps
             root.compact()
             assert_ms_complex_valid(root)
@@ -98,7 +98,7 @@ class TestGlueTwoBlocks:
         root = MorseSmaleComplex((3, 3, 3))
         other = MorseSmaleComplex((5, 5, 5))
         with pytest.raises(ValueError):
-            glue_into(root, other, root.address_index())
+            glue_into(root, other, AddressIndex.from_complex(root))
 
     def test_stats_accumulate(self):
         a = GlueStats(1, 2, 3, 4)
@@ -122,7 +122,7 @@ class TestSharedPlaneArcs:
         ib = incoming.add_node(7, 0, 1.0, boundary=True)
         ig = incoming.new_leaf_geometry(np.array([5, 6, 7]))
         incoming.add_arc(ia, ib, ig)
-        stats = glue_into(root, incoming, root.address_index())
+        stats = glue_into(root, incoming, AddressIndex.from_complex(root))
         assert stats.arcs_skipped == 1
         assert root.num_alive_arcs() == 1
 

@@ -127,3 +127,29 @@ class TestMergeFailure:
         ):
             repro.compute(rng.random((9, 9, 9)), persistence=0.1, ranks=8)
         assert len(calls) == 1
+
+
+class TestRootGrowthRecord:
+    def test_created_arcs_and_root_nbytes_are_their_sums(self, rng):
+        """On a glued root, ``created_arcs`` is the sum of the merge's
+        ``Cancellation.arcs_created`` and ``root_nbytes`` the compacted
+        root's ``nbytes()``; the pipeline's records carry both."""
+        import repro
+
+        values = rng.random((9, 9, 5))
+        _, complexes = _block_complexes(values, (2, 2, 1), threshold=0.2)
+        root = complexes[0]
+        before = len(root.hierarchy)
+        no_cuts = tuple(np.array([], dtype=np.int64) for _ in range(3))
+        outcome = perform_merge(root, complexes[1:], no_cuts, 0.2)
+        cancels = root.hierarchy[before:]
+        assert len(cancels) == outcome.cancellations > 0
+        created = sum(c.arcs_created for c in cancels)
+        assert outcome.created_arcs == created > 0
+        assert outcome.root_nbytes == root.nbytes() > 0
+
+        res = repro.compute(rng.random((17, 17, 9)), persistence=0.2,
+                            ranks=4, merge_radix=2)
+        last = max(res.stats.merge_events, key=lambda ev: ev.round_idx)
+        assert last.round_idx == 1 and last.root_nbytes == res.merged_complexes[0].nbytes()
+        assert sum(ev.created_arcs for ev in res.stats.merge_events) > 0

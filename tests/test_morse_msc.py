@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.glue import AddressIndex
 from repro.core.merge import pack_complex, unpack_complex
 from repro.io.mscfile import (
     _SECTIONS,
@@ -70,14 +71,13 @@ class TestConstruction:
         assert tiny_msc.persistence(0) == pytest.approx(1.0)
         assert tiny_msc.persistence(1) == pytest.approx(0.5)
 
-    def test_arcs_between(self, tiny_msc):
-        assert tiny_msc.arcs_between(1, 0) == [0]
-        assert tiny_msc.arcs_between(0, 1) == [0]
-        assert tiny_msc.arcs_between(0, 2) == []
-
     def test_address_index(self, tiny_msc):
-        idx = tiny_msc.address_index()
-        assert idx == {0: 0, 10: 1, 20: 2, 30: 3}
+        tiny_msc.node_alive[2] = False
+        idx = AddressIndex.from_complex(tiny_msc)
+        assert len(idx) == 3 and 20 not in idx
+        np.testing.assert_array_equal(
+            idx.lookup(np.array([30, 0, 10, 20, 7])), [3, 0, 1, -1, -1]
+        )
 
     def test_euler_characteristic(self, tiny_msc):
         assert tiny_msc.euler_characteristic() == 2 - 1 + 1 - 0
@@ -122,7 +122,10 @@ class TestGeometry:
 class TestMutationAndCompact:
     def test_kill_and_incident_pruning(self, tiny_msc):
         tiny_msc.arc_alive[0] = False
-        assert tiny_msc.incident_arcs(1) == [1, 2]
+        upper, lower = tiny_msc.arc_upper, tiny_msc.arc_lower
+        incident = tiny_msc.arc_alive & ((upper == 1) | (lower == 1))
+        assert np.flatnonzero(incident).tolist() == [1, 2]
+        assert tiny_msc.alive_arcs() == [1, 2]
         assert tiny_msc.num_alive_arcs() == 2
 
     def test_compact_drops_dead(self, tiny_msc):

@@ -88,12 +88,14 @@ class TestMSComplexValidation:
             compute_discrete_gradient(CubicalComplex(small_random_field))
         )
         simplify_ms_complex(msc, 0.3, respect_boundary=False)
-        assert msc.hierarchy  # the incidence is live, lists hold dead ids
+        assert msc.hierarchy  # uncompacted: dead records remain
         assert_ms_complex_valid(msc)
         node = msc.arc_lower[msc.alive_arcs()[-1]]
         msc.node_alive[node] = False
         # the first living arc (by id) the dead node still holds
-        aid = min(msc.incident_arcs(node))
+        aid = np.flatnonzero(msc.arc_alive & (
+            (msc.arc_upper == node) | (msc.arc_lower == node)
+        ))[0]
         with pytest.raises(AssertionError,
                            match=rf"^arc {aid} has a dead endpoint$"):
             assert_ms_complex_valid(msc)

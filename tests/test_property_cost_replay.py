@@ -47,7 +47,8 @@ def _merge(round_idx, root_block, member_nbytes, glued, cancellations):
         round_idx=round_idx, root_block=root_block, root_rank=0,
         member_nbytes=member_nbytes, nodes_glued=glued[0],
         arcs_glued=glued[1], boundary_nodes_freed=0,
-        cancellations=cancellations, real_seconds=0.0,
+        cancellations=cancellations, created_arcs=0, root_nbytes=0,
+        real_seconds=0.0,
     )
 
 

@@ -92,13 +92,10 @@ def simplify(msc, *args, **kwargs):
 
 def assert_same_decoded(got, want) -> None:
     """Two compacted complexes a reader cannot tell apart: same nodes,
-    same arcs in the same order, same expanded V-path per arc — and the
-    incidence the next simplification builds equals the one the oracle's
-    compact() rebuilt eagerly."""
+    same arcs in the same order, same expanded V-path per arc."""
     for key in ("node_address", "node_index", "node_value", "node_boundary",
                 "arc_upper", "arc_lower"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
-    assert got.incidence() == want.incidence()
     arcs = range(len(got.arc_upper))
     for a, b in zip(got.expand_arcs(arcs), want.expand_arcs(arcs)):
         np.testing.assert_array_equal(a, b)

@@ -1,8 +1,8 @@
 """The cancellation loop must equal the reference loop, record for record.
 
 `repro.morse.simplify` queues only arcs at or below the threshold, and
-``MorseSmaleComplex.cancel`` builds each cancellation's new arcs in one
-pass over the record columns.
+``LoopLists.cancel`` builds each cancellation's new arcs in one pass
+over the record columns.
 Neither may change which pairs are cancelled, in which order, or what
 complex is left behind, so every case here runs the production
 ``simplify_ms_complex`` and the oracle of `tests/reference_simplify.py`
@@ -15,7 +15,7 @@ simplified halves glued, boundary flags updated) re-simplified from
 their disturbed nodes via ``seed_nodes``; random and quantised fields
 (plateaus make equal persistences, so the cost / push-order tie-break
 decides); thresholds 0, finite and infinite; multiplicity caps None, 2
-and 4; with and without ``max_cancellations``.
+and 4; and two passes over one uncompacted complex.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from repro.parallel.radixk import MergeSchedule
 from tests import reference_simplify as reference
 from tests.test_property_simplify_boundary import block_complex
 
-#: the record layer a cancellation writes (``_geom_data`` is never touched),
-#: the incidence it keeps and the hierarchy
+#: the record layer a cancellation writes (``_geom_data`` is never
+#: touched) and the hierarchy; the incidence dies with each pass
 _RECORDS = (
-    "node_alive", "node_arcs", "arc_upper", "arc_lower", "arc_geom",
-    "arc_alive", "geom_start", "geom_length", "geom_children", "geom_child",
-    "pair_multiplicity", "hierarchy",
+    "node_alive", "arc_upper", "arc_lower", "arc_geom", "arc_alive",
+    "geom_start", "geom_length", "geom_children", "geom_child", "hierarchy",
 )
 
 thresholds = st.one_of(
@@ -46,7 +45,6 @@ thresholds = st.one_of(
     st.just(float("inf")),
 )
 caps = st.sampled_from([None, 2, 4])
-limits = st.one_of(st.none(), st.integers(min_value=0, max_value=40))
 
 
 def make_field(seed: int, levels: int | None) -> np.ndarray:
@@ -55,22 +53,29 @@ def make_field(seed: int, levels: int | None) -> np.ndarray:
     return field if levels is None else np.round(field * levels) / levels
 
 
-def assert_same_run(msc, threshold, seed_nodes=None, **kw) -> int:
-    """Run production and oracle on copies of ``msc``; both must agree."""
+def assert_same_run(msc, *thresholds, seed_nodes=None, **kw) -> int:
+    """Run production and oracle on copies of ``msc``, one pass per
+    threshold with no compaction between them (``seed_nodes`` seeds the
+    first); both must agree after every pass.  Returns the
+    cancellations of all passes."""
     mine, ref = msc, copy.deepcopy(msc)
-    got = production.simplify_ms_complex(
-        mine, threshold, seed_nodes=seed_nodes, **kw
-    )
-    want = reference.simplify_ms_complex(
-        ref, threshold, seed_nodes=seed_nodes, **kw
-    )
-    assert got == want
-    for key in _RECORDS:
-        a, b = getattr(mine, key), getattr(ref, key)
-        if isinstance(a, np.ndarray):  # a column
-            assert a.dtype == b.dtype and np.array_equal(a, b), key
-        else:  # the incidence and the hierarchy
-            assert a == b, key
+    total = 0
+    for threshold in thresholds:
+        got = production.simplify_ms_complex(
+            mine, threshold, seed_nodes=seed_nodes, **kw
+        )
+        want = reference.simplify_ms_complex(
+            ref, threshold, seed_nodes=seed_nodes, **kw
+        )
+        assert got == want
+        for key in _RECORDS:
+            a, b = getattr(mine, key), getattr(ref, key)
+            if isinstance(a, np.ndarray):  # a column
+                assert a.dtype == b.dtype and np.array_equal(a, b), key
+            else:  # the hierarchy
+                assert a == b, key
+        total += len(got)
+        seed_nodes = None
     mine.compact()
     ref.compact()
     a, b = mine.to_payload(), ref.to_payload()
@@ -78,7 +83,7 @@ def assert_same_run(msc, threshold, seed_nodes=None, **kw) -> int:
     for key in a:
         assert a[key].dtype == b[key].dtype, key
         assert np.array_equal(a[key], b[key]), key
-    return len(got)
+    return total
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,16 +93,36 @@ def assert_same_run(msc, threshold, seed_nodes=None, **kw) -> int:
     num_blocks=st.sampled_from([1, 2, 8]),
     threshold=thresholds,
     cap=caps,
-    limit=limits,
     respect_boundary=st.booleans(),
 )
 def test_block_complexes_match_reference(
-    seed, levels, num_blocks, threshold, cap, limit, respect_boundary
+    seed, levels, num_blocks, threshold, cap, respect_boundary
 ):
     msc = block_complex(make_field(seed, levels), num_blocks, 0)
     assert_same_run(
         msc, threshold, respect_boundary=respect_boundary,
-        max_cancellations=limit, max_arc_multiplicity=cap,
+        max_arc_multiplicity=cap,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    levels=st.sampled_from([None, 4, 12]),
+    first=st.floats(min_value=0.0, max_value=0.4),
+    cap=caps,
+    respect_boundary=st.booleans(),
+)
+def test_two_passes_over_one_uncompacted_complex_match_reference(
+    seed, levels, first, cap, respect_boundary
+):
+    """The second pass starts on the first pass's dead records, with no
+    incidence kept between the passes: each builds its own, as each of
+    the oracle's does."""
+    msc = block_complex(make_field(seed, levels), 2, 0)
+    assert_same_run(
+        msc, first, 0.6, respect_boundary=respect_boundary,
+        max_arc_multiplicity=cap,
     )
 
 
@@ -107,10 +132,9 @@ def test_block_complexes_match_reference(
     levels=st.sampled_from([None, 6]),
     threshold=thresholds,
     cap=caps,
-    limit=limits,
 )
 def test_glued_roots_with_seed_nodes_match_reference(
-    seed, levels, threshold, cap, limit
+    seed, levels, threshold, cap
 ):
     """A merge root exactly as ``perform_merge`` re-simplifies it."""
     field = make_field(seed, levels)
@@ -126,17 +150,19 @@ def test_glued_roots_with_seed_nodes_match_reference(
     cuts = MergeSchedule(decompose(field.shape, 2), [2]).cut_planes_after(1)
     touched.update(root.update_boundary_flags(cuts, return_ids=True))
     assert_same_run(
-        root, threshold, seed_nodes=touched,
-        max_cancellations=limit, max_arc_multiplicity=cap,
+        root, threshold, seed_nodes=touched, max_arc_multiplicity=cap,
     )
 
 
 def test_cases_are_not_vacuous():
     """Sanity: the inputs above really cancel, create parallel arcs and
-    hit the cap — the comparison is over non-trivial work."""
+    hit the cap, and a second pass over the uncompacted complex cancels
+    too — the comparison is over non-trivial work."""
     msc = block_complex(make_field(5, 6), 2, 0)
-    capped = copy.deepcopy(msc)
+    capped, twice = copy.deepcopy(msc), copy.deepcopy(msc)
     assert assert_same_run(msc, 0.5, max_arc_multiplicity=None) > 20
     cancels = production.simplify_ms_complex(capped, 0.5)
     exact = sum(c.arcs_created for c in msc.hierarchy)
     assert sum(c.arcs_created for c in cancels) < exact
+    first = len(production.simplify_ms_complex(copy.deepcopy(twice), 0.2))
+    assert first > 0 and assert_same_run(twice, 0.2, 0.5) > first

@@ -128,8 +128,13 @@ class TestMorseInputs:
         parallel = _run_parallel(field, 8, 0.3).merged_complexes[0]
 
         def degrees(msc, floor=0.1):
+            live = msc.arc_alive
+            degree = np.bincount(
+                np.concatenate([msc.arc_upper[live], msc.arc_lower[live]]),
+                minlength=msc.node_alive.size,
+            )
             return sorted(
-                (round(msc.node_value[n], 9), len(msc.incident_arcs(n)))
+                (round(msc.node_value[n], 9), int(degree[n]))
                 for n in msc.alive_nodes()
                 if msc.node_index[n] == 3 and msc.node_value[n] > floor
             )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.morse.msc import MorseSmaleComplex
+from repro.morse.msc import LoopLists, MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
 
 
@@ -36,10 +36,12 @@ class TestMultiplicityCap:
             msc, 0.1, respect_boundary=False, max_arc_multiplicity=2
         )
         # every surviving pair has at most 2 parallel arcs
-        for u in msc.alive_nodes():
-            for v in msc.alive_nodes():
-                if u < v:
-                    assert len(msc.arcs_between(u, v)) <= 2
+        live = msc.arc_alive
+        _, counts = np.unique(
+            (msc.arc_upper[live] << 32) | msc.arc_lower[live],
+            return_counts=True,
+        )
+        assert counts.max() <= 2
 
     def test_cap_below_two_rejected(self):
         msc, _U, _L = _star_complex(fan=2)
@@ -56,14 +58,18 @@ class TestMultiplicityCap:
         assert alive == 3 + 3 + 9 - 6  # originals minus killed plus new
 
     def test_multiplicity_query(self):
+        """A pass counts the living arcs of each node pair when it
+        starts, and skips a pair joined twice."""
         msc = MorseSmaleComplex((9, 9, 9))
         a = msc.add_node(0, 0, 0.0)
         b = msc.add_node(2, 1, 1.0)
-        assert msc.multiplicity(a, b) == 0
-        g1 = msc.new_leaf_geometry(np.array([2, 1, 0]))
-        g2 = msc.new_leaf_geometry(np.array([2, 3, 0]))
-        msc.add_arc(b, a, g1)
-        msc.add_arc(b, a, g2)
-        assert msc.multiplicity(a, b) == 2
-        assert msc.multiplicity(b, a) == 2
+        c = msc.add_node(4, 0, 0.5)
+        assert LoopLists(msc, 1.0, False, None).pair_multiplicity == {}
+        for lower, cells in ((a, [2, 1, 0]), (a, [2, 3, 0]),
+                             (a, [2, 2, 0]), (c, [2, 3, 4])):
+            msc.add_arc(b, lower, msc.new_leaf_geometry(np.array(cells)))
+        msc.arc_alive[2] = False  # a dead arc is not counted
+        lists = LoopLists(msc, 1.0, False, None)
+        assert lists.pair_multiplicity == {(b << 32) | a: 2, (b << 32) | c: 1}
+        assert lists.skipped(b, a) and not lists.skipped(b, c)
 

@@ -4,24 +4,21 @@ A skip (a pair joined by more than one living arc) used to prune the
 smaller endpoint's incidence list on the spot, and the push tie-break
 reads list lengths, so the cancellation order depends on when lists are
 pruned.  `repro.morse.msc.LoopLists` instead keeps each node's nominal
-length, stamps a skipped node with the cancellation clock, dates each
-arc's death and replays the prunes in ``write_back``; and it queues only
-arcs that can ever be cancelled (docs/ALGORITHM.md §4).  The oracle of
-`tests/reference_simplify.py` prunes at once and queues every arc.
+length apart from its list and cuts it to the living degree on a skip,
+so a list may hold dead arcs until its node is cancelled or the pass
+ends; and it queues only arcs that can ever be cancelled
+(docs/ALGORITHM.md §4).  The oracle of `tests/reference_simplify.py`
+prunes at once and queues every arc.
 
 Each case below first asserts that its corner really occurs — a test
 whose corner never happens proves nothing — and then requires the
-oracle's records, incidence and payload (``assert_same_run``).
+oracle's records and payload (``assert_same_run``).
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from repro.core.glue import AddressIndex, glue_into
 from repro.morse import msc as msc_module
@@ -41,13 +38,14 @@ class Recorder:
     def __init__(self) -> None:
         #: ``(lists, aid)`` of every queued arc, seeds and pushes
         self.queued: list[tuple[object, int]] = []
-        #: pushes that read a stamped node's nominal length while its
-        #: list still held dead entries (the eager form had pruned them)
+        #: pushes that read a nominal length shorter than the node's list
+        #: while that list still held dead arcs (the eager form had
+        #: pruned them at the skip)
         self.stamped_reads = 0
-        #: cancellation clock of every skip
-        self.skips: list[int] = []
-        #: ``(stamped nodes, arcs left queued)`` at each write-back
-        self.write_backs: list[tuple[int, int]] = []
+        #: the pair of every skip
+        self.skips: list[tuple[int, int]] = []
+        #: every pass's state as its write-back found it
+        self.passes: list[object] = []
 
     def install(self, monkeypatch) -> "Recorder":
         cls = msc_module.LoopLists
@@ -60,28 +58,30 @@ class Recorder:
             rec.queued += [(lists, entry[3]) for entry in lists.heap]
 
         def _cancel(lists, *args, **kwargs):
-            counter, stamped = lists.queued, set(lists.pruned_at)
+            counter = lists.queued
             out = cancel(lists, *args, **kwargs)
+            alive = lists.arc_alive
             for entry in lists.heap:
                 if entry[2] < counter:
                     continue
                 aid = entry[3]
                 rec.queued.append((lists, aid))
                 for n in (lists.arc_upper[aid], lists.arc_lower[aid]):
-                    if n in stamped and (
-                        lists.nominal[n] < len(lists.node_arcs[n])
+                    arcs = lists.node_arcs[n]
+                    if lists.nominal[n] < len(arcs) and not all(
+                        alive[a] for a in arcs
                     ):
                         rec.stamped_reads += 1
             return out
 
         def _skipped(lists, upper, lower):
             if skipped(lists, upper, lower):
-                rec.skips.append(lists.clock)
+                rec.skips.append((upper, lower))
                 return True
             return False
 
         def _write_back(lists):
-            rec.write_backs.append((len(lists.pruned_at), len(lists.heap)))
+            rec.passes.append(lists)
             write_back(lists)
 
         monkeypatch.setattr(cls, "__init__", _init)
@@ -184,69 +184,53 @@ def test_no_queued_arc_has_a_boundary_endpoint(recorder, seed, levels):
 
 
 class TestMultiplicity:
+    """A pass's ``pair_multiplicity`` against the arc columns it leaves:
+    kept on insertion only, it must still count every living pair's
+    arcs when the pass ends."""
+
     @pytest.fixture(scope="class")
     def simplified(self):
         msc = block_complex(make_field(5, 6), 2, 0)
-        simplify_ms_complex(msc, 0.5)
-        return msc
+        with pytest.MonkeyPatch.context() as mp:
+            rec = Recorder().install(mp)
+            simplify_ms_complex(msc, 0.5)
+        (lists,) = rec.passes
+        assert rec.skips  # the pass read multiplicities above one
+        return msc, lists.pair_multiplicity
 
     def test_symmetric_and_counts_living_arcs(self, simplified):
-        msc = simplified
-        pairs = {
-            (int(msc.arc_upper[a]), int(msc.arc_lower[a]))
-            for a in msc.alive_arcs()
-        }
-        assert any(msc.multiplicity(u, v) > 1 for u, v in pairs)
-        for u, v in pairs:
-            m = len(msc.arcs_between(u, v))
-            assert msc.multiplicity(u, v) == msc.multiplicity(v, u) == m
+        """Each living pair is counted once, keyed upper endpoint first,
+        with as many arcs as the columns hold."""
+        msc, pm = simplified
+        live = msc.arc_alive
+        upper, lower = msc.arc_upper[live], msc.arc_lower[live]
+        assert (msc.node_index[upper] == msc.node_index[lower] + 1).all()
+        keys, counts = np.unique((upper << 32) | lower, return_counts=True)
+        assert counts.max() > 1
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            assert pm[key] == count
+        # a pair with a dead endpoint may keep a stale count; no other
+        # pair is counted
+        alive = msc.node_alive
+        living = {k for k in pm if alive[k >> 32] and alive[k & 0xFFFFFFFF]}
+        assert living == set(keys.tolist())
 
     def test_non_arc_pair_reads_zero(self, simplified):
-        msc = simplified
+        msc, pm = simplified
         alive = msc.alive_nodes()
         index = msc.node_index
         same = [n for n in alive if index[n] == index[alive[0]]][:2]
         assert len(same) == 2
-        assert msc.multiplicity(*same) == msc.multiplicity(*same[::-1]) == 0
+        assert pm.get((same[0] << 32) | same[1], 0) == 0
         far = next(
             (u, v) for u in alive for v in alive
             if index[u] == index[v] + 2
         )
-        assert msc.multiplicity(*far) == msc.multiplicity(*far[::-1]) == 0
+        assert pm.get((far[0] << 32) | far[1], 0) == 0
         # an index-adjacent pair with no arc between them
         upper = next(n for n in alive if index[n] == 1)
-        joined = set(msc.arc_lower[msc.incident_arcs(upper)].tolist())
+        joined = set(msc.arc_lower[
+            msc.arc_alive & (msc.arc_upper == upper)
+        ].tolist())
         lone = next(n for n in alive if index[n] == 0 and n not in joined)
-        assert msc.multiplicity(upper, lone) == 0
-        assert msc.multiplicity(lone, upper) == 0
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    levels=st.sampled_from([None, 4, 6, 12]),
-    cap=st.sampled_from([None, 2, 4]),
-    data=st.data(),
-)
-def test_write_back_mid_pass_with_stamped_nodes(seed, levels, cap, data):
-    """``max_cancellations`` stops the pass after a skip, so write-back
-    replays stamps while arcs are still queued; the incidence it leaves
-    must be the one the eager prunes left."""
-    msc = block_complex(make_field(seed, levels), 2, 0)
-    with pytest.MonkeyPatch.context() as mp:
-        probe = Recorder().install(mp)
-        total = len(simplify_ms_complex(
-            copy.deepcopy(msc), 0.5, max_arc_multiplicity=cap
-        ))
-    assume(probe.skips and probe.skips[0] + 1 < total)
-    limit = data.draw(
-        st.integers(min_value=probe.skips[0] + 1, max_value=total - 1),
-        label="max_cancellations",
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        rec = Recorder().install(mp)
-        assert assert_same_run(
-            msc, 0.5, max_cancellations=limit, max_arc_multiplicity=cap
-        ) == limit
-    stamped, left = rec.write_backs[0]
-    assert stamped > 0 and left > 0
+        assert pm.get((upper << 32) | lone, 0) == 0
