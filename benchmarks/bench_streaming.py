@@ -322,10 +322,8 @@ def bench_streaming_before_after_json(benchmark):
 
     record = attach_peak_rss(collect_record())
     path = emit_json(
-        "BENCH_streaming",
         record,
-        path=Path(__file__).resolve().parent.parent
-        / "BENCH_streaming.json",
+        Path(__file__).resolve().parent.parent / "BENCH_streaming.json",
     )
     print(
         f"\nwrote {path}; steady-state speedup "

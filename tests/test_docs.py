@@ -22,9 +22,14 @@ docs/OBSERVABILITY.md's metrics table, its ``{a,b}`` brace groups
 expanded, names exactly the series ``run_metrics`` emits for a pooled
 run with a spill budget, and its span table names exactly the spans
 whose ``span("…")`` literals appear under ``src/``.
+
+EXPERIMENTS.md has exactly one generated block per section of
+``benchmarks/paper.py`` and none for a section it lacks (checked
+without running a sweep).
 """
 
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 from types import ModuleType
@@ -219,3 +224,15 @@ def test_span_names_are_emitted():
     }
     assert sorted(documented - emitted) == [], "documented, not emitted"
     assert sorted(emitted - documented) == [], "emitted, not documented"
+
+
+def test_experiments_blocks_are_the_paper_sections():
+    spec = importlib.util.spec_from_file_location(
+        "paper", ROOT / "benchmarks" / "paper.py"
+    )
+    paper = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(paper)
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    named = [m.group(2) for m in paper.BLOCK.finditer(text)]
+    assert text.count("<!-- begin paper.py:") == len(named), "unclosed block"
+    assert sorted(named) == sorted(paper.SECTIONS)
