@@ -6,9 +6,10 @@ fraction.  We find important minima by computing and simplifying the MS
 complex."
 
 This example runs the parallel pipeline on the JET mixture-fraction proxy
-(see DESIGN.md for the substitution), extracts the significant minima at
-several persistence levels, and verifies the parallel result against a
-serial computation.
+(see DESIGN.md for the substitution), extracts the significant minima,
+prints how many critical points remain at several persistence levels
+(read from the captured cancellation hierarchy, no re-simplification),
+and verifies the parallel result against a serial computation.
 
 Usage::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
+    ExecutionOptions,
     ParallelMSComplexPipeline,
     PipelineConfig,
     compute_morse_smale_complex,
@@ -28,16 +30,18 @@ from repro.analysis.features import persistence_curve, significant_extrema
 from repro.data import jet_mixture_fraction_proxy
 
 
-def main() -> None:
-    field = jet_mixture_fraction_proxy(dims=(48, 56, 32))
+def main(dims: tuple[int, int, int] = (48, 56, 32)) -> None:
+    field = jet_mixture_fraction_proxy(dims=dims)
     print(f"jet mixture fraction proxy: {field.shape}, "
           f"range [{field.min():.3f}, {field.max():.3f}]")
 
-    # parallel computation, one block per process, full merge
+    # parallel computation, one block per process, full merge; the
+    # hierarchy option captures the output block's cancellation hierarchy
     cfg = PipelineConfig(
         num_blocks=16,
         persistence_threshold=0.02,
         merge_radices="full",
+        options=ExecutionOptions(hierarchy=True),
     )
     result = ParallelMSComplexPipeline(cfg).run(field)
     msc = result.merged_complexes[0]
@@ -55,7 +59,9 @@ def main() -> None:
               f"value {msc.node_value[nid]:.4f}")
 
     # persistence parameter study from the hierarchy
-    thresholds, counts = persistence_curve(msc, num_points=8)
+    thresholds, counts = persistence_curve(
+        result.hierarchies[0], num_points=8
+    )
     print("\npersistence parameter study (remaining critical points):")
     for t, c in zip(thresholds, counts):
         print(f"  persistence <= {t:.4f}: {c} critical points")

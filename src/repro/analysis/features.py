@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.hierarchy import MSComplexHierarchy
 from repro.morse.msc import MorseSmaleComplex
 
 __all__ = [
@@ -98,24 +99,24 @@ def significant_extrema(
 
 
 def persistence_curve(
-    msc: MorseSmaleComplex, num_points: int = 64
+    hierarchy: MSComplexHierarchy, num_points: int = 64
 ) -> tuple[np.ndarray, np.ndarray]:
     """Remaining critical point count as a function of persistence.
 
-    Derived from the cancellation hierarchy: each cancellation at
-    persistence ``p`` removes two nodes, so the curve starts at the
-    pre-simplification node count and steps down.  Returns
-    ``(thresholds, counts)`` suitable for a parameter-study plot.
+    Read from a captured hierarchy (``result.hierarchies[bid]`` of a run
+    with ``ExecutionOptions(hierarchy=True)``, or ``capture`` of a
+    complex): the count at ``t`` is that of level
+    ``level_of_persistence(t)``, what a fresh simplification of the
+    captured complex at ``t`` leaves.  Returns ``(thresholds, counts)``
+    suitable for a parameter-study plot.
     """
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
-    base = msc.num_alive_nodes()
-    pers = sorted(c.persistence for c in msc.hierarchy)
-    total0 = base + 2 * len(pers)
-    top = pers[-1] if pers else 1.0
-    thresholds = np.linspace(0.0, top, num_points)
-    counts = np.empty(num_points, dtype=np.int64)
-    for i, t in enumerate(thresholds):
-        cancelled = np.searchsorted(pers, t, side="right")
-        counts[i] = total0 - 2 * cancelled
+    thresholds = np.linspace(
+        0.0, max(hierarchy.persistences, default=1.0), num_points
+    )
+    counts = np.array([
+        sum(hierarchy.counts_at_level(hierarchy.level_of_persistence(t)))
+        for t in thresholds
+    ], dtype=np.int64)
     return thresholds, counts

@@ -14,10 +14,11 @@ value are O(log #levels) to locate the level plus output size to
 materialize, with no mutation of the original complex.
 
 Build it from a complex that has been simplified but **not yet
-compacted** (compaction renumbers ids), or capture one from a compacted
-complex with :meth:`MSComplexHierarchy.capture` (which sweeps a
-throwaway copy); the hierarchy copies everything it needs, so the source
-complex may be compacted or discarded afterward.  The flat-array
+compacted** (compaction renumbers ids) together with the cancellation
+list that ``simplify_ms_complex`` returned, or capture one from a
+compacted complex with :meth:`MSComplexHierarchy.capture` (which sweeps
+a throwaway copy); the hierarchy copies everything it needs, so the
+source complex may be compacted or discarded afterward.  The flat-array
 round-trip (:meth:`~MSComplexHierarchy.to_arrays` /
 :meth:`~MSComplexHierarchy.from_arrays`) is what the ``.msc``
 hierarchy footer persists (see :mod:`repro.io.mscfile`).
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.morse.msc import MorseSmaleComplex
+from repro.morse.msc import Cancellation, MorseSmaleComplex
 
 __all__ = ["MSComplexHierarchy", "HierarchyLevelView"]
 
@@ -85,20 +86,24 @@ class MSComplexHierarchy:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_complex(cls, msc: MorseSmaleComplex) -> "MSComplexHierarchy":
-        """Capture the hierarchy of a simplified, uncompacted complex.
+    def from_complex(
+        cls, msc: MorseSmaleComplex, cancellations: list[Cancellation]
+    ) -> "MSComplexHierarchy":
+        """Capture the hierarchy of a simplified, uncompacted complex
+        from the ``cancellations`` that simplified it (what
+        ``simplify_ms_complex`` returned, every pass in order).
 
-        Raises if any hierarchy record references ids outside the
-        complex's tables — the symptom of building from a compacted
-        complex.
+        Raises if a record references ids outside the complex's tables
+        (the symptom of building from a compacted complex) or the
+        complex's liveness disagrees with the records.
         """
-        levels = range(1, len(msc.hierarchy) + 1)
+        levels = range(1, len(cancellations) + 1)
 
         def level_of(ids: str, size: int, default: int) -> np.ndarray:
             """Per record: the level whose cancellation lists it in
             ``ids`` (each id is listed at most once)."""
             out = np.full(size, default, dtype=np.int64)
-            lists = [getattr(c, ids) for c in msc.hierarchy]
+            lists = [getattr(c, ids) for c in cancellations]
             flat = np.fromiter((i for x in lists for i in x), np.int64)
             if flat.size and not 0 <= flat.min() <= flat.max() < size:
                 raise ValueError(
@@ -121,7 +126,7 @@ class MSComplexHierarchy:
             msc.node_address[msc.arc_upper], msc.node_address[msc.arc_lower],
             level_of("created_arcs", n_arcs, 0),
             level_of("killed_arcs", n_arcs, _INF),
-            [c.persistence for c in msc.hierarchy],
+            [c.persistence for c in cancellations],
         )
 
     @classmethod
@@ -144,8 +149,10 @@ class MSComplexHierarchy:
         from repro.morse.simplify import simplify_ms_complex
 
         sweep = MorseSmaleComplex.from_payload(msc.to_payload())
-        simplify_ms_complex(sweep, np.inf, respect_boundary=True)
-        return cls.from_complex(sweep)
+        cancellations = simplify_ms_complex(
+            sweep, np.inf, respect_boundary=True
+        )
+        return cls.from_complex(sweep, cancellations)
 
     # -- persistence (flat-array round-trip) ------------------------------
 

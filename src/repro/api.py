@@ -5,9 +5,9 @@ MS complex — the serial :func:`repro.core.pipeline.compute_morse_smale_complex
 the :class:`~repro.core.pipeline.ParallelMSComplexPipeline` driver, and
 the ``repro.cli`` command line — each with its own parameter spelling.
 :func:`compute` replaces them for library users: a single keyword-only
-call that routes to the in-process serial path when
-``ranks == workers == 1`` and to the full parallel pipeline otherwise,
-always returning a :class:`~repro.core.result.PipelineResult`.
+call that runs the pipeline (one block and no merge stage at
+``ranks=1``) and always returns a
+:class:`~repro.core.result.PipelineResult`.
 
 ::
 
@@ -104,8 +104,8 @@ def compute(
     -------
     PipelineResult
         The merged complex(es), decomposition, schedule, and stats, for
-        every routing — serial runs included — so downstream code never
-        branches on how the result was produced.
+        every ``ranks`` and ``workers`` — ``ranks=1`` included — so
+        downstream code never branches on how the result was produced.
     """
     cfg = _facade_config(
         persistence=persistence,

@@ -125,8 +125,11 @@ def compute_morse_smale_complex(
 
     The convenience entry point for analysis at laptop scale and the
     reference the parallel computation is validated against.  Returns a
-    compacted complex; the cancellation hierarchy remains available in
-    ``msc.hierarchy``.  Everything after ``values`` is keyword-only.
+    compacted complex, which keeps no cancellation log: for a
+    multi-resolution view capture one with
+    ``MSComplexHierarchy.capture(compute_morse_smale_complex(values,
+    simplify=False))`` (:mod:`repro.analysis.hierarchy`).  Everything
+    after ``values`` is keyword-only.
     """
     grid = values if isinstance(values, StructuredGrid) else StructuredGrid(values)
     cx = CubicalComplex(grid.values)

@@ -12,8 +12,8 @@ core on integer-heavy code), a higher-bandwidth SeaStar2+ torus
 (~9.6 GB/s links) with somewhat higher MPI latency, and the Spider
 Lustre filesystem (~240 GB/s aggregate).  Compute speeds up more than
 communication, so on Jaguar the compute/merge crossover of Fig. 9 moves
-to *lower* process counts — the shape prediction tested by
-``bench_machines.py``.
+to *lower* process counts — the shape prediction checked by the
+``machines`` section of ``benchmarks/paper.py``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ where a list beats an ``ndarray`` one scalar at a time, and writes the
 appended records and killed flags back as arrays when it ends.  The
 incidence it needs — the arcs of each node and the living arcs per node
 pair — is built from the living arcs when a pass starts and dies with
-the pass: at rest a complex is only its records.
+the pass: at rest a complex is only its records (the cancellations are
+the list the loop returns; the complex keeps no log of them).
 
 The geometry store
 ------------------
@@ -48,7 +49,10 @@ sums its children's, junction duplicates counted).  Where each geometry
 starts, ``geom_start``, is the running sum of those counts, derived on
 first use.  A child's id is always smaller than its parent's, so
 ascending id order is a topological order and the table cannot hold a
-cycle.
+cycle.  A leaf holds at least 2 cells (a V-path joins two critical
+cells) and a composite at least 1 child; every way in refuses anything
+else, so the junction rule is order-independent and one batched
+expansion serves every store.
 
 The DAG is what moves: ``compact`` keeps the sub-DAG reachable from
 living arcs (renumbered densely in ascending old-id order, which makes
@@ -58,9 +62,9 @@ received record, and ``glue_into`` appends a member's store with an id
 offset.  Arcs that share a geometry object keep sharing it.  An adopted
 buffer has no spare capacity, so it is only ever grown by reallocation,
 never written in place.  *Expansion* — the V-path of an arc as one
-address list — is the reader's view of the store:
-:meth:`~MorseSmaleComplex.geometry_addresses` for one arc,
-:meth:`~MorseSmaleComplex.expand_arcs` batched.
+address list — is the reader's view of the store, computed one way:
+:meth:`~MorseSmaleComplex.expand_arcs` (batched;
+:meth:`~MorseSmaleComplex.geometry_addresses` is one arc of it).
 
 Node identity across blocks is the cell's global address, which encodes
 its geometric location in the global refined grid; gluing two block
@@ -111,8 +115,9 @@ class Cancellation:
     """Record of one persistence cancellation, for hierarchy queries.
 
     The id lists refer to the complex *before* compaction; they let
-    :class:`repro.analysis.hierarchy.MSComplexHierarchy` reconstruct the
-    complex at any persistence level (multi-resolution queries).
+    :meth:`repro.analysis.hierarchy.MSComplexHierarchy.from_complex`
+    reconstruct the complex at any persistence level (multi-resolution
+    queries).
     """
 
     persistence: float
@@ -157,9 +162,6 @@ class MorseSmaleComplex:
         self.node_alive = np.empty(0, bool)
         self._clear_arcs()
 
-        #: cancellations applied so far (coarsest-last); compact() keeps it
-        self.hierarchy: list[Cancellation] = []
-
     def _clear_arcs(self) -> None:
         """Empty the arc records and the geometry store."""
         # arc records: upper node has index d, lower node index d-1
@@ -203,7 +205,10 @@ class MorseSmaleComplex:
 
     def new_composite_geometry(self, segments: list[tuple[int, bool]]) -> int:
         """Register a composite chaining earlier geometries, one ``(geometry
-        id, reversed)`` per segment (the cancellation loop writes its own)."""
+        id, reversed)`` per segment, at least one (the cancellation loop
+        writes its own)."""
+        if not segments:
+            raise ValueError("geom_children: a composite needs >= 1 child")
         gids = [int(g) for g, _ in segments]
         rows = [(g << 1) | bool(r) for g, (_, r) in zip(gids, segments)]
         gid = self.geom_length.size
@@ -236,8 +241,10 @@ class MorseSmaleComplex:
 
     def _append_leaves(self, data, lengths) -> int:
         """Append leaf geometries held back to back in ``data`` (tight
-        CSR); returns the first new geometry id."""
+        CSR), each of >= 2 cells; returns the first new geometry id."""
         data = np.ascontiguousarray(data, dtype=np.int64)
+        if lengths.size and lengths.min() < 2:
+            raise ValueError("geom_length: a leaf needs >= 2 cells")
         if data.size != lengths.sum():
             raise ValueError(
                 f"geometry data has {data.size} cells, "
@@ -370,41 +377,9 @@ class MorseSmaleComplex:
         return self._start
 
     def geometry_addresses(self, aid: int) -> np.ndarray:
-        """Expanded V-path addresses of arc ``aid``, upper node to lower."""
-        return self._expand_geometry(int(self.arc_geom[aid]))
-
-    def _expand_geometry(self, gid: int) -> np.ndarray:
-        """Flatten a (possibly composite) geometry into one address array.
-
-        The scalar walk (:meth:`_flatten` is the batched form); iterative,
-        because cancellation chains nest composites arbitrarily deep.
-        """
-        data, start = self._geom_data, self.geom_start
-        length, children = self.geom_length, self.geom_children
-        if children[gid] < 0:
-            return data[start[gid]: start[gid] + length[gid]]
-        parts: list[np.ndarray] = []
-        stack: list[tuple[int, bool]] = [(gid, False)]
-        while stack:
-            g, rev = stack.pop()
-            s, k = start[g], children[g]
-            if k < 0:
-                leaf = data[s: s + length[g]]
-                parts.append(leaf[::-1] if rev else leaf)
-            else:
-                # pushed in reverse so children pop in emission order
-                rows = self.geom_child[s: s + k].tolist()
-                for row in rows if rev else rows[::-1]:
-                    stack.append((row >> 1, bool(row & 1) != rev))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        out = [parts[0]]
-        for seg in parts[1:]:
-            # drop duplicated junction cell between consecutive segments
-            if out[-1].size and seg.size and out[-1][-1] == seg[0]:
-                seg = seg[1:]
-            out.append(seg)
-        return np.concatenate(out)
+        """Expanded V-path addresses of arc ``aid``, upper node to lower
+        (one row of :meth:`expand_arcs`)."""
+        return self.expand_arcs([aid])[0]
 
     def expand_arcs(self, aids) -> tuple[np.ndarray, np.ndarray]:
         """Expanded V-paths of arcs ``aids`` as tight CSR ``(data,
@@ -420,12 +395,11 @@ class MorseSmaleComplex:
         """Flatten geometries ``gids`` into a fresh buffer: tight CSR
         ``(data, lengths)``, a geometry listed twice emitted twice.
 
-        The batched, vectorised :meth:`_expand_geometry`: per batch of
-        about ``_FLATTEN_BATCH_CELLS`` cells, composites are replaced by
-        their children level by level (a reversed composite emits them
-        last to first, flipped), the junction-duplicate rule is applied
-        to the whole segment table, and one gather copies the cells
-        through an index built as a prefix sum of +-1 steps.
+        Per batch of about ``_FLATTEN_BATCH_CELLS`` cells, composites are
+        replaced by their children level by level (a reversed composite
+        emits them last to first, flipped), the junction-duplicate rule
+        is applied to the whole segment table, and one gather copies the
+        cells through an index built as a prefix sum of +-1 steps.
         """
         if gids.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -461,18 +435,9 @@ class MorseSmaleComplex:
                 seg[comp] = child[row] >> 1
                 rev[comp] ^= (child[row] & 1) != 0
             s, n = start[seg], length[seg]
-            if n.size and n.min() < 2:
-                # the junction rule is order-dependent for 0/1-cell
-                # leaves (a trimmed-away segment shields its successor):
-                # walk this batch one geometry at a time
-                for i, g in enumerate(gids[lo:hi].tolist(), lo):
-                    flat = self._expand_geometry(g)
-                    lengths[i] = flat.size
-                    out[pos: pos + flat.size] = flat
-                    pos += flat.size
-                continue
-            # every segment keeps >= 1 cell, so "previous trimmed
-            # segment's last cell" is just the neighbour's raw last cell
+            # every leaf has >= 2 cells, so every segment keeps >= 1 and
+            # "previous trimmed segment's last cell" is just the
+            # neighbour's raw last cell
             head = src[np.where(rev, s + n - 1, s)]
             tail = src[np.where(rev, s, s + n - 1)]
             trim = np.zeros(seg.size, dtype=np.int64)
@@ -491,16 +456,15 @@ class MorseSmaleComplex:
             lengths[lo:hi] = np.bincount(owner, weights=m, minlength=hi - lo)
         return out[:pos], lengths
 
-    def geometry_ends(self, aids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(first, last, empty)``: the first and last address of each of
-        arcs ``aids``' expanded V-paths, and which of them are empty —
-        from a per-geometry head/tail table, cost O(store) not O(expansion).
+    def geometry_ends(self, aids) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, last)``: the first and last address of each of arcs
+        ``aids``' expanded V-paths — from a per-geometry head/tail table,
+        cost O(store) not O(expansion).
 
         A composite starts where its first child starts — or ends, if that
         child is reversed — so every ``(geometry, end)`` pair points at one
         ``(child, end xor reversed)`` pair and pointer doubling resolves
-        all of them down to leaves.  Arcs that resolve to an empty leaf
-        (hand-built stores only) are walked one at a time.
+        all of them down to leaves.
         """
         start, length = self.geom_start, self.geom_length
         children, child = self.geom_children, self.geom_child
@@ -514,20 +478,11 @@ class MorseSmaleComplex:
                 break
             hop = twice
         gids = self.arc_geom[np.asarray(aids, dtype=np.int64)]
-        head, tail = hop[2 * gids], hop[2 * gids + 1]
-        empty = (length[head >> 1] == 0) | (length[tail >> 1] == 0)
-        ends = np.zeros((2, gids.size), dtype=np.int64)
-        ok = ~empty
-        for out, state in zip(ends, (head[ok], tail[ok])):
-            leaf = state >> 1
-            out[ok] = self._geom_data[
-                start[leaf] + (state & 1) * (length[leaf] - 1)
-            ]
-        for i in np.flatnonzero(empty).tolist():
-            flat = self._expand_geometry(int(gids[i]))
-            if flat.size:
-                empty[i], ends[0, i], ends[1, i] = False, flat[0], flat[-1]
-        return ends[0], ends[1], empty
+        state = np.stack([hop[2 * gids], hop[2 * gids + 1]])
+        first, last = self._geom_data[
+            start[state >> 1] + (state & 1) * (length[state >> 1] - 1)
+        ]
+        return first, last
 
     def total_geometry_length(self) -> int:
         """Total *expanded* V-path cell count over living arcs (junction
@@ -593,8 +548,7 @@ class MorseSmaleComplex:
         not depend on how the store was built up, so compacting an
         unpacked compacted complex changes nothing).  Masks and
         renumbering over the columns, cost proportional to the store, not
-        to the arcs' expansion.  The cancellation hierarchy is preserved
-        for analysis queries.
+        to the arcs' expansion.
         """
         with get_tracer().span("msc.compact", cat="kernel",
                                arcs_in=self.arc_alive.size) as span:
@@ -744,11 +698,13 @@ class MorseSmaleComplex:
                     )
         if n and nodes["node_index"].max() > 3:
             raise ValueError("node_index: Morse index must be 0..3")
-        if length.size and length.min() < 0:
-            raise ValueError("geom_length must be >= 0")
-        if length.size and children.min() < -1:
-            raise ValueError("geom_children must be >= -1 (-1 marks a leaf)")
+        if ((children < -1) | (children == 0)).any():
+            raise ValueError(
+                "geom_children: -1 marks a leaf, a composite needs >= 1 child"
+            )
         leaf = children < 0
+        if (length[leaf] < 2).any():
+            raise ValueError("geom_length: a leaf needs >= 2 cells")
         if length[leaf].sum() != len(payload["geom_data"]):
             raise ValueError(
                 f"geom_length: leaf lengths sum to {length[leaf].sum()}, "

@@ -76,8 +76,8 @@ def simplify_ms_complex(
 
     Returns
     -------
-    The list of cancellations performed, in order (appended to
-    ``msc.hierarchy`` as well).
+    The list of cancellations performed, in order (the complex keeps no
+    copy; ``MSComplexHierarchy.from_complex`` reads this list).
     """
     if not threshold >= 0:  # NaN included
         raise ValueError("persistence threshold must be non-negative")
@@ -114,7 +114,7 @@ def simplify_ms_complex(
             created, killed = lists.cancel(
                 aid, upper, lower, max_arc_multiplicity
             )
-            record = Cancellation(
+            performed.append(Cancellation(
                 persistence=pers,
                 upper_address=int(address[upper]),
                 lower_address=int(address[lower]),
@@ -124,9 +124,7 @@ def simplify_ms_complex(
                 killed_nodes=[upper, lower],
                 killed_arcs=killed,
                 created_arcs=created,
-            )
-            msc.hierarchy.append(record)
-            performed.append(record)
+            ))
     finally:
         lists.write_back()
     span.annotate(cancellations=len(performed), queued=lists.queued)

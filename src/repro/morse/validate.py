@@ -104,7 +104,7 @@ def assert_ms_complex_valid(
 
     arcs = msc.alive_arcs()
     if check_geometry:
-        first, last, empty = (c.tolist() for c in msc.geometry_ends(arcs))
+        first, last = (c.tolist() for c in msc.geometry_ends(arcs))
     upper, lower = msc.arc_upper.tolist(), msc.arc_lower.tolist()
     for i, aid in enumerate(arcs):
         u, l = upper[aid], lower[aid]
@@ -112,12 +112,11 @@ def assert_ms_complex_valid(
             raise AssertionError(f"arc {aid} has a dead endpoint")
         if index[u] != index[l] + 1:
             raise AssertionError(f"arc {aid} violates the index relation")
-        if check_geometry and not empty[i]:
-            if first[i] != address[u]:
-                raise AssertionError(
-                    f"arc {aid} geometry does not start at its upper node"
-                )
-            if last[i] != address[l]:
-                raise AssertionError(
-                    f"arc {aid} geometry does not end at its lower node"
-                )
+        if check_geometry and first[i] != address[u]:
+            raise AssertionError(
+                f"arc {aid} geometry does not start at its upper node"
+            )
+        if check_geometry and last[i] != address[l]:
+            raise AssertionError(
+                f"arc {aid} geometry does not end at its lower node"
+            )

@@ -87,6 +87,9 @@ class ReferenceComplex(MorseSmaleComplex):
                 ))
         return gid0
 
+    def geometry_addresses(self, aid: int) -> np.ndarray:
+        return self._expand_geometry(int(self.arc_geom[aid]))
+
     def expand_arcs(self, aids):
         flats = [self.geometry_addresses(a) for a in np.asarray(aids).tolist()]
         lengths = np.array([f.size for f in flats], dtype=np.int64)

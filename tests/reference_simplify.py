@@ -145,7 +145,7 @@ def simplify_ms_complex(
         created_ids, killed_ids = _cancel(
             msc, inc, aid, upper, lower, push, max_arc_multiplicity
         )
-        record = Cancellation(
+        performed.append(Cancellation(
             persistence=pers,
             upper_address=msc.node_address[upper],
             lower_address=msc.node_address[lower],
@@ -155,9 +155,7 @@ def simplify_ms_complex(
             killed_nodes=[upper, lower],
             killed_arcs=killed_ids,
             created_arcs=created_ids,
-        )
-        msc.hierarchy.append(record)
-        performed.append(record)
+        ))
     return performed
 
 

@@ -17,14 +17,26 @@ from repro.analysis.graphtools import (
     minimum_cut,
     to_networkx,
 )
+from repro.analysis.hierarchy import MSComplexHierarchy
+from repro.core.merge import pack_complex, unpack_complex
 from repro.core.pipeline import compute_morse_smale_complex
 from repro.data.synthetic import gaussian_bumps_field
+from repro.morse.simplify import simplify_ms_complex
+
+
+def _field():
+    return gaussian_bumps_field((18, 18, 18), 4, seed=8, noise=0.01)
 
 
 @pytest.fixture(scope="module")
 def msc():
-    f = gaussian_bumps_field((18, 18, 18), 4, seed=8, noise=0.01)
-    return compute_morse_smale_complex(f, persistence_threshold=0.05)
+    return compute_morse_smale_complex(_field(), persistence_threshold=0.05)
+
+
+@pytest.fixture(scope="module")
+def raw():
+    """The same field's complex, unsimplified."""
+    return compute_morse_smale_complex(_field(), simplify=False)
 
 
 class TestFeatures:
@@ -56,19 +68,24 @@ class TestFeatures:
         assert all(msc.node_value[n] > 0.3 for n in maxima)
         assert all(msc.node_index[n] == 3 for n in maxima)
 
-    def test_persistence_curve_monotone(self, msc):
-        thresholds, counts = persistence_curve(msc, num_points=32)
-        assert len(thresholds) == len(counts) == 32
+    def test_persistence_curve_monotone(self, raw):
+        """The curve steps down, and each count is the node count a
+        fresh simplification of the captured complex at that threshold
+        leaves."""
+        hierarchy = MSComplexHierarchy.capture(raw)
+        thresholds, counts = persistence_curve(hierarchy, num_points=8)
+        assert len(thresholds) == len(counts) == 8
         assert np.all(np.diff(counts) <= 0)
-        # threshold 0 already cancels the zero-persistence pairs
-        nonzero = sum(1 for c in msc.hierarchy if c.persistence > 0)
-        assert counts[0] == msc.num_alive_nodes() + 2 * nonzero
-        # the top of the curve matches the fully simplified complex
-        assert counts[-1] == msc.num_alive_nodes()
+        assert thresholds[-1] == max(hierarchy.persistences)
+        assert counts[0] < raw.num_alive_nodes()  # zero-persistence pairs
+        for t, count in zip(thresholds, counts):
+            fresh = unpack_complex(pack_complex(raw))
+            simplify_ms_complex(fresh, t)
+            assert count == fresh.num_alive_nodes(), t
 
-    def test_persistence_curve_args(self, msc):
+    def test_persistence_curve_args(self, raw):
         with pytest.raises(ValueError):
-            persistence_curve(msc, num_points=1)
+            persistence_curve(MSComplexHierarchy.capture(raw), num_points=1)
 
 
 class TestGraphTools:

@@ -12,23 +12,29 @@ from repro.morse.tracing import extract_ms_complex
 
 
 @pytest.fixture(scope="module")
-def simplified():
+def run():
+    """A fully simplified, uncompacted complex and its cancellations."""
     field = gaussian_bumps_field((14, 14, 14), 4, seed=2, noise=0.02)
     g = compute_discrete_gradient(CubicalComplex(field))
     msc = extract_ms_complex(g)
-    simplify_ms_complex(msc, np.inf, respect_boundary=False)
-    return msc
+    return msc, simplify_ms_complex(msc, np.inf, respect_boundary=False)
 
 
 @pytest.fixture(scope="module")
-def hierarchy(simplified):
-    return MSComplexHierarchy.from_complex(simplified)
+def simplified(run):
+    return run[0]
+
+
+@pytest.fixture(scope="module")
+def hierarchy(run):
+    return MSComplexHierarchy.from_complex(*run)
 
 
 class TestConstruction:
-    def test_levels_match_cancellations(self, simplified, hierarchy):
-        assert hierarchy.num_levels == len(simplified.hierarchy)
+    def test_levels_match_cancellations(self, run, hierarchy):
+        assert hierarchy.num_levels == len(run[1])
         assert hierarchy.num_levels > 0
+        assert hierarchy.persistences == [c.persistence for c in run[1]]
 
     def test_level_zero_is_unsimplified(self, simplified, hierarchy):
         total = len(simplified.node_address)
@@ -41,17 +47,23 @@ class TestConstruction:
         )
 
     def test_compaction_invalidates_source_but_not_hierarchy(
-        self, simplified, hierarchy
+        self, run, hierarchy
     ):
         import copy
 
-        msc = copy.deepcopy(simplified)
+        msc = copy.deepcopy(run[0])
         msc.compact()
         # hierarchy built earlier still answers queries
         assert hierarchy.counts_at_level(0)[0] > 0
         # but building from the compacted complex fails loudly
-        with pytest.raises(ValueError):
-            MSComplexHierarchy.from_complex(msc)
+        with pytest.raises(ValueError, match="before compacting"):
+            MSComplexHierarchy.from_complex(msc, run[1])
+
+    def test_missing_cancellations_fail_loudly(self, run):
+        """Records that do not describe the complex's dead nodes (here:
+        the last cancellation left out) are refused."""
+        with pytest.raises(ValueError, match="liveness disagrees"):
+            MSComplexHierarchy.from_complex(run[0], run[1][:-1])
 
 
 class TestQueries:

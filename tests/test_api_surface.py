@@ -365,7 +365,8 @@ def _loop_lists():
 #: stability-comparison module, the store's persistence-provider split,
 #: the compute-stage retry policy with its five knobs, the two
 #: fingerprints nothing keyed on, the per-cell arrays of the block
-#: mesh, and the incidence a complex kept between cancellation passes;
+#: mesh, the incidence a complex kept between cancellation passes, and
+#: the cancellation log a complex kept with the curve read from it;
 #: each row is ``(call, text its error must contain)``
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": (
@@ -669,8 +670,14 @@ REMOVED_SPELLINGS = {
         )
         for name in ("node_arcs", "pair_multiplicity", "incidence",
                      "multiplicity", "incident_arcs", "arcs_between",
-                     "address_index")
+                     "address_index", "hierarchy")
     },
+    "persistence_curve(msc)": (
+        lambda f: importlib.import_module(
+            "repro.analysis.features"
+        ).persistence_curve(_ms_complex()),
+        "'MorseSmaleComplex' object has no attribute 'persistences'",
+    ),
     **{
         f"LoopLists.{name}": (
             lambda f, name=name: getattr(_loop_lists(), name),

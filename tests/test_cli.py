@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import _config_from_args, build_parser, main
 from repro.core.config import ExecutionOptions, PipelineConfig
+from repro.io.mscfile import write_msc_file
 from repro.io.volume import VolumeSpec, write_volume
 from repro.data.synthetic import gaussian_bumps_field
 
@@ -127,6 +128,38 @@ class TestInfoErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert ("cannot read" if content is None else "not an MSC") in err
+
+    @pytest.mark.parametrize("column", ["geom_length", "geom_children"])
+    def test_degenerate_geometry_fails_readably(self, tmp_path, capsys,
+                                                column):
+        """A block record whose one arc points at a 1-cell leaf, or at a
+        composite with no children, and is otherwise well formed; the
+        writer computes every CRC, so the geometry check is what
+        refuses it."""
+        leaf = column == "geom_length"
+        record = {
+            "global_refined_dims": np.array([5, 5, 5]),
+            "region": np.array([0, 0, 0, 3, 3, 3]),
+            "node_address": np.array([2, 0]),
+            "node_index": np.array([1, 0], np.uint8),
+            "node_value": np.array([1.0, 0.0]),
+            "node_boundary": np.zeros(2, bool),
+            "arc_upper": np.array([0]),
+            "arc_lower": np.array([1]),
+            "arc_geom": np.array([0 if leaf else 1]),
+            "geom_data": np.array([2] if leaf else [2, 1, 0]),
+            "geom_length": np.array([1] if leaf else [3, 0]),
+            "geom_children": np.array([-1] if leaf else [-1, 0]),
+            "geom_child": np.empty(0, np.int64),
+        }
+        path = tmp_path / "hostile.msc"
+        write_msc_file(path, [(0, record)])
+        assert main(["info", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert column in lines[0]
 
 
 class TestComputeErrors:

@@ -10,6 +10,7 @@ from repro.morse.simplify import simplify_ms_complex
 from repro.morse.tracing import extract_ms_complex
 from repro.morse.validate import assert_ms_complex_valid
 from repro.parallel.decomposition import decompose
+from tests.test_property_seeded_simplify import merge_and_cancellations
 
 
 def _block_complexes(values, splits, threshold=0.0):
@@ -139,10 +140,10 @@ class TestRootGrowthRecord:
         values = rng.random((9, 9, 5))
         _, complexes = _block_complexes(values, (2, 2, 1), threshold=0.2)
         root = complexes[0]
-        before = len(root.hierarchy)
         no_cuts = tuple(np.array([], dtype=np.int64) for _ in range(3))
-        outcome = perform_merge(root, complexes[1:], no_cuts, 0.2)
-        cancels = root.hierarchy[before:]
+        outcome, cancels = merge_and_cancellations(
+            root, complexes[1:], no_cuts, 0.2
+        )
         assert len(cancels) == outcome.cancellations > 0
         created = sum(c.arcs_created for c in cancels)
         assert outcome.created_arcs == created > 0

@@ -16,7 +16,9 @@ Outside that table, every ``--flag`` in an inline code span is accepted
 by the ``repro`` parser or one of its subcommands (a span that names
 another program — a ``.py`` script, ``pytest`` — is that program's),
 and docs/API.md's ``ExecutionOptions`` table names exactly the fields of
-the dataclass.
+the dataclass.  In fenced blocks, with backslash continuations joined,
+every ``--flag`` of a ``repro …`` or ``python -m repro.cli …`` command
+is accepted by ``repro`` or by the subcommand the command names.
 
 docs/OBSERVABILITY.md's metrics table, its ``{a,b}`` brace groups
 expanded, names exactly the series ``run_metrics`` emits for a pooled
@@ -45,6 +47,12 @@ FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 SPAN = re.compile(r"`([^`]+)`")
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 OTHER_PROGRAM = re.compile(r"\.py\b|\bpytest\b")
+#: a ``repro`` command in a fenced block (continuations joined): the
+#: arguments after ``repro`` or ``python -m repro.cli``
+COMMAND = re.compile(
+    r"(?:^|[\s`$(])(?:python3? -m repro\.cli|repro)((?:[ \t]+[^\s`;&|)]+)*)",
+    re.M,
+)
 PATH = re.compile(r"`((?:examples|tests|benchmarks|src)/[^`:\s]*)")
 
 
@@ -155,6 +163,40 @@ def test_named_flags_are_accepted(doc):
         for flag in FLAG.findall(span) if flag not in known
     })
     assert not unknown, f"{doc.name} names flags repro rejects: {unknown}"
+
+
+def _subcommand_flags() -> dict[str | None, set[str]]:
+    """Per subcommand (``None``: the bare ``repro``), the option strings
+    a command line naming it accepts: its own and ``repro``'s."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    top = set(parser._option_string_actions)
+    accepted: dict[str | None, set[str]] = {None: top}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                accepted[name] = top | set(sub._option_string_actions)
+    return accepted
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.name)
+def test_fenced_commands_take_their_flags(doc):
+    accepted = _subcommand_flags()
+    wrong = set()
+    for block in FENCE.findall(doc.read_text()):
+        for args in COMMAND.findall(block.replace("\\\n", " ")):
+            words = args.split()
+            sub = next((w for w in words if not w.startswith("-")), None)
+            known = accepted.get(sub, accepted[None])
+            wrong.update(
+                f"{sub or 'repro'} {flag}"
+                for word in words for flag in FLAG.findall(word)
+                if flag not in known
+            )
+    assert not wrong, f"{doc.name} commands take no such flags: {sorted(wrong)}"
 
 
 def test_options_table_names_the_fields():

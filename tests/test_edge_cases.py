@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import PipelineConfig
+from repro.core.merge import pack_complex, unpack_complex
 from repro.core.pipeline import (
     ParallelMSComplexPipeline,
     compute_morse_smale_complex,
 )
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
+from repro.morse.simplify import simplify_ms_complex
 from repro.morse.tracing import extract_ms_complex
 from repro.morse.validate import assert_acyclic, assert_ms_complex_valid
 
@@ -104,8 +106,12 @@ class TestThresholdExtremes:
         """
         v = rng.random((6, 6, 6))
         raw = compute_morse_smale_complex(v, simplify=False)
-        at_zero = compute_morse_smale_complex(v, persistence_threshold=0.0)
-        assert all(c.persistence == 0.0 for c in at_zero.hierarchy)
+        at_zero = unpack_complex(pack_complex(raw))
+        cancels = simplify_ms_complex(at_zero, 0.0, respect_boundary=False)
+        assert cancels and all(c.persistence == 0.0 for c in cancels)
+        assert at_zero.node_counts_by_index() == compute_morse_smale_complex(
+            v, persistence_threshold=0.0
+        ).node_counts_by_index()
         assert (
             at_zero.node_counts_by_index()[0]
             == raw.node_counts_by_index()[0]

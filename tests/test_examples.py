@@ -5,6 +5,7 @@ their building blocks; ``quickstart`` runs verbatim (it is the paper's
 "hello world" and must work as documented).
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -23,6 +24,24 @@ def test_quickstart_runs(capsys):
     runpy.run_path(str(EXAMPLES / "quickstart.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert "parallel == serial feature counts: OK" in out
+
+
+def test_combustion_minima_curve_starts_at_the_merged_complex(capsys):
+    """The printed persistence curve is read from the output block's
+    captured hierarchy: at persistence 0 it counts exactly the merged
+    complex's nodes, then steps down."""
+    sys.path.insert(0, str(EXAMPLES))
+    import combustion_minima
+
+    combustion_minima.main(dims=(24, 28, 16))
+    out = capsys.readouterr().out
+    nodes = int(re.search(r"merged MS complex: MS complex: (\d+) nodes",
+                          out).group(1))
+    curve = [int(c) for c in re.findall(
+        r"persistence <= [\d.]+: (\d+) critical points", out
+    )]
+    assert len(curve) == 8 and curve[0] == nodes
+    assert curve == sorted(curve, reverse=True) and curve[-1] < nodes
 
 
 def test_porous_filaments_components():

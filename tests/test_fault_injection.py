@@ -34,6 +34,7 @@ from repro.data.synthetic import gaussian_bumps_field
 from repro.mesh.grid import StructuredGrid
 from repro.parallel.executor import ComputeStageError, CorruptPayloadError
 from tests.faults import FaultPlan, InjectedCrash, injected
+from tests.test_parallel_executor import cancellation_record
 
 pytestmark = pytest.mark.chaos
 
@@ -92,10 +93,7 @@ def assert_identical(result, baseline):
         assert pack_complex(result.output_blocks[bid]) == pack_complex(
             baseline.output_blocks[bid]
         )
-        assert (
-            result.output_blocks[bid].hierarchy
-            == baseline.output_blocks[bid].hierarchy
-        )
+    assert cancellation_record(result) == cancellation_record(baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,11 @@ class TestConstruction:
         assert tiny_msc.euler_characteristic() == 2 - 1 + 1 - 0
 
 
+def expand(msc, gid):
+    """The expansion of geometry ``gid``, read through a new arc."""
+    return msc.geometry_addresses(msc.add_arc(1, 0, gid))
+
+
 class TestGeometry:
     def test_leaf_expansion(self, tiny_msc):
         np.testing.assert_array_equal(
@@ -93,21 +98,22 @@ class TestGeometry:
         # y -> L -> U -> x style composite: (g1 fwd), (g0 reversed)
         gid = tiny_msc.new_composite_geometry([(1, False), (0, True)])
         # g1 = [10,15,20]; reversed g0 = [0,5,10]; junction 20/0 not equal
-        expanded = tiny_msc._expand_geometry(gid)
-        np.testing.assert_array_equal(expanded, [10, 15, 20, 0, 5, 10])
+        np.testing.assert_array_equal(
+            expand(tiny_msc, gid), [10, 15, 20, 0, 5, 10]
+        )
 
     def test_composite_junction_dedup(self, tiny_msc):
         # g2 ends at 10, g1 starts at 10 -> duplicate dropped
         gid = tiny_msc.new_composite_geometry([(2, False), (1, False)])
         np.testing.assert_array_equal(
-            tiny_msc._expand_geometry(gid), [30, 25, 10, 15, 20]
+            expand(tiny_msc, gid), [30, 25, 10, 15, 20]
         )
 
     def test_nested_composites(self, tiny_msc):
         inner = tiny_msc.new_composite_geometry([(2, False), (1, False)])
         outer = tiny_msc.new_composite_geometry([(inner, True)])
         np.testing.assert_array_equal(
-            tiny_msc._expand_geometry(outer), [20, 15, 10, 25, 30]
+            expand(tiny_msc, outer), [20, 15, 10, 25, 30]
         )
 
     def test_geometry_length_accounting(self, tiny_msc):

@@ -87,8 +87,8 @@ class TestMSComplexValidation:
         msc = extract_ms_complex(
             compute_discrete_gradient(CubicalComplex(small_random_field))
         )
-        simplify_ms_complex(msc, 0.3, respect_boundary=False)
-        assert msc.hierarchy  # uncompacted: dead records remain
+        # uncompacted: dead records remain
+        assert simplify_ms_complex(msc, 0.3, respect_boundary=False)
         assert_ms_complex_valid(msc)
         node = msc.arc_lower[msc.alive_arcs()[-1]]
         msc.node_alive[node] = False

@@ -13,21 +13,24 @@ compaction, after it, and after a pack/unpack of each side's own record.
 On top of that the new record must be canonical (``pack ∘ unpack`` and a
 second ``compact()`` change no byte).  Cases: traced and simplified
 random/plateau/constant fields (nested and reversed composites),
-hand-built leaves of 0, 1 and 2 cells at junctions (where the junction
-rule is order-dependent), a leaf shared by two arcs, node counts that
-leave the int64 sections of the record unaligned, successive glue ->
-re-simplify -> compact rounds, unpack -> mutate -> pack, and the
-benchmark's base fields at smoke dims.
+hand-built leaves of 2 and 3 cells over a tiny alphabet (junction cells
+collide), a leaf shared by two arcs, node counts that leave the int64
+sections of the record unaligned, successive glue -> re-simplify ->
+compact rounds, unpack -> mutate -> pack, and the benchmark's base
+fields at smoke dims.
 
 Flatten-then-recompose (the oracle across rounds) and nested expansion
-(the DAG) agree whenever every chained part has >= 2 cells, which the
-tracer guarantees; for hand-built 0/1-cell leaves the DAG's nested
-expansion is the definition, so the second round of the hand-built case
-is drawn from non-degenerate leaves only.
+(the DAG) agree because every chained part has >= 2 cells: the tracer
+guarantees it, and the store refuses a shorter leaf or a composite with
+no children on every way in (``new_leaf_geometry`` /
+``add_leaf_arcs_flat``, ``new_composite_geometry``, ``from_payload``,
+so also a record read back by ``read_msc_file``).
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,7 +41,7 @@ import repro.morse.msc as msc_module
 import repro.morse.tracing as tracing
 from repro.core.glue import AddressIndex, glue_into
 from repro.core.merge import pack_complex, unpack_complex
-from repro.io.mscfile import deserialize_payload
+from repro.io.mscfile import deserialize_payload, read_msc_file, write_msc_file
 from repro.mesh.cubical import CubicalComplex
 from repro.morse.gradient import compute_discrete_gradient
 from repro.morse.msc import MorseSmaleComplex
@@ -71,12 +74,10 @@ def assert_same_before_compact(got, want, same_nesting=True) -> None:
             got.geometry_addresses(aid), want.geometry_addresses(aid)
         )
     # the O(store) head/tail table (what validation reads) against the walk
-    first, last, empty = got.geometry_ends(got.alive_arcs())
+    first, last = got.geometry_ends(got.alive_arcs())
     for i, aid in enumerate(got.alive_arcs()):
         path = want.geometry_addresses(aid)
-        assert bool(empty[i]) == (path.size == 0)
-        if path.size:
-            assert (first[i], last[i]) == (path[0], path[-1])
+        assert (first[i], last[i]) == (path[0], path[-1])
     if same_nesting:
         # a composite's cached length counts junction duplicates in both
         # (the oracle forgets the ones inside a piece it has flattened)
@@ -99,7 +100,7 @@ def assert_same_decoded(got, want) -> None:
     arcs = range(len(got.arc_upper))
     for a, b in zip(got.expand_arcs(arcs), want.expand_arcs(arcs)):
         np.testing.assert_array_equal(a, b)
-    for aid in list(arcs)[:50]:  # the scalar walk agrees with the batch
+    for aid in list(arcs)[:50]:  # one arc at a time agrees with the batch
         np.testing.assert_array_equal(
             got.geometry_addresses(aid), want.geometry_addresses(aid)
         )
@@ -155,22 +156,19 @@ def test_simplified_field_equals_oracle(values, fraction):
 
 @st.composite
 def operation_lists(draw):
-    """Leaves of 0-3 cells over a tiny alphabet (so junction cells collide),
-    composites over earlier geometries, arcs over any of them.  Half the
-    draws are non-degenerate: leaves of >= 2 cells, composites of >= 1
-    child — where flatten-then-recompose and nested expansion agree."""
-    degenerate = draw(st.booleans())
+    """Leaves of 2-3 cells over a tiny alphabet (so junction cells
+    collide), composites of 1-4 children over earlier geometries, arcs
+    over any of them."""
     cells = st.integers(0, 2)
     leaves = draw(st.lists(
-        st.lists(cells, min_size=0 if degenerate else 2, max_size=3),
-        min_size=1, max_size=6,
+        st.lists(cells, min_size=2, max_size=3), min_size=1, max_size=6,
     ))
     ngeom = len(leaves)
     composites = []
     for _ in range(draw(st.integers(0, 6))):
         composites.append(draw(st.lists(
             st.tuples(st.integers(0, ngeom - 1), st.booleans()),
-            min_size=0 if degenerate else 1, max_size=4,
+            min_size=1, max_size=4,
         )))
         ngeom += 1
     # a geometry id may repeat: two arcs then share it
@@ -178,7 +176,7 @@ def operation_lists(draw):
     # 5 node columns: n % 8 != 0 leaves every later int64 section unaligned
     pairs = draw(st.sampled_from([1, 2, 3, 5]))
     dead = draw(st.sets(st.integers(0, len(arcs) - 1), max_size=len(arcs) - 1))
-    return leaves, composites, arcs, pairs, dead, degenerate
+    return leaves, composites, arcs, pairs, dead
 
 
 def build(cls, leaves, composites, arcs, pairs):
@@ -198,15 +196,13 @@ def build(cls, leaves, composites, arcs, pairs):
 @settings(max_examples=300, deadline=None)
 @given(operation_lists())
 def test_short_leaves_and_shared_geometry_equal_oracle(ops):
-    leaves, composites, arcs, pairs, dead, degenerate = ops
+    leaves, composites, arcs, pairs, dead = ops
     got = build(MorseSmaleComplex, leaves, composites, arcs, pairs)
     want = build(ReferenceComplex, leaves, composites, arcs, pairs)
     for msc in (got, want):
         for aid in dead:
             msc.arc_alive[aid] = False
     blob = assert_same_packed(got, want)
-    if degenerate:
-        return
 
     # unpack -> mutate -> pack, on read-only (unaligned) views of each
     # side's record: the oracle recomposes flattened leaves, the store
@@ -222,6 +218,61 @@ def test_short_leaves_and_shared_geometry_equal_oracle(ops):
         msc.add_arc(0, 1, msc.new_leaf_geometry(np.array([7, 7])))
         msc.arc_alive[0] = False
     assert_same_packed(got, want, same_nesting=False)
+
+
+def with_degenerate_geometry(payload, cells):
+    """``payload`` plus one geometry its last arc points at: a leaf of
+    ``cells`` cells, or with ``cells=None`` a composite with no children.
+    Every other constraint of the record holds (leaf cells and child rows
+    add up, a composite's length is its children's sum), so with fewer
+    than 2 cells or no children only the geometry check can refuse it."""
+    leaf = cells is not None
+    out = dict(payload)
+    out["geom_length"] = np.append(payload["geom_length"], cells or 0)
+    out["geom_children"] = np.append(
+        payload["geom_children"], -1 if leaf else 0
+    )
+    out["geom_data"] = np.append(payload["geom_data"], [5] * (cells or 0))
+    out["arc_geom"] = np.array(payload["arc_geom"])
+    out["arc_geom"][-1] = payload["geom_length"].size
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(operation_lists(), st.sampled_from([0, 1, None]))
+def test_degenerate_geometry_is_refused(ops, cells):
+    """A leaf of 0 or 1 cells, or a composite with no children, is
+    refused with a ``ValueError`` naming its column on every way in: the
+    builders, a payload, and a record read back from a ``.msc`` file."""
+    leaves, composites, arcs, pairs, _dead = ops
+    column = "geom_children" if cells is None else "geom_length"
+    msc = build(MorseSmaleComplex, leaves, composites, arcs, pairs)
+    stored = msc.geom_length.size
+    with pytest.raises(ValueError, match=column):
+        if cells is None:
+            msc.new_composite_geometry([])
+        else:
+            msc.new_leaf_geometry(np.arange(cells))
+    if cells is not None:
+        with pytest.raises(ValueError, match=column):
+            msc.add_leaf_arcs_flat(
+                np.array([0]), np.array([1]), np.arange(cells), [cells]
+            )
+    assert msc.geom_length.size == stored  # nothing half-appended
+
+    msc.compact()
+    hostile = with_degenerate_geometry(msc.to_payload(), cells)
+    with pytest.raises(ValueError, match=column):
+        MorseSmaleComplex.from_payload(hostile)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "hostile.msc"
+        write_msc_file(path, [(0, hostile)])
+        record = read_msc_file(path)[0]
+    with pytest.raises(ValueError, match=column):
+        MorseSmaleComplex.from_payload(record)
+    # the same record with a well-formed geometry in that slot is adopted
+    fine = with_degenerate_geometry(msc.to_payload(), 2)
+    MorseSmaleComplex.from_payload(fine)
 
 
 def test_flatten_batches_split_and_rejoin(monkeypatch):

@@ -14,11 +14,13 @@ over random fields, thresholds, and radix schedules.
 """
 
 import copy
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.merge as merge_module
 from repro.core.glue import AddressIndex, glue_into
 from repro.core.merge import pack_complex, perform_merge, unpack_complex
 from repro.morse.simplify import simplify_ms_complex
@@ -44,8 +46,23 @@ def simplified_blocks(field, num_blocks, threshold):
     return out
 
 
-def assert_merge_paths_identical(seeded, full):
-    assert seeded.hierarchy == full.hierarchy
+def merge_and_cancellations(root, incoming, cuts, threshold, **kw):
+    """``perform_merge``, plus the cancellation list its
+    re-simplification returned (the complex keeps none)."""
+    lists = []
+
+    def recording(*args, **kwargs):
+        lists.append(simplify_ms_complex(*args, **kwargs))
+        return lists[-1]
+
+    with mock.patch.object(merge_module, "simplify_ms_complex", recording):
+        outcome = perform_merge(root, incoming, cuts, threshold, **kw)
+    (cancels,) = lists
+    return outcome, cancels
+
+
+def assert_merge_paths_identical(seeded, full, cancels_seeded, cancels_full):
+    assert cancels_seeded == cancels_full
     assert alive_addresses(seeded) == alive_addresses(full)
     assert pack_complex(seeded) == pack_complex(full)
 
@@ -75,16 +92,16 @@ def test_incremental_merge_rounds_match_full_reheap(
             ]
             seeded = complexes[root_bid]
             full = copy.deepcopy(seeded)
-            out_s = perform_merge(
+            out_s, cancels_s = merge_and_cancellations(
                 seeded, [unpack_complex(b) for b in blobs], cuts,
                 threshold, incremental=True,
             )
-            out_f = perform_merge(
+            out_f, cancels_f = merge_and_cancellations(
                 full, [unpack_complex(b) for b in blobs], cuts,
                 threshold, incremental=False,
             )
             assert out_s.cancellations == out_f.cancellations
-            assert_merge_paths_identical(seeded, full)
+            assert_merge_paths_identical(seeded, full, cancels_s, cancels_f)
             # later rounds continue from the (identical) seeded result
 
 
@@ -114,10 +131,9 @@ def test_seed_nodes_from_disturbed_set_is_exact(seed, threshold):
         root, threshold, respect_boundary=True, seed_nodes=touched
     )
     cancels_full = simplify_ms_complex(full, threshold, respect_boundary=True)
-    assert cancels_seeded == cancels_full
     root.compact()
     full.compact()
-    assert_merge_paths_identical(root, full)
+    assert_merge_paths_identical(root, full, cancels_seeded, cancels_full)
 
 
 def test_identity_is_not_vacuous():

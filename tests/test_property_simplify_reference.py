@@ -34,10 +34,11 @@ from tests import reference_simplify as reference
 from tests.test_property_simplify_boundary import block_complex
 
 #: the record layer a cancellation writes (``_geom_data`` is never
-#: touched) and the hierarchy; the incidence dies with each pass
+#: touched); the cancellation lists are compared as returned, and the
+#: incidence dies with each pass
 _RECORDS = (
     "node_alive", "arc_upper", "arc_lower", "arc_geom", "arc_alive",
-    "geom_start", "geom_length", "geom_children", "geom_child", "hierarchy",
+    "geom_start", "geom_length", "geom_children", "geom_child",
 )
 
 thresholds = st.one_of(
@@ -70,10 +71,7 @@ def assert_same_run(msc, *thresholds, seed_nodes=None, **kw) -> int:
         assert got == want
         for key in _RECORDS:
             a, b = getattr(mine, key), getattr(ref, key)
-            if isinstance(a, np.ndarray):  # a column
-                assert a.dtype == b.dtype and np.array_equal(a, b), key
-            else:  # the hierarchy
-                assert a == b, key
+            assert a.dtype == b.dtype and np.array_equal(a, b), key
         total += len(got)
         seed_nodes = None
     mine.compact()
@@ -159,10 +157,14 @@ def test_cases_are_not_vacuous():
     hit the cap, and a second pass over the uncompacted complex cancels
     too — the comparison is over non-trivial work."""
     msc = block_complex(make_field(5, 6), 2, 0)
-    capped, twice = copy.deepcopy(msc), copy.deepcopy(msc)
+    capped, exact, twice = (copy.deepcopy(msc) for _ in range(3))
     assert assert_same_run(msc, 0.5, max_arc_multiplicity=None) > 20
     cancels = production.simplify_ms_complex(capped, 0.5)
-    exact = sum(c.arcs_created for c in msc.hierarchy)
-    assert sum(c.arcs_created for c in cancels) < exact
+    uncapped = production.simplify_ms_complex(
+        exact, 0.5, max_arc_multiplicity=None
+    )
+    assert sum(c.arcs_created for c in cancels) < sum(
+        c.arcs_created for c in uncapped
+    )
     first = len(production.simplify_ms_complex(copy.deepcopy(twice), 0.2))
     assert first > 0 and assert_same_run(twice, 0.2, 0.5) > first
