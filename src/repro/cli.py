@@ -438,17 +438,18 @@ def _cmd_info(args) -> int:
 
     try:
         blocks = read_msc_file(args.mscfile)
-        summaries = [
-            (bid, MorseSmaleComplex.from_payload(blocks[bid]).summary())
-            for bid in sorted(blocks)
-        ]
     except OSError as exc:
         return _fail(f"cannot read {args.mscfile!r}: {exc.strerror or exc}")
     except ValueError as exc:
         return _fail(str(exc))
-    print(f"{args.mscfile}: {len(blocks)} block(s)")
-    for bid, summary in summaries:
-        print(f"  block {bid}: {summary}")
+    lines = [f"{args.mscfile}: {len(blocks)} block(s)"]
+    for bid in sorted(blocks):
+        try:
+            msc = MorseSmaleComplex.from_payload(blocks[bid])
+        except ValueError as exc:  # a column check names no place
+            return _fail(f"{args.mscfile}: record of block {bid}: {exc}")
+        lines.append(f"  block {bid}: {msc.summary()}")
+    print("\n".join(lines))
     return 0
 
 
@@ -577,7 +578,11 @@ def _cmd_synth(args) -> int:
             field = rayleigh_taylor_proxy((n, n, n), seed=args.seed)
         else:
             field = hydrogen_atom(n)
-        spec = write_volume(args.output, np.asarray(field), dtype=args.dtype)
+        try:
+            spec = write_volume(args.output, np.asarray(field),
+                                dtype=args.dtype)
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
     print(f"wrote {spec.path}: dims={spec.dims} dtype={spec.dtype} "
           f"({spec.nbytes} bytes)")
     return 0

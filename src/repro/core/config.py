@@ -27,6 +27,10 @@ __all__ = [
     "MergeSchedule",
 ]
 
+#: versions what a configuration computes, so a store written before
+#: misses (2: ties cancel in push order, <= 2 parallel arcs per pair)
+RESULT_VERSION = 2
+
 
 @dataclass
 class PipelineConfig:
@@ -134,6 +138,7 @@ class PipelineConfig:
         return canonical_fingerprint(
             "pipeline-result",
             {
+                "result_version": RESULT_VERSION,
                 "num_blocks": self.num_blocks,
                 "num_procs": self.resolved_num_procs,
                 "splits": list(self.splits) if self.splits else None,

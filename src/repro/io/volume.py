@@ -69,12 +69,15 @@ class VolumeSpec:
 def write_volume(
     path: str | Path, values: np.ndarray, dtype: str = "float32"
 ) -> VolumeSpec:
-    """Write a vertex array (indexed ``[i, j, k]``) as a raw volume file."""
+    """Write a vertex array (indexed ``[i, j, k]``) as a raw volume file;
+    a ``uint8`` cast that would change a sample raises ValueError."""
     if dtype not in SUPPORTED_DTYPES:
         raise ValueError(f"dtype {dtype!r} unsupported")
     values = np.asarray(values)
     if values.ndim != 3:
         raise ValueError("volume must be 3D")
+    if dtype == "uint8":
+        _check_bytes(values)
     out = values.astype(SUPPORTED_DTYPES[dtype])
     with get_tracer().span(
         "io.write_volume", cat="io", path=str(path), bytes=out.nbytes
@@ -86,6 +89,16 @@ def write_volume(
     # so the writing process drops its caches unconditionally
     invalidate_map_cache()
     return VolumeSpec(str(path), tuple(values.shape), dtype)
+
+
+def _check_bytes(values: np.ndarray) -> None:
+    """Refuse ``values`` a ``uint8`` cast would change."""
+    whole = np.floor(values) == values
+    if not np.all(whole & (values >= 0) & (values <= 255)):
+        raise ValueError(
+            "dtype uint8 holds only the integers 0..255 and would change "
+            "these samples; write float32 or float64"
+        )
 
 
 def write_volume_slabs(
@@ -104,7 +117,7 @@ def write_volume_slabs(
     slab is ever materialized.  The resulting file is byte-identical to
     ``write_volume(path, whole_volume, dtype)`` of the concatenated
     slabs.  Raises :class:`ValueError` when slab shapes do not tile
-    ``dims`` exactly.
+    ``dims`` exactly, or when a ``uint8`` cast would change a sample.
     """
     if dtype not in SUPPORTED_DTYPES:
         raise ValueError(f"dtype {dtype!r} unsupported")
@@ -136,6 +149,8 @@ def write_volume_slabs(
                         f"slabs overflow dims {dims}: z reached "
                         f"{written_z + slab.shape[2]}"
                     )
+                if dtype == "uint8":
+                    _check_bytes(slab)
                 slab.astype(np_dtype).ravel(order="F").tofile(fh)
                 written_z += slab.shape[2]
                 num_slabs += 1

@@ -73,7 +73,6 @@ complexes matches boundary nodes by address (§IV-F3).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from heapq import heapify, heappush
 
@@ -104,6 +103,10 @@ _LOOP_COLUMNS = (
     "node_index", "node_value", "node_boundary",
     "arc_upper", "arc_lower", "arc_geom", "arc_alive", "geom_length",
 )
+
+#: parallel arcs a cancellation stores per node pair: any cap >= 2
+#: cancels the same pairs (docs/ALGORITHM.md §4), and 2 stores fewest
+PAIR_CAP = 2
 
 #: arcs are expanded in batches of about this many cells, so the gather's
 #: index temporaries stay a few MiB however large the complex
@@ -761,10 +764,8 @@ class LoopLists:
     index).  The heap is seeded, in ascending arc id, with the living
     arcs at ``seed_nodes`` (``None``: all) that can ever be cancelled —
     at or below ``threshold`` and, under ``respect_boundary``, with no
-    boundary endpoint — as ``(persistence, cost, counter, aid)``,
-    ``cost`` the product of the endpoints' nominal list lengths, which
-    :meth:`skipped` cuts to the living degree in place of pruning a list
-    (docs/ALGORITHM.md §4).
+    boundary endpoint — as ``(persistence, counter, aid)``: equal
+    persistences cancel in push order (docs/ALGORITHM.md §4).
     """
 
     def __init__(self, msc: MorseSmaleComplex, threshold: float,
@@ -786,15 +787,10 @@ class LoopLists:
         ends = np.stack([ups, lows], axis=1).ravel()
         order = np.sort((ends << 32) | np.arange(ends.size)) & 0xFFFFFFFF
         incident = living[order >> 1].tolist()
-        degree = np.bincount(ends, minlength=n)
-        bounds = np.cumsum(degree).tolist()
+        bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
         self.node_arcs = [incident[s:e] for s, e in zip([0] + bounds, bounds)]
         pairs, mult = np.unique((ups << 32) | lows, return_counts=True)
         self.pair_multiplicity = dict(zip(pairs.tolist(), mult.tolist()))
-        # nominal list length and living degree per node: a cancellation
-        # lowers only its neighbours' degrees, a skip cuts one nominal
-        # length back to the degree
-        self.nominal, self.adeg = degree.tolist(), degree.tolist()
         self.threshold = threshold
         self.blocked = self.node_boundary if respect_boundary else [False] * n
         pers = np.abs(msc.node_value[upper] - msc.node_value[lower])
@@ -806,42 +802,33 @@ class LoopLists:
             seeds[np.fromiter(seed_nodes, np.int64)] = True
             keep &= seeds[upper] | seeds[lower]
         aids = np.flatnonzero(keep)
-        cost = degree[upper[aids]] * degree[lower[aids]]
-        self.heap = list(zip(pers[aids].tolist(), cost.tolist(),
-                             range(aids.size), aids.tolist()))
+        self.heap = list(zip(pers[aids].tolist(), range(aids.size),
+                             aids.tolist()))
         heapify(self.heap)
         self.queued = aids.size  # the push counter
 
     def skipped(self, upper: int, lower: int) -> bool:
-        """Whether more than one living arc joins the pair; if so, the
-        endpoint with the shorter nominal list has its nominal length cut
-        to its living degree, the length pruning its list would leave."""
-        if self.pair_multiplicity[(upper << 32) | lower] == 1:
-            return False
-        nominal = self.nominal
-        base = upper if nominal[upper] <= nominal[lower] else lower
-        nominal[base] = self.adeg[base]
-        return True
+        """Whether more than one living arc joins the pair."""
+        return self.pair_multiplicity[(upper << 32) | lower] > 1
 
-    def cancel(self, aid: int, upper: int, lower: int, cap):
+    def cancel(self, aid: int, upper: int, lower: int):
         """Cancel the pair ``upper`` / ``lower`` joined by arc ``aid``;
         returns ``(created arc ids, killed arc ids)``.
 
         Each other upper neighbour ``y`` of ``lower`` gets an arc to each
         other lower neighbour ``x`` of ``upper`` (geometry ``y -> L``,
-        ``L -> U`` reversed, ``U -> x``) unless ``cap`` arcs already join
-        them (``None``: no cap), queued as the seeds were.  Both nodes
-        and their living arcs die.  One pass writes what per-arc
+        ``L -> U`` reversed, ``U -> x``) unless :data:`PAIR_CAP` arcs
+        already join them, queued as the seeds were.  Both nodes and
+        their living arcs die.  One pass writes what per-arc
         ``new_composite_geometry`` + ``add_arc`` would.
         """
         node_arcs, value = self.node_arcs, self.node_value
         arc_upper, arc_lower = self.arc_upper, self.arc_lower
         arc_geom, arc_alive = self.arc_geom, self.arc_alive
         length, child = self.geom_length, self.geom_child
-        pm, nominal, adeg = self.pair_multiplicity, self.nominal, self.adeg
-        heap, threshold, blocked = self.heap, self.threshold, self.blocked
-        counter, cap = self.queued, sys.maxsize if cap is None else cap
-        get = pm.get
+        pm, heap, counter = self.pair_multiplicity, self.heap, self.queued
+        threshold, blocked = self.threshold, self.blocked
+        get, cap = pm.get, PAIR_CAP
         # the living incident arcs, pruned in place, all die with the pair
         for n in (upper, lower):
             node_arcs[n] = [a for a in node_arcs[n] if arc_alive[a]]
@@ -850,25 +837,20 @@ class LoopLists:
         mid_row, mid_len = (arc_geom[aid] << 1) | 1, length[arc_geom[aid]]
         downs = []
         for q in upper_arcs:
-            if arc_upper[q] != upper:
-                adeg[arc_upper[q]] -= 1
-                continue
-            x, g = arc_lower[q], arc_geom[q]
-            adeg[x] -= 1
-            downs.append((x, g << 1, length[g], value[x], blocked[x],
-                          node_arcs[x]))
+            if arc_upper[q] == upper:
+                x, g = arc_lower[q], arc_geom[q]
+                downs.append((x, g << 1, length[g], value[x], blocked[x],
+                              node_arcs[x]))
         aid0 = new_aid = len(arc_upper)
         gid0 = len(length)
         for p in lower_arcs:
             if arc_lower[p] != lower:
-                adeg[arc_lower[p]] -= 1
                 continue
             y, g = arc_upper[p], arc_geom[p]
-            adeg[y] -= 1
             y_arcs, y_blocked, value_y = node_arcs[y], blocked[y], value[y]
-            y_key, ny = y << 32, nominal[y]
+            y_key = y << 32
             head_row, head_len = g << 1, length[g] + mid_len
-            for down in downs:  # most visits find the pair at cap
+            for down in downs:  # most visits find the pair at the cap
                 key = y_key | down[0]
                 m = get(key, 0)
                 if m >= cap:
@@ -881,16 +863,11 @@ class LoopLists:
                 arc_lower.append(x)
                 y_arcs.append(new_aid)
                 x_arcs.append(new_aid)
-                ny += 1
-                nominal[x] = nx = nominal[x] + 1
-                adeg[x] += 1
                 pers = abs(value_y - value_x)
                 if pers <= threshold and not (y_blocked or x_blocked):
-                    heappush(heap, (pers, ny * nx, counter, new_aid))
+                    heappush(heap, (pers, counter, new_aid))
                     counter += 1
                 new_aid += 1
-            adeg[y] += ny - nominal[y]
-            nominal[y] = ny
         k = new_aid - aid0  # the columns the pass does not read
         arc_geom.extend(range(gid0, gid0 + k))
         arc_alive.extend([True] * k)

@@ -35,10 +35,13 @@ def simplify_ms_complex(
     msc: MorseSmaleComplex,
     threshold: float,
     respect_boundary: bool = True,
-    max_arc_multiplicity: int | None = 4,
     seed_nodes=None,
 ) -> list[Cancellation]:
     """Cancel node pairs in order of persistence up to ``threshold``.
+
+    Equal persistences cancel in push order; a cancellation stores at
+    most ``PAIR_CAP`` (2) parallel arcs per node pair, and any larger cap
+    would cancel the same pairs (docs/ALGORITHM.md §4).
 
     Parameters
     ----------
@@ -52,14 +55,6 @@ def simplify_ms_complex(
         When True (the parallel per-block setting), arcs with a boundary
         endpoint are not cancellation candidates.  Serial simplification
         passes False.
-    max_arc_multiplicity:
-        Cap on parallel arcs kept between one node pair; a cancellation
-        does not materialize copies beyond it.  Validity only tells
-        multiplicity 1 from >= 2, and a living pair's multiplicity never
-        decreases, so any cap >= 2 provably leaves the surviving critical
-        points and the cancellation hierarchy exact — only redundant
-        parallel copies (and their geometry) are dropped.  ``None`` keeps
-        the full arc multiset (quadratic growth on noisy data).
     seed_nodes:
         Optional node ids; only arcs incident to them seed the heap, in
         ascending arc-id order so the push counter breaks ties as a full
@@ -71,8 +66,7 @@ def simplify_ms_complex(
         re-heap's hierarchy — every arc the last pass left alive was
         skipped for a reason (persistence, boundary endpoint, non-unique
         connection) only those events lift, and each cancellation pushes
-        the arcs it creates.  ``None`` (the
-        default) seeds every living arc.
+        the arcs it creates.  ``None`` (the default) seeds every living arc.
 
     Returns
     -------
@@ -81,11 +75,6 @@ def simplify_ms_complex(
     """
     if not threshold >= 0:  # NaN included
         raise ValueError("persistence threshold must be non-negative")
-    if max_arc_multiplicity is not None and max_arc_multiplicity < 2:
-        raise ValueError(
-            "max_arc_multiplicity must be >= 2 (1 would change which "
-            "pairs are cancellable)"
-        )
 
     span = get_tracer().span(
         "simplify.cancel", cat="kernel", threshold=threshold
@@ -100,7 +89,7 @@ def simplify_ms_complex(
     performed: list[Cancellation] = []
     try:
         while heap:
-            pers, _, _, aid = heappop(heap)
+            pers, _, aid = heappop(heap)
             # a cancellation kills every living arc of both its nodes, so
             # a living arc has living endpoints
             if not arc_alive[aid]:
@@ -111,9 +100,7 @@ def simplify_ms_complex(
             if lists.skipped(upper, lower):
                 continue
 
-            created, killed = lists.cancel(
-                aid, upper, lower, max_arc_multiplicity
-            )
+            created, killed = lists.cancel(aid, upper, lower)
             performed.append(Cancellation(
                 persistence=pers,
                 upper_address=int(address[upper]),

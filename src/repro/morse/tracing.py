@@ -79,11 +79,7 @@ def _flat_table(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return length, start, flat
 
 
-def _trace_down_many(
-    field: GradientField,
-    sources,
-    max_paths_per_node: int | None = None,
-):
+def _trace_down_many(field: GradientField, sources):
     """Trace descending V-paths from a whole batch of critical cells.
 
     Returns ``(flat, lens, terminals, counts)``: the concatenated paths
@@ -200,8 +196,7 @@ def _trace_down_many(
         lens = np.empty(narcs, dtype=np.int64)
         terminals = np.empty(narcs, dtype=np.int64)
         arc_pos: list[np.ndarray] = []
-        src_start = np.cumsum(counts) - counts
-        begin = src_start
+        begin = np.cumsum(counts) - counts
         for lv in range(nlev):
             pos = begin[arc_parent[lv]] + arc_off[lv]
             lens[pos] = 2 * lv + 2
@@ -209,21 +204,6 @@ def _trace_down_many(
             arc_pos.append(pos)
             if lv + 1 < nlev:
                 begin = begin[ent_parent[lv + 1]] + live_off[lv]
-
-        if max_paths_per_node is not None:
-            within = np.arange(narcs, dtype=np.int64) - np.repeat(
-                src_start, counts
-            )
-            keep = within < max_paths_per_node
-            renum = np.cumsum(keep) - 1
-            for lv in range(nlev):
-                kept = keep[arc_pos[lv]]
-                arc_pos[lv] = renum[arc_pos[lv][kept]]
-                arc_parent[lv] = arc_parent[lv][kept]
-            lens = lens[keep]
-            terminals = terminals[keep]
-            counts = np.minimum(counts, max_paths_per_node)
-            narcs = int(lens.size)
         span.annotate(arcs=narcs)
 
     # ---- geometry materialization -------------------------------------
@@ -256,10 +236,7 @@ def _trace_down_many(
 # ---------------------------------------------------------------------------
 
 
-def extract_ms_complex(
-    field: GradientField,
-    max_paths_per_node: int | None = None,
-) -> MorseSmaleComplex:
+def extract_ms_complex(field: GradientField) -> MorseSmaleComplex:
     """Build the block-local MS complex 1-skeleton from a gradient field.
 
     Nodes carry the cell's global address, Morse index, value, and a
@@ -270,10 +247,6 @@ def extract_ms_complex(
     ----------
     field:
         A complete discrete gradient field.
-    max_paths_per_node:
-        Optional safety cap on the number of V-paths enumerated from one
-        node (pathological fields can have exponentially many); ``None``
-        enumerates all.
     """
     cx = field.complex
     region_lo = tuple(o // 2 for o in cx.refined_origin)
@@ -307,9 +280,7 @@ def extract_ms_complex(
     # SoS) order give the arcs in the order of one call per dimension
     sources = crit[crit_by_dim[0].size:]
     if sources.size:
-        flat, lens, terminals, counts = _trace_down_many(
-            field, sources, max_paths_per_node
-        )
+        flat, lens, terminals, counts = _trace_down_many(field, sources)
         # cell -> node id: a search over the critical cells sorted by
         # padded index
         by_cell = np.argsort(crit)

@@ -17,7 +17,9 @@ node's list on every read of its living arcs) and dropped on return,
 so a test can require the rewrite to perform the same cancellations in
 the same order and leave the same complex behind.  It runs on the
 production columns through the one-row ``add_arc`` /
-``new_composite_geometry``.
+``new_composite_geometry``.  Its multiplicity cap is a parameter (the
+production loop's is the constant ``PAIR_CAP``, 2), so a test can run
+it at other caps, or none, and require the same cancellations.
 
 Tests only; nothing under ``src/`` imports it.
 """
@@ -77,34 +79,26 @@ def simplify_ms_complex(
     msc: MorseSmaleComplex,
     threshold: float,
     respect_boundary: bool = True,
-    max_arc_multiplicity: int | None = 4,
     seed_nodes=None,
+    cap: int | None = 2,
 ) -> list[Cancellation]:
     """Cancel node pairs in order of persistence up to ``threshold``
-    (the parameters of :func:`repro.morse.simplify.simplify_ms_complex`)."""
+    (the parameters of :func:`repro.morse.simplify.simplify_ms_complex`),
+    storing at most ``cap`` parallel arcs per node pair (``None``: all)."""
     if threshold < 0:
         raise ValueError("persistence threshold must be non-negative")
-    if max_arc_multiplicity is not None and max_arc_multiplicity < 2:
-        raise ValueError(
-            "max_arc_multiplicity must be >= 2 (1 would change which "
-            "pairs are cancellable)"
-        )
+    if cap is not None and cap < 2:
+        raise ValueError("cap must be >= 2 (1 would change which pairs "
+                         "are cancellable)")
 
-    heap: list[tuple[float, int, int, int]] = []
+    heap: list[tuple[float, int, int]] = []
     counter = 0
     inc = _Incidence(msc)
 
     def push(aid: int) -> None:
-        # tie-break equal persistences by an (inexpensive, push-time)
-        # estimate of how many arcs the cancellation would create; this
-        # keeps plateau sweeps from repeatedly feeding high-degree hubs
+        # equal persistences pop in push order
         nonlocal counter
-        cost = len(inc.node_arcs[msc.arc_upper[aid]]) * len(
-            inc.node_arcs[msc.arc_lower[aid]]
-        )
-        heapq.heappush(
-            heap, (msc.persistence(aid), cost, counter, aid)
-        )
+        heapq.heappush(heap, (msc.persistence(aid), counter, aid))
         counter += 1
 
     if seed_nodes is None:
@@ -125,7 +119,7 @@ def simplify_ms_complex(
 
     performed: list[Cancellation] = []
     while heap:
-        pers, _, _, aid = heapq.heappop(heap)
+        pers, _, aid = heapq.heappop(heap)
         if pers > threshold:
             break
         if not msc.arc_alive[aid]:
@@ -143,7 +137,7 @@ def simplify_ms_complex(
             continue
 
         created_ids, killed_ids = _cancel(
-            msc, inc, aid, upper, lower, push, max_arc_multiplicity
+            msc, inc, aid, upper, lower, push, cap
         )
         performed.append(Cancellation(
             persistence=pers,

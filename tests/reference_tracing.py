@@ -69,9 +69,7 @@ def _trace_state(field: GradientField):
 
 
 def _trace_down_many(
-    field: GradientField,
-    sources: list[int],
-    max_paths_per_node: int | None = None,
+    field: GradientField, sources: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Trace descending V-paths from a whole batch of critical cells.
 
@@ -98,7 +96,6 @@ def _trace_down_many(
     npops: list[int] = []
     for crit in sources:
         first_path = len(lens)
-        first_flat = len(flat)
         path = [crit]
         bases.append(crit)
         cands.append(facet_offsets[celltype[crit]])
@@ -148,15 +145,5 @@ def _trace_down_many(
                     terminals.append(alpha)
                 del path[len(path) - chain:]
                 break
-        npaths = len(lens) - first_path
-        if (
-            max_paths_per_node is not None
-            and npaths > max_paths_per_node
-        ):
-            keep = first_path + max_paths_per_node
-            del flat[first_flat + sum(lens[first_path:keep]):]
-            del lens[keep:]
-            del terminals[keep:]
-            npaths = max_paths_per_node
-        counts.append(npaths)
+        counts.append(len(lens) - first_path)
     return flat, lens, terminals, counts

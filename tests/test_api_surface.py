@@ -365,8 +365,9 @@ def _loop_lists():
 #: stability-comparison module, the store's persistence-provider split,
 #: the compute-stage retry policy with its five knobs, the two
 #: fingerprints nothing keyed on, the per-cell arrays of the block
-#: mesh, the incidence a complex kept between cancellation passes, and
-#: the cancellation log a complex kept with the curve read from it;
+#: mesh, the incidence a complex kept between cancellation passes, the
+#: cancellation log a complex kept with the curve read from it, and the
+#: degree tie-break with the two caps (arcs per pair, paths per node);
 #: each row is ``(call, text its error must contain)``
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": (
@@ -683,13 +684,25 @@ REMOVED_SPELLINGS = {
             lambda f, name=name: getattr(_loop_lists(), name),
             f"'LoopLists' object has no attribute '{name}'",
         )
-        for name in ("death", "pruned_at", "clock")
+        for name in ("death", "pruned_at", "clock", "nominal", "adeg")
     },
     "simplify_ms_complex(max_cancellations=)": (
         lambda f: repro.morse.simplify_ms_complex(
             _ms_complex(), 0.0, max_cancellations=1
         ),
         "unexpected keyword argument 'max_cancellations'",
+    ),
+    "simplify_ms_complex(max_arc_multiplicity=)": (
+        lambda f: repro.morse.simplify_ms_complex(
+            _ms_complex(), 0.0, max_arc_multiplicity=4
+        ),
+        "unexpected keyword argument 'max_arc_multiplicity'",
+    ),
+    "extract_ms_complex(max_paths_per_node=)": (
+        lambda f: repro.morse.extract_ms_complex(
+            _gradient(f), max_paths_per_node=1
+        ),
+        "unexpected keyword argument 'max_paths_per_node'",
     ),
     "glue_into(root, other, dict)": (
         lambda f: importlib.import_module("repro.core.glue").glue_into(

@@ -135,7 +135,8 @@ class TestInfoErrors:
         """A block record whose one arc points at a 1-cell leaf, or at a
         composite with no children, and is otherwise well formed; the
         writer computes every CRC, so the geometry check is what
-        refuses it."""
+        refuses it, and its line says which file and block, as a CRC
+        error does."""
         leaf = column == "geom_length"
         record = {
             "global_refined_dims": np.array([5, 5, 5]),
@@ -153,12 +154,13 @@ class TestInfoErrors:
             "geom_child": np.empty(0, np.int64),
         }
         path = tmp_path / "hostile.msc"
-        write_msc_file(path, [(0, record)])
+        write_msc_file(path, [(5, record)])
         assert main(["info", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {path}: record of block 5: ")
         assert column in lines[0]
 
 
@@ -285,6 +287,23 @@ class TestSynth:
             field = gaussian_bumps_field(dims, 3, seed=5)
         ref = write_volume(tmp_path / "ref.raw", field, dtype=dtype)
         assert out.read_bytes() == open(ref.path, "rb").read()
+
+    @pytest.mark.parametrize("kind", ["sinusoid", "jet"])
+    def test_uint8_refuses_fields_it_cannot_hold(self, kind, tmp_path,
+                                                 capsys):
+        """A field of fractions cast to uint8 used to write one or two
+        distinct values; the byte-valued hydrogen field still writes."""
+        rc = main(["synth", kind, str(tmp_path / "v.raw"), "--points", "12",
+                   "--dtype", "uint8"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: dtype uint8")
+        out = tmp_path / "h.raw"
+        assert main(["synth", "hydrogen", str(out), "--points", "12",
+                     "--dtype", "uint8"]) == 0
+        assert np.unique(np.fromfile(out, np.uint8)).size > 2
 
     def test_dims_only_for_slab_written_kinds(self, tmp_path, capsys):
         rc = main(["synth", "jet", str(tmp_path / "j.raw"),

@@ -48,6 +48,21 @@ class TestRoundtrip:
         spec = write_volume(tmp_path / f"v_{dtype}.raw", vals, dtype=dtype)
         np.testing.assert_array_equal(read_volume(spec), vals)
 
+    @pytest.mark.parametrize("sample", [0.5, 256.0, -1.0, np.nan, np.inf])
+    def test_lossy_uint8_cast_refused(self, tmp_path, sample):
+        """A sample uint8 cannot hold refuses the write, whole or slab by
+        slab, before the sample is written."""
+        vals = np.zeros((2, 3, 4))
+        vals[1, 2, 3] = sample
+        with pytest.raises(ValueError, match="uint8 holds only"):
+            write_volume(tmp_path / "w.raw", vals, dtype="uint8")
+        assert not (tmp_path / "w.raw").exists()
+        slabs = (vals[:, :, :2], vals[:, :, 2:])
+        with pytest.raises(ValueError, match="uint8 holds only"):
+            write_volume_slabs(tmp_path / "s.raw", vals.shape, slabs,
+                               dtype="uint8")
+        assert (tmp_path / "s.raw").stat().st_size == 2 * 3 * 2
+
     def test_x_fastest_on_disk(self, tmp_path):
         vals = np.zeros((3, 2, 2))
         vals[1, 0, 0] = 7.0

@@ -90,11 +90,6 @@ class TestExtractMSComplex:
             assert geo[0] == msc.node_address[msc.arc_upper[aid]]
             assert geo[-1] == msc.node_address[msc.arc_lower[aid]]
 
-    def test_max_paths_cap(self, field):
-        full = extract_ms_complex(field)
-        capped = extract_ms_complex(field, max_paths_per_node=1)
-        assert capped.num_alive_arcs() <= full.num_alive_arcs()
-
     def test_no_arc_runs_uphill_on_float64_input(self):
         """Samples 1e-6 apart collapse to a handful of float32 values;
         the SoS order must still follow the exact float64 samples that

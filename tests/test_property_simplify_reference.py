@@ -13,9 +13,10 @@ record layers before compaction and equal ``to_payload()`` after it.
 Inputs: per-block complexes with boundary flags, and merge roots (two
 simplified halves glued, boundary flags updated) re-simplified from
 their disturbed nodes via ``seed_nodes``; random and quantised fields
-(plateaus make equal persistences, so the cost / push-order tie-break
-decides); thresholds 0, finite and infinite; multiplicity caps None, 2
-and 4; and two passes over one uncompacted complex.
+(plateaus make equal persistences, so the push order decides);
+thresholds 0, finite and infinite; and two passes over one uncompacted
+complex.  The oracle runs at its default cap, the production constant
+2; `test_property_simplify_cap.py` runs it at other caps.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ thresholds = st.one_of(
     st.just(0.0), st.floats(min_value=0.01, max_value=0.8),
     st.just(float("inf")),
 )
-caps = st.sampled_from([None, 2, 4])
 
 
 def make_field(seed: int, levels: int | None) -> np.ndarray:
@@ -90,17 +90,13 @@ def assert_same_run(msc, *thresholds, seed_nodes=None, **kw) -> int:
     levels=st.sampled_from([None, 4, 12]),
     num_blocks=st.sampled_from([1, 2, 8]),
     threshold=thresholds,
-    cap=caps,
     respect_boundary=st.booleans(),
 )
 def test_block_complexes_match_reference(
-    seed, levels, num_blocks, threshold, cap, respect_boundary
+    seed, levels, num_blocks, threshold, respect_boundary
 ):
     msc = block_complex(make_field(seed, levels), num_blocks, 0)
-    assert_same_run(
-        msc, threshold, respect_boundary=respect_boundary,
-        max_arc_multiplicity=cap,
-    )
+    assert_same_run(msc, threshold, respect_boundary=respect_boundary)
 
 
 @settings(max_examples=15, deadline=None)
@@ -108,33 +104,21 @@ def test_block_complexes_match_reference(
     seed=st.integers(min_value=0, max_value=10**6),
     levels=st.sampled_from([None, 4, 12]),
     first=st.floats(min_value=0.0, max_value=0.4),
-    cap=caps,
     respect_boundary=st.booleans(),
 )
 def test_two_passes_over_one_uncompacted_complex_match_reference(
-    seed, levels, first, cap, respect_boundary
+    seed, levels, first, respect_boundary
 ):
     """The second pass starts on the first pass's dead records, with no
     incidence kept between the passes: each builds its own, as each of
     the oracle's does."""
     msc = block_complex(make_field(seed, levels), 2, 0)
-    assert_same_run(
-        msc, first, 0.6, respect_boundary=respect_boundary,
-        max_arc_multiplicity=cap,
-    )
+    assert_same_run(msc, first, 0.6, respect_boundary=respect_boundary)
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    levels=st.sampled_from([None, 6]),
-    threshold=thresholds,
-    cap=caps,
-)
-def test_glued_roots_with_seed_nodes_match_reference(
-    seed, levels, threshold, cap
-):
-    """A merge root exactly as ``perform_merge`` re-simplifies it."""
+def two_block_root(seed: int, levels: int | None, threshold: float):
+    """Two simplified halves of one field glued, boundary flags
+    updated; returns the root with the nodes the glue touched."""
     field = make_field(seed, levels)
     halves = []
     for bid in range(2):
@@ -147,9 +131,19 @@ def test_glued_roots_with_seed_nodes_match_reference(
     glue_into(root, other, AddressIndex.from_complex(root), touched=touched)
     cuts = MergeSchedule(decompose(field.shape, 2), [2]).cut_planes_after(1)
     touched.update(root.update_boundary_flags(cuts, return_ids=True))
-    assert_same_run(
-        root, threshold, seed_nodes=touched, max_arc_multiplicity=cap,
-    )
+    return root, touched
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    levels=st.sampled_from([None, 6]),
+    threshold=thresholds,
+)
+def test_glued_roots_with_seed_nodes_match_reference(seed, levels, threshold):
+    """A merge root exactly as ``perform_merge`` re-simplifies it."""
+    root, touched = two_block_root(seed, levels, threshold)
+    assert_same_run(root, threshold, seed_nodes=touched)
 
 
 def test_cases_are_not_vacuous():
@@ -158,11 +152,9 @@ def test_cases_are_not_vacuous():
     too — the comparison is over non-trivial work."""
     msc = block_complex(make_field(5, 6), 2, 0)
     capped, exact, twice = (copy.deepcopy(msc) for _ in range(3))
-    assert assert_same_run(msc, 0.5, max_arc_multiplicity=None) > 20
+    assert assert_same_run(msc, 0.5) > 20
     cancels = production.simplify_ms_complex(capped, 0.5)
-    uncapped = production.simplify_ms_complex(
-        exact, 0.5, max_arc_multiplicity=None
-    )
+    uncapped = reference.simplify_ms_complex(exact, 0.5, cap=None)
     assert sum(c.arcs_created for c in cancels) < sum(
         c.arcs_created for c in uncapped
     )

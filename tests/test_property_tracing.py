@@ -6,8 +6,8 @@ cancellations are valid, so the kernel must reproduce the depth-first
 enumeration exactly, not merely the same set of paths: every case here
 compares the production ``(flat, lens, terminals, counts)`` with the
 oracle of `tests/reference_tracing.py`, per source dimension — random
-fields, plateaus and constant fields, blocks one cell thick, path caps
-(0 and 1 included), empty source lists, multi-block decompositions with
+fields, plateaus and constant fields, blocks one cell thick, empty
+source lists, multi-block decompositions with
 cut planes, and the benchmark's base fields at its smoke dims.
 """
 
@@ -27,15 +27,13 @@ from tests.test_property_gradient_equivalence import (
     fields,
 )
 
-CAPS = st.sampled_from([None, 0, 1, 2, 5])
 
-
-def assert_equals_oracle(cx: CubicalComplex, cap=None) -> None:
+def assert_equals_oracle(cx: CubicalComplex) -> None:
     grad = compute_discrete_gradient(cx)
     for d, cells in enumerate(grad.critical_cells_by_dim()):
         sources = cells.tolist()
-        flat, lens, terminals, counts = _trace_down_many(grad, sources, cap)
-        want = reference_tracing._trace_down_many(grad, sources, cap)
+        flat, lens, terminals, counts = _trace_down_many(grad, sources)
+        want = reference_tracing._trace_down_many(grad, sources)
         got = tuple(a.tolist() for a in (flat, lens, terminals, counts))
         for name, g, w in zip(
             ("flat", "lens", "terminals", "counts"), got, want
@@ -46,28 +44,27 @@ def assert_equals_oracle(cx: CubicalComplex, cap=None) -> None:
 
 
 @settings(max_examples=40, deadline=None)
-@given(fields(), CAPS)
-def test_pointer_backend_bit_identical_to_dfs(values, cap):
-    assert_equals_oracle(CubicalComplex(values), cap)
+@given(fields())
+def test_pointer_backend_bit_identical_to_dfs(values):
+    assert_equals_oracle(CubicalComplex(values))
 
 
 @settings(max_examples=20, deadline=None)
-@given(fields(max_side=6), st.integers(0, 2), CAPS)
-def test_two_vertex_axis_equals_oracle(values, axis, cap):
+@given(fields(max_side=6), st.integers(0, 2))
+def test_two_vertex_axis_equals_oracle(values, axis):
     thin = np.take(values, [0, 1], axis=axis)
     assert 2 in thin.shape
-    assert_equals_oracle(CubicalComplex(thin), cap)
+    assert_equals_oracle(CubicalComplex(thin))
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     fields(min_side=3, max_side=7),
     st.sampled_from([(2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)]),
-    CAPS,
 )
-def test_multi_block_equals_oracle(values, splits, cap):
+def test_multi_block_equals_oracle(values, splits):
     for cx in block_complexes(values, int(np.prod(splits)), splits):
-        assert_equals_oracle(cx, cap)
+        assert_equals_oracle(cx)
 
 
 def test_backends_agree_on_monotone_field(monotone_field):

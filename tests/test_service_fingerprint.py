@@ -80,15 +80,20 @@ class TestSpellingIndependence:
 class TestResultFingerprintScope:
     def test_value_survives_the_upgrade(self):
         """The digest keys every cached artifact on disk: it must not
-        move when scheduling knobs come or go (value from the release
-        before ``kernel_backend``, ``merge_executor``, ``executor`` and
-        ``transport`` were removed)."""
+        move when scheduling knobs come or go (the value held from the
+        release before ``kernel_backend``, ``merge_executor``,
+        ``executor`` and ``transport`` were removed).  It moves when
+        what a configuration computes moves: re-recorded (from
+        ``02567d5d…``) when ``RESULT_VERSION`` 2 entered the digest,
+        because equal persistences began to cancel in push order with
+        at most 2 parallel arcs per pair, and a store written before
+        must miss rather than serve the old complex."""
         cfg = PipelineConfig(
             num_blocks=8, persistence_threshold=0.05, max_radix=2
         )
         assert cfg.result_fingerprint() == (
-            "02567d5d3c94e2e10e09321194916060"
-            "ab32f509d45faa1878409822d77806df"
+            "fe084cab6d6dbcfaef67f5c0c79e6f76"
+            "a24eed3c50b1f13384ae8c13bdea676f"
         )
 
     def test_scheduling_knobs_are_excluded(self):

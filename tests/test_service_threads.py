@@ -219,17 +219,19 @@ def test_no_worker_alive_once_pooled_jobs_finish(tmp_path, volume):
 
 
 def test_service_key_survives_the_upgrade(tmp_path):
-    """`_facade_config` moved modules; keys written before still hit."""
+    """`_facade_config` moved modules; keys written before still hit.
+    Re-recorded (from ``516ca6fa…`` / ``48a3d0ec…``) when the result
+    version entered the fingerprint: keys written before that must miss."""
     field = (np.arange(6 * 7 * 8, dtype=np.float64).reshape(6, 7, 8)
              * 37 % 101) / 101
     spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
     request = ComputeRequest(spec, persistence=0.05, ranks=2, hierarchy=True)
     config = request.pipeline_config()
     assert config.result_fingerprint() == (
-        "516ca6fa17b87aa2c446b90933e32d1f048e54c2f750bcd062c9a96240ff08ef"
+        "0792a9a9dc5e939724ca0febc11a12863ff760139952176c755f9771abb8eca8"
     )
     assert cache_key(content_hash(spec), config) == (
-        "48a3d0ec3fe964273f86c1b8ab5430184af7b4d7c27feb979665e92522c2ffcd"
+        "9635cebb6b603a954d8c27d1d7e4a794abb7a1c43d96c874472f93fdd11b2e06"
     )
 
 

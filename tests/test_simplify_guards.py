@@ -1,7 +1,6 @@
-"""Tests for the simplification guard: the arc multiplicity cap."""
+"""Tests for the simplification guard: the arc multiplicity cap (2)."""
 
 import numpy as np
-import pytest
 
 from repro.morse.msc import LoopLists, MorseSmaleComplex
 from repro.morse.simplify import simplify_ms_complex
@@ -32,9 +31,7 @@ def _star_complex(fan=6):
 class TestMultiplicityCap:
     def test_cap_limits_parallel_arcs(self):
         msc, U, L = _star_complex(fan=5)
-        simplify_ms_complex(
-            msc, 0.1, respect_boundary=False, max_arc_multiplicity=2
-        )
+        simplify_ms_complex(msc, 0.1, respect_boundary=False)
         # every surviving pair has at most 2 parallel arcs
         live = msc.arc_alive
         _, counts = np.unique(
@@ -42,20 +39,6 @@ class TestMultiplicityCap:
             return_counts=True,
         )
         assert counts.max() <= 2
-
-    def test_cap_below_two_rejected(self):
-        msc, _U, _L = _star_complex(fan=2)
-        with pytest.raises(ValueError):
-            simplify_ms_complex(msc, 0.1, max_arc_multiplicity=1)
-
-    def test_exact_mode_keeps_all_multiplicity(self):
-        msc, U, L = _star_complex(fan=3)
-        simplify_ms_complex(
-            msc, 0.1, respect_boundary=False, max_arc_multiplicity=None
-        )
-        # fan=3 cancellation creates 9 arcs, none suppressed
-        alive = msc.num_alive_arcs()
-        assert alive == 3 + 3 + 9 - 6  # originals minus killed plus new
 
     def test_multiplicity_query(self):
         """A pass counts the living arcs of each node pair when it

@@ -1,14 +1,10 @@
 """The cancellation loop's lazy bookkeeping against the eager oracle.
 
-A skip (a pair joined by more than one living arc) used to prune the
-smaller endpoint's incidence list on the spot, and the push tie-break
-reads list lengths, so the cancellation order depends on when lists are
-pruned.  `repro.morse.msc.LoopLists` instead keeps each node's nominal
-length apart from its list and cuts it to the living degree on a skip,
-so a list may hold dead arcs until its node is cancelled or the pass
-ends; and it queues only arcs that can ever be cancelled
-(docs/ALGORITHM.md §4).  The oracle of `tests/reference_simplify.py`
-prunes at once and queues every arc.
+`repro.morse.msc.LoopLists` prunes a node's incidence list only when the
+node is cancelled, so a list may hold dead arcs until the pass ends, and
+it queues only arcs that can ever be cancelled (docs/ALGORITHM.md §4).
+The oracle of `tests/reference_simplify.py` prunes at once and queues
+every arc.
 
 Each case below first asserts that its corner really occurs — a test
 whose corner never happens proves nothing — and then requires the
@@ -38,10 +34,6 @@ class Recorder:
     def __init__(self) -> None:
         #: ``(lists, aid)`` of every queued arc, seeds and pushes
         self.queued: list[tuple[object, int]] = []
-        #: pushes that read a nominal length shorter than the node's list
-        #: while that list still held dead arcs (the eager form had
-        #: pruned them at the skip)
-        self.stamped_reads = 0
         #: the pair of every skip
         self.skips: list[tuple[int, int]] = []
         #: every pass's state as its write-back found it
@@ -55,23 +47,14 @@ class Recorder:
 
         def _init(lists, *args, **kwargs):
             init(lists, *args, **kwargs)
-            rec.queued += [(lists, entry[3]) for entry in lists.heap]
+            rec.queued += [(lists, entry[2]) for entry in lists.heap]
 
         def _cancel(lists, *args, **kwargs):
             counter = lists.queued
             out = cancel(lists, *args, **kwargs)
-            alive = lists.arc_alive
-            for entry in lists.heap:
-                if entry[2] < counter:
-                    continue
-                aid = entry[3]
-                rec.queued.append((lists, aid))
-                for n in (lists.arc_upper[aid], lists.arc_lower[aid]):
-                    arcs = lists.node_arcs[n]
-                    if lists.nominal[n] < len(arcs) and not all(
-                        alive[a] for a in arcs
-                    ):
-                        rec.stamped_reads += 1
+            rec.queued += [
+                (lists, aid) for _, n, aid in lists.heap if n >= counter
+            ]
             return out
 
         def _skipped(lists, upper, lower):
@@ -138,31 +121,13 @@ def boundary_candidates(msc, threshold: float, seeds=None) -> set[int]:
 
 def test_oracle_cases_reach_the_lazy_corners(recorder):
     """Beside ``test_cases_are_not_vacuous``: the oracle inputs include a
-    skip whose node later gains arcs that a push reads, and a seeded
-    merge in which a boundary arc is never queued."""
-    msc = block_complex(make_field(5, 6), 2, 0)
-    assert assert_same_run(msc, 0.5, max_arc_multiplicity=None) > 20
-    assert recorder.skips and recorder.stamped_reads > 0
-
+    seeded merge in which a boundary arc is never queued."""
     root, seeds = glued_root(5, 6, 0.3)
     never = boundary_candidates(root, 0.3, seeds)
     recorder.queued.clear()
     assert assert_same_run(root, 0.3, seed_nodes=seeds) > 0
     assert never
     assert never.isdisjoint(aid for _, aid in recorder.queued)
-
-
-@pytest.mark.parametrize(
-    "seed, levels, cap", [(2, 12, None), (11, 6, None), (3, 4, 4)]
-)
-def test_tie_break_reads_nominal_lengths(recorder, seed, levels, cap):
-    """Plateau inputs whose cancellation order the nominal lengths
-    decide: reading a raw list length at either endpoint of a push, or
-    a skip that leaves the nominal length alone, changes the records of
-    at least one of these."""
-    msc = block_complex(make_field(seed, levels), 2, 0)
-    assert assert_same_run(msc, 0.5, max_arc_multiplicity=cap) > 100
-    assert recorder.stamped_reads > 0
 
 
 @pytest.mark.parametrize("seed, levels", [(5, 6), (1, None), (3, 12)])
