@@ -98,7 +98,6 @@ def measure_steady_state(
             result = pipeline.run(field)
             session_secs.append(time.perf_counter() - t0)
             assert result.output_blocks
-        reuse = {"pool_reuse_hits": pipeline.stats.pool_reuse_hits}
 
     steady_oneshot = sum(oneshot_secs[1:]) / len(oneshot_secs[1:])
     steady_session = sum(session_secs[1:]) / len(session_secs[1:])
@@ -110,7 +109,6 @@ def measure_steady_state(
         "oneshot_steps_per_sec": 1.0 / steady_oneshot,
         "session_steps_per_sec": 1.0 / steady_session,
         "speedup": steady_oneshot / steady_session,
-        "session_reuse": reuse,
     }
 
 
@@ -129,7 +127,7 @@ def measure_mmap_independence(
         spec = write_volume(
             tmp_dir / f"vol_{dims[0]}.raw", field, dtype="float64"
         )
-        result = ParallelMSComplexPipeline(cfg).run(volume=spec)
+        result = ParallelMSComplexPipeline(cfg).run(spec)
         t = result.stats.transport
         rows.append(
             {
@@ -282,7 +280,6 @@ def run_smoke() -> dict:
                 t0 = time.perf_counter()
                 pipeline.run(field)
                 secs.append(time.perf_counter() - t0)
-            assert pipeline.stats.pool_reuse_hits == len(fields) - 1
         for s in secs:
             assert np.isfinite(s) and s > 0
 

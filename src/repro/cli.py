@@ -240,18 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="raw volume files, one per timestep "
                          "(identical dims and dtype)")
     _add_run_arguments(st)
-    st.add_argument("--min-value", type=float, default=None,
-                    help="value floor for the significant-extrema "
-                         "monitoring series")
-    st.add_argument("--max-value", type=float, default=None,
-                    help="value ceiling for the significant-extrema "
-                         "monitoring series")
     st.add_argument("--output-dir", default=None,
                     help="write each step's complex to "
                          "DIR/step_NNNN.msc")
     st.add_argument("--json", action="store_true",
-                    help="emit the per-step records and session "
-                         "summary as JSON on stdout")
+                    help="emit the per-step records as JSON on stdout")
 
     i = sub.add_parser("info", help="summarize an MS complex file")
     i.add_argument("mscfile")
@@ -365,7 +358,7 @@ def _cmd_stream(args) -> int:
     import json
     import os
 
-    from repro.core.insitu import InSituAnalyzer
+    from repro.core.pipeline import ParallelMSComplexPipeline
     from repro.parallel.executor import FaultToleranceError
 
     try:
@@ -375,60 +368,36 @@ def _cmd_stream(args) -> int:
         return _fail(str(exc))
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
+    if not args.json:
+        print(f"{'step':>4} {'volume':<24} {'min':>5} {'1sad':>5} "
+              f"{'2sad':>5} {'max':>5} {'seconds':>8}")
     rows = []
     try:
-        with InSituAnalyzer(
-            cfg,
-            feature_min_value=args.min_value,
-            feature_max_value=args.max_value,
-        ) as analyzer:
-            if not args.json:
-                print(f"{'step':>4} {'volume':<24} {'min':>5} "
-                      f"{'1sad':>5} {'2sad':>5} {'max':>5} "
-                      f"{'seconds':>8}")
+        # one open pipeline: its worker pool serves every step
+        with ParallelMSComplexPipeline(cfg) as pipeline:
             for idx, spec in enumerate(specs):
-                record, result = analyzer.step(spec)
-                c = record.node_counts
+                result = pipeline.run(spec)
+                c = result.combined_node_counts()
+                seconds = result.stats.real_seconds_total
                 if not args.json:
                     name = os.path.basename(spec.path)
                     print(f"{idx:>4} {name:<24} {c[0]:>5} {c[1]:>5} "
-                          f"{c[2]:>5} {c[3]:>5} "
-                          f"{record.real_seconds:>8.3f}")
+                          f"{c[2]:>5} {c[3]:>5} {seconds:>8.3f}")
                 if args.output_dir:
-                    out = os.path.join(
+                    result.write(os.path.join(
                         args.output_dir, f"step_{idx:04d}.msc"
-                    )
-                    result.write(out)
-                rows.append(
-                    {
-                        "step": idx,
-                        "volume": spec.path,
-                        "node_counts": list(c),
-                        "significant_minima": record.significant_minima,
-                        "significant_maxima": record.significant_maxima,
-                        "output_bytes": record.output_bytes,
-                        "real_seconds": record.real_seconds,
-                    }
-                )
-            stats = analyzer.pipeline.stats
-            if args.json:
-                print(json.dumps(
-                    {
-                        "steps": rows,
-                        "session": {
-                            "runs": stats.runs,
-                            "pool_reuse_hits": stats.pool_reuse_hits,
-                            "steady_state_steps_per_sec": (
-                                stats.steady_state_steps_per_sec()
-                            ),
-                        },
-                    },
-                    indent=2, sort_keys=True,
-                ))
-            else:
-                print(stats.describe())
+                    ))
+                rows.append({
+                    "step": idx,
+                    "volume": spec.path,
+                    "node_counts": list(c),
+                    "output_bytes": result.stats.output_bytes,
+                    "real_seconds": seconds,
+                })
     except (OSError, ValueError, FaultToleranceError) as exc:
         return _fail(str(exc))
+    if args.json:
+        print(json.dumps({"steps": rows}, indent=2, sort_keys=True))
     return 0
 
 

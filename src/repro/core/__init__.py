@@ -4,14 +4,15 @@
   strategy, simplification threshold, machine parameters),
 - :mod:`repro.core.pipeline` — Algorithm 1 as one driver-side stage
   list (plan, compute every block, the radix-k merge rounds at group
-  roots, write, cost replay), plus the serial convenience entry point,
+  roots, write, cost replay), plus the serial convenience entry point;
+  an open pipeline keeps its worker pool across runs, so a §VII-B time
+  series is a loop of ``pipeline.run(step)``,
 - :mod:`repro.core.glue` — gluing two block complexes at shared boundary
   nodes (§IV-F3),
 - :mod:`repro.core.merge` — pack/unpack and the per-round merge
   computation at group roots,
 - :mod:`repro.core.stats` / :mod:`repro.core.result` — per-stage work and
-  timing accounting consumed by the benchmark harness,
-- :mod:`repro.core.insitu` — §VII-B in-situ per-timestep analysis.
+  timing accounting consumed by the benchmark harness.
 """
 
 from repro.core.config import PipelineConfig, MergeSchedule

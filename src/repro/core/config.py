@@ -53,10 +53,8 @@ class PipelineConfig:
         for the zero-persistence pairs produced by ties.
     merge_radices:
         ``"full"`` (merge to one block using the paper's guideline
-        schedule), ``"none"`` (skip merging entirely), or an explicit
-        sequence of radices in {2, 4, 8} for a partial merge.
-    max_radix:
-        Highest radix used when ``merge_radices="full"``.
+        schedule at radix 8), ``"none"`` (skip merging entirely), or an
+        explicit sequence of radices in {2, 4, 8} for a partial merge.
     machine:
         Virtual Blue Gene/P parameters for the cost model.
     validate:
@@ -84,7 +82,6 @@ class PipelineConfig:
     splits: tuple[int, int, int] | None = None
     persistence_threshold: float = 0.0
     merge_radices: Sequence[int] | str = "full"
-    max_radix: int = 8
     machine: BlueGenePParams = field(default_factory=BlueGenePParams)
     validate: bool = False
     simplify_at_zero_persistence: bool = True
@@ -132,8 +129,8 @@ class PipelineConfig:
 
         The merge schedule is fingerprinted resolved
         (:meth:`resolve_radices`), so equivalent spellings —
-        ``merge_radices="full", max_radix=2`` vs the explicit
-        ``[2, 2, 2]`` on 8 blocks — key identically.
+        ``merge_radices="full"`` vs the explicit ``[8]`` on 8 blocks —
+        key identically.
         """
         return canonical_fingerprint(
             "pipeline-result",
@@ -158,7 +155,7 @@ class PipelineConfig:
         if self.merge_radices == "full":
             if self.num_blocks == 1:
                 return []
-            return full_merge_radices(self.num_blocks, self.max_radix)
+            return full_merge_radices(self.num_blocks)
         return [int(r) for r in self.merge_radices]
 
 
@@ -177,24 +174,24 @@ def _facade_config(
     if isinstance(merge_radix, (int, np.integer)):
         if merge_radix not in (2, 4, 8):
             raise ValueError("merge_radix must be 2, 4, or 8")
-        radices: Sequence[int] | str = "full"
-        max_radix = int(merge_radix)
+        radices: Sequence[int] | str = full_merge_radices(
+            ranks, int(merge_radix)
+        )
     elif merge_radix == "none":
-        radices, max_radix = "none", 8
+        radices = "none"
     elif isinstance(merge_radix, str):
         raise ValueError(
             f"merge_radix must be an int, a radix sequence, or 'none'; "
             f"got {merge_radix!r}"
         )
     else:
-        radices, max_radix = [int(r) for r in merge_radix], 8
+        radices = [int(r) for r in merge_radix]
 
     return PipelineConfig(
         num_blocks=ranks,
         num_procs=ranks,
         persistence_threshold=persistence,
         merge_radices=radices if ranks > 1 else "none",
-        max_radix=max_radix,
         validate=validate,
         # ranks == workers == 1 is the serial path: single block, no
         # pool, no merge rounds; anything else runs the full pipeline

@@ -71,7 +71,6 @@ from repro.core.stats import (
     FaultToleranceStats,
     MergeEventStats,
     PipelineStats,
-    SessionStats,
     TransportStats,
 )
 from repro.io.spool import BlobSpool
@@ -455,7 +454,6 @@ class ParallelMSComplexPipeline:
         with ParallelMSComplexPipeline(cfg) as pipeline:
             for field in timesteps:
                 result = pipeline.run(field)   # or run(volume_spec)
-        print(pipeline.stats.describe())
 
     A serial pipeline holds no OS resource.  Every run is bit-identical
     to a fresh pipeline's run of the same input: the executor is pure
@@ -465,8 +463,6 @@ class ParallelMSComplexPipeline:
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
-        #: runs, pool reuses and per-run wall seconds
-        self.stats = SessionStats()
         self._executor: FaultTolerantExecutor | None = None
         self._closed = False
 
@@ -506,23 +502,16 @@ class ParallelMSComplexPipeline:
         return specs
 
     def run(
-        self,
-        values: np.ndarray | StructuredGrid | VolumeSpec | None = None,
-        volume: VolumeSpec | None = None,
+        self, source: np.ndarray | StructuredGrid | VolumeSpec
     ) -> PipelineResult:
         """Run the full pipeline on an in-memory field or a volume file.
 
-        ``values`` is a vertex array / :class:`StructuredGrid`;
-        ``volume`` is a raw volume file read block-wise where each block
-        is computed.  A :class:`VolumeSpec` passed positionally is taken
-        as ``volume``.
+        ``source`` is a vertex array / :class:`StructuredGrid`, or a
+        :class:`VolumeSpec` naming a raw volume file that is read
+        block-wise where each block is computed.
         """
         if self._closed:
             raise RuntimeError("pipeline is closed")
-        if isinstance(values, VolumeSpec):
-            if volume is not None:
-                raise ValueError("pass exactly one of `values` or `volume`")
-            values, volume = None, values
         # The run tracer is always on: it is the canonical stopwatch
         # every real wall time in PipelineStats reads from.  It becomes
         # the process-ambient tracer — lighting up kernel/io/executor
@@ -530,10 +519,7 @@ class ParallelMSComplexPipeline:
         tracer = Tracer(enabled=True)
         ambient = tracer.installed() if self.config.trace else nullcontext()
         with ambient:
-            result = self._run(tracer, values, volume)
-        self.stats.runs += 1
-        self.stats.step_seconds.append(result.stats.real_seconds_total)
-        return result
+            return self._run(tracer, source)
 
     def close(self) -> None:
         """Release the worker pool; later runs are refused.
@@ -564,19 +550,16 @@ class ParallelMSComplexPipeline:
     def _run(
         self,
         tracer: Tracer,
-        values: np.ndarray | StructuredGrid | None,
-        volume: VolumeSpec | None,
+        source: np.ndarray | StructuredGrid | VolumeSpec,
     ) -> PipelineResult:
         cfg = self.config
-        if (values is None) == (volume is None):
-            raise ValueError("pass exactly one of `values` or `volume`")
-        grid = None
-        if values is not None:
-            grid = (
-                values
-                if isinstance(values, StructuredGrid)
-                else StructuredGrid(values)
-            )
+        grid = volume = None
+        if isinstance(source, VolumeSpec):
+            volume = source
+        elif isinstance(source, StructuredGrid):
+            grid = source
+        else:
+            grid = StructuredGrid(source)
 
         # a spool exists exactly when a budget is set: it bounds the
         # packed compute blobs the driver holds between a block landing
@@ -708,12 +691,10 @@ class ParallelMSComplexPipeline:
         """
         cfg = self.config
         sink_tracer = tracer if cfg.trace else None
-        pool_reused = self._executor is not None
-        if pool_reused:
+        if self._executor is not None:
             self._executor.begin_run(
                 stats=ft, transport=transport, tracer=sink_tracer
             )
-            self.stats.pool_reuse_hits += 1
         else:
             self._executor = FaultTolerantExecutor(
                 workers=cfg.options.workers,
@@ -722,10 +703,6 @@ class ParallelMSComplexPipeline:
                 transport=transport,
                 tracer=sink_tracer,
             )
-        tracer.event(
-            "session.reuse", cat="session",
-            step=self.stats.runs, pool_reused=pool_reused,
-        )
         # a file input is mmap-read wherever its blocks are computed
         # (the driver never materializes the volume); an in-memory
         # field's blocks travel in their specs, by value

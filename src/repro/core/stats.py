@@ -24,7 +24,6 @@ __all__ = [
     "MergeEventStats",
     "RankTimeline",
     "PipelineStats",
-    "SessionStats",
     "TransportStats",
     "COMPUTE_STAGES",
 ]
@@ -103,43 +102,6 @@ class BlockComputeStats:
     rank: int = 0
     #: virtual compute seconds
     virtual_seconds: float = 0.0
-
-
-@dataclass
-class SessionStats:
-    """Reuse accounting of one pipeline across its runs."""
-
-    #: runs completed
-    runs: int = 0
-    #: runs that reused the live compute executor (pool intact)
-    pool_reuse_hits: int = 0
-    #: real wall seconds of each run, in run order
-    step_seconds: list[float] = field(default_factory=list)
-
-    def steady_state_seconds_per_step(self) -> float:
-        """Mean wall seconds per step, first (warm-up) step excluded."""
-        steady = self.step_seconds[1:] or self.step_seconds
-        if not steady:
-            return 0.0
-        return sum(steady) / len(steady)
-
-    def steady_state_steps_per_sec(self) -> float:
-        """Steady-state throughput in steps/second (see above)."""
-        per_step = self.steady_state_seconds_per_step()
-        return 1.0 / per_step if per_step > 0 else 0.0
-
-    def describe(self) -> str:
-        """One-line summary, e.g. for the CLI streaming report."""
-        out = (
-            f"session: {self.runs} steps, "
-            f"{self.pool_reuse_hits} pool reuses"
-        )
-        if len(self.step_seconds) > 1:
-            out += (
-                f", {self.steady_state_steps_per_sec():.2f} "
-                f"steps/s steady-state"
-            )
-        return out
 
 
 @dataclass

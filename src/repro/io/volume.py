@@ -117,7 +117,8 @@ def write_volume_slabs(
     slab is ever materialized.  The resulting file is byte-identical to
     ``write_volume(path, whole_volume, dtype)`` of the concatenated
     slabs.  Raises :class:`ValueError` when slab shapes do not tile
-    ``dims`` exactly, or when a ``uint8`` cast would change a sample.
+    ``dims`` exactly, or when a ``uint8`` cast would change a sample;
+    a refused write removes the file it started.
     """
     if dtype not in SUPPORTED_DTYPES:
         raise ValueError(f"dtype {dtype!r} unsupported")
@@ -132,33 +133,39 @@ def write_volume_slabs(
         bytes=int(np.prod(dims)) * np.dtype(np_dtype).itemsize,
     ) as sp:
         num_slabs = 0
-        with open(path, "wb") as fh:
-            for slab in slabs:
-                slab = np.asarray(slab)
-                if (
-                    slab.ndim != 3
-                    or slab.shape[0] != nx
-                    or slab.shape[1] != ny
-                ):
-                    raise ValueError(
-                        f"slab shape {slab.shape} does not tile "
-                        f"dims {dims} (expected ({nx}, {ny}, dz))"
-                    )
-                if written_z + slab.shape[2] > nz:
-                    raise ValueError(
-                        f"slabs overflow dims {dims}: z reached "
-                        f"{written_z + slab.shape[2]}"
-                    )
-                if dtype == "uint8":
-                    _check_bytes(slab)
-                slab.astype(np_dtype).ravel(order="F").tofile(fh)
-                written_z += slab.shape[2]
-                num_slabs += 1
+        fh = open(path, "wb")
+        try:
+            with fh:
+                for slab in slabs:
+                    slab = np.asarray(slab)
+                    if (
+                        slab.ndim != 3
+                        or slab.shape[0] != nx
+                        or slab.shape[1] != ny
+                    ):
+                        raise ValueError(
+                            f"slab shape {slab.shape} does not tile "
+                            f"dims {dims} (expected ({nx}, {ny}, dz))"
+                        )
+                    if written_z + slab.shape[2] > nz:
+                        raise ValueError(
+                            f"slabs overflow dims {dims}: z reached "
+                            f"{written_z + slab.shape[2]}"
+                        )
+                    if dtype == "uint8":
+                        _check_bytes(slab)
+                    slab.astype(np_dtype).ravel(order="F").tofile(fh)
+                    written_z += slab.shape[2]
+                    num_slabs += 1
+            if written_z != nz:
+                raise ValueError(
+                    f"slabs underfill dims {dims}: z stopped at {written_z}"
+                )
+        except BaseException:
+            # a refused volume leaves no partial file behind
+            Path(path).unlink(missing_ok=True)
+            raise
         sp.annotate(slabs=num_slabs)
-    if written_z != nz:
-        raise ValueError(
-            f"slabs underfill dims {dims}: z stopped at {written_z}"
-        )
     # same stat-key-collision hazard as write_volume: drop the caches
     invalidate_map_cache()
     return VolumeSpec(str(path), dims, dtype)

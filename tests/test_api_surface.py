@@ -157,9 +157,7 @@ class TestFacade:
     def test_pipeline_route_matches_legacy_pipeline(self, facade_field):
         from repro.core.merge import pack_complex
 
-        cfg = repro.PipelineConfig(
-            num_blocks=8, persistence_threshold=0.05, max_radix=8
-        )
+        cfg = repro.PipelineConfig(num_blocks=8, persistence_threshold=0.05)
         legacy = repro.ParallelMSComplexPipeline(cfg).run(facade_field)
         facade = repro.compute(
             facade_field, persistence=0.05, ranks=8, merge_radix=8
@@ -366,8 +364,11 @@ def _loop_lists():
 #: the compute-stage retry policy with its five knobs, the two
 #: fingerprints nothing keyed on, the per-cell arrays of the block
 #: mesh, the incidence a complex kept between cancellation passes, the
-#: cancellation log a complex kept with the curve read from it, and the
-#: degree tie-break with the two caps (arcs per pair, paths per node);
+#: cancellation log a complex kept with the curve read from it, the
+#: degree tie-break with the two caps (arcs per pair, paths per node),
+#: and the in-situ analyzer with the reuse record of an open pipeline,
+#: the value filters of ``repro stream`` and the second way to pass a
+#: volume or a full-merge radix;
 #: each row is ``(call, text its error must contain)``
 REMOVED_SPELLINGS = {
     "PipelineConfig(workers=)": (
@@ -481,8 +482,41 @@ REMOVED_SPELLINGS = {
         lambda f: importlib.import_module(
             "repro.core.insitu"
         ).InSituAnalyzer(repro.PipelineConfig(num_blocks=8)).session,
-        "has no attribute 'session'",
+        "No module named 'repro.core.insitu'",
     ),
+    "repro.core.insitu": (
+        lambda f: importlib.import_module("repro.core.insitu"),
+        "No module named 'repro.core.insitu'",
+    ),
+    "repro.core.stats.SessionStats": (
+        lambda f: importlib.import_module("repro.core.stats").SessionStats,
+        "has no attribute 'SessionStats'",
+    ),
+    "ParallelMSComplexPipeline.stats": (
+        lambda f: repro.ParallelMSComplexPipeline(
+            repro.PipelineConfig(num_blocks=8)
+        ).stats,
+        "'ParallelMSComplexPipeline' object has no attribute 'stats'",
+    ),
+    "ParallelMSComplexPipeline.run(volume=)": (
+        lambda f: repro.ParallelMSComplexPipeline(
+            repro.PipelineConfig(num_blocks=8)
+        ).run(volume=f),
+        "unexpected keyword argument 'volume'",
+    ),
+    "PipelineConfig(max_radix=)": (
+        lambda f: repro.PipelineConfig(num_blocks=8, max_radix=4),
+        "unexpected keyword argument 'max_radix'",
+    ),
+    **{
+        f"stream {flag}": (
+            lambda f, flag=flag: _parse_cli(
+                "stream", "v.raw", "--dims", "4", "4", "4", flag, "0.5"
+            ),
+            f"unrecognized arguments: {flag}",
+        )
+        for flag in ("--min-value", "--max-value")
+    },
     "gen": (
         lambda f: _parse_cli("gen", "sinusoid", "v.raw"),
         "invalid choice: 'gen'",
@@ -961,8 +995,8 @@ class TestImportSets:
         )
         assert "repro.core.pipeline" in mods
         assert not _under(
-            mods, "repro.api", "repro.service", "repro.core.insitu",
-            "http.server", "networkx", "asyncio",
+            mods, "repro.api", "repro.service", "http.server", "networkx",
+            "asyncio",
         )
         assert not _fault_harness(mods)
         assert _under(mods, "repro.analysis") == {
@@ -995,7 +1029,7 @@ class TestImportSets:
             "repro.compute(np.random.default_rng(0).random((12, 12, 12)))",
         )
         assert "repro.api" in mods
-        assert not _under(mods, "repro.service", "repro.core.insitu")
+        assert not _under(mods, "repro.service")
 
     def test_lazy_names_resolve_in_a_fresh_process(self, tmp_path):
         mods = _loaded_modules(

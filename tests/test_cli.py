@@ -300,6 +300,7 @@ class TestSynth:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: dtype uint8")
+        assert not (tmp_path / "v.raw").exists()
         out = tmp_path / "h.raw"
         assert main(["synth", "hydrogen", str(out), "--points", "12",
                      "--dtype", "uint8"]) == 0
@@ -733,8 +734,13 @@ class TestStream:
             "--output-dir", str(out_dir),
         ])
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "session: 2 steps" in stdout
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split() == [
+            "step", "volume", "min", "1sad", "2sad", "max", "seconds",
+        ]
+        assert [row.split()[:2] for row in rows[1:]] == [
+            ["0", "t0.raw"], ["1", "t1.raw"],
+        ]
         for step in range(2):
             assert (out_dir / f"step_{step:04d}.msc").exists()
 
@@ -758,25 +764,41 @@ class TestStream:
         )
         for step, spec in enumerate(series):
             ref = tmp_path / f"ref{step}.msc"
-            ParallelMSComplexPipeline(cfg).run(volume=spec).write(str(ref))
+            ParallelMSComplexPipeline(cfg).run(spec).write(str(ref))
             streamed = out_dir / f"step_{step:04d}.msc"
             assert streamed.read_bytes() == ref.read_bytes()
 
-    def test_stream_json_records_session_reuse(self, series, capsys):
+    @pytest.mark.parametrize("merge", [["--no-merge"], ["--radices", "2"]],
+                             ids=["no-merge", "radices-2"])
+    def test_stream_json_rows_count_each_node_once(self, merge, series,
+                                                   capsys):
+        """With several output blocks a boundary node is in more than
+        one of them; each row counts it once, as the one-shot run's
+        ``combined_node_counts()`` does."""
         import json
 
-        rc = main([
-            "stream", *[s.path for s in series],
+        from repro.core.pipeline import ParallelMSComplexPipeline
+
+        args = [
             "--dims", "9", "9", "9", "--dtype", "float64",
-            "--blocks", "8", "--json",
-        ])
+            "--blocks", "8", *merge,
+        ]
+        rc = main(["stream", *[s.path for s in series], *args, "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["steps"]) == 2
-        assert payload["session"]["runs"] == 2
-        assert payload["session"]["pool_reuse_hits"] == 1
-        assert "plan_cache_hits" not in payload["session"]
-        assert not any(k.startswith("shm_") for k in payload["session"])
+        assert set(payload) == {"steps"}
+        cfg = _config_from_args(
+            build_parser().parse_args(["stream", "x.raw", *args])
+        )
+        for row, spec in zip(payload["steps"], series, strict=True):
+            ref = ParallelMSComplexPipeline(cfg).run(spec)
+            assert ref.num_output_blocks > 1
+            assert row["node_counts"] == list(ref.combined_node_counts())
+            assert row["output_bytes"] == ref.stats.output_bytes
+            assert set(row) == {
+                "step", "volume", "node_counts", "output_bytes",
+                "real_seconds",
+            }
 
     def test_wrong_size_volume_fails_before_first_step(
         self, series, tmp_path, capsys

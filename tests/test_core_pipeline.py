@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import PipelineConfig
+from repro.core.config import PipelineConfig, _facade_config
 from repro.core.pipeline import (
     ParallelMSComplexPipeline,
     compute_morse_smale_complex,
@@ -29,7 +29,10 @@ class TestConfig:
     def test_full_schedule(self):
         cfg = PipelineConfig(num_blocks=64)
         assert cfg.resolve_radices() == [8, 8]
-        cfg = PipelineConfig(num_blocks=64, max_radix=4)
+        # the facade resolves merge_radix=k to the guideline schedule
+        cfg = _facade_config(persistence=0.0, ranks=64, merge_radix=4,
+                             validate=False, options=None, trace=False)
+        assert cfg.merge_radices == [4, 4, 4]
         assert cfg.resolve_radices() == [4, 4, 4]
 
     def test_none_and_explicit(self):
@@ -131,7 +134,7 @@ class TestParallelPipeline:
     def test_volume_file_input(self, field, tmp_path):
         spec = write_volume(tmp_path / "f.raw", field, dtype="float64")
         cfg = PipelineConfig(num_blocks=8, persistence_threshold=0.05)
-        from_file = ParallelMSComplexPipeline(cfg).run(volume=spec)
+        from_file = ParallelMSComplexPipeline(cfg).run(spec)
         in_memory = ParallelMSComplexPipeline(cfg).run(field)
         assert (
             from_file.merged_complexes[0].node_counts_by_index()
@@ -140,10 +143,10 @@ class TestParallelPipeline:
 
     def test_input_validation(self, field):
         pipe = ParallelMSComplexPipeline(PipelineConfig(num_blocks=8))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             pipe.run()
         with pytest.raises(ValueError):
-            pipe.run(field, volume="also")
+            pipe.run(field[0])
 
     def test_stats_populated(self, field):
         cfg = PipelineConfig(num_blocks=8, persistence_threshold=0.05)

@@ -16,7 +16,6 @@ import repro
 from repro import ExecutionOptions
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ParallelMSComplexPipeline
-from repro.core.stats import SessionStats
 from repro.io.volume import write_volume
 from tests.faults import FaultPlan, injected
 
@@ -58,17 +57,6 @@ class TestSessionBasics:
                 pipeline.run(f).write(str(out))
                 assert out.read_bytes() == refs[i]
 
-    def test_reuse_counters(self):
-        with ParallelMSComplexPipeline(config()) as pipeline:
-            for f in fields(3):
-                pipeline.run(f)
-            stats = pipeline.stats
-        assert stats.runs == 3
-        assert stats.pool_reuse_hits == 2
-        assert len(stats.step_seconds) == 3
-        assert "3 steps" in stats.describe()
-        assert "plan" not in stats.describe()
-
     def test_closed_session_refuses_runs(self):
         pipeline = ParallelMSComplexPipeline(config())
         pipeline.run(fields(1)[0])
@@ -84,12 +72,6 @@ class TestSessionBasics:
             result = pipeline.run(fields(1)[0])
             assert result.output_blocks
         assert pipeline.closed
-
-    def test_steady_state_stats_math(self):
-        stats = SessionStats(step_seconds=[1.0, 0.5, 0.5])
-        assert stats.steady_state_seconds_per_step() == 0.5
-        assert stats.steady_state_steps_per_sec() == 2.0
-        assert SessionStats().steady_state_steps_per_sec() == 0.0
 
 
 class TestSessionVolumeInput:
@@ -107,12 +89,16 @@ class TestSessionVolumeInput:
             assert result.stats.transport.driver_staged_bytes == 0
 
     def test_both_inputs_rejected(self, tmp_path):
+        """``run`` takes one source; there is no second input keyword
+        to pair with it."""
         spec = write_volume(
             tmp_path / "v.raw", fields(1)[0], dtype="float64"
         )
         with ParallelMSComplexPipeline(config()) as pipeline:
-            with pytest.raises(ValueError, match="exactly one"):
-                pipeline.run(spec, volume=spec)
+            with pytest.raises(TypeError):
+                pipeline.run(spec, spec)
+            with pytest.raises(TypeError, match="'volume'"):
+                pipeline.run(fields(1)[0], volume=spec)
 
 
 class TestMmapDriverBytes:
@@ -121,7 +107,7 @@ class TestMmapDriverBytes:
     def test_driver_stages_no_volume_bytes(self, tmp_path):
         field = fields(1, dims=(12, 12, 12))[0]
         spec = write_volume(tmp_path / "v.raw", field, dtype="float64")
-        result = ParallelMSComplexPipeline(config()).run(volume=spec)
+        result = ParallelMSComplexPipeline(config()).run(spec)
         t = result.stats.transport
         assert t.kind == "mmap"
         assert t.driver_staged_bytes == 0
@@ -145,8 +131,8 @@ class TestVertexBytes:
         )
         spec32 = write_volume(tmp_path / "v32.raw", field, "float32")
         spec64 = write_volume(tmp_path / "v64.raw", field, "float64")
-        r32 = ParallelMSComplexPipeline(cfg).run(volume=spec32)
-        r64 = ParallelMSComplexPipeline(cfg).run(volume=spec64)
+        r32 = ParallelMSComplexPipeline(cfg).run(spec32)
+        r64 = ParallelMSComplexPipeline(cfg).run(spec64)
         assert r32.stats.read_time == plan.model.read_time(vmax * 4)
         assert r64.stats.read_time == plan.model.read_time(vmax * 8)
         assert r64.stats.read_time > r32.stats.read_time
@@ -156,7 +142,7 @@ class TestVertexBytes:
         cfg = config()
         mem = ParallelMSComplexPipeline(cfg).run(field)
         spec64 = write_volume(tmp_path / "v.raw", field, "float64")
-        vol = ParallelMSComplexPipeline(cfg).run(volume=spec64)
+        vol = ParallelMSComplexPipeline(cfg).run(spec64)
         # the in-memory grid is float64, same as the float64 volume
         assert mem.stats.read_time == pytest.approx(
             vol.stats.read_time
@@ -179,7 +165,6 @@ class TestPooledSession:
                 result.write(str(out))
                 assert out.read_bytes() == refs[i]
                 assert result.stats.transport.kind == "pickle"
-            assert pipeline.stats.pool_reuse_hits == 2
 
     def test_pool_forked_once_and_released_on_close(self):
         """Three pooled runs fork one pool; close (and the end of a
@@ -191,8 +176,6 @@ class TestPooledSession:
             workers.append(
                 {p.pid for p in multiprocessing.active_children()}
             )
-        assert pipeline.stats.runs == 3
-        assert pipeline.stats.pool_reuse_hits == 2
         # the first run's two workers serve every later run
         assert len(workers[0]) == 2
         assert workers[1] == workers[2] == workers[0]
@@ -212,14 +195,19 @@ class TestPooledSession:
             np.random.default_rng(1).random((12, 12, 12)),
             np.random.default_rng(2).random((9, 9, 9)),
         ]
+        workers = []
         with ParallelMSComplexPipeline(config(workers=2)) as pipeline:
             for i, f in enumerate(series):
                 out = tmp_path / f"sized{i}.msc"
                 pipeline.run(f).write(str(out))
+                workers.append(
+                    {p.pid for p in multiprocessing.active_children()}
+                )
                 assert out.read_bytes() == oneshot_bytes(
                     config(), tmp_path, f, f"ref{i}"
                 )
-            assert pipeline.stats.pool_reuse_hits == 2
+        assert len(workers[0]) == 2
+        assert workers[1] == workers[2] == workers[0]
 
 
 @pytest.mark.slow
@@ -249,7 +237,6 @@ class TestSessionChaos:
                 result.write(str(out))
                 assert out.read_bytes() == refs[i]
                 assert result.stats.faults.pool_restarts == 1
-            assert pipeline.stats.runs == 3
         assert pipeline._executor is None
         assert multiprocessing.active_children() == []
 

@@ -5,11 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.pipeline import compute_morse_smale_complex
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import (
+    ParallelMSComplexPipeline,
+    compute_morse_smale_complex,
+)
 from repro.data.datasets import (
     hydrogen_atom,
     jet_mixture_fraction_proxy,
     rayleigh_taylor_proxy,
+    rayleigh_taylor_sequence,
 )
 from repro.data.synthetic import (
     expected_extrema,
@@ -155,6 +160,23 @@ class TestProxies:
         counts = msc.node_counts_by_index()
         # bubbles appear as minima pockets, spikes as maxima pockets
         assert counts[0] >= 3 and counts[3] >= 3
+
+    def test_rt_sequence_instability_grows(self):
+        """A time series is a loop over one open pipeline; the node
+        count grows as the instability develops."""
+        cfg = PipelineConfig(num_blocks=8, persistence_threshold=0.15)
+        with ParallelMSComplexPipeline(cfg) as pipeline:
+            nodes = [
+                sum(pipeline.run(field).combined_node_counts())
+                for _, field in rayleigh_taylor_sequence(
+                    (17, 17, 17), num_steps=3
+                )
+            ]
+        assert nodes[-1] > nodes[0]
+
+    def test_sequence_validation(self):
+        with pytest.raises(ValueError):
+            list(rayleigh_taylor_sequence((17, 17, 17), num_steps=0))
 
 
 class TestChunkedWriter:

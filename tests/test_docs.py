@@ -8,6 +8,10 @@ name there must no longer be defined at that path (an import of
 something defined elsewhere, like ``repro.api._facade_config``, is not
 a definition).
 
+In a fenced python block of README.md or docs/*.md, every name a
+``from repro… import`` line brings in resolves, and so does every
+attribute path read off such a name (``ExecutionOptions.workers``).
+
 Every backticked repo-relative path in README.md and DESIGN.md (one
 beginning ``examples/``, ``tests/``, ``benchmarks/`` or ``src/``) exists;
 a ``::`` test id after it is ignored and a glob must match a file.
@@ -54,6 +58,11 @@ COMMAND = re.compile(
     re.M,
 )
 PATH = re.compile(r"`((?:examples|tests|benchmarks|src)/[^`:\s]*)")
+PYTHON_FENCE = re.compile(r"^```py(?:thon)?\n(.*?)^```", re.S | re.M)
+#: ``from repro.x import a, b as c`` (parenthesized lists included)
+FROM_IMPORT = re.compile(
+    r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n]+)", re.M
+)
 
 
 def _resolve(dotted: str):
@@ -111,6 +120,38 @@ def test_named_objects_exist(doc):
         except LookupError:
             missing.append(name)
     assert not missing, f"{doc.name} names what does not exist: {missing}"
+
+
+def _python_block_names(text: str) -> set[str]:
+    """The dotted ``repro`` names the fenced python blocks import, and
+    each attribute path they read off an imported name."""
+    names = set()
+    for block in PYTHON_FENCE.findall(text):
+        for module, imported in FROM_IMPORT.findall(block):
+            for item in imported.strip("()").split(","):
+                name, _, alias = item.strip().partition(" as ")
+                if not name:
+                    continue
+                names.add(f"{module}.{name}")
+                for attrs in re.findall(
+                    rf"(?<![\w.]){alias or name}((?:\.[A-Za-z_]\w*)+)", block
+                ):
+                    names.add(f"{module}.{name}{attrs}")
+    return names
+
+
+@pytest.mark.parametrize(
+    "doc", [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))],
+    ids=lambda p: p.name,
+)
+def test_python_blocks_import_what_exists(doc):
+    missing = []
+    for name in sorted(_python_block_names(doc.read_text())):
+        try:
+            _resolve(name)
+        except LookupError:
+            missing.append(name)
+    assert not missing, f"{doc.name} python blocks import what is gone: {missing}"
 
 
 def test_removed_names_are_gone():

@@ -44,6 +44,18 @@ def test_combustion_minima_curve_starts_at_the_merged_complex(capsys):
     assert curve == sorted(curve, reverse=True) and curve[-1] < nodes
 
 
+def test_insitu_monitoring_loop(capsys):
+    """The time series is a plain loop over one open pipeline; at smoke
+    size the node count still grows from the first step to the last."""
+    sys.path.insert(0, str(EXAMPLES))
+    import insitu_monitoring
+
+    insitu_monitoring.main(dims=(17, 17, 17), steps=3)
+    out = capsys.readouterr().out
+    assert len(re.findall(r"^\s+\d\.\d\d\s+\d+", out, re.M)) == 3
+    assert re.search(r"feature count grew by \+\d+ nodes", out)
+
+
 def test_porous_filaments_components():
     sys.path.insert(0, str(EXAMPLES))
     import porous_filaments as pf

@@ -51,7 +51,7 @@ def run(field, plan=None, **options):
     cfg = PipelineConfig(
         num_blocks=BLOCKS,
         persistence_threshold=0.05,
-        max_radix=2,  # three [2, 2, 2] rounds, 7 root merges
+        merge_radices=[2, 2, 2],  # 7 root merges
         options=ExecutionOptions(**options),
     )
     with injected(plan) if plan is not None else nullcontext():

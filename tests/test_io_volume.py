@@ -61,7 +61,7 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="uint8 holds only"):
             write_volume_slabs(tmp_path / "s.raw", vals.shape, slabs,
                                dtype="uint8")
-        assert (tmp_path / "s.raw").stat().st_size == 2 * 3 * 2
+        assert not (tmp_path / "s.raw").exists()
 
     def test_x_fastest_on_disk(self, tmp_path):
         vals = np.zeros((3, 2, 2))
@@ -219,8 +219,9 @@ class TestSlabWriter:
         with pytest.raises(ValueError, match="does not tile"):
             write_volume_slabs(
                 tmp_path / "bad.raw", (4, 4, 4),
-                iter([np.zeros((4, 3, 4))]),
+                iter([np.zeros((4, 4, 2)), np.zeros((4, 3, 2))]),
             )
+        assert not (tmp_path / "bad.raw").exists()
 
     def test_overflowing_slabs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="overflow"):
@@ -228,6 +229,7 @@ class TestSlabWriter:
                 tmp_path / "bad.raw", (4, 4, 4),
                 iter([np.zeros((4, 4, 3)), np.zeros((4, 4, 3))]),
             )
+        assert not (tmp_path / "bad.raw").exists()
 
     def test_underfilling_slabs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="underfill"):
@@ -235,6 +237,7 @@ class TestSlabWriter:
                 tmp_path / "bad.raw", (4, 4, 4),
                 iter([np.zeros((4, 4, 3))]),
             )
+        assert not (tmp_path / "bad.raw").exists()
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported"):

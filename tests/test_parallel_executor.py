@@ -169,14 +169,14 @@ class TestComputeBlock:
 # ---------------------------------------------------------------------------
 
 
-def _run(field=None, volume=None, *, workers, blocks=8):
+def _run(source, *, workers, blocks=8):
     cfg = PipelineConfig(
         num_blocks=blocks,
         persistence_threshold=0.05,
         options=ExecutionOptions(workers=workers),
     )
     with ParallelMSComplexPipeline(cfg) as pipe:
-        return pipe.run(field if field is not None else volume)
+        return pipe.run(source)
 
 
 def cancellation_record(result):
@@ -232,8 +232,8 @@ class TestSerialPoolIdentity:
         """Workers read their own subarrays from the raw volume file."""
         field = gaussian_bumps_field((17, 17, 17), 5, seed=4)
         spec = write_volume(tmp_path / "f.raw", field, dtype="float64")
-        serial = _run(volume=spec, workers=1)
-        pooled = _run(volume=spec, workers=3)
+        serial = _run(spec, workers=1)
+        pooled = _run(spec, workers=3)
         _identity_checks(serial, pooled)
 
     def test_partial_merge_and_fewer_procs(self):

@@ -89,7 +89,7 @@ class TestResultFingerprintScope:
         at most 2 parallel arcs per pair, and a store written before
         must miss rather than serve the old complex."""
         cfg = PipelineConfig(
-            num_blocks=8, persistence_threshold=0.05, max_radix=2
+            num_blocks=8, persistence_threshold=0.05, merge_radices=[2, 2, 2]
         )
         assert cfg.result_fingerprint() == (
             "fe084cab6d6dbcfaef67f5c0c79e6f76"

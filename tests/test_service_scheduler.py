@@ -127,7 +127,7 @@ class TestCacheHitBitIdentity:
             options=ExecutionOptions(hierarchy=True, merge_spill_budget_bytes=0),
         )
         golden = tmp_path / "golden.msc"
-        ParallelMSComplexPipeline(cfg).run(volume=volume).write(golden)
+        ParallelMSComplexPipeline(cfg).run(volume).write(golden)
 
         artifact = client.artifact_path(cold.key)
         assert artifact.read_bytes() == golden.read_bytes()
